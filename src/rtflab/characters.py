@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import RamifiedOverlapError
-from .fields import FinitePlace, LevelIdeal, Place, RATIONALS, FieldProfile
+from .fields import FinitePlace, LevelIdeal, Place, RATIONALS, FieldProfile, factorize
 from .special import digamma
 
 
@@ -31,24 +31,8 @@ from .special import digamma
 # unit-group structure
 
 
-def _factorize(m: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _primitive_root(q: int, phi: int) -> int:
-    prime_factors = {p for p, _ in _factorize(phi)}
+    prime_factors = {p for p, _ in factorize(phi)}
     for g in range(2, q):
         if math.gcd(g, q) != 1:
             continue
@@ -87,7 +71,7 @@ def unit_group(m: int) -> _UnitGroup:
     if m == 1:
         return _UnitGroup(1, (), (), {0: ()}, ())
     components: list[tuple[int, list[int], list[int], list[tuple[int, int, str]]]] = []
-    for p, e in _factorize(m):
+    for p, e in factorize(m):
         q = p**e
         if p == 2:
             if e == 1:

@@ -197,7 +197,7 @@ def _cmd_constants(args) -> int:
         "C_level": level_constant(n),
         "C_eta_big": mean_square_constant(n, laurent, profile),
         "Y": {
-            str(j): spectral_edge_constant(n, ctx, j, cap=args.cap)
+            str(j): spectral_edge_constant(n, ctx, j)
             for j in (2, 1, 0, -1)
         },
         "s_values": s_values,
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", default="trivial", help="'trivial' or 'quad:m'")
     p.add_argument("--s-values", default=None, help="comma list of s samples")
     p.add_argument("--s-primes", default=None, help="comma list of finite S primes")
-    p.add_argument("--cap", type=int, default=100_000)
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("characters", help="census of even square-conductor characters (CSV)")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import Density, integrate_density
+from .quadrature import cos_substituted, kronrod_cells
 
 CSV_COLUMNS = ("level_norm", "place_q", "x", "weight")
 
@@ -125,25 +126,6 @@ def write_sample_csv(sample: EmpiricalSample) -> str:
 # ---------------------------------------------------------------------------
 # theoretical CDF on a fixed grid
 
-_KRONROD = (
-    (0.000000000000000000000000000000000, 0.209482141084727828012999174891714),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649),
-    (-0.207784955007898467600689403773245, 0.204432940075298892414161999234649),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014),
-    (-0.405845151377397166906606412076961, 0.190350578064785409913256402421014),
-    (0.586087235467691130294144838258730, 0.169004726639267902826583426598550),
-    (-0.586087235467691130294144838258730, 0.169004726639267902826583426598550),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238),
-    (-0.741531185599394439863864773280788, 0.140653259715525918745189590510238),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518),
-    (-0.864864423359769072789712788640926, 0.104790010322250183839876322541518),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204),
-    (-0.949107912342758524526189684047851, 0.063092092629978553290700663189204),
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
-    (-0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
-)
-
-
 class CdfInterpolator:
     """CDF of a density on a finite interval, tabulated on a fixed grid.
 
@@ -157,28 +139,14 @@ class CdfInterpolator:
     def __init__(self, density: Density, grid: int = 2048):
         if not math.isfinite(density.hi - density.lo):
             raise ValueError("CDF tabulation needs a finite domain")
-        increments = np.empty(grid)
         if density.cos_substitution:
             thetas = np.linspace(math.pi, 0.0, grid + 1)  # x ascending from -2 to 2
             xs = 2.0 * np.cos(thetas)
-            for i in range(grid):
-                t0, t1 = thetas[i], thetas[i + 1]  # t0 > t1
-                half = 0.5 * (t1 - t0)
-                mid = 0.5 * (t0 + t1)
-                acc = 0.0
-                for node, wk in _KRONROD:
-                    theta = mid + half * node
-                    acc += wk * density.fn(2.0 * math.cos(theta)) * 2.0 * math.sin(theta)
-                increments[i] = acc * -half  # orientation: decreasing theta
+            # theta decreases across each cell, so the signed cell integrals flip
+            increments = -np.array(kronrod_cells(cos_substituted(density.fn), thetas.tolist()))
         else:
             xs = np.linspace(density.lo, density.hi, grid + 1)
-            for i in range(grid):
-                half = 0.5 * (xs[i + 1] - xs[i])
-                mid = 0.5 * (xs[i] + xs[i + 1])
-                acc = 0.0
-                for node, wk in _KRONROD:
-                    acc += wk * density.fn(mid + half * node)
-                increments[i] = acc * half
+            increments = np.array(kronrod_cells(density.fn, xs.tolist()))
         cdf = np.concatenate([[0.0], np.cumsum(increments)])
         self.total = float(cdf[-1])
         self.xs = xs
@@ -204,7 +172,10 @@ def ks_distance(sample: EmpiricalSample, density: Density, grid: int = 2048) -> 
     """Weighted Kolmogorov-Smirnov distance against the density's CDF."""
     if len(sample) == 0:
         raise ValueError("KS distance of an empty sample")
-    interp = CdfInterpolator(density, grid)
+    return _ks_distance(sample, CdfInterpolator(density, grid))
+
+
+def _ks_distance(sample: EmpiricalSample, interp: CdfInterpolator) -> float:
     order = np.argsort(sample.x, kind="stable")
     xs = sample.x[order]
     ws = sample.weight[order]
@@ -253,13 +224,14 @@ def compare_report(
     intervals: Sequence[tuple[float, float]] = (),
     grid: int = 2048,
 ) -> dict:
+    interp = CdfInterpolator(density, grid)
     report = {
         "measure": density.tag,
         "rows": int(len(sample)),
         "rejected_rows": int(rejected),
         "total_weight": sample.total_weight() if len(sample) else 0.0,
-        "theoretical_mass": CdfInterpolator(density, grid).total,
-        "ks_distance": ks_distance(sample, density, grid) if len(sample) else None,
+        "theoretical_mass": interp.total,
+        "ks_distance": _ks_distance(sample, interp) if len(sample) else None,
         "intervals": interval_report(sample, density, intervals) if intervals else [],
     }
     return report

@@ -17,29 +17,22 @@ from fractions import Fraction
 from typing import Mapping
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def is_prime_power(q: int) -> bool:
-    """True iff ``q = p**k`` for a prime ``p`` and ``k >= 1``."""
-    if q < 2:
-        return False
-    for p in range(2, int(math.isqrt(q)) + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return True  # q itself is prime
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of ``n`` by trial division: ``(p, e)`` pairs with
+    ``p`` ascending.  Empty for ``n < 2``."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -58,7 +51,7 @@ class FinitePlace:
     d: int = 0
 
     def __post_init__(self) -> None:
-        if not is_prime_power(self.q):
+        if len(factorize(self.q)) != 1:
             raise ValueError(f"residue cardinality {self.q} is not a prime power >= 2")
         if self.d < 0:
             raise ValueError("different exponent must be >= 0")
@@ -99,7 +92,7 @@ class FieldProfile:
         """The finite place of the rational profile at the prime ``p``."""
         if not self.is_rationals:
             raise ValueError("place_for_prime is only available on the rational profile")
-        if not _is_prime(p):
+        if factorize(p) != [(p, 1)]:
             raise ValueError(f"{p} is not prime")
         return FinitePlace(label=f"p{p}", q=p, d=0)
 
@@ -182,18 +175,7 @@ class LevelIdeal:
         """Factor a positive rational integer over the rational profile."""
         if n < 1:
             raise ValueError("level must be a positive integer")
-        factors = []
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                factors.append((profile.place_for_prime(p), e))
-            p += 1 if p == 2 else 2
-        if n > 1:
-            factors.append((profile.place_for_prime(n), 1))
+        factors = [(profile.place_for_prime(p), e) for p, e in factorize(n)]
         return cls(tuple(factors))
 
     def is_unit(self) -> bool:

@@ -24,24 +24,9 @@ import mpmath as mp
 
 from .characters import DirichletCharacter
 from .errors import PoleError, StencilDisagreementError
+from .fields import factorize
 
 _DPS = 30
-
-
-def _factor_pairs(m: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def _chi_values_mp(chi: DirichletCharacter) -> list:
@@ -80,7 +65,7 @@ def _l_fin_mp(s, chi: DirichletCharacter):
         return mp.zeta(s)
     if chi.order() == 1:
         out = mp.zeta(s)
-        for p, _ in _factor_pairs(m):
+        for p, _ in factorize(m):
             out *= 1 - mp.mpf(p) ** (-s)
         return out
     vals = _chi_values_mp(chi)

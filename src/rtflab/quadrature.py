@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import QuadratureError
 
@@ -69,6 +69,23 @@ def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, floa
         err = scale * min(1.0, (200.0 * err / scale) ** 1.5)
     err = max(err, _EPS_FLOOR * resabs * half)
     return kronrod * half, err
+
+
+def kronrod_cells(f: Callable[[float], float], edges: Sequence[float]) -> list[float]:
+    """Kronrod-15 integral of ``f`` over each cell [edges[i], edges[i + 1]].
+
+    Fixed panels, no error estimate and no subdivision, so the work and the
+    result are the same on every run.
+    """
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        acc = 0.0
+        for xi, _, wk in _NODES:
+            acc += wk * f(mid + half * xi)
+        out.append(acc * half)
+    return out
 
 
 def integrate(
@@ -134,8 +151,15 @@ def integrate_with_cos_substitution(
     b = min(b, 2.0)
     theta_hi = math.acos(a / 2.0)
     theta_lo = math.acos(b / 2.0)
+    return integrate(cos_substituted(density), theta_lo, theta_hi, tol=tol)
+
+
+def cos_substituted(density: Callable[[float], float]) -> Callable[[float], float]:
+    """The integrand density(2 cos(theta)) * 2 sin(theta) in theta; its integral
+    over [theta_lo, theta_hi] is that of the density over [2 cos(theta_hi),
+    2 cos(theta_lo)]."""
 
     def g(theta: float) -> float:
         return density(2.0 * math.cos(theta)) * 2.0 * math.sin(theta)
 
-    return integrate(g, theta_lo, theta_hi, tol=tol)
+    return g

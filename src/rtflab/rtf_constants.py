@@ -8,6 +8,8 @@ over the support of a choice assignment.  The *residue place factors*
 (functions of a twisting variable z, with closed derivatives at 0) assemble
 into the constants of the residual spectrum contribution.  Every closed-form
 derivative here is dual-checked against finite differences by the test suite.
+All products of Taylor data go through one order-2 jet product, and sums over
+choice assignments are taken as products over places of per-place sums.
 """
 
 from __future__ import annotations
@@ -124,6 +126,13 @@ def enumerate_rho(n: LevelIdeal, cap: int = 100_000) -> list[RhoAssignment]:
     return out
 
 
+def _section_factor(q: int, k: int, s: int) -> float:
+    """Per-place factor of the flat section at depth k >= 1."""
+    if k == 1:
+        return s * math.sqrt(q)
+    return (1.0 - 1.0 / q) * s**k * math.sqrt((q + 1.0) / (q - 1.0)) * q ** (k / 2.0)
+
+
 def flat_section_at_identity(
     rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
 ) -> float:
@@ -132,15 +141,46 @@ def flat_section_at_identity(
     Depth-one places contribute sign * q**(1/2); depth k >= 2 contributes
     (1 - 1/q) sign**k ((q+1)/(q-1))**(1/2) q**(k/2).
     """
-    out = 1.0
-    for place, k in rho.active():
-        q = place.q
-        s = sign_at(place)
-        if k == 1:
-            out *= s * math.sqrt(q)
-        else:
-            out *= (1.0 - 1.0 / q) * s**k * math.sqrt((q + 1.0) / (q - 1.0)) * q ** (k / 2.0)
-    return out
+    return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in rho.active())
+
+
+# ---------------------------------------------------------------------------
+# truncated power series ("jets") of order 2
+
+Jet = tuple[float, float, float]
+
+
+def jet_product(jets: Iterable[Jet]) -> Jet:
+    """Product of power series truncated after order 2, each given by its
+    coefficients (f, f', f''/2) at the expansion point."""
+    a0, a1, a2 = 1.0, 0.0, 0.0
+    for b0, b1, b2 in jets:
+        a0, a1, a2 = a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0
+    return a0, a1, a2
+
+
+def assignment_sum(
+    n: LevelIdeal,
+    section_sign: Callable[[FinitePlace], int],
+    jet_at: Callable[[FinitePlace, int], Jet],
+) -> Jet:
+    """Sum over every choice assignment rho of n of (section(rho) + [rho empty])
+    times the jet product of jet_at(place, k) over the active places of rho.
+
+    Both factors are products over places, so the sum over the prod(e_v + 1)
+    assignments equals the empty-assignment term plus the product over places
+    of the local sums 1 + sum_k section_v(k) jet_v(k): O(sum e_v) work.
+    """
+    local = []
+    for place, e in n.factors:
+        s = section_sign(place)
+        acc = (1.0, 0.0, 0.0)
+        for k in range(1, e + 1):
+            w = _section_factor(place.q, k, s)
+            acc = tuple(a + w * b for a, b in zip(acc, jet_at(place, k)))
+        local.append(acc)
+    p0, p1, p2 = jet_product(local)
+    return 1.0 + p0, p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +265,10 @@ def _blocks_for(rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]) -> li
     return [EdgePlaceBlock(p.q, k, sign_at(p)) for p, k in rho.active()]
 
 
+def _edge_jet(block: EdgePlaceBlock) -> Jet:
+    return edge_place_at_edge(block), edge_place_d1(block), 0.5 * edge_place_d2(block)
+
+
 def eta_on_different(
     eta: QuadraticCharacterProfile, profile: FieldProfile
 ) -> int:
@@ -250,27 +294,8 @@ def edge_product_taylor(
     and 2 come from the product rule through the closed-form derivatives.
     """
     eps = eta_on_different(eta, profile)
-    blocks = _blocks_for(rho, eta.sign_at)
-    values = [edge_place_at_edge(b) for b in blocks]
-    d1 = [edge_place_d1(b) for b in blocks]
-    d2 = [edge_place_d2(b) for b in blocks]
-    m = len(blocks)
-
-    def prod_except(skip: set[int]) -> float:
-        out = 1.0
-        for i, v in enumerate(values):
-            if i not in skip:
-                out *= v
-        return out
-
-    t0 = eps * prod_except(set())
-    t1 = eps * math.fsum(d1[w] * prod_except({w}) for w in range(m))
-    t2 = 0.5 * eps * math.fsum(
-        math.fsum(d1[w] * d1[x] * prod_except({w, x}) for x in range(m) if x != w)
-        + d2[w] * prod_except({w})
-        for w in range(m)
-    )
-    return t0, t1, t2
+    t0, t1, t2 = jet_product(_edge_jet(b) for b in _blocks_for(rho, eta.sign_at))
+    return eps * t0, eps * t1, eps * t2
 
 
 # ---------------------------------------------------------------------------
@@ -323,50 +348,31 @@ def residue_product(z: complex, rho: RhoAssignment, profile: FieldProfile) -> co
     return out
 
 
-def residue_product_d1_at_0(rho: RhoAssignment, profile: FieldProfile) -> float:
-    log_d_inv = -math.log(profile.discriminant_abs)
-    blocks = _blocks_for(rho, lambda p: 1)
-    values = [residue_place_factor(0.0, b).real for b in blocks]
-    d1 = [residue_place_d1(b) for b in blocks]
-    m = len(blocks)
-
-    def prod_except(skip: set[int]) -> float:
-        out = 1.0
-        for i, v in enumerate(values):
-            if i not in skip:
-                out *= v
-        return out
-
-    return log_d_inv * prod_except(set()) + math.fsum(
-        d1[w] * prod_except({w}) for w in range(m)
+def _residue_jet(block: EdgePlaceBlock) -> Jet:
+    return (
+        residue_place_factor(0.0, block).real,
+        residue_place_d1(block),
+        0.5 * residue_place_d2(block),
     )
+
+
+def _discriminant_jet(profile: FieldProfile) -> Jet:
+    """D**(-z) at z = 0."""
+    log_d_inv = -math.log(profile.discriminant_abs)
+    return 1.0, log_d_inv, 0.5 * log_d_inv**2
+
+
+def _residue_product_jet(rho: RhoAssignment, profile: FieldProfile) -> Jet:
+    blocks = _blocks_for(rho, lambda p: 1)
+    return jet_product([_discriminant_jet(profile), *map(_residue_jet, blocks)])
+
+
+def residue_product_d1_at_0(rho: RhoAssignment, profile: FieldProfile) -> float:
+    return _residue_product_jet(rho, profile)[1]
 
 
 def residue_product_d2_at_0(rho: RhoAssignment, profile: FieldProfile) -> float:
-    log_d_inv = -math.log(profile.discriminant_abs)
-    blocks = _blocks_for(rho, lambda p: 1)
-    values = [residue_place_factor(0.0, b).real for b in blocks]
-    d1 = [residue_place_d1(b) for b in blocks]
-    d2 = [residue_place_d2(b) for b in blocks]
-    m = len(blocks)
-
-    def prod_except(skip: set[int]) -> float:
-        out = 1.0
-        for i, v in enumerate(values):
-            if i not in skip:
-                out *= v
-        return out
-
-    cross = math.fsum(
-        math.fsum(d1[w] * d1[x] * prod_except({w, x}) for x in range(m) if x != w)
-        + d2[w] * prod_except({w})
-        for w in range(m)
-    )
-    return (
-        log_d_inv**2 * prod_except(set())
-        + 2.0 * log_d_inv * math.fsum(d1[w] * prod_except({w}) for w in range(m))
-        + cross
-    )
+    return 2.0 * _residue_product_jet(rho, profile)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -446,26 +452,25 @@ class ResidueSpecializations:
     twisted_d2: float | None
 
 
+def _value_factor(q: int, k: int, s: int) -> float:
+    """Per-place factor of the residue value at (1/2, 1), depth k >= 1."""
+    if k == 1:
+        return (s - 1.0) * q**-0.5 / (1.0 - 1.0 / q)
+    return (
+        s**k
+        * (s - 1.0)
+        * (s - 1.0 / q)
+        / (1.0 - q**-2)
+        * math.sqrt((q + 1.0) / (q - 1.0))
+        * q ** (-k / 2.0)
+    )
+
+
 def residue_value_half_one(
     rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
 ) -> float:
     """The closed-form product over active places at the point (1/2, 1)."""
-    out = 1.0
-    for place, k in rho.active():
-        q = place.q
-        s = sign_at(place)
-        if k == 1:
-            out *= (s - 1.0) * q**-0.5 / (1.0 - 1.0 / q)
-        else:
-            out *= (
-                s**k
-                * (s - 1.0)
-                * (s - 1.0 / q)
-                / (1.0 - q**-2)
-                * math.sqrt((q + 1.0) / (q - 1.0))
-                * q ** (-k / 2.0)
-            )
-    return out
+    return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in rho.active())
 
 
 def residue_specializations(rho: RhoAssignment, ctx: EtaContext) -> ResidueSpecializations:
@@ -479,27 +484,31 @@ def residue_specializations(rho: RhoAssignment, ctx: EtaContext) -> ResidueSpeci
     return ResidueSpecializations(value, twisted_zero, twisted_d1, twisted_d2)
 
 
-def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
-    """The scalar a(rho) entering the order -1 spectral edge constant."""
+def _residual_combination(ctx: EtaContext, twisted_zero: complex, twisted_d2: float) -> float:
+    """The residual term constant as a function of the twisted value and the
+    twisted second derivative; it is linear in both."""
     r_f = ctx.residue
     if ctx.is_trivial:
-        spec = residue_specializations(rho, ctx)
-        b0 = spec.twisted_zero.real
-        assert spec.twisted_d2 is not None
+        b0 = twisted_zero.real
         return (
-            -0.5 * spec.twisted_d2 * r_f * r_f
+            -0.5 * twisted_d2 * r_f * r_f
             - 2.0 * b0 * r_f * ctx.laurent_trivial.c1
             + b0 * ctx.laurent_trivial.c0**2
         )
+    return (twisted_zero * ctx.laurent_eta.c0**2).real
+
+
+def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
+    """The scalar a(rho) entering the order -1 spectral edge constant."""
     spec = residue_specializations(rho, ctx)
-    return (spec.twisted_zero * ctx.laurent_eta.c0**2).real
+    return _residual_combination(ctx, spec.twisted_zero, spec.twisted_d2)
 
 
 # ---------------------------------------------------------------------------
 # the spectral edge constants
 
 
-def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int, cap: int = 100_000) -> float:
+def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
     """The constant of the stated order (2, 1, 0 or -1) in the edge expansion
     of the residual-plus-degenerate spectral contribution at level n.
 
@@ -507,29 +516,36 @@ def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int, cap: int 
     section and the edge Taylor data; order -1 uses the trivial section and
     the residual term constants.  Orders 2..0 enter the moment identity only
     for an everywhere-unramified character, but are defined for any context.
+    Every sum over assignments is taken as a product over places
+    (:func:`assignment_sum`); :func:`enumerate_rho` with the per-assignment
+    functions is the independent route the tests compare against.
     """
     if order not in (2, 1, 0, -1):
         raise ValueError("order must be one of 2, 1, 0, -1")
     d_half = ctx.profile.discriminant_abs**-0.5
-    terms = []
-    for rho in enumerate_rho(n, cap):
-        empty = 1.0 if rho.is_empty() else 0.0
-        if order == -1:
-            section = flat_section_at_identity(rho, lambda p: 1)
-            weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
-            terms.append(weight * (section + empty) * residual_term_constant(rho, ctx))
-            continue
-        section = flat_section_at_identity(rho, ctx.eta.sign_at)
-        t0, t1, t2 = edge_product_taylor(rho, ctx.eta, ctx.profile)
-        e = ctx.edge
-        if order == 2:
-            combo = 0.5 * t0 * e.c_minus2
-        elif order == 1:
-            combo = e.c_minus1 * t0 + e.c_minus2 * t1
-        else:
-            combo = e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0
-        terms.append(d_half * (section + empty) * combo)
-    return math.fsum(terms)
+    eta = ctx.eta
+    if order == -1:
+        value = assignment_sum(
+            n, lambda p: 1, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
+        )[0]
+        residue = assignment_sum(
+            n, lambda p: 1, lambda p, k: _residue_jet(EdgePlaceBlock(p.q, k, 1))
+        )
+        twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), residue])[2]
+        eps0 = epsilon_of_minus_z(0.0, ctx.dirichlet)
+        weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
+        return weight * _residual_combination(ctx, eps0 * value, twisted_d2)
+    t0, t1, t2 = assignment_sum(
+        n, eta.sign_at, lambda p, k: _edge_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p)))
+    )
+    e = ctx.edge
+    if order == 2:
+        combo = 0.5 * t0 * e.c_minus2
+    elif order == 1:
+        combo = e.c_minus1 * t0 + e.c_minus2 * t1
+    else:
+        combo = e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0
+    return eta_on_different(eta, ctx.profile) * d_half * combo
 
 
 # ---------------------------------------------------------------------------

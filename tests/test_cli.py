@@ -68,6 +68,15 @@ class TestConstants:
         _, out2, _ = run(capsys, "constants", "--n", "2^2*3", "--eta", "quad:5")
         assert out1 == out2
 
+    def test_level_beyond_enumeration_reach(self, capsys):
+        # 7**7 = 823 543 choice assignments, summed as a product over places.
+        n = "2^6*3^6*5^6*7^6*11^6*13^6*17^6"
+        code, out, _ = run(capsys, "constants", "--n", n, "--eta", "trivial")
+        assert code == 0
+        ys = json.loads(out)["Y"]
+        assert sorted(ys) == ["-1", "0", "1", "2"]
+        assert all(math.isfinite(y) for y in ys.values())
+
     def test_pole_exits_3(self, capsys):
         code, _, err = run(capsys, "constants", "--n", "1", "--s-values", "-1")
         assert code == 3

@@ -117,6 +117,23 @@ class TestIntervals:
             assert abs(entry["discrepancy"]) < 0.05
 
 
+    def test_compare_report_builds_one_cdf_table(self, monkeypatch):
+        from rtflab import empirical
+
+        built = []
+
+        class CountingInterpolator(empirical.CdfInterpolator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        sample, _ = sample_from_rows([(1, 2, 0.5, 1.0), (1, 2, -0.5, 3.0)])
+        monkeypatch.setattr(empirical, "CdfInterpolator", CountingInterpolator)
+        rep = compare_report(sample, sato_tate())
+        assert len(built) == 1
+        assert rep["ks_distance"] == pytest.approx(ks_distance(sample, sato_tate()), abs=0.0)
+
+
 class TestSpectralWindowComparison:
     def test_lambda_window_sample(self):
         from rtflab.fields import RATIONALS

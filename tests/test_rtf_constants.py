@@ -318,6 +318,69 @@ class TestSpectralEdgeConstants:
             rtf.spectral_edge_constant(LevelIdeal.unit(), ctx_trivial, 3)
 
 
+def edge_constants_by_enumeration(n, ctx):
+    """The four spectral edge constants as explicit sums over every choice
+    assignment, built from the per-assignment functions."""
+    d_half = ctx.profile.discriminant_abs**-0.5
+    weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
+    e = ctx.edge
+    terms = {2: [], 1: [], 0: [], -1: []}
+    for rho in rtf.enumerate_rho(n):
+        empty = 1.0 if rho.is_empty() else 0.0
+        section = rtf.flat_section_at_identity(rho, ctx.eta.sign_at) + empty
+        t0, t1, t2 = rtf.edge_product_taylor(rho, ctx.eta, ctx.profile)
+        terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
+        terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
+        terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
+        trivial_section = rtf.flat_section_at_identity(rho, lambda p: 1) + empty
+        terms[-1].append(weight * trivial_section * rtf.residual_term_constant(rho, ctx))
+    return {order: math.fsum(t) for order, t in terms.items()}
+
+
+EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@pytest.fixture(scope="module")
+def contexts(ctx_trivial, ctx_chi5):
+    out = {"trivial": ctx_trivial, "quad:5": ctx_chi5}
+    for m in (8, 12, 13):
+        out[f"quad:{m}"] = rtf.eta_context(DirichletCharacter.quadratic(m))
+    return out
+
+
+class TestFactorizedEdgeConstants:
+    @pytest.mark.parametrize(
+        "eta, spec",
+        [
+            ("trivial", {}),
+            ("trivial", {2: 1, 3: 2, 5: 3}),
+            # one level from each big level_scan family: 3**8 and 4**6 assignments
+            ("trivial", {p: 2 for p in EIGHT_PRIMES[:8]}),
+            ("trivial", {p: 3 for p in EIGHT_PRIMES[:6]}),
+            ("quad:5", {2: 2, 3: 1}),
+            ("quad:5", {2: 1, 3: 4, 7: 2, 11: 1}),
+            ("quad:8", {3: 1}),
+            ("quad:8", {p: 2 for p in EIGHT_PRIMES[1:]}),
+            ("quad:12", {5: 2, 7: 1, 11: 3}),
+            ("quad:13", {2: 2, 3: 1, 5: 4}),
+            ("quad:13", {p: 3 for p in (2, 3, 5, 7, 11, 17)}),
+        ],
+    )
+    def test_matches_assignment_enumeration(self, contexts, eta, spec):
+        n = L(spec)
+        ctx = contexts[eta]
+        expected = edge_constants_by_enumeration(n, ctx)
+        for order in (2, 1, 0, -1):
+            y = expected[order]
+            got = rtf.spectral_edge_constant(n, ctx, order)
+            assert abs(got - y) <= 1e-12 * max(1.0, abs(y)), (order, got, y)
+
+    def test_ramified_level_raises_for_every_order(self, ctx_chi5):
+        for order in (2, 1, 0, -1):
+            with pytest.raises(RamifiedOverlapError):
+                rtf.spectral_edge_constant(L({5: 1}), ctx_chi5, order)
+
+
 class TestOrbitFactor:
     def test_archimedean_at_one(self):
         got = rtf.unipotent_orbit_factor({ARCH: 1.0 + 0.0j}, lambda p: 1)
