@@ -2,14 +2,17 @@
 
 Characters are stored as exponent vectors on a fixed generating set of the
 unit group modulo m (CRT components; primitive roots at odd prime powers,
-{-1, 5} at 2-powers).  All character values are carried as exact rational
-phases r with chi(a) = exp(2 pi i r) and converted to floating complex only
-at the boundary, so primitivity and parity tests are exact.
+{-1, 5} at 2-powers).  Every character value is carried as an exact integer
+phase k modulo the group exponent L (the lcm of the generator orders), with
+chi(a) = exp(2 pi i k / L), the encoding of Conrey labels.  Primitivity,
+parity and conductor tests are integer comparisons; `phase` converts to a
+`Fraction` at its boundary and floating complex values appear only in the
+value accessors.
 
-`brute_force_character_table` is an independent cross-check enumerator: it
+`brute_force_phase_tables` is an independent cross-check enumerator: it
 knows nothing about primitive roots or CRT and builds every homomorphism of
-the unit group by subgroup extension.  Tests and the self-check suite compare
-the two routes.
+the unit group by subgroup extension, in integers modulo phi(m).  Tests and
+the self-check suite compare the two routes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ class _UnitGroup:
     ``meta`` records, per generator, the prime-power component it came from
     and its role: "odd" (primitive root at an odd prime power), "m4" (the
     order-2 generator mod 4), "neg"/"five" (the pair at 2-powers >= 8).
+    ``exponent`` is the lcm of the orders, the modulus of integer phases.
     """
 
     modulus: int
@@ -55,6 +59,7 @@ class _UnitGroup:
     orders: tuple[int, ...]
     log_table: Mapping[int, tuple[int, ...]]
     meta: tuple[tuple[int, int, str], ...] = ()
+    exponent: int = 1
 
     @property
     def size(self) -> int:
@@ -115,11 +120,42 @@ def unit_group(m: int) -> _UnitGroup:
         exps[i] = 0
 
     rec(0, 1)
-    return _UnitGroup(m, tuple(gens), tuple(orders), table, tuple(meta))
+    return _UnitGroup(
+        m, tuple(gens), tuple(orders), table, tuple(meta), math.lcm(1, *orders)
+    )
+
+
+@lru_cache(maxsize=512)
+def _phase_logs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete logs of every residue mod m scaled to the group exponent.
+
+    Row a holds x_i * (L / n_i) for a unit a = prod g_i**x_i, so a character
+    with exponents e has integer phase (row @ e) % L there; rows of
+    non-units are -1.  Also returns the boolean unit mask.  Built on first
+    use only: it costs O(m) memory, which the single-residue path
+    `DirichletCharacter.phase_index` avoids.
+    """
+    g = unit_group(m)
+    logs = np.full((m, len(g.orders)), -1, dtype=np.int64)
+    units = np.zeros(m, dtype=bool)
+    scale = np.array([g.exponent // n for n in g.orders], dtype=np.int64)
+    residues = np.fromiter(g.log_table, dtype=np.int64, count=len(g.log_table))
+    x = np.array(list(g.log_table.values()), dtype=np.int64).reshape(len(residues), len(scale))
+    logs[residues] = x * scale
+    units[residues] = True
+    logs.flags.writeable = False
+    units.flags.writeable = False
+    return logs, units
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet characters
+
+
+def _unit_root(k: int, L: int) -> complex:
+    """e^{2 pi i k / L} in floating point."""
+    r = k / L
+    return complex(math.cos(2 * math.pi * r), math.sin(2 * math.pi * r))
 
 
 @dataclass(frozen=True)
@@ -171,39 +207,43 @@ class DirichletCharacter:
 
     # -- exact values --------------------------------------------------------
 
+    def phase_index(self, a: int) -> int | None:
+        """Integer phase k with chi(a) = e^{2 pi i k / L}, L the group exponent.
+
+        None when gcd(a, m) > 1.  Reads one discrete log, so it costs
+        O(number of generators) at any modulus.
+        """
+        g = unit_group(self.modulus)
+        logs = g.log_table.get(a % self.modulus)
+        if logs is None:
+            return None
+        L = g.exponent
+        return sum(e * x * (L // n) for e, x, n in zip(self.exponents, logs, g.orders)) % L
+
+    def phases(self) -> np.ndarray:
+        """Integer phases k_0, ..., k_{m-1} (see `phase_index`); -1 off the units."""
+        logs, units = _phase_logs(self.modulus)
+        L = unit_group(self.modulus).exponent
+        return np.where(units, logs @ np.array(self.exponents, dtype=np.int64) % L, -1)
+
     def phase(self, a: int) -> Fraction | None:
         """Exact phase r with chi(a) = e^{2 pi i r}; None when gcd(a, m) > 1."""
-        g = unit_group(self.modulus)
-        a = a % self.modulus
-        if self.modulus == 1:
-            return Fraction(0)
-        if math.gcd(a, self.modulus) != 1:
+        k = self.phase_index(a)
+        if k is None:
             return None
-        logs = g.log_table[a]
-        r = Fraction(0)
-        for e, x, n in zip(self.exponents, logs, g.orders):
-            r += Fraction(e * x, n)
-        return r % 1
+        return Fraction(k, unit_group(self.modulus).exponent)
 
     def value(self, a: int) -> complex:
-        r = self.phase(a)
-        if r is None:
+        k = self.phase_index(a)
+        if k is None:
             return 0.0 + 0.0j
-        return complex(math.cos(2 * math.pi * r), math.sin(2 * math.pi * r))
+        return _unit_root(k, unit_group(self.modulus).exponent)
 
     def values_array(self) -> np.ndarray:
         """chi(0), chi(1), ..., chi(m-1) as a complex vector."""
-        m = self.modulus
-        out = np.zeros(m, dtype=complex)
-        for a in range(m):
-            r = self.phase(a)
-            if r is not None:
-                out[a] = complex(
-                    math.cos(2 * math.pi * r), math.sin(2 * math.pi * r)
-                )
-        if m == 1:
-            out[0] = 1.0
-        return out
+        k = self.phases()
+        turns = 2 * np.pi * (k / unit_group(self.modulus).exponent)
+        return np.where(k >= 0, np.cos(turns) + 1j * np.sin(turns), 0.0)
 
     # -- structure -----------------------------------------------------------
 
@@ -217,7 +257,7 @@ class DirichletCharacter:
     def is_even(self) -> bool:
         if self.modulus <= 2:
             return True
-        return self.phase(self.modulus - 1) == 0
+        return self.phase_index(self.modulus - 1) == 0
 
     def is_real(self) -> bool:
         return self.order() <= 2
@@ -268,12 +308,10 @@ class DirichletCharacter:
         m = self.modulus
         if m == 1:
             return 1
+        k = self.phases()
         for d in sorted(d for d in range(1, m + 1) if m % d == 0):
-            if all(
-                self.phase(a) == 0
-                for a in range(1, m + 1, d)
-                if math.gcd(a, m) == 1
-            ):
+            along = k[np.arange(1, m + 1, d) % m]
+            if np.all(along[along >= 0] == 0):
                 return d
         return m
 
@@ -286,18 +324,19 @@ class DirichletCharacter:
         if f == self.modulus:
             return self
         gf = unit_group(f)
+        L = unit_group(self.modulus).exponent
         exps = []
         for gen, n in zip(gf.generators, gf.orders):
             # Lift gen to a residue coprime to the full modulus.
             a = gen
             while math.gcd(a, self.modulus) != 1:
                 a += f
-            r = self.phase(a)
-            assert r is not None
-            e = r * n
-            if e.denominator != 1:
+            k = self.phase_index(a)
+            assert k is not None
+            # chi(a) = e^{2 pi i k / L} must be an n-th root of unity e^{2 pi i e / n}.
+            if k * n % L != 0:
                 raise ArithmeticError("inconsistent phase when reducing to conductor")
-            exps.append(int(e) % n)
+            exps.append(k * n // L % n)
         return DirichletCharacter(f, tuple(exps))
 
     def __mul__(self, other: DirichletCharacter) -> DirichletCharacter:
@@ -384,19 +423,15 @@ def gauss_sums_for_modulus(m: int) -> list[tuple[DirichletCharacter, complex]]:
     """
     if m == 1:
         return [(DirichletCharacter.trivial(1), 1.0 + 0.0j)]
-    g = unit_group(m)
     primitive = [chi for chi in enumerate_character_group(m) if chi.is_primitive()]
     if not primitive:
         return []
-    lcm = 1
-    for n in g.orders:
-        lcm = math.lcm(lcm, n)
-    residues = np.array(sorted(g.log_table), dtype=np.int64)
-    logs = np.array([g.log_table[int(a)] for a in residues], dtype=np.int64)  # (res, gens)
-    scale = np.array([lcm // n for n in g.orders], dtype=np.int64)
+    L = unit_group(m).exponent
+    logs, units = _phase_logs(m)
+    residues = np.flatnonzero(units)
     expmat = np.array([chi.exponents for chi in primitive], dtype=np.int64)  # (chars, gens)
-    phases = (expmat * scale) @ logs.T % lcm  # (chars, res)
-    values = np.exp(2j * np.pi * phases / lcm)
+    phases = expmat @ logs[residues].T % L  # (chars, res)
+    values = np.exp(2j * np.pi * phases / L)
     kernel = np.exp(2j * np.pi * residues / m)
     taus = values @ kernel
     return [(chi, complex(t)) for chi, t in zip(primitive, taus)]
@@ -444,13 +479,12 @@ def l_one(chi: DirichletCharacter) -> float | complex:
     if chi.order() == 1:
         raise ValueError("L(1) of the trivial character is a pole")
     m = chi.modulus
+    L = unit_group(m).exponent
     acc = 0.0 + 0.0j
-    for a in range(1, m):
-        r = chi.phase(a)
-        if r is None:
+    for a, k in enumerate(chi.phases().tolist()):
+        if k < 0:
             continue
-        val = complex(math.cos(2 * math.pi * r), math.sin(2 * math.pi * r))
-        acc += val * complex(digamma(a / m))
+        acc += _unit_root(k, L) * complex(digamma(a / m))
     acc = -acc / m
     if abs(acc.imag) < 1e-12 * max(1.0, abs(acc.real)):
         return acc.real
@@ -533,12 +567,12 @@ class QuadraticCharacterProfile:
             if p == place:
                 return s
         if self.dirichlet is not None:
-            ph = self.dirichlet.phase(place.q)
-            if ph is None:
+            k = self.dirichlet.phase_index(place.q)
+            if k is None:
                 raise RamifiedOverlapError(
                     f"character is ramified at {place.label}"
                 )
-            return 1 if ph == 0 else -1
+            return 1 if k == 0 else -1
         if self.all_plus:
             return 1
         raise KeyError(f"no sign recorded at place {place.label}")
@@ -581,15 +615,22 @@ def is_admissible_level(
 # independent brute-force enumeration (cross-check oracle)
 
 
-def brute_force_character_table(m: int) -> list[dict[int, Fraction]]:
-    """Every character of (Z/m)^x as an exact phase table, built by subgroup
-    extension only (no CRT, no primitive roots).  Cross-check oracle."""
+def brute_force_phase_tables(m: int) -> tuple[int, list[dict[int, int]]]:
+    """Every character of (Z/m)^x as a table of integer phases mod N = phi(m).
+
+    chi(a) = e^{2 pi i k / N} for the entry k at a.  Built by subgroup
+    extension only (no CRT, no primitive roots): a residue g of relative
+    order r over the current domain has chi(g**r) = base already fixed, so
+    chi(g) is one of the r roots (base + j N) / r, exact since r divides N
+    and base.  Cross-check oracle; returns (N, tables).
+    """
     if m == 1:
-        return [{0: Fraction(0)}]
+        return 1, [{0: 0}]
     residues = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    chars: list[dict[int, Fraction]] = [{1: Fraction(0)}]
+    N = len(residues)
+    chars: list[dict[int, int]] = [{1: 0}]
     for g in residues:
-        nxt: list[dict[int, Fraction]] = []
+        nxt: list[dict[int, int]] = []
         for chi in chars:
             if g in chi:
                 nxt.append(chi)
@@ -605,19 +646,25 @@ def brute_force_character_table(m: int) -> list[dict[int, Fraction]]:
             for _ in range(r - 1):
                 powers.append(powers[-1] * g % m)
             for j in range(r):
-                phase_g = (Fraction(base, r) + Fraction(j, r)) % 1
+                phase_g = base // r + j * (N // r)
                 ext = dict(chi)
                 for i in range(1, r):
-                    shift = (i * phase_g) % 1
+                    shift = i * phase_g % N
                     for h, ph in chi.items():
-                        ext[h * powers[i] % m] = (ph + shift) % 1
+                        ext[h * powers[i] % m] = (ph + shift) % N
                 nxt.append(ext)
         chars = nxt
-    return chars
+    return N, chars
 
 
-def brute_force_conductor(table: Mapping[int, Fraction], m: int) -> int:
-    """Conductor of a brute-force phase table by the divisor test."""
+def brute_force_character_table(m: int) -> list[dict[int, Fraction]]:
+    """`brute_force_phase_tables` as exact phases r = k / phi(m) in [0, 1)."""
+    N, tables = brute_force_phase_tables(m)
+    return [{a: Fraction(k, N) for a, k in table.items()} for table in tables]
+
+
+def brute_force_conductor(table: Mapping[int, Fraction | int], m: int) -> int:
+    """Conductor of a brute-force phase table (either form) by the divisor test."""
     if m == 1:
         return 1
     for d in sorted(x for x in range(1, m + 1) if m % x == 0):
@@ -630,7 +677,7 @@ def brute_force_conductor(table: Mapping[int, Fraction], m: int) -> int:
     return m
 
 
-def brute_force_is_even(table: Mapping[int, Fraction], m: int) -> bool:
+def brute_force_is_even(table: Mapping[int, Fraction | int], m: int) -> bool:
     if m <= 2:
         return True
     return table[m - 1] == 0

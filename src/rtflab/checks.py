@@ -109,73 +109,79 @@ def check_fields(tol: float | None) -> list[CheckResult]:
     return out
 
 
+def _guarded(name: str, measure, tolerance: float, detail: str = "") -> CheckResult:
+    """Run one check; a crash fails that check alone, by its own name."""
+    try:
+        observed = measure()
+    except Exception as exc:
+        return CheckResult(name, False, math.inf, float(tolerance), f"{type(exc).__name__}: {exc}")
+    return _mk(name, observed, tolerance, detail)
+
+
 def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: int = 300) -> list[CheckResult]:
-    out = []
-    rng = np.random.default_rng(20240902)
+    def eta_tilde_defects() -> int:
+        rng = np.random.default_rng(20240902)
+        defects = 0
+        for _ in range(50):
+            primes = [int(p) for p in rng.choice(_PRIMES_TO_97, size=4, replace=False)]
+            signs = {_place(p): int(s) for p, s in zip(primes, rng.choice([1, -1], size=4))}
+            eta = chars.QuadraticCharacterProfile.from_signs(signs)
+            n1 = _level({primes[0]: int(rng.integers(1, 4)), primes[1]: int(rng.integers(1, 4))})
+            n2 = _level({primes[2]: int(rng.integers(1, 4)), primes[3]: int(rng.integers(1, 4))})
+            if eta.value_on_ideal(n1 * n2) != eta.value_on_ideal(n1) * eta.value_on_ideal(n2):
+                defects += 1
+        return defects
 
-    defects = 0
-    for _ in range(50):
-        primes = [int(p) for p in rng.choice(_PRIMES_TO_97, size=4, replace=False)]
-        signs = {_place(p): int(s) for p, s in zip(primes, rng.choice([1, -1], size=4))}
-        eta = chars.QuadraticCharacterProfile.from_signs(signs)
-        n1 = _level({primes[0]: int(rng.integers(1, 4)), primes[1]: int(rng.integers(1, 4))})
-        n2 = _level({primes[2]: int(rng.integers(1, 4)), primes[3]: int(rng.integers(1, 4))})
-        if eta.value_on_ideal(n1 * n2) != eta.value_on_ideal(n1) * eta.value_on_ideal(n2):
-            defects += 1
-    out.append(_mk("characters.eta_tilde_multiplicative", defects, tol if tol is not None else 0))
+    def gauss_defect() -> float:
+        worst = 0.0
+        for m in range(1, gauss_limit + 1):
+            for chi, tau in chars.gauss_sums_for_modulus(m):
+                worst = max(worst, abs(abs(tau) ** 2 - m))
+        return worst
 
-    worst = 0.0
-    for m in range(1, gauss_limit + 1):
-        for chi, tau in chars.gauss_sums_for_modulus(m):
-            worst = max(worst, abs(abs(tau) ** 2 - m))
-    out.append(_mk("characters.gauss_modulus_sq", worst, tol if tol is not None else 1e-8,
-                   f"moduli up to {gauss_limit}"))
+    def xi_defects() -> int:
+        return sum(not xi_matches_brute_force(m) for m in range(1, census_limit + 1))
 
-    defects = 0
-    for m in range(1, census_limit + 1):
-        if not xi_matches_brute_force(m):
-            defects += 1
-    out.append(_mk("characters.xi_vs_bruteforce", defects, tol if tol is not None else 0,
-                   f"moduli up to {census_limit}"))
+    def census_bound_defects() -> int:
+        defects = 0
+        for m in range(1, census_limit + 1):
+            n = LevelIdeal.from_integer(m * m)
+            if chars.character_census(n) > chars.census_proof_bound(n) + 1e-9:
+                defects += 1
+        return defects
 
-    defects = 0
-    for m in range(1, census_limit + 1):
-        n = LevelIdeal.from_integer(m * m)
-        if chars.character_census(n) > chars.census_proof_bound(n) + 1e-9:
-            defects += 1
-    out.append(_mk("characters.census_bound", defects, tol if tol is not None else 0))
+    def golden_defect() -> float:
+        golden = 2.0 / math.sqrt(5.0) * math.log((1.0 + math.sqrt(5.0)) / 2.0)
+        return abs(float(chars.l_one(chars.DirichletCharacter.quadratic(5))) - golden)
 
-    golden = 2.0 / math.sqrt(5.0) * math.log((1.0 + math.sqrt(5.0)) / 2.0)
-    l_val = chars.l_one(chars.DirichletCharacter.quadratic(5))
-    out.append(_mk("characters.l_one_golden_ratio", abs(float(l_val) - golden),
-                   tol if tol is not None else 1e-9))
-    return out
+    return [
+        _guarded("characters.eta_tilde_multiplicative", eta_tilde_defects, tol if tol is not None else 0),
+        _guarded("characters.gauss_modulus_sq", gauss_defect, tol if tol is not None else 1e-8,
+                 f"moduli up to {gauss_limit}"),
+        _guarded("characters.xi_vs_bruteforce", xi_defects, tol if tol is not None else 0,
+                 f"moduli up to {census_limit}"),
+        _guarded("characters.census_bound", census_bound_defects, tol if tol is not None else 0),
+        _guarded("characters.l_one_golden_ratio", golden_defect, tol if tol is not None else 1e-9),
+    ]
 
 
 def xi_matches_brute_force(m: int) -> bool:
-    """Compare enumerate_xi(m**2) with the subgroup-extension oracle mod m."""
-    n = LevelIdeal.from_integer(m * m)
-    listed = chars.enumerate_xi(n)
-    # Induce every listed character to modulus m and take its exact table.
+    """Compare enumerate_xi(m**2) with the subgroup-extension oracle mod m.
+
+    Both sides become tuples of integer phases over the units mod m, scaled
+    to N = phi(m).  A listed character has conductor f | m, so every unit
+    mod m is a unit mod f and its group exponent divides N.
+    """
+    N, tables = chars.brute_force_phase_tables(m)
+    units = sorted(tables[0])
+    at_units = np.array(units)
     induced = set()
-    for chi in listed:
-        table = []
-        for a in range(1, m + 1) if m > 1 else [0]:
-            if m > 1 and math.gcd(a, m) != 1:
-                continue
-            lift = a
-            if m > 1:
-                while math.gcd(lift, chi.modulus) != 1:
-                    lift += m
-            table.append((a % m, chi.phase(lift)))
-        induced.add(tuple(sorted(table)))
-    brute = set()
-    for table in chars.brute_force_character_table(m):
-        if not chars.brute_force_is_even(table, m):
-            continue
-        # Every even character mod m is induced from a unique even primitive
-        # character whose conductor divides m, so its square divides m**2.
-        brute.add(tuple(sorted((a % m, ph) for a, ph in table.items())))
+    for chi in chars.enumerate_xi(LevelIdeal.from_integer(m * m)):
+        scale = N // chars.unit_group(chi.modulus).exponent
+        induced.add(tuple((chi.phases()[at_units % chi.modulus] * scale).tolist()))
+    # Every even character mod m is induced from a unique even primitive
+    # character whose conductor divides m, so its square divides m**2.
+    brute = {tuple(table[a] for a in units) for table in tables if chars.brute_force_is_even(table, m)}
     return induced == brute
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, unit_group
 from .errors import PoleError, StencilDisagreementError
 from .fields import factorize
 
@@ -30,13 +30,17 @@ _DPS = 30
 
 
 def _chi_values_mp(chi: DirichletCharacter) -> list:
+    """chi(1), ..., chi(m) at working precision, from the integer phases."""
+    m = chi.modulus
+    L = unit_group(m).exponent
+    phases = chi.phases().tolist()
     vals = []
-    for a in range(1, chi.modulus + 1):
-        r = chi.phase(a)
-        if r is None:
+    for a in range(1, m + 1):
+        k = phases[a % m]
+        if k < 0:
             vals.append(mp.mpc(0))
         else:
-            vals.append(mp.e ** (2j * mp.pi * mp.mpf(r.numerator) / r.denominator))
+            vals.append(mp.e ** (2j * mp.pi * (mp.mpf(k) / L)))
     return vals
 
 

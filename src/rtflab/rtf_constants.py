@@ -645,7 +645,7 @@ def intertwining_ratio(
     nu = complex(nu)
     conductor = 1 if chi is None else chi.primitive_character().modulus
     for place, _ in rho.active():
-        if chi is not None and chi.phase(place.q) is None:
+        if chi is not None and chi.phase_index(place.q) is None:
             raise RamifiedOverlapError(
                 f"character is ramified at the active place {place.label}"
             )

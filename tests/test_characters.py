@@ -1,16 +1,19 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rtflab.characters import (
+    _phase_logs,
     DirichletCharacter,
     QuadraticCharacterProfile,
     adelic_gauss_sum,
     brute_force_character_table,
     brute_force_conductor,
     brute_force_is_even,
+    brute_force_phase_tables,
     character_census,
     census_proof_bound,
     enumerate_character_group,
@@ -325,3 +328,54 @@ class TestBruteForceOracle:
             for table in brute_force_character_table(m):
                 brute.add(tuple(sorted(table.items())))
             assert structured == brute
+
+
+class TestIntegerPhases:
+    """Every value accessor agrees with the exact boundary accessor `phase`."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 9, 16, 32, 45, 120, 200])
+    def test_representations_agree(self, m):
+        L = unit_group(m).exponent
+        for chi in enumerate_character_group(m):
+            phases = chi.phases()
+            values = chi.values_array()
+            assert phases.shape == (m,)
+            for a in range(m):
+                exact = chi.phase(a)
+                k = int(phases[a])
+                if exact is None:
+                    assert k == -1
+                    assert chi.phase_index(a) is None
+                    assert values[a] == 0
+                    continue
+                assert 0 <= k < L
+                assert chi.phase_index(a) == k
+                assert Fraction(k, L) == exact
+                assert abs(values[a] - chi.value(a)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 9, 16, 32, 45, 120, 200])
+    def test_brute_force_tables_and_fraction_view(self, m):
+        N, tables = brute_force_phase_tables(m)
+        assert N == unit_group(m).size
+        view = brute_force_character_table(m)
+        assert view == [{a: Fraction(k, N) for a, k in t.items()} for t in tables]
+        # the integer oracle spans the same group as the structured route
+        units = sorted(tables[0])
+        structured = {
+            tuple(int(chi.phases()[a]) * (N // unit_group(m).exponent) for a in units)
+            for chi in enumerate_character_group(m)
+        }
+        assert structured == {tuple(t[a] for a in units) for t in tables}
+
+    def test_single_residue_path_builds_no_table(self):
+        # parity and conductor at a census-sized modulus read single logs only
+        m = 171_072
+        g = unit_group(m)
+        chi = DirichletCharacter(m, tuple(1 for _ in g.orders))
+        built = _phase_logs.cache_info().currsize
+        assert chi.phase_index(m - 1) == chi.phase(m - 1) * g.exponent
+        assert chi.phase_index(m + 1) == 0
+        assert chi.phase_index(2) is None
+        chi.is_even()
+        chi.conductor()
+        assert _phase_logs.cache_info().currsize == built
