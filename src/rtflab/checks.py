@@ -338,130 +338,139 @@ def _fd_second(f, x0: float, h: float) -> float:
 
 
 def check_rtf_constants(tol: float | None) -> list[CheckResult]:
-    out = []
-
-    worst1 = 0.0
-    worst2 = 0.0
-    for q in (2, 3, 5, 7):
-        for k in range(1, 6):
-            for sign in (1, -1):
-                block = rtf.EdgePlaceBlock(q, k, sign)
-                f = lambda nu: rtf.edge_place_factor(nu, block).real
-                d1 = rtf.edge_place_d1(block)
-                d2 = rtf.edge_place_d2(block)
-                fd1 = _fd_first(f, -1.0, 1e-4)
-                fd2 = _fd_second(f, -1.0, 1e-4)
-                worst1 = max(worst1, abs(d1 - fd1) / max(1.0, abs(d1)))
-                worst2 = max(worst2, abs(d2 - fd2) / max(1.0, abs(d2)))
-                g = lambda z: rtf.residue_place_factor(z, block).real
-                rd1 = rtf.residue_place_d1(block)
-                rd2 = rtf.residue_place_d2(block)
-                worst1 = max(worst1, abs(rd1 - _fd_first(g, 0.0, 1e-4)) / max(1.0, abs(rd1)))
-                worst2 = max(worst2, abs(rd2 - _fd_second(g, 0.0, 1e-4)) / max(1.0, abs(rd2)))
-    out.append(_mk("rtf.derivatives_first_vs_fd", worst1, tol if tol is not None else 1e-6))
-    out.append(_mk("rtf.derivatives_second_vs_fd", worst2, tol if tol is not None else 1e-5))
-
-    worst = 0.0
-    eta = chars.QuadraticCharacterProfile.from_signs(
-        {_place(2): -1, _place(3): 1, _place(5): -1}
-    )
-    for spec in ({2: 1}, {2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
-        n = _level(spec)
-        for rho in rtf.enumerate_rho(n):
-            if len(rho.active()) > 3:
-                continue
-            t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
-
-            def prod_fn(nu: complex) -> complex:
-                acc = 1.0 + 0.0j
-                for p, k in rho.active():
-                    acc *= rtf.edge_place_factor(nu, rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)))
-                return acc
-
-            a = lfn.extract_series(prod_fn, -1.0, 0, 1e-2)
-            scale = max(1.0, abs(t0), abs(t1), abs(t2))
-            worst = max(worst, abs(t0 - a[0]) / scale, abs(t1 - a[1]) / scale,
-                        abs(t2 - a[2]) / scale)
-    out.append(_mk("rtf.edge_taylor_vs_numeric", worst, tol if tol is not None else 1e-6))
-
-    worst = 0.0
-    for combo in iproduct(range(5), range(5), range(5)):
-        spec = {p: e for p, e in zip((2, 3, 5), combo) if e > 0}
-        if not spec:
-            continue
-        n = _level(spec)
-        heavy = [(p, e) for p, e in spec.items() if e >= 2]
-        total = 1.0
-        for j in range(1, len(heavy) + 1):
-            for subset in _subsets(heavy, j):
-                term = (-1.0) ** j
-                for p, e in subset:
-                    term *= (1.0 - 1.0 / p) ** (-1 if e == 2 else 0) / p**2
-                total += term
-        worst = max(worst, abs(total - rtf.level_constant(n)))
-    out.append(_mk("rtf.inclusion_exclusion_level_constant", worst, tol if tol is not None else 1e-12))
-
-    first, second = lfn.laurent_at_1_two_widths(None)
-    dis = max(abs(first.residue - second.residue), abs(first.c0 - second.c0), abs(first.c1 - second.c1))
     chi5 = chars.DirichletCharacter.quadratic(5)
-    f5, s5 = lfn.laurent_at_1_two_widths(chi5)
-    dis = max(dis, abs(f5.c0 - s5.c0), abs(f5.c1 - s5.c1))
-    out.append(_mk("rtf.laurent_two_widths", dis, tol if tol is not None else 1e-7))
-    out.append(_mk("rtf.completed_zeta_residue_one", abs(second.residue - 1.0),
-                   tol if tol is not None else 1e-7))
-
-    # Reconstruction: near the double pole the three coefficients determine the
-    # function to relative O(h^3); at a regular point (nontrivial character)
-    # the polar coefficients vanish and c_zero is the value itself.
-    h = 0.01
-    coeffs = lfn.edge_coefficients(None)
-    f = lfn.central_series_function(None)
-    direct = complex(f(-1.0 + h)).real
-    recon = coeffs.c_minus2 / h**2 + coeffs.c_minus1 / h + coeffs.c_zero
-    worst = abs(direct - recon) / abs(direct)
-    coeffs5 = lfn.edge_coefficients(chi5)
-    f5 = lfn.central_series_function(chi5)
-    worst = max(worst, abs(coeffs5.c_minus2), abs(coeffs5.c_minus1))
-    worst = max(worst, abs(coeffs5.c_zero - complex(f5(-1.0)).real))
-    out.append(_mk("rtf.edge_coefficients_reconstruct", worst, tol if tol is not None else 1e-4))
-
     arch = RATIONALS.archimedean_places[0]
-    up = rtf.unipotent_orbit_factor({arch: 1.0 + 0.0j}, lambda p: 1)
-    out.append(_mk("rtf.orbit_factor_arch_at_one", abs(up - (-math.pi / 8.0)),
-                   tol if tol is not None else 1e-12))
 
-    laurent5 = lfn.laurent_at_1(chi5)
-    worst = 0.0
-    base = None
-    for s in (0.5, 1.0, 2.0, 3.5):
-        for a_spec in ({}, {2: 1}, {3: 2}):
-            val = rtf.unipotent_orbit_constant(
-                {arch: complex(s), _place(7): complex(s)}, _level(a_spec), laurent5
-            )
-            if base is None:
-                base = val
-            worst = max(worst, abs(val - base))
-    lhat5 = lfn.completed_l(1.0, chi5)
-    worst = max(worst, abs(complex(base) - lhat5))
-    out.append(_mk("rtf.orbit_constant_flat_nontrivial", worst, tol if tol is not None else 1e-10))
+    def derivative_defect(order: int) -> float:
+        fd = _fd_first if order == 1 else _fd_second
+        edge_d = rtf.edge_place_d1 if order == 1 else rtf.edge_place_d2
+        residue_d = rtf.residue_place_d1 if order == 1 else rtf.residue_place_d2
+        worst = 0.0
+        for q, k, sign in iproduct((2, 3, 5, 7), range(1, 6), (1, -1)):
+            block = rtf.EdgePlaceBlock(q, k, sign)
+            for d, f, x0 in ((edge_d(block), lambda nu: rtf.edge_place_factor(nu, block).real, -1.0),
+                             (residue_d(block), lambda z: rtf.residue_place_factor(z, block).real, 0.0)):
+                worst = max(worst, abs(d - fd(f, x0, 1e-4)) / max(1.0, abs(d)))
+        return worst
 
-    laurent1 = lfn.laurent_at_1(None)
-    worst = 0.0
-    for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
-        n = _level(spec)
-        delta = rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, n, laurent1) - \
-            rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, LevelIdeal.unit(), laurent1)
-        worst = max(worst, abs(delta - laurent1.residue * 0.5 * math.log(n.norm())))
-    out.append(_mk("rtf.orbit_constant_log_growth", worst, tol if tol is not None else 1e-10))
+    def edge_taylor_defect() -> float:
+        worst = 0.0
+        eta = chars.QuadraticCharacterProfile.from_signs(
+            {_place(2): -1, _place(3): 1, _place(5): -1}
+        )
+        for spec in ({2: 1}, {2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
+            n = _level(spec)
+            for rho in rtf.enumerate_rho(n):
+                if len(rho.active()) > 3:
+                    continue
+                t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
+                blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in rho.active()]
+                prod_fn = lambda nu: math.prod((rtf.edge_place_factor(nu, b) for b in blocks), start=1 + 0j)
+                a = lfn.extract_series(prod_fn, -1.0, 0, 1e-2)
+                scale = max(1.0, abs(t0), abs(t1), abs(t2))
+                worst = max(worst, abs(t0 - a[0]) / scale, abs(t1 - a[1]) / scale,
+                            abs(t2 - a[2]) / scale)
+        return worst
 
-    worst = 0.0
-    rho = rtf.enumerate_rho(_level({2: 2, 3: 1}))[4]
-    for chi in (None, chi5):
-        for nu in (0.3, 0.45 + 0.2j):
-            prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(chi, rho, -nu)
-            worst = max(worst, abs(prod - 1.0))
-    out.append(_mk("rtf.intertwining_involution", worst, tol if tol is not None else 1e-10))
-    return out
+    def level_constant_defect() -> float:
+        worst = 0.0
+        for combo in iproduct(range(5), range(5), range(5)):
+            spec = {p: e for p, e in zip((2, 3, 5), combo) if e > 0}
+            if not spec:
+                continue
+            n = _level(spec)
+            heavy = [(p, e) for p, e in spec.items() if e >= 2]
+            total = 1.0
+            for j in range(1, len(heavy) + 1):
+                for subset in _subsets(heavy, j):
+                    term = (-1.0) ** j
+                    for p, e in subset:
+                        term *= (1.0 - 1.0 / p) ** (-1 if e == 2 else 0) / p**2
+                    total += term
+            worst = max(worst, abs(total - rtf.level_constant(n)))
+        return worst
+
+    def laurent_defect() -> float:
+        # The two stencil widths against each other and against the closed form.
+        worst = 0.0
+        for xi in (None, chi5):
+            closed = lfn.laurent_at_1(xi)
+            first, second = lfn.laurent_at_1_two_widths(xi)
+            for other in (first, closed):
+                worst = max(worst, abs(other.residue - second.residue),
+                            abs(other.c0 - second.c0), abs(other.c1 - second.c1))
+        return worst
+
+    def residue_defect() -> float:
+        return abs(lfn.laurent_at_1_two_widths(None)[1].residue - 1.0)
+
+    def edge_reconstruction_defect() -> float:
+        # Near the double pole the three coefficients determine the function
+        # to relative O(h^3); at a regular point (nontrivial character) the
+        # polar coefficients vanish and c_zero is the value itself.
+        h = 0.01
+        coeffs = lfn.edge_coefficients(None)
+        f = lfn.central_series_function(None)
+        direct = complex(f(-1.0 + h)).real
+        recon = coeffs.c_minus2 / h**2 + coeffs.c_minus1 / h + coeffs.c_zero
+        worst = abs(direct - recon) / abs(direct)
+        coeffs5 = lfn.edge_coefficients(chi5)
+        f5 = lfn.central_series_function(chi5)
+        worst = max(worst, abs(coeffs5.c_minus2), abs(coeffs5.c_minus1))
+        return max(worst, abs(coeffs5.c_zero - complex(f5(-1.0)).real))
+
+    def orbit_factor_defect() -> float:
+        up = rtf.unipotent_orbit_factor({arch: 1.0 + 0.0j}, lambda p: 1)
+        return abs(up - (-math.pi / 8.0))
+
+    def orbit_flat_defect() -> float:
+        laurent5 = lfn.laurent_at_1(chi5)
+        worst = 0.0
+        base = None
+        for s in (0.5, 1.0, 2.0, 3.5):
+            for a_spec in ({}, {2: 1}, {3: 2}):
+                val = rtf.unipotent_orbit_constant(
+                    {arch: complex(s), _place(7): complex(s)}, _level(a_spec), laurent5
+                )
+                if base is None:
+                    base = val
+                worst = max(worst, abs(val - base))
+        lhat5 = lfn.completed_l(1.0, chi5)
+        return max(worst, abs(complex(base) - lhat5))
+
+    def orbit_growth_defect() -> float:
+        laurent1 = lfn.laurent_at_1(None)
+        worst = 0.0
+        for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
+            n = _level(spec)
+            delta = rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, n, laurent1) - \
+                rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, LevelIdeal.unit(), laurent1)
+            worst = max(worst, abs(delta - laurent1.residue * 0.5 * math.log(n.norm())))
+        return worst
+
+    def involution_defect() -> float:
+        worst = 0.0
+        rho = rtf.enumerate_rho(_level({2: 2, 3: 1}))[4]
+        for chi in (None, chi5):
+            for nu in (0.3, 0.45 + 0.2j):
+                prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(chi, rho, -nu)
+                worst = max(worst, abs(prod - 1.0))
+        return worst
+
+    checks = (
+        ("rtf.derivatives_first_vs_fd", lambda: derivative_defect(1), 1e-6),
+        ("rtf.derivatives_second_vs_fd", lambda: derivative_defect(2), 1e-5),
+        ("rtf.edge_taylor_vs_numeric", edge_taylor_defect, 1e-6),
+        ("rtf.inclusion_exclusion_level_constant", level_constant_defect, 1e-12),
+        ("rtf.laurent_two_widths", laurent_defect, 1e-7),
+        ("rtf.completed_zeta_residue_one", residue_defect, 1e-7),
+        ("rtf.edge_coefficients_reconstruct", edge_reconstruction_defect, 1e-4),
+        ("rtf.orbit_factor_arch_at_one", orbit_factor_defect, 1e-12),
+        ("rtf.orbit_constant_flat_nontrivial", orbit_flat_defect, 1e-10),
+        ("rtf.orbit_constant_log_growth", orbit_growth_defect, 1e-10),
+        ("rtf.intertwining_involution", involution_defect, 1e-10),
+    )
+    return [_guarded(name, measure, tol if tol is not None else t) for name, measure, t in checks]
 
 
 def _subsets(items, size):

@@ -1,4 +1,4 @@
-"""Completed zeta and Dirichlet L-functions over Q, with Laurent extraction.
+"""Completed zeta and Dirichlet L-functions over Q, with their Laurent data.
 
 Finite parts are evaluated through the Hurwitz-zeta representation
 ``L(s, chi) = m**(-s) * sum_a chi(a) zeta(s, a/m)`` at elevated working
@@ -8,22 +8,26 @@ conductor power ``(m/pi)**(s/2)``; the half plane Re(s) < 1/2 is reached
 through the functional equation so the trivial zero at s = 0 never has to
 fight the gamma pole numerically.
 
-Laurent data at a point is extracted from symmetric stencils at several
-halved widths (a small Vandermonde solve in h**2, performed entirely at
-working precision), giving near machine-level accuracy without any closed
-form.  Two independent base widths must agree; disagreement raises instead
-of being silently accepted.
+Laurent data at s = 1 comes from closed forms: Stieltjes and polygamma
+constants for the completed zeta, and for a real even primitive character
+the functional equation, which moves the expansion to s = 0 where Lerch's
+formula and Hurwitz-zeta derivatives apply.  The edge coefficients of the
+central-value series are composed from that data by the order-2 jet
+product.  Symmetric stencil fits (a small Vandermonde solve in h**2 at
+working precision) remain as the independent route the check suite and
+tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import mpmath as mp
 
 from .characters import DirichletCharacter, unit_group
-from .errors import PoleError, StencilDisagreementError
+from .errors import PoleError
 from .fields import factorize
 
 _DPS = 30
@@ -164,7 +168,22 @@ def epsilon_of_minus_z(z: complex, chi: DirichletCharacter | None) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Laurent extraction
+# truncated power series ("jets") of order 2
+
+Jet = tuple[float, float, float]
+
+
+def jet_product(jets: Iterable[Jet]) -> Jet:
+    """Product of power series truncated after order 2, each given by its
+    coefficients (f, f', f''/2) at the expansion point."""
+    a0, a1, a2 = 1.0, 0.0, 0.0
+    for b0, b1, b2 in jets:
+        a0, a1, a2 = a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0
+    return a0, a1, a2
+
+
+# ---------------------------------------------------------------------------
+# Laurent and edge data in closed form
 
 
 @dataclass(frozen=True)
@@ -185,20 +204,91 @@ class EdgeCoefficients:
     c_zero: float
 
 
-def extract_series(
-    f: Callable,
-    center: float,
-    pole_order: int,
-    width: float,
-    levels: int = 4,
-) -> list[float]:
-    """First ``2 * levels`` Taylor coefficients of h**pole_order * f(center + h).
+def _is_trivial(xi: DirichletCharacter | None) -> bool:
+    """True for the trivial character, False for a real even primitive one.
+
+    Raises ValueError for any other character: the closed forms use that the
+    root number is 1 and the Laurent data are real.
+    """
+    if xi is None or xi.order() == 1:
+        return True
+    if not (xi.order() == 2 and xi.is_even() and xi.is_primitive()):
+        raise ValueError("expected the trivial or a real even primitive character")
+    return False
+
+
+def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
+    """Laurent data of the completed L-function at s = 1 over Q, in closed form.
+
+    ``xi=None`` (or the trivial character) means the completed zeta:
+    residue 1, c0 = (gamma - log 4 pi)/2 and
+    c1 = -gamma_1 + a gamma + (a**2 + b)/2 with the Stieltjes constant
+    gamma_1, a = (psi(1/2) - log pi)/2 and b = psi'(1/2)/4.
+
+    A real even primitive chi mod m has root number 1, so
+    Lambda(1 + h) = Lambda(-h): c0 = Lambda(0) = 2 L'(0) and
+    c1 = -Lambda'(0) = -sum chi(a) zeta''(0, a/m) + (log(m pi) + gamma) L'(0),
+    where L'(0) = sum chi(a) log Gamma(a/m) (Lerch).  The residue is 0.
+    :func:`laurent_at_1_two_widths` is the independent stencil route.
+    """
+    with mp.workdps(_DPS):
+        if _is_trivial(xi):
+            a = (mp.digamma(mp.mpf(0.5)) - mp.log(mp.pi)) / 2
+            b = mp.psi(1, mp.mpf(0.5)) / 4
+            c1 = -mp.stieltjes(1) + a * mp.euler + (a * a + b) / 2
+            return LaurentData(residue=1.0, c0=float(mp.euler + a), c1=float(c1))
+        m = xi.modulus
+        signs = [(a, 1 if k == 0 else -1) for a, k in enumerate(xi.phases().tolist()) if k >= 0]
+        dl0 = mp.fsum(s * mp.loggamma(mp.mpf(a) / m) for a, s in signs)
+        d2 = mp.fsum(s * mp.zeta(0, mp.mpf(a) / m, 2) for a, s in signs)
+        c1 = -d2 + (mp.log(m * mp.pi) + mp.euler) * dl0
+        return LaurentData(residue=0.0, c0=float(2 * dl0), c1=float(c1))
+
+
+def edge_coefficients(
+    eta: DirichletCharacter | None, discriminant_abs: int = 1
+) -> EdgeCoefficients:
+    """Laurent coefficients (orders -2, -1, 0) at nu = -1 of the central-value
+    series function of :func:`central_series_function`.
+
+    At nu = -1 + h both L-factors equal Lambda(1 - h/2) by the functional
+    equation, so h**2 f(h) is the jet product of h Lambda(1 - h/2) (twice),
+    D**(nu/2) and 1/Lambda_zeta(2 - h).  The pole is double for the trivial
+    character and absent otherwise (the residue is 0).  The stencil fit of
+    ``central_series_function`` is the independent route.
+    """
+    lau = laurent_at_1(eta)
+    ell = math.log(discriminant_abs)
+    with mp.workdps(_DPS):
+        z0, z1, z2 = (mp.zeta(2, 1, k) for k in range(3))
+        A = (mp.digamma(1) - mp.log(mp.pi)) / 2 + z1 / z0
+        B = mp.psi(1, 1) / 4 + z2 / z0 - (z1 / z0) ** 2
+        inv_zeta_hat2 = 1 / _completed_zeta_mp(mp.mpf(2)).real
+        zeta_jet = tuple(float(inv_zeta_hat2 * c) for c in (1, A, (A * A - B) / 2))
+    l_jet = (-2.0 * lau.residue, lau.c0, -0.5 * lau.c1)
+    d_jet = tuple(discriminant_abs**-0.5 * c for c in (1.0, ell / 2.0, ell * ell / 8.0))
+    c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, d_jet, zeta_jet])
+    return EdgeCoefficients(c_minus2=c_minus2, c_minus1=c_minus1, c_zero=c_zero)
+
+
+# ---------------------------------------------------------------------------
+# stencil extraction: the independent cross-check route
+
+_STENCIL_WIDTH = 1e-2
+_CHECK_WIDTH = 5e-3
+_STENCIL_LEVELS = 4
+
+
+def extract_series(f: Callable, center: float, pole_order: int, width: float) -> list[float]:
+    """First ``2 * _STENCIL_LEVELS`` Taylor coefficients of
+    h**pole_order * f(center + h).
 
     Symmetric stencils at widths width / 2**i; even and odd parts are fit
     separately by a Vandermonde solve in h**2.  All arithmetic happens at
     working precision, so ``f`` may return mpmath values (preferred) or plain
     complex.
     """
+    levels = _STENCIL_LEVELS
     with mp.workdps(_DPS):
         evens, odds, ts = [], [], []
         for i in range(levels):
@@ -208,86 +298,28 @@ def extract_series(
             evens.append((gp + gm) / 2)
             odds.append((gp - gm) / (2 * h))
             ts.append(h * h)
-        v = mp.matrix(levels, levels)
-        for r in range(levels):
-            for j in range(levels):
-                v[r, j] = ts[r] ** j
+        v = mp.matrix([[t**j for j in range(levels)] for t in ts])
         even_coeffs = mp.lu_solve(v, mp.matrix(evens))
         odd_coeffs = mp.lu_solve(v, mp.matrix(odds))
-        out = []
-        for j in range(levels):
-            out.append(float(mp.re(even_coeffs[j])))
-            out.append(float(mp.re(odd_coeffs[j])))
-        return out  # coefficients a_0, a_1, a_2, ... of g(h)
+        # coefficients a_0, a_1, a_2, ... of g(h)
+        return [float(mp.re(c[j])) for j in range(levels) for c in (even_coeffs, odd_coeffs)]
 
 
-def pole_order_scan(
-    f: Callable,
-    center: float,
-    max_order: int = 4,
-    width: float = 1e-2,
-) -> int:
-    """Estimate the pole order of f at center from log-log growth of |f|."""
-    with mp.workdps(_DPS):
-        h1 = mp.mpf(width)
-        h2 = h1 / 4
-        v1 = abs(mp.mpc(f(center + h1)))
-        v2 = abs(mp.mpc(f(center + h2)))
-        if v1 == 0 or v2 == 0:
-            return 0
-        slope = (mp.log(v2) - mp.log(v1)) / (mp.log(h2) - mp.log(h1))
-        order = -int(mp.nint(slope))
-    return max(0, min(max_order, order))
+def laurent_at_1_two_widths(xi: DirichletCharacter | None) -> tuple[LaurentData, LaurentData]:
+    """Laurent data at s = 1 fitted by stencils at two base widths.
 
-
-def laurent_at_1(
-    xi: DirichletCharacter | None,
-    width: float = 1e-2,
-    check_width: float = 5e-3,
-    tol: float = 1e-7,
-) -> LaurentData:
-    """Laurent data of the completed L-function at s = 1 over Q.
-
-    ``xi=None`` (or the trivial character) means the completed zeta, whose
-    residue is extracted, not assumed.  Nontrivial characters have residue 0
-    by construction.  The two stencil widths must agree within ``tol``.
+    The residue of the completed zeta is extracted, not assumed.  The two
+    results are compared with each other and with :func:`laurent_at_1` by
+    the check suite.
     """
-    first, second = laurent_at_1_two_widths(xi, width, check_width)
-    for a, b, name in (
-        (first.residue, second.residue, "residue"),
-        (first.c0, second.c0, "c0"),
-        (first.c1, second.c1, "c1"),
-    ):
-        if abs(a - b) > tol:
-            raise StencilDisagreementError(
-                f"laurent {name} stencil widths disagree: {a!r} vs {b!r}"
-            )
-    return second
-
-
-def laurent_at_1_two_widths(
-    xi: DirichletCharacter | None,
-    width: float = 1e-2,
-    check_width: float = 5e-3,
-) -> tuple[LaurentData, LaurentData]:
-    trivial = xi is None or xi.order() == 1
-
-    if trivial:
-        out = []
-        for w in (width, check_width):
-            a = extract_series(_completed_zeta_mp, 1.0, 1, w)
-            out.append(LaurentData(residue=a[0], c0=a[1], c1=a[2]))
-        return out[0], out[1]
-
-    assert xi is not None
-    if not (xi.is_even() and xi.is_primitive()):
-        raise ValueError("laurent_at_1 expects the trivial or an even primitive character")
-
-    out = []
-    for w in (width, check_width):
-        a = extract_series(lambda s: _completed_l_mp(s, xi), 1.0, 0, w)
-        out.append(LaurentData(residue=0.0, c0=a[0], c1=a[1]))
-    return out[0], out[1]
+    pole = 1 if _is_trivial(xi) else 0
+    f = _completed_zeta_mp if pole else (lambda s: _completed_l_mp(s, xi))
+    # A regular point has residue 0: pad the fitted coefficients accordingly.
+    first, second = (
+        LaurentData(*([0.0] * (1 - pole) + extract_series(f, 1.0, pole, w))[:3])
+        for w in (_STENCIL_WIDTH, _CHECK_WIDTH)
+    )
+    return first, second
 
 
 def central_series_function(
@@ -299,7 +331,7 @@ def central_series_function(
     Returns a working-precision callable (mp in, mp out; plain complex also
     accepted)."""
 
-    trivial = eta is None or eta.order() == 1
+    trivial = _is_trivial(eta)
 
     def f(nu):
         nu = mp.mpc(nu)
@@ -311,38 +343,3 @@ def central_series_function(
         return prefactor * num / _completed_zeta_mp(1 - nu)
 
     return f
-
-
-def edge_coefficients(
-    eta: DirichletCharacter | None,
-    discriminant_abs: int = 1,
-    width: float = 1e-2,
-    check_width: float = 5e-3,
-    tol: float = 1e-7,
-) -> EdgeCoefficients:
-    """Laurent coefficients at nu = -1 of the central-value series function.
-
-    The pole order is detected, never assumed; the expansion is extracted as
-    if the pole were double (coefficients of spurious orders come out zero).
-    Two stencil widths must agree within ``tol``.
-    """
-    f = central_series_function(eta, discriminant_abs)
-    with mp.workdps(_DPS):
-        order = pole_order_scan(f, -1.0, width=width)
-        if order > 2:
-            raise ArithmeticError(f"unexpected pole order {order} at the edge point")
-        results = []
-        for w in (width, check_width):
-            a = extract_series(f, -1.0, 2, w)
-            results.append(EdgeCoefficients(c_minus2=a[0], c_minus1=a[1], c_zero=a[2]))
-    first, second = results
-    for a, b, name in (
-        (first.c_minus2, second.c_minus2, "c_minus2"),
-        (first.c_minus1, second.c_minus1, "c_minus1"),
-        (first.c_zero, second.c_zero, "c_zero"),
-    ):
-        if abs(a - b) > tol:
-            raise StencilDisagreementError(
-                f"edge coefficient {name} stencil widths disagree: {a!r} vs {b!r}"
-            )
-    return second

@@ -8,7 +8,8 @@ over the support of a choice assignment.  The *residue place factors*
 (functions of a twisting variable z, with closed derivatives at 0) assemble
 into the constants of the residual spectrum contribution.  Every closed-form
 derivative here is dual-checked against finite differences by the test suite.
-All products of Taylor data go through one order-2 jet product, and sums over
+All products of Taylor data go through the order-2 jet product of
+:mod:`lfunctions` (which also composes the edge coefficients), and sums over
 choice assignments are taken as products over places of per-place sums.
 """
 
@@ -36,10 +37,12 @@ from .fields import (
 )
 from .lfunctions import (
     EdgeCoefficients,
+    Jet,
     LaurentData,
     completed_zeta,
     edge_coefficients,
     epsilon_of_minus_z,
+    jet_product,
     l_fin,
     laurent_at_1,
     zeta_fin,
@@ -145,18 +148,7 @@ def flat_section_at_identity(
 
 
 # ---------------------------------------------------------------------------
-# truncated power series ("jets") of order 2
-
-Jet = tuple[float, float, float]
-
-
-def jet_product(jets: Iterable[Jet]) -> Jet:
-    """Product of power series truncated after order 2, each given by its
-    coefficients (f, f', f''/2) at the expansion point."""
-    a0, a1, a2 = 1.0, 0.0, 0.0
-    for b0, b1, b2 in jets:
-        a0, a1, a2 = a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0
-    return a0, a1, a2
+# sums over choice assignments
 
 
 def assignment_sum(

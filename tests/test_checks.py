@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtflab import characters
+from rtflab import characters, lfunctions
 from rtflab.characters import DirichletCharacter, unit_group
 from rtflab.checks import check_characters, run_all_checks, xi_matches_brute_force
 
@@ -25,6 +25,27 @@ class TestCrashIsolation:
         assert [r.name for r in failed] == ["characters.xi_vs_bruteforce"]
         assert failed[0].observed == math.inf
         assert "oracle unavailable at m=1" in failed[0].detail
+
+    def test_crashing_laurent_fails_only_its_consumers(self, monkeypatch):
+        expected = [r.name for r in run_all_checks()]
+        assert len(expected) == 33
+
+        def boom(xi):
+            raise RuntimeError("closed-form Laurent data unavailable")
+
+        monkeypatch.setattr(lfunctions, "laurent_at_1", boom)
+        results = run_all_checks()
+        assert [r.name for r in results] == expected
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == [
+            "rtf.laurent_two_widths",
+            "rtf.edge_coefficients_reconstruct",
+            "rtf.orbit_constant_flat_nontrivial",
+            "rtf.orbit_constant_log_growth",
+        ]
+        for r in failed:
+            assert r.observed == math.inf
+            assert r.detail == "RuntimeError: closed-form Laurent data unavailable"
 
     def test_every_character_check_keeps_its_name(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -15,7 +15,6 @@ from rtflab.lfunctions import (
     l_fin,
     laurent_at_1,
     laurent_at_1_two_widths,
-    pole_order_scan,
     zeta_fin,
 )
 from rtflab.special import EULER_GAMMA
@@ -153,10 +152,6 @@ def laurent_at_1_wrapped(f):
 
 
 class TestEdgeCoefficients:
-    def test_pole_orders(self):
-        assert pole_order_scan(central_series_function(None), -1.0) == 2
-        assert pole_order_scan(central_series_function(CHI5), -1.0) == 0
-
     def test_trivial_leading_coefficient_closed_form(self):
         # c_minus2 = 4 / completed_zeta(2) = 24 / pi (residues of both factors are -2)
         coeffs = edge_coefficients(None)
@@ -218,3 +213,56 @@ class TestEdgeClosedForms:
         assert coeffs.c_minus1 == pytest.approx(4.0 * (r - data.c0) / z2, abs=1e-10)
         closed = (2.0 * data.c1 + data.c0**2 - 4.0 * data.c0 * r + 4.0 * (r * r - h)) / z2
         assert coeffs.c_zero == pytest.approx(closed, abs=1e-9)
+
+
+class TestClosedFormsAgainstStencil:
+    """The closed forms against the stencil fits, the independent route."""
+
+    @pytest.mark.parametrize("m", [None, 5, 8, 12, 13, 21, 24, 28, 29, 40, 41, 56, 57, 60, 61])
+    def test_laurent(self, m):
+        xi = None if m is None else DirichletCharacter.quadratic(m)
+        closed = laurent_at_1(xi)
+        fitted = laurent_at_1_two_widths(xi)[1]
+        assert abs(closed.residue - fitted.residue) <= 1e-12
+        assert abs(closed.c0 - fitted.c0) <= 1e-12
+        assert abs(closed.c1 - fitted.c1) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 4, 5, 13])
+    def test_edge_coefficients(self, d):
+        xi = None if d in (1, 4) else DirichletCharacter.quadratic(d)
+        c = edge_coefficients(xi, d)
+        fitted = extract_series(central_series_function(xi, d), -1.0, 2, 5e-3)[:3]
+        scale = max(abs(a) for a in fitted)
+        for closed, a in zip((c.c_minus2, c.c_minus1, c.c_zero), fitted):
+            assert abs(closed - a) <= 1e-12 * scale
+
+
+class TestUnsupportedCharacters:
+    # Complex even primitive (order 6 mod 13), odd quadratic mod 3 and an
+    # even cubic character mod 7: none has the real data the closed forms use.
+    @pytest.mark.parametrize(
+        "chi",
+        [DirichletCharacter(13, (2,)), DirichletCharacter.quadratic(3), DirichletCharacter(7, (2,))],
+        ids=["order6_mod13", "odd_quadratic_mod3", "cubic_mod7"],
+    )
+    def test_rejected(self, chi):
+        with pytest.raises(ValueError):
+            laurent_at_1(chi)
+        with pytest.raises(ValueError):
+            edge_coefficients(chi, chi.modulus)
+
+
+class TestHotPath:
+    def test_constants_do_not_use_the_stencil(self, monkeypatch, capsys):
+        from rtflab import cli, lfunctions
+        from rtflab.rtf_constants import eta_context
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("stencil route reached from the constants path")
+
+        monkeypatch.setattr(lfunctions, "extract_series", boom)
+        monkeypatch.setattr(lfunctions, "central_series_function", boom)
+        ctx = eta_context(DirichletCharacter.quadratic(13))
+        assert ctx.edge.c_zero > 0.0
+        assert cli.main(["constants", "--n", "2^2*3", "--eta", "quad:5"]) == 0
+        capsys.readouterr()
