@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .characters import DirichletCharacter, enumerate_xi
 from .checks import run_all_checks
@@ -106,14 +108,15 @@ def _density_from_args(args) -> Density:
 def _cmd_measure(args) -> int:
     density = _density_from_args(args)
     hi = density.hi if math.isfinite(density.hi) else args.ymax
-    lines = ["x_or_y,density,measure_tag,place_q,sign"]
     n = args.grid
-    for i in range(n + 1):
-        x = density.lo + (hi - density.lo) * i / n
-        lines.append(
-            f"{x!r},{density(x)!r},{density.tag},{args.p or 0},{args.sign:+d}"
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
+    if n < 1:
+        raise _CliError("--grid must be at least 1")
+    # Same IEEE operations as lo + (hi - lo) * i / n point by point; the
+    # density itself runs on Python floats, whose pow differs from numpy's.
+    xs = (density.lo + (hi - density.lo) * np.arange(n + 1) / n).tolist()
+    tail = f",{density.tag},{args.p or 0},{args.sign:+d}\n"
+    body = "".join([f"{x!r},{density(x)!r}{tail}" for x in xs])
+    _write_output("x_or_y,density,measure_tag,place_q,sign\n" + body, args.out)
     return EXIT_OK
 
 
@@ -245,7 +248,7 @@ def _cmd_compare(args) -> int:
     sample, rejected = read_sample_csv(text, density.lo, density.hi)
     if len(sample) == 0:
         raise _CliError("the sample is empty after ingest validation")
-    qs = sorted(set(int(q) for q in sample.place_q))
+    qs = np.unique(sample.place_q).tolist()
     if len(qs) > 1:
         raise _CliError(
             f"sample mixes place_q values {qs}; compare one group at a time"

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 
@@ -35,6 +36,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """``(p, e)`` with ``q = p**e``, or ``None`` when ``q`` is not a prime power
+    >= 2.  Cached, so validating a place and then building it factorizes once."""
+    factors = factorize(q)
+    return factors[0] if len(factors) == 1 else None
+
+
 @dataclass(frozen=True, order=True)
 class ArchimedeanPlace:
     """A real embedding of the base field, identified by its label."""
@@ -51,7 +60,7 @@ class FinitePlace:
     d: int = 0
 
     def __post_init__(self) -> None:
-        if len(factorize(self.q)) != 1:
+        if _prime_power(self.q) is None:
             raise ValueError(f"residue cardinality {self.q} is not a prime power >= 2")
         if self.d < 0:
             raise ValueError("different exponent must be >= 0")
@@ -92,7 +101,7 @@ class FieldProfile:
         """The finite place of the rational profile at the prime ``p``."""
         if not self.is_rationals:
             raise ValueError("place_for_prime is only available on the rational profile")
-        if factorize(p) != [(p, 1)]:
+        if _prime_power(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
         return FinitePlace(label=f"p{p}", q=p, d=0)
 

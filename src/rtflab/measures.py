@@ -84,21 +84,37 @@ def sato_tate_density(x: float) -> float:
     return math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
 
 
+def _plancherel_fn(q: int, sign: int) -> Callable[[float], float]:
+    """The per-prime density at (q, sign) as a function of x; checks q and sign once."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if q < 2:
+        raise ValueError("q must be a prime (power) >= 2")
+    a = math.sqrt(q) + 1.0 / math.sqrt(q)
+    if sign == 1:
+        num = q - 1.0
+
+        def fn(x: float) -> float:
+            base = sato_tate_density(x)
+            return num / (a - x) ** 2 * base
+
+    else:
+        num, a_sq = q + 1.0, a * a
+
+        def fn(x: float) -> float:
+            base = sato_tate_density(x)
+            return num / (a_sq - x * x) * base
+
+    return fn
+
+
 def plancherel_density(x: float, q: int, sign: int) -> float:
     """Level-aspect limiting density of normalized eigenvalues at a prime.
 
     Two cases according to the sign of the twisting character at q; both are
     probability densities against the semicircle on [-2, 2].
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if q < 2:
-        raise ValueError("q must be a prime (power) >= 2")
-    a = math.sqrt(q) + 1.0 / math.sqrt(q)
-    base = sato_tate_density(x)
-    if sign == 1:
-        return (q - 1.0) / (a - x) ** 2 * base
-    return (q + 1.0) / (a * a - x * x) * base
+    return _plancherel_fn(q, sign)(x)
 
 
 def sato_tate(tag: str = "mu_ST") -> Density:
@@ -107,9 +123,7 @@ def sato_tate(tag: str = "mu_ST") -> Density:
 
 def plancherel(q: int, sign: int) -> Density:
     tag = f"mu_{q}^{'+' if sign == 1 else '-'}"
-    return Density(
-        -2.0, 2.0, lambda x: plancherel_density(x, q, sign), tag, cos_substitution=True
-    )
+    return Density(-2.0, 2.0, _plancherel_fn(q, sign), tag, cos_substitution=True)
 
 
 def plancherel_mass_closed_form(q: int, sign: int) -> float:
@@ -134,20 +148,61 @@ def plancherel_mass_closed_form(q: int, sign: int) -> float:
 # per-place spectral densities
 
 
+def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
+    """The finite-place formula at (q, sign) as a function of y.
+
+    log q and the local value at 1 of the sign character are computed once.
+    """
+    log_q = math.log(q)
+    l_one_sign = local_l_character(1.0, complex(sign), q)
+    four_pi = 4.0 * math.pi
+
+    def fn(y: float) -> float:
+        nu = 1j * y
+        num = (
+            local_l_spherical(0.5, nu, q) * local_l_spherical_sign(0.5, nu, q, sign) / l_one_sign
+        ).real
+        kernel = 2.0 - 2.0 * math.cos(y * log_q)  # |1 - q^{-iy}|^2
+        return num * log_q / four_pi * kernel
+
+    return fn
+
+
 def finite_spectral_formula(y: float, q: int, sign: int) -> float:
     """The finite-place spectral density formula on all of R.
 
     As a function of y it is even and periodic with period 4 pi / log q; the
     window [0, 2 pi / log q] is a fundamental domain for those symmetries.
     """
-    nu = 1j * y
-    num = (
-        local_l_spherical(0.5, nu, q)
-        * local_l_spherical_sign(0.5, nu, q, sign)
-        / local_l_character(1.0, complex(sign), q)
-    ).real
-    kernel = 2.0 - 2.0 * math.cos(y * math.log(q))  # |1 - q^{-iy}|^2
-    return num * math.log(q) / (4.0 * math.pi) * kernel
+    return _finite_spectral_fn(q, sign)(y)
+
+
+def _local_spectral_fn(place: Place | None, sign: int) -> Callable[[float], float]:
+    """The per-place spectral density as a function of y; checks sign once."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if place is None or isinstance(place, ArchimedeanPlace):
+
+        def arch(y: float) -> float:
+            if y < -_EDGE_TOL:
+                raise DomainError("archimedean spectral variable must be >= 0")
+            y = max(y, 0.0)
+            if y == 0.0:
+                return 0.0
+            central = local_l_arch_spherical(0.5, 1j * y)
+            num = (central * central).real  # sign character is trivial at infinity
+            return num * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
+
+        return arch
+    window = 2.0 * math.pi / math.log(place.q)
+    formula = _finite_spectral_fn(place.q, sign)
+
+    def finite(y: float) -> float:
+        if not (-_EDGE_TOL <= y <= window + _EDGE_TOL):
+            raise DomainError(f"finite-place spectral variable {y} outside [0, {window}]")
+        return formula(min(max(y, 0.0), window))
+
+    return finite
 
 
 def local_spectral_density(y: float, place: Place | None, sign: int = 1) -> float:
@@ -159,23 +214,7 @@ def local_spectral_density(y: float, place: Place | None, sign: int = 1) -> floa
     two central local factors divided by the local value at 1 of the sign
     character.  Supported on the imaginary axis; y must lie in the window.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if place is None or isinstance(place, ArchimedeanPlace):
-        if y < -_EDGE_TOL:
-            raise DomainError("archimedean spectral variable must be >= 0")
-        y = max(y, 0.0)
-        if y == 0.0:
-            return 0.0
-        central = local_l_arch_spherical(0.5, 1j * y)
-        num = (central * central).real  # sign character is trivial at infinity
-        return num * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
-    q = place.q
-    window = 2.0 * math.pi / math.log(q)
-    if not (-_EDGE_TOL <= y <= window + _EDGE_TOL):
-        raise DomainError(f"finite-place spectral variable {y} outside [0, {window}]")
-    y = min(max(y, 0.0), window)
-    return finite_spectral_formula(y, q, sign)
+    return _local_spectral_fn(place, sign)(y)
 
 
 def spectral_density_at_point(point, sign: int = 1) -> float:
@@ -198,17 +237,11 @@ def spectral_density_at_point(point, sign: int = 1) -> float:
 
 
 def local_spectral(place: Place | None, sign: int = 1) -> Density:
+    fn = _local_spectral_fn(place, sign)
     if place is None or isinstance(place, ArchimedeanPlace):
-        return Density(
-            0.0, math.inf, lambda y: local_spectral_density(y, place, sign), "lambda_inf"
-        )
+        return Density(0.0, math.inf, fn, "lambda_inf")
     window = 2.0 * math.pi / math.log(place.q)
-    return Density(
-        0.0,
-        window,
-        lambda y: local_spectral_density(y, place, sign),
-        f"lambda_{place.q}^{'+' if sign == 1 else '-'}",
-    )
+    return Density(0.0, window, fn, f"lambda_{place.q}^{'+' if sign == 1 else '-'}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtflab import characters, lfunctions
+from rtflab import characters, lfunctions, measures
 from rtflab.characters import DirichletCharacter, unit_group
 from rtflab.checks import check_characters, run_all_checks, xi_matches_brute_force
 
@@ -47,11 +47,84 @@ class TestCrashIsolation:
             assert r.observed == math.inf
             assert r.detail == "RuntimeError: closed-form Laurent data unavailable"
 
+    def test_crashing_plancherel_fails_only_its_consumers(self, monkeypatch):
+        expected = [r.name for r in run_all_checks()]
+        assert len(expected) == 33
+
+        def boom(q, sign):
+            raise RuntimeError("per-prime density unavailable")
+
+        monkeypatch.setattr(measures, "plancherel", boom)
+        results = run_all_checks()
+        assert [r.name for r in results] == expected
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["measures.mass_plancherel", "measures.refinement_monotone"]
+        for r in failed:
+            assert r.observed == math.inf
+            assert r.detail == "RuntimeError: per-prime density unavailable"
+
+    def test_every_group_check_keeps_its_name(self, monkeypatch):
+        from rtflab import checks
+
+        def boom(*args, **kwargs):
+            raise ValueError("broken")
+
+        monkeypatch.setattr(checks, "_level", boom)
+        monkeypatch.setattr(checks, "r_weight", boom)
+        monkeypatch.setattr(checks, "period_constant", boom)
+        monkeypatch.setattr(checks, "digamma", boom)
+        results = checks.check_fields(None) + checks.check_local_factors(None) + checks.check_gamma(None)
+        failed = {r.name for r in results if not r.passed}
+        assert [r.name for r in results] == [
+            "fields.norm_multiplicative",
+            "fields.support_partition",
+            "fields.square_divisor_count",
+            "local.r_weight_nonnegative",
+            "local.satake_ratio_open_set",
+            "local.parity_vanishing_exact",
+            "local.period_constant_at_zero",
+            "local.sum_product_identity",
+            "gamma.lanczos_vs_reflection",
+            "gamma.digamma_classical_values",
+        ]
+        assert failed == {
+            "fields.norm_multiplicative",
+            "fields.support_partition",
+            "fields.square_divisor_count",
+            "local.r_weight_nonnegative",
+            "local.parity_vanishing_exact",
+            "local.period_constant_at_zero",
+            "gamma.digamma_classical_values",
+        }
+
+    def test_xi_enumerated_once_per_modulus(self, monkeypatch):
+        calls = []
+        honest = characters.enumerate_xi
+
+        def counting(n, *args, **kwargs):
+            calls.append(n.norm())
+            return honest(n, *args, **kwargs)
+
+        monkeypatch.setattr(characters, "enumerate_xi", counting)
+        results = check_characters(None, census_limit=12, gauss_limit=5)
+        assert all(r.passed for r in results)
+        assert sorted(calls) == [m * m for m in range(1, 13)]
+
+    def test_census_bound_enumerates_when_the_oracle_crashed(self, monkeypatch):
+        def boom(m):
+            raise RuntimeError("oracle unavailable")
+
+        monkeypatch.setattr(characters, "brute_force_phase_tables", boom)
+        by_name = {r.name: r for r in check_characters(None, census_limit=12, gauss_limit=5)}
+        assert not by_name["characters.xi_vs_bruteforce"].passed
+        assert by_name["characters.census_bound"].passed
+        assert by_name["characters.census_bound"].observed == 0.0
+
     def test_every_character_check_keeps_its_name(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("broken")
 
-        for name in ("brute_force_phase_tables", "gauss_sums_for_modulus", "character_census", "l_one"):
+        for name in ("brute_force_phase_tables", "gauss_sums_for_modulus", "enumerate_xi", "l_one"):
             monkeypatch.setattr(characters, name, boom)
         monkeypatch.setattr(characters.QuadraticCharacterProfile, "from_signs", boom)
         results = check_characters(None, census_limit=5, gauss_limit=5)

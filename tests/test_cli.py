@@ -1,9 +1,18 @@
 import json
 import math
 
+import pytest
+
 from rtflab.cli import main
 from rtflab.empirical import inverse_cdf_sample, sample_from_rows, write_sample_csv
-from rtflab.measures import plancherel
+from rtflab.fields import RATIONALS
+from rtflab.measures import (
+    local_spectral,
+    local_spectral_density,
+    plancherel,
+    plancherel_density,
+    sato_tate_density,
+)
 
 
 def run(capsys, *argv):
@@ -223,3 +232,71 @@ class TestMeasureLambdaTabulation:
         lines = out.strip().splitlines()
         assert len(lines) == 8
         assert lines[1].split(",")[1] == repr(0.0)  # density vanishes at y = 0
+
+
+def per_point_grid(measure, p, sign, n, ymax=10.0):
+    """The CSV of `rtflab measure`, one point at a time through the public
+    scalar densities, as the per-point loop wrote it."""
+    if measure == "mu_ST":
+        lo, hi, tag, fn = -2.0, 2.0, "mu_ST", sato_tate_density
+    elif measure == "mu_p":
+        lo, hi, tag = -2.0, 2.0, plancherel(p, sign).tag
+        fn = lambda x: plancherel_density(x, p, sign)
+    else:
+        place = RATIONALS.place_for_prime(p)
+        density = local_spectral(place, sign)
+        lo, hi, tag = density.lo, density.hi, density.tag
+        fn = lambda y: local_spectral_density(y, place, sign)
+    lines = ["x_or_y,density,measure_tag,place_q,sign"]
+    for i in range(n + 1):
+        x = lo + (hi - lo) * i / n
+        lines.append(f"{x!r},{fn(x)!r},{tag},{p or 0},{sign:+d}")
+    return "\n".join(lines) + "\n"
+
+
+class TestMeasureGridByteIdentity:
+    @pytest.mark.parametrize(
+        "measure,p,sign",
+        [("mu_ST", None, 1), ("mu_p", 2, 1), ("mu_p", 7, -1), ("lambda", 3, 1), ("lambda", 5, -1)],
+    )
+    def test_grid_equals_per_point_loop(self, capsys, measure, p, sign):
+        argv = ["measure", "--measure", measure, "--sign", str(sign), "--grid", "64"]
+        if p is not None:
+            argv += ["--p", str(p)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == per_point_grid(measure, p, sign, 64)
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_is_a_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "measure", "--measure", "mu_ST", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "--grid" in json.loads(err)["message"]
+
+
+class TestCompareMalformedRows:
+    HEADER = "level_norm,place_q,x,weight\n"
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1.0,2,0.5,1.0", "1,1e3,0.5,1.0", "1,2,0.5", "1,2,0.5,1.0,9", "1,2,0.5,1.0 # c"],
+    )
+    def test_malformed_row_exits_2(self, capsys, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "1,2,0.25,1.0\n" + row + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+
+    def test_non_finite_rows_are_counted(self, capsys, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            self.HEADER + "1,2,0.25,1.0\n1,2,-0.5,2.0\n1,2,nan,1.0\n1,2,0.5,inf\n1,2,-inf,1.0\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["rows"], doc["rejected_rows"], doc["total_weight"]) == (2, 3, 3.0)

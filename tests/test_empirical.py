@@ -1,3 +1,8 @@
+import csv
+import io
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +49,152 @@ class TestIngest:
             read_sample_csv("1,2,0.5,1.0\n")
         with pytest.raises(ValueError):
             read_sample_csv("a,b,c,d\n1,2,0.5,1.0\n")
+
+
+def per_row_oracle(text, lo=-2.0, hi=2.0):
+    """The per-row parser that read_sample_csv replaced: csv.reader, one
+    int/float per field, one domain check per row.  Returns the kept columns
+    and the rejected count, exactly as that route built them."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty CSV")
+    if tuple(h.strip() for h in header) != ("level_norm", "place_q", "x", "weight"):
+        raise ValueError("bad header")
+    kept, rejected = [], 0
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ValueError(f"malformed CSV row: {row!r}")
+        level_norm, place_q, x, weight = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+        if level_norm < 1 or place_q < 2 or not (lo <= x <= hi) or not (
+            math.isfinite(weight) and weight >= 0.0
+        ):
+            rejected += 1
+            continue
+        kept.append((level_norm, place_q, x, weight))
+    arr = np.array(kept, dtype=float).reshape(-1, 4)
+    return (arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2], arr[:, 3]), rejected
+
+
+HEADER = "level_norm,place_q,x,weight\n"
+
+EQUIVALENT_TEXTS = {
+    "plain": HEADER + "11,2,0.5,1.0\n13,3,-1.25,0.5\n",
+    "quoted fields": '"level_norm","place_q","x","weight"\n"11","2","0.5","1.0"\n13,"3",-1.25,"0.5"\n',
+    "quoted with spaces": HEADER + '" 11 ",2," 0.5 ",1.0\n',
+    "blank lines": HEADER + "\n11,2,0.5,1.0\n\n\n13,3,-1.25,0.5\n\n",
+    "crlf": HEADER.replace("\n", "\r\n") + "11,2,0.5,1.0\r\n13,3,-1.25,0.5\r\n",
+    "surrounding spaces": " level_norm , place_q ,x,weight\n 11 , 2 , 0.5 , 1.0 \n\t13,3,\t-1.25\t,0.5\n",
+    "signs and exponents": HEADER + "+11,+2,-2.0,1e-3\n12,2,2.0,0\n13,2,.5,5.\n",
+    "no final newline": HEADER + "11,2,0.5,1.0",
+    "nan and inf in x": HEADER + "1,2,nan,1.0\n1,2,inf,1.0\n1,2,-inf,1.0\n1,2,NaN,1.0\n1,2,0.0,1.0\n",
+    "nan and inf in weight": HEADER + "1,2,0.5,nan\n1,2,0.5,inf\n1,2,0.5,-inf\n1,2,0.5,2.0\n",
+    "domain rejections": HEADER + "0,2,0.5,1.0\n-4,2,0.5,1.0\n1,1,0.5,1.0\n1,2,2.5,1.0\n1,2,0.5,-1.0\n1,2,0.5,-0.0\n",
+    "header only": HEADER,
+    "header only without newline": HEADER.rstrip("\n"),
+    "float in int column": HEADER + "1.0,2,0.5,1.0\n",
+    "exponent in int column": HEADER + "11,1e3,0.5,1.0\n",
+    "nan in int column": HEADER + "nan,2,0.5,1.0\n",
+    "short row": HEADER + "11,2,0.5\n",
+    "long row": HEADER + "11,2,0.5,1.0,7\n",
+    "trailing comma": HEADER + "11,2,0.5,1.0,\n",
+    "trailing comment": HEADER + "11,2,0.5,1.0 # c\n",
+    "comment row": HEADER + "11,2,0.5,1.0\n# c\n",
+    "empty field": HEADER + "11,,0.5,1.0\n",
+    "whitespace-only line": HEADER + "11,2,0.5,1.0\n   \n",
+    "quoted comma": HEADER + '"11,2",0.5,1.0\n',
+    "word in float column": HEADER + "11,2,half,1.0\n",
+    "empty text": "",
+    "wrong header": "a,b,c,d\n11,2,0.5,1.0\n",
+    "blank first line": "\n" + HEADER + "11,2,0.5,1.0\n",
+}
+
+
+class TestIngestEquivalence:
+    """read_sample_csv against the per-row oracle: same kept columns and
+    rejected count, or the same exception type."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENT_TEXTS))
+    def test_matches_per_row_oracle(self, name):
+        text = EQUIVALENT_TEXTS[name]
+        try:
+            expected = per_row_oracle(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_sample_csv(text)
+            return
+        columns, rejected = expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a header-only file must not warn
+            sample, got_rejected = read_sample_csv(text)
+        assert got_rejected == rejected
+        for got, want in zip((sample.level_norm, sample.place_q, sample.x, sample.weight), columns):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_lambda_window_bounds(self):
+        text = HEADER + "1,2,0.0,1.0\n1,2,9.06,1.0\n1,2,9.07,1.0\n1,2,-1e-300,1.0\n"
+        columns, rejected = per_row_oracle(text, 0.0, 2.0 * math.pi / math.log(2.0))
+        sample, got_rejected = read_sample_csv(text, 0.0, 2.0 * math.pi / math.log(2.0))
+        assert (got_rejected, rejected) == (2, 2)
+        assert sample.x.tobytes() == columns[2].tobytes()
+
+    def test_bench_sized_sample_matches(self):
+        rng = np.random.default_rng(6)
+        n = 20_000
+        x = rng.uniform(-2.2, 2.2, n)
+        weight = rng.uniform(-0.1, 1.5, n)
+        level_norm = rng.integers(-2, 10_000, n)
+        place_q = rng.integers(1, 4, n)
+        lines = [HEADER.rstrip("\n")]
+        columns = (level_norm.tolist(), place_q.tolist(), x.tolist(), weight.tolist())
+        lines += [f"{a},{b},{c!r},{d!r}" for a, b, c, d in zip(*columns)]
+        text = "\n".join(lines) + "\n"
+        columns, rejected = per_row_oracle(text)
+        sample, got_rejected = read_sample_csv(text)
+        assert got_rejected == rejected > 0
+        for got, want in zip((sample.level_norm, sample.place_q, sample.x, sample.weight), columns):
+            assert got.tobytes() == want.tobytes()
+
+    def test_level_norm_beyond_int64_raises(self):
+        # Accepted divergence: the per-row route parsed this with int() and
+        # kept it through a float round trip; int64 columns refuse it.
+        text = HEADER + "99999999999999999999,2,0.5,1.0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's int64 cast overflows
+            assert per_row_oracle(text)[1] == 0
+        with pytest.raises(ValueError):
+            read_sample_csv(text)
+
+    def test_cr_line_endings_read_as_newlines(self):
+        # Accepted divergence: csv.reader raised csv.Error on a bare-CR text
+        # given as a string (files read through the CLI never had one, as
+        # reading them translates newlines); it now reads like LF.
+        lf = HEADER + "11,2,0.5,1.0\n13,3,-1.25,0.5\n"
+        sample_cr, rejected_cr = read_sample_csv(lf.replace("\n", "\r"))
+        sample_lf, rejected_lf = read_sample_csv(lf)
+        assert rejected_cr == rejected_lf == 0
+        assert sample_cr.x.tobytes() == sample_lf.x.tobytes()
+        assert sample_cr.level_norm.tobytes() == sample_lf.level_norm.tobytes()
+
+    def test_sample_from_rows_shares_the_mask(self):
+        rows = [
+            (11, 2, 0.5, 1.0),
+            (0, 2, 0.5, 1.0),
+            (11, 1, 0.5, 1.0),
+            (11, 2, float("nan"), 1.0),
+            (11, 2, 0.5, float("inf")),
+            (11, 2, -2.0, 0.0),
+        ]
+        text = HEADER + "".join(f"{a},{b},{c!r},{d!r}\n" for a, b, c, d in rows)
+        from_rows, rejected_rows = sample_from_rows(rows)
+        from_text, rejected_text = read_sample_csv(text)
+        assert rejected_rows == rejected_text == 4
+        assert from_rows.x.tobytes() == from_text.x.tobytes()
+        assert from_rows.level_norm.tobytes() == from_text.level_norm.tobytes()
 
 
 class TestCdf:

@@ -150,6 +150,35 @@ class TestProfile:
         with pytest.raises(ValueError):
             RATIONALS.place_for_prime(6)
 
+    @pytest.mark.parametrize("n", [6, 4, 9, 1, 0, -7, 1_000_003 * 3])
+    def test_non_prime_message(self, n):
+        with pytest.raises(ValueError, match=rf"^{n} is not prime$"):
+            RATIONALS.place_for_prime(n)
+
+    @pytest.mark.parametrize("q", [6, 1, 0, 12])
+    def test_non_prime_power_place_message(self, q):
+        with pytest.raises(ValueError, match=rf"^residue cardinality {q} is not a prime power >= 2$"):
+            FinitePlace("bad", q)
+
+    def test_prime_factorized_once(self, monkeypatch):
+        from rtflab import fields
+
+        calls = []
+        honest = fields.factorize
+
+        def counting(n):
+            calls.append(n)
+            return honest(n)
+
+        monkeypatch.setattr(fields, "factorize", counting)
+        fields._prime_power.cache_clear()
+        try:
+            place = RATIONALS.place_for_prime(1_000_003)
+        finally:
+            fields._prime_power.cache_clear()
+        assert (place.label, place.q, place.d) == ("p1000003", 1_000_003, 0)
+        assert calls == [1_000_003]
+
     def test_json_round_trip(self):
         profile = FieldProfile.from_json(
             '{"degree": 2, "discriminant": 5, '

@@ -6,11 +6,13 @@ import scipy.special
 
 from rtflab.errors import DomainError
 from rtflab.fields import RATIONALS
+from rtflab.local_factors import local_l_character, local_l_spherical, local_l_spherical_sign
 from rtflab.measures import (
     dx_dy_abs,
     finite_spectral_formula,
     integrate_density,
     lambda_mass,
+    local_spectral,
     local_spectral_density,
     plancherel,
     plancherel_density,
@@ -239,3 +241,75 @@ class TestSpectralPointDensity:
 
         with pytest.raises(DomainError):
             spectral_density_at_point(SpectralPoint(1.5 + 0.0j))
+
+
+def per_call_plancherel(x, q, sign):
+    """The per-prime density with every constant recomputed per call."""
+    a = math.sqrt(q) + 1.0 / math.sqrt(q)
+    base = sato_tate_density(x)
+    if sign == 1:
+        return (q - 1.0) / (a - x) ** 2 * base
+    return (q + 1.0) / (a * a - x * x) * base
+
+
+def per_call_finite(y, q, sign):
+    """The finite-place formula with every constant recomputed per call."""
+    nu = 1j * y
+    num = (
+        local_l_spherical(0.5, nu, q)
+        * local_l_spherical_sign(0.5, nu, q, sign)
+        / local_l_character(1.0, complex(sign), q)
+    ).real
+    kernel = 2.0 - 2.0 * math.cos(y * math.log(q))
+    return num * math.log(q) / (4.0 * math.pi) * kernel
+
+
+class TestHoistedConstantsBitIdentical:
+    """Density closures compute their constants once; every value must be
+    the same float as the public scalar function and the per-call formula."""
+
+    POINTS = 10_000
+
+    def test_semicircle(self):
+        fn = sato_tate().fn
+        for x in np.linspace(-2.0, 2.0, self.POINTS).tolist():
+            assert fn(x) == sato_tate_density(x)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_plancherel(self, q, sign):
+        fn = plancherel(q, sign).fn
+        for x in np.linspace(-2.0, 2.0, self.POINTS).tolist():
+            value = fn(x)
+            assert value == plancherel_density(x, q, sign)
+            assert value == per_call_plancherel(x, q, sign)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_finite_spectral(self, q, sign):
+        place = P(q)
+        density = local_spectral(place, sign)
+        for y in np.linspace(density.lo, density.hi, self.POINTS).tolist():
+            value = density.fn(y)
+            assert value == local_spectral_density(y, place, sign)
+            assert value == finite_spectral_formula(y, q, sign)
+            assert value == per_call_finite(y, q, sign)
+
+    def test_archimedean(self):
+        fn = local_spectral(ARCH, 1).fn
+        for y in np.linspace(0.0, 20.0, 1_000).tolist():
+            assert fn(y) == local_spectral_density(y, ARCH, 1)
+
+    def test_checks_run_once_at_construction(self):
+        with pytest.raises(ValueError):
+            plancherel(3, 0)
+        with pytest.raises(ValueError):
+            plancherel(1, 1)
+        with pytest.raises(ValueError):
+            local_spectral(P(3), 2)
+        with pytest.raises(DomainError):
+            plancherel(3, 1).fn(2.5)
+        with pytest.raises(DomainError):
+            local_spectral(P(3), 1).fn(-0.1)
+        with pytest.raises(DomainError):
+            local_spectral(P(3), 1).fn(2.0 * math.pi / math.log(3.0) + 0.1)
