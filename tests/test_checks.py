@@ -63,6 +63,23 @@ class TestCrashIsolation:
             assert r.observed == math.inf
             assert r.detail == "RuntimeError: per-prime density unavailable"
 
+    def test_crash_in_shared_set_up_fails_only_its_consumers(self, monkeypatch):
+        expected = [r.name for r in run_all_checks()]
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("no quadratic character")
+
+        monkeypatch.setattr(DirichletCharacter, "quadratic", boom)
+        results = run_all_checks()
+        assert [r.name for r in results] == expected
+        assert [r.name for r in results if not r.passed] == [
+            "characters.l_one_golden_ratio",
+            "rtf.laurent_two_widths",
+            "rtf.edge_coefficients_reconstruct",
+            "rtf.orbit_constant_flat_nontrivial",
+            "rtf.intertwining_involution",
+        ]
+
     def test_every_group_check_keeps_its_name(self, monkeypatch):
         from rtflab import checks
 
