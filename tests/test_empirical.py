@@ -169,6 +169,15 @@ class TestIngestEquivalence:
         with pytest.raises(ValueError):
             read_sample_csv(text)
 
+    @pytest.mark.parametrize("row", ["1_000,2,0.5,1.0", "11,2,0.2_5,1.0"])
+    def test_digit_group_underscores_raise(self, row):
+        # Accepted divergence: int() and float() take PEP 515 underscores;
+        # the column parser refuses them like any other non-number.
+        text = HEADER + row + "\n"
+        assert per_row_oracle(text)[1] == 0
+        with pytest.raises(ValueError):
+            read_sample_csv(text)
+
     def test_cr_line_endings_read_as_newlines(self):
         # Accepted divergence: csv.reader raised csv.Error on a bare-CR text
         # given as a string (files read through the CLI never had one, as
