@@ -1,90 +1,117 @@
 """rtflab: explicit constants, weights and spectral measures of GL(2)
 central L-value averages over totally real fields, with everything testable
-at desk scale."""
+at desk scale.
+
+The public names below load on first access (PEP 562), so importing the
+package, or one subcommand of the CLI, pulls in only the modules it uses:
+numpy is imported by the array paths alone.
+"""
+
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .fields import (
-    ArchimedeanPlace,
-    FieldProfile,
-    FinitePlace,
-    LevelIdeal,
-    RATIONALS,
-    index_k0,
-)
-from .characters import (
-    DirichletCharacter,
-    GaussSumValue,
-    QuadraticCharacterProfile,
-    adelic_gauss_sum,
-    character_census,
-    enumerate_character_group,
-    enumerate_xi,
-    eta_tilde,
-    gauss_sum,
-    is_admissible_level,
-    l_one,
-    l_one_completed,
-)
-from .local_factors import (
-    HigherConductor,
-    LocalRepresentation,
-    Special,
-    SpectralPoint,
-    Spherical,
-    adjoint_norm_factor,
-    global_weight,
-    local_l_arch_spherical,
-    local_l_character,
-    local_l_spherical,
-    period_constant,
-    r_weight,
-)
-from .special import abs_gamma_iy_sq_inv, digamma, gamma, gamma_r
-from .quadrature import QuadratureResult, integrate
-from .measures import (
-    Density,
-    local_spectral,
-    local_spectral_density,
-    plancherel,
-    plancherel_density,
-    pushforward_check,
-    sato_tate,
-    sato_tate_density,
-    spectral_density_at_point,
-    spectral_pairing,
-)
-from .lfunctions import (
-    EdgeCoefficients,
-    LaurentData,
-    completed_l,
-    completed_zeta,
-    edge_coefficients,
-    laurent_at_1,
-)
-from .rtf_constants import (
-    EdgePlaceBlock,
-    EtaContext,
-    RhoAssignment,
-    edge_place_factor,
-    edge_product_taylor,
-    enumerate_rho,
-    eta_context,
-    flat_section_at_identity,
-    intertwining_ratio,
-    kernel_normalization,
-    level_constant,
-    mean_square_constant,
-    predicted_moment_average,
-    spectral_edge_constant,
-    unipotent_orbit_constant,
-    unipotent_orbit_factor,
-)
-from .empirical import (
-    EmpiricalSample,
-    compare_report,
-    inverse_cdf_sample,
-    ks_distance,
-    read_sample_csv,
-    write_sample_csv,
-)
+_EXPORTS = {
+    "fields": (
+        "ArchimedeanPlace",
+        "FieldProfile",
+        "FinitePlace",
+        "LevelIdeal",
+        "RATIONALS",
+        "index_k0",
+    ),
+    "characters": (
+        "DirichletCharacter",
+        "GaussSumValue",
+        "QuadraticCharacterProfile",
+        "adelic_gauss_sum",
+        "character_census",
+        "enumerate_character_group",
+        "enumerate_xi",
+        "eta_tilde",
+        "gauss_sum",
+        "is_admissible_level",
+        "l_one",
+        "l_one_completed",
+    ),
+    "local_factors": (
+        "HigherConductor",
+        "LocalRepresentation",
+        "Special",
+        "SpectralPoint",
+        "Spherical",
+        "adjoint_norm_factor",
+        "global_weight",
+        "local_l_arch_spherical",
+        "local_l_character",
+        "local_l_spherical",
+        "period_constant",
+        "r_weight",
+    ),
+    "special": ("abs_gamma_iy_sq_inv", "digamma", "gamma", "gamma_r"),
+    "quadrature": ("QuadratureResult", "integrate"),
+    "measures": (
+        "Density",
+        "local_spectral",
+        "local_spectral_density",
+        "plancherel",
+        "plancherel_density",
+        "pushforward_check",
+        "sato_tate",
+        "sato_tate_density",
+        "spectral_density_at_point",
+        "spectral_pairing",
+    ),
+    "lfunctions": (
+        "EdgeCoefficients",
+        "LaurentData",
+        "completed_l",
+        "completed_zeta",
+        "edge_coefficients",
+        "laurent_at_1",
+    ),
+    "rtf_constants": (
+        "EdgePlaceBlock",
+        "EtaContext",
+        "RhoAssignment",
+        "edge_place_factor",
+        "edge_product_taylor",
+        "enumerate_rho",
+        "eta_context",
+        "flat_section_at_identity",
+        "intertwining_ratio",
+        "kernel_normalization",
+        "level_constant",
+        "mean_square_constant",
+        "predicted_moment_average",
+        "spectral_edge_constant",
+        "unipotent_orbit_constant",
+        "unipotent_orbit_factor",
+    ),
+    "empirical": (
+        "EmpiricalSample",
+        "compare_report",
+        "inverse_cdf_sample",
+        "ks_distance",
+        "read_sample_csv",
+        "write_sample_csv",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,13 +21,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import RamifiedOverlapError
 from .fields import FinitePlace, LevelIdeal, Place, RATIONALS, FieldProfile, factorize
 from .special import digamma
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the array functions only (`_phase_logs`, `phases`,
+# `values_array`, `conductor_by_divisor_test`, `gauss_sums_for_modulus`), so
+# the scalar paths load without it.
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,8 @@ def _phase_logs(m: int) -> tuple[np.ndarray, np.ndarray]:
     use only: it costs O(m) memory, which the single-residue path
     `DirichletCharacter.phase_index` avoids.
     """
+    import numpy as np
+
     g = unit_group(m)
     logs = np.full((m, len(g.orders)), -1, dtype=np.int64)
     units = np.zeros(m, dtype=bool)
@@ -222,6 +229,8 @@ class DirichletCharacter:
 
     def phases(self) -> np.ndarray:
         """Integer phases k_0, ..., k_{m-1} (see `phase_index`); -1 off the units."""
+        import numpy as np
+
         logs, units = _phase_logs(self.modulus)
         L = unit_group(self.modulus).exponent
         return np.where(units, logs @ np.array(self.exponents, dtype=np.int64) % L, -1)
@@ -241,6 +250,8 @@ class DirichletCharacter:
 
     def values_array(self) -> np.ndarray:
         """chi(0), chi(1), ..., chi(m-1) as a complex vector."""
+        import numpy as np
+
         k = self.phases()
         turns = 2 * np.pi * (k / unit_group(self.modulus).exponent)
         return np.where(k >= 0, np.cos(turns) + 1j * np.sin(turns), 0.0)
@@ -305,6 +316,8 @@ class DirichletCharacter:
 
     def conductor_by_divisor_test(self) -> int:
         """Smallest d | m with chi trivial on residues ≡ 1 (mod d); slow dual route."""
+        import numpy as np
+
         m = self.modulus
         if m == 1:
             return 1
@@ -393,15 +406,22 @@ class GaussSumValue:
 
 
 def gauss_sum(chi: DirichletCharacter) -> GaussSumValue:
-    """tau(chi) = sum_a chi(a) e^{2 pi i a / m}; requires chi primitive."""
+    """tau(chi) = sum_a chi(a) e^{2 pi i a / m}; requires chi primitive.
+
+    One character at a time in O(m) scalar steps over `phase_index`, a route
+    independent of the batched matrix product of `gauss_sums_for_modulus`.
+    """
     if not chi.is_primitive():
         raise ValueError("gauss_sum requires a primitive character")
     m = chi.modulus
     if m == 1:
         return GaussSumValue(1.0 + 0.0j, 1)
-    vals = chi.values_array()
-    a = np.arange(m)
-    tau = complex(np.sum(vals * np.exp(2j * np.pi * a / m)))
+    L = unit_group(m).exponent
+    tau = 0.0 + 0.0j
+    for a in range(1, m):
+        k = chi.phase_index(a)
+        if k is not None:
+            tau += _unit_root(k, L) * _unit_root(a, m)
     return GaussSumValue(tau, m)
 
 
@@ -421,6 +441,8 @@ def gauss_sums_for_modulus(m: int) -> list[tuple[DirichletCharacter, complex]]:
     One integer matrix product yields all character values at once, so the
     whole family up to several hundred moduli stays fast.
     """
+    import numpy as np
+
     if m == 1:
         return [(DirichletCharacter.trivial(1), 1.0 + 0.0j)]
     primitive = [chi for chi in enumerate_character_group(m) if chi.is_primitive()]

@@ -15,37 +15,18 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .characters import DirichletCharacter, enumerate_xi
-from .checks import run_all_checks
-from .empirical import compare_report, read_sample_csv
 from .errors import RtflabError
 from .fields import FieldProfile, RATIONALS, parse_factored_level
-from .local_factors import (
-    HigherConductor,
-    LocalRepresentation,
-    Special,
-    Spherical,
-    r_weight,
-)
-from .measures import (
-    Density,
-    lambda_mass,
-    local_spectral,
-    plancherel,
-    sato_tate,
-)
-from .rtf_constants import (
-    eta_context,
-    level_constant,
-    mean_square_constant,
-    spectral_edge_constant,
-    unipotent_orbit_constant,
-    unipotent_orbit_factor,
-)
+
+if TYPE_CHECKING:
+    from .characters import DirichletCharacter
+    from .measures import Density
+
+# Each subcommand imports the modules it runs, so that `constants`, `measure`
+# or `--version` never load numpy, `checks` or `empirical`.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,6 +57,8 @@ def _load_profile(path: str | None) -> FieldProfile:
 
 def _parse_eta(spec: str | None) -> DirichletCharacter | None:
     """Character spec: 'trivial' or 'quad:m' for the primitive even quadratic mod m."""
+    from .characters import DirichletCharacter
+
     if spec is None or spec == "trivial":
         return None
     if spec.startswith("quad:"):
@@ -88,6 +71,8 @@ def _parse_eta(spec: str | None) -> DirichletCharacter | None:
 
 
 def _density_from_args(args) -> Density:
+    from .measures import local_spectral, plancherel, sato_tate
+
     if args.measure == "mu_ST":
         return sato_tate()
     if args.measure == "mu_p":
@@ -111,9 +96,10 @@ def _cmd_measure(args) -> int:
     n = args.grid
     if n < 1:
         raise _CliError("--grid must be at least 1")
-    # Same IEEE operations as lo + (hi - lo) * i / n point by point; the
-    # density itself runs on Python floats, whose pow differs from numpy's.
-    xs = (density.lo + (hi - density.lo) * np.arange(n + 1) / n).tolist()
+    # Python floats throughout: the density's pow differs from numpy's.  Each
+    # abscissa takes the IEEE steps of the array form lo + span * arange / n.
+    lo, span = density.lo, hi - density.lo
+    xs = [lo + span * i / n for i in range(n + 1)]
     tail = f",{density.tag},{args.p or 0},{args.sign:+d}\n"
     body = "".join([f"{x!r},{density(x)!r}{tail}" for x in xs])
     _write_output("x_or_y,density,measure_tag,place_q,sign\n" + body, args.out)
@@ -121,6 +107,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_mass(args) -> int:
+    from .measures import lambda_mass
+
     density = _density_from_args(args)
     if args.measure == "lambda":
         res = lambda_mass(
@@ -143,6 +131,8 @@ def _cmd_mass(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    from .local_factors import HigherConductor, LocalRepresentation, Special, Spherical, r_weight
+
     place = RATIONALS.place_for_prime(args.q)
     if args.rep == "spherical":
         satake = cmath.exp(1j * args.theta) if args.satake is None else complex(args.satake)
@@ -174,6 +164,15 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .rtf_constants import (
+        eta_context,
+        level_constant,
+        mean_square_constant,
+        spectral_edge_constant,
+        unipotent_orbit_constant,
+        unipotent_orbit_factor,
+    )
+
     profile = _load_profile(args.profile)
     n = parse_factored_level(args.n, profile)
     chi = _parse_eta(args.eta)
@@ -217,6 +216,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _cmd_characters(args) -> int:
+    from .characters import enumerate_xi
+
     profile = _load_profile(args.profile)
     n = parse_factored_level(args.n, profile)
     lines = ["modulus,conductor,parity,order"]
@@ -228,6 +229,8 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_all_checks
+
     results = run_all_checks(args.tol)
     doc = {
         "version": __version__,
@@ -241,6 +244,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    import numpy as np
+
+    from .empirical import compare_report, read_sample_csv
+
     density = _density_from_args(args)
     text = Path(args.sample).read_text(encoding="utf-8")
     # Observations against the per-place spectral density live in its window,

@@ -124,13 +124,15 @@ def read_sample_csv(
 
 
 def write_sample_csv(sample: EmpiricalSample) -> str:
-    """Serialize with repr-exact floats so reading back is lossless."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for ln, pq, x, w in zip(sample.level_norm, sample.place_q, sample.x, sample.weight):
-        writer.writerow([int(ln), int(pq), repr(float(x)), repr(float(w))])
-    return out.getvalue()
+    """Serialize with repr-exact floats so reading back is lossless.
+
+    No field ever needs CSV quoting (ints and float reprs such as ``nan`` or
+    ``-inf``), so each row is formatted directly.
+    """
+    ints = [np.asarray(col, dtype=np.int64).tolist() for col in (sample.level_norm, sample.place_q)]
+    floats = [np.asarray(col, dtype=np.float64).tolist() for col in (sample.x, sample.weight)]
+    rows = "".join([f"{ln},{pq},{x!r},{w!r}\n" for ln, pq, x, w in zip(*ints, *floats)])
+    return ",".join(CSV_COLUMNS) + "\n" + rows
 
 
 # ---------------------------------------------------------------------------

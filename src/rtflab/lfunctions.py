@@ -37,11 +37,10 @@ def _chi_values_mp(chi: DirichletCharacter) -> list:
     """chi(1), ..., chi(m) at working precision, from the integer phases."""
     m = chi.modulus
     L = unit_group(m).exponent
-    phases = chi.phases().tolist()
     vals = []
     for a in range(1, m + 1):
-        k = phases[a % m]
-        if k < 0:
+        k = chi.phase_index(a)
+        if k is None:
             vals.append(mp.mpc(0))
         else:
             vals.append(mp.e ** (2j * mp.pi * (mp.mpf(k) / L)))
@@ -238,7 +237,9 @@ def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
             c1 = -mp.stieltjes(1) + a * mp.euler + (a * a + b) / 2
             return LaurentData(residue=1.0, c0=float(mp.euler + a), c1=float(c1))
         m = xi.modulus
-        signs = [(a, 1 if k == 0 else -1) for a, k in enumerate(xi.phases().tolist()) if k >= 0]
+        signs = [
+            (a, 1 if k == 0 else -1) for a in range(m) if (k := xi.phase_index(a)) is not None
+        ]
         dl0 = mp.fsum(s * mp.loggamma(mp.mpf(a) / m) for a, s in signs)
         d2 = mp.fsum(s * mp.zeta(0, mp.mpf(a) / m, 2) for a, s in signs)
         c1 = -d2 + (mp.log(m * mp.pi) + mp.euler) * dl0

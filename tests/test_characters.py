@@ -166,6 +166,33 @@ class TestGaussSums:
                     assert abs(adelic_gauss_sum(chi)) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestGaussSumRoutes:
+    """The scalar `gauss_sum` (one character, phase by phase) and the batched
+    `gauss_sums_for_modulus` (one integer matrix product per modulus) are
+    independent routes; both must give the same tau for every primitive chi."""
+
+    def test_scalar_matches_batched_up_to_100(self):
+        worst = 0.0
+        count = 0
+        for m in range(1, 101):
+            for chi, tau in gauss_sums_for_modulus(m):
+                worst = max(worst, abs(gauss_sum(chi).value - tau))
+                count += 1
+        assert count > 1000
+        assert worst <= 1e-12
+
+    def test_real_even_primitive_has_tau_sqrt_m(self):
+        # tau(chi) = sqrt(m) for a real even primitive chi (Gauss), so the
+        # adelic normalization is exactly 1 there.
+        seen = 0
+        for m in range(1, 101):
+            for chi in enumerate_character_group(m):
+                if chi.is_real() and chi.is_even() and chi.is_primitive():
+                    assert abs(adelic_gauss_sum(chi) - 1.0) <= 1e-14
+                    seen += 1
+        assert seen > 25
+
+
 class TestXiCensus:
     def test_unit_level(self):
         xs = enumerate_xi(LevelIdeal.unit())

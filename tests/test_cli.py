@@ -300,3 +300,76 @@ class TestCompareMalformedRows:
         assert code == 0
         doc = json.loads(out)
         assert (doc["rows"], doc["rejected_rows"], doc["total_weight"]) == (2, 3, 3.0)
+
+
+class TestMeasureAbscissae:
+    """The grid abscissae lo + span * i / n are computed on Python floats;
+    they must equal the array form bit for bit, or the recorded CSVs move."""
+
+    @pytest.mark.parametrize("measure,p", [("mu_ST", None), ("mu_p", 2), ("lambda", 2),
+                                           ("lambda", 3), ("lambda", 5), ("lambda", 7)])
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000, 150_000])
+    def test_list_equals_array_form(self, measure, p, n):
+        import numpy as np
+
+        from rtflab.measures import sato_tate
+
+        if measure == "mu_ST":
+            density = sato_tate()
+        elif measure == "mu_p":
+            density = plancherel(p, 1)
+        else:
+            density = local_spectral(RATIONALS.place_for_prime(p), 1)
+        lo, hi = density.lo, density.hi
+        span = hi - lo
+        listed = [lo + span * i / n for i in range(n + 1)]
+        arrayed = lo + span * np.arange(n + 1) / n
+        assert np.array(listed).tobytes() == arrayed.tobytes()
+
+
+# Each case runs the CLI in a fresh interpreter, then lists which heavy
+# modules ended up in sys.modules.
+_LOADED_AFTER = """
+import sys
+from rtflab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version
+    code = exc.code
+watched = ("numpy", "rtflab.checks", "rtflab.empirical")
+print(repr((code, [m for m in watched if m in sys.modules])), file=sys.stderr)
+"""
+
+
+def loaded_after(*argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return eval(proc.stderr.strip().splitlines()[-1])
+
+
+class TestImportHygiene:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--version"],
+            ["constants", "--n", "2^2*3", "--eta", "quad:5"],
+            ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "8"],
+            ["characters", "--n", "25"],
+        ],
+        ids=["version", "constants", "measure", "characters"],
+    )
+    def test_subcommand_loads_no_numpy_checks_or_empirical(self, argv):
+        code, loaded = loaded_after(*argv)
+        assert code == 0
+        assert loaded == []

@@ -8,6 +8,7 @@ import pytest
 
 from rtflab.empirical import (
     CdfInterpolator,
+    EmpiricalSample,
     compare_report,
     interval_report,
     inverse_cdf_sample,
@@ -204,6 +205,85 @@ class TestIngestEquivalence:
         assert rejected_rows == rejected_text == 4
         assert from_rows.x.tobytes() == from_text.x.tobytes()
         assert from_rows.level_norm.tobytes() == from_text.level_norm.tobytes()
+
+
+def csv_writer_oracle(columns) -> str:
+    """The serialization through csv.writer, one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("level_norm", "place_q", "x", "weight"))
+    for ln, pq, x, w in zip(*columns):
+        writer.writerow([int(ln), int(pq), repr(float(x)), repr(float(w))])
+    return out.getvalue()
+
+
+class TestWriteSampleCsv:
+    """write_sample_csv formats rows directly; csv.writer is the oracle."""
+
+    INT64_MAX = 2**63 - 1
+    INT64_MIN = -(2**63)
+    ROWS = [
+        (1, 2, 0.5, 1.0),
+        (2, 3, -0.0, 5e-324),
+        (3, 5, 5e-324, 1e308),
+        (INT64_MAX, 7, -2.0, 0.0),
+        (INT64_MIN, 2, 2.0, 1.0),
+        (4, INT64_MAX, 0.1, 0.3),
+        (5, 2, float("nan"), 1.0),
+        (6, 2, 0.25, float("inf")),
+        (7, 2, float("-inf"), 1.0),
+        (8, 2, 1e308, float("nan")),
+        (9, 2, -1e308, -0.0),
+        (10, 2, 0.1, -1.0),
+    ]
+
+    @staticmethod
+    def columns(rows):
+        ln, pq, x, w = zip(*rows)
+        return (
+            np.array(ln, dtype=np.int64),
+            np.array(pq, dtype=np.int64),
+            np.array(x, dtype=np.float64),
+            np.array(w, dtype=np.float64),
+        )
+
+    def test_special_values_match_csv_writer(self):
+        columns = self.columns(self.ROWS)
+        text = write_sample_csv(EmpiricalSample(*columns))
+        assert text == csv_writer_oracle(columns)
+        assert "\n2,3,-0.0,5e-324\n" in text
+        assert f"\n{self.INT64_MIN},2,2.0,1.0\n" in text
+
+    def test_random_sample_matches_csv_writer(self):
+        rng = np.random.default_rng(7)
+        n = 5_000
+        columns = (
+            rng.integers(1, 10_000, n),
+            np.full(n, 3),
+            rng.uniform(-2.0, 2.0, n),
+            rng.uniform(0.5, 1.5, n),
+        )
+        assert write_sample_csv(EmpiricalSample(*columns)) == csv_writer_oracle(columns)
+
+    def test_empty_sample_is_the_header(self):
+        empty = EmpiricalSample(*(np.array([], dtype=t) for t in (np.int64, np.int64, float, float)))
+        assert write_sample_csv(empty) == "level_norm,place_q,x,weight\n"
+
+    def test_round_trip_keeps_every_bit(self):
+        text = write_sample_csv(EmpiricalSample(*self.columns(self.ROWS)))
+        again, rejected = read_sample_csv(text)
+        kept, rejected_rows = sample_from_rows(self.ROWS)
+        assert rejected == rejected_rows > 0
+        for got, want in zip(
+            (again.level_norm, again.place_q, again.x, again.weight),
+            (kept.level_norm, kept.place_q, kept.x, kept.weight),
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(again.x[1])  # -0.0 survives
+        assert write_sample_csv(again) == csv_writer_oracle(
+            (again.level_norm, again.place_q, again.x, again.weight)
+        )
 
 
 class TestCdf:
