@@ -23,6 +23,8 @@ from .measures import Density, integrate_density
 from .quadrature import cos_substituted, kronrod_cells
 
 CSV_COLUMNS = ("level_norm", "place_q", "x", "weight")
+# Rows formatted per block by write_sample_csv.
+_WRITE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,21 @@ def write_sample_csv(sample: EmpiricalSample) -> str:
     """Serialize with repr-exact floats so reading back is lossless.
 
     No field ever needs CSV quoting (ints and float reprs such as ``nan`` or
-    ``-inf``), so each row is formatted directly.
+    ``-inf``), so each row is formatted directly.  Rows are formatted a block
+    at a time, so the Python objects of only one block are alive at once and
+    the peak memory stays near twice the size of the text.
     """
-    ints = [np.asarray(col, dtype=np.int64).tolist() for col in (sample.level_norm, sample.place_q)]
-    floats = [np.asarray(col, dtype=np.float64).tolist() for col in (sample.x, sample.weight)]
-    rows = "".join([f"{ln},{pq},{x!r},{w!r}\n" for ln, pq, x, w in zip(*ints, *floats)])
-    return ",".join(CSV_COLUMNS) + "\n" + rows
+    columns = [
+        np.asarray(sample.level_norm, dtype=np.int64),
+        np.asarray(sample.place_q, dtype=np.int64),
+        np.asarray(sample.x, dtype=np.float64),
+        np.asarray(sample.weight, dtype=np.float64),
+    ]
+    parts = [",".join(CSV_COLUMNS) + "\n"]
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = zip(*(col[start:start + _WRITE_BLOCK].tolist() for col in columns))
+        parts.append("".join([f"{ln},{pq},{x!r},{w!r}\n" for ln, pq, x, w in block]))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rtflab.cli import main
@@ -11,6 +16,7 @@ from rtflab.measures import (
     local_spectral_density,
     plancherel,
     plancherel_density,
+    sato_tate,
     sato_tate_density,
 )
 
@@ -310,10 +316,6 @@ class TestMeasureAbscissae:
                                            ("lambda", 3), ("lambda", 5), ("lambda", 7)])
     @pytest.mark.parametrize("n", [1, 7, 64, 1000, 150_000])
     def test_list_equals_array_form(self, measure, p, n):
-        import numpy as np
-
-        from rtflab.measures import sato_tate
-
         if measure == "mu_ST":
             density = sato_tate()
         elif measure == "mu_p":
@@ -330,23 +332,18 @@ class TestMeasureAbscissae:
 # Each case runs the CLI in a fresh interpreter, then lists which heavy
 # modules ended up in sys.modules.
 _LOADED_AFTER = """
-import sys
+import json, sys
 from rtflab.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
 watched = ("numpy", "rtflab.checks", "rtflab.empirical")
-print(repr((code, [m for m in watched if m in sys.modules])), file=sys.stderr)
+print(json.dumps([code, [m for m in watched if m in sys.modules]]), file=sys.stderr)
 """
 
 
 def loaded_after(*argv):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -355,7 +352,7 @@ def loaded_after(*argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return eval(proc.stderr.strip().splitlines()[-1])
+    return json.loads(proc.stderr.strip().splitlines()[-1])
 
 
 class TestImportHygiene:

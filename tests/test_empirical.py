@@ -255,8 +255,9 @@ class TestWriteSampleCsv:
         assert f"\n{self.INT64_MIN},2,2.0,1.0\n" in text
 
     def test_random_sample_matches_csv_writer(self):
+        # 20 000 rows span several formatting blocks, the last one partial.
         rng = np.random.default_rng(7)
-        n = 5_000
+        n = 20_000
         columns = (
             rng.integers(1, 10_000, n),
             np.full(n, 3),
