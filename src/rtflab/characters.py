@@ -31,8 +31,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the array functions only (`_phase_logs`, `phases`,
-# `values_array`, `conductor_by_divisor_test`, `gauss_sums_for_modulus`), so
-# the scalar paths load without it.
+# `conductor_by_divisor_test`, `gauss_sums_for_modulus`), so the scalar paths
+# load without it.
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +247,6 @@ class DirichletCharacter:
         if k is None:
             return 0.0 + 0.0j
         return _unit_root(k, unit_group(self.modulus).exponent)
-
-    def values_array(self) -> np.ndarray:
-        """chi(0), chi(1), ..., chi(m-1) as a complex vector."""
-        import numpy as np
-
-        k = self.phases()
-        turns = 2 * np.pi * (k / unit_group(self.modulus).exponent)
-        return np.where(k >= 0, np.cos(turns) + 1j * np.sin(turns), 0.0)
 
     # -- structure -----------------------------------------------------------
 

@@ -91,6 +91,8 @@ def _density_from_args(args) -> Density:
 
 
 def _cmd_measure(args) -> int:
+    from .chunked import render_chunked
+
     density = _density_from_args(args)
     hi = density.hi if math.isfinite(density.hi) else args.ymax
     n = args.grid
@@ -99,9 +101,13 @@ def _cmd_measure(args) -> int:
     # Python floats throughout: the density's pow differs from numpy's.  Each
     # abscissa takes the IEEE steps of the array form lo + span * arange / n.
     lo, span = density.lo, hi - density.lo
-    xs = [lo + span * i / n for i in range(n + 1)]
     tail = f",{density.tag},{args.p or 0},{args.sign:+d}\n"
-    body = "".join([f"{x!r},{density(x)!r}{tail}" for x in xs])
+
+    def rows(start: int, stop: int) -> str:
+        xs = [lo + span * i / n for i in range(start, stop)]
+        return "".join([f"{x!r},{density(x)!r}{tail}" for x in xs])
+
+    body = render_chunked(rows, n + 1)
     _write_output("x_or_y,density,measure_tag,place_q,sign\n" + body, args.out)
     return EXIT_OK
 

@@ -134,7 +134,16 @@ def local_l_character(s: complex, chi_at_uniformizer: complex | None, q: int) ->
     """
     if chi_at_uniformizer is None:
         return 1.0 + 0.0j
-    t = chi_at_uniformizer * q ** (-complex(s))
+    return _local_l_from_power(s, chi_at_uniformizer, q ** (-complex(s)))
+
+
+def _local_l_from_power(s: complex, chi_at_uniformizer: complex, power: complex) -> complex:
+    """(1 - chi(pi) * power)**(-1) for power = q**(-s), given by the caller.
+
+    Callers that evaluate several factors at one exponent share its power
+    this way; ``s`` only names the point in the pole message.
+    """
+    t = chi_at_uniformizer * power
     if abs(1.0 - t) < 1e-14:
         raise PoleError(f"abelian local factor pole at s = {s}")
     return 1.0 / (1.0 - t)

@@ -19,12 +19,7 @@ from typing import Callable, Mapping
 
 from .errors import DomainError
 from .fields import ArchimedeanPlace, FieldProfile, FinitePlace, Place, RATIONALS
-from .local_factors import (
-    local_l_arch_spherical,
-    local_l_character,
-    local_l_spherical,
-    local_l_spherical_sign,
-)
+from .local_factors import _local_l_from_power, local_l_arch_spherical, local_l_character
 from .quadrature import (
     QuadratureResult,
     integrate,
@@ -152,16 +147,28 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
     """The finite-place formula at (q, sign) as a function of y.
 
     log q and the local value at 1 of the sign character are computed once.
+    The spherical factor and its sign twin are evaluated at the same two
+    exponents s = 1/2 +- iy/2, so each power q**(-s) is computed once per
+    point and fed to both; every step is the one `local_l_spherical` and
+    `local_l_spherical_sign` take, so the value is the same float.
     """
     log_q = math.log(q)
     l_one_sign = local_l_character(1.0, complex(sign), q)
     four_pi = 4.0 * math.pi
+    half = complex(0.5)
+    one, chi = 1.0 + 0.0j, complex(sign)
 
     def fn(y: float) -> float:
         nu = 1j * y
-        num = (
-            local_l_spherical(0.5, nu, q) * local_l_spherical_sign(0.5, nu, q, sign) / l_one_sign
-        ).real
+        s_plus, s_minus = half + nu / 2.0, half - nu / 2.0
+        p_plus, p_minus = q ** (-s_plus), q ** (-s_minus)
+        spherical = _local_l_from_power(s_plus, one, p_plus) * _local_l_from_power(
+            s_minus, one, p_minus
+        )
+        twisted = _local_l_from_power(s_plus, chi, p_plus) * _local_l_from_power(
+            s_minus, chi, p_minus
+        )
+        num = (spherical * twisted / l_one_sign).real
         kernel = 2.0 - 2.0 * math.cos(y * log_q)  # |1 - q^{-iy}|^2
         return num * log_q / four_pi * kernel
 
