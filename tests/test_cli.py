@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtflab import chunked, cli
 from rtflab.cli import main
+from rtflab.errors import PoleError
 from rtflab.empirical import inverse_cdf_sample, sample_from_rows, write_sample_csv
 from rtflab.fields import RATIONALS
 from rtflab.measures import (
+    Density,
     local_spectral,
     local_spectral_density,
     plancherel,
@@ -281,6 +284,95 @@ class TestMeasureGridByteIdentity:
         assert "--grid" in json.loads(err)["message"]
 
 
+def chunks_forced(monkeypatch, chunks):
+    monkeypatch.setattr(chunked, "chunk_count", lambda rows: chunks)
+
+
+class TestMeasureChunkedRows:
+    """`measure` renders its rows in contiguous chunks, every chunk past the
+    first in a forked child; the bytes must not depend on the chunk count."""
+
+    @pytest.mark.parametrize("measure,p,sign", [("mu_ST", None, 1), ("mu_p", 2, 1), ("lambda", 5, -1)])
+    @pytest.mark.parametrize("grid", [1, 7, 8191, 8192, 150_000])
+    def test_bytes_independent_of_chunk_count(self, capsys, monkeypatch, tmp_path, measure, p, sign, grid):
+        argv = ["measure", "--measure", measure, "--sign", str(sign), "--grid", str(grid)]
+        if p is not None:
+            argv += ["--p", str(p)]
+        expected = per_point_grid(measure, p, sign, grid)
+        for chunks in (1, 2, 3):
+            chunks_forced(monkeypatch, chunks)
+            assert run(capsys, *argv) == (0, expected, "")
+        path = tmp_path / "grid.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        written = path.read_bytes()
+        assert written == expected.encode("utf-8")
+        assert written.count(b"x_or_y") == 1
+
+    def test_chunk_count(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert chunked.chunk_count(201) == 1  # the default --grid 200 never forks
+        assert chunked.chunk_count(8191) == 1
+        assert chunked.chunk_count(8192) == min(cpus, 2)
+        assert chunked.chunk_count(150_001) == min(cpus, 36)
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids this process forks while the test runs."""
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    GRID = 8191  # 8192 rows; three chunks start at rows 0, 2730 and 5461
+
+    def poled_density(self, monkeypatch, first_bad, fail):
+        """mu_ST replaced by a density that calls `fail(x)` from row `first_bad` on."""
+        threshold = -2.0 + 4.0 * first_bad / self.GRID  # the abscissa of that row
+
+        def fn(x):
+            if x >= threshold:
+                fail(x)
+            return 1.0
+
+        monkeypatch.setattr(cli, "_density_from_args", lambda args: Density(-2.0, 2.0, fn, "poled"))
+
+    @pytest.mark.parametrize("first_bad", [8000, 3000, 100], ids=["last", "middle+last", "all"])
+    def test_pole_exits_3_like_the_serial_run(self, capsys, monkeypatch, forked, first_bad):
+        def fail(x):
+            raise PoleError(f"pole at {x!r}")
+
+        self.poled_density(monkeypatch, first_bad, fail)
+        argv = ["measure", "--grid", str(self.GRID)]
+        chunks_forced(monkeypatch, 1)
+        serial = run(capsys, *argv)
+        chunks_forced(monkeypatch, 3)
+        assert run(capsys, *argv) == serial
+        code, out, err = serial
+        assert (code, out) == (3, "")
+        x = -2.0 + 4.0 * first_bad / self.GRID
+        assert json.loads(err) == {"error": "numerical", "type": "PoleError", "message": f"pole at {x!r}"}
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):  # already reaped
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_child_that_dies_is_reported(self, capsys, monkeypatch, forked):
+        self.poled_density(monkeypatch, 8000, lambda x: os._exit(7))
+        chunks_forced(monkeypatch, 2)
+        code, out, err = run(capsys, "measure", "--grid", str(self.GRID))
+        assert (code, out) == (2, "")
+        assert "exited with status 7" in json.loads(err)["message"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+
 class TestCompareMalformedRows:
     HEADER = "level_norm,place_q,x,weight\n"
 
@@ -330,16 +422,24 @@ class TestMeasureAbscissae:
 
 
 # Each case runs the CLI in a fresh interpreter, then lists which heavy
-# modules ended up in sys.modules.
+# modules ended up in sys.modules and how many children it forked.
 _LOADED_AFTER = """
-import json, sys
+import json, os, sys
+forks = []
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
 from rtflab.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
 watched = ("numpy", "rtflab.checks", "rtflab.empirical")
-print(json.dumps([code, [m for m in watched if m in sys.modules]]), file=sys.stderr)
+print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), file=sys.stderr)
 """
 
 
@@ -362,11 +462,16 @@ class TestImportHygiene:
             ["--version"],
             ["constants", "--n", "2^2*3", "--eta", "quad:5"],
             ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "8"],
+            ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "20000"],
             ["characters", "--n", "25"],
         ],
-        ids=["version", "constants", "measure", "characters"],
+        ids=["version", "constants", "measure", "measure-forked", "characters"],
     )
     def test_subcommand_loads_no_numpy_checks_or_empirical(self, argv):
-        code, loaded = loaded_after(*argv)
+        code, loaded, forks = loaded_after(*argv)
         assert code == 0
         assert loaded == []
+        # Only the 20000-point grid is long enough to fork, one child per
+        # chunk past the first.
+        rows = int(argv[-1]) + 1 if argv[0] == "measure" else 0
+        assert forks == (chunked.chunk_count(rows) - 1 if rows else 0)

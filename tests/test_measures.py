@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from rtflab.errors import DomainError
-from rtflab.fields import RATIONALS
+from rtflab.fields import FinitePlace, RATIONALS
 from rtflab.local_factors import local_l_character, local_l_spherical, local_l_spherical_sign
 from rtflab.measures import (
     dx_dy_abs,
@@ -284,12 +284,14 @@ class TestHoistedConstantsBitIdentical:
             assert value == plancherel_density(x, q, sign)
             assert value == per_call_plancherel(x, q, sign)
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_finite_spectral(self, q, sign):
-        place = P(q)
+        place = FinitePlace(f"q{q}", q)
         density = local_spectral(place, sign)
-        for y in np.linspace(density.lo, density.hi, self.POINTS).tolist():
+        ys = np.linspace(density.lo, density.hi, self.POINTS).tolist()
+        assert (ys[0], ys[-1]) == (0.0, 2.0 * math.pi / math.log(q))
+        for y in ys:
             value = density.fn(y)
             assert value == local_spectral_density(y, place, sign)
             assert value == finite_spectral_formula(y, q, sign)
