@@ -9,6 +9,15 @@ parity and conductor tests are integer comparisons; `phase` converts to a
 `Fraction` at its boundary and floating complex values appear only in the
 value accessors.
 
+The characters mod m form the grid of exponent vectors over the generators,
+which is also the discrete-log grid of the units.  Per-modulus work runs on
+that grid: primitivity is an outer AND of one mask per generator axis
+(`primitive_axes`), parity is one integer vector (`parity_vector`), the
+census lists the even primitive rows of each conductor straight from those
+(`enumerate_xi`), and the Gauss sums of every character mod m are one
+inverse FFT of the additive kernel laid out on the grid
+(`gauss_sums_for_modulus`).
+
 `brute_force_phase_tables` is an independent cross-check enumerator: it
 knows nothing about primitive roots or CRT and builds every homomorphism of
 the unit group by subgroup extension, in integers modulo phi(m).  Tests and
@@ -21,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import RamifiedOverlapError
@@ -31,8 +41,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the array functions only (`_phase_logs`, `phases`,
-# `conductor_by_divisor_test`, `gauss_sums_for_modulus`), so the scalar paths
-# load without it.
+# `phase_matrix`, `conductor_by_divisor_test`, `gauss_sums_for_modulus`), so
+# the scalar paths load without it.  The grid helpers `primitive_axes` and
+# `parity_vector` are plain integers, so `enumerate_xi` (and `rtflab
+# characters`) runs without numpy too.
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +282,8 @@ class DirichletCharacter:
 
         At an odd prime power the conductor exponent is v_p(order) + 1 for a
         nontrivial component; at 2-powers the pair {-1, 5} contributes 2 or
-        v_2(order on 5) + 2.  Cross-checked against the divisor-test variant.
+        v_2(order on 5) + 2.  Cross-checked against the divisor-test variant;
+        `primitive_axes` (below) is its per-axis form on the whole grid.
         """
         g = unit_group(self.modulus)
         if self.modulus == 1:
@@ -362,6 +375,56 @@ class DirichletCharacter:
         return f"chi_{self.modulus}{list(self.exponents)}"
 
 
+# ---------------------------------------------------------------------------
+# the character grid: exponent vectors over the generators of unit_group(m)
+
+
+def primitive_axes(m: int) -> tuple[tuple[bool, ...], ...] | None:
+    """Per generator axis of `unit_group(m)`, the exponents that keep chi primitive.
+
+    chi_e mod m is primitive exactly when every axis allows its e_i, so the
+    primitive characters are the outer AND of these masks.  This is the
+    per-axis form of `DirichletCharacter.conductor`: at an odd p**a the
+    component keeps conductor exponent a when p does not divide e (a >= 2)
+    or e != 0 (a = 1); the "m4" and "five" axes need e odd, and the "neg"
+    axis allows every value once "five" is odd.  None when m ≡ 2 (mod 4),
+    which has no primitive character.
+    """
+    if m % 4 == 2:
+        return None
+    g = unit_group(m)
+    axes = []
+    for n, (p, a, kind) in zip(g.orders, g.meta):
+        if kind == "odd":
+            axes.append(tuple(e % p != 0 if a >= 2 else e != 0 for e in range(n)))
+        elif kind == "neg":
+            axes.append((True,) * n)
+        else:  # "m4", "five"
+            axes.append(tuple(e % 2 == 1 for e in range(n)))
+    return tuple(axes)
+
+
+def parity_vector(m: int) -> tuple[int, ...]:
+    """log(m - 1) * L / n: chi_e(-1) has integer phase (e @ vector) % L.
+
+    chi_e is even exactly when that phase is 0 (L the group exponent).
+    """
+    g = unit_group(m)
+    logs = g.log_table[(m - 1) % m]
+    return tuple(x * (g.exponent // n) for x, n in zip(logs, g.orders))
+
+
+def phase_matrix(m: int, exponents: np.ndarray, residues: np.ndarray) -> np.ndarray:
+    """Integer phases mod L of many characters mod m at many units at once.
+
+    ``exponents`` has one exponent row per character and ``residues`` are
+    units mod m; entry (i, j) is the phase of character j at residues[i],
+    the value `DirichletCharacter.phases` gives one character at a time.
+    """
+    logs, _ = _phase_logs(m)
+    return logs[residues % m] @ exponents.T % unit_group(m).exponent
+
+
 def enumerate_character_group(m: int) -> list[DirichletCharacter]:
     """Every character modulo m, in lexicographic exponent order."""
     g = unit_group(m)
@@ -401,7 +464,7 @@ def gauss_sum(chi: DirichletCharacter) -> GaussSumValue:
     """tau(chi) = sum_a chi(a) e^{2 pi i a / m}; requires chi primitive.
 
     One character at a time in O(m) scalar steps over `phase_index`, a route
-    independent of the batched matrix product of `gauss_sums_for_modulus`.
+    independent of the grid FFT of `gauss_sums_for_modulus`.
     """
     if not chi.is_primitive():
         raise ValueError("gauss_sum requires a primitive character")
@@ -428,27 +491,31 @@ def adelic_gauss_sum(chi: DirichletCharacter) -> complex:
 
 
 def gauss_sums_for_modulus(m: int) -> list[tuple[DirichletCharacter, complex]]:
-    """Gauss sums of every primitive character mod m, batched.
+    """Gauss sums of every primitive character mod m, in lexicographic order.
 
-    One integer matrix product yields all character values at once, so the
-    whole family up to several hundred moduli stays fast.
+    tau(chi_e) = sum_x e(a(x)/m) e(<x, e/n>) over the discrete-log grid x of
+    the units, a(x) = prod g_i**x_i; that is the n-dimensional inverse DFT
+    of the additive kernel e(a/m) laid out on the grid, so one
+    `np.fft.ifftn` gives tau for every character mod m.  Characters are
+    built only for the primitive rows (`primitive_axes`).
     """
     import numpy as np
 
     if m == 1:
         return [(DirichletCharacter.trivial(1), 1.0 + 0.0j)]
-    primitive = [chi for chi in enumerate_character_group(m) if chi.is_primitive()]
-    if not primitive:
+    axes = primitive_axes(m)
+    if axes is None:
         return []
-    L = unit_group(m).exponent
-    logs, units = _phase_logs(m)
-    residues = np.flatnonzero(units)
-    expmat = np.array([chi.exponents for chi in primitive], dtype=np.int64)  # (chars, gens)
-    phases = expmat @ logs[residues].T % L  # (chars, res)
-    values = np.exp(2j * np.pi * phases / L)
+    g = unit_group(m)
+    primitive = np.ones((), dtype=bool)
+    residues = np.ones((), dtype=np.int64)
+    for gen, n, axis in zip(g.generators, g.orders, axes):
+        primitive = primitive[..., None] & np.array(axis)
+        residues = residues[..., None] * np.array([pow(gen, x, m) for x in range(n)]) % m
     kernel = np.exp(2j * np.pi * residues / m)
-    taus = values @ kernel
-    return [(chi, complex(t)) for chi, t in zip(primitive, taus)]
+    taus = (np.fft.ifftn(kernel) * kernel.size)[primitive]
+    rows = np.argwhere(primitive).tolist()
+    return [(DirichletCharacter(m, tuple(e)), complex(t)) for e, t in zip(rows, taus)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +526,26 @@ def enumerate_xi(n: LevelIdeal | int, profile: FieldProfile = RATIONALS) -> list
     """All even primitive characters whose conductor squared divides the level.
 
     Rational profile only.  The trivial character (conductor 1) is always in
-    the list; entries are sorted by (conductor, exponents).
+    the list; entries are sorted by (conductor, exponents).  Each conductor
+    contributes the product of its primitive axes (`primitive_axes`), in
+    lexicographic order, less the rows that `parity_vector` finds odd; no
+    other character of the group is built.
     """
     if not profile.is_rationals:
         raise ValueError("character enumeration is implemented over Q only")
     if isinstance(n, int):
         n = LevelIdeal.from_integer(n, profile)
     out: list[DirichletCharacter] = []
-    for c in n.square_divisor_conductors():
-        m = c.norm()
-        for chi in enumerate_character_group(m):
-            if chi.is_even() and chi.is_primitive():
-                out.append(chi)
-    return sorted(out, key=lambda c: (c.modulus, c.exponents))
+    for m in sorted(c.norm() for c in n.square_divisor_conductors()):
+        axes = primitive_axes(m)
+        if axes is None:
+            continue
+        sign, L = parity_vector(m), unit_group(m).exponent
+        allowed = [[e for e, ok in enumerate(axis) if ok] for axis in axes]
+        for e in product(*allowed):
+            if sum(x * s for x, s in zip(e, sign)) % L == 0:
+                out.append(DirichletCharacter(m, e))
+    return out
 
 
 def character_census(n: LevelIdeal | int, profile: FieldProfile = RATIONALS) -> int:

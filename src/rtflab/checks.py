@@ -199,10 +199,15 @@ def _xi_matches(m: int, listed: list[chars.DirichletCharacter]) -> bool:
     N, tables = chars.brute_force_phase_tables(m)
     units = sorted(tables[0])
     at_units = np.array(units)
-    induced = set()
+    by_modulus: dict[int, list[tuple[int, ...]]] = {}
     for chi in listed:
-        scale = N // chars.unit_group(chi.modulus).exponent
-        induced.add(tuple((chi.phases()[at_units % chi.modulus] * scale).tolist()))
+        by_modulus.setdefault(chi.modulus, []).append(chi.exponents)
+    induced = set()
+    for c, rows in by_modulus.items():
+        g = chars.unit_group(c)
+        exps = np.array(rows, dtype=np.int64).reshape(len(rows), len(g.orders))
+        phases = chars.phase_matrix(c, exps, at_units) * (N // g.exponent)
+        induced.update(map(tuple, phases.T.tolist()))
     # Every even character mod m is induced from a unique even primitive
     # character whose conductor divides m, so its square divides m**2.
     brute = {tuple(table[a] for a in units) for table in tables if chars.brute_force_is_even(table, m)}

@@ -99,13 +99,16 @@ def _cmd_measure(args) -> int:
     if n < 1:
         raise _CliError("--grid must be at least 1")
     # Python floats throughout: the density's pow differs from numpy's.  Each
-    # abscissa takes the IEEE steps of the array form lo + span * arange / n.
+    # abscissa takes the IEEE steps of the array form lo + span * arange / n,
+    # which stays inside the domain, so each point is only clamped onto it
+    # (lo + span * n / n may round past hi) before the unchecked kernel.
     lo, span = density.lo, hi - density.lo
+    top, kernel = density.hi, density.kernel
     tail = f",{density.tag},{args.p or 0},{args.sign:+d}\n"
 
     def rows(start: int, stop: int) -> str:
         xs = [lo + span * i / n for i in range(start, stop)]
-        return "".join([f"{x!r},{density(x)!r}{tail}" for x in xs])
+        return "".join([f"{x!r},{kernel(min(max(x, lo), top))!r}{tail}" for x in xs])
 
     body = render_chunked(rows, n + 1)
     _write_output("x_or_y,density,measure_tag,place_q,sign\n" + body, args.out)

@@ -166,10 +166,10 @@ class CdfInterpolator:
             thetas = np.linspace(math.pi, 0.0, grid + 1)  # x ascending from -2 to 2
             xs = 2.0 * np.cos(thetas)
             # theta decreases across each cell, so the signed cell integrals flip
-            increments = -np.array(kronrod_cells(cos_substituted(density.fn), thetas.tolist()))
+            increments = -np.array(kronrod_cells(cos_substituted(density.kernel), thetas.tolist()))
         else:
             xs = np.linspace(density.lo, density.hi, grid + 1)
-            increments = np.array(kronrod_cells(density.fn, xs.tolist()))
+            increments = np.array(kronrod_cells(density.kernel, xs.tolist()))
         cdf = np.concatenate([[0.0], np.cumsum(increments)])
         self.total = float(cdf[-1])
         self.xs = xs

@@ -32,18 +32,30 @@ _EDGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Density:
-    """A nonnegative density on a real interval."""
+    """A nonnegative density on a real interval.
+
+    ``kernel`` is the density at points already in [lo, hi] and checks
+    nothing.  Calling the Density (or its ``fn``) checks the domain once,
+    clamps onto [lo, hi] and evaluates the kernel; quadrature, the CDF
+    tables and `rtflab measure`, whose points lie inside by construction,
+    call the kernel directly.
+    """
 
     lo: float
     hi: float
-    fn: Callable[[float], float]
+    kernel: Callable[[float], float]
     tag: str
     cos_substitution: bool = False  # sqrt(4 - x^2)-type endpoints on [-2, 2]
 
     def __call__(self, x: float) -> float:
         if not (self.lo - _EDGE_TOL <= x <= self.hi + _EDGE_TOL):
             raise DomainError(f"{self.tag}: {x} outside [{self.lo}, {self.hi}]")
-        return self.fn(min(max(x, self.lo), self.hi))
+        return self.kernel(min(max(x, self.lo), self.hi))
+
+    @property
+    def fn(self) -> Callable[[float], float]:
+        """The density with its domain check, the same as calling the Density."""
+        return self.__call__
 
     def mass(self, tol: float = 1e-10) -> QuadratureResult:
         if not math.isfinite(self.hi - self.lo):
@@ -64,23 +76,34 @@ def integrate_density(density: Density, a: float, b: float, tol: float = 1e-10) 
         raise DomainError(f"[{a}, {b}] is not inside the domain of {density.tag}")
     a, b = max(a, density.lo), min(b, density.hi)
     if density.cos_substitution:
-        return integrate_with_cos_substitution(density.fn, a, b, tol)
-    return integrate(density.fn, a, b, tol)
+        return integrate_with_cos_substitution(density.kernel, a, b, tol)
+    return integrate(density.kernel, a, b, tol)
 
 
 # ---------------------------------------------------------------------------
 # semicircle and per-prime densities
 
 
-def sato_tate_density(x: float) -> float:
-    """Semicircle density (2 pi)**(-1) sqrt(4 - x**2) on [-2, 2]."""
-    if not (-2.0 - _EDGE_TOL <= x <= 2.0 + _EDGE_TOL):
-        raise DomainError(f"{x} outside [-2, 2]")
+def _semicircle(x: float) -> float:
     return math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
 
 
+def _check_semicircle_domain(x: float) -> None:
+    if not (-2.0 - _EDGE_TOL <= x <= 2.0 + _EDGE_TOL):
+        raise DomainError(f"{x} outside [-2, 2]")
+
+
+def sato_tate_density(x: float) -> float:
+    """Semicircle density (2 pi)**(-1) sqrt(4 - x**2) on [-2, 2]."""
+    _check_semicircle_domain(x)
+    return _semicircle(x)
+
+
 def _plancherel_fn(q: int, sign: int) -> Callable[[float], float]:
-    """The per-prime density at (q, sign) as a function of x; checks q and sign once."""
+    """The per-prime density at (q, sign) as a function of x in [-2, 2].
+
+    Checks q and sign once; the domain is the caller's (see `Density`).
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if q < 2:
@@ -90,14 +113,14 @@ def _plancherel_fn(q: int, sign: int) -> Callable[[float], float]:
         num = q - 1.0
 
         def fn(x: float) -> float:
-            base = sato_tate_density(x)
+            base = _semicircle(x)
             return num / (a - x) ** 2 * base
 
     else:
         num, a_sq = q + 1.0, a * a
 
         def fn(x: float) -> float:
-            base = sato_tate_density(x)
+            base = _semicircle(x)
             return num / (a_sq - x * x) * base
 
     return fn
@@ -109,11 +132,13 @@ def plancherel_density(x: float, q: int, sign: int) -> float:
     Two cases according to the sign of the twisting character at q; both are
     probability densities against the semicircle on [-2, 2].
     """
-    return _plancherel_fn(q, sign)(x)
+    fn = _plancherel_fn(q, sign)
+    _check_semicircle_domain(x)
+    return fn(x)
 
 
 def sato_tate(tag: str = "mu_ST") -> Density:
-    return Density(-2.0, 2.0, sato_tate_density, tag, cos_substitution=True)
+    return Density(-2.0, 2.0, _semicircle, tag, cos_substitution=True)
 
 
 def plancherel(q: int, sign: int) -> Density:
@@ -184,34 +209,6 @@ def finite_spectral_formula(y: float, q: int, sign: int) -> float:
     return _finite_spectral_fn(q, sign)(y)
 
 
-def _local_spectral_fn(place: Place | None, sign: int) -> Callable[[float], float]:
-    """The per-place spectral density as a function of y; checks sign once."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if place is None or isinstance(place, ArchimedeanPlace):
-
-        def arch(y: float) -> float:
-            if y < -_EDGE_TOL:
-                raise DomainError("archimedean spectral variable must be >= 0")
-            y = max(y, 0.0)
-            if y == 0.0:
-                return 0.0
-            central = local_l_arch_spherical(0.5, 1j * y)
-            num = (central * central).real  # sign character is trivial at infinity
-            return num * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
-
-        return arch
-    window = 2.0 * math.pi / math.log(place.q)
-    formula = _finite_spectral_fn(place.q, sign)
-
-    def finite(y: float) -> float:
-        if not (-_EDGE_TOL <= y <= window + _EDGE_TOL):
-            raise DomainError(f"finite-place spectral variable {y} outside [0, {window}]")
-        return formula(min(max(y, 0.0), window))
-
-    return finite
-
-
 def local_spectral_density(y: float, place: Place | None, sign: int = 1) -> float:
     """Density of the per-place spectral measure at the point i*y.
 
@@ -221,7 +218,7 @@ def local_spectral_density(y: float, place: Place | None, sign: int = 1) -> floa
     two central local factors divided by the local value at 1 of the sign
     character.  Supported on the imaginary axis; y must lie in the window.
     """
-    return _local_spectral_fn(place, sign)(y)
+    return local_spectral(place, sign)(y)
 
 
 def spectral_density_at_point(point, sign: int = 1) -> float:
@@ -244,11 +241,22 @@ def spectral_density_at_point(point, sign: int = 1) -> float:
 
 
 def local_spectral(place: Place | None, sign: int = 1) -> Density:
-    fn = _local_spectral_fn(place, sign)
+    """The per-place spectral density in y on its window; checks sign once."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     if place is None or isinstance(place, ArchimedeanPlace):
-        return Density(0.0, math.inf, fn, "lambda_inf")
+
+        def arch(y: float) -> float:
+            if y == 0.0:
+                return 0.0
+            central = local_l_arch_spherical(0.5, 1j * y)
+            num = (central * central).real  # sign character is trivial at infinity
+            return num * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
+
+        return Density(0.0, math.inf, arch, "lambda_inf")
     window = 2.0 * math.pi / math.log(place.q)
-    return Density(0.0, window, fn, f"lambda_{place.q}^{'+' if sign == 1 else '-'}")
+    tag = f"lambda_{place.q}^{'+' if sign == 1 else '-'}"
+    return Density(0.0, window, _finite_spectral_fn(place.q, sign), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +280,11 @@ def pushforward_check(place: FinitePlace, sign: int, grid_size: int = 1000) -> f
     """
     q = place.q
     half = math.pi / math.log(q)
+    density = local_spectral(place, sign)
     worst = 0.0
     for i in range(1, grid_size + 1):
         y = half * i / (grid_size + 1)
-        lhs = local_spectral_density(y, place, sign)
+        lhs = density(y)
         x = satake_x_of_y(y, q)
         rhs = plancherel_density(x, q, sign) * dx_dy_abs(y, q)
         worst = max(worst, abs(lhs - rhs))
@@ -294,6 +303,7 @@ def pushforward_fullwindow_factor(
     """
     q = place.q
     full = 2.0 * math.pi / math.log(q)
+    density = local_spectral(place, sign)
     lo, hi = math.inf, -math.inf
     for i in range(1, grid_size + 1):
         y = full * i / (grid_size + 1)
@@ -301,7 +311,7 @@ def pushforward_fullwindow_factor(
         unhalved = plancherel_density(x, q, sign) * math.log(q) * math.sqrt(
             max(4.0 - x * x, 0.0)
         )
-        ratio = unhalved / local_spectral_density(y, place, sign)
+        ratio = unhalved / density(y)
         lo, hi = min(lo, ratio), max(hi, ratio)
     return lo, hi
 
@@ -313,7 +323,7 @@ def lambda_mass(
     q = place.q
     half = math.pi / math.log(q)
     hi = half if window == "half" else 2.0 * half
-    return integrate(lambda y: local_spectral_density(y, place, sign), 0.0, hi, tol)
+    return integrate(local_spectral(place, sign), 0.0, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +356,13 @@ def spectral_pairing(
             window = 2.0 * math.pi / math.log(place.q)
             if not (0.0 - _EDGE_TOL <= a <= b <= window + _EDGE_TOL):
                 raise DomainError(f"support [{a}, {b}] outside the window at {place.label}")
-            sign = eta_sign_at(place)
-            res = integrate(
-                lambda y: fn(y) * local_spectral_density(y, place, sign), a, b, tol
-            )
+            density = local_spectral(place, eta_sign_at(place))
+            res = integrate(lambda y: fn(y) * density(y), a, b, tol)
         else:
             if a < -_EDGE_TOL or b == math.inf:
                 raise DomainError("archimedean support must be compact in [0, inf)")
-            res = integrate(
-                lambda y: fn(y) * local_spectral_density(y, place, 1), a, b, tol
-            )
+            density = local_spectral(place, 1)
+            res = integrate(lambda y: fn(y) * density(y), a, b, tol)
         values.append(res.value)
         errors.append(res.error_estimate)
         subdivisions += res.subdivisions

@@ -1,6 +1,12 @@
 import cmath
+import hashlib
+import importlib.util
+import json
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +30,13 @@ from rtflab.characters import (
     is_admissible_level,
     l_one,
     l_one_completed,
+    parity_vector,
+    primitive_axes,
     unit_group,
 )
+from rtflab.cli import main
 from rtflab.errors import RamifiedOverlapError
-from rtflab.fields import LevelIdeal, RATIONALS
+from rtflab.fields import LevelIdeal, RATIONALS, parse_factored_level
 
 P = RATIONALS.place_for_prime
 
@@ -168,8 +177,9 @@ class TestGaussSums:
 
 class TestGaussSumRoutes:
     """The scalar `gauss_sum` (one character, phase by phase) and the batched
-    `gauss_sums_for_modulus` (one integer matrix product per modulus) are
-    independent routes; both must give the same tau for every primitive chi."""
+    `gauss_sums_for_modulus` (one inverse FFT over the discrete-log grid per
+    modulus) are independent routes; both must give the same tau for every
+    primitive chi."""
 
     def test_scalar_matches_batched_up_to_100(self):
         worst = 0.0
@@ -246,6 +256,94 @@ class TestXiCensus:
         for chi in enumerate_xi(L({5: 2})):
             again = DirichletCharacter.from_json_dict(chi.to_json_dict())
             assert again == chi
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("_bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+_WL = _bench_workloads()
+# The census_scan levels D**2 of bench/workloads.py, keyed by the reach D as
+# in bench/reference.json.
+CENSUS_LEVELS = [
+    (_WL.level_text({p: 2 * f for p, f in d.items()}), str(_WL.reach(d)))
+    for d in (_WL.CENSUS_BIG, *_WL.CENSUS_MEDIUM, *_WL.CENSUS_SMALL)
+]
+
+
+@lru_cache(maxsize=None)
+def filtered_group(m: int) -> tuple[DirichletCharacter, ...]:
+    """Every character mod m, kept when `is_even` and `is_primitive` say so."""
+    return tuple(chi for chi in enumerate_character_group(m) if chi.is_even() and chi.is_primitive())
+
+
+def enumerate_and_filter(n: LevelIdeal) -> list[DirichletCharacter]:
+    """The census by its definition, as `enumerate_xi` computed it before it
+    read the grid: enumerate each conductor's whole group, then filter."""
+    out = [chi for c in n.square_divisor_conductors() for chi in filtered_group(c.norm())]
+    return sorted(out, key=lambda c: (c.modulus, c.exponents))
+
+
+def census_csv(listed: list[DirichletCharacter]) -> str:
+    """`rtflab characters` output for a census, formatted as the CLI does."""
+    lines = ["modulus,conductor,parity,order"]
+    for chi in listed:
+        lines.append(f"{chi.modulus},{chi.conductor()},{'even' if chi.is_even() else 'odd'},{chi.order()}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCharacterGrid:
+    """The grid helpers against the per-character route, for every m <= 300."""
+
+    def test_masks_match_per_character_tests(self):
+        for m in range(1, 301):
+            axes = primitive_axes(m)
+            sign, L = parity_vector(m), unit_group(m).exponent
+            group = enumerate_character_group(m)
+            primitive = [
+                axes is not None and all(axis[e] for axis, e in zip(axes, chi.exponents))
+                for chi in group
+            ]
+            even = [sum(e * s for e, s in zip(chi.exponents, sign)) % L == 0 for chi in group]
+            assert primitive == [chi.is_primitive() for chi in group], m
+            assert even == [chi.is_even() for chi in group], m
+
+    def test_gauss_sums_list_the_primitive_characters_in_order(self):
+        for m in range(1, 301):
+            listed = [chi for chi, _ in gauss_sums_for_modulus(m)]
+            assert listed == [chi for chi in enumerate_character_group(m) if chi.is_primitive()], m
+
+    def test_no_primitive_character_at_2_mod_4(self):
+        for m in range(2, 301, 4):
+            assert primitive_axes(m) is None
+            assert gauss_sums_for_modulus(m) == []
+
+    def test_census_of_squares_matches_enumerate_and_filter(self):
+        for m in range(1, 201):
+            n = LevelIdeal.from_integer(m * m)
+            assert enumerate_xi(n) == enumerate_and_filter(n), m
+
+    @pytest.mark.parametrize("level,reach", CENSUS_LEVELS, ids=[r for _, r in CENSUS_LEVELS])
+    def test_bench_census_levels(self, capsys, level, reach):
+        n = parse_factored_level(level)
+        oracle = enumerate_and_filter(n)
+        assert enumerate_xi(n) == oracle
+        assert main(["characters", "--n", level]) == 0
+        out = capsys.readouterr().out
+        assert out == census_csv(oracle)
+        # bench/reference.json holds the output recorded before the grid route.
+        recorded = json.loads((ROOT / "bench" / "reference.json").read_text())["characters"][reach]
+        assert (out.count("\n") - 1, hashlib.sha256(out.encode()).hexdigest()) == (
+            recorded["rows"],
+            recorded["sha256"],
+        )
 
 
 class TestLOne:

@@ -159,20 +159,26 @@ class TestCrashIsolation:
 
 
 class TestCensusOracleSensitivity:
-    """Planted defects in the structured side must be flagged for some m <= 60."""
+    """Planted defects in the structured side must be flagged for some m <= 60.
+
+    The structured side is the character grid: `enumerate_xi` reads parity
+    from `parity_vector`, and the matcher reads every listed character's
+    phases from one `phase_matrix` per conductor.
+    """
 
     def test_all_characters_claimed_even(self, monkeypatch):
-        monkeypatch.setattr(DirichletCharacter, "is_even", lambda self: True)
+        # A zero parity vector gives every exponent row the phase 0 at -1.
+        monkeypatch.setattr(characters, "parity_vector", lambda m: (0,) * len(unit_group(m).orders))
+        assert len(characters.enumerate_xi(25)) == 4  # the two odd characters mod 5 too
         assert any(not xi_matches_brute_force(m) for m in range(1, 61))
 
     def test_doubled_phases(self, monkeypatch):
-        honest = DirichletCharacter.phases
+        honest = characters.phase_matrix
 
-        def doubled(self):
-            k = honest(self)
-            return np.where(k >= 0, 2 * k % unit_group(self.modulus).exponent, -1)
+        def doubled(m, exponents, residues):
+            return 2 * honest(m, exponents, residues) % unit_group(m).exponent
 
-        monkeypatch.setattr(DirichletCharacter, "phases", doubled)
+        monkeypatch.setattr(characters, "phase_matrix", doubled)
         assert any(not xi_matches_brute_force(m) for m in range(1, 61))
 
     @pytest.mark.parametrize("m", [1, 2, 5, 12, 36, 60])
