@@ -379,6 +379,7 @@ class DirichletCharacter:
 # the character grid: exponent vectors over the generators of unit_group(m)
 
 
+@lru_cache(maxsize=4096)
 def primitive_axes(m: int) -> tuple[tuple[bool, ...], ...] | None:
     """Per generator axis of `unit_group(m)`, the exponents that keep chi primitive.
 
@@ -404,6 +405,7 @@ def primitive_axes(m: int) -> tuple[tuple[bool, ...], ...] | None:
     return tuple(axes)
 
 
+@lru_cache(maxsize=4096)
 def parity_vector(m: int) -> tuple[int, ...]:
     """log(m - 1) * L / n: chi_e(-1) has integer phase (e @ vector) % L.
 
@@ -455,10 +457,6 @@ class GaussSumValue:
     value: complex
     modulus: int
 
-    def abs_defect(self) -> float:
-        """| |tau| - sqrt(m) | ; zero for primitive characters."""
-        return abs(abs(self.value) - math.sqrt(self.modulus))
-
 
 def gauss_sum(chi: DirichletCharacter) -> GaussSumValue:
     """tau(chi) = sum_a chi(a) e^{2 pi i a / m}; requires chi primitive.
@@ -490,19 +488,21 @@ def adelic_gauss_sum(chi: DirichletCharacter) -> complex:
     return g.value / math.sqrt(g.modulus)
 
 
-def gauss_sums_for_modulus(m: int) -> list[tuple[DirichletCharacter, complex]]:
-    """Gauss sums of every primitive character mod m, in lexicographic order.
+def gauss_sums_for_modulus(m: int) -> list[tuple[tuple[int, ...], complex]]:
+    """Gauss sums of every primitive character mod m, in lexicographic order,
+    each as (exponent vector, tau); ``DirichletCharacter(m, e)`` is the
+    character of exponent vector e.
 
     tau(chi_e) = sum_x e(a(x)/m) e(<x, e/n>) over the discrete-log grid x of
     the units, a(x) = prod g_i**x_i; that is the n-dimensional inverse DFT
     of the additive kernel e(a/m) laid out on the grid, so one
-    `np.fft.ifftn` gives tau for every character mod m.  Characters are
-    built only for the primitive rows (`primitive_axes`).
+    `np.fft.ifftn` gives tau for every character mod m, of which the
+    primitive rows (`primitive_axes`) are kept.
     """
     import numpy as np
 
     if m == 1:
-        return [(DirichletCharacter.trivial(1), 1.0 + 0.0j)]
+        return [((), 1.0 + 0.0j)]
     axes = primitive_axes(m)
     if axes is None:
         return []
@@ -515,7 +515,7 @@ def gauss_sums_for_modulus(m: int) -> list[tuple[DirichletCharacter, complex]]:
     kernel = np.exp(2j * np.pi * residues / m)
     taus = (np.fft.ifftn(kernel) * kernel.size)[primitive]
     rows = np.argwhere(primitive).tolist()
-    return [(DirichletCharacter(m, tuple(e)), complex(t)) for e, t in zip(rows, taus)]
+    return [(tuple(e), complex(t)) for e, t in zip(rows, taus)]
 
 
 # ---------------------------------------------------------------------------

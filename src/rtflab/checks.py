@@ -144,7 +144,7 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
     def gauss_defect() -> float:
         worst = 0.0
         for m in range(1, gauss_limit + 1):
-            for chi, tau in chars.gauss_sums_for_modulus(m):
+            for _, tau in chars.gauss_sums_for_modulus(m):
                 worst = max(worst, abs(abs(tau) ** 2 - m))
         return worst
 
@@ -392,6 +392,26 @@ def check_gamma(tol: float | None) -> list[CheckResult]:
     ]
 
 
+def edge_constants_by_enumeration(n: LevelIdeal, ctx: rtf.EtaContext) -> dict[int, float]:
+    """The four spectral edge constants as explicit sums over every choice
+    assignment, built from the per-assignment functions: the independent
+    route to :func:`rtf_constants.spectral_edge_constant`."""
+    d_half = ctx.profile.discriminant_abs**-0.5
+    weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
+    e = ctx.edge
+    terms = {2: [], 1: [], 0: [], -1: []}
+    for rho in rtf.enumerate_rho(n):
+        empty = 1.0 if rho.is_empty() else 0.0
+        section = rtf.flat_section_at_identity(rho, ctx.eta.sign_at) + empty
+        t0, t1, t2 = rtf.edge_product_taylor(rho, ctx.eta, ctx.profile)
+        terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
+        terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
+        terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
+        trivial_section = rtf.flat_section_at_identity(rho, lambda p: 1) + empty
+        terms[-1].append(weight * trivial_section * rtf.residual_term_constant(rho, ctx))
+    return {order: math.fsum(t) for order, t in terms.items()}
+
+
 def _fd_first(f, x0: float, h: float) -> float:
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
@@ -410,18 +430,25 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
 
     def derivative_defect(order: int) -> float:
         fd = _fd_first if order == 1 else _fd_second
-        edge_d = rtf.edge_place_d1 if order == 1 else rtf.edge_place_d2
-        residue_d = rtf.residue_place_d1 if order == 1 else rtf.residue_place_d2
         worst = 0.0
         for q, k, sign in iproduct((2, 3, 5, 7), range(1, 6), (1, -1)):
             block = rtf.EdgePlaceBlock(q, k, sign)
-            for d, f, x0 in ((edge_d(block), lambda nu: rtf.edge_place_factor(nu, block).real, -1.0),
-                             (residue_d(block), lambda z: rtf.residue_place_factor(z, block).real, 0.0)):
+            for jet, f, x0 in ((rtf.edge_place_jet(block), lambda nu: rtf.edge_place_factor(nu, block).real, -1.0),
+                               (rtf.residue_place_jet(block), lambda z: rtf.residue_place_factor(z, block).real, 0.0)):
+                d = math.factorial(order) * jet[order]
                 worst = max(worst, abs(d - fd(f, x0, 1e-4)) / max(1.0, abs(d)))
         return worst
 
     def edge_taylor_defect() -> float:
+        # The production sum over assignments against their enumeration.
         worst = 0.0
+        for ctx in (rtf.eta_context(None), rtf.eta_context(chi5())):
+            for spec in ({2: 2, 3: 1}, {2: 1, 3: 2, 11: 2}):
+                n = _level(spec)
+                expected = edge_constants_by_enumeration(n, ctx)
+                for order, y in expected.items():
+                    got = rtf.spectral_edge_constant(n, ctx, order)
+                    worst = max(worst, abs(got - y) / max(1.0, abs(y)))
         eta = chars.QuadraticCharacterProfile.from_signs(
             {_place(2): -1, _place(3): 1, _place(5): -1}
         )

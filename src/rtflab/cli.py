@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: measure, mass, weights, constants, characters, check, compare.
-Global flags: --profile PATH, --tol FLOAT, --format {csv,json}, --out PATH.
+Every subcommand takes --out PATH; --tol FLOAT is read by mass and check,
+--format {csv,json} by weights, and --profile PATH by constants and
+characters.  No subcommand accepts a flag it does not read.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 numerical
 failure (diagnostic JSON on stderr).  Output is deterministic: fixed
 iteration orders, repr-exact floats, no clocks.
@@ -296,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rtflab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_tol_default=1e-10):
-        p.add_argument("--profile", default=None, help="field profile JSON path (default: Q)")
-        p.add_argument("--tol", type=float, default=with_tol_default)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+    def add_out(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    def add_profile(p):
+        p.add_argument("--profile", default=None, help="field profile JSON path (default: Q)")
 
     def add_measure_args(p):
         p.add_argument("--measure", choices=("mu_ST", "mu_p", "lambda"), default="mu_ST")
@@ -308,20 +310,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sign", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("measure", help="tabulate a density on a grid (CSV)")
-    add_common(p)
+    add_out(p)
     add_measure_args(p)
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--ymax", type=float, default=10.0, help="cut-off for unbounded domains")
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("mass", help="total mass of a density (JSON)")
-    add_common(p)
+    add_out(p)
+    p.add_argument("--tol", type=float, default=1e-10)
     add_measure_args(p)
     p.add_argument("--window", choices=("half", "full"), default="full")
     p.set_defaults(fn=_cmd_mass)
 
     p = sub.add_parser("weights", help="spectral weight r(rep, sign, k)")
-    add_common(p)
+    add_out(p)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--rep", choices=("spherical", "special", "c2"), required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--sign", type=int, choices=(1, -1), required=True)
@@ -333,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_weights)
 
     p = sub.add_parser("constants", help="level constants and edge constants (JSON)")
-    add_common(p)
+    add_out(p)
+    add_profile(p)
     p.add_argument("--n", required=True, help="factored level, e.g. 2^3*5 or 1")
     p.add_argument("--eta", default="trivial", help="'trivial' or 'quad:m'")
     p.add_argument("--s-values", default=None, help="comma list of s samples")
@@ -341,16 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("characters", help="census of even square-conductor characters (CSV)")
-    add_common(p)
+    add_out(p)
+    add_profile(p)
     p.add_argument("--n", required=True, help="factored level")
     p.set_defaults(fn=_cmd_characters)
 
     p = sub.add_parser("check", help="run the full invariant suite (JSON report)")
-    add_common(p, with_tol_default=None)
+    add_out(p)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("compare", help="empirical sample vs theoretical distribution")
-    add_common(p)
+    add_out(p)
     add_measure_args(p)
     p.add_argument("--sample", required=True, help="CSV path (level_norm,place_q,x,weight)")
     p.add_argument(

@@ -13,9 +13,13 @@ constants for the completed zeta, and for a real even primitive character
 the functional equation, which moves the expansion to s = 0 where Lerch's
 formula and Hurwitz-zeta derivatives apply.  The edge coefficients of the
 central-value series are composed from that data by the order-2 jet
-product.  Symmetric stencil fits (a small Vandermonde solve in h**2 at
-working precision) remain as the independent route the check suite and
-tests compare against.
+product.  Jets are tuples (f, f', f''/2) at the expansion point:
+``jet_product`` multiplies them, ``exp_jet`` gives the jet of an
+exponential (every power q**(a x)), and ``jet_reciprocal`` that of 1/f, so
+the Taylor data of a formula is read off by evaluating it on jets.
+Symmetric stencil fits (a small Vandermonde solve in h**2 at working
+precision) remain as the independent route the check suite and tests
+compare against.
 """
 
 from __future__ import annotations
@@ -181,6 +185,20 @@ def jet_product(jets: Iterable[Jet]) -> Jet:
     return a0, a1, a2
 
 
+def exp_jet(rate: float, at: float) -> Jet:
+    """Jet of e**(rate * x) at x = at; q**(a * x) is exp_jet(a * log q, at)."""
+    v = math.exp(rate * at)
+    return v, rate * v, 0.5 * rate * rate * v
+
+
+def jet_reciprocal(jet: Jet) -> Jet:
+    """Jet of 1/f from the jet of f; f must not vanish at the expansion point."""
+    a0, a1, a2 = jet
+    b0 = 1.0 / a0
+    b1 = -a1 * b0 * b0
+    return b0, b1, -(a1 * b1 + a2 * b0) * b0
+
+
 # ---------------------------------------------------------------------------
 # Laurent and edge data in closed form
 
@@ -259,7 +277,6 @@ def edge_coefficients(
     ``central_series_function`` is the independent route.
     """
     lau = laurent_at_1(eta)
-    ell = math.log(discriminant_abs)
     with mp.workdps(_DPS):
         z0, z1, z2 = (mp.zeta(2, 1, k) for k in range(3))
         A = (mp.digamma(1) - mp.log(mp.pi)) / 2 + z1 / z0
@@ -267,7 +284,7 @@ def edge_coefficients(
         inv_zeta_hat2 = 1 / _completed_zeta_mp(mp.mpf(2)).real
         zeta_jet = tuple(float(inv_zeta_hat2 * c) for c in (1, A, (A * A - B) / 2))
     l_jet = (-2.0 * lau.residue, lau.c0, -0.5 * lau.c1)
-    d_jet = tuple(discriminant_abs**-0.5 * c for c in (1.0, ell / 2.0, ell * ell / 8.0))
+    d_jet = exp_jet(math.log(discriminant_abs) / 2.0, -1.0)
     c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, d_jet, zeta_jet])
     return EdgeCoefficients(c_minus2=c_minus2, c_minus1=c_minus1, c_zero=c_zero)
 

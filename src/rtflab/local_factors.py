@@ -30,18 +30,6 @@ class Spherical:
 
     conductor_exponent = 0
 
-    def is_admissible(self) -> bool:
-        """alpha on the unit circle, or real with alpha = q**(sigma/2), sigma in (0,1).
-
-        The complementary-series bound depends on q, so only the generic
-        membership (modulus one or positive real > 0) is checked here;
-        q-dependent bounds are enforced by `spherical_in_open_set`.
-        """
-        a = complex(self.satake)
-        if abs(abs(a) - 1.0) <= _UNITARY_TOL:
-            return True
-        return abs(a.imag) < 1e-14 and a.real > 0.0
-
 
 @dataclass(frozen=True)
 class Special:

@@ -2,14 +2,15 @@
 data, the residual/Eisenstein constant family, and the orbit-side kernels.
 
 The per-place building blocks come in two families.  The *edge place factors*
-(functions of the continuous parameter, with closed first and second
-derivatives at the edge point -1) assemble into the Taylor data of a product
-over the support of a choice assignment.  The *residue place factors*
-(functions of a twisting variable z, with closed derivatives at 0) assemble
-into the constants of the residual spectrum contribution.  Every closed-form
-derivative here is dual-checked against finite differences by the test suite.
-All products of Taylor data go through the order-2 jet product of
-:mod:`lfunctions` (which also composes the edge coefficients), and sums over
+(functions of the continuous parameter, expanded at the edge point -1)
+assemble into the Taylor data of a product over the support of a choice
+assignment.  The *residue place factors* (functions of a twisting variable z,
+expanded at 0) assemble into the constants of the residual spectrum
+contribution.  Each factor's jet (f, f', f''/2) is read off its formula by
+evaluating that formula on jets with the jet rules of :mod:`lfunctions`
+(``exp_jet`` for every power of q, ``jet_reciprocal``, ``jet_product``); the
+factor functions themselves are the independent route, compared with the
+jets by finite differences in the check suite and the tests.  Sums over
 choice assignments are taken as products over places of per-place sums.
 """
 
@@ -42,7 +43,9 @@ from .lfunctions import (
     completed_zeta,
     edge_coefficients,
     epsilon_of_minus_z,
+    exp_jet,
     jet_product,
+    jet_reciprocal,
     l_fin,
     laurent_at_1,
     zeta_fin,
@@ -176,7 +179,7 @@ def assignment_sum(
 
 
 # ---------------------------------------------------------------------------
-# edge place factors and their closed-form derivatives
+# edge place factors and their jets
 
 
 @dataclass(frozen=True)
@@ -212,53 +215,25 @@ def edge_place_factor(nu: complex, block: EdgePlaceBlock) -> complex:
     return block.leading * bracket * q ** (k * nu / 2.0) / (q - qnu)
 
 
-def edge_place_at_edge(block: EdgePlaceBlock) -> float:
-    """Value at nu = -1: C (1 + sign) q**(1 - k/2) / (q - 1)."""
+def edge_place_jet(block: EdgePlaceBlock) -> Jet:
+    """Jet (f, f', f''/2) at nu = -1 of :func:`edge_place_factor`, read off its
+    formula term by term.  The bracket's powers are taken in h = 1 + nu,
+    q**((1+nu)/2) = e**(h log q / 2) and q**((1-nu)/2) = q e**(-h log q / 2),
+    so their values are exactly 1 and q and the value is exactly 0 for sign -1.
+    """
     q, k, s = block.q, block.k, block.sign
-    return block.leading * (1.0 + s) * q ** (1.0 - k / 2.0) / (q - 1.0)
-
-
-def edge_place_d1(block: EdgePlaceBlock) -> float:
-    """Closed-form first derivative of the edge factor at nu = -1."""
-    q, k, s = block.q, block.k, block.sign
-    lq = k * math.log(q)
-    num = -s * q * (q - 1.0) ** 2 + k * (1.0 + s) * q * (q * q - 1.0) + 2.0 * (1.0 + s) * q
-    den = 2.0 * k * (q * q - 1.0) * (q - 1.0)
-    return block.leading * lq * q ** (-k / 2.0) * num / den
-
-
-def edge_place_d2(block: EdgePlaceBlock) -> float:
-    """Closed-form second derivative of the edge factor at nu = -1."""
-    q, k, s = block.q, block.k, block.sign
-    lq2 = (k * math.log(q)) ** 2
-    qk = q ** (-k / 2.0)
-    t1 = (
-        s
-        * lq2
-        * qk
-        * ((1.0 + q) * (q - 1.0 / q) + (1.0 - q) * (k * (q - 1.0 / q) + 2.0 / q))
-        / (4.0 * k * k * (q - 1.0 / q) ** 2)
+    lq = math.log(q)
+    bracket = tuple(
+        c + s * (u + q * d)
+        for c, u, d in zip((q + 1.0, 0.0, 0.0), exp_jet(lq / 2.0, 0.0), exp_jet(-lq / 2.0, 0.0))
     )
-    t2 = lq2 * qk * (s * (k * (q**3 - q) + 2.0 * q)) / (4.0 * k * k * (1.0 + q) * (1.0 - q * q))
-    t3 = (
-        lq2
-        * qk
-        * ((1.0 + s) * q)
-        / (k * k * (q * q - 1.0) ** 3 * (q - 1.0))
-        * (
-            (k * k / 4.0 * (q * q - 1.0) + 1.0) * (q * q - 1.0) ** 2
-            + (k * (q * q - 1.0) + 2.0) * (q * q - 1.0)
-        )
-    )
-    return block.leading * (t1 + t2 + t3)
+    den = tuple(c - x for c, x in zip((float(q), 0.0, 0.0), exp_jet(lq, -1.0)))
+    jet = jet_product([bracket, exp_jet(k * lq / 2.0, -1.0), jet_reciprocal(den)])
+    return tuple(block.leading * c for c in jet)
 
 
 def _blocks_for(rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]) -> list[EdgePlaceBlock]:
     return [EdgePlaceBlock(p.q, k, sign_at(p)) for p, k in rho.active()]
-
-
-def _edge_jet(block: EdgePlaceBlock) -> Jet:
-    return edge_place_at_edge(block), edge_place_d1(block), 0.5 * edge_place_d2(block)
 
 
 def eta_on_different(
@@ -282,16 +257,15 @@ def edge_product_taylor(
     edge place factors over the active places, scaled by the character's sign
     on the different.
 
-    The order-0 coefficient is the explicit product of edge values; orders 1
-    and 2 come from the product rule through the closed-form derivatives.
+    It is the jet product of the per-place :func:`edge_place_jet`.
     """
     eps = eta_on_different(eta, profile)
-    t0, t1, t2 = jet_product(_edge_jet(b) for b in _blocks_for(rho, eta.sign_at))
+    t0, t1, t2 = jet_product(edge_place_jet(b) for b in _blocks_for(rho, eta.sign_at))
     return eps * t0, eps * t1, eps * t2
 
 
 # ---------------------------------------------------------------------------
-# residue place factors and their closed-form derivatives
+# residue place factors and their jets
 
 
 def residue_place_factor(z: complex, block: EdgePlaceBlock) -> complex:
@@ -309,26 +283,20 @@ def residue_place_factor(z: complex, block: EdgePlaceBlock) -> complex:
     return poly * block.leading * q ** (-k / 2.0) / (1.0 - q**-2)
 
 
-def residue_place_d1(block: EdgePlaceBlock) -> float:
+def residue_place_jet(block: EdgePlaceBlock) -> Jet:
+    """Jet (f, f', f''/2) at z = 0 of :func:`residue_place_factor`: the same
+    sum of q**(j z) terms, each term an :func:`exp_jet`."""
     q, k = block.q, block.k
     if k == 1:
-        return math.log(q) * q**-0.5 / (1.0 - 1.0 / q)
-    return math.log(q) * block.leading * q ** (-k / 2.0) / (1.0 + 1.0 / q)
-
-
-def residue_place_d2(block: EdgePlaceBlock) -> float:
-    q, k = block.q, block.k
-    if k == 1:
-        return math.log(q) ** 2 * q**-0.5 / (1.0 - 1.0 / q)
-    lq2 = (k * math.log(q)) ** 2
-    return (
-        lq2
-        * (2.0 * k - 1.0 - (2.0 * k - 3.0) / q)
-        / (k * k)
-        * block.leading
-        * q ** (-k / 2.0)
-        / (1.0 - q**-2)
-    )
+        terms = ((1.0, 1), (-1.0, 0))
+        scale = q**-0.5 / (1.0 - 1.0 / q)
+    else:
+        terms = ((1.0, k), (-1.0 / q, k - 1), (-1.0, k - 1), (1.0 / q, k - 2))
+        scale = block.leading * q ** (-k / 2.0) / (1.0 - q**-2)
+    jet = (0.0, 0.0, 0.0)
+    for c, j in terms:
+        jet = tuple(a + c * b for a, b in zip(jet, exp_jet(j * math.log(q), 0.0)))
+    return tuple(scale * a for a in jet)
 
 
 def residue_product(z: complex, rho: RhoAssignment, profile: FieldProfile) -> complex:
@@ -340,23 +308,14 @@ def residue_product(z: complex, rho: RhoAssignment, profile: FieldProfile) -> co
     return out
 
 
-def _residue_jet(block: EdgePlaceBlock) -> Jet:
-    return (
-        residue_place_factor(0.0, block).real,
-        residue_place_d1(block),
-        0.5 * residue_place_d2(block),
-    )
-
-
 def _discriminant_jet(profile: FieldProfile) -> Jet:
     """D**(-z) at z = 0."""
-    log_d_inv = -math.log(profile.discriminant_abs)
-    return 1.0, log_d_inv, 0.5 * log_d_inv**2
+    return exp_jet(-math.log(profile.discriminant_abs), 0.0)
 
 
 def _residue_product_jet(rho: RhoAssignment, profile: FieldProfile) -> Jet:
     blocks = _blocks_for(rho, lambda p: 1)
-    return jet_product([_discriminant_jet(profile), *map(_residue_jet, blocks)])
+    return jet_product([_discriminant_jet(profile), *map(residue_place_jet, blocks)])
 
 
 def residue_product_d1_at_0(rho: RhoAssignment, profile: FieldProfile) -> float:
@@ -521,14 +480,14 @@ def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
             n, lambda p: 1, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
         )[0]
         residue = assignment_sum(
-            n, lambda p: 1, lambda p, k: _residue_jet(EdgePlaceBlock(p.q, k, 1))
+            n, lambda p: 1, lambda p, k: residue_place_jet(EdgePlaceBlock(p.q, k, 1))
         )
         twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), residue])[2]
         eps0 = epsilon_of_minus_z(0.0, ctx.dirichlet)
         weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
         return weight * _residual_combination(ctx, eps0 * value, twisted_d2)
     t0, t1, t2 = assignment_sum(
-        n, eta.sign_at, lambda p, k: _edge_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p)))
+        n, eta.sign_at, lambda p, k: edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p)))
     )
     e = ctx.edge
     if order == 2:

@@ -128,11 +128,13 @@ def test_criterion_04_derivative_suite():
                 f = lambda nu: rtf.edge_place_factor(nu, block).real
                 fd1 = (f(-1 + h) - f(-1 - h)) / (2 * h)
                 fd2 = (f(-1 + h) - 2 * f(-1.0) + f(-1 - h)) / (h * h)
-                d1, d2 = rtf.edge_place_d1(block), rtf.edge_place_d2(block)
+                _, d1, half_d2 = rtf.edge_place_jet(block)
+                d2 = 2.0 * half_d2
                 worst1 = max(worst1, abs(d1 - fd1) / max(1.0, abs(d1)))
                 worst2 = max(worst2, abs(d2 - fd2) / max(1.0, abs(d2)))
                 g = lambda z: rtf.residue_place_factor(z, block).real
-                rd1, rd2 = rtf.residue_place_d1(block), rtf.residue_place_d2(block)
+                _, rd1, half_rd2 = rtf.residue_place_jet(block)
+                rd2 = 2.0 * half_rd2
                 worst1 = max(worst1, abs(rd1 - (g(h) - g(-h)) / (2 * h)) / max(1.0, abs(rd1)))
                 worst2 = max(
                     worst2, abs(rd2 - (g(h) - 2 * g(0.0) + g(-h)) / (h * h)) / max(1.0, abs(rd2))
@@ -244,7 +246,7 @@ def test_criterion_06_inclusion_exclusion():
 def test_criterion_07_character_suite():
     worst_tau = 0.0
     for m in range(1, 501):
-        for chi, tau in gauss_sums_for_modulus(m):
+        for _, tau in gauss_sums_for_modulus(m):
             worst_tau = max(worst_tau, abs(abs(tau) - math.sqrt(m)))
 
     census_ok = all(xi_matches_brute_force(m) for m in range(1, 201))

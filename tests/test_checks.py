@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from rtflab import characters, lfunctions, measures
+from rtflab import characters, lfunctions, measures, rtf_constants
 from rtflab.characters import DirichletCharacter, unit_group
-from rtflab.checks import check_characters, run_all_checks, xi_matches_brute_force
+from rtflab.checks import (
+    check_characters,
+    check_rtf_constants,
+    run_all_checks,
+    xi_matches_brute_force,
+)
 
 
 class TestCrashIsolation:
@@ -38,6 +43,7 @@ class TestCrashIsolation:
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == [
+            "rtf.edge_taylor_vs_numeric",
             "rtf.laurent_two_widths",
             "rtf.edge_coefficients_reconstruct",
             "rtf.orbit_constant_flat_nontrivial",
@@ -74,6 +80,7 @@ class TestCrashIsolation:
         assert [r.name for r in results] == expected
         assert [r.name for r in results if not r.passed] == [
             "characters.l_one_golden_ratio",
+            "rtf.edge_taylor_vs_numeric",
             "rtf.laurent_two_widths",
             "rtf.edge_coefficients_reconstruct",
             "rtf.orbit_constant_flat_nontrivial",
@@ -184,3 +191,21 @@ class TestCensusOracleSensitivity:
     @pytest.mark.parametrize("m", [1, 2, 5, 12, 36, 60])
     def test_honest_route_matches(self, m):
         assert xi_matches_brute_force(m)
+
+
+class TestEdgeSumSensitivity:
+    """`rtf.edge_taylor_vs_numeric` compares the production sum over choice
+    assignments (`assignment_sum`) with the enumeration of every assignment."""
+
+    def test_forgotten_empty_assignment_term_is_flagged(self, monkeypatch):
+        honest = rtf_constants.assignment_sum
+
+        def without_empty_term(n, section_sign, jet_at):
+            t0, t1, t2 = honest(n, section_sign, jet_at)
+            return t0 - 1.0, t1, t2
+
+        monkeypatch.setattr(rtf_constants, "assignment_sum", without_empty_term)
+        results = check_rtf_constants(None)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["rtf.edge_taylor_vs_numeric"]
+        assert 1e-3 < failed[0].observed < math.inf

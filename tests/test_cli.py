@@ -174,6 +174,68 @@ class TestProfileAndUsage:
         assert abs(json.loads(target.read_text())["value"] - 1.0) <= 1e-9
 
 
+# One run of each subcommand, and the value given to each common flag; the
+# sample and profile files are written by the tests that need them.
+BASE_ARGV = {
+    "measure": ["measure", "--grid", "2"],
+    "mass": ["mass", "--measure", "mu_ST"],
+    "weights": ["weights", "--rep", "c2", "--sign", "-1", "--k", "3"],
+    "constants": ["constants", "--n", "2"],
+    "characters": ["characters", "--n", "25"],
+    "check": ["check"],
+    "compare": ["compare", "--measure", "mu_ST", "--sample", "sample.csv"],
+}
+FLAG_VALUES = {"--profile": "profile.json", "--tol": "1e-8", "--format": "csv", "--out": "out.txt"}
+READ_FLAGS = {
+    "measure": ("--out",),
+    "mass": ("--out", "--tol"),
+    "weights": ("--out", "--format"),
+    "constants": ("--out", "--profile"),
+    "characters": ("--out", "--profile"),
+    "check": ("--out", "--tol"),
+    "compare": ("--out",),
+}
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand accepts exactly the common flags it reads."""
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c in BASE_ARGV for f in FLAG_VALUES if f not in READ_FLAGS[c]],
+    )
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag):
+        code, out, err = run(capsys, *BASE_ARGV[command], flag, FLAG_VALUES[flag])
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c in BASE_ARGV for f in READ_FLAGS[c]])
+    def test_read_flag_works(self, capsys, monkeypatch, tmp_path, command, flag):
+        from rtflab import checks
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(checks, "run_all_checks", lambda tol: [])
+        Path("profile.json").write_text(RATIONALS.to_json(), encoding="utf-8")
+        sample, _ = sample_from_rows([(1, 2, x, 1.0) for x in (-1.0, 0.0, 0.5)])
+        Path("sample.csv").write_text(write_sample_csv(sample), encoding="utf-8")
+        code, plain, _ = run(capsys, *BASE_ARGV[command])
+        assert code == 0
+        code, out, _ = run(capsys, *BASE_ARGV[command], flag, FLAG_VALUES[flag])
+        assert code == 0
+        if flag == "--out":
+            assert out == ""
+            assert Path("out.txt").read_text(encoding="utf-8") == plain
+        elif flag == "--profile":
+            assert out == plain
+        elif flag == "--format":
+            assert out.startswith("variant,q,sign,k,weight\n")
+        elif command == "check":
+            assert json.loads(out)["tolerance_override"] == 1e-8
+        else:
+            assert abs(json.loads(out)["value"] - 1.0) <= 1e-8
+
+
 class TestCheckCommand:
     def test_default_passes(self, capsys):
         code, out, _ = run(capsys, "check")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rtflab.characters import DirichletCharacter, QuadraticCharacterProfile
+from rtflab.checks import edge_constants_by_enumeration
 from rtflab.errors import CapExceededError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import completed_l
@@ -162,13 +163,13 @@ class TestEdgePlaceFactor:
         # the bracket q + 1 + sign(1 + q) collapses for sign = -1
         block = rtf.EdgePlaceBlock(2, 1, -1)
         assert rtf.edge_place_factor(-1.0, block) == pytest.approx(0.0, abs=1e-14)
-        assert rtf.edge_place_at_edge(block) == 0.0
+        assert rtf.edge_place_jet(block)[0] == 0.0
 
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             rtf.edge_place_factor(1.0, rtf.EdgePlaceBlock(2, 1, 1))
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_derivatives_match_finite_differences(self, q, k, sign):
@@ -177,8 +178,8 @@ class TestEdgePlaceFactor:
         h = 1e-4
         fd1 = (f(-1.0 + h) - f(-1.0 - h)) / (2.0 * h)
         fd2 = (f(-1.0 + h) - 2.0 * f(-1.0) + f(-1.0 - h)) / (h * h)
-        d1 = rtf.edge_place_d1(block)
-        d2 = rtf.edge_place_d2(block)
+        _, d1, half_d2 = rtf.edge_place_jet(block)
+        d2 = 2.0 * half_d2
         assert abs(d1 - fd1) <= 1e-6 * max(1.0, abs(d1))
         assert abs(d2 - fd2) <= 1e-5 * max(1.0, abs(d2))
 
@@ -186,7 +187,7 @@ class TestEdgePlaceFactor:
         for q, k, sign in ((2, 1, 1), (3, 2, 1), (5, 4, -1)):
             block = rtf.EdgePlaceBlock(q, k, sign)
             direct = rtf.edge_place_factor(-1.0, block).real
-            assert rtf.edge_place_at_edge(block) == pytest.approx(direct, abs=1e-12)
+            assert rtf.edge_place_jet(block)[0] == pytest.approx(direct, abs=1e-12)
 
 
 class TestEdgeProductTaylor:
@@ -199,7 +200,7 @@ class TestEdgeProductTaylor:
         rho = [r for r in rtf.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
         t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
         block = rtf.EdgePlaceBlock(2, 2, 1)
-        assert t1 == pytest.approx(rtf.edge_place_d1(block), abs=1e-12)
+        assert t1 == pytest.approx(rtf.edge_place_jet(block)[1], abs=1e-12)
 
         def f(nu):
             return rtf.edge_place_factor(nu, block).real
@@ -245,7 +246,7 @@ class TestResidueFactors:
         expected = (-2.0) * 2.0**-0.5 / (1.0 - 0.5)
         assert got == pytest.approx(expected, abs=1e-14)
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_derivatives_match_finite_differences(self, q, k):
         block = rtf.EdgePlaceBlock(q, k, 1)
@@ -253,8 +254,9 @@ class TestResidueFactors:
         h = 1e-4
         fd1 = (g(h) - g(-h)) / (2.0 * h)
         fd2 = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
-        assert abs(rtf.residue_place_d1(block) - fd1) <= 1e-6 * max(1.0, abs(fd1))
-        assert abs(rtf.residue_place_d2(block) - fd2) <= 1e-5 * max(1.0, abs(fd2))
+        _, d1, half_d2 = rtf.residue_place_jet(block)
+        assert abs(d1 - fd1) <= 1e-6 * max(1.0, abs(fd1))
+        assert abs(2.0 * half_d2 - fd2) <= 1e-5 * max(1.0, abs(fd2))
 
     def test_place_factor_vanishes_at_zero(self):
         for q, k in ((2, 1), (3, 2), (5, 4)):
@@ -316,25 +318,6 @@ class TestSpectralEdgeConstants:
     def test_invalid_order(self, ctx_trivial):
         with pytest.raises(ValueError):
             rtf.spectral_edge_constant(LevelIdeal.unit(), ctx_trivial, 3)
-
-
-def edge_constants_by_enumeration(n, ctx):
-    """The four spectral edge constants as explicit sums over every choice
-    assignment, built from the per-assignment functions."""
-    d_half = ctx.profile.discriminant_abs**-0.5
-    weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
-    e = ctx.edge
-    terms = {2: [], 1: [], 0: [], -1: []}
-    for rho in rtf.enumerate_rho(n):
-        empty = 1.0 if rho.is_empty() else 0.0
-        section = rtf.flat_section_at_identity(rho, ctx.eta.sign_at) + empty
-        t0, t1, t2 = rtf.edge_product_taylor(rho, ctx.eta, ctx.profile)
-        terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
-        terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
-        terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
-        trivial_section = rtf.flat_section_at_identity(rho, lambda p: 1) + empty
-        terms[-1].append(weight * trivial_section * rtf.residual_term_constant(rho, ctx))
-    return {order: math.fsum(t) for order, t in terms.items()}
 
 
 EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
