@@ -41,10 +41,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the array functions only (`_phase_logs`, `phases`,
-# `phase_matrix`, `conductor_by_divisor_test`, `gauss_sums_for_modulus`), so
-# the scalar paths load without it.  The grid helpers `primitive_axes` and
-# `parity_vector` are plain integers, so `enumerate_xi` (and `rtflab
-# characters`) runs without numpy too.
+# `phase_matrix`, `conductor_by_divisor_test`, `gauss_sums_for_modulus`,
+# `brute_force_phase_tables`), so the scalar paths load without it.  The grid
+# helpers `primitive_axes` and `parity_vector` are plain integers, so
+# `enumerate_xi` (and `rtflab characters`) runs without numpy too.
 
 
 # ---------------------------------------------------------------------------
@@ -703,52 +703,61 @@ def is_admissible_level(
 # independent brute-force enumeration (cross-check oracle)
 
 
-def brute_force_phase_tables(m: int) -> tuple[int, list[dict[int, int]]]:
-    """Every character of (Z/m)^x as a table of integer phases mod N = phi(m).
+def brute_force_phase_tables(m: int) -> tuple[int, list[int], np.ndarray]:
+    """Every character of (Z/m)^x as integer phases mod N = phi(m).
 
-    chi(a) = e^{2 pi i k / N} for the entry k at a.  Built by subgroup
-    extension only (no CRT, no primitive roots): a residue g of relative
-    order r over the current domain has chi(g**r) = base already fixed, so
-    chi(g) is one of the r roots (base + j N) / r, exact since r divides N
-    and base.  Cross-check oracle; returns (N, tables).
+    Returns (N, units, phases): row j of the int64 matrix ``phases`` is one
+    character, with chi(units[i]) = e^{2 pi i phases[j, i] / N}.  Built by
+    subgroup extension only (no CRT, no primitive roots): a residue g of
+    relative order r over the current domain has chi(g**r) = base already
+    fixed, so chi(g) is one of the r roots (base + j N) / r, exact since r
+    divides N and base.  The domain grows by the cosets g**i H (i < r) in the
+    order the residues are taken, which does not depend on the character,
+    so every table shares it: extending by g repeats each row r times (once
+    per root j) and appends r - 1 shifted copies of the old columns.
+    Cross-check oracle.
     """
+    import numpy as np
+
     if m == 1:
-        return 1, [{0: 0}]
+        return 1, [0], np.zeros((1, 1), dtype=np.int64)
     residues = [a for a in range(1, m) if math.gcd(a, m) == 1]
     N = len(residues)
-    chars: list[dict[int, int]] = [{1: 0}]
+    units = [1]
+    column = {1: 0}
+    phases = np.zeros((1, 1), dtype=np.int64)
     for g in residues:
-        nxt: list[dict[int, int]] = []
-        for chi in chars:
-            if g in chi:
-                nxt.append(chi)
-                continue
-            # relative order of g over the domain subgroup
-            r = 1
-            x = g
-            while x not in chi:
-                x = x * g % m
-                r += 1
-            base = chi[x]
-            powers = [1]
-            for _ in range(r - 1):
-                powers.append(powers[-1] * g % m)
-            for j in range(r):
-                phase_g = base // r + j * (N // r)
-                ext = dict(chi)
-                for i in range(1, r):
-                    shift = i * phase_g % N
-                    for h, ph in chi.items():
-                        ext[h * powers[i] % m] = (ph + shift) % N
-                nxt.append(ext)
-        chars = nxt
-    return N, chars
+        if g in column:
+            continue
+        # relative order of g over the domain subgroup
+        r = 1
+        x = g
+        while x not in column:
+            x = x * g % m
+            r += 1
+        # row k * r + j extends character k by its root j at g
+        base = phases[:, column[x]]
+        phase_g = np.repeat(base // r, r) + np.tile(np.arange(r, dtype=np.int64) * (N // r), len(base))
+        old = np.repeat(phases, r, axis=0)
+        blocks = [old]
+        coset = []
+        power = 1
+        for i in range(1, r):
+            power = power * g % m
+            blocks.append((old + (i * phase_g % N)[:, None]) % N)
+            coset.extend(h * power % m for h in units)
+        for h in coset:
+            column[h] = len(units)
+            units.append(h)
+        phases = np.concatenate(blocks, axis=1)
+    return N, units, phases
 
 
 def brute_force_character_table(m: int) -> list[dict[int, Fraction]]:
-    """`brute_force_phase_tables` as exact phases r = k / phi(m) in [0, 1)."""
-    N, tables = brute_force_phase_tables(m)
-    return [{a: Fraction(k, N) for a, k in table.items()} for table in tables]
+    """`brute_force_phase_tables` as one dict per character, of exact phases
+    r = k / phi(m) in [0, 1) keyed by residue in domain order."""
+    N, units, phases = brute_force_phase_tables(m)
+    return [{a: Fraction(k, N) for a, k in zip(units, row)} for row in phases.tolist()]
 
 
 def brute_force_conductor(table: Mapping[int, Fraction | int], m: int) -> int:

@@ -21,6 +21,7 @@ from . import characters as chars
 from . import lfunctions as lfn
 from . import measures as meas
 from . import rtf_constants as rtf
+from .chunked import map_chunked
 from .fields import RATIONALS, FinitePlace, LevelIdeal
 from .local_factors import (
     HigherConductor,
@@ -187,7 +188,7 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
 def xi_matches_brute_force(m: int) -> bool:
     """Compare enumerate_xi(m**2) with the subgroup-extension oracle mod m.
 
-    Both sides become tuples of integer phases over the units mod m, scaled
+    Both sides become rows of integer phases over the units mod m, scaled
     to N = phi(m).  A listed character has conductor f | m, so every unit
     mod m is a unit mod f and its group exponent divides N.
     """
@@ -195,23 +196,30 @@ def xi_matches_brute_force(m: int) -> bool:
 
 
 def _xi_matches(m: int, listed: list[chars.DirichletCharacter]) -> bool:
-    """xi_matches_brute_force against an already enumerated Xi(m**2)."""
-    N, tables = chars.brute_force_phase_tables(m)
-    units = sorted(tables[0])
+    """xi_matches_brute_force against an already enumerated Xi(m**2).
+
+    The sides are compared as lexsorted matrices, row for row, so a
+    character listed twice is a mismatch too.
+    """
+    N, units, brute = chars.brute_force_phase_tables(m)
     at_units = np.array(units)
     by_modulus: dict[int, list[tuple[int, ...]]] = {}
     for chi in listed:
         by_modulus.setdefault(chi.modulus, []).append(chi.exponents)
-    induced = set()
+    induced = [np.empty((0, len(units)), dtype=np.int64)]
     for c, rows in by_modulus.items():
         g = chars.unit_group(c)
         exps = np.array(rows, dtype=np.int64).reshape(len(rows), len(g.orders))
-        phases = chars.phase_matrix(c, exps, at_units) * (N // g.exponent)
-        induced.update(map(tuple, phases.T.tolist()))
+        induced.append(chars.phase_matrix(c, exps, at_units).T * (N // g.exponent))
     # Every even character mod m is induced from a unique even primitive
     # character whose conductor divides m, so its square divides m**2.
-    brute = {tuple(table[a] for a in units) for table in tables if chars.brute_force_is_even(table, m)}
-    return induced == brute
+    if m > 2:
+        brute = brute[brute[:, units.index(m - 1)] == 0]
+    return np.array_equal(_lexsorted(np.concatenate(induced)), _lexsorted(brute))
+
+
+def _lexsorted(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T)]
 
 
 def check_local_factors(tol: float | None) -> list[CheckResult]:
@@ -484,19 +492,24 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
             worst = max(worst, abs(total - rtf.level_constant(n)))
         return worst
 
+    @cache
+    def zeta_two_widths() -> tuple[lfn.LaurentData, lfn.LaurentData]:
+        # Shared by the width and residue checks, each still guarded alone.
+        return lfn.laurent_at_1_two_widths(None)
+
     def laurent_defect() -> float:
         # The two stencil widths against each other and against the closed form.
         worst = 0.0
         for xi in (None, chi5()):
             closed = lfn.laurent_at_1(xi)
-            first, second = lfn.laurent_at_1_two_widths(xi)
+            first, second = zeta_two_widths() if xi is None else lfn.laurent_at_1_two_widths(xi)
             for other in (first, closed):
                 worst = max(worst, abs(other.residue - second.residue),
                             abs(other.c0 - second.c0), abs(other.c1 - second.c1))
         return worst
 
     def residue_defect() -> float:
-        return abs(lfn.laurent_at_1_two_widths(None)[1].residue - 1.0)
+        return abs(zeta_two_widths()[1].residue - 1.0)
 
     def edge_reconstruction_defect() -> float:
         # Near the double pole the three coefficients determine the function
@@ -579,16 +592,20 @@ def run_all_checks(tol: float | None = None) -> list[CheckResult]:
     Internal quadrature keeps its default working tolerances; the override
     only moves the pass thresholds, so an impossible request fails loudly in
     the report instead of aborting the suite.  Every check runs under its
-    own guard, so a crash fails that check alone, by its own name.
+    own guard, so a crash fails that check alone, by its own name.  The
+    groups are cut into contiguous chunks, one per CPU, and run through
+    `rtflab.chunked`; the results keep the group order.
     """
-    out: list[CheckResult] = []
-    for group in (
+    groups = (
         check_fields,
         check_characters,
         check_local_factors,
         check_measures,
         check_gamma,
         check_rtf_constants,
-    ):
-        out.extend(group(tol))
-    return out
+    )
+
+    def run(start: int, stop: int) -> list[CheckResult]:
+        return [result for group in groups[start:stop] for result in group(tol)]
+
+    return [result for part in map_chunked(run, len(groups), 1) for result in part]

@@ -92,8 +92,13 @@ def _density_from_args(args) -> Density:
 # subcommands
 
 
+# At least this many rows per `measure` chunk, so the default grid (201 rows)
+# never forks.
+GRID_ROWS_PER_CHUNK = 4096
+
+
 def _cmd_measure(args) -> int:
-    from .chunked import render_chunked
+    from .chunked import map_chunked
 
     density = _density_from_args(args)
     hi = density.hi if math.isfinite(density.hi) else args.ymax
@@ -112,7 +117,7 @@ def _cmd_measure(args) -> int:
         xs = [lo + span * i / n for i in range(start, stop)]
         return "".join([f"{x!r},{kernel(min(max(x, lo), top))!r}{tail}" for x in xs])
 
-    body = render_chunked(rows, n + 1)
+    body = "".join(map_chunked(rows, n + 1, GRID_ROWS_PER_CHUNK))
     _write_output("x_or_y,density,measure_tag,place_q,sign\n" + body, args.out)
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import mpmath as mp
@@ -234,6 +235,7 @@ def _is_trivial(xi: DirichletCharacter | None) -> bool:
     return False
 
 
+@lru_cache(maxsize=256)
 def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
     """Laurent data of the completed L-function at s = 1 over Q, in closed form.
 
@@ -247,6 +249,8 @@ def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
     c1 = -Lambda'(0) = -sum chi(a) zeta''(0, a/m) + (log(m pi) + gamma) L'(0),
     where L'(0) = sum chi(a) log Gamma(a/m) (Lerch).  The residue is 0.
     :func:`laurent_at_1_two_widths` is the independent stencil route.
+    Cached on the character: `eta_context` and `edge_coefficients` both
+    read it.
     """
     with mp.workdps(_DPS):
         if _is_trivial(xi):

@@ -166,7 +166,7 @@ def test_criterion_04_derivative_suite():
             )
     _finish(
         4,
-        "closed-form derivatives vs finite differences; product Taylor data",
+        "per-place jet derivatives vs finite differences; product Taylor data",
         worst1 <= 1e-6 and worst2 <= 1e-5 and worst_taylor <= 1e-6,
         f"first {worst1:.2e}, second {worst2:.2e}, taylor {worst_taylor:.2e}",
     )

@@ -454,6 +454,51 @@ class TestBruteForceOracle:
             assert structured == brute
 
 
+def dict_phase_tables(m):
+    """Subgroup extension with one dict of phases per character: the
+    reference for the matrix form of `brute_force_phase_tables`."""
+    if m == 1:
+        return 1, [{0: 0}]
+    residues = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    N = len(residues)
+    chars = [{1: 0}]
+    for g in residues:
+        nxt = []
+        for chi in chars:
+            if g in chi:
+                nxt.append(chi)
+                continue
+            r = 1
+            x = g
+            while x not in chi:
+                x = x * g % m
+                r += 1
+            base = chi[x]
+            powers = [1]
+            for _ in range(r - 1):
+                powers.append(powers[-1] * g % m)
+            for j in range(r):
+                phase_g = base // r + j * (N // r)
+                ext = dict(chi)
+                for i in range(1, r):
+                    shift = i * phase_g % N
+                    for h, ph in chi.items():
+                        ext[h * powers[i] % m] = (ph + shift) % N
+                nxt.append(ext)
+        chars = nxt
+    return N, chars
+
+
+def test_matrix_oracle_equals_dict_oracle():
+    # same N, same rows in the same order, same domain in the same order
+    for m in range(1, 201):
+        N, units, phases = brute_force_phase_tables(m)
+        ref_N, tables = dict_phase_tables(m)
+        assert N == ref_N
+        assert all(list(table) == units for table in tables)
+        assert phases.tolist() == [list(table.values()) for table in tables]
+
+
 class TestIntegerPhases:
     """Every value accessor agrees with the exact boundary accessor `phase`."""
 
@@ -478,17 +523,17 @@ class TestIntegerPhases:
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 9, 16, 32, 45, 120, 200])
     def test_brute_force_tables_and_fraction_view(self, m):
-        N, tables = brute_force_phase_tables(m)
+        N, units, phases = brute_force_phase_tables(m)
         assert N == unit_group(m).size
+        assert phases.dtype == np.int64
         view = brute_force_character_table(m)
-        assert view == [{a: Fraction(k, N) for a, k in t.items()} for t in tables]
+        assert view == [{a: Fraction(k, N) for a, k in zip(units, row)} for row in phases.tolist()]
         # the integer oracle spans the same group as the structured route
-        units = sorted(tables[0])
         structured = {
             tuple(int(chi.phases()[a]) * (N // unit_group(m).exponent) for a in units)
             for chi in enumerate_character_group(m)
         }
-        assert structured == {tuple(t[a] for a in units) for t in tables}
+        assert structured == set(map(tuple, phases.tolist()))
 
     def test_single_residue_path_builds_no_table(self):
         # parity and conductor at a census-sized modulus read single logs only

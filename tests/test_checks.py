@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from rtflab import characters, lfunctions, measures, rtf_constants
+from rtflab import characters, chunked, lfunctions, measures, rtf_constants
 from rtflab.characters import DirichletCharacter, unit_group
 from rtflab.checks import (
+    _xi_matches,
     check_characters,
     check_rtf_constants,
     run_all_checks,
     xi_matches_brute_force,
 )
+from rtflab.fields import LevelIdeal
 
 
 class TestCrashIsolation:
@@ -165,6 +167,15 @@ class TestCrashIsolation:
             assert r.detail == "ValueError: broken"
 
 
+class TestCrashIsolationForked(TestCrashIsolation):
+    """The same cases with the six groups in two chunks, the second forked:
+    a crash in the child's groups must come back as that check's failure."""
+
+    @pytest.fixture(autouse=True)
+    def two_chunks(self, monkeypatch):
+        monkeypatch.setattr(chunked, "chunk_count", lambda items, per_chunk: 2)
+
+
 class TestCensusOracleSensitivity:
     """Planted defects in the structured side must be flagged for some m <= 60.
 
@@ -191,6 +202,12 @@ class TestCensusOracleSensitivity:
     @pytest.mark.parametrize("m", [1, 2, 5, 12, 36, 60])
     def test_honest_route_matches(self, m):
         assert xi_matches_brute_force(m)
+
+    def test_character_listed_twice(self):
+        xs = characters.enumerate_xi(LevelIdeal.from_integer(144))
+        assert _xi_matches(12, xs)
+        assert not _xi_matches(12, xs + xs[:1])
+        assert not _xi_matches(12, xs[1:])
 
 
 class TestEdgeSumSensitivity:

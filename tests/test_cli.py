@@ -347,7 +347,23 @@ class TestMeasureGridByteIdentity:
 
 
 def chunks_forced(monkeypatch, chunks):
-    monkeypatch.setattr(chunked, "chunk_count", lambda rows: chunks)
+    monkeypatch.setattr(chunked, "chunk_count", lambda items, per_chunk: chunks)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids this process forks while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 class TestMeasureChunkedRows:
@@ -372,25 +388,11 @@ class TestMeasureChunkedRows:
 
     def test_chunk_count(self):
         cpus = len(os.sched_getaffinity(0))
-        assert chunked.chunk_count(201) == 1  # the default --grid 200 never forks
-        assert chunked.chunk_count(8191) == 1
-        assert chunked.chunk_count(8192) == min(cpus, 2)
-        assert chunked.chunk_count(150_001) == min(cpus, 36)
-
-    @pytest.fixture
-    def forked(self, monkeypatch):
-        """The pids this process forks while the test runs."""
-        pids = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
+        rows = cli.GRID_ROWS_PER_CHUNK
+        assert chunked.chunk_count(201, rows) == 1  # the default --grid 200 never forks
+        assert chunked.chunk_count(8191, rows) == 1
+        assert chunked.chunk_count(8192, rows) == min(cpus, 2)
+        assert chunked.chunk_count(150_001, rows) == min(cpus, 36)
 
     GRID = 8191  # 8192 rows; three chunks start at rows 0, 2730 and 5461
 
@@ -432,6 +434,42 @@ class TestMeasureChunkedRows:
         assert (code, out) == (2, "")
         assert "exited with status 7" in json.loads(err)["message"]
         with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+
+class TestCheckChunkedGroups:
+    """`check` runs its groups in contiguous chunks, every chunk past the
+    first in a forked child; results and bytes must not depend on the count."""
+
+    def test_results_and_bytes_independent_of_chunk_count(self, capsys, monkeypatch):
+        from rtflab.checks import run_all_checks
+
+        chunks_forced(monkeypatch, 1)
+        expected = [r.as_dict() for r in run_all_checks()]
+        assert len(expected) == 33
+        expected_out = run(capsys, "check")
+        tight_out = run(capsys, "check", "--tol", "1e-20")
+        assert (expected_out[0], tight_out[0]) == (0, 1)
+        for chunks in (2, 3, 6):
+            chunks_forced(monkeypatch, chunks)
+            assert [r.as_dict() for r in run_all_checks()] == expected
+            assert run(capsys, "check") == expected_out
+        assert run(capsys, "check", "--tol", "1e-20") == tight_out
+
+    def test_group_worker_that_dies_is_reported(self, capsys, monkeypatch, forked):
+        from rtflab import checks
+
+        # check_gamma is the fifth of six groups: with two chunks, the child's.
+        monkeypatch.setattr(checks, "check_gamma", lambda tol: os._exit(7))
+        chunks_forced(monkeypatch, 2)
+        code, out, err = run(capsys, "check")
+        assert (code, out) == (2, "")
+        assert len(forked) == 1
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": f"chunk worker {forked[0]} exited with status 7",
+        }
+        with pytest.raises(ChildProcessError):  # already reaped
             os.waitpid(forked[0], os.WNOHANG)
 
 
@@ -536,4 +574,10 @@ class TestImportHygiene:
         # Only the 20000-point grid is long enough to fork, one child per
         # chunk past the first.
         rows = int(argv[-1]) + 1 if argv[0] == "measure" else 0
-        assert forks == (chunked.chunk_count(rows) - 1 if rows else 0)
+        assert forks == (chunked.chunk_count(rows, cli.GRID_ROWS_PER_CHUNK) - 1 if rows else 0)
+
+    def test_check_forks_one_child_per_chunk_past_the_first(self):
+        code, loaded, forks = loaded_after("check")
+        assert code == 0
+        assert "rtflab.checks" in loaded
+        assert forks == chunked.chunk_count(6, 1) - 1  # six check groups
