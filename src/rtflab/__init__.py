@@ -30,11 +30,9 @@ _EXPORTS = {
         "character_census",
         "enumerate_character_group",
         "enumerate_xi",
-        "eta_tilde",
         "gauss_sum",
         "is_admissible_level",
         "l_one",
-        "l_one_completed",
     ),
     "local_factors": (
         "HigherConductor",
@@ -77,10 +75,7 @@ _EXPORTS = {
         "EtaContext",
         "RhoAssignment",
         "edge_place_factor",
-        "edge_product_taylor",
-        "enumerate_rho",
         "eta_context",
-        "flat_section_at_identity",
         "intertwining_ratio",
         "kernel_normalization",
         "level_constant",
@@ -90,6 +85,7 @@ _EXPORTS = {
         "unipotent_orbit_constant",
         "unipotent_orbit_factor",
     ),
+    "oracles": ("edge_product_taylor", "enumerate_rho", "flat_section_at_identity"),
     "empirical": (
         "EmpiricalSample",
         "compare_report",

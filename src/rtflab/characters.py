@@ -18,10 +18,9 @@ census lists the even primitive rows of each conductor straight from those
 inverse FFT of the additive kernel laid out on the grid
 (`gauss_sums_for_modulus`).
 
-`brute_force_phase_tables` is an independent cross-check enumerator: it
-knows nothing about primitive roots or CRT and builds every homomorphism of
-the unit group by subgroup extension, in integers modulo phi(m).  Tests and
-the self-check suite compare the two routes.
+The independent routes the check suite and the tests compare with these
+(the subgroup-extension enumerator, the divisor-test conductor) are in
+:mod:`rtflab.oracles`.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the array functions only (`_phase_logs`, `phases`,
-# `phase_matrix`, `conductor_by_divisor_test`, `gauss_sums_for_modulus`,
-# `brute_force_phase_tables`), so the scalar paths load without it.  The grid
-# helpers `primitive_axes` and `parity_vector` are plain integers, so
-# `enumerate_xi` (and `rtflab characters`) runs without numpy too.
+# `phase_matrix`, `gauss_sums_for_modulus`; `l_one` reads `phases`), so the
+# scalar paths load without it.  The grid helpers `primitive_axes` and
+# `parity_vector` are plain integers, so `enumerate_xi` (and
+# `rtflab characters`) runs without numpy too.
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,9 @@ class DirichletCharacter:
 
         At an odd prime power the conductor exponent is v_p(order) + 1 for a
         nontrivial component; at 2-powers the pair {-1, 5} contributes 2 or
-        v_2(order on 5) + 2.  Cross-checked against the divisor-test variant;
-        `primitive_axes` (below) is its per-axis form on the whole grid.
+        v_2(order on 5) + 2.  Cross-checked against
+        `oracles.conductor_by_divisor_test`; `primitive_axes` (below) is its
+        per-axis form on the whole grid.
         """
         g = unit_group(self.modulus)
         if self.modulus == 1:
@@ -318,20 +318,6 @@ class DirichletCharacter:
         for p, f in by_prime.items():
             out *= p**f
         return out
-
-    def conductor_by_divisor_test(self) -> int:
-        """Smallest d | m with chi trivial on residues ≡ 1 (mod d); slow dual route."""
-        import numpy as np
-
-        m = self.modulus
-        if m == 1:
-            return 1
-        k = self.phases()
-        for d in sorted(d for d in range(1, m + 1) if m % d == 0):
-            along = k[np.arange(1, m + 1, d) % m]
-            if np.all(along[along >= 0] == 0):
-                return d
-        return m
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
@@ -579,13 +565,6 @@ def l_one(chi: DirichletCharacter) -> float | complex:
     return acc
 
 
-def l_one_completed(chi: DirichletCharacter) -> float | complex:
-    """Completed L(1, chi) = sqrt(m) * L_fin(1, chi) for even primitive chi."""
-    if not (chi.is_even() and chi.is_primitive()):
-        raise ValueError("completed L(1) accessor expects an even primitive character")
-    return math.sqrt(chi.modulus) * l_one(chi)
-
-
 # ---------------------------------------------------------------------------
 # quadratic sign profiles
 
@@ -673,11 +652,6 @@ class QuadraticCharacterProfile:
         return out
 
 
-def eta_tilde(eta: QuadraticCharacterProfile, n: LevelIdeal) -> int:
-    """Sign of the quadratic character on the ideal n ( ±1 )."""
-    return eta.value_on_ideal(n)
-
-
 def is_admissible_level(
     n: LevelIdeal,
     s_places: Iterable[Place],
@@ -697,84 +671,3 @@ def is_admissible_level(
     if any(eta.sign_at(p) != -1 for p in support):
         return False
     return eta.value_on_ideal(n) == 1
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force enumeration (cross-check oracle)
-
-
-def brute_force_phase_tables(m: int) -> tuple[int, list[int], np.ndarray]:
-    """Every character of (Z/m)^x as integer phases mod N = phi(m).
-
-    Returns (N, units, phases): row j of the int64 matrix ``phases`` is one
-    character, with chi(units[i]) = e^{2 pi i phases[j, i] / N}.  Built by
-    subgroup extension only (no CRT, no primitive roots): a residue g of
-    relative order r over the current domain has chi(g**r) = base already
-    fixed, so chi(g) is one of the r roots (base + j N) / r, exact since r
-    divides N and base.  The domain grows by the cosets g**i H (i < r) in the
-    order the residues are taken, which does not depend on the character,
-    so every table shares it: extending by g repeats each row r times (once
-    per root j) and appends r - 1 shifted copies of the old columns.
-    Cross-check oracle.
-    """
-    import numpy as np
-
-    if m == 1:
-        return 1, [0], np.zeros((1, 1), dtype=np.int64)
-    residues = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    N = len(residues)
-    units = [1]
-    column = {1: 0}
-    phases = np.zeros((1, 1), dtype=np.int64)
-    for g in residues:
-        if g in column:
-            continue
-        # relative order of g over the domain subgroup
-        r = 1
-        x = g
-        while x not in column:
-            x = x * g % m
-            r += 1
-        # row k * r + j extends character k by its root j at g
-        base = phases[:, column[x]]
-        phase_g = np.repeat(base // r, r) + np.tile(np.arange(r, dtype=np.int64) * (N // r), len(base))
-        old = np.repeat(phases, r, axis=0)
-        blocks = [old]
-        coset = []
-        power = 1
-        for i in range(1, r):
-            power = power * g % m
-            blocks.append((old + (i * phase_g % N)[:, None]) % N)
-            coset.extend(h * power % m for h in units)
-        for h in coset:
-            column[h] = len(units)
-            units.append(h)
-        phases = np.concatenate(blocks, axis=1)
-    return N, units, phases
-
-
-def brute_force_character_table(m: int) -> list[dict[int, Fraction]]:
-    """`brute_force_phase_tables` as one dict per character, of exact phases
-    r = k / phi(m) in [0, 1) keyed by residue in domain order."""
-    N, units, phases = brute_force_phase_tables(m)
-    return [{a: Fraction(k, N) for a, k in zip(units, row)} for row in phases.tolist()]
-
-
-def brute_force_conductor(table: Mapping[int, Fraction | int], m: int) -> int:
-    """Conductor of a brute-force phase table (either form) by the divisor test."""
-    if m == 1:
-        return 1
-    for d in sorted(x for x in range(1, m + 1) if m % x == 0):
-        if all(
-            table.get(a, None) == 0
-            for a in range(1, m + 1, d)
-            if math.gcd(a, m) == 1
-        ):
-            return d
-    return m
-
-
-def brute_force_is_even(table: Mapping[int, Fraction | int], m: int) -> bool:
-    if m <= 2:
-        return True
-    return table[m - 1] == 0

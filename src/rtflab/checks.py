@@ -13,13 +13,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
 from . import characters as chars
 from . import lfunctions as lfn
 from . import measures as meas
+from . import oracles
 from . import rtf_constants as rtf
 from .chunked import map_chunked
 from .fields import RATIONALS, FinitePlace, LevelIdeal
@@ -159,7 +160,7 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
         return listed
 
     def xi_defects() -> int:
-        return sum(not _xi_matches(m, xi_of_square(m)) for m in range(1, census_limit + 1))
+        return sum(not xi_matches_brute_force(m, xi_of_square(m)) for m in range(1, census_limit + 1))
 
     def census_bound_defects() -> int:
         defects = 0
@@ -185,23 +186,19 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
     ]
 
 
-def xi_matches_brute_force(m: int) -> bool:
-    """Compare enumerate_xi(m**2) with the subgroup-extension oracle mod m.
+def xi_matches_brute_force(m: int, listed: list[chars.DirichletCharacter] | None = None) -> bool:
+    """Compare Xi(m**2) with the subgroup-extension oracle mod m.
 
-    Both sides become rows of integer phases over the units mod m, scaled
-    to N = phi(m).  A listed character has conductor f | m, so every unit
-    mod m is a unit mod f and its group exponent divides N.
+    ``listed`` is Xi(m**2) when the caller has enumerated it already, else
+    `enumerate_xi` lists it here.  Both sides become rows of integer phases
+    over the units mod m, scaled to N = phi(m).  A listed character has
+    conductor f | m, so every unit mod m is a unit mod f and its group
+    exponent divides N.  The sides are compared as lexsorted matrices, row
+    for row, so a character listed twice is a mismatch too.
     """
-    return _xi_matches(m, chars.enumerate_xi(LevelIdeal.from_integer(m * m)))
-
-
-def _xi_matches(m: int, listed: list[chars.DirichletCharacter]) -> bool:
-    """xi_matches_brute_force against an already enumerated Xi(m**2).
-
-    The sides are compared as lexsorted matrices, row for row, so a
-    character listed twice is a mismatch too.
-    """
-    N, units, brute = chars.brute_force_phase_tables(m)
+    if listed is None:
+        listed = chars.enumerate_xi(LevelIdeal.from_integer(m * m))
+    N, units, brute = oracles.brute_force_phase_tables(m)
     at_units = np.array(units)
     by_modulus: dict[int, list[tuple[int, ...]]] = {}
     for chi in listed:
@@ -400,26 +397,6 @@ def check_gamma(tol: float | None) -> list[CheckResult]:
     ]
 
 
-def edge_constants_by_enumeration(n: LevelIdeal, ctx: rtf.EtaContext) -> dict[int, float]:
-    """The four spectral edge constants as explicit sums over every choice
-    assignment, built from the per-assignment functions: the independent
-    route to :func:`rtf_constants.spectral_edge_constant`."""
-    d_half = ctx.profile.discriminant_abs**-0.5
-    weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
-    e = ctx.edge
-    terms = {2: [], 1: [], 0: [], -1: []}
-    for rho in rtf.enumerate_rho(n):
-        empty = 1.0 if rho.is_empty() else 0.0
-        section = rtf.flat_section_at_identity(rho, ctx.eta.sign_at) + empty
-        t0, t1, t2 = rtf.edge_product_taylor(rho, ctx.eta, ctx.profile)
-        terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
-        terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
-        terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
-        trivial_section = rtf.flat_section_at_identity(rho, lambda p: 1) + empty
-        terms[-1].append(weight * trivial_section * rtf.residual_term_constant(rho, ctx))
-    return {order: math.fsum(t) for order, t in terms.items()}
-
-
 def _fd_first(f, x0: float, h: float) -> float:
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
@@ -453,7 +430,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         for ctx in (rtf.eta_context(None), rtf.eta_context(chi5())):
             for spec in ({2: 2, 3: 1}, {2: 1, 3: 2, 11: 2}):
                 n = _level(spec)
-                expected = edge_constants_by_enumeration(n, ctx)
+                expected = oracles.edge_constants_by_enumeration(n, ctx)
                 for order, y in expected.items():
                     got = rtf.spectral_edge_constant(n, ctx, order)
                     worst = max(worst, abs(got - y) / max(1.0, abs(y)))
@@ -462,13 +439,13 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         )
         for spec in ({2: 1}, {2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
             n = _level(spec)
-            for rho in rtf.enumerate_rho(n):
+            for rho in oracles.enumerate_rho(n):
                 if len(rho.active()) > 3:
                     continue
-                t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
+                t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
                 blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in rho.active()]
                 prod_fn = lambda nu: math.prod((rtf.edge_place_factor(nu, b) for b in blocks), start=1 + 0j)
-                a = lfn.extract_series(prod_fn, -1.0, 0, 1e-2)
+                a = oracles.extract_series(prod_fn, -1.0, 0, 1e-2)
                 scale = max(1.0, abs(t0), abs(t1), abs(t2))
                 worst = max(worst, abs(t0 - a[0]) / scale, abs(t1 - a[1]) / scale,
                             abs(t2 - a[2]) / scale)
@@ -484,7 +461,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
             heavy = [(p, e) for p, e in spec.items() if e >= 2]
             total = 1.0
             for j in range(1, len(heavy) + 1):
-                for subset in _subsets(heavy, j):
+                for subset in combinations(heavy, j):
                     term = (-1.0) ** j
                     for p, e in subset:
                         term *= (1.0 - 1.0 / p) ** (-1 if e == 2 else 0) / p**2
@@ -495,14 +472,14 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     @cache
     def zeta_two_widths() -> tuple[lfn.LaurentData, lfn.LaurentData]:
         # Shared by the width and residue checks, each still guarded alone.
-        return lfn.laurent_at_1_two_widths(None)
+        return oracles.laurent_at_1_two_widths(None)
 
     def laurent_defect() -> float:
         # The two stencil widths against each other and against the closed form.
         worst = 0.0
         for xi in (None, chi5()):
             closed = lfn.laurent_at_1(xi)
-            first, second = zeta_two_widths() if xi is None else lfn.laurent_at_1_two_widths(xi)
+            first, second = zeta_two_widths() if xi is None else oracles.laurent_at_1_two_widths(xi)
             for other in (first, closed):
                 worst = max(worst, abs(other.residue - second.residue),
                             abs(other.c0 - second.c0), abs(other.c1 - second.c1))
@@ -517,12 +494,12 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         # polar coefficients vanish and c_zero is the value itself.
         h = 0.01
         coeffs = lfn.edge_coefficients(None)
-        f = lfn.central_series_function(None)
+        f = oracles.central_series_function(None)
         direct = complex(f(-1.0 + h)).real
         recon = coeffs.c_minus2 / h**2 + coeffs.c_minus1 / h + coeffs.c_zero
         worst = abs(direct - recon) / abs(direct)
         coeffs5 = lfn.edge_coefficients(chi5())
-        f5 = lfn.central_series_function(chi5())
+        f5 = oracles.central_series_function(chi5())
         worst = max(worst, abs(coeffs5.c_minus2), abs(coeffs5.c_minus1))
         return max(worst, abs(coeffs5.c_zero - complex(f5(-1.0)).real))
 
@@ -557,7 +534,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
 
     def involution_defect() -> float:
         worst = 0.0
-        rho = rtf.enumerate_rho(_level({2: 2, 3: 1}))[4]
+        rho = oracles.enumerate_rho(_level({2: 2, 3: 1}))[4]
         for chi in (None, chi5()):
             for nu in (0.3, 0.45 + 0.2j):
                 prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(chi, rho, -nu)
@@ -578,12 +555,6 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         ("rtf.intertwining_involution", involution_defect, 1e-10),
     )
     return [_guarded(name, measure, tol if tol is not None else t) for name, measure, t in checks]
-
-
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
 
 
 def run_all_checks(tol: float | None = None) -> list[CheckResult]:

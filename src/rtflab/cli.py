@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import RtflabError
+from .errors import RamifiedOverlapError, RtflabError
 from .fields import FieldProfile, RATIONALS, parse_factored_level
 
 if TYPE_CHECKING:
@@ -198,6 +198,9 @@ def _cmd_constants(args) -> int:
     arch = profile.archimedean_places[0]
     s_primes = [int(p) for p in args.s_primes.split(",")] if args.s_primes else []
     places = [arch] + [profile.place_for_prime(p) for p in s_primes]
+    for place in places[1:]:
+        if n.ord_at(place) > 0:
+            raise RamifiedOverlapError(f"S place {place.label} meets the support of the level {n}")
     upsilon_samples = []
     c_term_samples = []
     for s in s_values:

@@ -23,10 +23,6 @@ class CapExceededError(RtflabError, ValueError):
     """An enumeration would exceed its configured size cap."""
 
 
-class StencilDisagreementError(RtflabError, ArithmeticError):
-    """Two stencil widths of a numerical Laurent extraction disagree beyond tolerance."""
-
-
 class QuadratureError(RtflabError, ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

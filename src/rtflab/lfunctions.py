@@ -17,9 +17,8 @@ product.  Jets are tuples (f, f', f''/2) at the expansion point:
 ``jet_product`` multiplies them, ``exp_jet`` gives the jet of an
 exponential (every power q**(a x)), and ``jet_reciprocal`` that of 1/f, so
 the Taylor data of a formula is read off by evaluating it on jets.
-Symmetric stencil fits (a small Vandermonde solve in h**2 at working
-precision) remain as the independent route the check suite and tests
-compare against.
+The independent route, symmetric stencil fits at working precision, is in
+:mod:`rtflab.oracles`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import mpmath as mp
 
@@ -248,7 +247,7 @@ def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
     Lambda(1 + h) = Lambda(-h): c0 = Lambda(0) = 2 L'(0) and
     c1 = -Lambda'(0) = -sum chi(a) zeta''(0, a/m) + (log(m pi) + gamma) L'(0),
     where L'(0) = sum chi(a) log Gamma(a/m) (Lerch).  The residue is 0.
-    :func:`laurent_at_1_two_widths` is the independent stencil route.
+    `oracles.laurent_at_1_two_widths` is the independent stencil route.
     Cached on the character: `eta_context` and `edge_coefficients` both
     read it.
     """
@@ -272,13 +271,13 @@ def edge_coefficients(
     eta: DirichletCharacter | None, discriminant_abs: int = 1
 ) -> EdgeCoefficients:
     """Laurent coefficients (orders -2, -1, 0) at nu = -1 of the central-value
-    series function of :func:`central_series_function`.
+    series function D**(nu/2) Lambda((1+nu)/2) Lambda((1-nu)/2) / Lambda_zeta(1 - nu).
 
     At nu = -1 + h both L-factors equal Lambda(1 - h/2) by the functional
     equation, so h**2 f(h) is the jet product of h Lambda(1 - h/2) (twice),
     D**(nu/2) and 1/Lambda_zeta(2 - h).  The pole is double for the trivial
     character and absent otherwise (the residue is 0).  The stencil fit of
-    ``central_series_function`` is the independent route.
+    `oracles.central_series_function` is the independent route.
     """
     lau = laurent_at_1(eta)
     with mp.workdps(_DPS):
@@ -291,77 +290,3 @@ def edge_coefficients(
     d_jet = exp_jet(math.log(discriminant_abs) / 2.0, -1.0)
     c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, d_jet, zeta_jet])
     return EdgeCoefficients(c_minus2=c_minus2, c_minus1=c_minus1, c_zero=c_zero)
-
-
-# ---------------------------------------------------------------------------
-# stencil extraction: the independent cross-check route
-
-_STENCIL_WIDTH = 1e-2
-_CHECK_WIDTH = 5e-3
-_STENCIL_LEVELS = 4
-
-
-def extract_series(f: Callable, center: float, pole_order: int, width: float) -> list[float]:
-    """First ``2 * _STENCIL_LEVELS`` Taylor coefficients of
-    h**pole_order * f(center + h).
-
-    Symmetric stencils at widths width / 2**i; even and odd parts are fit
-    separately by a Vandermonde solve in h**2.  All arithmetic happens at
-    working precision, so ``f`` may return mpmath values (preferred) or plain
-    complex.
-    """
-    levels = _STENCIL_LEVELS
-    with mp.workdps(_DPS):
-        evens, odds, ts = [], [], []
-        for i in range(levels):
-            h = mp.mpf(width) / 2**i
-            gp = mp.mpc(f(center + h)) * h**pole_order
-            gm = mp.mpc(f(center - h)) * (-h) ** pole_order
-            evens.append((gp + gm) / 2)
-            odds.append((gp - gm) / (2 * h))
-            ts.append(h * h)
-        v = mp.matrix([[t**j for j in range(levels)] for t in ts])
-        even_coeffs = mp.lu_solve(v, mp.matrix(evens))
-        odd_coeffs = mp.lu_solve(v, mp.matrix(odds))
-        # coefficients a_0, a_1, a_2, ... of g(h)
-        return [float(mp.re(c[j])) for j in range(levels) for c in (even_coeffs, odd_coeffs)]
-
-
-def laurent_at_1_two_widths(xi: DirichletCharacter | None) -> tuple[LaurentData, LaurentData]:
-    """Laurent data at s = 1 fitted by stencils at two base widths.
-
-    The residue of the completed zeta is extracted, not assumed.  The two
-    results are compared with each other and with :func:`laurent_at_1` by
-    the check suite.
-    """
-    pole = 1 if _is_trivial(xi) else 0
-    f = _completed_zeta_mp if pole else (lambda s: _completed_l_mp(s, xi))
-    # A regular point has residue 0: pad the fitted coefficients accordingly.
-    first, second = (
-        LaurentData(*([0.0] * (1 - pole) + extract_series(f, 1.0, pole, w))[:3])
-        for w in (_STENCIL_WIDTH, _CHECK_WIDTH)
-    )
-    return first, second
-
-
-def central_series_function(
-    eta: DirichletCharacter | None, discriminant_abs: int = 1
-) -> Callable:
-    """The meromorphic function whose edge Laurent data feeds the residual
-    constants: D**(nu/2) L((1+nu)/2) L((1-nu)/2) / zeta_completed(1 - nu).
-
-    Returns a working-precision callable (mp in, mp out; plain complex also
-    accepted)."""
-
-    trivial = _is_trivial(eta)
-
-    def f(nu):
-        nu = mp.mpc(nu)
-        prefactor = mp.mpf(discriminant_abs) ** (nu / 2)
-        if trivial:
-            num = _completed_zeta_mp((1 + nu) / 2) * _completed_zeta_mp((1 - nu) / 2)
-        else:
-            num = _completed_l_mp((1 + nu) / 2, eta) * _completed_l_mp((1 - nu) / 2, eta)
-        return prefactor * num / _completed_zeta_mp(1 - nu)
-
-    return f

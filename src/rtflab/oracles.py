@@ -1,0 +1,281 @@
+"""Independent second routes, compared with the production routes by the
+check suite and the tests.
+
+The production modules keep one route per job and never import this one;
+only `checks` (and the tests) do.
+
+- `brute_force_phase_tables` builds every character mod m by subgroup
+  extension, knowing nothing of primitive roots, CRT or `unit_group`;
+  `conductor_by_divisor_test` reads a conductor off integer phases.  They
+  check the census `characters.enumerate_xi` and
+  `DirichletCharacter.conductor`.
+- `extract_series` fits Taylor data by symmetric stencils at working
+  precision; `laurent_at_1_two_widths` and `central_series_function` apply
+  it to the closed-form Laurent and edge data of `lfunctions`.
+- `enumerate_rho` lists every choice assignment and the per-assignment
+  functions evaluate its term; `edge_constants_by_enumeration` sums them,
+  the second route to `rtf_constants.spectral_edge_constant`, which takes
+  products over places of per-place sums.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Callable, Mapping
+
+import mpmath as mp
+import numpy as np
+
+from .characters import DirichletCharacter, QuadraticCharacterProfile
+from .errors import CapExceededError
+from .fields import FieldProfile, FinitePlace, LevelIdeal, RATIONALS
+from .lfunctions import (
+    _DPS,
+    LaurentData,
+    _completed_l_mp,
+    _completed_zeta_mp,
+    _is_trivial,
+    epsilon_of_minus_z,
+    jet_product,
+)
+from .rtf_constants import (
+    EdgePlaceBlock,
+    EtaContext,
+    RhoAssignment,
+    _discriminant_jet,
+    _residual_combination,
+    _section_factor,
+    _value_factor,
+    edge_place_jet,
+    eta_on_different,
+    residue_place_jet,
+)
+
+# ---------------------------------------------------------------------------
+# characters: subgroup extension and the divisor test
+
+
+def brute_force_phase_tables(m: int) -> tuple[int, list[int], np.ndarray]:
+    """Every character of (Z/m)^x as integer phases mod N = phi(m).
+
+    Returns (N, units, phases): row j of the int64 matrix ``phases`` is one
+    character, with chi(units[i]) = e^{2 pi i phases[j, i] / N}.  Built by
+    subgroup extension only (no CRT, no primitive roots): a residue g of
+    relative order r over the current domain has chi(g**r) = base already
+    fixed, so chi(g) is one of the r roots (base + j N) / r, exact since r
+    divides N and base.  The domain grows by the cosets g**i H (i < r) in the
+    order the residues are taken, which does not depend on the character,
+    so every table shares it: extending by g repeats each row r times (once
+    per root j) and appends r - 1 shifted copies of the old columns.
+    """
+    if m == 1:
+        return 1, [0], np.zeros((1, 1), dtype=np.int64)
+    residues = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    N = len(residues)
+    units = [1]
+    column = {1: 0}
+    phases = np.zeros((1, 1), dtype=np.int64)
+    for g in residues:
+        if g in column:
+            continue
+        # relative order of g over the domain subgroup
+        r = 1
+        x = g
+        while x not in column:
+            x = x * g % m
+            r += 1
+        # row k * r + j extends character k by its root j at g
+        base = phases[:, column[x]]
+        phase_g = np.repeat(base // r, r) + np.tile(np.arange(r, dtype=np.int64) * (N // r), len(base))
+        old = np.repeat(phases, r, axis=0)
+        blocks = [old]
+        coset = []
+        power = 1
+        for i in range(1, r):
+            power = power * g % m
+            blocks.append((old + (i * phase_g % N)[:, None]) % N)
+            coset.extend(h * power % m for h in units)
+        for h in coset:
+            column[h] = len(units)
+            units.append(h)
+        phases = np.concatenate(blocks, axis=1)
+    return N, units, phases
+
+
+def conductor_by_divisor_test(m: int, phase: Mapping[int, int]) -> int:
+    """Smallest d | m with chi trivial on the units ≡ 1 (mod d).
+
+    ``phase`` maps each unit mod m to an integer phase of chi there, 0
+    exactly where chi is 1; residues it leaves out are the non-units.  Reads
+    a `brute_force_phase_tables` row as ``dict(zip(units, row))`` and a
+    `DirichletCharacter` through its `phases`.
+    """
+    for d in range(1, m + 1):
+        if m % d == 0 and all(phase.get(a % m, 0) == 0 for a in range(1, m + 1, d)):
+            return d
+    raise ValueError("modulus must be positive")
+
+
+# ---------------------------------------------------------------------------
+# Laurent and edge data: symmetric stencil fits
+
+_STENCIL_WIDTH = 1e-2
+_CHECK_WIDTH = 5e-3
+_STENCIL_LEVELS = 4
+
+
+def extract_series(f: Callable, center: float, pole_order: int, width: float) -> list[float]:
+    """First ``2 * _STENCIL_LEVELS`` Taylor coefficients of
+    h**pole_order * f(center + h).
+
+    Symmetric stencils at widths width / 2**i; even and odd parts are fit
+    separately by a Vandermonde solve in h**2.  All arithmetic happens at
+    working precision, so ``f`` may return mpmath values (preferred) or plain
+    complex.
+    """
+    levels = _STENCIL_LEVELS
+    with mp.workdps(_DPS):
+        evens, odds, ts = [], [], []
+        for i in range(levels):
+            h = mp.mpf(width) / 2**i
+            gp = mp.mpc(f(center + h)) * h**pole_order
+            gm = mp.mpc(f(center - h)) * (-h) ** pole_order
+            evens.append((gp + gm) / 2)
+            odds.append((gp - gm) / (2 * h))
+            ts.append(h * h)
+        v = mp.matrix([[t**j for j in range(levels)] for t in ts])
+        even_coeffs = mp.lu_solve(v, mp.matrix(evens))
+        odd_coeffs = mp.lu_solve(v, mp.matrix(odds))
+        # coefficients a_0, a_1, a_2, ... of g(h)
+        return [float(mp.re(c[j])) for j in range(levels) for c in (even_coeffs, odd_coeffs)]
+
+
+def laurent_at_1_two_widths(xi: DirichletCharacter | None) -> tuple[LaurentData, LaurentData]:
+    """Laurent data at s = 1 fitted by stencils at two base widths.
+
+    The residue of the completed zeta is extracted, not assumed.  The check
+    suite compares the two results with each other and with
+    `lfunctions.laurent_at_1`.
+    """
+    pole = 1 if _is_trivial(xi) else 0
+    f = _completed_zeta_mp if pole else (lambda s: _completed_l_mp(s, xi))
+    # A regular point has residue 0: pad the fitted coefficients accordingly.
+    first, second = (
+        LaurentData(*([0.0] * (1 - pole) + extract_series(f, 1.0, pole, w))[:3])
+        for w in (_STENCIL_WIDTH, _CHECK_WIDTH)
+    )
+    return first, second
+
+
+def central_series_function(
+    eta: DirichletCharacter | None, discriminant_abs: int = 1
+) -> Callable:
+    """The meromorphic function whose edge Laurent data feeds the residual
+    constants: D**(nu/2) L((1+nu)/2) L((1-nu)/2) / zeta_completed(1 - nu),
+    the function `lfunctions.edge_coefficients` expands at nu = -1.
+
+    Returns a working-precision callable (mp in, mp out; plain complex also
+    accepted)."""
+
+    trivial = _is_trivial(eta)
+
+    def f(nu):
+        nu = mp.mpc(nu)
+        prefactor = mp.mpf(discriminant_abs) ** (nu / 2)
+        if trivial:
+            num = _completed_zeta_mp((1 + nu) / 2) * _completed_zeta_mp((1 - nu) / 2)
+        else:
+            num = _completed_l_mp((1 + nu) / 2, eta) * _completed_l_mp((1 - nu) / 2, eta)
+        return prefactor * num / _completed_zeta_mp(1 - nu)
+
+    return f
+
+
+# ---------------------------------------------------------------------------
+# spectral edge constants: every choice assignment, one term each
+
+
+def enumerate_rho(n: LevelIdeal, cap: int = 100_000) -> list[RhoAssignment]:
+    """All choice assignments over the support of n; size prod(e_v + 1)."""
+    total = 1
+    for _, e in n.factors:
+        total *= e + 1
+    if total > cap:
+        raise CapExceededError(
+            f"assignment enumeration would produce {total} > cap {cap}"
+        )
+    places = [p for p, _ in n.factors]
+    ranges = [range(n.ord_at(p) + 1) for p in places]
+    return [RhoAssignment(n, tuple(zip(places, combo))) for combo in itertools.product(*ranges)]
+
+
+def flat_section_at_identity(
+    rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
+) -> float:
+    """Value at the identity of the normalized flat section attached to rho.
+
+    Depth-one places contribute sign * q**(1/2); depth k >= 2 contributes
+    (1 - 1/q) sign**k ((q+1)/(q-1))**(1/2) q**(k/2).
+    """
+    return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in rho.active())
+
+
+def edge_product_taylor(
+    rho: RhoAssignment,
+    eta: QuadraticCharacterProfile,
+    profile: FieldProfile = RATIONALS,
+) -> tuple[float, float, float]:
+    """Taylor coefficients (orders 0, 1, 2) at the edge point of the product of
+    edge place factors over the active places, scaled by the character's sign
+    on the different.
+
+    It is the jet product of the per-place `rtf_constants.edge_place_jet`.
+    """
+    eps = eta_on_different(eta, profile)
+    t0, t1, t2 = jet_product(
+        edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p))) for p, k in rho.active()
+    )
+    return eps * t0, eps * t1, eps * t2
+
+
+def residue_value_half_one(
+    rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
+) -> float:
+    """The closed-form product over active places at the point (1/2, 1)."""
+    return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in rho.active())
+
+
+def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
+    """The scalar a(rho) entering the order -1 spectral edge constant.
+
+    It combines epsilon(0) times the value at (1/2, 1) with the second
+    derivative at z = 0 of D**(-z) times the residue place factors, taken
+    with the trivial character's signs, whose epsilon is identically 1
+    over Q.
+    """
+    value = residue_value_half_one(rho, ctx.eta.sign_at)
+    residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in rho.active()]
+    twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]
+    eps0 = epsilon_of_minus_z(0.0, ctx.dirichlet)
+    return _residual_combination(ctx, eps0 * value, twisted_d2)
+
+
+def edge_constants_by_enumeration(n: LevelIdeal, ctx: EtaContext) -> dict[int, float]:
+    """The four spectral edge constants as explicit sums over every choice
+    assignment, built from the per-assignment functions: the independent
+    route to `rtf_constants.spectral_edge_constant`."""
+    d_half = ctx.profile.discriminant_abs**-0.5
+    weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
+    e = ctx.edge
+    terms = {2: [], 1: [], 0: [], -1: []}
+    for rho in enumerate_rho(n):
+        empty = 1.0 if rho.is_empty() else 0.0
+        section = flat_section_at_identity(rho, ctx.eta.sign_at) + empty
+        t0, t1, t2 = edge_product_taylor(rho, ctx.eta, ctx.profile)
+        terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
+        terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
+        terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
+        trivial_section = flat_section_at_identity(rho, lambda p: 1) + empty
+        terms[-1].append(weight * trivial_section * residual_term_constant(rho, ctx))
+    return {order: math.fsum(t) for order, t in terms.items()}

@@ -11,13 +11,14 @@ evaluating that formula on jets with the jet rules of :mod:`lfunctions`
 (``exp_jet`` for every power of q, ``jet_reciprocal``, ``jet_product``); the
 factor functions themselves are the independent route, compared with the
 jets by finite differences in the check suite and the tests.  Sums over
-choice assignments are taken as products over places of per-place sums.
+choice assignments are taken as products over places of per-place sums; the
+enumeration of every assignment, their independent route, is in
+:mod:`rtflab.oracles`.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -27,7 +28,7 @@ from .characters import (
     QuadraticCharacterProfile,
     adelic_gauss_sum,
 )
-from .errors import CapExceededError, PoleError, RamifiedOverlapError
+from .errors import PoleError, RamifiedOverlapError
 from .fields import (
     FieldProfile,
     FinitePlace,
@@ -115,39 +116,11 @@ class RhoAssignment:
         return not self.active()
 
 
-def enumerate_rho(n: LevelIdeal, cap: int = 100_000) -> list[RhoAssignment]:
-    """All choice assignments over the support of n; size prod(e_v + 1)."""
-    total = 1
-    for _, e in n.factors:
-        total *= e + 1
-    if total > cap:
-        raise CapExceededError(
-            f"assignment enumeration would produce {total} > cap {cap}"
-        )
-    places = [p for p, _ in n.factors]
-    ranges = [range(n.ord_at(p) + 1) for p in places]
-    out = []
-    for combo in itertools.product(*ranges):
-        out.append(RhoAssignment(n, tuple(zip(places, combo))))
-    return out
-
-
 def _section_factor(q: int, k: int, s: int) -> float:
     """Per-place factor of the flat section at depth k >= 1."""
     if k == 1:
         return s * math.sqrt(q)
     return (1.0 - 1.0 / q) * s**k * math.sqrt((q + 1.0) / (q - 1.0)) * q ** (k / 2.0)
-
-
-def flat_section_at_identity(
-    rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
-) -> float:
-    """Value at the identity of the normalized flat section attached to rho.
-
-    Depth-one places contribute sign * q**(1/2); depth k >= 2 contributes
-    (1 - 1/q) sign**k ((q+1)/(q-1))**(1/2) q**(k/2).
-    """
-    return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in rho.active())
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +205,6 @@ def edge_place_jet(block: EdgePlaceBlock) -> Jet:
     return tuple(block.leading * c for c in jet)
 
 
-def _blocks_for(rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]) -> list[EdgePlaceBlock]:
-    return [EdgePlaceBlock(p.q, k, sign_at(p)) for p, k in rho.active()]
-
-
 def eta_on_different(
     eta: QuadraticCharacterProfile, profile: FieldProfile
 ) -> int:
@@ -246,22 +215,6 @@ def eta_on_different(
         if place.d > 0:
             out *= eta.sign_at(place) ** place.d
     return out
-
-
-def edge_product_taylor(
-    rho: RhoAssignment,
-    eta: QuadraticCharacterProfile,
-    profile: FieldProfile = RATIONALS,
-) -> tuple[float, float, float]:
-    """Taylor coefficients (orders 0, 1, 2) at the edge point of the product of
-    edge place factors over the active places, scaled by the character's sign
-    on the different.
-
-    It is the jet product of the per-place :func:`edge_place_jet`.
-    """
-    eps = eta_on_different(eta, profile)
-    t0, t1, t2 = jet_product(edge_place_jet(b) for b in _blocks_for(rho, eta.sign_at))
-    return eps * t0, eps * t1, eps * t2
 
 
 # ---------------------------------------------------------------------------
@@ -299,31 +252,9 @@ def residue_place_jet(block: EdgePlaceBlock) -> Jet:
     return tuple(scale * a for a in jet)
 
 
-def residue_product(z: complex, rho: RhoAssignment, profile: FieldProfile) -> complex:
-    """D**(-z) times the product of residue place factors over the active places."""
-    blocks = _blocks_for(rho, lambda p: 1)
-    out = profile.discriminant_abs ** (-complex(z))
-    for b in blocks:
-        out *= residue_place_factor(z, b)
-    return out
-
-
 def _discriminant_jet(profile: FieldProfile) -> Jet:
     """D**(-z) at z = 0."""
     return exp_jet(-math.log(profile.discriminant_abs), 0.0)
-
-
-def _residue_product_jet(rho: RhoAssignment, profile: FieldProfile) -> Jet:
-    blocks = _blocks_for(rho, lambda p: 1)
-    return jet_product([_discriminant_jet(profile), *map(residue_place_jet, blocks)])
-
-
-def residue_product_d1_at_0(rho: RhoAssignment, profile: FieldProfile) -> float:
-    return _residue_product_jet(rho, profile)[1]
-
-
-def residue_product_d2_at_0(rho: RhoAssignment, profile: FieldProfile) -> float:
-    return 2.0 * _residue_product_jet(rho, profile)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +321,7 @@ def eta_context(
 
 
 # ---------------------------------------------------------------------------
-# residual specializations and the residual term constant
-
-
-@dataclass(frozen=True)
-class ResidueSpecializations:
-    """The four scalars of the residual constant at a choice assignment."""
-
-    value_half_one: float  # the closed product at (1/2, 1) with the character's signs
-    twisted_zero: complex  # epsilon(0) times the above
-    twisted_d1: float | None  # derivatives at 0 of the trivial-character twist
-    twisted_d2: float | None
+# the residual term constant
 
 
 def _value_factor(q: int, k: int, s: int) -> float:
@@ -417,24 +338,6 @@ def _value_factor(q: int, k: int, s: int) -> float:
     )
 
 
-def residue_value_half_one(
-    rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
-) -> float:
-    """The closed-form product over active places at the point (1/2, 1)."""
-    return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in rho.active())
-
-
-def residue_specializations(rho: RhoAssignment, ctx: EtaContext) -> ResidueSpecializations:
-    value = residue_value_half_one(rho, ctx.eta.sign_at)
-    eps0 = epsilon_of_minus_z(0.0, ctx.dirichlet)
-    twisted_zero = eps0 * value
-    # Derivatives are consumed only through the trivial-character twist, whose
-    # epsilon is identically 1 over Q.
-    twisted_d1 = residue_product_d1_at_0(rho, ctx.profile)
-    twisted_d2 = residue_product_d2_at_0(rho, ctx.profile)
-    return ResidueSpecializations(value, twisted_zero, twisted_d1, twisted_d2)
-
-
 def _residual_combination(ctx: EtaContext, twisted_zero: complex, twisted_d2: float) -> float:
     """The residual term constant as a function of the twisted value and the
     twisted second derivative; it is linear in both."""
@@ -447,12 +350,6 @@ def _residual_combination(ctx: EtaContext, twisted_zero: complex, twisted_d2: fl
             + b0 * ctx.laurent_trivial.c0**2
         )
     return (twisted_zero * ctx.laurent_eta.c0**2).real
-
-
-def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
-    """The scalar a(rho) entering the order -1 spectral edge constant."""
-    spec = residue_specializations(rho, ctx)
-    return _residual_combination(ctx, spec.twisted_zero, spec.twisted_d2)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +365,8 @@ def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
     the residual term constants.  Orders 2..0 enter the moment identity only
     for an everywhere-unramified character, but are defined for any context.
     Every sum over assignments is taken as a product over places
-    (:func:`assignment_sum`); :func:`enumerate_rho` with the per-assignment
-    functions is the independent route the tests compare against.
+    (:func:`assignment_sum`); `oracles.edge_constants_by_enumeration`, one
+    term per assignment, is the independent route.
     """
     if order not in (2, 1, 0, -1):
         raise ValueError("order must be one of 2, 1, 0, -1")

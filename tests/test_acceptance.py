@@ -26,11 +26,7 @@ from rtflab.checks import run_all_checks, xi_matches_brute_force
 from rtflab.cli import main as cli_main
 from rtflab.empirical import inverse_cdf_sample, sample_from_rows, write_sample_csv
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.lfunctions import (
-    central_series_function,
-    edge_coefficients,
-    laurent_at_1_two_widths,
-)
+from rtflab.lfunctions import edge_coefficients
 from rtflab.local_factors import (
     HigherConductor,
     LocalRepresentation,
@@ -47,6 +43,12 @@ from rtflab.measures import (
     sato_tate,
 )
 from rtflab import rtf_constants as rtf
+from rtflab.oracles import (
+    central_series_function,
+    edge_product_taylor,
+    enumerate_rho,
+    laurent_at_1_two_widths,
+)
 from rtflab.special import (
     EULER_GAMMA,
     abs_gamma_iy_sq_inv,
@@ -143,7 +145,7 @@ def test_criterion_04_derivative_suite():
     eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): 1, P(5): -1})
     worst_taylor = 0.0
     for spec in ({2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
-        for rho in rtf.enumerate_rho(L(spec)):
+        for rho in enumerate_rho(L(spec)):
             if not 1 <= len(rho.active()) <= 3:
                 continue
             blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in rho.active()]
@@ -156,7 +158,7 @@ def test_criterion_04_derivative_suite():
 
             xs = np.linspace(-0.04, 0.04, 13)
             fit = np.polyfit(xs, [prod(-1.0 + x) for x in xs], 6)[::-1]
-            t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
+            t0, t1, t2 = edge_product_taylor(rho, eta)
             scale = max(1.0, abs(t0), abs(t1), abs(t2))
             worst_taylor = max(
                 worst_taylor,

@@ -16,20 +16,14 @@ from rtflab.characters import (
     DirichletCharacter,
     QuadraticCharacterProfile,
     adelic_gauss_sum,
-    brute_force_character_table,
-    brute_force_conductor,
-    brute_force_is_even,
-    brute_force_phase_tables,
     character_census,
     census_proof_bound,
     enumerate_character_group,
     enumerate_xi,
-    eta_tilde,
     gauss_sum,
     gauss_sums_for_modulus,
     is_admissible_level,
     l_one,
-    l_one_completed,
     parity_vector,
     primitive_axes,
     unit_group,
@@ -37,6 +31,8 @@ from rtflab.characters import (
 from rtflab.cli import main
 from rtflab.errors import RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS, parse_factored_level
+from rtflab.lfunctions import completed_l
+from rtflab.oracles import brute_force_phase_tables, conductor_by_divisor_test
 
 P = RATIONALS.place_for_prime
 
@@ -47,6 +43,19 @@ def L(spec):
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def unit_phases(chi: DirichletCharacter) -> dict[int, int]:
+    """The integer phases of chi at the units mod its modulus, by residue."""
+    return {a: k for a, k in enumerate(chi.phases().tolist()) if k >= 0}
+
+
+def brute_even_primitive_count(c: int) -> int:
+    """Even primitive characters mod c among the subgroup-extension rows:
+    phase 0 at the column of c - 1, and conductor c by the divisor test."""
+    N, units, phases = brute_force_phase_tables(c)
+    rows = [dict(zip(units, row)) for row in phases.tolist()]
+    return sum(1 for phase in rows if phase[c - 1] == 0 and conductor_by_divisor_test(c, phase) == c)
 
 
 def direct_gauss_sum(chi: DirichletCharacter) -> complex:
@@ -113,7 +122,7 @@ class TestConductor:
     @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 9, 12, 15, 16, 21, 24, 27, 32, 40, 72, 120])
     def test_analytic_matches_divisor_test(self, m):
         for chi in enumerate_character_group(m):
-            assert chi.conductor() == chi.conductor_by_divisor_test()
+            assert chi.conductor() == conductor_by_divisor_test(m, unit_phases(chi))
 
     def test_primitive_reduction(self):
         for m in (12, 45, 40):
@@ -212,20 +221,12 @@ class TestXiCensus:
         # Brute-force oracle: all even primitive characters mod p plus trivial.
         for p in (5, 7, 11, 13):
             xs = enumerate_xi(L({p: 2}))
-            brute = 1
-            for table in brute_force_character_table(p):
-                if brute_force_is_even(table, p) and brute_force_conductor(table, p) == p:
-                    brute += 1
-            assert len(xs) == brute
+            assert len(xs) == 1 + brute_even_primitive_count(p)
 
     def test_level_16(self):
         # conductors c with c^2 | 16: 1, 2, 4 -> even primitive mod 4: none
         xs = enumerate_xi(L({2: 4}))
-        brute = 0
-        for c in (1, 2, 4):
-            for table in brute_force_character_table(c):
-                if brute_force_is_even(table, c) and brute_force_conductor(table, c) == c:
-                    brute += 1
+        brute = sum(brute_even_primitive_count(c) for c in (1, 2, 4))
         assert len(xs) == brute == 1
 
     def test_census_examples(self):
@@ -234,12 +235,7 @@ class TestXiCensus:
         # The only nontrivial character mod 3 is odd, so the census at 9 stays 1
         # (value frozen from the brute-force oracle).
         assert character_census(L({3: 2})) == 1
-        brute = 1 + sum(
-            1
-            for t in brute_force_character_table(3)
-            if brute_force_is_even(t, 3) and brute_force_conductor(t, 3) == 3
-        )
-        assert character_census(L({3: 2})) == brute
+        assert character_census(L({3: 2})) == 1 + brute_even_primitive_count(3)
 
     def test_census_bound(self):
         for m in range(1, 60):
@@ -370,30 +366,32 @@ class TestLOne:
             l_one(DirichletCharacter.trivial(1))
 
     def test_completed_accessor(self):
+        # (m/pi)**(1/2) Gamma(1/2) = sqrt(m): the completed L at 1 is sqrt(m) L(1)
         chi5 = DirichletCharacter.quadratic(5)
-        assert l_one_completed(chi5) == pytest.approx(math.sqrt(5.0) * float(l_one(chi5)), abs=1e-12)
+        completed = completed_l(1.0, chi5).real
+        assert completed == pytest.approx(math.sqrt(5.0) * float(l_one(chi5)), abs=1e-12)
 
 
 class TestQuadraticProfile:
     def test_eta_tilde_unit(self):
         eta = QuadraticCharacterProfile.from_signs({P(3): -1})
-        assert eta_tilde(eta, LevelIdeal.unit()) == 1
+        assert eta.value_on_ideal(LevelIdeal.unit()) == 1
 
     def test_eta_tilde_square(self):
         eta = QuadraticCharacterProfile.from_signs({P(3): -1})
-        assert eta_tilde(eta, L({3: 2})) == 1
-        assert eta_tilde(eta, L({3: 1})) == -1
+        assert eta.value_on_ideal(L({3: 2})) == 1
+        assert eta.value_on_ideal(L({3: 1})) == -1
 
     def test_eta_tilde_multiplicative(self):
         eta = QuadraticCharacterProfile.from_signs({P(3): -1, P(7): -1, P(11): 1})
         n1, n2 = L({3: 1, 7: 2}), L({11: 3})
-        assert eta_tilde(eta, n1 * n2) == eta_tilde(eta, n1) * eta_tilde(eta, n2)
+        assert eta.value_on_ideal(n1 * n2) == eta.value_on_ideal(n1) * eta.value_on_ideal(n2)
 
     def test_ramified_overlap_raises(self):
         chi5 = DirichletCharacter.quadratic(5)
         eta = QuadraticCharacterProfile.from_dirichlet(chi5)
         with pytest.raises(RamifiedOverlapError):
-            eta_tilde(eta, L({5: 1}))
+            eta.value_on_ideal(L({5: 1}))
 
     def test_signs_from_dirichlet(self):
         eta = QuadraticCharacterProfile.from_dirichlet(DirichletCharacter.quadratic(5))
@@ -432,14 +430,14 @@ class TestAdmissibleLevels:
 class TestBruteForceOracle:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 16, 21, 36])
     def test_counts_and_multiplicativity(self, m):
-        tables = brute_force_character_table(m)
+        N, units, phases = brute_force_phase_tables(m)
         phi = max(1, sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)) if m > 1 else 1
-        assert len(tables) == phi
-        for table in tables:
-            residues = list(table)
-            for a in residues[:6]:
-                for b in residues[:6]:
-                    assert (table[a] + table[b]) % 1 == table[a * b % m if m > 1 else 0]
+        assert len(phases) == N == phi
+        column = {a: i for i, a in enumerate(units)}
+        for row in phases.tolist():
+            for a in units[:6]:
+                for b in units[:6]:
+                    assert (row[column[a]] + row[column[b]]) % N == row[column[a * b % m]]
 
     def test_matches_structured_enumeration(self):
         for m in (5, 8, 12, 45):
@@ -448,9 +446,11 @@ class TestBruteForceOracle:
                 structured.add(
                     tuple(sorted((a, chi.phase(a)) for a in range(1, m + 1) if math.gcd(a, m) == 1))
                 )
-            brute = set()
-            for table in brute_force_character_table(m):
-                brute.add(tuple(sorted(table.items())))
+            N, units, phases = brute_force_phase_tables(m)
+            brute = {
+                tuple(sorted((a, Fraction(k, N)) for a, k in zip(units, row)))
+                for row in phases.tolist()
+            }
             assert structured == brute
 
 
@@ -526,14 +526,16 @@ class TestIntegerPhases:
         N, units, phases = brute_force_phase_tables(m)
         assert N == unit_group(m).size
         assert phases.dtype == np.int64
-        view = brute_force_character_table(m)
-        assert view == [{a: Fraction(k, N) for a, k in zip(units, row)} for row in phases.tolist()]
+        chars = enumerate_character_group(m)
         # the integer oracle spans the same group as the structured route
         structured = {
             tuple(int(chi.phases()[a]) * (N // unit_group(m).exponent) for a in units)
-            for chi in enumerate_character_group(m)
+            for chi in chars
         }
         assert structured == set(map(tuple, phases.tolist()))
+        # read as exact phases k / N, the rows are the structured `phase` values
+        exact = {tuple(chi.phase(a) for a in units) for chi in chars}
+        assert exact == {tuple(Fraction(k, N) for k in row) for row in phases.tolist()}
 
     def test_single_residue_path_builds_no_table(self):
         # parity and conductor at a census-sized modulus read single logs only

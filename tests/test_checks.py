@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rtflab import characters, chunked, lfunctions, measures, rtf_constants
+from rtflab import characters, chunked, lfunctions, measures, oracles, rtf_constants
 from rtflab.characters import DirichletCharacter, unit_group
 from rtflab.checks import (
-    _xi_matches,
     check_characters,
     check_rtf_constants,
     run_all_checks,
@@ -25,7 +24,7 @@ class TestCrashIsolation:
         def boom(m):
             raise RuntimeError(f"oracle unavailable at m={m}")
 
-        monkeypatch.setattr(characters, "brute_force_phase_tables", boom)
+        monkeypatch.setattr(oracles, "brute_force_phase_tables", boom)
         results = run_all_checks()
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.passed]
@@ -140,7 +139,7 @@ class TestCrashIsolation:
         def boom(m):
             raise RuntimeError("oracle unavailable")
 
-        monkeypatch.setattr(characters, "brute_force_phase_tables", boom)
+        monkeypatch.setattr(oracles, "brute_force_phase_tables", boom)
         by_name = {r.name: r for r in check_characters(None, census_limit=12, gauss_limit=5)}
         assert not by_name["characters.xi_vs_bruteforce"].passed
         assert by_name["characters.census_bound"].passed
@@ -150,7 +149,8 @@ class TestCrashIsolation:
         def boom(*args, **kwargs):
             raise ValueError("broken")
 
-        for name in ("brute_force_phase_tables", "gauss_sums_for_modulus", "enumerate_xi", "l_one"):
+        monkeypatch.setattr(oracles, "brute_force_phase_tables", boom)
+        for name in ("gauss_sums_for_modulus", "enumerate_xi", "l_one"):
             monkeypatch.setattr(characters, name, boom)
         monkeypatch.setattr(characters.QuadraticCharacterProfile, "from_signs", boom)
         results = check_characters(None, census_limit=5, gauss_limit=5)
@@ -205,9 +205,9 @@ class TestCensusOracleSensitivity:
 
     def test_character_listed_twice(self):
         xs = characters.enumerate_xi(LevelIdeal.from_integer(144))
-        assert _xi_matches(12, xs)
-        assert not _xi_matches(12, xs + xs[:1])
-        assert not _xi_matches(12, xs[1:])
+        assert xi_matches_brute_force(12, xs)
+        assert not xi_matches_brute_force(12, xs + xs[:1])
+        assert not xi_matches_brute_force(12, xs[1:])
 
 
 class TestEdgeSumSensitivity:

@@ -100,6 +100,28 @@ class TestConstants:
         assert code == 3
         assert json.loads(err)["error"] == "numerical"
 
+    @pytest.mark.parametrize(
+        "argv, place",
+        [
+            (["--n", "2", "--s-primes", "2"], "p2"),
+            (["--n", "3*5^2", "--s-primes", "7,5"], "p5"),
+            (["--n", "4", "--eta", "quad:5", "--s-primes", "5"], "p5"),
+        ],
+        ids=["level", "level-second-prime", "eta-conductor"],
+    )
+    def test_s_meeting_level_or_conductor_exits_3(self, capsys, argv, place):
+        code, out, err = run(capsys, "constants", *argv)
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "RamifiedOverlapError"
+        assert place in doc["message"]
+
+    def test_s_disjoint_from_level_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "constants", "--n", "2", "--eta", "quad:5", "--s-primes", "3,7")
+        assert code == 0
+        assert len(json.loads(out)["upsilon_samples"]) == 2
+
 
 class TestCharacters:
     def test_census_csv(self, capsys):
@@ -538,7 +560,7 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
-watched = ("numpy", "rtflab.checks", "rtflab.empirical")
+watched = ("numpy", "rtflab.checks", "rtflab.empirical", "rtflab.oracles")
 print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), file=sys.stderr)
 """
 
@@ -564,8 +586,10 @@ class TestImportHygiene:
             ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "8"],
             ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "20000"],
             ["characters", "--n", "25"],
+            ["mass", "--measure", "mu_p", "--p", "3"],
+            ["weights", "--rep", "special", "--sign", "1", "--k", "1"],
         ],
-        ids=["version", "constants", "measure", "measure-forked", "characters"],
+        ids=["version", "constants", "measure", "measure-forked", "characters", "mass", "weights"],
     )
     def test_subcommand_loads_no_numpy_checks_or_empirical(self, argv):
         code, loaded, forks = loaded_after(*argv)
@@ -580,4 +604,5 @@ class TestImportHygiene:
         code, loaded, forks = loaded_after("check")
         assert code == 0
         assert "rtflab.checks" in loaded
+        assert "rtflab.oracles" in loaded
         assert forks == chunked.chunk_count(6, 1) - 1  # six check groups

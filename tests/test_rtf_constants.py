@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from rtflab.characters import DirichletCharacter, QuadraticCharacterProfile
-from rtflab.checks import edge_constants_by_enumeration
 from rtflab.errors import CapExceededError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.lfunctions import completed_l
+from rtflab.lfunctions import completed_l, jet_product
+from rtflab import oracles
 from rtflab import rtf_constants as rtf
 from rtflab.special import EULER_GAMMA
 
@@ -125,36 +125,36 @@ class TestMeanSquareConstant:
 
 class TestRhoEnumeration:
     def test_unit_ideal(self):
-        rhos = rtf.enumerate_rho(LevelIdeal.unit())
+        rhos = oracles.enumerate_rho(LevelIdeal.unit())
         assert len(rhos) == 1
         assert rhos[0].is_empty()
 
     def test_counts(self):
-        assert len(rtf.enumerate_rho(L({2: 2}))) == 3
-        assert len(rtf.enumerate_rho(L({2: 1, 3: 2}))) == 6
+        assert len(oracles.enumerate_rho(L({2: 2}))) == 3
+        assert len(oracles.enumerate_rho(L({2: 1, 3: 2}))) == 6
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            rtf.enumerate_rho(L({2: 9, 3: 9, 5: 9}), cap=100)
+            oracles.enumerate_rho(L({2: 9, 3: 9, 5: 9}), cap=100)
 
     def test_choices_bounded(self):
-        for rho in rtf.enumerate_rho(L({2: 3})):
+        for rho in oracles.enumerate_rho(L({2: 3})):
             for place, j in rho.choices:
                 assert 0 <= j <= 3
 
 
 class TestFlatSection:
     def test_empty(self):
-        rho = rtf.enumerate_rho(LevelIdeal.unit())[0]
-        assert rtf.flat_section_at_identity(rho, lambda p: 1) == 1.0
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
+        assert oracles.flat_section_at_identity(rho, lambda p: 1) == 1.0
 
     def test_depth_one_minus(self):
-        rho = [r for r in rtf.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
-        assert rtf.flat_section_at_identity(rho, lambda p: -1) == pytest.approx(-math.sqrt(2.0))
+        rho = [r for r in oracles.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
+        assert oracles.flat_section_at_identity(rho, lambda p: -1) == pytest.approx(-math.sqrt(2.0))
 
     def test_depth_two_plus(self):
-        rho = [r for r in rtf.enumerate_rho(L({3: 2})) if r.choice_at(P(3)) == 2][0]
-        got = rtf.flat_section_at_identity(rho, lambda p: 1)
+        rho = [r for r in oracles.enumerate_rho(L({3: 2})) if r.choice_at(P(3)) == 2][0]
+        got = oracles.flat_section_at_identity(rho, lambda p: 1)
         assert got == pytest.approx(2.0 * math.sqrt(2.0))
 
 
@@ -192,13 +192,13 @@ class TestEdgePlaceFactor:
 
 class TestEdgeProductTaylor:
     def test_empty_assignment(self, ctx_trivial):
-        rho = rtf.enumerate_rho(LevelIdeal.unit())[0]
-        assert rtf.edge_product_taylor(rho, ctx_trivial.eta) == (1.0, 0.0, 0.0)
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
+        assert oracles.edge_product_taylor(rho, ctx_trivial.eta) == (1.0, 0.0, 0.0)
 
     def test_single_place_first_order(self):
         eta = QuadraticCharacterProfile.from_signs({P(2): 1})
-        rho = [r for r in rtf.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
-        t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
+        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
+        t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
         block = rtf.EdgePlaceBlock(2, 2, 1)
         assert t1 == pytest.approx(rtf.edge_place_jet(block)[1], abs=1e-12)
 
@@ -214,7 +214,7 @@ class TestEdgeProductTaylor:
         eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): 1, P(5): -1})
         for spec in ({2: 1, 3: 1}, {2: 2, 3: 1, 5: 1}, {2: 1, 3: 2, 5: 3}):
             n = L(spec)
-            for rho in rtf.enumerate_rho(n):
+            for rho in oracles.enumerate_rho(n):
                 if not 1 <= len(rho.active()) <= 3:
                     continue
                 blocks = [
@@ -227,7 +227,7 @@ class TestEdgeProductTaylor:
                         acc *= rtf.edge_place_factor(nu, b).real
                     return acc
 
-                t0, t1, t2 = rtf.edge_product_taylor(rho, eta)
+                t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
                 fit = taylor_by_polyfit(f, -1.0)
                 scale = max(1.0, abs(t0), abs(t1), abs(t2))
                 assert abs(t0 - fit[0]) <= 1e-6 * scale
@@ -237,12 +237,12 @@ class TestEdgeProductTaylor:
 
 class TestResidueFactors:
     def test_value_half_one_trivial_vanishes(self):
-        rho = [r for r in rtf.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
-        assert rtf.residue_value_half_one(rho, lambda p: 1) == 0.0
+        rho = [r for r in oracles.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
+        assert oracles.residue_value_half_one(rho, lambda p: 1) == 0.0
 
     def test_value_half_one_minus_sign(self):
-        rho = [r for r in rtf.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
-        got = rtf.residue_value_half_one(rho, lambda p: -1)
+        rho = [r for r in oracles.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
+        got = oracles.residue_value_half_one(rho, lambda p: -1)
         expected = (-2.0) * 2.0**-0.5 / (1.0 - 0.5)
         assert got == pytest.approx(expected, abs=1e-14)
 
@@ -263,21 +263,27 @@ class TestResidueFactors:
             assert abs(rtf.residue_place_factor(0.0, rtf.EdgePlaceBlock(q, k, 1))) <= 1e-15
 
     def test_product_derivatives_product_rule(self):
-        rho = [r for r in rtf.enumerate_rho(L({2: 1, 3: 2})) if len(r.active()) == 2][-1]
-        f = lambda z: rtf.residue_product(z, rho, RATIONALS).real
+        # The jet product of the per-place jets against finite differences of
+        # the product of the factors (D**(-z) = 1 over Q).
+        rho = [r for r in oracles.enumerate_rho(L({2: 1, 3: 2})) if len(r.active()) == 2][-1]
+        blocks = [rtf.EdgePlaceBlock(p.q, k, 1) for p, k in rho.active()]
+        f = lambda z: math.prod(rtf.residue_place_factor(z, b) for b in blocks).real
         h = 1e-4
         fd1 = (f(h) - f(-h)) / (2.0 * h)
         fd2 = (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
-        assert rtf.residue_product_d1_at_0(rho, RATIONALS) == pytest.approx(fd1, abs=1e-6)
-        assert rtf.residue_product_d2_at_0(rho, RATIONALS) == pytest.approx(fd2, abs=1e-5)
+        _, d1, half_d2 = jet_product(rtf.residue_place_jet(b) for b in blocks)
+        assert d1 == pytest.approx(fd1, abs=1e-6)
+        assert 2.0 * half_d2 == pytest.approx(fd2, abs=1e-5)
 
     def test_specializations_empty_assignment(self, ctx_trivial):
-        rho = rtf.enumerate_rho(LevelIdeal.unit())[0]
-        spec = rtf.residue_specializations(rho, ctx_trivial)
-        assert spec.value_half_one == 1.0
-        assert spec.twisted_zero == 1.0 + 0.0j  # epsilon(0, trivial) = 1
-        assert spec.twisted_d1 == pytest.approx(0.0, abs=1e-15)  # log D = 0 over Q
-        assert spec.twisted_d2 == pytest.approx(0.0, abs=1e-15)
+        # The empty product has value 1 and no z-dependence over Q (log D = 0),
+        # and epsilon(0) = 1 for the trivial character, so a(rho) reduces to
+        # the Laurent data: -2 r c1 + c0**2.
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
+        assert oracles.residue_value_half_one(rho, lambda p: 1) == 1.0
+        lau = ctx_trivial.laurent_trivial
+        expected = -2.0 * lau.residue * lau.c1 + lau.c0**2
+        assert oracles.residual_term_constant(rho, ctx_trivial) == pytest.approx(expected, abs=1e-15)
 
 
 class TestSpectralEdgeConstants:
@@ -352,7 +358,7 @@ class TestFactorizedEdgeConstants:
     def test_matches_assignment_enumeration(self, contexts, eta, spec):
         n = L(spec)
         ctx = contexts[eta]
-        expected = edge_constants_by_enumeration(n, ctx)
+        expected = oracles.edge_constants_by_enumeration(n, ctx)
         for order in (2, 1, 0, -1):
             y = expected[order]
             got = rtf.spectral_edge_constant(n, ctx, order)
@@ -424,7 +430,7 @@ class TestOrbitConstant:
 
 class TestIntertwiningRatio:
     def test_empty_assignment_zeta_ratio(self):
-        rho = rtf.enumerate_rho(LevelIdeal.unit())[0]
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         nu = 0.3
         got = rtf.intertwining_ratio(None, rho, nu)
         em = zeta_euler_maclaurin(1.3) / zeta_euler_maclaurin(0.7)
@@ -434,11 +440,11 @@ class TestIntertwiningRatio:
         assert abs(euler - zeta_euler_maclaurin(1.3)) / zeta_euler_maclaurin(1.3) <= 0.05
 
     def test_value_at_zero_is_one(self):
-        rho = rtf.enumerate_rho(L({2: 2}))[2]
+        rho = oracles.enumerate_rho(L({2: 2}))[2]
         assert rtf.intertwining_ratio(None, rho, 0.0) == pytest.approx(1.0)
 
     def test_involution(self):
-        rho = rtf.enumerate_rho(L({2: 2, 3: 1}))[4]
+        rho = oracles.enumerate_rho(L({2: 2, 3: 1}))[4]
         for chi in (None, CHI5):
             for nu in (0.3, 0.2 + 0.5j):
                 prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(
@@ -448,20 +454,20 @@ class TestIntertwiningRatio:
 
     def test_power_factor(self):
         # one active place of depth k contributes q**(-k nu)
-        rho = [r for r in rtf.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
+        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
         nu = 0.4
         with_places = rtf.intertwining_ratio(None, rho, nu)
-        empty = rtf.intertwining_ratio(None, rtf.enumerate_rho(LevelIdeal.unit())[0], nu)
+        empty = rtf.intertwining_ratio(None, oracles.enumerate_rho(LevelIdeal.unit())[0], nu)
         assert with_places.real == pytest.approx(empty.real * 2.0 ** (-2 * nu), rel=1e-12)
 
     def test_ramified_overlap(self):
-        rho = [r for r in rtf.enumerate_rho(L({5: 1})) if not r.is_empty()][0]
+        rho = [r for r in oracles.enumerate_rho(L({5: 1})) if not r.is_empty()][0]
         with pytest.raises(RamifiedOverlapError):
             rtf.intertwining_ratio(CHI5, rho, 0.3)
 
     def test_denominator_zero_signaled(self):
         # 1 - nu = -2 is a trivial zero of zeta
-        rho = rtf.enumerate_rho(LevelIdeal.unit())[0]
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         with pytest.raises(PoleError):
             rtf.intertwining_ratio(None, rho, 3.0)
 
