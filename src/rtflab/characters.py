@@ -5,18 +5,22 @@ unit group modulo m (CRT components; primitive roots at odd prime powers,
 {-1, 5} at 2-powers).  Every character value is carried as an exact integer
 phase k modulo the group exponent L (the lcm of the generator orders), with
 chi(a) = exp(2 pi i k / L), the encoding of Conrey labels.  Primitivity,
-parity and conductor tests are integer comparisons; `phase` converts to a
-`Fraction` at its boundary and floating complex values appear only in the
-value accessors.
+parity and conductor tests are integer comparisons, and floating complex
+values appear only in the value accessors.
 
 The characters mod m form the grid of exponent vectors over the generators,
-which is also the discrete-log grid of the units.  Per-modulus work runs on
-that grid: primitivity is an outer AND of one mask per generator axis
-(`primitive_axes`), parity is one integer vector (`parity_vector`), the
-census lists the even primitive rows of each conductor straight from those
-(`enumerate_xi`), and the Gauss sums of every character mod m are one
-inverse FFT of the additive kernel laid out on the grid
-(`gauss_sums_for_modulus`).
+which is also the discrete-log grid of the units.  `unit_group` walks that
+grid once, in lexicographic exponent order, and every other grid in this
+module is that walk: `enumerate_character_group` lists the same exponent
+vectors and `gauss_sums_for_modulus` reshapes the same residues.  One rule
+gives the conductor exponent of each component (`axis_conductor_exponents`);
+`DirichletCharacter.conductor` takes its maximum per prime and
+`primitive_axes` reads one primitivity mask per axis off it, so primitivity
+on the grid is an outer AND of those masks.  Parity is one integer vector
+(`parity_vector`), the census lists the even primitive rows of each
+conductor straight from those (`enumerate_xi`), and the Gauss sums of every
+character mod m are one inverse FFT of the additive kernel laid out on the
+grid.
 
 The independent routes the check suite and the tests compare with these
 (the subgroup-extension enumerator, the divisor-test conductor) are in
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -40,10 +43,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the array functions only (`_phase_logs`, `phases`,
-# `phase_matrix`, `gauss_sums_for_modulus`; `l_one` reads `phases`), so the
-# scalar paths load without it.  The grid helpers `primitive_axes` and
-# `parity_vector` are plain integers, so `enumerate_xi` (and
-# `rtflab characters`) runs without numpy too.
+# `phase_matrix`, `gauss_sums_for_modulus`), so the scalar paths, `l_one`
+# among them, load without it.  The grid helpers `axis_conductor_exponents`,
+# `primitive_axes` and `parity_vector` are plain integers, so `enumerate_xi`
+# (and `rtflab characters`) runs without numpy too.
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,8 @@ class _UnitGroup:
     and its role: "odd" (primitive root at an odd prime power), "m4" (the
     order-2 generator mod 4), "neg"/"five" (the pair at 2-powers >= 8).
     ``exponent`` is the lcm of the orders, the modulus of integer phases.
+    ``log_table`` maps each unit prod g_i**x_i to x, its keys in
+    lexicographic order of x.
     """
 
     modulus: int
@@ -89,8 +94,6 @@ class _UnitGroup:
 def unit_group(m: int) -> _UnitGroup:
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m == 1:
-        return _UnitGroup(1, (), (), {0: ()}, ())
     components: list[tuple[int, list[int], list[int], list[tuple[int, int, str]]]] = []
     for p, e in factorize(m):
         q = p**e
@@ -119,23 +122,15 @@ def unit_group(m: int) -> _UnitGroup:
             gens.append(x)
             orders.append(n)
             meta.append(mt)
-    # Discrete logs by joint enumeration of all exponent tuples.
-    table: dict[int, tuple[int, ...]] = {}
-    exps = [0] * len(gens)
-    values = [1] * (len(gens) + 1)
-
-    def rec(i: int, acc: int) -> None:
-        if i == len(gens):
-            table[acc] = tuple(exps)
-            return
-        x = acc
-        for e in range(orders[i]):
-            exps[i] = e
-            rec(i + 1, x)
-            x = x * gens[i] % m
-        exps[i] = 0
-
-    rec(0, 1)
+    # The discrete-log grid: residues axis by axis with running products, in
+    # lexicographic exponent order (the first axis varies slowest).
+    residues = [1 % m]
+    for gen, n in zip(gens, orders):
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * gen % m)
+        residues = [r * x % m for r in residues for x in powers]
+    table = dict(zip(residues, product(*map(range, orders))))
     return _UnitGroup(
         m, tuple(gens), tuple(orders), table, tuple(meta), math.lcm(1, *orders)
     )
@@ -202,13 +197,19 @@ class DirichletCharacter:
         """A primitive real character mod m, preferring the even one.
 
         Unique for odd or fundamental-discriminant moduli; at m = 8 both
-        parities exist and the even one is returned.
+        parities exist and the even one is returned.  Only the primitive
+        exponents with 2e ≡ 0 (mod n) on each axis are walked, in
+        lexicographic order; the first even character of order 2 wins, else
+        the first of order 2.
         """
-        candidates = [
-            chi
-            for chi in enumerate_character_group(m)
-            if chi.order() == 2 and chi.is_primitive()
-        ]
+        axes = primitive_axes(m)
+        candidates = []
+        if axes is not None:
+            real = [
+                [e for e, ok in enumerate(axis) if ok and 2 * e % n == 0]
+                for n, axis in zip(unit_group(m).orders, axes)
+            ]
+            candidates = [chi for chi in (cls(m, e) for e in product(*real)) if chi.order() == 2]
         for chi in candidates:
             if chi.is_even():
                 return chi
@@ -246,13 +247,6 @@ class DirichletCharacter:
         L = unit_group(self.modulus).exponent
         return np.where(units, logs @ np.array(self.exponents, dtype=np.int64) % L, -1)
 
-    def phase(self, a: int) -> Fraction | None:
-        """Exact phase r with chi(a) = e^{2 pi i r}; None when gcd(a, m) > 1."""
-        k = self.phase_index(a)
-        if k is None:
-            return None
-        return Fraction(k, unit_group(self.modulus).exponent)
-
     def value(self, a: int) -> complex:
         k = self.phase_index(a)
         if k is None:
@@ -277,47 +271,16 @@ class DirichletCharacter:
         return self.order() <= 2
 
     def conductor(self) -> int:
-        """Conductor from the component orders (exact, no value scan).
+        """prod p**f_p, f_p the largest `axis_conductor_exponents` entry of
+        this character's exponents on the axes at p (exact, no value scan).
 
-        At an odd prime power the conductor exponent is v_p(order) + 1 for a
-        nontrivial component; at 2-powers the pair {-1, 5} contributes 2 or
-        v_2(order on 5) + 2.  Cross-checked against
-        `oracles.conductor_by_divisor_test`; `primitive_axes` (below) is its
-        per-axis form on the whole grid.
+        Cross-checked against `oracles.conductor_by_divisor_test`.
         """
-        g = unit_group(self.modulus)
-        if self.modulus == 1:
-            return 1
+        meta = unit_group(self.modulus).meta
         by_prime: dict[int, int] = {}
-        two_neg_odd = False
-        two_five_exp = 0
-        for e, n, (p, a, kind) in zip(self.exponents, g.orders, g.meta):
-            if kind == "odd":
-                if e % n == 0:
-                    continue
-                d = n // math.gcd(e, n)
-                t = 0
-                while d % p == 0:
-                    d //= p
-                    t += 1
-                by_prime[p] = max(by_prime.get(p, 0), t + 1)
-            elif kind == "m4":
-                if e % 2 == 1:
-                    by_prime[2] = max(by_prime.get(2, 0), 2)
-            elif kind == "neg":
-                two_neg_odd = e % 2 == 1
-            elif kind == "five":
-                if e % n != 0:
-                    d = n // math.gcd(e, n)
-                    two_five_exp = d.bit_length() + 1  # v_2(d) + 2 for d a 2-power
-        if two_five_exp:
-            by_prime[2] = max(by_prime.get(2, 0), two_five_exp)
-        elif two_neg_odd:
-            by_prime[2] = max(by_prime.get(2, 0), 2)
-        out = 1
-        for p, f in by_prime.items():
-            out *= p**f
-        return out
+        for e, axis, (p, _, _) in zip(self.exponents, axis_conductor_exponents(self.modulus), meta):
+            by_prime[p] = max(by_prime.get(p, 0), axis[e])
+        return math.prod(p**f for p, f in by_prime.items())
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
@@ -366,29 +329,52 @@ class DirichletCharacter:
 
 
 @lru_cache(maxsize=4096)
+def axis_conductor_exponents(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per generator axis of `unit_group(m)`, the conductor exponent at the
+    axis's prime p of the component g_i -> e(e_i / n_i), for every e_i.
+
+    The one conductor rule: a component of order d = n / gcd(e, n) has
+    exponent 0 when d = 1 and v_p(d) + 1 otherwise, except on the "five"
+    axis at 2**a (a >= 3), where it is v_2(d) + 2.  So for e != 0 an odd
+    p**a gives a - min(v_p(e), a - 1), the "m4" and "neg" axes give 2 and
+    "five" gives a - v_2(e) >= 3.  A character's conductor exponent at p is
+    the largest over p's axes (`DirichletCharacter.conductor`), so a
+    nontrivial "five" component decides it over "neg".
+    """
+    g = unit_group(m)
+    out = []
+    for n, (p, _, kind) in zip(g.orders, g.meta):
+        axis = []
+        for e in range(n):
+            d = n // math.gcd(e, n)
+            f = 0
+            if d > 1:
+                f = 2 if kind == "five" else 1
+                while d % p == 0:
+                    d //= p
+                    f += 1
+            axis.append(f)
+        out.append(tuple(axis))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
 def primitive_axes(m: int) -> tuple[tuple[bool, ...], ...] | None:
     """Per generator axis of `unit_group(m)`, the exponents that keep chi primitive.
 
     chi_e mod m is primitive exactly when every axis allows its e_i, so the
-    primitive characters are the outer AND of these masks.  This is the
-    per-axis form of `DirichletCharacter.conductor`: at an odd p**a the
-    component keeps conductor exponent a when p does not divide e (a >= 2)
-    or e != 0 (a = 1); the "m4" and "five" axes need e odd, and the "neg"
-    axis allows every value once "five" is odd.  None when m ≡ 2 (mod 4),
-    which has no primitive character.
+    primitive characters are the outer AND of these masks.  An axis at p**a
+    allows the e_i of conductor exponent a (`axis_conductor_exponents`),
+    except the "neg" axis, which allows every value: "five" already reaches
+    a.  None when m ≡ 2 (mod 4), which has no primitive character.
     """
     if m % 4 == 2:
         return None
-    g = unit_group(m)
-    axes = []
-    for n, (p, a, kind) in zip(g.orders, g.meta):
-        if kind == "odd":
-            axes.append(tuple(e % p != 0 if a >= 2 else e != 0 for e in range(n)))
-        elif kind == "neg":
-            axes.append((True,) * n)
-        else:  # "m4", "five"
-            axes.append(tuple(e % 2 == 1 for e in range(n)))
-    return tuple(axes)
+    meta = unit_group(m).meta
+    return tuple(
+        tuple(kind == "neg" or f == a for f in axis)
+        for axis, (_, a, kind) in zip(axis_conductor_exponents(m), meta)
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -415,21 +401,7 @@ def phase_matrix(m: int, exponents: np.ndarray, residues: np.ndarray) -> np.ndar
 
 def enumerate_character_group(m: int) -> list[DirichletCharacter]:
     """Every character modulo m, in lexicographic exponent order."""
-    g = unit_group(m)
-    chars = []
-    exps = [0] * len(g.orders)
-
-    def rec(i: int) -> None:
-        if i == len(g.orders):
-            chars.append(DirichletCharacter(m, tuple(exps)))
-            return
-        for e in range(g.orders[i]):
-            exps[i] = e
-            rec(i + 1)
-        exps[i] = 0
-
-    rec(0)
-    return chars
+    return [DirichletCharacter(m, e) for e in product(*map(range, unit_group(m).orders))]
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +466,9 @@ def gauss_sums_for_modulus(m: int) -> list[tuple[tuple[int, ...], complex]]:
         return []
     g = unit_group(m)
     primitive = np.ones((), dtype=bool)
-    residues = np.ones((), dtype=np.int64)
-    for gen, n, axis in zip(g.generators, g.orders, axes):
+    for axis in axes:
         primitive = primitive[..., None] & np.array(axis)
-        residues = residues[..., None] * np.array([pow(gen, x, m) for x in range(n)]) % m
+    residues = np.fromiter(g.log_table, dtype=np.int64, count=g.size).reshape(g.orders)
     kernel = np.exp(2j * np.pi * residues / m)
     taus = (np.fft.ifftn(kernel) * kernel.size)[primitive]
     rows = np.argwhere(primitive).tolist()
@@ -555,8 +526,9 @@ def l_one(chi: DirichletCharacter) -> float | complex:
     m = chi.modulus
     L = unit_group(m).exponent
     acc = 0.0 + 0.0j
-    for a, k in enumerate(chi.phases().tolist()):
-        if k < 0:
+    for a in range(m):
+        k = chi.phase_index(a)
+        if k is None:
             continue
         acc += _unit_root(k, L) * complex(digamma(a / m))
     acc = -acc / m

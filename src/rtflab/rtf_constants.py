@@ -470,11 +470,15 @@ def unipotent_orbit_constant(
 def kernel_normalization(
     n: LevelIdeal, s_places: Iterable[Place], profile: FieldProfile = RATIONALS
 ) -> float:
-    """(-1)**|S| D**(-1/2) [K : K0(n)]**(-1); S must avoid the level support."""
+    """(-1)**|S| D**(-1/2) [K : K0(n)]**(-1).
+
+    S must avoid the level support; `RamifiedOverlapError` otherwise, the
+    error `rtflab constants` reports for the same S.
+    """
     s_list = list(s_places)
     finite = {p for p in s_list if isinstance(p, FinitePlace)}
     if finite & set(n.support()):
-        raise ValueError("S must be disjoint from the support of the level")
+        raise RamifiedOverlapError("S must be disjoint from the support of the level")
     return (-1.0) ** len(s_list) * profile.discriminant_abs**-0.5 / float(index_k0(n))
 
 

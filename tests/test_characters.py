@@ -4,8 +4,8 @@ import importlib.util
 import json
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,18 @@ class TestUnitGroup:
         assert g.size == phi
         assert len(g.log_table) == phi if m > 1 else 1
 
+    @pytest.mark.parametrize("m", [1, 2, 8, 45, 56, 100, 171_072])
+    def test_log_table_in_lexicographic_grid_order(self, m):
+        # one walk of the discrete-log grid, first axis slowest, each unit
+        # keyed by prod g_i**x_i
+        g = unit_group(m)
+        assert list(g.log_table.values()) == list(product(*map(range, g.orders)))
+        for a, logs in g.log_table.items():
+            value = 1 % m
+            for gen, e in zip(g.generators, logs):
+                value = value * pow(gen, e, m) % m
+            assert value == a
+
     def test_log_table_consistency(self):
         g = unit_group(45)
         for a, logs in g.log_table.items():
@@ -130,16 +142,57 @@ class TestConductor:
                 prim = chi.primitive_character()
                 assert prim.modulus == chi.conductor()
                 assert prim.is_primitive()
-                # agreement on residues coprime to the big modulus
+                # agreement on residues coprime to the big modulus: equal
+                # phases k / L and k' / L', compared cross-multiplied
+                L, Lp = unit_group(m).exponent, unit_group(prim.modulus).exponent
                 for a in range(1, m + 1):
                     if math.gcd(a, m) == 1:
-                        assert chi.phase(a) == prim.phase(a)
+                        assert chi.phase_index(a) * Lp == prim.phase_index(a) * L
 
     def test_parity_multiplicative(self):
         for m in (5, 8, 12):
             for chi in enumerate_character_group(m):
                 v = chi.value(m - 1 if m > 2 else 1)
                 assert abs(v - (1.0 if chi.is_even() else -1.0)) < 1e-12
+
+
+def quadratic_by_filter(m: int) -> DirichletCharacter | None:
+    """`DirichletCharacter.quadratic` by its definition: every character mod
+    m of order 2 that the divisor test finds primitive, in lexicographic
+    order; the first even one, else the first; None when there is none."""
+    real = [
+        chi
+        for chi in enumerate_character_group(m)
+        if chi.order() == 2 and conductor_by_divisor_test(m, unit_phases(chi)) == m
+    ]
+    return next((chi for chi in real if chi.is_even()), real[0] if real else None)
+
+
+class TestConductorRule:
+    """`conductor()` and the `primitive_axes` masks share one per-axis rule
+    (`axis_conductor_exponents`), so each is pinned to the divisor-test
+    conductor, which reads only character values, rather than to the other."""
+
+    def test_conductor_and_masks_match_divisor_test_up_to_100(self):
+        for m in range(1, 101):
+            axes = primitive_axes(m)
+            for chi in enumerate_character_group(m):
+                f = conductor_by_divisor_test(m, unit_phases(chi))
+                assert chi.conductor() == f, (m, chi.exponents)
+                masked = axes is not None and all(axis[e] for axis, e in zip(axes, chi.exponents))
+                assert masked == (f == m), (m, chi.exponents)
+
+    def test_quadratic_matches_enumerate_and_filter(self):
+        found = 0
+        for m in range(1, 400):
+            expected = quadratic_by_filter(m)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    DirichletCharacter.quadratic(m)
+                continue
+            assert DirichletCharacter.quadratic(m) == expected, m
+            found += 1
+        assert found > 100
 
 
 class TestGaussSums:
@@ -441,16 +494,13 @@ class TestBruteForceOracle:
 
     def test_matches_structured_enumeration(self):
         for m in (5, 8, 12, 45):
+            N, units, phases = brute_force_phase_tables(m)
+            # integer phases mod L scaled to mod N (L divides N = phi(m))
+            scale = N // unit_group(m).exponent
             structured = set()
             for chi in enumerate_character_group(m):
-                structured.add(
-                    tuple(sorted((a, chi.phase(a)) for a in range(1, m + 1) if math.gcd(a, m) == 1))
-                )
-            N, units, phases = brute_force_phase_tables(m)
-            brute = {
-                tuple(sorted((a, Fraction(k, N)) for a, k in zip(units, row)))
-                for row in phases.tolist()
-            }
+                structured.add(tuple(sorted((a, chi.phase_index(a) * scale) for a in units)))
+            brute = {tuple(sorted(zip(units, row))) for row in phases.tolist()}
             assert structured == brute
 
 
@@ -500,7 +550,8 @@ def test_matrix_oracle_equals_dict_oracle():
 
 
 class TestIntegerPhases:
-    """Every value accessor agrees with the exact boundary accessor `phase`."""
+    """Every value accessor agrees with the single-residue integer phase
+    `phase_index`."""
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 9, 16, 32, 45, 120, 200])
     def test_representations_agree(self, m):
@@ -509,16 +560,15 @@ class TestIntegerPhases:
             phases = chi.phases()
             assert phases.shape == (m,)
             for a in range(m):
-                exact = chi.phase(a)
+                exact = chi.phase_index(a)
                 k = int(phases[a])
                 if exact is None:
                     assert k == -1
-                    assert chi.phase_index(a) is None
+                    assert math.gcd(a, m) != 1
                     assert chi.value(a) == 0
                     continue
                 assert 0 <= k < L
-                assert chi.phase_index(a) == k
-                assert Fraction(k, L) == exact
+                assert k == exact
                 assert abs(chi.value(a) - cmath.exp(2j * math.pi * k / L)) <= 1e-15
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 9, 16, 32, 45, 120, 200])
@@ -533,9 +583,11 @@ class TestIntegerPhases:
             for chi in chars
         }
         assert structured == set(map(tuple, phases.tolist()))
-        # read as exact phases k / N, the rows are the structured `phase` values
-        exact = {tuple(chi.phase(a) for a in units) for chi in chars}
-        assert exact == {tuple(Fraction(k, N) for k in row) for row in phases.tolist()}
+        # read as exact phases k / N, the rows are the single-residue phases
+        # k' / L of `phase_index` (compared cross-multiplied, k L == k' N)
+        L = unit_group(m).exponent
+        exact = {tuple(chi.phase_index(a) * N for a in units) for chi in chars}
+        assert exact == {tuple(k * L for k in row) for row in phases.tolist()}
 
     def test_single_residue_path_builds_no_table(self):
         # parity and conductor at a census-sized modulus read single logs only
@@ -543,7 +595,7 @@ class TestIntegerPhases:
         g = unit_group(m)
         chi = DirichletCharacter(m, tuple(1 for _ in g.orders))
         built = _phase_logs.cache_info().currsize
-        assert chi.phase_index(m - 1) == chi.phase(m - 1) * g.exponent
+        assert chi.phase_index(m - 1) == sum(e * s for e, s in zip(chi.exponents, parity_vector(m))) % g.exponent
         assert chi.phase_index(m + 1) == 0
         assert chi.phase_index(2) is None
         chi.is_even()

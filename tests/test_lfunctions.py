@@ -235,14 +235,18 @@ class TestUnsupportedCharacters:
 
 class TestHotPath:
     def test_constants_do_not_use_the_stencil(self, monkeypatch, capsys):
-        from rtflab import cli, oracles
+        import mpmath
+
+        from rtflab import cli
         from rtflab.rtf_constants import eta_context
 
         def boom(*args, **kwargs):
             raise RuntimeError("stencil route reached from the constants path")
 
-        monkeypatch.setattr(oracles, "extract_series", boom)
-        monkeypatch.setattr(oracles, "central_series_function", boom)
+        # The Vandermonde solves of `oracles.extract_series` are the only
+        # mpmath.lu_solve calls, so this reaches the stencil however it is
+        # imported.
+        monkeypatch.setattr(mpmath, "lu_solve", boom)
         ctx = eta_context(DirichletCharacter.quadratic(13))
         assert ctx.edge.c_zero > 0.0
         assert cli.main(["constants", "--n", "2^2*3", "--eta", "quad:5"]) == 0

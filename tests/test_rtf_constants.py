@@ -486,6 +486,11 @@ class TestKernelNormalization:
         with pytest.raises(ValueError):
             rtf.kernel_normalization(L({2: 1}), [ARCH, P(2)])
 
+    def test_overlap_is_ramified_overlap_error(self):
+        # the same condition `rtflab constants` reports (exit 3)
+        with pytest.raises(RamifiedOverlapError):
+            rtf.kernel_normalization(L({2: 1, 3: 1}), [ARCH, P(3)])
+
 
 class TestPredictedMomentAverage:
     def test_zero_function(self):
