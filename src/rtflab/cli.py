@@ -268,20 +268,22 @@ def _cmd_compare(args) -> int:
     from .empirical import compare_report, read_sample_csv
 
     density = _density_from_args(args)
-    text = Path(args.sample).read_text(encoding="utf-8")
-    # Observations against the per-place spectral density live in its window,
-    # not in the eigenvalue interval.
-    sample, rejected = read_sample_csv(text, density.lo, density.hi)
+    # The parser reads the file line by line, so its text is never held whole.
+    with open(args.sample, encoding="utf-8", newline=None) as stream:
+        # Observations against the per-place spectral density live in its
+        # window, not in the eigenvalue interval.
+        sample, rejected = read_sample_csv(stream, density.lo, density.hi)
     if len(sample) == 0:
         raise _CliError("the sample is empty after ingest validation")
-    qs = np.unique(sample.place_q).tolist()
-    if len(qs) > 1:
+    q = int(sample.place_q.min())
+    if q != sample.place_q.max():
         raise _CliError(
-            f"sample mixes place_q values {qs}; compare one group at a time"
+            f"sample mixes place_q values {np.unique(sample.place_q).tolist()}; "
+            "compare one group at a time"
         )
-    if args.measure in ("mu_p", "lambda") and qs[0] != args.p:
+    if args.measure in ("mu_p", "lambda") and q != args.p:
         raise _CliError(
-            f"sample is grouped at place_q={qs[0]} but --p {args.p} was requested"
+            f"sample is grouped at place_q={q} but --p {args.p} was requested"
         )
     intervals = []
     if args.intervals:

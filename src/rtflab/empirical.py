@@ -15,7 +15,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -69,14 +69,9 @@ def _keep_valid(table: np.ndarray, lo: float, hi: float) -> tuple[EmpiricalSampl
         & np.isfinite(weight)
         & (weight >= 0.0)
     )
-    kept = table[keep]
-    sample = EmpiricalSample(
-        level_norm=kept["level_norm"].copy(),
-        place_q=kept["place_q"].copy(),
-        x=kept["x"].copy(),
-        weight=kept["weight"].copy(),
-    )
-    return sample, int(len(table) - len(kept))
+    # Each column is gathered straight from its field view: one copy per column.
+    sample = EmpiricalSample(**{name: table[name][keep] for name in CSV_COLUMNS})
+    return sample, len(table) - len(sample)
 
 
 def sample_from_rows(
@@ -95,16 +90,22 @@ def sample_from_rows(
 
 
 def read_sample_csv(
-    text: str, lo: float = -2.0, hi: float = 2.0
+    text: str | TextIO, lo: float = -2.0, hi: float = 2.0
 ) -> tuple[EmpiricalSample, int]:
     """Parse CSV with the mandatory header (level_norm, place_q, x, weight).
+
+    ``text`` is the whole CSV as a string, or a text stream positioned at its
+    header.  A stream is parsed line by line as it is read, so the text is
+    never held whole; open a file with ``newline=None`` (the default) so its
+    CR and CRLF line endings read as LF, as they do in a string.
 
     Fields may be quoted and padded with spaces; blank lines are skipped.  A
     row without exactly four fields, or a field that does not parse (an int
     column must hold a plain integer within int64), raises ValueError.  Rows
     that parse but violate the domain bounds are rejected and counted.
     """
-    stream = io.StringIO(text, newline=None)  # universal newlines, as csv reads them
+    # A string gets universal newlines, as csv reads them.
+    stream = io.StringIO(text, newline=None) if isinstance(text, str) else text
     first = stream.readline()
     if not first:
         raise ValueError("empty CSV: the header row is mandatory")
@@ -199,16 +200,24 @@ def ks_distance(sample: EmpiricalSample, density: Density, grid: int = 2048) -> 
 
 
 def _ks_distance(sample: EmpiricalSample, interp: CdfInterpolator) -> float:
+    """Largest gap between the theoretical CDF at each sorted point and the
+    empirical CDF just after it (cum[i]) or just before it (cum[i - 1], 0 at
+    the first point).  The gaps are formed in place: besides the sample, at
+    most four sample-length arrays (order, sorted x, cum, theo) are alive."""
     order = np.argsort(sample.x, kind="stable")
-    xs = sample.x[order]
-    ws = sample.weight[order]
-    total = float(np.sum(ws))
+    cum = sample.weight[order]
+    total = float(np.sum(cum))
     if total <= 0.0:
         raise ValueError("total sample weight must be positive")
-    cum = np.cumsum(ws) / total
-    theo = np.asarray(interp(xs))
-    below = np.concatenate([[0.0], cum[:-1]])
-    return float(np.max(np.maximum(np.abs(cum - theo), np.abs(below - theo))))
+    np.cumsum(cum, out=cum)
+    cum /= total
+    theo = np.asarray(interp(sample.x[order]))
+    del order
+    before = cum[:-1] - theo[1:]
+    np.abs(before, out=before)
+    np.subtract(cum, theo, out=cum)
+    np.abs(cum, out=cum)
+    return float(np.max([np.max(cum), np.max(before, initial=abs(theo[0]))]))
 
 
 def interval_report(

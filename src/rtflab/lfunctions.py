@@ -35,6 +35,10 @@ from .errors import PoleError
 from .fields import factorize
 
 _DPS = 30
+# The Stieltjes constant gamma_1 to 50 digits.  mpmath's stieltjes(1) agrees
+# to 1e-45 (a test pins it) but computes it by quadrature on its first call
+# in each process.
+_STIELTJES_GAMMA1 = "-0.072815845483676724860586375874901319137736338334338"
 
 
 def _chi_values_mp(chi: DirichletCharacter) -> list:
@@ -255,7 +259,7 @@ def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
         if _is_trivial(xi):
             a = (mp.digamma(mp.mpf(0.5)) - mp.log(mp.pi)) / 2
             b = mp.psi(1, mp.mpf(0.5)) / 4
-            c1 = -mp.stieltjes(1) + a * mp.euler + (a * a + b) / 2
+            c1 = -mp.mpf(_STIELTJES_GAMMA1) + a * mp.euler + (a * a + b) / 2
             return LaurentData(residue=1.0, c0=float(mp.euler + a), c1=float(c1))
         m = xi.modulus
         signs = [

@@ -170,8 +170,9 @@ class TestCompare:
         assert len(doc["intervals"]) == 2
 
     def test_missing_file_exits_2(self, capsys):
-        code, _, err = run(capsys, "compare", "--sample", "/nonexistent.csv", "--measure", "mu_ST")
-        assert code == 2
+        code, out, err = run(capsys, "compare", "--sample", "/nonexistent.csv", "--measure", "mu_ST")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
 
 
 class TestProfileAndUsage:
@@ -287,7 +288,7 @@ class TestCompareGrouping:
             capsys, "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2"
         )
         assert code == 2
-        assert "mixes place_q" in json.loads(err)["message"]
+        assert "mixes place_q values [2, 3]" in json.loads(err)["message"]
 
     def test_wrong_group_rejected(self, capsys, tmp_path):
         sample, _ = sample_from_rows([(1, 3, 0.5, 1.0)])
@@ -520,6 +521,53 @@ class TestCompareMalformedRows:
         assert code == 0
         doc = json.loads(out)
         assert (doc["rows"], doc["rejected_rows"], doc["total_weight"]) == (2, 3, 3.0)
+
+
+class TestCompareFileIngest:
+    """`compare` streams the file through open(newline=None); line endings,
+    a missing final newline and undecodable bytes behave as they did when
+    the file was read whole (a missing file: TestCompare)."""
+
+    ROWS = ("level_norm,place_q,x,weight", "11,2,0.5,1.0", "13,2,-1.25,0.5", "17,2,1.75,2.0")
+
+    def compare(self, capsys, path):
+        return run(capsys, "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "\r\n".join(ROWS) + "\r\n",
+            "\r".join(ROWS) + "\r",
+            "\n".join(ROWS),
+            "\r\n".join(ROWS),
+        ],
+        ids=["crlf", "cr-only", "no-final-newline", "crlf-no-final-newline"],
+    )
+    def test_line_endings_match_lf(self, capsys, tmp_path, data):
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(("\n".join(self.ROWS) + "\n").encode())
+        code, want, _ = self.compare(capsys, lf)
+        assert code == 0 and json.loads(want)["rows"] == 3
+        path = tmp_path / "sample.csv"
+        path.write_bytes(data.encode())
+        assert self.compare(capsys, path) == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"level_norm,place_q,x,weight\n",
+            b"level_norm,place_q,x,weight\n11,2,0.5,1.0\n1\xff,2,0.5,1.0\n",
+            b"level_norm,place_q,x,weight\n" + b"11,2,0.5,1.0\n" * 20_000 + b"\xfe,2,0.5,1.0\n",
+            b"level_\xffnorm,place_q,x,weight\n11,2,0.5,1.0\n",
+        ],
+        ids=["header-only", "invalid-utf8", "invalid-utf8-past-first-block", "invalid-utf8-header"],
+    )
+    def test_unusable_file_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "sample.csv"
+        path.write_bytes(data)
+        code, out, err = self.compare(capsys, path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
 
 
 class TestMeasureAbscissae:

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from rtflab.empirical import (
     read_sample_csv,
     sample_from_rows,
     write_sample_csv,
+    _ks_distance,
 )
 from rtflab.measures import plancherel, sato_tate
 
@@ -207,6 +209,65 @@ class TestIngestEquivalence:
         assert from_rows.level_norm.tobytes() == from_text.level_norm.tobytes()
 
 
+def read_file_as_cli(path, lo=-2.0, hi=2.0):
+    """read_sample_csv on the open file, as `rtflab compare` calls it."""
+    with open(path, encoding="utf-8", newline=None) as stream:
+        return read_sample_csv(stream, lo, hi)
+
+
+class TestStreamIngest:
+    """A text stream parses exactly like the same text given as a string."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENT_TEXTS))
+    def test_file_matches_string(self, tmp_path, name):
+        text = EQUIVALENT_TEXTS[name]
+        path = tmp_path / "sample.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = read_sample_csv(text)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                read_file_as_cli(path)
+            return
+        sample, rejected = read_file_as_cli(path)
+        assert rejected == expected[1]
+        for column in ("level_norm", "place_q", "x", "weight"):
+            got, want = getattr(sample, column), getattr(expected[0], column)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_ingest_peak_is_about_the_kept_columns_twice(self, tmp_path):
+        # The parsed table and the kept columns are the only sample-sized
+        # allocations: the file text is never held whole, and each column is
+        # gathered once.  Reading the text into a string first costs ~10x.
+        rng = np.random.default_rng(15)
+        n = 200_000
+        path = tmp_path / "sample.csv"
+        path.write_text(
+            write_sample_csv(
+                EmpiricalSample(
+                    rng.integers(1, 10_000, n), np.full(n, 2),
+                    rng.uniform(-2.0, 2.0, n), rng.uniform(0.5, 1.5, n),
+                )
+            ),
+            encoding="utf-8",
+        )
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample, rejected = read_file_as_cli(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        kept = sum(c.nbytes for c in (sample.level_norm, sample.place_q, sample.x, sample.weight))
+        assert (len(sample), rejected, kept) == (n, 0, 32 * n)
+        assert peak <= 3 * kept
+
+
 def csv_writer_oracle(columns) -> str:
     """The serialization through csv.writer, one row at a time."""
     out = io.StringIO()
@@ -331,6 +392,69 @@ class TestKs:
         sample, _ = sample_from_rows([])
         with pytest.raises(ValueError):
             ks_distance(sample, sato_tate())
+
+
+def concatenate_ks_oracle(sample, interp):
+    """The KS formula _ks_distance replaced: the empirical CDF before each
+    point as a concatenated array, both gaps through np.maximum."""
+    order = np.argsort(sample.x, kind="stable")
+    xs = sample.x[order]
+    ws = sample.weight[order]
+    cum = np.cumsum(ws) / float(np.sum(ws))
+    theo = np.asarray(interp(xs))
+    below = np.concatenate([[0.0], cum[:-1]])
+    return float(np.max(np.maximum(np.abs(cum - theo), np.abs(below - theo))))
+
+
+def ks_samples():
+    rng = np.random.default_rng(8)
+    out = {}
+    for n in (2, 3, 17, 1000, 20_000):
+        # quarter-step x values, so most points are tied with others
+        x = rng.integers(-8, 9, n) / 4.0
+        out[f"tied x, {n} rows"] = (x, rng.uniform(0.0, 2.0, n))
+    out["single row"] = (np.array([1.5]), np.array([0.3]))
+    out["single row at the left end"] = (np.array([-2.0]), np.array([1.0]))
+    x = rng.uniform(-2.0, 2.0, 500)
+    weight = rng.uniform(0.5, 1.5, 500)
+    weight[::2] = 0.0
+    weight[np.argsort(x)[:40]] = 0.0  # the leading points carry no weight
+    out["zero-weight rows"] = (x, weight)
+    out["clustered at the right end"] = (rng.uniform(1.9, 2.0, 300), rng.uniform(0.5, 1.5, 300))
+    out["unsorted distinct"] = (rng.permutation(np.linspace(-2.0, 2.0, 999)), np.ones(999))
+    return out
+
+
+KS_SAMPLES = ks_samples()
+
+
+class TestKsInPlace:
+    """_ks_distance equals the concatenate/maximum formula bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(KS_SAMPLES))
+    @pytest.mark.parametrize(
+        "interp",
+        [
+            CdfInterpolator(sato_tate()),
+            CdfInterpolator(plancherel(3, -1)),
+            lambda xs: np.clip((np.asarray(xs) + 2.0) / 4.0, 0.0, 1.0),  # float64, not np.interp
+        ],
+        ids=["semicircle", "plancherel", "linear"],
+    )
+    def test_matches_concatenate_formula(self, name, interp):
+        x, weight = KS_SAMPLES[name]
+        sample = EmpiricalSample(np.ones(len(x), np.int64), np.full(len(x), 2), x.copy(), weight.copy())
+        got = _ks_distance(sample, interp)
+        assert got == concatenate_ks_oracle(sample, interp)
+        assert sample.x.tobytes() == x.tobytes()  # the sample is not written to
+        assert sample.weight.tobytes() == weight.tobytes()
+
+    def test_first_point_gap_counts(self):
+        # One point high in the semicircle: the CDF gap just before it
+        # (|0 - F(1.5)|) is the largest.
+        interp = CdfInterpolator(sato_tate())
+        sample, _ = sample_from_rows([(1, 2, 1.5, 1.0)])
+        assert _ks_distance(sample, interp) == float(interp(1.5)) > 0.5
 
 
 class TestIntervals:

@@ -6,6 +6,7 @@ import pytest
 from rtflab.characters import DirichletCharacter, l_one
 from rtflab.errors import PoleError
 from rtflab.lfunctions import (
+    _STIELTJES_GAMMA1,
     completed_l,
     completed_zeta,
     edge_coefficients,
@@ -90,6 +91,26 @@ class TestLaurent:
         # classical: constant term of the completed zeta at 1 is (gamma - log(4 pi))/2
         data = laurent_at_1(None)
         assert data.c0 == pytest.approx((EULER_GAMMA - math.log(4.0 * math.pi)) / 2.0, abs=1e-11)
+
+    def test_gamma1_literal_matches_mpmath(self):
+        # laurent_at_1 reads the Stieltjes constant gamma_1 from a 50-digit
+        # literal; mpmath computes it by quadrature.
+        with mpmath.workdps(50):
+            gap = abs(mpmath.mpf(_STIELTJES_GAMMA1) - mpmath.stieltjes(1))
+        assert gap < mpmath.mpf("1e-45")
+
+    def test_trivial_c1_does_not_compute_gamma1(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("gamma_1 computed by quadrature")
+
+        monkeypatch.setattr(mpmath, "stieltjes", boom)
+        got = laurent_at_1.__wrapped__(None).c1
+        monkeypatch.undo()
+        with mpmath.workdps(30):
+            a = (mpmath.digamma(mpmath.mpf(0.5)) - mpmath.log(mpmath.pi)) / 2
+            b = mpmath.psi(1, mpmath.mpf(0.5)) / 4
+            want = float(-mpmath.stieltjes(1) + a * mpmath.euler + (a * a + b) / 2)
+        assert got == want
 
     def test_two_widths_agree(self):
         for xi in (None, CHI5, CHI8):
