@@ -27,7 +27,6 @@ _EXPORTS = {
         "GaussSumValue",
         "QuadraticCharacterProfile",
         "adelic_gauss_sum",
-        "character_census",
         "enumerate_character_group",
         "enumerate_xi",
         "gauss_sum",
@@ -38,7 +37,6 @@ _EXPORTS = {
         "HigherConductor",
         "LocalRepresentation",
         "Special",
-        "SpectralPoint",
         "Spherical",
         "adjoint_norm_factor",
         "global_weight",
@@ -59,7 +57,6 @@ _EXPORTS = {
         "pushforward_check",
         "sato_tate",
         "sato_tate_density",
-        "spectral_density_at_point",
         "spectral_pairing",
     ),
     "lfunctions": (

@@ -505,11 +505,6 @@ def enumerate_xi(n: LevelIdeal | int, profile: FieldProfile = RATIONALS) -> list
     return out
 
 
-def character_census(n: LevelIdeal | int, profile: FieldProfile = RATIONALS) -> int:
-    """|Xi(n)| — the number of even characters with conductor squared dividing n."""
-    return len(enumerate_xi(n, profile))
-
-
 def census_proof_bound(n: LevelIdeal) -> float:
     """N(n)**(1/2) times the number of square divisors (class number one)."""
     return math.sqrt(n.norm()) * len(n.square_divisor_conductors())

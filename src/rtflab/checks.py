@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as iproduct
@@ -83,13 +84,13 @@ def _guarded(name: str, measure, tolerance: float, detail: str = "") -> CheckRes
 
 def check_fields(tol: float | None) -> list[CheckResult]:
     def norm_defects() -> int:
-        rng = np.random.default_rng(20240901)
+        rng = random.Random(20240901)
         worst = 0
         for _ in range(50):
-            primes = rng.choice(_PRIMES_TO_97, size=4, replace=False)
-            e = rng.integers(1, 5, size=4)
-            a = _level({int(primes[0]): int(e[0]), int(primes[1]): int(e[1])})
-            b = _level({int(primes[2]): int(e[2]), int(primes[3]): int(e[3])})
+            primes = rng.sample(_PRIMES_TO_97, 4)
+            e = [rng.randint(1, 4) for _ in range(4)]
+            a = _level({primes[0]: e[0], primes[1]: e[1]})
+            b = _level({primes[2]: e[2], primes[3]: e[3]})
             if (a * b).norm() != a.norm() * b.norm():
                 worst += 1
         return worst
@@ -131,14 +132,14 @@ def check_fields(tol: float | None) -> list[CheckResult]:
 
 def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: int = 300) -> list[CheckResult]:
     def eta_tilde_defects() -> int:
-        rng = np.random.default_rng(20240902)
+        rng = random.Random(20240902)
         defects = 0
         for _ in range(50):
-            primes = [int(p) for p in rng.choice(_PRIMES_TO_97, size=4, replace=False)]
-            signs = {_place(p): int(s) for p, s in zip(primes, rng.choice([1, -1], size=4))}
+            primes = rng.sample(_PRIMES_TO_97, 4)
+            signs = {_place(p): rng.choice((1, -1)) for p in primes}
             eta = chars.QuadraticCharacterProfile.from_signs(signs)
-            n1 = _level({primes[0]: int(rng.integers(1, 4)), primes[1]: int(rng.integers(1, 4))})
-            n2 = _level({primes[2]: int(rng.integers(1, 4)), primes[3]: int(rng.integers(1, 4))})
+            n1 = _level({primes[0]: rng.randint(1, 3), primes[1]: rng.randint(1, 3)})
+            n2 = _level({primes[2]: rng.randint(1, 3), primes[3]: rng.randint(1, 3)})
             if eta.value_on_ideal(n1 * n2) != eta.value_on_ideal(n1) * eta.value_on_ideal(n2):
                 defects += 1
         return defects
@@ -271,12 +272,12 @@ def check_local_factors(tol: float | None) -> list[CheckResult]:
         return defects
 
     def sum_product_defect() -> float:
-        rng = np.random.default_rng(20240903)
+        rng = random.Random(20240903)
         worst = 0.0
         for _ in range(200):
-            n_places = int(rng.integers(1, 5))
-            ks = [int(rng.integers(1, 5)) for _ in range(n_places)]
-            arrays = [rng.uniform(-1.0, 1.0, size=k + 1) for k in ks]
+            n_places = rng.randint(1, 4)
+            ks = [rng.randint(1, 4) for _ in range(n_places)]
+            arrays = [[rng.uniform(-1.0, 1.0) for _ in range(k + 1)] for k in ks]
             total = 0.0
             for combo in iproduct(*[range(k + 1) for k in ks]):
                 total += math.prod(arrays[i][j] for i, j in enumerate(combo))

@@ -262,11 +262,24 @@ def _cmd_check(args) -> int:
     return EXIT_OK if doc["passed"] else EXIT_CHECK_FAILED
 
 
+def _parse_intervals(spec: str | None) -> list[tuple[float, float]]:
+    """'a:b,c:d' as float pairs; the error names the first malformed token."""
+    intervals = []
+    for part in spec.split(",") if spec else ():
+        try:
+            a, b = part.split(":")
+            intervals.append((float(a), float(b)))
+        except ValueError:
+            raise _CliError(f"cannot parse --intervals token {part!r} (use a:b)") from None
+    return intervals
+
+
 def _cmd_compare(args) -> int:
     import numpy as np
 
     from .empirical import compare_report, read_sample_csv
 
+    intervals = _parse_intervals(args.intervals)
     density = _density_from_args(args)
     # The parser reads the file line by line, so its text is never held whole.
     with open(args.sample, encoding="utf-8", newline=None) as stream:
@@ -285,11 +298,6 @@ def _cmd_compare(args) -> int:
         raise _CliError(
             f"sample is grouped at place_q={q} but --p {args.p} was requested"
         )
-    intervals = []
-    if args.intervals:
-        for part in args.intervals.split(","):
-            a, b = part.split(":")
-            intervals.append((float(a), float(b)))
     report = compare_report(sample, density, rejected, intervals)
     _write_output(_json_dumps(report), args.out)
     return EXIT_OK

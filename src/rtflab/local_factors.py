@@ -10,7 +10,6 @@ local vectors, and the nonnegative spectral weights they aggregate into.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -267,62 +266,11 @@ def adjoint_norm_factor(conductor: LevelIdeal, l_ad_partial: float) -> float:
     return 2.0 * conductor.norm() / float(index_k0(conductor)) * l_ad_partial
 
 
-# ---------------------------------------------------------------------------
-# spectral points
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A per-place spectral parameter; place=None marks an archimedean slot."""
-
-    value: complex
-    place: FinitePlace | None = None
-
-    def period(self) -> float | None:
-        if self.place is None:
-            return None
-        return 4.0 * math.pi / math.log(self.place.q)
-
-    def reduced(self) -> SpectralPoint:
-        """Imaginary part folded into [0, period) at a finite place."""
-        if self.place is None:
-            return self
-        period = self.period()
-        assert period is not None
-        y = self.value.imag % period
-        return SpectralPoint(complex(self.value.real, y), self.place)
-
-    def in_domain(self, tol: float = 1e-12) -> bool:
-        """Membership in the closed unitary-plus-complementary spectral set."""
-        v = self.value
-        if self.place is None:
-            if abs(v.real) <= tol and v.imag >= -tol:
-                return True
-            return abs(v.imag) <= tol and 0.0 < v.real < 1.0
-        half = 2.0 * math.pi / math.log(self.place.q)
-        v = self.reduced().value
-        if abs(v.real) <= tol and -tol <= v.imag <= half + tol:
-            return True
-        on_branch = abs(v.imag) <= tol or abs(v.imag - half) <= tol
-        return on_branch and 0.0 < v.real < 1.0
-
-    def satake_x(self) -> float:
-        """q**(nu/2) + q**(-nu/2) at a finite place (real on the domain)."""
-        if self.place is None:
-            raise ValueError("satake_x is defined at finite places only")
-        q = self.place.q
-        x = cmath.exp(0.5 * self.value * math.log(q)) + cmath.exp(
-            -0.5 * self.value * math.log(q)
-        )
-        return x.real
-
-
 __all__ = [
     "Spherical",
     "Special",
     "HigherConductor",
     "LocalRepresentation",
-    "SpectralPoint",
     "spherical_in_open_set",
     "satake_ratio",
     "local_l_character",

@@ -221,25 +221,6 @@ def local_spectral_density(y: float, place: Place | None, sign: int = 1) -> floa
     return local_spectral(place, sign)(y)
 
 
-def spectral_density_at_point(point, sign: int = 1) -> float:
-    """Density at a spectral point, zero off the unitary axis.
-
-    The measure is supported on the imaginary axis; points on the
-    complementary-series branches (positive real part) belong to the domain
-    but carry no mass.
-    """
-    from .local_factors import SpectralPoint
-
-    if not isinstance(point, SpectralPoint):
-        raise TypeError("expected a SpectralPoint")
-    if not point.in_domain():
-        raise DomainError(f"{point.value} is outside the spectral domain")
-    reduced = point.reduced()
-    if abs(reduced.value.real) > 1e-12:
-        return 0.0
-    return local_spectral_density(reduced.value.imag, point.place, sign)
-
-
 def local_spectral(place: Place | None, sign: int = 1) -> Density:
     """The per-place spectral density in y on its window; checks sign once."""
     if sign not in (1, -1):

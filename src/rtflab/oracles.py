@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 from typing import Callable, Mapping
 
 import mpmath as mp
@@ -125,28 +126,42 @@ _CHECK_WIDTH = 5e-3
 _STENCIL_LEVELS = 4
 
 
+@cache
+def _stencil_inverse(width: float) -> mp.matrix:
+    """Inverse of the h**2-Vandermonde matrix of the stencil at ``width``.
+
+    The nodes are rounded at working precision, as `extract_series` samples
+    them; the inverse is taken with ten more digits.
+    """
+    with mp.workdps(_DPS):
+        ts = [(mp.mpf(width) / 2**i) ** 2 for i in range(_STENCIL_LEVELS)]
+        v = mp.matrix([[t**j for j in range(_STENCIL_LEVELS)] for t in ts])
+    with mp.workdps(_DPS + 10):
+        return mp.inverse(v)
+
+
 def extract_series(f: Callable, center: float, pole_order: int, width: float) -> list[float]:
     """First ``2 * _STENCIL_LEVELS`` Taylor coefficients of
     h**pole_order * f(center + h).
 
     Symmetric stencils at widths width / 2**i; even and odd parts are fit
-    separately by a Vandermonde solve in h**2.  All arithmetic happens at
-    working precision, so ``f`` may return mpmath values (preferred) or plain
-    complex.
+    separately against the Vandermonde system in h**2, whose inverse depends
+    only on ``width`` and is computed once per width.  All arithmetic happens
+    at working precision, so ``f`` may return mpmath values (preferred) or
+    plain complex.
     """
     levels = _STENCIL_LEVELS
     with mp.workdps(_DPS):
-        evens, odds, ts = [], [], []
+        evens, odds = [], []
         for i in range(levels):
             h = mp.mpf(width) / 2**i
             gp = mp.mpc(f(center + h)) * h**pole_order
             gm = mp.mpc(f(center - h)) * (-h) ** pole_order
             evens.append((gp + gm) / 2)
             odds.append((gp - gm) / (2 * h))
-            ts.append(h * h)
-        v = mp.matrix([[t**j for j in range(levels)] for t in ts])
-        even_coeffs = mp.lu_solve(v, mp.matrix(evens))
-        odd_coeffs = mp.lu_solve(v, mp.matrix(odds))
+        inverse = _stencil_inverse(width)
+        even_coeffs = inverse * mp.matrix(evens)
+        odd_coeffs = inverse * mp.matrix(odds)
         # coefficients a_0, a_1, a_2, ... of g(h)
         return [float(mp.re(c[j])) for j in range(levels) for c in (even_coeffs, odd_coeffs)]
 

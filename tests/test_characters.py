@@ -16,7 +16,6 @@ from rtflab.characters import (
     DirichletCharacter,
     QuadraticCharacterProfile,
     adelic_gauss_sum,
-    character_census,
     census_proof_bound,
     enumerate_character_group,
     enumerate_xi,
@@ -283,17 +282,17 @@ class TestXiCensus:
         assert len(xs) == brute == 1
 
     def test_census_examples(self):
-        assert character_census(LevelIdeal.unit()) == 1
-        assert character_census(L({5: 2})) == 2
+        assert len(enumerate_xi(LevelIdeal.unit())) == 1
+        assert len(enumerate_xi(L({5: 2}))) == 2
         # The only nontrivial character mod 3 is odd, so the census at 9 stays 1
         # (value frozen from the brute-force oracle).
-        assert character_census(L({3: 2})) == 1
-        assert character_census(L({3: 2})) == 1 + brute_even_primitive_count(3)
+        assert len(enumerate_xi(L({3: 2}))) == 1
+        assert len(enumerate_xi(L({3: 2}))) == 1 + brute_even_primitive_count(3)
 
     def test_census_bound(self):
         for m in range(1, 60):
             n = LevelIdeal.from_integer(m * m)
-            assert character_census(n) <= census_proof_bound(n) + 1e-9
+            assert len(enumerate_xi(n)) <= census_proof_bound(n) + 1e-9
 
     def test_even_primitive_only(self):
         for chi in enumerate_xi(L({2: 6, 5: 2})):

@@ -174,6 +174,27 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("token", ["0:1:2", "a:1", "1", ""])
+    def test_bad_interval_token_is_named(self, capsys, tmp_path, token):
+        path = tmp_path / "sample.csv"
+        path.write_text("level_norm,place_q,x,weight\n1,2,0.5,1.0\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2",
+            f"--intervals=-1:0,{token}",
+        )
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert repr(token) in doc["message"]
+
+    def test_bad_intervals_reported_before_the_sample_is_opened(self, capsys):
+        code, out, err = run(
+            capsys, "compare", "--sample", "/nonexistent.csv", "--measure", "mu_ST",
+            "--intervals=0:1:2",
+        )
+        assert (code, out) == (2, "")
+        assert "'0:1:2'" in json.loads(err)["message"]
+
 
 class TestProfileAndUsage:
     def test_corrupt_profile_exits_2(self, capsys, tmp_path):
@@ -608,21 +629,38 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
-watched = ("numpy", "rtflab.checks", "rtflab.empirical", "rtflab.oracles")
+watched = ("numpy", "numpy.random", "rtflab.checks", "rtflab.empirical", "rtflab.oracles")
 print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), file=sys.stderr)
 """
 
 
-def loaded_after(*argv):
+# Every check group called in this one process: `check` runs the groups past
+# the first chunk in forked children, whose imports its parent never sees.
+_LOADED_BY_CHECK_GROUPS = """
+import json, sys
+from rtflab import checks
+groups = (checks.check_fields, checks.check_characters, checks.check_local_factors,
+          checks.check_measures, checks.check_gamma, checks.check_rtf_constants)
+results = [r for group in groups for r in group(None)]
+print(json.dumps([len(results), "numpy.random" in sys.modules]), file=sys.stderr)
+"""
+
+
+def python_child(script, *argv):
+    """Run ``script`` in a fresh interpreter; its last stderr line, as JSON."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, *argv],
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def loaded_after(*argv):
+    return python_child(_LOADED_AFTER, *argv)
 
 
 class TestImportHygiene:
@@ -653,4 +691,18 @@ class TestImportHygiene:
         assert code == 0
         assert "rtflab.checks" in loaded
         assert "rtflab.oracles" in loaded
+        assert "numpy.random" not in loaded
         assert forks == chunked.chunk_count(6, 1) - 1  # six check groups
+
+    def test_compare_loads_no_numpy_random(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("level_norm,place_q,x,weight\n1,2,0.5,1.0\n", encoding="utf-8")
+        code, loaded, forks = loaded_after(
+            "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2", "--intervals=0:1"
+        )
+        assert (code, loaded, forks) == (0, ["numpy", "rtflab.empirical"], 0)
+
+    def test_check_groups_load_no_numpy_random(self):
+        count, random_loaded = python_child(_LOADED_BY_CHECK_GROUPS)
+        assert count == 33
+        assert random_loaded is False

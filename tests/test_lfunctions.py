@@ -3,6 +3,7 @@ import math
 import mpmath
 import pytest
 
+from rtflab import oracles
 from rtflab.characters import DirichletCharacter, l_one
 from rtflab.errors import PoleError
 from rtflab.lfunctions import (
@@ -196,6 +197,22 @@ class TestExtractSeries:
         assert a[0] == pytest.approx(7.0, abs=1e-12)
         assert a[1] == pytest.approx(1.5, abs=1e-11)
 
+    @pytest.mark.parametrize("width", [oracles._STENCIL_WIDTH, oracles._CHECK_WIDTH])
+    def test_cached_inverse_matches_a_fresh_solve(self, width):
+        levels = oracles._STENCIL_LEVELS
+        with mpmath.workdps(oracles._DPS):
+            hs = [mpmath.mpf(width) / 2**i for i in range(levels)]
+            v = mpmath.matrix([[(h * h) ** j for j in range(levels)] for h in hs])
+            # exp's even and odd parts, as `extract_series` samples them
+            for rhs in ([mpmath.cosh(h) for h in hs], [mpmath.sinh(h) / h for h in hs]):
+                fresh = mpmath.lu_solve(v, mpmath.matrix(rhs))
+                cached = oracles._stencil_inverse(width) * mpmath.matrix(rhs)
+                assert all(abs(fresh[j] - cached[j]) <= 1e-25 * abs(fresh[j]) for j in range(levels))
+        # exp's Taylor coefficients at 0 are 1/k!
+        a = extract_series(mpmath.exp, 0.0, 0, width)
+        for k, ak in enumerate(a[:6]):
+            assert ak == pytest.approx(1.0 / math.factorial(k), rel=1e-12, abs=1e-12)
+
 
 class TestEdgeClosedForms:
     def test_trivial_coefficients_against_derivative_closed_forms(self):
@@ -256,19 +273,30 @@ class TestUnsupportedCharacters:
 
 class TestHotPath:
     def test_constants_do_not_use_the_stencil(self, monkeypatch, capsys):
-        import mpmath
-
-        from rtflab import cli
+        from rtflab import cli, oracles
         from rtflab.rtf_constants import eta_context
 
         def boom(*args, **kwargs):
             raise RuntimeError("stencil route reached from the constants path")
 
-        # The Vandermonde solves of `oracles.extract_series` are the only
-        # mpmath.lu_solve calls, so this reaches the stencil however it is
-        # imported.
-        monkeypatch.setattr(mpmath, "lu_solve", boom)
+        # Every stencil fit goes through `oracles.extract_series`, which the
+        # oracles call by its module-level name.
+        monkeypatch.setattr(oracles, "extract_series", boom)
         ctx = eta_context(DirichletCharacter.quadratic(13))
         assert ctx.edge.c_zero > 0.0
         assert cli.main(["constants", "--n", "2^2*3", "--eta", "quad:5"]) == 0
         capsys.readouterr()
+
+    def test_the_patch_reaches_every_stencil_fit(self, monkeypatch):
+        # The test above would pass vacuously if an oracle fitted its
+        # stencils without going through the patched name.
+        from rtflab import oracles
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("stencil reached")
+
+        monkeypatch.setattr(oracles, "extract_series", boom)
+        with pytest.raises(RuntimeError, match="stencil reached"):
+            oracles.laurent_at_1_two_widths(None)
+        with pytest.raises(RuntimeError, match="stencil reached"):
+            oracles.laurent_at_1_two_widths(CHI5)

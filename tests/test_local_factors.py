@@ -14,7 +14,6 @@ from rtflab.local_factors import (
     HigherConductor,
     LocalRepresentation,
     Special,
-    SpectralPoint,
     Spherical,
     adjoint_norm_factor,
     global_weight,
@@ -227,32 +226,6 @@ class TestAdjointNormFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             adjoint_norm_factor(LevelIdeal.unit(), 0.0)
-
-
-class TestSpectralPoint:
-    def test_archimedean_membership(self):
-        assert SpectralPoint(0.5j).in_domain()
-        assert SpectralPoint(0.5 + 0.0j).in_domain()
-        assert not SpectralPoint(1.5 + 0.0j).in_domain()
-        assert not SpectralPoint(-0.5j).in_domain()
-        assert not SpectralPoint(0.3 + 0.2j).in_domain()
-
-    def test_finite_membership_and_reduction(self):
-        place = P(2)
-        period = 4.0 * math.pi / math.log(2.0)
-        half = 2.0 * math.pi / math.log(2.0)
-        assert SpectralPoint(1j * half, place).in_domain()
-        assert SpectralPoint(0.5 + 0.0j, place).in_domain()
-        assert SpectralPoint(0.5 + 1j * half, place).in_domain()
-        assert not SpectralPoint(0.5 + 0.3j, place).in_domain()
-        moved = SpectralPoint(0.7j + 1j * period, place)
-        assert moved.reduced().value == pytest.approx(0.7j, abs=1e-12)
-        assert moved.in_domain()
-
-    def test_satake_x(self):
-        place = P(2)
-        y = math.pi / math.log(2.0)  # x = 2 cos(pi/2) = 0
-        assert SpectralPoint(1j * y, place).satake_x() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestJsonRoundTrip:

@@ -217,32 +217,6 @@ class TestUnboundedDomains:
             integrate(lambda y: 0.0, 0.0, math.inf, 1e-8)
 
 
-class TestSpectralPointDensity:
-    def test_complementary_branch_carries_no_mass(self):
-        from rtflab.local_factors import SpectralPoint
-        from rtflab.measures import spectral_density_at_point
-
-        assert spectral_density_at_point(SpectralPoint(0.5 + 0.0j)) == 0.0
-        place = RATIONALS.place_for_prime(2)
-        assert spectral_density_at_point(SpectralPoint(0.5 + 0.0j, place)) == 0.0
-
-    def test_axis_point_matches_density(self):
-        from rtflab.local_factors import SpectralPoint
-        from rtflab.measures import spectral_density_at_point
-
-        place = RATIONALS.place_for_prime(3)
-        y = 0.7
-        got = spectral_density_at_point(SpectralPoint(1j * y, place), -1)
-        assert got == pytest.approx(local_spectral_density(y, place, -1), abs=1e-15)
-
-    def test_out_of_domain_rejected(self):
-        from rtflab.local_factors import SpectralPoint
-        from rtflab.measures import spectral_density_at_point
-
-        with pytest.raises(DomainError):
-            spectral_density_at_point(SpectralPoint(1.5 + 0.0j))
-
-
 def per_call_plancherel(x, q, sign):
     """The per-prime density with every constant recomputed per call."""
     a = math.sqrt(q) + 1.0 / math.sqrt(q)
