@@ -634,14 +634,13 @@ print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), 
 """
 
 
-# Every check group called in this one process: `check` runs the groups past
-# the first chunk in forked children, whose imports its parent never sees.
+# The whole check suite in this one process: `check` runs the groups past the
+# first chunk in forked children, whose imports its parent never sees.
 _LOADED_BY_CHECK_GROUPS = """
 import json, sys
-from rtflab import checks
-groups = (checks.check_fields, checks.check_characters, checks.check_local_factors,
-          checks.check_measures, checks.check_gamma, checks.check_rtf_constants)
-results = [r for group in groups for r in group(None)]
+from rtflab import checks, chunked
+chunked.chunk_count = lambda items, per_chunk: 1
+results = checks.run_all_checks()
 print(json.dumps([len(results), "numpy.random" in sys.modules]), file=sys.stderr)
 """
 
