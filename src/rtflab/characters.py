@@ -30,6 +30,7 @@ The independent routes the check suite and the tests compare with these
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -71,23 +72,36 @@ class _UnitGroup:
     and its role: "odd" (primitive root at an odd prime power), "m4" (the
     order-2 generator mod 4), "neg"/"five" (the pair at 2-powers >= 8).
     ``exponent`` is the lcm of the orders, the modulus of integer phases.
-    ``log_table`` maps each unit prod g_i**x_i to x, its keys in
-    lexicographic order of x.
+
+    The discrete-log table is two flat int64 arrays.  ``residues`` lists
+    the units prod g_i**x_i in lexicographic order of x (the first axis
+    varies slowest), so the grid index of x is its mixed-radix value over
+    ``orders``.  ``grid_index`` has length m: the grid index of each unit,
+    -1 at the non-units.  `log` decodes the exponent vector of one residue.
     """
 
     modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
-    log_table: Mapping[int, tuple[int, ...]]
+    residues: array
+    grid_index: array
     meta: tuple[tuple[int, int, str], ...] = ()
     exponent: int = 1
 
     @property
     def size(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
+        return len(self.residues)
+
+    def log(self, a: int) -> tuple[int, ...] | None:
+        """The exponent vector x with a = prod g_i**x_i mod m; None off the units."""
+        i = self.grid_index[a % self.modulus]
+        if i < 0:
+            return None
+        x = []
+        for n in reversed(self.orders):
+            i, r = divmod(i, n)
+            x.append(r)
+        return tuple(reversed(x))
 
 
 @lru_cache(maxsize=4096)
@@ -130,9 +144,12 @@ def unit_group(m: int) -> _UnitGroup:
         for _ in range(n - 1):
             powers.append(powers[-1] * gen % m)
         residues = [r * x % m for r in residues for x in powers]
-    table = dict(zip(residues, product(*map(range, orders))))
+    grid_index = array("q", [-1]) * m
+    for i, r in enumerate(residues):
+        grid_index[r] = i
     return _UnitGroup(
-        m, tuple(gens), tuple(orders), table, tuple(meta), math.lcm(1, *orders)
+        m, tuple(gens), tuple(orders), array("q", residues), grid_index, tuple(meta),
+        math.lcm(1, *orders),
     )
 
 
@@ -143,19 +160,19 @@ def _phase_logs(m: int) -> tuple[np.ndarray, np.ndarray]:
     Row a holds x_i * (L / n_i) for a unit a = prod g_i**x_i, so a character
     with exponents e has integer phase (row @ e) % L there; rows of
     non-units are -1.  Also returns the boolean unit mask.  Built on first
-    use only: it costs O(m) memory, which the single-residue path
-    `DirichletCharacter.phase_index` avoids.
+    use only: it costs one int64 per residue and generator, which the
+    single-residue path `DirichletCharacter.phase_index` avoids.
     """
     import numpy as np
 
     g = unit_group(m)
     logs = np.full((m, len(g.orders)), -1, dtype=np.int64)
-    units = np.zeros(m, dtype=bool)
-    scale = np.array([g.exponent // n for n in g.orders], dtype=np.int64)
-    residues = np.fromiter(g.log_table, dtype=np.int64, count=len(g.log_table))
-    x = np.array(list(g.log_table.values()), dtype=np.int64).reshape(len(residues), len(scale))
-    logs[residues] = x * scale
-    units[residues] = True
+    if g.orders:
+        # the exponent vector of grid index i is i in mixed radix over the orders
+        x = np.stack(np.unravel_index(np.arange(g.size), g.orders), axis=1)
+        scale = np.array([g.exponent // n for n in g.orders], dtype=np.int64)
+        logs[np.frombuffer(g.residues, dtype=np.int64)] = x * scale
+    units = np.frombuffer(g.grid_index, dtype=np.int64) >= 0
     logs.flags.writeable = False
     units.flags.writeable = False
     return logs, units
@@ -233,7 +250,7 @@ class DirichletCharacter:
         O(number of generators) at any modulus.
         """
         g = unit_group(self.modulus)
-        logs = g.log_table.get(a % self.modulus)
+        logs = g.log(a)
         if logs is None:
             return None
         L = g.exponent
@@ -384,7 +401,7 @@ def parity_vector(m: int) -> tuple[int, ...]:
     chi_e is even exactly when that phase is 0 (L the group exponent).
     """
     g = unit_group(m)
-    logs = g.log_table[(m - 1) % m]
+    logs = g.log(m - 1)
     return tuple(x * (g.exponent // n) for x, n in zip(logs, g.orders))
 
 
@@ -468,7 +485,7 @@ def gauss_sums_for_modulus(m: int) -> list[tuple[tuple[int, ...], complex]]:
     primitive = np.ones((), dtype=bool)
     for axis in axes:
         primitive = primitive[..., None] & np.array(axis)
-    residues = np.fromiter(g.log_table, dtype=np.int64, count=g.size).reshape(g.orders)
+    residues = np.frombuffer(g.residues, dtype=np.int64).reshape(g.orders)
     kernel = np.exp(2j * np.pi * residues / m)
     taus = (np.fft.ifftn(kernel) * kernel.size)[primitive]
     rows = np.argwhere(primitive).tolist()

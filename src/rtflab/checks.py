@@ -5,6 +5,13 @@ observed defect and a tolerance; the suite passes when every observed defect
 is within tolerance.  A global tolerance override exists so a caller can
 tighten all checks at once (tightening beyond floating point is expected to
 fail, and the failing checks are reported by name).
+
+Each check group imports what it runs, as each CLI subcommand does: the
+analytic modules `lfunctions` and `rtf_constants` (and with them mpmath)
+are imported inside `check_rtf_constants`, and the second routes of
+`oracles` inside `xi_matches_brute_force` and `check_rtf_constants`.  So
+when `run_all_checks` runs its groups in several processes, only the one
+that runs the `rtf` group loads mpmath.
 """
 
 from __future__ import annotations
@@ -19,10 +26,7 @@ from itertools import combinations, product as iproduct
 import numpy as np
 
 from . import characters as chars
-from . import lfunctions as lfn
 from . import measures as meas
-from . import oracles
-from . import rtf_constants as rtf
 from .chunked import map_chunked
 from .fields import RATIONALS, FinitePlace, LevelIdeal
 from .local_factors import (
@@ -197,6 +201,8 @@ def xi_matches_brute_force(m: int, listed: list[chars.DirichletCharacter] | None
     exponent divides N.  The sides are compared as lexsorted matrices, row
     for row, so a character listed twice is a mismatch too.
     """
+    from . import oracles
+
     if listed is None:
         listed = chars.enumerate_xi(LevelIdeal.from_integer(m * m))
     N, units, brute = oracles.brute_force_phase_tables(m)
@@ -407,6 +413,10 @@ def _fd_second(f, x0: float, h: float) -> float:
 
 
 def check_rtf_constants(tol: float | None) -> list[CheckResult]:
+    from . import lfunctions as lfn
+    from . import oracles
+    from . import rtf_constants as rtf
+
     arch = RATIONALS.archimedean_places[0]
 
     @cache

@@ -3,7 +3,8 @@
 Subcommands: measure, mass, weights, constants, characters, check, compare.
 Every subcommand takes --out PATH; --tol FLOAT is read by mass and check,
 --format {csv,json} by weights, and --profile PATH by constants and
-characters.  No subcommand accepts a flag it does not read.
+characters.  No subcommand accepts a flag it does not read, and no float
+flag accepts nan or an infinity.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 numerical
 failure (diagnostic JSON on stderr).  Output is deterministic: fixed
 iteration orders, repr-exact floats, no clocks.
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import RamifiedOverlapError, RtflabError
@@ -38,6 +39,21 @@ EXIT_NUMERICAL = 3
 
 class _CliError(Exception):
     """Usage-level error: bad argument combination or unparsable input."""
+
+
+def _finite(kind: type) -> Callable[[str], float | complex]:
+    """argparse type of a float or complex flag: nan and infinities are usage errors."""
+
+    def parse(text: str) -> float | complex:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+        return value
+
+    return parse
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -64,7 +80,10 @@ def _parse_eta(spec: str | None) -> DirichletCharacter | None:
     if spec is None or spec == "trivial":
         return None
     if spec.startswith("quad:"):
-        m = int(spec.split(":", 1)[1])
+        try:
+            m = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise _CliError(f"cannot parse character spec {spec!r} (use 'trivial' or 'quad:m')") from None
         chi = DirichletCharacter.quadratic(m)
         if not chi.is_even():
             raise _CliError(f"the quadratic character mod {m} is odd; an even one is required")
@@ -101,7 +120,6 @@ def _cmd_measure(args) -> int:
     from .chunked import map_chunked
 
     density = _density_from_args(args)
-    hi = density.hi if math.isfinite(density.hi) else args.ymax
     n = args.grid
     if n < 1:
         raise _CliError("--grid must be at least 1")
@@ -109,13 +127,14 @@ def _cmd_measure(args) -> int:
     # abscissa takes the IEEE steps of the array form lo + span * arange / n,
     # which stays inside the domain, so each point is only clamped onto it
     # (lo + span * n / n may round past hi) before the unchecked kernel.
-    lo, span = density.lo, hi - density.lo
-    top, kernel = density.hi, density.kernel
+    # Every density the CLI builds has a finite domain.
+    lo, hi, kernel = density.lo, density.hi, density.kernel
+    span = hi - lo
     tail = f",{density.tag},{args.p or 0},{args.sign:+d}\n"
 
     def rows(start: int, stop: int) -> str:
         xs = [lo + span * i / n for i in range(start, stop)]
-        return "".join([f"{x!r},{kernel(min(max(x, lo), top))!r}{tail}" for x in xs])
+        return "".join([f"{x!r},{kernel(min(max(x, lo), hi))!r}{tail}" for x in xs])
 
     body = "".join(map_chunked(rows, n + 1, GRID_ROWS_PER_CHUNK))
     _write_output("x_or_y,density,measure_tag,place_q,sign\n" + body, args.out)
@@ -151,7 +170,7 @@ def _cmd_weights(args) -> int:
 
     place = RATIONALS.place_for_prime(args.q)
     if args.rep == "spherical":
-        satake = cmath.exp(1j * args.theta) if args.satake is None else complex(args.satake)
+        satake = cmath.exp(1j * args.theta) if args.satake is None else args.satake
         data = Spherical(satake)
     elif args.rep == "special":
         data = Special(args.chi_sign)
@@ -189,12 +208,12 @@ def _cmd_constants(args) -> int:
         unipotent_orbit_factor,
     )
 
+    s_values = _parse_s_values(args.s_values)
     profile = _load_profile(args.profile)
     n = parse_factored_level(args.n, profile)
     chi = _parse_eta(args.eta)
     ctx = eta_context(chi, profile)
     laurent = ctx.laurent_eta
-    s_values = [float(s) for s in args.s_values.split(",")] if args.s_values else [1.0, 2.0]
     arch = profile.archimedean_places[0]
     s_primes = [int(p) for p in args.s_primes.split(",")] if args.s_primes else []
     places = [arch] + [profile.place_for_prime(p) for p in s_primes]
@@ -227,6 +246,22 @@ def _cmd_constants(args) -> int:
     }
     _write_output(_json_dumps(doc), args.out)
     return EXIT_OK
+
+
+def _parse_s_values(spec: str | None) -> list[float]:
+    """'a,b,...' as finite floats (default 1, 2); the error names the first bad token."""
+    if not spec:
+        return [1.0, 2.0]
+    values = []
+    for part in spec.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise _CliError(f"--s-values takes finite numbers, not {part!r}")
+        values.append(value)
+    return values
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -331,12 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     add_measure_args(p)
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--ymax", type=float, default=10.0, help="cut-off for unbounded domains")
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("mass", help="total mass of a density (JSON)")
     add_out(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite(float), default=1e-10)
     add_measure_args(p)
     p.add_argument("--window", choices=("half", "full"), default="full")
     p.set_defaults(fn=_cmd_mass)
@@ -348,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--sign", type=int, choices=(1, -1), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.0, help="Satake angle for spherical")
-    p.add_argument("--satake", default=None, help="explicit Satake parameter (complex)")
+    p.add_argument("--theta", type=_finite(float), default=0.0, help="Satake angle for spherical")
+    p.add_argument("--satake", type=_finite(complex), default=None,
+                   help="explicit Satake parameter (complex)")
     p.add_argument("--chi-sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--c", type=int, default=2)
     p.set_defaults(fn=_cmd_weights)
@@ -371,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the full invariant suite (JSON report)")
     add_out(p)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite(float), default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("compare", help="empirical sample vs theoretical distribution")

@@ -16,6 +16,12 @@ only `checks` (and the tests) do.
   functions evaluate its term; `edge_constants_by_enumeration` sums them,
   the second route to `rtf_constants.spectral_edge_constant`, which takes
   products over places of per-place sums.
+
+The character oracles need numpy only.  mpmath, `lfunctions` and
+`rtf_constants` are imported inside the analytic functions that use them,
+so the census check (`checks.xi_matches_brute_force`) loads none of the
+three: `rtflab check` loads them only in the process that runs its `rtf`
+group.
 """
 
 from __future__ import annotations
@@ -23,35 +29,19 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-import mpmath as mp
 import numpy as np
 
 from .characters import DirichletCharacter, QuadraticCharacterProfile
 from .errors import CapExceededError
 from .fields import FieldProfile, FinitePlace, LevelIdeal, RATIONALS
-from .lfunctions import (
-    _DPS,
-    LaurentData,
-    _completed_l_mp,
-    _completed_zeta_mp,
-    _is_trivial,
-    epsilon_of_minus_z,
-    jet_product,
-)
-from .rtf_constants import (
-    EdgePlaceBlock,
-    EtaContext,
-    RhoAssignment,
-    _discriminant_jet,
-    _residual_combination,
-    _section_factor,
-    _value_factor,
-    edge_place_jet,
-    eta_on_different,
-    residue_place_jet,
-)
+
+if TYPE_CHECKING:
+    import mpmath as mp
+
+    from .lfunctions import LaurentData
+    from .rtf_constants import EtaContext, RhoAssignment
 
 # ---------------------------------------------------------------------------
 # characters: subgroup extension and the divisor test
@@ -133,6 +123,10 @@ def _stencil_inverse(width: float) -> mp.matrix:
     The nodes are rounded at working precision, as `extract_series` samples
     them; the inverse is taken with ten more digits.
     """
+    import mpmath as mp
+
+    from .lfunctions import _DPS
+
     with mp.workdps(_DPS):
         ts = [(mp.mpf(width) / 2**i) ** 2 for i in range(_STENCIL_LEVELS)]
         v = mp.matrix([[t**j for j in range(_STENCIL_LEVELS)] for t in ts])
@@ -150,6 +144,10 @@ def extract_series(f: Callable, center: float, pole_order: int, width: float) ->
     at working precision, so ``f`` may return mpmath values (preferred) or
     plain complex.
     """
+    import mpmath as mp
+
+    from .lfunctions import _DPS
+
     levels = _STENCIL_LEVELS
     with mp.workdps(_DPS):
         evens, odds = [], []
@@ -173,6 +171,8 @@ def laurent_at_1_two_widths(xi: DirichletCharacter | None) -> tuple[LaurentData,
     suite compares the two results with each other and with
     `lfunctions.laurent_at_1`.
     """
+    from .lfunctions import LaurentData, _completed_l_mp, _completed_zeta_mp, _is_trivial
+
     pole = 1 if _is_trivial(xi) else 0
     f = _completed_zeta_mp if pole else (lambda s: _completed_l_mp(s, xi))
     # A regular point has residue 0: pad the fitted coefficients accordingly.
@@ -192,6 +192,9 @@ def central_series_function(
 
     Returns a working-precision callable (mp in, mp out; plain complex also
     accepted)."""
+    import mpmath as mp
+
+    from .lfunctions import _completed_l_mp, _completed_zeta_mp, _is_trivial
 
     trivial = _is_trivial(eta)
 
@@ -213,6 +216,8 @@ def central_series_function(
 
 def enumerate_rho(n: LevelIdeal, cap: int = 100_000) -> list[RhoAssignment]:
     """All choice assignments over the support of n; size prod(e_v + 1)."""
+    from .rtf_constants import RhoAssignment
+
     total = 1
     for _, e in n.factors:
         total *= e + 1
@@ -233,6 +238,8 @@ def flat_section_at_identity(
     Depth-one places contribute sign * q**(1/2); depth k >= 2 contributes
     (1 - 1/q) sign**k ((q+1)/(q-1))**(1/2) q**(k/2).
     """
+    from .rtf_constants import _section_factor
+
     return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in rho.active())
 
 
@@ -247,6 +254,9 @@ def edge_product_taylor(
 
     It is the jet product of the per-place `rtf_constants.edge_place_jet`.
     """
+    from .lfunctions import jet_product
+    from .rtf_constants import EdgePlaceBlock, edge_place_jet, eta_on_different
+
     eps = eta_on_different(eta, profile)
     t0, t1, t2 = jet_product(
         edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p))) for p, k in rho.active()
@@ -258,6 +268,8 @@ def residue_value_half_one(
     rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
 ) -> float:
     """The closed-form product over active places at the point (1/2, 1)."""
+    from .rtf_constants import _value_factor
+
     return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in rho.active())
 
 
@@ -269,6 +281,14 @@ def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
     with the trivial character's signs, whose epsilon is identically 1
     over Q.
     """
+    from .lfunctions import epsilon_of_minus_z, jet_product
+    from .rtf_constants import (
+        EdgePlaceBlock,
+        _discriminant_jet,
+        _residual_combination,
+        residue_place_jet,
+    )
+
     value = residue_value_half_one(rho, ctx.eta.sign_at)
     residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in rho.active()]
     twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]

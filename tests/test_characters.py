@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -106,27 +107,47 @@ class TestUnitGroup:
         g = unit_group(m)
         phi = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1) if m > 1 else 1
         assert g.size == phi
-        assert len(g.log_table) == phi if m > 1 else 1
+        assert len(g.residues) == phi if m > 1 else 1
+        assert len(g.grid_index) == m
+        assert sorted(g.grid_index) == [-1] * (m - len(g.residues)) + list(range(len(g.residues)))
 
     @pytest.mark.parametrize("m", [1, 2, 8, 45, 56, 100, 171_072])
     def test_log_table_in_lexicographic_grid_order(self, m):
         # one walk of the discrete-log grid, first axis slowest, each unit
-        # keyed by prod g_i**x_i
+        # at the grid index of its exponent vector x, with value prod g_i**x_i
         g = unit_group(m)
-        assert list(g.log_table.values()) == list(product(*map(range, g.orders)))
-        for a, logs in g.log_table.items():
+        assert [g.log(a) for a in g.residues] == list(product(*map(range, g.orders)))
+        for i, a in enumerate(g.residues):
+            assert g.grid_index[a] == i
             value = 1 % m
-            for gen, e in zip(g.generators, logs):
+            for gen, e in zip(g.generators, g.log(a)):
                 value = value * pow(gen, e, m) % m
             assert value == a
 
     def test_log_table_consistency(self):
         g = unit_group(45)
-        for a, logs in g.log_table.items():
+        for a in range(-45, 90):
+            logs = g.log(a)
+            if math.gcd(a, 45) != 1:
+                assert logs is None
+                continue
             value = 1
             for gen, e in zip(g.generators, logs):
                 value = value * pow(gen, e, 45) % 45
-            assert value == a
+            assert value == a % 45
+
+    def test_tables_up_to_300_are_small(self):
+        # One int64 per unit and one per residue: about 0.76 MB for every
+        # m <= 300, where a dict of exponent tuples per unit held 2.7 MB.
+        unit_group.cache_clear()
+        tracemalloc.start()
+        try:
+            groups = [unit_group(m) for m in range(1, 301)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(g.size for g in groups) == 27_398
+        assert held < 1_000_000
 
 
 class TestConductor:

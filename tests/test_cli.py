@@ -218,6 +218,51 @@ class TestProfileAndUsage:
         assert abs(json.loads(target.read_text())["value"] - 1.0) <= 1e-9
 
 
+class TestNonFiniteNumbers:
+    """nan and infinities are usage errors that name the flag, never a run."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["mass", "check"])
+    def test_tol(self, capsys, command, value):
+        code, out, err = run(capsys, command, f"--tol={value}")
+        assert (code, out) == (2, "")
+        assert f"argument --tol: must be finite, not '{value}'" in err
+
+    @pytest.mark.parametrize("values", ["1,nan", "inf", "2,-inf,3", "1,x"])
+    def test_s_values(self, capsys, values):
+        code, out, err = run(capsys, "constants", "--n", "4", f"--s-values={values}")
+        assert (code, out) == (2, "")
+        bad = values.split(",")[1 if values.startswith(("1,", "2,")) else 0]
+        assert json.loads(err) == {
+            "error": "usage", "message": f"--s-values takes finite numbers, not {bad!r}",
+        }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_theta(self, capsys, value):
+        argv = ["weights", "--rep", "spherical", "--sign", "1", "--k", "1", f"--theta={value}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument --theta: must be finite, not '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1+nanj", "-infj"])
+    def test_satake(self, capsys, value):
+        argv = ["weights", "--rep", "spherical", "--sign", "1", "--k", "1", f"--satake={value}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument --satake: must be finite, not '{value}'" in err
+        code, out, _ = run(capsys, *argv[:-1], "--satake", "1j")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["weight"])
+
+    def test_eta_spec_that_is_not_a_modulus(self, capsys):
+        code, out, err = run(capsys, "constants", "--n", "4", "--eta", "quad:x")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "cannot parse character spec 'quad:x' (use 'trivial' or 'quad:m')",
+        }
+
+
 # One run of each subcommand, and the value given to each common flag; the
 # sample and profile files are written by the tests that need them.
 BASE_ARGV = {
@@ -349,7 +394,7 @@ class TestMeasureLambdaTabulation:
         assert lines[1].split(",")[1] == repr(0.0)  # density vanishes at y = 0
 
 
-def per_point_grid(measure, p, sign, n, ymax=10.0):
+def per_point_grid(measure, p, sign, n):
     """The CSV of `rtflab measure`, one point at a time through the public
     scalar densities, as the per-point loop wrote it."""
     if measure == "mu_ST":
@@ -381,6 +426,12 @@ class TestMeasureGridByteIdentity:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == per_point_grid(measure, p, sign, 64)
+
+    def test_ymax_is_not_a_flag(self, capsys):
+        # every density `measure` tabulates has a finite domain
+        code, out, err = run(capsys, "measure", "--measure", "mu_ST", "--ymax", "5")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --ymax 5" in err
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_grid_below_one_is_a_usage_error(self, capsys, grid):
@@ -629,8 +680,36 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
-watched = ("numpy", "numpy.random", "rtflab.checks", "rtflab.empirical", "rtflab.oracles")
+watched = ("numpy", "numpy.random", "mpmath", "rtflab.checks", "rtflab.empirical", "rtflab.oracles")
 print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), file=sys.stderr)
+"""
+
+
+# `check` with its groups cut into argv[1] chunks: what its own process loads.
+_LOADED_BY_CHECK_IN_CHUNKS = """
+import json, sys
+from rtflab import chunked
+from rtflab.cli import main
+chunks = int(sys.argv[1])
+chunked.chunk_count = lambda items, per_chunk: chunks
+code = main(["check"])
+watched = ("mpmath", "rtflab.lfunctions", "rtflab.rtf_constants", "rtflab.oracles")
+print(json.dumps([code, [m for m in watched if m in sys.modules]]), file=sys.stderr)
+"""
+
+
+# The groups of the first chunk on 2 CPUs, then the rtf group, in one
+# process: which analytic modules each step has loaded.
+_LOADED_BY_EACH_GROUP = """
+import json, sys
+from rtflab import checks
+watched = ("mpmath", "rtflab.lfunctions", "rtflab.rtf_constants")
+steps = []
+for group in (checks.check_fields, checks.check_characters, checks.check_local_factors,
+              checks.check_rtf_constants):
+    passed = all(r.passed for r in group(None))
+    steps.append([group.__name__, passed, [m for m in watched if m in sys.modules]])
+print(json.dumps(steps), file=sys.stderr)
 """
 
 
@@ -679,7 +758,8 @@ class TestImportHygiene:
     def test_subcommand_loads_no_numpy_checks_or_empirical(self, argv):
         code, loaded, forks = loaded_after(*argv)
         assert code == 0
-        assert loaded == []
+        # Only `constants` evaluates L-functions, through mpmath.
+        assert loaded == (["mpmath"] if argv[0] == "constants" else [])
         # Only the 20000-point grid is long enough to fork, one child per
         # chunk past the first.
         rows = int(argv[-1]) + 1 if argv[0] == "measure" else 0
@@ -687,11 +767,30 @@ class TestImportHygiene:
 
     def test_check_forks_one_child_per_chunk_past_the_first(self):
         code, loaded, forks = loaded_after("check")
+        chunks = chunked.chunk_count(6, 1)  # six check groups
         assert code == 0
         assert "rtflab.checks" in loaded
-        assert "rtflab.oracles" in loaded
+        # This process runs the first 6 // chunks groups: the census oracle
+        # is the characters group's (the second), mpmath the rtf group's (the last).
+        assert ("rtflab.oracles" in loaded) == (chunks <= 3)
+        assert ("mpmath" in loaded) == (chunks == 1)
         assert "numpy.random" not in loaded
-        assert forks == chunked.chunk_count(6, 1) - 1  # six check groups
+        assert forks == chunks - 1
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 6])
+    def test_only_the_process_running_the_rtf_group_loads_mpmath(self, chunks):
+        code, loaded = python_child(_LOADED_BY_CHECK_IN_CHUNKS, str(chunks))
+        assert code == 0
+        analytic = ["mpmath", "rtflab.lfunctions", "rtflab.rtf_constants"]
+        assert loaded == (analytic if chunks == 1 else []) + (["rtflab.oracles"] if chunks <= 3 else [])
+
+    def test_first_chunk_groups_load_no_analytic_module(self):
+        assert python_child(_LOADED_BY_EACH_GROUP) == [
+            ["check_fields", True, []],
+            ["check_characters", True, []],
+            ["check_local_factors", True, []],
+            ["check_rtf_constants", True, ["mpmath", "rtflab.lfunctions", "rtflab.rtf_constants"]],
+        ]
 
     def test_compare_loads_no_numpy_random(self, tmp_path):
         path = tmp_path / "sample.csv"

@@ -7,6 +7,7 @@ from rtflab import oracles
 from rtflab.characters import DirichletCharacter, l_one
 from rtflab.errors import PoleError
 from rtflab.lfunctions import (
+    _DPS,
     _STIELTJES_GAMMA1,
     completed_l,
     completed_zeta,
@@ -200,7 +201,7 @@ class TestExtractSeries:
     @pytest.mark.parametrize("width", [oracles._STENCIL_WIDTH, oracles._CHECK_WIDTH])
     def test_cached_inverse_matches_a_fresh_solve(self, width):
         levels = oracles._STENCIL_LEVELS
-        with mpmath.workdps(oracles._DPS):
+        with mpmath.workdps(_DPS):
             hs = [mpmath.mpf(width) / 2**i for i in range(levels)]
             v = mpmath.matrix([[(h * h) ** j for j in range(levels)] for h in hs])
             # exp's even and odd parts, as `extract_series` samples them

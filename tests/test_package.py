@@ -94,23 +94,86 @@ def test_importing_the_package_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "rtflab"
+
+
+def _bound_names(node: ast.AST) -> set[str]:
+    """Absolute names of the modules one import statement of the flat
+    `rtflab` package imports, and of each name it imports from a module."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        module = ".".join(filter(None, ["rtflab" if node.level else "", node.module]))
+        return {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return set()
+
+
 def imported_modules(path: Path) -> set[str]:
-    """Absolute names of the modules a file of the flat `rtflab` package
-    imports, and of each name it imports from a module."""
+    """Every module a file imports, wherever the import statement is."""
+    return set().union(*map(_bound_names, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+
+
+def import_time_modules(path: Path) -> set[str]:
+    """The modules a file imports when it is itself imported: every import
+    outside function bodies and `if TYPE_CHECKING:` blocks."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            out.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = ".".join(filter(None, ["rtflab" if node.level else "", node.module]))
-            out.add(module)
-            out.update(f"{module}.{alias.name}" for alias in node.names)
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            children = node.orelse
+        else:
+            out.update(_bound_names(node))
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
     return out
+
+
+def functions_importing(path: Path, module: str) -> list[str]:
+    """The top-level functions of a file whose bodies import ``module``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(module in _bound_names(inner) for inner in ast.walk(node))
+    )
 
 
 def test_only_checks_imports_the_oracles():
     # The production modules keep one route per job; the second routes are
     # reached from the check suite (and the tests) only.
-    src = Path(__file__).resolve().parent.parent / "src" / "rtflab"
-    importers = sorted(p.stem for p in src.glob("*.py") if "rtflab.oracles" in imported_modules(p))
+    importers = sorted(p.stem for p in SRC.glob("*.py") if "rtflab.oracles" in imported_modules(p))
     assert importers == ["checks"]
+
+
+# mpmath and the modules that load it; the census check must not need them.
+ANALYTIC = ("mpmath", "rtflab.lfunctions", "rtflab.rtf_constants")
+
+
+def test_oracles_import_no_analytic_module_at_import_time():
+    assert not import_time_modules(SRC / "oracles.py") & set(ANALYTIC)
+    assert "numpy" in import_time_modules(SRC / "oracles.py")
+
+
+def test_checks_import_the_analytic_modules_in_the_rtf_group_only():
+    # Each check group imports what it runs, so only the process that runs
+    # `check_rtf_constants` loads mpmath.
+    path = SRC / "checks.py"
+    assert not import_time_modules(path) & {*ANALYTIC, "rtflab.oracles"}
+    assert {m: functions_importing(path, m) for m in (*ANALYTIC, "rtflab.oracles")} == {
+        "mpmath": [],
+        "rtflab.lfunctions": ["check_rtf_constants"],
+        "rtflab.rtf_constants": ["check_rtf_constants"],
+        "rtflab.oracles": ["check_rtf_constants", "xi_matches_brute_force"],
+    }
+
+
+def test_import_time_modules_skips_functions_and_type_checking_blocks():
+    # the guards above would pass vacuously if the walk missed top-level imports
+    assert {"mpmath", "rtflab.characters.unit_group"} <= import_time_modules(SRC / "lfunctions.py")
+    assert "numpy" not in import_time_modules(SRC / "characters.py")
+    assert "numpy" in imported_modules(SRC / "characters.py")
