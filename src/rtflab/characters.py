@@ -43,8 +43,8 @@ from .special import digamma
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside the array functions only (`_phase_logs`, `phases`,
-# `phase_matrix`, `gauss_sums_for_modulus`), so the scalar paths, `l_one`
+# numpy is imported inside the array functions only (`phases`, `phase_matrix`,
+# `gauss_sums_for_modulus`), so the scalar paths, `l_one`
 # among them, load without it.  The grid helpers `axis_conductor_exponents`,
 # `primitive_axes` and `parity_vector` are plain integers, so `enumerate_xi`
 # (and `rtflab characters`) runs without numpy too.
@@ -153,31 +153,6 @@ def unit_group(m: int) -> _UnitGroup:
     )
 
 
-@lru_cache(maxsize=512)
-def _phase_logs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete logs of every residue mod m scaled to the group exponent.
-
-    Row a holds x_i * (L / n_i) for a unit a = prod g_i**x_i, so a character
-    with exponents e has integer phase (row @ e) % L there; rows of
-    non-units are -1.  Also returns the boolean unit mask.  Built on first
-    use only: it costs one int64 per residue and generator, which the
-    single-residue path `DirichletCharacter.phase_index` avoids.
-    """
-    import numpy as np
-
-    g = unit_group(m)
-    logs = np.full((m, len(g.orders)), -1, dtype=np.int64)
-    if g.orders:
-        # the exponent vector of grid index i is i in mixed radix over the orders
-        x = np.stack(np.unravel_index(np.arange(g.size), g.orders), axis=1)
-        scale = np.array([g.exponent // n for n in g.orders], dtype=np.int64)
-        logs[np.frombuffer(g.residues, dtype=np.int64)] = x * scale
-    units = np.frombuffer(g.grid_index, dtype=np.int64) >= 0
-    logs.flags.writeable = False
-    units.flags.writeable = False
-    return logs, units
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 
@@ -260,9 +235,11 @@ class DirichletCharacter:
         """Integer phases k_0, ..., k_{m-1} (see `phase_index`); -1 off the units."""
         import numpy as np
 
-        logs, units = _phase_logs(self.modulus)
-        L = unit_group(self.modulus).exponent
-        return np.where(units, logs @ np.array(self.exponents, dtype=np.int64) % L, -1)
+        m = self.modulus
+        units = np.frombuffer(unit_group(m).residues, dtype=np.int64)
+        out = np.full(m, -1, dtype=np.int64)
+        out[units] = phase_matrix(m, np.array([self.exponents], dtype=np.int64), units)[:, 0]
+        return out
 
     def value(self, a: int) -> complex:
         k = self.phase_index(a)
@@ -411,9 +388,18 @@ def phase_matrix(m: int, exponents: np.ndarray, residues: np.ndarray) -> np.ndar
     ``exponents`` has one exponent row per character and ``residues`` are
     units mod m; entry (i, j) is the phase of character j at residues[i],
     the value `DirichletCharacter.phases` gives one character at a time.
+    The discrete logs are the mixed-radix digits of each unit's
+    `unit_group` grid index, scaled to L / n_i.
     """
-    logs, _ = _phase_logs(m)
-    return logs[residues % m] @ exponents.T % unit_group(m).exponent
+    import numpy as np
+
+    g = unit_group(m)
+    if not g.orders:  # m <= 2: only the trivial character
+        return np.zeros((len(residues), len(exponents)), dtype=np.int64)
+    index = np.frombuffer(g.grid_index, dtype=np.int64)[residues % m]
+    logs = np.stack(np.unravel_index(index, g.orders), axis=1)
+    scale = np.array([g.exponent // n for n in g.orders], dtype=np.int64)
+    return logs * scale @ exponents.T % g.exponent
 
 
 def enumerate_character_group(m: int) -> list[DirichletCharacter]:
@@ -560,14 +546,12 @@ class QuadraticCharacterProfile:
     ``signs`` lists values at uniformizers for places outside the conductor
     support.  For profiles built from a concrete quadratic character over Q,
     unlisted places fall back to the character value at the prime.  The
-    trivial profile answers +1 everywhere.
+    trivial profile is the trivial character's, so it answers +1 everywhere.
     """
 
     conductor: LevelIdeal
     signs: tuple[tuple[FinitePlace, int], ...] = ()
-    archimedean_trivial: bool = True
     dirichlet: DirichletCharacter | None = None
-    all_plus: bool = False
 
     def __post_init__(self) -> None:
         conductor_support = set(self.conductor.support())
@@ -578,12 +562,10 @@ class QuadraticCharacterProfile:
                 raise ValueError(
                     f"sign listed at ramified place {place.label}"
                 )
-        if not self.archimedean_trivial:
-            raise ValueError("archimedean components must be trivial")
 
     @classmethod
     def trivial(cls) -> QuadraticCharacterProfile:
-        return cls(conductor=LevelIdeal.unit(), all_plus=True)
+        return cls(LevelIdeal.unit(), dirichlet=DirichletCharacter.trivial())
 
     @classmethod
     def from_signs(
@@ -601,13 +583,7 @@ class QuadraticCharacterProfile:
         return cls(
             conductor=LevelIdeal.from_integer(chi.modulus, profile),
             dirichlet=chi,
-            all_plus=chi.order() == 1,
         )
-
-    def is_trivial(self) -> bool:
-        if self.dirichlet is not None:
-            return self.dirichlet.order() == 1
-        return self.all_plus and self.conductor.is_unit() and not self.signs
 
     def sign_at(self, place: FinitePlace) -> int:
         if self.conductor.ord_at(place) > 0:
@@ -624,8 +600,6 @@ class QuadraticCharacterProfile:
                     f"character is ramified at {place.label}"
                 )
             return 1 if k == 0 else -1
-        if self.all_plus:
-            return 1
         raise KeyError(f"no sign recorded at place {place.label}")
 
     def value_on_ideal(self, n: LevelIdeal) -> int:

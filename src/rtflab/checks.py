@@ -61,10 +61,6 @@ class CheckResult:
         }
 
 
-def _mk(name: str, observed: float, tolerance: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(observed <= tolerance), float(observed), float(tolerance), detail)
-
-
 def _place(p: int) -> FinitePlace:
     return RATIONALS.place_for_prime(p)
 
@@ -77,13 +73,22 @@ def _level(spec: dict[int, int]) -> LevelIdeal:
 # per-module check groups
 
 
-def _guarded(name: str, measure, tolerance: float, detail: str = "") -> CheckResult:
-    """Run one check; a crash fails that check alone, by its own name."""
-    try:
-        observed = measure()
-    except Exception as exc:
-        return CheckResult(name, False, math.inf, float(tolerance), f"{type(exc).__name__}: {exc}")
-    return _mk(name, observed, tolerance, detail)
+def _run(tol: float | None, rows) -> list[CheckResult]:
+    """Run each (name, measure, default tolerance[, detail]) row of a group.
+
+    ``tol`` overrides every default tolerance.  Each check runs under its
+    own guard, so a crash fails that check alone, by its own name.
+    """
+    results = []
+    for name, measure, default, *detail in rows:
+        tolerance = float(default if tol is None else tol)
+        try:
+            observed = float(measure())
+        except Exception as exc:
+            results.append(CheckResult(name, False, math.inf, tolerance, f"{type(exc).__name__}: {exc}"))
+            continue
+        results.append(CheckResult(name, observed <= tolerance, observed, tolerance, *detail))
+    return results
 
 
 def check_fields(tol: float | None) -> list[CheckResult]:
@@ -126,12 +131,11 @@ def check_fields(tol: float | None) -> list[CheckResult]:
                 defects += 1
         return defects
 
-    exact = tol if tol is not None else 0
-    return [
-        _guarded("fields.norm_multiplicative", norm_defects, exact),
-        _guarded("fields.support_partition", support_defects, exact),
-        _guarded("fields.square_divisor_count", square_divisor_defects, exact),
-    ]
+    return _run(tol, [
+        ("fields.norm_multiplicative", norm_defects, 0),
+        ("fields.support_partition", support_defects, 0),
+        ("fields.square_divisor_count", square_divisor_defects, 0),
+    ])
 
 
 def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: int = 300) -> list[CheckResult]:
@@ -180,15 +184,13 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
         golden = 2.0 / math.sqrt(5.0) * math.log((1.0 + math.sqrt(5.0)) / 2.0)
         return abs(float(chars.l_one(chars.DirichletCharacter.quadratic(5))) - golden)
 
-    return [
-        _guarded("characters.eta_tilde_multiplicative", eta_tilde_defects, tol if tol is not None else 0),
-        _guarded("characters.gauss_modulus_sq", gauss_defect, tol if tol is not None else 1e-8,
-                 f"moduli up to {gauss_limit}"),
-        _guarded("characters.xi_vs_bruteforce", xi_defects, tol if tol is not None else 0,
-                 f"moduli up to {census_limit}"),
-        _guarded("characters.census_bound", census_bound_defects, tol if tol is not None else 0),
-        _guarded("characters.l_one_golden_ratio", golden_defect, tol if tol is not None else 1e-9),
-    ]
+    return _run(tol, [
+        ("characters.eta_tilde_multiplicative", eta_tilde_defects, 0),
+        ("characters.gauss_modulus_sq", gauss_defect, 1e-8, f"moduli up to {gauss_limit}"),
+        ("characters.xi_vs_bruteforce", xi_defects, 0, f"moduli up to {census_limit}"),
+        ("characters.census_bound", census_bound_defects, 0),
+        ("characters.l_one_golden_ratio", golden_defect, 1e-9),
+    ])
 
 
 def xi_matches_brute_force(m: int, listed: list[chars.DirichletCharacter] | None = None) -> bool:
@@ -291,15 +293,13 @@ def check_local_factors(tol: float | None) -> list[CheckResult]:
             worst = max(worst, abs(total - factored))
         return worst
 
-    exact = tol if tol is not None else 0
-    return [
-        _guarded("local.r_weight_nonnegative", r_weight_negativity, tol if tol is not None else 1e-12),
-        _guarded("local.satake_ratio_open_set", satake_excess, tol if tol is not None else 1e-12,
-                 "|Q| < 1 on the admissible grid"),
-        _guarded("local.parity_vanishing_exact", parity_defects, exact),
-        _guarded("local.period_constant_at_zero", period_at_zero_defects, exact),
-        _guarded("local.sum_product_identity", sum_product_defect, tol if tol is not None else 1e-12),
-    ]
+    return _run(tol, [
+        ("local.r_weight_nonnegative", r_weight_negativity, 1e-12),
+        ("local.satake_ratio_open_set", satake_excess, 1e-12, "|Q| < 1 on the admissible grid"),
+        ("local.parity_vanishing_exact", parity_defects, 0),
+        ("local.period_constant_at_zero", period_at_zero_defects, 0),
+        ("local.sum_product_identity", sum_product_defect, 1e-12),
+    ])
 
 
 def check_measures(tol: float | None) -> list[CheckResult]:
@@ -372,16 +372,16 @@ def check_measures(tol: float | None) -> list[CheckResult]:
             errs.append(abs(meas.integrate_density(density, -2.0, 2.0, t).value - oracle))
         return max(max(0.0, errs[i + 1] - errs[i] - 1e-15) for i in range(len(errs) - 1))
 
-    return [
-        _guarded("measures.mass_semicircle", semicircle_mass_defect, tol if tol is not None else 1e-10),
-        _guarded("measures.mass_plancherel", plancherel_mass_defect, tol if tol is not None else 1e-8),
-        _guarded("measures.pushforward_halfwindow", halfwindow_defect, tol if tol is not None else 1e-9),
-        _guarded("measures.pushforward_fullwindow_factor2", fullwindow_defect, tol if tol is not None else 1e-9),
-        _guarded("measures.lambda_symmetry_periodicity", symmetry_defect, tol if tol is not None else 1e-12),
-        _guarded("measures.densities_nonnegative", negativity, tol if tol is not None else 0),
-        _guarded("measures.refinement_monotone", refinement_growth, tol if tol is not None else 0,
-                 "halving tol never worsens the defect (1e-15 float floor)"),
-    ]
+    return _run(tol, [
+        ("measures.mass_semicircle", semicircle_mass_defect, 1e-10),
+        ("measures.mass_plancherel", plancherel_mass_defect, 1e-8),
+        ("measures.pushforward_halfwindow", halfwindow_defect, 1e-9),
+        ("measures.pushforward_fullwindow_factor2", fullwindow_defect, 1e-9),
+        ("measures.lambda_symmetry_periodicity", symmetry_defect, 1e-12),
+        ("measures.densities_nonnegative", negativity, 0),
+        ("measures.refinement_monotone", refinement_growth, 0,
+         "halving tol never worsens the defect (1e-15 float floor)"),
+    ])
 
 
 def check_gamma(tol: float | None) -> list[CheckResult]:
@@ -398,10 +398,10 @@ def check_gamma(tol: float | None) -> list[CheckResult]:
         d2 = abs(digamma(0.5) + EULER_GAMMA + 2.0 * math.log(2.0))
         return max(d1, d2)
 
-    return [
-        _guarded("gamma.lanczos_vs_reflection", lanczos_defect, tol if tol is not None else 1e-10),
-        _guarded("gamma.digamma_classical_values", digamma_defect, tol if tol is not None else 1e-12),
-    ]
+    return _run(tol, [
+        ("gamma.lanczos_vs_reflection", lanczos_defect, 1e-10),
+        ("gamma.digamma_classical_values", digamma_defect, 1e-12),
+    ])
 
 
 def _fd_first(f, x0: float, h: float) -> float:
@@ -552,7 +552,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
                 worst = max(worst, abs(prod - 1.0))
         return worst
 
-    checks = (
+    return _run(tol, [
         ("rtf.derivatives_first_vs_fd", lambda: derivative_defect(1), 1e-6),
         ("rtf.derivatives_second_vs_fd", lambda: derivative_defect(2), 1e-5),
         ("rtf.edge_taylor_vs_numeric", edge_taylor_defect, 1e-6),
@@ -564,8 +564,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         ("rtf.orbit_constant_flat_nontrivial", orbit_flat_defect, 1e-10),
         ("rtf.orbit_constant_log_growth", orbit_growth_defect, 1e-10),
         ("rtf.intertwining_involution", involution_defect, 1e-10),
-    )
-    return [_guarded(name, measure, tol if tol is not None else t) for name, measure, t in checks]
+    ])
 
 
 def run_all_checks(tol: float | None = None) -> list[CheckResult]:

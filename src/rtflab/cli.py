@@ -142,15 +142,12 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_mass(args) -> int:
-    from .measures import lambda_mass
+    from .measures import integrate_density
 
     density = _density_from_args(args)
-    if args.measure == "lambda":
-        res = lambda_mass(
-            RATIONALS.place_for_prime(args.p), args.sign, args.tol, args.window
-        )
-    else:
-        res = density.mass(args.tol)
+    half = args.measure == "lambda" and args.window == "half"
+    # Halving is exact, so the half window ends at pi / log q to the bit.
+    res = integrate_density(density, density.lo, density.hi / 2 if half else density.hi, args.tol)
     _write_output(
         _json_dumps(
             {

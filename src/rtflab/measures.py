@@ -297,16 +297,6 @@ def pushforward_fullwindow_factor(
     return lo, hi
 
 
-def lambda_mass(
-    place: FinitePlace, sign: int, tol: float = 1e-10, window: str = "half"
-) -> QuadratureResult:
-    """Mass of the finite-place spectral density over the half or full window."""
-    q = place.q
-    half = math.pi / math.log(q)
-    hi = half if window == "half" else 2.0 * half
-    return integrate(local_spectral(place, sign), 0.0, hi, tol)
-
-
 # ---------------------------------------------------------------------------
 # the product pairing
 

@@ -43,6 +43,15 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-13) -> bool:
     return abs(z.imag) < tol and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
 
 
+def _lanczos(z: complex) -> tuple[complex, complex, complex]:
+    """(w, t, acc) of the Lanczos series at z: w = z - 1, t = w + g + 1/2."""
+    w = z - 1.0
+    acc = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        acc += _LANCZOS_C[k] / (w + k)
+    return w, w + _LANCZOS_G + 0.5, acc
+
+
 def gamma(z: complex) -> complex:
     """Complex gamma via Lanczos; poles at 0, -1, -2, ... raise PoleError."""
     z = complex(z)
@@ -51,11 +60,7 @@ def gamma(z: complex) -> complex:
     if z.real < 0.5:
         # Reflection: gamma(z) = pi / (sin(pi z) gamma(1 - z))
         return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
+    w, t, acc = _lanczos(z)
     return _SQRT_TWO_PI * t ** (w + 0.5) * cmath.exp(-t) * acc
 
 
@@ -64,11 +69,7 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if z.real <= 0.0:
         raise PoleError(f"log_gamma requires Re(z) > 0, got {z}")
-    w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
+    w, t, acc = _lanczos(z)
     return 0.5 * math.log(2.0 * math.pi) + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 

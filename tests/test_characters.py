@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -13,7 +15,6 @@ import numpy as np
 import pytest
 
 from rtflab.characters import (
-    _phase_logs,
     DirichletCharacter,
     QuadraticCharacterProfile,
     adelic_gauss_sum,
@@ -25,6 +26,7 @@ from rtflab.characters import (
     is_admissible_level,
     l_one,
     parity_vector,
+    phase_matrix,
     primitive_axes,
     unit_group,
 )
@@ -473,6 +475,18 @@ class TestQuadraticProfile:
         assert eta.sign_at(P(3)) == -1
         assert eta.sign_at(P(11)) == 1
 
+    def test_trivial_is_the_trivial_characters_profile(self):
+        eta = QuadraticCharacterProfile.trivial()
+        assert eta == QuadraticCharacterProfile.from_dirichlet(DirichletCharacter.trivial())
+        primes = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+        assert len(primes) == 25
+        assert [eta.sign_at(P(p)) for p in primes] == [1] * 25
+
+    def test_signs_profile_has_no_sign_off_its_list(self):
+        eta = QuadraticCharacterProfile.from_signs({P(3): -1})
+        with pytest.raises(KeyError):
+            eta.sign_at(P(7))
+
 
 class TestAdmissibleLevels:
     def setup_method(self):
@@ -609,15 +623,34 @@ class TestIntegerPhases:
         exact = {tuple(chi.phase_index(a) * N for a in units) for chi in chars}
         assert exact == {tuple(k * L for k in row) for row in phases.tolist()}
 
-    def test_single_residue_path_builds_no_table(self):
+    def test_single_residue_path_loads_no_numpy(self):
         # parity and conductor at a census-sized modulus read single logs only
-        m = 171_072
-        g = unit_group(m)
-        chi = DirichletCharacter(m, tuple(1 for _ in g.orders))
-        built = _phase_logs.cache_info().currsize
-        assert chi.phase_index(m - 1) == sum(e * s for e, s in zip(chi.exponents, parity_vector(m))) % g.exponent
-        assert chi.phase_index(m + 1) == 0
-        assert chi.phase_index(2) is None
-        chi.is_even()
-        chi.conductor()
-        assert _phase_logs.cache_info().currsize == built
+        script = """
+import sys
+from rtflab.characters import DirichletCharacter, parity_vector, unit_group
+m = 171_072
+g = unit_group(m)
+chi = DirichletCharacter(m, tuple(1 for _ in g.orders))
+assert chi.phase_index(m - 1) == sum(e * s for e, s in zip(chi.exponents, parity_vector(m))) % g.exponent
+assert chi.phase_index(m + 1) == 0
+assert chi.phase_index(2) is None
+chi.is_even()
+chi.conductor()
+print("numpy" in sys.modules)
+"""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def test_phase_matrix_equals_phase_index_at_every_unit(self):
+        for m in range(1, 201):
+            chars = enumerate_character_group(m)
+            units = [a for a in range(m) if math.gcd(a, m) == 1]
+            exps = np.array([chi.exponents for chi in chars], dtype=np.int64)
+            exps = exps.reshape(len(chars), len(unit_group(m).orders))
+            table = phase_matrix(m, exps, np.array(units, dtype=np.int64))
+            assert table.shape == (len(units), len(chars))
+            assert table.tolist() == [[chi.phase_index(a) for chi in chars] for a in units]

@@ -48,6 +48,31 @@ class TestMass:
         assert code == 0
         assert abs(json.loads(out)["value"] - 1.0) <= 1e-8
 
+    # (value, error, subdivisions) of `mass --measure lambda` at the default
+    # tolerance, recorded from the output of the release before the window
+    # came from `Density.hi`; the stdout must not move by a byte.
+    LAMBDA_MASSES = {
+        (2, 1, "full"): (1.0000000000000002, 1.1883210621803667e-12, 4),
+        (2, 1, "half"): (0.9376871086863936, 3.9371589511093745e-13, 3),
+        (2, -1, "full"): (1.0000000000000002, 9.833008085766255e-11, 6),
+        (2, -1, "half"): (0.5000000000000001, 9.826762959670754e-11, 2),
+        (3, 1, "full"): (1.0, 9.701961168993019e-12, 3),
+        (3, 1, "half"): (0.8910022189557706, 6.7713379944570205e-12, 2),
+        (3, -1, "full"): (1.0, 4.152942570843878e-14, 5),
+        (3, -1, "half"): (0.49999999999999994, 2.0762847853335466e-14, 2),
+    }
+
+    @pytest.mark.parametrize("p,sign,window", list(LAMBDA_MASSES))
+    def test_lambda_mass_bytes(self, capsys, p, sign, window):
+        value, error, subdivisions = self.LAMBDA_MASSES[p, sign, window]
+        tag = f"lambda_{p}^{'+' if sign == 1 else '-'}"
+        expected = (
+            f'{{\n  "error": {error!r},\n  "measure": "{tag}",\n'
+            f'  "subdivisions": {subdivisions},\n  "value": {value!r}\n}}\n'
+        )
+        argv = ["mass", "--measure", "lambda", "--p", str(p), "--sign", str(sign), "--window", window]
+        assert run(capsys, *argv) == (0, expected, "")
+
 
 class TestWeights:
     def test_parity_vanishing(self, capsys):

@@ -11,7 +11,6 @@ from rtflab.measures import (
     dx_dy_abs,
     finite_spectral_formula,
     integrate_density,
-    lambda_mass,
     local_spectral,
     local_spectral_density,
     plancherel,
@@ -140,9 +139,10 @@ class TestPushforward:
         # the half-window mass is the per-prime mass of [0, 2].
         for q in (2, 3):
             for sign in (1, -1):
-                full = lambda_mass(P(q), sign, 1e-10, "full").value
+                density = local_spectral(P(q), sign)
+                full = integrate_density(density, 0.0, density.hi, 1e-10).value
                 assert full == pytest.approx(1.0, abs=1e-8)
-                half = lambda_mass(P(q), sign, 1e-10, "half").value
+                half = integrate_density(density, 0.0, density.hi / 2, 1e-10).value
                 mu_right = integrate_density(plancherel(q, sign), 0.0, 2.0, 1e-10).value
                 assert half == pytest.approx(mu_right, abs=1e-8)
 
