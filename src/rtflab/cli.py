@@ -92,19 +92,27 @@ def _parse_eta(spec: str | None) -> DirichletCharacter | None:
 
 
 def _density_from_args(args) -> Density:
+    """The density named by --measure, --p and --sign, which `measure`, `mass`
+    and `compare` share; `mass` also passes --window here.
+
+    A flag the measure does not read is a usage error: mu_ST takes neither
+    --p nor --sign, and only lambda has a half window.  --sign and --window
+    default to None, read as +1 and the full window.
+    """
     from .measures import local_spectral, plancherel, sato_tate
 
+    if getattr(args, "window", None) is not None and args.measure != "lambda":
+        raise _CliError("--window is read by --measure lambda only")
     if args.measure == "mu_ST":
+        if args.p is not None or args.sign is not None:
+            raise _CliError("mu_ST reads neither --p nor --sign")
         return sato_tate()
+    if args.p is None:
+        raise _CliError(f"--p is required for {args.measure}")
+    place = RATIONALS.place_for_prime(args.p)
     if args.measure == "mu_p":
-        if args.p is None:
-            raise _CliError("--p is required for mu_p")
-        return plancherel(args.p, args.sign)
-    if args.measure == "lambda":
-        if args.p is None:
-            raise _CliError("--p is required for lambda")
-        return local_spectral(RATIONALS.place_for_prime(args.p), args.sign)
-    raise _CliError(f"unknown measure {args.measure!r}")
+        return plancherel(place.q, args.sign or 1)
+    return local_spectral(place, args.sign or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +138,7 @@ def _cmd_measure(args) -> int:
     # Every density the CLI builds has a finite domain.
     lo, hi, kernel = density.lo, density.hi, density.kernel
     span = hi - lo
-    tail = f",{density.tag},{args.p or 0},{args.sign:+d}\n"
+    tail = f",{density.tag},{args.p or 0},{args.sign or 1:+d}\n"
 
     def rows(start: int, stop: int) -> str:
         xs = [lo + span * i / n for i in range(start, stop)]
@@ -145,9 +153,9 @@ def _cmd_mass(args) -> int:
     from .measures import integrate_density
 
     density = _density_from_args(args)
-    half = args.measure == "lambda" and args.window == "half"
     # Halving is exact, so the half window ends at pi / log q to the bit.
-    res = integrate_density(density, density.lo, density.hi / 2 if half else density.hi, args.tol)
+    hi = density.hi / 2 if args.window == "half" else density.hi
+    res = integrate_density(density, density.lo, hi, args.tol)
     _write_output(
         _json_dumps(
             {
@@ -206,13 +214,13 @@ def _cmd_constants(args) -> int:
     )
 
     s_values = _parse_s_values(args.s_values)
+    s_primes = _parse_s_primes(args.s_primes)
     profile = _load_profile(args.profile)
     n = parse_factored_level(args.n, profile)
     chi = _parse_eta(args.eta)
     ctx = eta_context(chi, profile)
     laurent = ctx.laurent_eta
     arch = profile.archimedean_places[0]
-    s_primes = [int(p) for p in args.s_primes.split(",")] if args.s_primes else []
     places = [arch] + [profile.place_for_prime(p) for p in s_primes]
     for place in places[1:]:
         if n.ord_at(place) > 0:
@@ -259,6 +267,20 @@ def _parse_s_values(spec: str | None) -> list[float]:
             raise _CliError(f"--s-values takes finite numbers, not {part!r}")
         values.append(value)
     return values
+
+
+def _parse_s_primes(spec: str | None) -> list[int]:
+    """'p,q,...' as distinct integers (default none); the error names the first bad token."""
+    primes: list[int] = []
+    for part in spec.split(",") if spec else ():
+        try:
+            p = int(part)
+        except ValueError:
+            raise _CliError(f"--s-primes takes integers, not {part!r}") from None
+        if p in primes:
+            raise _CliError(f"--s-primes lists {p} twice")
+        primes.append(p)
+    return primes
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -357,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_measure_args(p):
         p.add_argument("--measure", choices=("mu_ST", "mu_p", "lambda"), default="mu_ST")
         p.add_argument("--p", type=int, default=None, help="prime for mu_p / lambda")
-        p.add_argument("--sign", type=int, choices=(1, -1), default=1)
+        p.add_argument("--sign", type=int, choices=(1, -1), default=None)
 
     p = sub.add_parser("measure", help="tabulate a density on a grid (CSV)")
     add_out(p)
@@ -369,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.add_argument("--tol", type=_finite(float), default=1e-10)
     add_measure_args(p)
-    p.add_argument("--window", choices=("half", "full"), default="full")
+    p.add_argument("--window", choices=("half", "full"), default=None)
     p.set_defaults(fn=_cmd_mass)
 
     p = sub.add_parser("weights", help="spectral weight r(rep, sign, k)")

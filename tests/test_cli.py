@@ -74,6 +74,49 @@ class TestMass:
         assert run(capsys, *argv) == (0, expected, "")
 
 
+class TestDensityFlags:
+    """`measure`, `mass` and `compare` read --p, --sign and --window through
+    one parser; a flag the chosen measure does not read exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["measure", "--grid", "3", "--p", "2"], "mu_ST reads neither --p nor --sign"),
+            (["measure", "--grid", "1", "--sign", "-1"], "mu_ST reads neither --p nor --sign"),
+            (["measure", "--grid", "1", "--sign", "1"], "mu_ST reads neither --p nor --sign"),
+            (["mass", "--measure", "mu_ST", "--p", "3"], "mu_ST reads neither --p nor --sign"),
+            (["compare", "--sample", "absent.csv", "--sign", "-1"], "mu_ST reads neither --p nor --sign"),
+            (["mass", "--sign", "-1", "--window", "half"], "--window is read by --measure lambda only"),
+            (["mass", "--window", "full"], "--window is read by --measure lambda only"),
+            (["mass", "--measure", "mu_p", "--p", "3", "--window", "half"],
+             "--window is read by --measure lambda only"),
+        ],
+        ids=["measure-mu_ST-p", "measure-mu_ST-sign", "measure-mu_ST-plus-sign", "mass-mu_ST-p",
+             "compare-mu_ST-sign", "mass-mu_ST-window", "mass-mu_ST-full-window", "mass-mu_p-window"],
+    )
+    def test_unread_density_flag_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("command", ["measure", "mass", "compare"])
+    @pytest.mark.parametrize("measure", ["mu_p", "lambda"])
+    def test_p_must_be_prime(self, capsys, command, measure):
+        extra = ["--sample", "absent.csv"] if command == "compare" else []
+        code, out, err = run(capsys, command, "--measure", measure, "--p", "6", *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": "6 is not prime"}
+
+    def test_defaults_read_as_plus_and_full(self, capsys):
+        # no --sign is +1 and no --window the full window, byte for byte
+        assert run(capsys, "mass", "--measure", "lambda", "--p", "3") == run(
+            capsys, "mass", "--measure", "lambda", "--p", "3", "--sign", "1", "--window", "full"
+        )
+        assert run(capsys, "measure", "--measure", "mu_p", "--p", "5", "--grid", "4") == run(
+            capsys, "measure", "--measure", "mu_p", "--p", "5", "--sign", "1", "--grid", "4"
+        )
+
+
 class TestWeights:
     def test_parity_vanishing(self, capsys):
         code, out, _ = run(capsys, "weights", "--rep", "c2", "--sign", "-1", "--k", "3")
@@ -146,6 +189,21 @@ class TestConstants:
         code, out, _ = run(capsys, "constants", "--n", "2", "--eta", "quad:5", "--s-primes", "3,7")
         assert code == 0
         assert len(json.loads(out)["upsilon_samples"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("x", "--s-primes takes integers, not 'x'"),
+            ("3,,7", "--s-primes takes integers, not ''"),
+            ("3,2.5", "--s-primes takes integers, not '2.5'"),
+            ("3,3", "--s-primes lists 3 twice"),
+            ("3,7,3", "--s-primes lists 3 twice"),
+        ],
+    )
+    def test_bad_s_primes_are_named(self, capsys, spec, message):
+        code, out, err = run(capsys, "constants", "--n", "2", "--s-primes", spec)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": message}
 
 
 class TestCharacters:
@@ -445,9 +503,9 @@ class TestMeasureGridByteIdentity:
         [("mu_ST", None, 1), ("mu_p", 2, 1), ("mu_p", 7, -1), ("lambda", 3, 1), ("lambda", 5, -1)],
     )
     def test_grid_equals_per_point_loop(self, capsys, measure, p, sign):
-        argv = ["measure", "--measure", measure, "--sign", str(sign), "--grid", "64"]
+        argv = ["measure", "--measure", measure, "--grid", "64"]
         if p is not None:
-            argv += ["--p", str(p)]
+            argv += ["--p", str(p), "--sign", str(sign)]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == per_point_grid(measure, p, sign, 64)
@@ -493,9 +551,9 @@ class TestMeasureChunkedRows:
     @pytest.mark.parametrize("measure,p,sign", [("mu_ST", None, 1), ("mu_p", 2, 1), ("lambda", 5, -1)])
     @pytest.mark.parametrize("grid", [1, 7, 8191, 8192, 150_000])
     def test_bytes_independent_of_chunk_count(self, capsys, monkeypatch, tmp_path, measure, p, sign, grid):
-        argv = ["measure", "--measure", measure, "--sign", str(sign), "--grid", str(grid)]
+        argv = ["measure", "--measure", measure, "--grid", str(grid)]
         if p is not None:
-            argv += ["--p", str(p)]
+            argv += ["--p", str(p), "--sign", str(sign)]
         expected = per_point_grid(measure, p, sign, grid)
         for chunks in (1, 2, 3):
             chunks_forced(monkeypatch, chunks)

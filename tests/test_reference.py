@@ -1,0 +1,47 @@
+"""The benchmark's correctness gate on the `constants` and `characters` runs.
+
+Every `constants` and `characters` invocation that ``bench/workloads.pool()``
+lists runs in process through `rtflab.cli.main`, and its stdout is judged by
+the checker of ``bench/verify.py`` against ``bench/reference.json``, as the
+benchmark judges it.  The `measure --grid 150000` invocations of the pool
+(1-2 s each) are left to the benchmark.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from rtflab.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"_reference_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _bench_module("workloads")
+_VERIFY = _bench_module("verify")
+_REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+_CHECKERS = {"constants": _VERIFY.check_constants, "characters": _VERIFY.check_characters}
+_POOL = [inv for inv in _WORKLOADS.pool() if inv.kind in _CHECKERS]
+
+
+def test_pool_has_every_constants_and_characters_run():
+    assert len(_POOL) == 95
+    assert {inv.kind for inv in _WORKLOADS.pool()} - set(_CHECKERS) == {"measure"}
+
+
+@pytest.mark.parametrize("inv", _POOL, ids=[inv.label for inv in _POOL])
+def test_output_passes_the_bench_checker(capsys, inv):
+    code = main(list(inv.argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert _CHECKERS[inv.kind](captured.out.encode("utf-8"), inv.expect, _REFERENCE) is None
