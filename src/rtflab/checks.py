@@ -7,11 +7,12 @@ tighten all checks at once (tightening beyond floating point is expected to
 fail, and the failing checks are reported by name).
 
 Each check group imports what it runs, as each CLI subcommand does: the
-analytic modules `lfunctions` and `rtf_constants` (and with them mpmath)
-are imported inside `check_rtf_constants`, and the second routes of
-`oracles` inside `xi_matches_brute_force` and `check_rtf_constants`.  So
-when `run_all_checks` runs its groups in several processes, only the one
-that runs the `rtf` group loads mpmath.
+analytic modules `lfunctions` and `rtf_constants` are imported inside
+`check_rtf_constants`, and the second routes of `oracles` inside
+`xi_matches_brute_force` and `check_rtf_constants`.  mpmath is imported by
+the working-precision evaluators and stencil fits that only the rtf checks
+call.  So when `run_all_checks` runs its groups in several processes, only
+the one that runs the `rtf` group loads mpmath.
 """
 
 from __future__ import annotations

@@ -2,21 +2,23 @@
 
 Finite parts are evaluated through the Hurwitz-zeta representation
 ``L(s, chi) = m**(-s) * sum_a chi(a) zeta(s, a/m)`` at elevated working
-precision (mpmath), which is valid in the entire s-plane.  Completed
-functions carry the archimedean factor ``pi**(-s/2) Gamma(s/2)`` and the
-conductor power ``(m/pi)**(s/2)``; the half plane Re(s) < 1/2 is reached
-through the functional equation so the trivial zero at s = 0 never has to
-fight the gamma pole numerically.
+precision (mpmath, imported by the evaluators that use it), which is valid
+in the entire s-plane.  Completed functions carry the archimedean factor
+``pi**(-s/2) Gamma(s/2)`` and the conductor power ``(m/pi)**(s/2)``; the
+half plane Re(s) < 1/2 is reached through the functional equation so the
+trivial zero at s = 0 never has to fight the gamma pole numerically.
 
-Laurent data at s = 1 comes from closed forms: Stieltjes and polygamma
-constants for the completed zeta, and for a real even primitive character
-the functional equation, which moves the expansion to s = 0 where Lerch's
-formula and Hurwitz-zeta derivatives apply.  The edge coefficients of the
-central-value series are composed from that data by the order-2 jet
-product.  Jets are tuples (f, f', f''/2) at the expansion point:
-``jet_product`` multiplies them, ``exp_jet`` gives the jet of an
-exponential (every power q**(a x)), and ``jet_reciprocal`` that of 1/f, so
-the Taylor data of a formula is read off by evaluating it on jets.
+Laurent data at s = 1 comes from closed forms in floats, without mpmath:
+literals of the Stieltjes and polygamma formula for the completed zeta, and
+for a real even primitive character the functional equation, which moves
+the expansion to s = 0 where Lerch's formula (``math.lgamma``) and the
+Hurwitz-zeta second derivative (Euler-Maclaurin) apply.  The edge
+coefficients of the central-value series are composed from that data and a
+literal jet of 1/Lambda_zeta at 2 by the order-2 jet product.  Jets are
+tuples (f, f', f''/2) at the expansion point: ``jet_product`` multiplies
+them, ``exp_jet`` gives the jet of an exponential (every power q**(a x)),
+and ``jet_reciprocal`` that of 1/f, so the Taylor data of a formula is read
+off by evaluating it on jets.
 The independent route, symmetric stencil fits at working precision, is in
 :mod:`rtflab.oracles`.
 """
@@ -28,21 +30,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import mpmath as mp
-
 from .characters import DirichletCharacter, unit_group
 from .errors import PoleError
 from .fields import factorize
+from .special import EULER_GAMMA
 
 _DPS = 30
-# The Stieltjes constant gamma_1 to 50 digits.  mpmath's stieltjes(1) agrees
-# to 1e-45 (a test pins it) but computes it by quadrature on its first call
-# in each process.
-_STIELTJES_GAMMA1 = "-0.072815845483676724860586375874901319137736338334338"
 
 
 def _chi_values_mp(chi: DirichletCharacter) -> list:
     """chi(1), ..., chi(m) at working precision, from the integer phases."""
+    import mpmath as mp
+
     m = chi.modulus
     L = unit_group(m).exponent
     vals = []
@@ -56,6 +55,8 @@ def _chi_values_mp(chi: DirichletCharacter) -> list:
 
 
 def _gauss_adelic_mp(chi: DirichletCharacter):
+    import mpmath as mp
+
     m = chi.modulus
     if m == 1:
         return mp.mpc(1)
@@ -71,10 +72,14 @@ def _gauss_adelic_mp(chi: DirichletCharacter):
 
 
 def _zeta_fin_mp(s):
+    import mpmath as mp
+
     return mp.zeta(s)
 
 
 def _l_fin_mp(s, chi: DirichletCharacter):
+    import mpmath as mp
+
     m = chi.modulus
     if m == 1:
         return mp.zeta(s)
@@ -101,6 +106,8 @@ def _l_fin_mp(s, chi: DirichletCharacter):
 
 
 def _completed_zeta_mp(s):
+    import mpmath as mp
+
     s = mp.mpc(s)
     if s.real < 0.5:
         return _completed_zeta_mp(1 - s)
@@ -108,6 +115,8 @@ def _completed_zeta_mp(s):
 
 
 def _completed_l_mp(s, chi: DirichletCharacter):
+    import mpmath as mp
+
     s = mp.mpc(s)
     if s.real < 0.5:
         return _gauss_adelic_mp(chi) * _completed_l_mp(1 - s, chi.conjugate())
@@ -123,12 +132,16 @@ def zeta_fin(s: complex) -> complex:
     """The Riemann zeta function (analytic continuation)."""
     if abs(complex(s) - 1.0) < 1e-14:
         raise PoleError("zeta pole at s = 1")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return complex(_zeta_fin_mp(mp.mpc(s)))
 
 
 def l_fin(s: complex, chi: DirichletCharacter) -> complex:
     """Finite-part Dirichlet L-function of chi (imprimitive characters allowed)."""
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return complex(_l_fin_mp(mp.mpc(s), chi))
 
@@ -138,6 +151,8 @@ def completed_zeta(s: complex) -> complex:
     s = complex(s)
     if abs(s) < 1e-14 or abs(s - 1.0) < 1e-14:
         raise PoleError(f"completed zeta pole at s = {s}")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return complex(_completed_zeta_mp(mp.mpc(s)))
 
@@ -154,6 +169,8 @@ def completed_l(s: complex, chi: DirichletCharacter) -> complex:
         return completed_zeta(s)
     if not (chi.is_even() and chi.is_primitive()):
         raise ValueError("completed_l expects an even primitive character")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return complex(_completed_l_mp(mp.mpc(s), chi))
 
@@ -238,6 +255,32 @@ def _is_trivial(xi: DirichletCharacter | None) -> bool:
     return False
 
 
+# Bernoulli numbers B_2, B_4, ..., B_16: the Euler-Maclaurin tail of
+# `_hurwitz_d2_at_0`, whose first omitted term is below 1e-18 at N = 12.
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_EULER_MACLAURIN_N = 12
+
+
+def _hurwitz_d2_at_0(x: float) -> float:
+    """zeta''(0, x), the second s-derivative of the Hurwitz zeta at s = 0, for 0 < x <= 1.
+
+    Euler-Maclaurin with the first N terms summed and u = N + x, L = log u:
+    sum_{k<N} log(k + x)**2 - u (L**2 - 2 L + 2) + L**2 / 2
+    + sum_{j<=8} 2 B_2j / (2j (2j - 1)) (H_{2j-2} - L) u**(1 - 2j),
+    with H_i the harmonic numbers.
+    """
+    u = _EULER_MACLAURIN_N + x
+    log_u = math.log(u)
+    terms = [math.log(k + x) ** 2 for k in range(_EULER_MACLAURIN_N)]
+    terms += [-u * (log_u * log_u - 2.0 * log_u + 2.0), 0.5 * log_u * log_u]
+    harmonic, power = 0.0, 1.0 / u
+    for j, bernoulli in enumerate(_BERNOULLI_EVEN, start=1):
+        terms.append(2.0 * bernoulli / (2 * j * (2 * j - 1)) * (harmonic - log_u) * power)
+        harmonic += 1.0 / (2 * j - 1) + 1.0 / (2 * j)
+        power /= u * u
+    return math.fsum(terms)
+
+
 @lru_cache(maxsize=256)
 def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
     """Laurent data of the completed L-function at s = 1 over Q, in closed form.
@@ -245,30 +288,34 @@ def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
     ``xi=None`` (or the trivial character) means the completed zeta:
     residue 1, c0 = (gamma - log 4 pi)/2 and
     c1 = -gamma_1 + a gamma + (a**2 + b)/2 with the Stieltjes constant
-    gamma_1, a = (psi(1/2) - log pi)/2 and b = psi'(1/2)/4.
+    gamma_1, a = (psi(1/2) - log pi)/2 and b = psi'(1/2)/4.  These are
+    returned as float literals of that formula at 30 digits (a test
+    recomputes them).
 
     A real even primitive chi mod m has root number 1, so
     Lambda(1 + h) = Lambda(-h): c0 = Lambda(0) = 2 L'(0) and
     c1 = -Lambda'(0) = -sum chi(a) zeta''(0, a/m) + (log(m pi) + gamma) L'(0),
     where L'(0) = sum chi(a) log Gamma(a/m) (Lerch).  The residue is 0.
+    Both sums are taken in floats, zeta''(0, x) by `_hurwitz_d2_at_0`.
     `oracles.laurent_at_1_two_widths` is the independent stencil route.
     Cached on the character: `eta_context` and `edge_coefficients` both
     read it.
     """
-    with mp.workdps(_DPS):
-        if _is_trivial(xi):
-            a = (mp.digamma(mp.mpf(0.5)) - mp.log(mp.pi)) / 2
-            b = mp.psi(1, mp.mpf(0.5)) / 4
-            c1 = -mp.mpf(_STIELTJES_GAMMA1) + a * mp.euler + (a * a + b) / 2
-            return LaurentData(residue=1.0, c0=float(mp.euler + a), c1=float(c1))
-        m = xi.modulus
-        signs = [
-            (a, 1 if k == 0 else -1) for a in range(m) if (k := xi.phase_index(a)) is not None
-        ]
-        dl0 = mp.fsum(s * mp.loggamma(mp.mpf(a) / m) for a, s in signs)
-        d2 = mp.fsum(s * mp.zeta(0, mp.mpf(a) / m, 2) for a, s in signs)
-        c1 = -d2 + (mp.log(m * mp.pi) + mp.euler) * dl0
-        return LaurentData(residue=0.0, c0=float(2 * dl0), c1=float(c1))
+    if _is_trivial(xi):
+        return LaurentData(residue=1.0, c0=-0.976904291033879, c1=1.000248155568105)
+    m = xi.modulus
+    signs = [(a, 1 if k == 0 else -1) for a in range(m) if (k := xi.phase_index(a)) is not None]
+    dl0 = math.fsum(s * math.lgamma(a / m) for a, s in signs)
+    d2 = math.fsum(s * _hurwitz_d2_at_0(a / m) for a, s in signs)
+    c1 = -d2 + (math.log(m * math.pi) + EULER_GAMMA) * dl0
+    return LaurentData(residue=0.0, c0=2.0 * dl0, c1=c1)
+
+
+# Jet (f, f', f''/2) at h = 0 of 1/Lambda_zeta(2 - h): (1, A, (A**2 - B)/2)
+# divided by Lambda_zeta(2) = pi/6, where A = (psi(1) - log pi)/2 + zeta'(2)/zeta(2)
+# and B = psi'(1)/4 + zeta''(2)/zeta(2) - (zeta'(2)/zeta(2))**2; float literals
+# of that formula at 30 digits (a test recomputes them).
+_INV_ZETA_HAT2_JET = (1.909859317102744, -2.732882189869369, 0.7179696879667569)
 
 
 def edge_coefficients(
@@ -284,13 +331,7 @@ def edge_coefficients(
     `oracles.central_series_function` is the independent route.
     """
     lau = laurent_at_1(eta)
-    with mp.workdps(_DPS):
-        z0, z1, z2 = (mp.zeta(2, 1, k) for k in range(3))
-        A = (mp.digamma(1) - mp.log(mp.pi)) / 2 + z1 / z0
-        B = mp.psi(1, 1) / 4 + z2 / z0 - (z1 / z0) ** 2
-        inv_zeta_hat2 = 1 / _completed_zeta_mp(mp.mpf(2)).real
-        zeta_jet = tuple(float(inv_zeta_hat2 * c) for c in (1, A, (A * A - B) / 2))
     l_jet = (-2.0 * lau.residue, lau.c0, -0.5 * lau.c1)
     d_jet = exp_jet(math.log(discriminant_abs) / 2.0, -1.0)
-    c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, d_jet, zeta_jet])
+    c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, d_jet, _INV_ZETA_HAT2_JET])
     return EdgeCoefficients(c_minus2=c_minus2, c_minus1=c_minus1, c_zero=c_zero)

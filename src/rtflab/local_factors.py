@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .characters import QuadraticCharacterProfile
 from .errors import PoleError
 from .fields import FinitePlace, LevelIdeal, index_k0
 from .special import abs_gamma_iy_sq_inv, abs_gamma_iy_sq_inv_lanczos, gamma_r
+
+if TYPE_CHECKING:
+    from .characters import QuadraticCharacterProfile
 
 _UNITARY_TOL = 1e-12
 

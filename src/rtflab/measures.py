@@ -173,9 +173,14 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
 
     log q and the local value at 1 of the sign character are computed once.
     The spherical factor and its sign twin are evaluated at the same two
-    exponents s = 1/2 +- iy/2, so each power q**(-s) is computed once per
-    point and fed to both; every step is the one `local_l_spherical` and
-    `local_l_spherical_sign` take, so the value is the same float.
+    exponents s = 1/2 +- iy/2, so the powers q**(-s) are computed once per
+    point and fed to both.  The power at 1/2 - iy/2 is taken as the
+    conjugate of the one at 1/2 + iy/2: complex pow on a positive real base
+    returns len * (cos phi, sin phi) with phi = b.imag * log q, and cos is
+    even and sin odd, so the conjugate equals the power it replaces (at y = 0
+    up to the sign of its zero imaginary part).  Every other step
+    is the one `local_l_spherical` and `local_l_spherical_sign` take, so the
+    value is the same float.
     """
     log_q = math.log(q)
     l_one_sign = local_l_character(1.0, complex(sign), q)
@@ -186,7 +191,8 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
     def fn(y: float) -> float:
         nu = 1j * y
         s_plus, s_minus = half + nu / 2.0, half - nu / 2.0
-        p_plus, p_minus = q ** (-s_plus), q ** (-s_minus)
+        p_plus = q ** (-s_plus)
+        p_minus = p_plus.conjugate()
         spherical = _local_l_from_power(s_plus, one, p_plus) * _local_l_from_power(
             s_minus, one, p_minus
         )

@@ -41,7 +41,6 @@ from .lfunctions import (
     EdgeCoefficients,
     Jet,
     LaurentData,
-    completed_zeta,
     edge_coefficients,
     epsilon_of_minus_z,
     exp_jet,
@@ -316,7 +315,8 @@ def eta_context(
         laurent_trivial=laurent_trivial,
         laurent_eta=laurent_eta,
         edge=edge_coefficients(chi, profile.discriminant_abs),
-        zeta2=completed_zeta(2.0).real,
+        # Lambda_zeta(2) = pi/6 rounded from 30 digits; math.pi / 6 is 1 ulp lower.
+        zeta2=0.5235987755982989,
     )
 
 

@@ -763,7 +763,8 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
-watched = ("numpy", "numpy.random", "mpmath", "rtflab.checks", "rtflab.empirical", "rtflab.oracles")
+watched = ("numpy", "numpy.random", "mpmath", "rtflab.checks", "rtflab.empirical", "rtflab.oracles",
+           "rtflab.characters")
 print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), file=sys.stderr)
 """
 
@@ -830,19 +831,23 @@ class TestImportHygiene:
         [
             ["--version"],
             ["constants", "--n", "2^2*3", "--eta", "quad:5"],
+            ["constants", "--n", "2^2*3", "--eta", "trivial"],
+            ["constants", "--n", "4", "--s-primes", "3,7"],
             ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "8"],
             ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "20000"],
             ["characters", "--n", "25"],
             ["mass", "--measure", "mu_p", "--p", "3"],
             ["weights", "--rep", "special", "--sign", "1", "--k", "1"],
         ],
-        ids=["version", "constants", "measure", "measure-forked", "characters", "mass", "weights"],
+        ids=["version", "constants", "constants-trivial", "constants-s-primes", "measure",
+             "measure-forked", "characters", "mass", "weights"],
     )
     def test_subcommand_loads_no_numpy_checks_or_empirical(self, argv):
         code, loaded, forks = loaded_after(*argv)
         assert code == 0
-        # Only `constants` evaluates L-functions, through mpmath.
-        assert loaded == (["mpmath"] if argv[0] == "constants" else [])
+        # `constants` takes its L-function data in floats, without mpmath;
+        # only the subcommands that build characters load `characters`.
+        assert loaded == (["rtflab.characters"] if argv[0] in ("constants", "characters") else [])
         # Only the 20000-point grid is long enough to fork, one child per
         # chunk past the first.
         rows = int(argv[-1]) + 1 if argv[0] == "measure" else 0

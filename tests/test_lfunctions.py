@@ -8,7 +8,8 @@ from rtflab.characters import DirichletCharacter, l_one
 from rtflab.errors import PoleError
 from rtflab.lfunctions import (
     _DPS,
-    _STIELTJES_GAMMA1,
+    _INV_ZETA_HAT2_JET,
+    _hurwitz_d2_at_0,
     completed_l,
     completed_zeta,
     edge_coefficients,
@@ -22,6 +23,14 @@ from rtflab.special import EULER_GAMMA
 
 CHI5 = DirichletCharacter.quadratic(5)
 CHI8 = DirichletCharacter.quadratic(8)
+
+
+def _even_primitive_quadratic(m: int) -> bool:
+    try:
+        chi = DirichletCharacter.quadratic(m)
+    except ValueError:
+        return False
+    return chi.order() == 2 and chi.is_even() and chi.is_primitive()
 
 
 class TestEvaluators:
@@ -94,12 +103,11 @@ class TestLaurent:
         data = laurent_at_1(None)
         assert data.c0 == pytest.approx((EULER_GAMMA - math.log(4.0 * math.pi)) / 2.0, abs=1e-11)
 
-    def test_gamma1_literal_matches_mpmath(self):
-        # laurent_at_1 reads the Stieltjes constant gamma_1 from a 50-digit
-        # literal; mpmath computes it by quadrature.
-        with mpmath.workdps(50):
-            gap = abs(mpmath.mpf(_STIELTJES_GAMMA1) - mpmath.stieltjes(1))
-        assert gap < mpmath.mpf("1e-45")
+    def test_trivial_c0_literal_matches_mpmath(self):
+        with mpmath.workdps(_DPS):
+            a = (mpmath.digamma(mpmath.mpf(0.5)) - mpmath.log(mpmath.pi)) / 2
+            want = float(mpmath.euler + a)
+        assert laurent_at_1(None).c0 == want
 
     def test_trivial_c1_does_not_compute_gamma1(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -113,6 +121,35 @@ class TestLaurent:
             b = mpmath.psi(1, mpmath.mpf(0.5)) / 4
             want = float(-mpmath.stieltjes(1) + a * mpmath.euler + (a * a + b) / 2)
         assert got == want
+
+    def test_hurwitz_second_derivative_against_mpmath(self):
+        # Near its zero at x = 0.2425 the float sum keeps ~1e-14 absolute,
+        # so the bound is relative to max(1, |zeta''(0, x)|).
+        with mpmath.workdps(_DPS):
+            for i in range(1, 401):
+                x = i / 400
+                want = float(mpmath.zeta(0, x, 2))
+                assert abs(_hurwitz_d2_at_0(x) - want) <= 1e-13 * max(1.0, abs(want)), x
+
+    def test_quadratic_laurent_against_the_mpmath_formula(self):
+        # Lerch's formula and zeta''(0, a/m) at working precision, the route
+        # laurent_at_1 took before it summed floats.
+        def mp_formula(xi):
+            m = xi.modulus
+            signs = [(a, 1 if k == 0 else -1) for a in range(m) if (k := xi.phase_index(a)) is not None]
+            with mpmath.workdps(_DPS):
+                dl0 = mpmath.fsum(s * mpmath.loggamma(mpmath.mpf(a) / m) for a, s in signs)
+                d2 = mpmath.fsum(s * mpmath.zeta(0, mpmath.mpf(a) / m, 2) for a, s in signs)
+                c1 = -d2 + (mpmath.log(m * mpmath.pi) + mpmath.euler) * dl0
+                return float(2 * dl0), float(c1)
+
+        conductors = [m for m in range(2, 61) if _even_primitive_quadratic(m)]
+        assert conductors == [5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40, 41, 44, 53, 56, 57, 60]
+        for m in conductors:
+            got = laurent_at_1(DirichletCharacter.quadratic(m))
+            for value, want in zip((got.c0, got.c1), mp_formula(DirichletCharacter.quadratic(m))):
+                assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), m
+            assert got.residue == 0.0
 
     def test_two_widths_agree(self):
         for xi in (None, CHI5, CHI8):
@@ -216,6 +253,15 @@ class TestExtractSeries:
 
 
 class TestEdgeClosedForms:
+    def test_inverse_zeta_hat2_jet_literal_matches_mpmath(self):
+        with mpmath.workdps(_DPS):
+            z0, z1, z2 = (mpmath.zeta(2, 1, k) for k in range(3))
+            A = (mpmath.digamma(1) - mpmath.log(mpmath.pi)) / 2 + z1 / z0
+            B = mpmath.psi(1, 1) / 4 + z2 / z0 - (z1 / z0) ** 2
+            inv = 1 / (mpmath.pi ** -1 * mpmath.gamma(1) * z0)
+            want = tuple(float(inv * c) for c in (1, A, (A * A - B) / 2))
+        assert _INV_ZETA_HAT2_JET == want
+
     def test_trivial_coefficients_against_derivative_closed_forms(self):
         # Squaring the zeta Laurent data at the edge and dividing by the
         # completed zeta at 2 gives closed forms for all three coefficients:

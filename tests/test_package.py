@@ -172,8 +172,27 @@ def test_checks_import_the_analytic_modules_in_the_rtf_group_only():
     }
 
 
+def test_the_constants_path_imports_mpmath_only_inside_functions():
+    # `constants` runs on float closed forms; mpmath is imported by the
+    # working-precision evaluators that `check` and the library calls use.
+    for name in ("lfunctions", "rtf_constants"):
+        assert "mpmath" not in import_time_modules(SRC / f"{name}.py"), name
+    assert functions_importing(SRC / "lfunctions.py", "mpmath") == [
+        "_chi_values_mp", "_completed_l_mp", "_completed_zeta_mp", "_gauss_adelic_mp", "_l_fin_mp",
+        "_zeta_fin_mp", "completed_l", "completed_zeta", "l_fin", "zeta_fin",
+    ]
+    assert "mpmath" not in imported_modules(SRC / "rtf_constants.py")
+
+
+def test_local_factors_imports_characters_for_annotations_only():
+    path = SRC / "local_factors.py"
+    assert "rtflab.characters" in imported_modules(path)
+    assert "rtflab.characters" not in import_time_modules(path)
+
+
 def test_import_time_modules_skips_functions_and_type_checking_blocks():
     # the guards above would pass vacuously if the walk missed top-level imports
-    assert {"mpmath", "rtflab.characters.unit_group"} <= import_time_modules(SRC / "lfunctions.py")
+    assert "rtflab.characters.unit_group" in import_time_modules(SRC / "lfunctions.py")
+    assert "mpmath" in imported_modules(SRC / "lfunctions.py")
     assert "numpy" not in import_time_modules(SRC / "characters.py")
     assert "numpy" in imported_modules(SRC / "characters.py")

@@ -3,8 +3,9 @@
 Every `constants` and `characters` invocation that ``bench/workloads.pool()``
 lists runs in process through `rtflab.cli.main`, and its stdout is judged by
 the checker of ``bench/verify.py`` against ``bench/reference.json``, as the
-benchmark judges it.  The `measure --grid 150000` invocations of the pool
-(1-2 s each) are left to the benchmark.
+benchmark judges it.  Of the `measure --grid 150000` invocations of the pool
+(1-2 s each), the eight `lambda` grids run too, since their kernel is the one
+whose floats are easiest to move; the `mu_p` grids are left to the benchmark.
 """
 
 import importlib.util
@@ -32,6 +33,9 @@ _VERIFY = _bench_module("verify")
 _REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
 _CHECKERS = {"constants": _VERIFY.check_constants, "characters": _VERIFY.check_characters}
 _POOL = [inv for inv in _WORKLOADS.pool() if inv.kind in _CHECKERS]
+_LAMBDA_GRIDS = [
+    inv for inv in _WORKLOADS.pool() if inv.kind == "measure" and inv.argv[2] == "lambda"
+]
 
 
 def test_pool_has_every_constants_and_characters_run():
@@ -45,3 +49,12 @@ def test_output_passes_the_bench_checker(capsys, inv):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert _CHECKERS[inv.kind](captured.out.encode("utf-8"), inv.expect, _REFERENCE) is None
+
+
+@pytest.mark.parametrize("inv", _LAMBDA_GRIDS, ids=[inv.label for inv in _LAMBDA_GRIDS])
+def test_lambda_grid_matches_the_reference_bytes(capsys, inv):
+    assert len(_LAMBDA_GRIDS) == 8
+    code = main(list(inv.argv))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert _VERIFY.check_measure(captured.out.encode("utf-8"), inv.expect, _REFERENCE) is None

@@ -524,6 +524,17 @@ class TestEtaContext:
         assert ctx_trivial.residue == pytest.approx(1.0, abs=1e-9)
         assert ctx_trivial.zeta2 == pytest.approx(math.pi / 6.0, abs=1e-12)
 
+    def test_zeta2_literal_matches_mpmath(self, ctx_trivial):
+        import mpmath
+
+        from rtflab.lfunctions import _DPS
+
+        with mpmath.workdps(_DPS):
+            want = float(mpmath.pi ** -1 * mpmath.gamma(1) * mpmath.zeta(2))
+        assert ctx_trivial.zeta2 == want
+        # the correctly rounded pi/6, which the float quotient misses by an ulp
+        assert want == math.nextafter(math.pi / 6.0, 1.0)
+
     def test_quadratic_context(self, ctx_chi5):
         assert not ctx_chi5.is_trivial
         assert ctx_chi5.gauss_adelic == pytest.approx(1.0 + 0.0j, abs=1e-12)
