@@ -12,14 +12,12 @@ import math
 from rtflab.fields import RATIONALS
 from rtflab.measures import (
     dx_dy_abs,
-    local_spectral_density,
+    local_spectral,
     plancherel,
-    plancherel_density,
     plancherel_mass_closed_form,
     pushforward_check,
     pushforward_fullwindow_factor,
     sato_tate,
-    sato_tate_density,
     satake_x_of_y,
 )
 
@@ -27,8 +25,9 @@ print("== densities on [-2, 2] ==")
 xs = [-2.0, -1.0, 0.0, 1.0, 2.0]
 header = "x".rjust(6) + "".join(f"{t:>14}" for t in ("mu_ST", "mu_2^+", "mu_2^-", "mu_5^+"))
 print(header)
+densities = [sato_tate(), plancherel(2, 1), plancherel(2, -1), plancherel(5, 1)]
 for x in xs:
-    row = [sato_tate_density(x), plancherel_density(x, 2, 1), plancherel_density(x, 2, -1), plancherel_density(x, 5, 1)]
+    row = [density(x) for density in densities]
     print(f"{x:6.1f}" + "".join(f"{v:14.6f}" for v in row))
 
 print("\n== masses (adaptive quadrature vs closed form) ==")
@@ -45,11 +44,12 @@ q = 2
 place = RATIONALS.place_for_prime(q)
 window = 2.0 * math.pi / math.log(q)
 print(f"window at q={q}: [0, {window:.6f}]  (maps once onto [-2, 2])")
+lam, mu = local_spectral(place, 1), plancherel(q, 1)
 for frac in (0.25, 0.5, 0.75):
     y = frac * window
     x = satake_x_of_y(y, q)
-    lhs = local_spectral_density(y, place, 1)
-    rhs = plancherel_density(x, q, 1) * dx_dy_abs(y, q)
+    lhs = lam(y)
+    rhs = mu(x) * dx_dy_abs(y, q)
     print(f"y = {y:8.4f} -> x = {x:+.4f}: lambda(y) = {lhs:.10f}, mu(x)|dx/dy| = {rhs:.10f}")
 
 print("\nmax pointwise defect on 1000-point half-window grids:")

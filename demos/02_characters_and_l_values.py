@@ -31,7 +31,7 @@ for m in (5, 8, 12, 13, 17):
         chi = DirichletCharacter.quadratic(m)
     except ValueError:
         continue
-    tau = gauss_sum(chi).value
+    tau = gauss_sum(chi)
     print(f"m = {m:3d}: tau = {tau.real:+.6f} {tau.imag:+.6f}i   |tau| - sqrt(m) = {abs(tau) - math.sqrt(m):+.2e}")
 
 print("\n== L(1, chi_5) three ways ==")

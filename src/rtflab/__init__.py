@@ -24,7 +24,6 @@ _EXPORTS = {
     ),
     "characters": (
         "DirichletCharacter",
-        "GaussSumValue",
         "QuadraticCharacterProfile",
         "adelic_gauss_sum",
         "enumerate_character_group",
@@ -51,12 +50,9 @@ _EXPORTS = {
     "measures": (
         "Density",
         "local_spectral",
-        "local_spectral_density",
         "plancherel",
-        "plancherel_density",
         "pushforward_check",
         "sato_tate",
-        "sato_tate_density",
         "spectral_pairing",
     ),
     "lfunctions": (

@@ -411,15 +411,7 @@ def enumerate_character_group(m: int) -> list[DirichletCharacter]:
 # Gauss sums
 
 
-@dataclass(frozen=True)
-class GaussSumValue:
-    """The classical character sum tau(chi) together with its modulus."""
-
-    value: complex
-    modulus: int
-
-
-def gauss_sum(chi: DirichletCharacter) -> GaussSumValue:
+def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum_a chi(a) e^{2 pi i a / m}; requires chi primitive.
 
     One character at a time in O(m) scalar steps over `phase_index`, a route
@@ -429,14 +421,14 @@ def gauss_sum(chi: DirichletCharacter) -> GaussSumValue:
         raise ValueError("gauss_sum requires a primitive character")
     m = chi.modulus
     if m == 1:
-        return GaussSumValue(1.0 + 0.0j, 1)
+        return 1.0 + 0.0j
     L = unit_group(m).exponent
     tau = 0.0 + 0.0j
     for a in range(1, m):
         k = chi.phase_index(a)
         if k is not None:
             tau += _unit_root(k, L) * _unit_root(a, m)
-    return GaussSumValue(tau, m)
+    return tau
 
 
 def adelic_gauss_sum(chi: DirichletCharacter) -> complex:
@@ -445,8 +437,7 @@ def adelic_gauss_sum(chi: DirichletCharacter) -> complex:
     The classical tau and this normalized variant are both exposed; the two
     differ by the m**(1/2) volume normalization and agree in modulus only.
     """
-    g = gauss_sum(chi)
-    return g.value / math.sqrt(g.modulus)
+    return gauss_sum(chi) / math.sqrt(chi.modulus)
 
 
 def gauss_sums_for_modulus(m: int) -> list[tuple[tuple[int, ...], complex]]:

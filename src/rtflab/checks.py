@@ -336,33 +336,34 @@ def check_measures(tol: float | None) -> list[CheckResult]:
         # True symmetries of the finite-place formula: even in y and periodic
         # with period 4 pi / log q (the window is a fundamental domain for
         # both); the minus-sign density is additionally symmetric about the
-        # window midpoint.
+        # window midpoint.  The kernel is the formula on all of R.
         worst = 0.0
         for q in (2, 5):
             window = 2.0 * math.pi / math.log(q)
-            for sign in (1, -1):
+            kernels = {sign: meas.local_spectral(_place(q), sign).kernel for sign in (1, -1)}
+            for fn in kernels.values():
                 for y in np.linspace(0.05 * window, 0.95 * window, 40):
-                    base = meas.finite_spectral_formula(float(y), q, sign)
-                    worst = max(worst, abs(meas.finite_spectral_formula(float(y) + 2.0 * window, q, sign) - base))
-                    worst = max(worst, abs(meas.finite_spectral_formula(-float(y), q, sign) - base))
-                for y in np.linspace(0.05 * window, 0.45 * window, 20):
-                    a = meas.finite_spectral_formula(float(y), q, -1)
-                    b = meas.finite_spectral_formula(window - float(y), q, -1)
-                    worst = max(worst, abs(a - b))
+                    base = fn(float(y))
+                    worst = max(worst, abs(fn(float(y) + 2.0 * window) - base))
+                    worst = max(worst, abs(fn(-float(y)) - base))
+            minus = kernels[-1]
+            for y in np.linspace(0.05 * window, 0.45 * window, 20):
+                worst = max(worst, abs(minus(float(y)) - minus(window - float(y))))
         return worst
 
     def negativity() -> float:
         neg = 0.0
+        densities = [meas.sato_tate()] + [meas.plancherel(p, sign) for p in (2, 7) for sign in (1, -1)]
         for x in np.linspace(-2.0, 2.0, 201):
-            neg = min(neg, meas.sato_tate_density(float(x)))
-            for p in (2, 7):
-                for sign in (1, -1):
-                    neg = min(neg, meas.plancherel_density(float(x), p, sign))
+            for density in densities:
+                neg = min(neg, density(float(x)))
+        lambdas = [meas.local_spectral(_place(2), sign) for sign in (1, -1)]
         for y in np.linspace(0.0, 2.0 * math.pi / math.log(2.0), 101):
-            for sign in (1, -1):
-                neg = min(neg, meas.local_spectral_density(float(y), _place(2), sign))
+            for density in lambdas:
+                neg = min(neg, density(float(y)))
+        arch = meas.local_spectral(None, 1)
         for y in np.linspace(0.0, 20.0, 101):
-            neg = min(neg, meas.local_spectral_density(float(y), None, 1))
+            neg = min(neg, arch(float(y)))
         return max(0.0, -neg)
 
     def refinement_growth() -> float:

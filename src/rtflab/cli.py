@@ -3,8 +3,8 @@
 Subcommands: measure, mass, weights, constants, characters, check, compare.
 Every subcommand takes --out PATH; --tol FLOAT is read by mass and check,
 --format {csv,json} by weights, and --profile PATH by constants and
-characters.  No subcommand accepts a flag it does not read, and no float
-flag accepts nan or an infinity.
+characters.  No subcommand, and no `weights --rep`, accepts a flag it does
+not read, and no float flag accepts nan or an infinity.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 numerical
 failure (diagnostic JSON on stderr).  Output is deterministic: fixed
 iteration orders, repr-exact floats, no clocks.
@@ -170,19 +170,39 @@ def _cmd_mass(args) -> int:
     return EXIT_OK
 
 
-def _cmd_weights(args) -> int:
-    from .local_factors import HigherConductor, LocalRepresentation, Special, Spherical, r_weight
+# The rep flags of `weights` each rep reads; they default to None, read as
+# --theta 0.0, --chi-sign 1 and --c 2.
+_WEIGHTS_REP_FLAGS = {"spherical": ("theta", "satake"), "special": ("chi_sign",), "c2": ("c",)}
 
+
+def _cmd_weights(args) -> int:
+    from .local_factors import (
+        HigherConductor,
+        LocalRepresentation,
+        Special,
+        Spherical,
+        r_weight,
+        spherical_in_open_set,
+    )
+
+    for flag in ("theta", "satake", "chi_sign", "c"):
+        if getattr(args, flag) is not None and flag not in _WEIGHTS_REP_FLAGS[args.rep]:
+            raise _CliError(f"--rep {args.rep} does not read --{flag.replace('_', '-')}")
     place = RATIONALS.place_for_prime(args.q)
     if args.rep == "spherical":
-        satake = cmath.exp(1j * args.theta) if args.satake is None else args.satake
-        data = Spherical(satake)
+        if args.theta is not None and args.satake is not None:
+            raise _CliError("give the Satake parameter by --theta or by --satake, not both")
+        if args.satake is None:
+            data = Spherical(cmath.exp(1j * (0.0 if args.theta is None else args.theta)))
+        else:
+            data = Spherical(args.satake)
+        # r_weight reads the parameter only at k >= 1; every k gets the same rule.
+        if not spherical_in_open_set(data, place.q):
+            raise _CliError(f"Satake parameter {data.satake} is not in the admissible set at q = {place.q}")
     elif args.rep == "special":
-        data = Special(args.chi_sign)
-    elif args.rep == "c2":
-        data = HigherConductor(max(2, args.c))
+        data = Special(args.chi_sign or 1)
     else:
-        raise _CliError(f"unknown representation variant {args.rep!r}")
+        data = HigherConductor(2 if args.c is None else args.c)
     rep = LocalRepresentation(place, data)
     value = r_weight(rep, args.sign, args.k)
     doc = {
@@ -401,11 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--sign", type=int, choices=(1, -1), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta", type=_finite(float), default=0.0, help="Satake angle for spherical")
+    p.add_argument("--theta", type=_finite(float), default=None,
+                   help="Satake angle for spherical (default 0)")
     p.add_argument("--satake", type=_finite(complex), default=None,
-                   help="explicit Satake parameter (complex)")
-    p.add_argument("--chi-sign", type=int, choices=(1, -1), default=1)
-    p.add_argument("--c", type=int, default=2)
+                   help="explicit Satake parameter (complex) for spherical")
+    p.add_argument("--chi-sign", type=int, choices=(1, -1), default=None,
+                   help="twisting sign for special (default +1)")
+    p.add_argument("--c", type=int, default=None, help="conductor exponent for c2 (default 2)")
     p.set_defaults(fn=_cmd_weights)
 
     p = sub.add_parser("constants", help="level constants and edge constants (JSON)")

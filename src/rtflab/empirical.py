@@ -183,20 +183,19 @@ class CdfInterpolator:
         return np.interp(u, self.cdf, self.xs)
 
 
-def inverse_cdf_sample(
-    density: Density, size: int, seed: int = 0, grid: int = 4096
-) -> np.ndarray:
-    """Draw iid points from a finite-domain density through the tabulated CDF."""
-    interp = CdfInterpolator(density, grid)
+def inverse_cdf_sample(density: Density, size: int, seed: int = 0) -> np.ndarray:
+    """Draw iid points from a finite-domain density through its CDF tabulated
+    on 4096 cells."""
+    interp = CdfInterpolator(density, 4096)
     rng = np.random.default_rng(seed)
     return interp.inverse(rng.random(size))
 
 
-def ks_distance(sample: EmpiricalSample, density: Density, grid: int = 2048) -> float:
+def ks_distance(sample: EmpiricalSample, density: Density) -> float:
     """Weighted Kolmogorov-Smirnov distance against the density's CDF."""
     if len(sample) == 0:
         raise ValueError("KS distance of an empty sample")
-    return _ks_distance(sample, CdfInterpolator(density, grid))
+    return _ks_distance(sample, CdfInterpolator(density))
 
 
 def _ks_distance(sample: EmpiricalSample, interp: CdfInterpolator) -> float:
@@ -224,7 +223,6 @@ def interval_report(
     sample: EmpiricalSample,
     density: Density,
     intervals: Sequence[tuple[float, float]],
-    tol: float = 1e-10,
 ) -> list[dict]:
     """Per-interval empirical mass vs theoretical mass."""
     total = sample.total_weight()
@@ -232,7 +230,7 @@ def interval_report(
     for a, b in intervals:
         if a > b:
             a, b = b, a
-        theo = integrate_density(density, a, b, tol).value if a < b else 0.0
+        theo = integrate_density(density, a, b).value if a < b else 0.0
         if len(sample) and total > 0.0:
             mask = (sample.x >= a) & (sample.x <= b)
             emp = float(np.sum(sample.weight[mask])) / total
@@ -254,9 +252,8 @@ def compare_report(
     density: Density,
     rejected: int = 0,
     intervals: Sequence[tuple[float, float]] = (),
-    grid: int = 2048,
 ) -> dict:
-    interp = CdfInterpolator(density, grid)
+    interp = CdfInterpolator(density)
     report = {
         "measure": density.tag,
         "rows": int(len(sample)),

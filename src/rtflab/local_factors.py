@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PoleError
 from .fields import FinitePlace, LevelIdeal, index_k0
-from .special import abs_gamma_iy_sq_inv, abs_gamma_iy_sq_inv_lanczos, gamma_r
+from .special import gamma_r
 
 if TYPE_CHECKING:
     from .characters import QuadraticCharacterProfile
@@ -165,12 +165,14 @@ def local_l_arch_spherical(s: complex, nu: complex) -> complex:
 
 
 def satake_ratio(data: Spherical, q: int) -> float:
-    """(alpha + 1/alpha) / (q**(1/2) + q**(-1/2)); real on the admissible set."""
-    a = complex(data.satake)
-    tr = a + 1.0 / a
-    if abs(tr.imag) > 1e-10 * max(1.0, abs(tr.real)):
+    """(alpha + 1/alpha) / (q**(1/2) + q**(-1/2)); real on the admissible set.
+
+    ValueError exactly when `spherical_in_open_set` rejects the parameter.
+    """
+    if not spherical_in_open_set(data, q):
         raise ValueError("Satake parameter is not in the admissible set")
-    return tr.real / (math.sqrt(q) + 1.0 / math.sqrt(q))
+    a = complex(data.satake)
+    return (a + 1.0 / a).real / (math.sqrt(q) + 1.0 / math.sqrt(q))
 
 
 def period_constant(rep: LocalRepresentation, eta_sign: int, k: int) -> complex:
@@ -268,23 +270,3 @@ def adjoint_norm_factor(conductor: LevelIdeal, l_ad_partial: float) -> float:
         raise ValueError("the partial adjoint L-value must be positive")
     return 2.0 * conductor.norm() / float(index_k0(conductor)) * l_ad_partial
 
-
-__all__ = [
-    "Spherical",
-    "Special",
-    "HigherConductor",
-    "LocalRepresentation",
-    "spherical_in_open_set",
-    "satake_ratio",
-    "local_l_character",
-    "local_l_spherical",
-    "local_l_spherical_sign",
-    "local_l_arch_spherical",
-    "period_constant",
-    "r_weight",
-    "global_weight",
-    "adjoint_norm_factor",
-    "gamma_r",
-    "abs_gamma_iy_sq_inv",
-    "abs_gamma_iy_sq_inv_lanczos",
-]

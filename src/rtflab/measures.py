@@ -88,17 +88,6 @@ def _semicircle(x: float) -> float:
     return math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
 
 
-def _check_semicircle_domain(x: float) -> None:
-    if not (-2.0 - _EDGE_TOL <= x <= 2.0 + _EDGE_TOL):
-        raise DomainError(f"{x} outside [-2, 2]")
-
-
-def sato_tate_density(x: float) -> float:
-    """Semicircle density (2 pi)**(-1) sqrt(4 - x**2) on [-2, 2]."""
-    _check_semicircle_domain(x)
-    return _semicircle(x)
-
-
 def _plancherel_fn(q: int, sign: int) -> Callable[[float], float]:
     """The per-prime density at (q, sign) as a function of x in [-2, 2].
 
@@ -126,22 +115,17 @@ def _plancherel_fn(q: int, sign: int) -> Callable[[float], float]:
     return fn
 
 
-def plancherel_density(x: float, q: int, sign: int) -> float:
+def sato_tate() -> Density:
+    """The semicircle density (2 pi)**(-1) sqrt(4 - x**2) on [-2, 2]."""
+    return Density(-2.0, 2.0, _semicircle, "mu_ST", cos_substitution=True)
+
+
+def plancherel(q: int, sign: int) -> Density:
     """Level-aspect limiting density of normalized eigenvalues at a prime.
 
     Two cases according to the sign of the twisting character at q; both are
     probability densities against the semicircle on [-2, 2].
     """
-    fn = _plancherel_fn(q, sign)
-    _check_semicircle_domain(x)
-    return fn(x)
-
-
-def sato_tate(tag: str = "mu_ST") -> Density:
-    return Density(-2.0, 2.0, _semicircle, tag, cos_substitution=True)
-
-
-def plancherel(q: int, sign: int) -> Density:
     tag = f"mu_{q}^{'+' if sign == 1 else '-'}"
     return Density(-2.0, 2.0, _plancherel_fn(q, sign), tag, cos_substitution=True)
 
@@ -169,8 +153,10 @@ def plancherel_mass_closed_form(q: int, sign: int) -> float:
 
 
 def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
-    """The finite-place formula at (q, sign) as a function of y.
+    """The finite-place formula at (q, sign) as a function of y on all of R.
 
+    As a function of y it is even and periodic with period 4 pi / log q; the
+    window [0, 2 pi / log q] is a fundamental domain for those symmetries.
     log q and the local value at 1 of the sign character are computed once.
     The spherical factor and its sign twin are evaluated at the same two
     exponents s = 1/2 +- iy/2, so the powers q**(-s) are computed once per
@@ -206,29 +192,15 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
     return fn
 
 
-def finite_spectral_formula(y: float, q: int, sign: int) -> float:
-    """The finite-place spectral density formula on all of R.
-
-    As a function of y it is even and periodic with period 4 pi / log q; the
-    window [0, 2 pi / log q] is a fundamental domain for those symmetries.
-    """
-    return _finite_spectral_fn(q, sign)(y)
-
-
-def local_spectral_density(y: float, place: Place | None, sign: int = 1) -> float:
-    """Density of the per-place spectral measure at the point i*y.
+def local_spectral(place: Place | None, sign: int = 1) -> Density:
+    """The per-place spectral density in y on its window; checks sign once.
 
     Archimedean places (place=None or ArchimedeanPlace) use the gamma-kernel
     weight (1/(4 pi)) |Gamma(iy/2)|**(-2); finite places use
     (log q / (4 pi)) |1 - q**(-iy)|**2.  The numerator is the product of the
     two central local factors divided by the local value at 1 of the sign
-    character.  Supported on the imaginary axis; y must lie in the window.
+    character.  At a finite place the ``kernel`` is the formula on all of R.
     """
-    return local_spectral(place, sign)(y)
-
-
-def local_spectral(place: Place | None, sign: int = 1) -> Density:
-    """The per-place spectral density in y on its window; checks sign once."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if place is None or isinstance(place, ArchimedeanPlace):
@@ -267,13 +239,13 @@ def pushforward_check(place: FinitePlace, sign: int, grid_size: int = 1000) -> f
     """
     q = place.q
     half = math.pi / math.log(q)
-    density = local_spectral(place, sign)
+    density, mu = local_spectral(place, sign), plancherel(q, sign)
     worst = 0.0
     for i in range(1, grid_size + 1):
         y = half * i / (grid_size + 1)
         lhs = density(y)
         x = satake_x_of_y(y, q)
-        rhs = plancherel_density(x, q, sign) * dx_dy_abs(y, q)
+        rhs = mu(x) * dx_dy_abs(y, q)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -290,14 +262,12 @@ def pushforward_fullwindow_factor(
     """
     q = place.q
     full = 2.0 * math.pi / math.log(q)
-    density = local_spectral(place, sign)
+    density, mu = local_spectral(place, sign), plancherel(q, sign)
     lo, hi = math.inf, -math.inf
     for i in range(1, grid_size + 1):
         y = full * i / (grid_size + 1)
         x = satake_x_of_y(y, q)
-        unhalved = plancherel_density(x, q, sign) * math.log(q) * math.sqrt(
-            max(4.0 - x * x, 0.0)
-        )
+        unhalved = mu(x) * math.log(q) * math.sqrt(max(4.0 - x * x, 0.0))
         ratio = unhalved / density(y)
         lo, hi = min(lo, ratio), max(hi, ratio)
     return lo, hi

@@ -28,7 +28,7 @@ from .characters import (
     QuadraticCharacterProfile,
     adelic_gauss_sum,
 )
-from .errors import PoleError, RamifiedOverlapError
+from .errors import DomainError, PoleError, RamifiedOverlapError
 from .fields import (
     FieldProfile,
     FinitePlace,
@@ -412,21 +412,31 @@ def unipotent_orbit_factor(
     out = 1.0 + 0.0j
     for place in sorted(s_by_place, key=_place_sort_key):
         s = complex(s_by_place[place])
-        if isinstance(place, FinitePlace):
-            q = place.q
-            up = q ** ((s + 1.0) / 2.0)
-            if abs(1.0 - up) < 1e-13 or abs(1.0 - eta_sign_at(place) / up) < 1e-13:
-                raise PoleError(f"orbit factor pole at {place.label}, s = {s}")
-            out /= (1.0 - up) * (1.0 - eta_sign_at(place) / up)
-        else:
-            a = (s + 1.0) / 4.0
-            b = (s + 3.0) / 4.0
-            if a.real > 0.0 and b.real > 0.0:
-                out *= -0.125 * cmath.exp(2.0 * (log_gamma(a) - log_gamma(b)))
+        try:
+            if isinstance(place, FinitePlace):
+                q = place.q
+                up = q ** ((s + 1.0) / 2.0)
+                if abs(1.0 - up) < 1e-13 or abs(1.0 - eta_sign_at(place) / up) < 1e-13:
+                    raise PoleError(f"orbit factor pole at {place.label}, s = {s}")
+                out /= (1.0 - up) * (1.0 - eta_sign_at(place) / up)
             else:
-                ratio = gamma(a) / gamma(b)
-                out *= -0.125 * ratio * ratio
+                a = (s + 1.0) / 4.0
+                b = (s + 3.0) / 4.0
+                if a.real > 0.0 and b.real > 0.0:
+                    out *= -0.125 * cmath.exp(2.0 * (log_gamma(a) - log_gamma(b)))
+                else:
+                    ratio = gamma(a) / gamma(b)
+                    out *= -0.125 * ratio * ratio
+        except (OverflowError, ZeroDivisionError):
+            raise _not_finite("orbit factor", place, s) from None
+        if not cmath.isfinite(out):
+            raise _not_finite("orbit factor", place, s)
     return out
+
+
+def _not_finite(what: str, place: Place, s: complex) -> DomainError:
+    """The error for a float overflow or a non-finite value at one place of S."""
+    return DomainError(f"{what} at {place.label} is not finite in floats at s = {s}")
 
 
 def _place_sort_key(place: Place):
@@ -456,14 +466,19 @@ def unipotent_orbit_constant(
     bracket += 0.5 * profile.degree * (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi))
     for place in sorted(s_by_place, key=_place_sort_key):
         s = complex(s_by_place[place])
-        if isinstance(place, FinitePlace):
-            q = place.q
-            up = q ** ((s + 1.0) / 2.0)
-            if abs(1.0 - up) < 1e-13:
-                raise PoleError(f"orbit constant pole at {place.label}, s = {s}")
-            bracket += math.log(q) / (1.0 - up)
-        else:
-            bracket += 0.5 * (digamma((s + 1.0) / 4.0) + digamma((s + 3.0) / 4.0))
+        try:
+            if isinstance(place, FinitePlace):
+                q = place.q
+                up = q ** ((s + 1.0) / 2.0)
+                if abs(1.0 - up) < 1e-13:
+                    raise PoleError(f"orbit constant pole at {place.label}, s = {s}")
+                bracket += math.log(q) / (1.0 - up)
+            else:
+                bracket += 0.5 * (digamma((s + 1.0) / 4.0) + digamma((s + 3.0) / 4.0))
+        except (OverflowError, ZeroDivisionError):
+            raise _not_finite("orbit constant", place, s) from None
+        if not cmath.isfinite(bracket):
+            raise _not_finite("orbit constant", place, s)
     return c0 + r * bracket
 
 

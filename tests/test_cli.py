@@ -13,15 +13,7 @@ from rtflab.cli import main
 from rtflab.errors import PoleError
 from rtflab.empirical import inverse_cdf_sample, sample_from_rows, write_sample_csv
 from rtflab.fields import RATIONALS
-from rtflab.measures import (
-    Density,
-    local_spectral,
-    local_spectral_density,
-    plancherel,
-    plancherel_density,
-    sato_tate,
-    sato_tate_density,
-)
+from rtflab.measures import Density, local_spectral, plancherel, sato_tate
 
 
 def run(capsys, *argv):
@@ -133,6 +125,30 @@ class TestWeights:
         assert header == "variant,q,sign,k,weight"
         assert row.split(",")[-1] == repr(1.5)
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--satake", "0"],
+            ["--satake", "5", "--q", "2", "--k", "3"],
+            ["--satake", "5", "--q", "2", "--k", "0"],
+            ["--satake", "1e-320"],
+        ],
+        ids=["zero", "outside-q2", "outside-q2-k0", "subnormal"],
+    )
+    def test_inadmissible_satake_exits_2(self, capsys, extra):
+        code, out, err = run(capsys, "weights", "--rep", "spherical", "--sign", "1", "--k", "1", *extra)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert "not in the admissible set at q = 2" in doc["message"]
+
+    def test_complementary_satake_inside_the_set_exits_0(self, capsys):
+        # 2**0.2 = q**(sigma/2) with sigma = 0.4 at q = 2
+        code, out, _ = run(capsys, "weights", "--rep", "spherical", "--sign", "1", "--k", "3",
+                           "--satake", "1.148698354997035")
+        assert code == 0
+        assert json.loads(out)["weight"] >= 0.0
+
 
 class TestConstants:
     def test_unit_level_trivial(self, capsys):
@@ -184,6 +200,18 @@ class TestConstants:
         doc = json.loads(err)
         assert doc["type"] == "RamifiedOverlapError"
         assert place in doc["message"]
+
+    @pytest.mark.parametrize(
+        "argv, place",
+        [(["--s-values", "3000", "--s-primes", "3"], "p3"), (["--s-values", "1e308"], "inf")],
+        ids=["finite-power-overflow", "arch-log-gamma-nan"],
+    )
+    def test_overflow_exits_3(self, capsys, argv, place):
+        code, out, err = run(capsys, "constants", "--n", "2", *argv)
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["type"]) == ("numerical", "DomainError")
+        assert f"orbit factor at {place} is not finite" in doc["message"]
 
     def test_s_disjoint_from_level_is_accepted(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "2", "--eta", "quad:5", "--s-primes", "3,7")
@@ -369,8 +397,38 @@ READ_FLAGS = {
 }
 
 
+# The rep flags of `weights`, the value given to each, and the reps that read them.
+WEIGHTS_FLAG_VALUES = {"--theta": "0.3", "--satake": "1j", "--chi-sign": "-1", "--c": "3"}
+WEIGHTS_READ_FLAGS = {"spherical": ("--theta", "--satake"), "special": ("--chi-sign",), "c2": ("--c",)}
+
+
 class TestFlagsPerSubcommand:
-    """Each subcommand accepts exactly the common flags it reads."""
+    """Each subcommand accepts exactly the common flags it reads, and each
+    `weights --rep` exactly its own rep flags."""
+
+    @pytest.mark.parametrize(
+        "rep,flag",
+        [(r, f) for r in WEIGHTS_READ_FLAGS for f in WEIGHTS_FLAG_VALUES if f not in WEIGHTS_READ_FLAGS[r]],
+    )
+    def test_unread_weights_rep_flag_exits_2(self, capsys, rep, flag):
+        argv = ["weights", "--rep", rep, "--sign", "1", "--k", "1", flag, WEIGHTS_FLAG_VALUES[flag]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": f"--rep {rep} does not read {flag}"}
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--rep", "spherical", "--theta", "0.3", "--satake", "1j"],
+             "give the Satake parameter by --theta or by --satake, not both"),
+            (["--rep", "c2", "--c", "1"], "higher-conductor shape requires c >= 2"),
+        ],
+        ids=["theta-with-satake", "c2-c-1"],
+    )
+    def test_weights_flag_conflicts_exit_2(self, capsys, extra, message):
+        code, out, err = run(capsys, "weights", "--sign", "1", "--k", "1", *extra)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": message}
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -478,22 +536,19 @@ class TestMeasureLambdaTabulation:
 
 
 def per_point_grid(measure, p, sign, n):
-    """The CSV of `rtflab measure`, one point at a time through the public
-    scalar densities, as the per-point loop wrote it."""
+    """The CSV of `rtflab measure`, one point at a time through the checked
+    call of the public densities, as the per-point loop wrote it."""
     if measure == "mu_ST":
-        lo, hi, tag, fn = -2.0, 2.0, "mu_ST", sato_tate_density
+        density = sato_tate()
     elif measure == "mu_p":
-        lo, hi, tag = -2.0, 2.0, plancherel(p, sign).tag
-        fn = lambda x: plancherel_density(x, p, sign)
+        density = plancherel(p, sign)
     else:
-        place = RATIONALS.place_for_prime(p)
-        density = local_spectral(place, sign)
-        lo, hi, tag = density.lo, density.hi, density.tag
-        fn = lambda y: local_spectral_density(y, place, sign)
+        density = local_spectral(RATIONALS.place_for_prime(p), sign)
+    lo, hi, tag = density.lo, density.hi, density.tag
     lines = ["x_or_y,density,measure_tag,place_q,sign"]
     for i in range(n + 1):
         x = lo + (hi - lo) * i / n
-        lines.append(f"{x!r},{fn(x)!r},{tag},{p or 0},{sign:+d}")
+        lines.append(f"{x!r},{density(x)!r},{tag},{p or 0},{sign:+d}")
     return "\n".join(lines) + "\n"
 
 

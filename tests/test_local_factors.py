@@ -147,6 +147,17 @@ class TestRWeight:
         assert abs(satake_ratio(data, q)) < 1.0
         assert r_weight(rep(q, data), sign, k) >= -1e-12
 
+    @pytest.mark.parametrize(
+        "satake, q",
+        [(0.0, 2), (5.0, 2), (1e-320, 2), (2.0**0.5, 2), (-2.0, 5)],
+        ids=["zero", "above-sqrt-q", "subnormal", "at-sqrt-q", "negative-real"],
+    )
+    def test_satake_ratio_raises_exactly_outside_the_open_set(self, satake, q):
+        data = Spherical(satake)
+        assert not spherical_in_open_set(data, q)
+        with pytest.raises(ValueError, match="not in the admissible set"):
+            satake_ratio(data, q)
+
 
 class TestGlobalWeight:
     def setup_method(self):

@@ -9,23 +9,20 @@ from rtflab.fields import FinitePlace, RATIONALS
 from rtflab.local_factors import local_l_character, local_l_spherical, local_l_spherical_sign
 from rtflab.measures import (
     dx_dy_abs,
-    finite_spectral_formula,
     integrate_density,
     local_spectral,
-    local_spectral_density,
     plancherel,
-    plancherel_density,
     plancherel_mass_closed_form,
     pushforward_check,
     pushforward_fullwindow_factor,
     sato_tate,
-    sato_tate_density,
     satake_x_of_y,
     spectral_pairing,
 )
 
 P = RATIONALS.place_for_prime
 ARCH = RATIONALS.archimedean_places[0]
+MU_ST = sato_tate()
 
 
 def scipy_arch_density(y: np.ndarray) -> np.ndarray:
@@ -39,11 +36,11 @@ def scipy_arch_density(y: np.ndarray) -> np.ndarray:
 
 class TestSemicircle:
     def test_endpoints_vanish(self):
-        assert sato_tate_density(2.0) == 0.0
-        assert sato_tate_density(-2.0) == 0.0
+        assert MU_ST(2.0) == 0.0
+        assert MU_ST(-2.0) == 0.0
 
     def test_center_value(self):
-        assert sato_tate_density(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
+        assert MU_ST(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_mass_is_semicircle_area(self):
         res = sato_tate().mass(1e-11)
@@ -51,7 +48,7 @@ class TestSemicircle:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            sato_tate_density(2.5)
+            MU_ST(2.5)
 
 
 class TestPlancherelDensity:
@@ -59,7 +56,7 @@ class TestPlancherelDensity:
         for p in (2, 5):
             a = math.sqrt(p) + 1.0 / math.sqrt(p)
             expected = (p + 1.0) / a**2 / math.pi
-            assert plancherel_density(0.0, p, -1) == pytest.approx(expected, abs=1e-14)
+            assert plancherel(p, -1)(0.0) == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -71,28 +68,30 @@ class TestPlancherelDensity:
 
     def test_large_prime_approaches_semicircle(self):
         p = 1000003  # prime near 1e6
+        mu = plancherel(p, 1)
         for x in np.linspace(-1.9, 1.9, 21):
-            ratio = plancherel_density(float(x), p, 1) / sato_tate_density(float(x))
+            ratio = mu(float(x)) / MU_ST(float(x))
             assert abs(ratio - 1.0) <= 5e-3
 
     def test_nonnegative_grid(self):
+        densities = [plancherel(p, sign) for p in (2, 7) for sign in (1, -1)]
         for x in np.linspace(-2.0, 2.0, 401):
-            assert sato_tate_density(float(x)) >= 0.0
-            for p in (2, 7):
-                for sign in (1, -1):
-                    assert plancherel_density(float(x), p, sign) >= 0.0
+            assert MU_ST(float(x)) >= 0.0
+            for mu in densities:
+                assert mu(float(x)) >= 0.0
 
 
 class TestLocalSpectralDensity:
     def test_finite_vanishes_at_zero(self):
-        assert local_spectral_density(0.0, P(2), 1) == 0.0
+        assert local_spectral(P(2), 1)(0.0) == 0.0
 
     def test_archimedean_vanishes_at_zero(self):
-        assert local_spectral_density(0.0, None, 1) == 0.0
+        assert local_spectral(None, 1)(0.0) == 0.0
 
     def test_archimedean_vs_scipy_oracle(self):
         ys = np.linspace(0.05, 8.0, 120)
-        ours = np.array([local_spectral_density(float(y), None, 1) for y in ys])
+        density = local_spectral(None, 1)
+        ours = np.array([density(float(y)) for y in ys])
         ref = scipy_arch_density(ys)
         assert np.max(np.abs(ours - ref)) <= 1e-12
 
@@ -100,25 +99,26 @@ class TestLocalSpectralDensity:
         # y = pi / log 2 maps to x = 0
         q = 2
         y = math.pi / math.log(q)
-        lhs = local_spectral_density(y, P(q), 1)
-        rhs = plancherel_density(0.0, q, 1) * dx_dy_abs(y, q)
+        lhs = local_spectral(P(q), 1)(y)
+        rhs = plancherel(q, 1)(0.0) * dx_dy_abs(y, q)
         assert lhs == pytest.approx(rhs, abs=1e-14)
         assert satake_x_of_y(y, q) == pytest.approx(0.0, abs=1e-14)
 
     def test_window_domain_enforced(self):
         with pytest.raises(DomainError):
-            local_spectral_density(10.0, P(2), 1)
+            local_spectral(P(2), 1)(10.0)
         with pytest.raises(DomainError):
-            local_spectral_density(-0.5, None, 1)
+            local_spectral(None, 1)(-0.5)
 
     def test_formula_symmetries(self):
         for q in (2, 5):
             window = 2.0 * math.pi / math.log(q)
             for sign in (1, -1):
+                formula = local_spectral(P(q), sign).kernel  # unchecked: all of R
                 for y in (0.3 * window, 0.8 * window):
-                    base = finite_spectral_formula(y, q, sign)
-                    assert finite_spectral_formula(y + 2.0 * window, q, sign) == pytest.approx(base, abs=1e-14)
-                    assert finite_spectral_formula(-y, q, sign) == pytest.approx(base, abs=1e-14)
+                    base = formula(y)
+                    assert formula(y + 2.0 * window) == pytest.approx(base, abs=1e-14)
+                    assert formula(-y) == pytest.approx(base, abs=1e-14)
 
 
 class TestPushforward:
@@ -208,7 +208,7 @@ class TestUnboundedDomains:
 
     def test_archimedean_tail_limit(self):
         # the density tends to 1/pi at high spectral parameter
-        assert local_spectral_density(200.0, None, 1) == pytest.approx(1.0 / math.pi, abs=2e-5)
+        assert local_spectral(None, 1)(200.0) == pytest.approx(1.0 / math.pi, abs=2e-5)
 
     def test_infinite_endpoints_rejected_by_quadrature(self):
         from rtflab.quadrature import integrate
@@ -217,10 +217,15 @@ class TestUnboundedDomains:
             integrate(lambda y: 0.0, 0.0, math.inf, 1e-8)
 
 
+def per_call_semicircle(x):
+    """The semicircle density, written out."""
+    return math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
+
+
 def per_call_plancherel(x, q, sign):
     """The per-prime density with every constant recomputed per call."""
     a = math.sqrt(q) + 1.0 / math.sqrt(q)
-    base = sato_tate_density(x)
+    base = per_call_semicircle(x)
     if sign == 1:
         return (q - 1.0) / (a - x) ** 2 * base
     return (q + 1.0) / (a * a - x * x) * base
@@ -240,23 +245,21 @@ def per_call_finite(y, q, sign):
 
 class TestHoistedConstantsBitIdentical:
     """Density closures compute their constants once; every value must be
-    the same float as the public scalar function and the per-call formula."""
+    the same float as the per-call formula."""
 
     POINTS = 10_000
 
     def test_semicircle(self):
         fn = sato_tate().fn
         for x in np.linspace(-2.0, 2.0, self.POINTS).tolist():
-            assert fn(x) == sato_tate_density(x)
+            assert fn(x) == per_call_semicircle(x)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_plancherel(self, q, sign):
         fn = plancherel(q, sign).fn
         for x in np.linspace(-2.0, 2.0, self.POINTS).tolist():
-            value = fn(x)
-            assert value == plancherel_density(x, q, sign)
-            assert value == per_call_plancherel(x, q, sign)
+            assert fn(x) == per_call_plancherel(x, q, sign)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -267,14 +270,13 @@ class TestHoistedConstantsBitIdentical:
         assert (ys[0], ys[-1]) == (0.0, 2.0 * math.pi / math.log(q))
         for y in ys:
             value = density.fn(y)
-            assert value == local_spectral_density(y, place, sign)
-            assert value == finite_spectral_formula(y, q, sign)
+            assert value == density.kernel(y)
             assert value == per_call_finite(y, q, sign)
 
     def test_archimedean(self):
-        fn = local_spectral(ARCH, 1).fn
+        fn, by_none = local_spectral(ARCH, 1).fn, local_spectral(None, 1).fn
         for y in np.linspace(0.0, 20.0, 1_000).tolist():
-            assert fn(y) == local_spectral_density(y, ARCH, 1)
+            assert fn(y) == by_none(y)
 
     def test_checks_run_once_at_construction(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtflab.characters import DirichletCharacter, QuadraticCharacterProfile
-from rtflab.errors import CapExceededError, PoleError, RamifiedOverlapError
+from rtflab.errors import CapExceededError, DomainError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import completed_l, jet_product
 from rtflab import oracles
@@ -393,6 +393,15 @@ class TestOrbitFactor:
         with pytest.raises(PoleError):
             rtf.unipotent_orbit_factor({P(2): -1.0 + 0.0j}, lambda p: 1)
 
+    @pytest.mark.parametrize(
+        "place, s",
+        [(P(3), 3000.0), (ARCH, 1e308), (ARCH, -3000.0)],
+        ids=["finite-power-overflow", "arch-log-gamma-nan", "arch-gamma-overflow"],
+    )
+    def test_overflow_is_a_domain_error(self, place, s):
+        with pytest.raises(DomainError, match=f"at {place.label} is not finite"):
+            rtf.unipotent_orbit_factor({place: complex(s)}, lambda p: 1)
+
 
 class TestOrbitConstant:
     def test_nontrivial_character_is_flat(self, ctx_chi5):
@@ -426,6 +435,12 @@ class TestOrbitConstant:
         with_q = rtf.unipotent_orbit_constant({ARCH: s, P(3): s}, LevelIdeal.unit(), laurent)
         expected = laurent.residue * math.log(3.0) / (1.0 - 3.0 ** ((s.real + 1.0) / 2.0))
         assert (with_q - base).real == pytest.approx(expected, abs=1e-12)
+
+    def test_overflow_is_a_domain_error(self, ctx_trivial):
+        with pytest.raises(DomainError, match="at p3 is not finite"):
+            rtf.unipotent_orbit_constant(
+                {ARCH: 2.0 + 0.0j, P(3): 3000.0 + 0.0j}, LevelIdeal.unit(), ctx_trivial.laurent_trivial
+            )
 
 
 class TestIntertwiningRatio:
