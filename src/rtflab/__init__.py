@@ -26,7 +26,6 @@ _EXPORTS = {
         "DirichletCharacter",
         "QuadraticCharacterProfile",
         "adelic_gauss_sum",
-        "enumerate_character_group",
         "enumerate_xi",
         "gauss_sum",
         "is_admissible_level",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "EdgeCoefficients",
         "LaurentData",
         "completed_l",
-        "completed_zeta",
         "edge_coefficients",
         "laurent_at_1",
     ),
@@ -78,12 +76,11 @@ _EXPORTS = {
         "unipotent_orbit_constant",
         "unipotent_orbit_factor",
     ),
-    "oracles": ("edge_product_taylor", "enumerate_rho", "flat_section_at_identity"),
+    "oracles": ("edge_product_taylor", "enumerate_rho"),
     "empirical": (
         "EmpiricalSample",
         "compare_report",
         "inverse_cdf_sample",
-        "ks_distance",
         "read_sample_csv",
         "write_sample_csv",
     ),

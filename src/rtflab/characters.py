@@ -11,10 +11,9 @@ values appear only in the value accessors.
 The characters mod m form the grid of exponent vectors over the generators,
 which is also the discrete-log grid of the units.  `unit_group` walks that
 grid once, in lexicographic exponent order, and every other grid in this
-module is that walk: `enumerate_character_group` lists the same exponent
-vectors and `gauss_sums_for_modulus` reshapes the same residues.  One rule
-gives the conductor exponent of each component (`axis_conductor_exponents`);
-`DirichletCharacter.conductor` takes its maximum per prime and
+module is that walk: `gauss_sums_for_modulus` reshapes the same residues.
+One rule gives the conductor exponent of each component
+(`axis_conductor_exponents`); `DirichletCharacter.conductor` takes its maximum per prime and
 `primitive_axes` reads one primitivity mask per axis off it, so primitivity
 on the grid is an outer AND of those masks.  Parity is one integer vector
 (`parity_vector`), the census lists the even primitive rows of each
@@ -209,13 +208,6 @@ class DirichletCharacter:
             return candidates[0]
         raise ValueError(f"no primitive quadratic character of conductor {m}")
 
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> DirichletCharacter:
-        return cls(int(doc["modulus"]), tuple(int(e) for e in doc["exponents"]))
-
-    def to_json_dict(self) -> dict:
-        return {"modulus": self.modulus, "exponents": list(self.exponents)}
-
     # -- exact values --------------------------------------------------------
 
     def phase_index(self, a: int) -> int | None:
@@ -260,9 +252,6 @@ class DirichletCharacter:
         if self.modulus <= 2:
             return True
         return self.phase_index(self.modulus - 1) == 0
-
-    def is_real(self) -> bool:
-        return self.order() <= 2
 
     def conductor(self) -> int:
         """prod p**f_p, f_p the largest `axis_conductor_exponents` entry of
@@ -313,9 +302,6 @@ class DirichletCharacter:
 
     def square(self) -> DirichletCharacter:
         return self * self
-
-    def __str__(self) -> str:
-        return f"chi_{self.modulus}{list(self.exponents)}"
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +386,6 @@ def phase_matrix(m: int, exponents: np.ndarray, residues: np.ndarray) -> np.ndar
     logs = np.stack(np.unravel_index(index, g.orders), axis=1)
     scale = np.array([g.exponent // n for n in g.orders], dtype=np.int64)
     return logs * scale @ exponents.T % g.exponent
-
-
-def enumerate_character_group(m: int) -> list[DirichletCharacter]:
-    """Every character modulo m, in lexicographic exponent order."""
-    return [DirichletCharacter(m, e) for e in product(*map(range, unit_group(m).orders))]
 
 
 # ---------------------------------------------------------------------------

@@ -191,18 +191,12 @@ def inverse_cdf_sample(density: Density, size: int, seed: int = 0) -> np.ndarray
     return interp.inverse(rng.random(size))
 
 
-def ks_distance(sample: EmpiricalSample, density: Density) -> float:
-    """Weighted Kolmogorov-Smirnov distance against the density's CDF."""
-    if len(sample) == 0:
-        raise ValueError("KS distance of an empty sample")
-    return _ks_distance(sample, CdfInterpolator(density))
-
-
 def _ks_distance(sample: EmpiricalSample, interp: CdfInterpolator) -> float:
-    """Largest gap between the theoretical CDF at each sorted point and the
-    empirical CDF just after it (cum[i]) or just before it (cum[i - 1], 0 at
-    the first point).  The gaps are formed in place: besides the sample, at
-    most four sample-length arrays (order, sorted x, cum, theo) are alive."""
+    """Weighted Kolmogorov-Smirnov distance of a non-empty sample: the largest
+    gap between the theoretical CDF at each sorted point and the empirical CDF
+    just after it (cum[i]) or just before it (cum[i - 1], 0 at the first
+    point).  The gaps are formed in place: besides the sample, at most four
+    sample-length arrays (order, sorted x, cum, theo) are alive."""
     order = np.argsort(sample.x, kind="stable")
     cum = sample.weight[order]
     total = float(np.sum(cum))

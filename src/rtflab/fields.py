@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -71,19 +71,24 @@ Place = ArchimedeanPlace | FinitePlace
 
 @dataclass(frozen=True)
 class FieldProfile:
-    """Degree, discriminant and per-place data of a totally real field."""
+    """Degree, discriminant and per-place data of a totally real field.
+
+    Degree 1 is Q: its discriminant is 1 and its finite places are made on
+    demand by `place_for_prime`, so it lists none.
+    """
 
     degree: int
     discriminant_abs: int
     archimedean_places: tuple[ArchimedeanPlace, ...]
     finite_places: tuple[FinitePlace, ...] = ()
-    is_rationals: bool = False
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.discriminant_abs < 1:
             raise ValueError("absolute discriminant must be >= 1")
+        if self.is_rationals and (self.discriminant_abs != 1 or self.finite_places):
+            raise ValueError("a degree-1 profile is Q: discriminant 1 and no places")
         labels = [p.label for p in self.finite_places]
         if len(labels) != len(set(labels)):
             raise ValueError("finite place labels must be unique")
@@ -96,6 +101,10 @@ class FieldProfile:
             prime = int(label[1:])
             return self.place_for_prime(prime)
         raise KeyError(f"unknown finite place {label!r}")
+
+    @property
+    def is_rationals(self) -> bool:
+        return self.degree == 1
 
     def place_for_prime(self, p: int) -> FinitePlace:
         """The finite place of the rational profile at the prime ``p``."""
@@ -112,7 +121,6 @@ class FieldProfile:
             discriminant_abs=1,
             archimedean_places=(ArchimedeanPlace("inf"),),
             finite_places=(),
-            is_rationals=True,
         )
 
     @classmethod
@@ -130,20 +138,6 @@ class FieldProfile:
             discriminant_abs=int(doc["discriminant"]),
             archimedean_places=arch,
             finite_places=places,
-            is_rationals=bool(doc.get("rationals", False)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "discriminant": self.discriminant_abs,
-                "places": [
-                    {"label": p.label, "q": p.q, "d": p.d} for p in self.finite_places
-                ],
-                "rationals": self.is_rationals,
-            },
-            sort_keys=True,
         )
 
 
@@ -186,9 +180,6 @@ class LevelIdeal:
             raise ValueError("level must be a positive integer")
         factors = [(profile.place_for_prime(p), e) for p, e in factorize(n)]
         return cls(tuple(factors))
-
-    def is_unit(self) -> bool:
-        return not self.factors
 
     def support(self) -> tuple[FinitePlace, ...]:
         return tuple(p for p, _ in self.factors)
@@ -269,20 +260,26 @@ def index_k0(n: LevelIdeal) -> Fraction:
     return out
 
 
+def _parse_level_factor(token: str) -> tuple[int, int]:
+    """``(p, e)`` of one ``p^e`` or ``p`` factor of a level."""
+    base, caret, exp = token.partition("^")
+    try:
+        return int(base), int(exp) if caret else 1
+    except ValueError:
+        raise ValueError(f"cannot parse level token {token!r} (use p^e*q, e.g. 2^3*5)") from None
+
+
 def parse_factored_level(text: str, profile: FieldProfile = RATIONALS) -> LevelIdeal:
     """Parse ``"2^3*5"`` or ``"1"`` (or a plain integer) into a LevelIdeal."""
     text = text.strip()
     if text in ("1", "(1)", ""):
         return LevelIdeal.unit()
     if "*" not in text and "^" not in text:
-        return LevelIdeal.from_integer(int(text), profile)
+        n, _ = _parse_level_factor(text)
+        return LevelIdeal.from_integer(n, profile)
     acc: dict[FinitePlace, int] = {}
     for part in text.split("*"):
-        if "^" in part:
-            base, exp = part.split("^")
-            p, e = int(base), int(exp)
-        else:
-            p, e = int(part), 1
+        p, e = _parse_level_factor(part)
         place = profile.place_for_prime(p)
         acc[place] = acc.get(place, 0) + e
     return LevelIdeal.from_map(acc)

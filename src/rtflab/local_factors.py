@@ -73,32 +73,6 @@ class LocalRepresentation:
     def conductor_exponent(self) -> int:
         return self.data.conductor_exponent
 
-    def to_json_dict(self) -> dict:
-        if isinstance(self.data, Spherical):
-            satake = complex(self.data.satake)
-            variant, parameter = "spherical", [satake.real, satake.imag]
-        elif isinstance(self.data, Special):
-            variant, parameter = "special", self.data.sign
-        else:
-            variant, parameter = "higher", self.data.c
-        return {"place": self.place.label, "variant": variant, "parameter": parameter}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, profile) -> LocalRepresentation:
-        place = profile.place(doc["place"])
-        variant = doc["variant"]
-        parameter = doc["parameter"]
-        if variant == "spherical":
-            re, im = parameter
-            data: LocalData = Spherical(complex(re, im))
-        elif variant == "special":
-            data = Special(int(parameter))
-        elif variant == "higher":
-            data = HigherConductor(int(parameter))
-        else:
-            raise ValueError(f"unknown representation variant {variant!r}")
-        return cls(place, data)
-
 
 def spherical_in_open_set(data: Spherical, q: int) -> bool:
     """Membership of the Satake parameter in the open admissible set for q."""

@@ -101,12 +101,6 @@ class RhoAssignment:
             if not 0 <= j <= e:
                 raise ValueError(f"choice {j} at {place.label} outside 0..{e}")
 
-    def choice_at(self, place: FinitePlace) -> int:
-        for p, j in self.choices:
-            if p == place:
-                return j
-        return 0
-
     def active(self) -> tuple[tuple[FinitePlace, int], ...]:
         """Places with a positive choice, paired with that choice."""
         return tuple((p, j) for p, j in self.choices if j >= 1)

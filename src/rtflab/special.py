@@ -39,8 +39,11 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-13) -> bool:
-    return abs(z.imag) < tol and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
+_POLE_TOL = 1e-13
+
+
+def _is_nonpositive_integer(z: complex) -> bool:
+    return abs(z.imag) < _POLE_TOL and z.real <= 0.5 and abs(z.real - round(z.real)) < _POLE_TOL
 
 
 def _lanczos(z: complex) -> tuple[complex, complex, complex]:

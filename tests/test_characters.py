@@ -19,7 +19,6 @@ from rtflab.characters import (
     QuadraticCharacterProfile,
     adelic_gauss_sum,
     census_proof_bound,
-    enumerate_character_group,
     enumerate_xi,
     gauss_sum,
     gauss_sums_for_modulus,
@@ -41,6 +40,12 @@ P = RATIONALS.place_for_prime
 
 def L(spec):
     return LevelIdeal.from_map({P(p): e for p, e in spec.items()})
+
+
+def enumerate_character_group(m):
+    """Every character modulo m, in lexicographic exponent order: the grid
+    oracle that the axis masks and the census are read against."""
+    return [DirichletCharacter(m, e) for e in product(*map(range, unit_group(m).orders))]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,7 @@ class TestGaussSumRoutes:
         seen = 0
         for m in range(1, 101):
             for chi in enumerate_character_group(m):
-                if chi.is_real() and chi.is_even() and chi.is_primitive():
+                if chi.order() <= 2 and chi.is_even() and chi.is_primitive():
                     assert abs(adelic_gauss_sum(chi) - 1.0) <= 1e-14
                     seen += 1
         assert seen > 25
@@ -321,11 +326,6 @@ class TestXiCensus:
         for chi in enumerate_xi(L({2: 6, 5: 2})):
             assert chi.is_even()
             assert chi.is_primitive()
-
-    def test_json_round_trip(self):
-        for chi in enumerate_xi(L({5: 2})):
-            again = DirichletCharacter.from_json_dict(chi.to_json_dict())
-            assert again == chi
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -233,6 +233,16 @@ class TestConstants:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "usage", "message": message}
 
+    @pytest.mark.parametrize(
+        "level, token",
+        [("2^3^4", "2^3^4"), ("2^", "2^"), ("v2", "v2"), ("2*", ""), ("2^1.5", "2^1.5")],
+    )
+    def test_bad_level_token_is_named(self, capsys, level, token):
+        code, out, err = run(capsys, "constants", "--n", level)
+        assert (code, out) == (2, "")
+        message = f"cannot parse level token {token!r} (use p^e*q, e.g. 2^3*5)"
+        assert json.loads(err) == {"error": "usage", "message": message}
+
 
 class TestCharacters:
     def test_census_csv(self, capsys):
@@ -314,6 +324,36 @@ class TestProfileAndUsage:
         code, _, err = run(capsys, "constants", "--n", "1", "--profile", str(bad))
         assert code == 2
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("command", ["constants", "characters"])
+    def test_degree_one_profile_is_q(self, capsys, tmp_path, command):
+        argv = [command, "--n", "2^2*3"] + (["--eta", "quad:5"] if command == "constants" else [])
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        for doc in ('{"degree": 1, "discriminant": 1}',
+                    '{"degree": 1, "discriminant": 1, "places": [], "rationals": true}'):
+            path = tmp_path / "profile.json"
+            path.write_text(doc, encoding="utf-8")
+            assert run(capsys, *argv, "--profile", str(path)) == (0, plain, "")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"degree": 2, "discriminant": 5, "rationals": true}',
+             "place_for_prime is only available on the rational profile"),
+            ('{"degree": 1, "discriminant": 7, "rationals": true}',
+             "a degree-1 profile is Q: discriminant 1 and no places"),
+            ('{"degree": 1, "discriminant": 1, "places": [{"label": "p2", "q": 2}]}',
+             "a degree-1 profile is Q: discriminant 1 and no places"),
+        ],
+        ids=["degree-2-rationals", "degree-1-discriminant-7", "degree-1-places"],
+    )
+    def test_profile_that_is_not_q_is_not_read_as_q(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "profile.json"
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run(capsys, "constants", "--n", "4", "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": message}
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -446,7 +486,7 @@ class TestFlagsPerSubcommand:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(checks, "run_all_checks", lambda tol: [])
-        Path("profile.json").write_text(RATIONALS.to_json(), encoding="utf-8")
+        Path("profile.json").write_text('{"degree": 1, "discriminant": 1}', encoding="utf-8")
         sample, _ = sample_from_rows([(1, 2, x, 1.0) for x in (-1.0, 0.0, 0.5)])
         Path("sample.csv").write_text(write_sample_csv(sample), encoding="utf-8")
         code, plain, _ = run(capsys, *BASE_ARGV[command])

@@ -13,7 +13,6 @@ from rtflab.empirical import (
     compare_report,
     interval_report,
     inverse_cdf_sample,
-    ks_distance,
     read_sample_csv,
     sample_from_rows,
     write_sample_csv,
@@ -367,31 +366,31 @@ class TestKs:
     def test_point_mass_against_semicircle(self):
         sample, _ = sample_from_rows([(4, 2, 0.0, 1.0)])
         # CDF jumps from 0 to 1 at the semicircle median, so KS brackets 1/2
-        assert ks_distance(sample, sato_tate()) == pytest.approx(0.5, abs=1e-9)
+        assert compare_report(sample, sato_tate())["ks_distance"] == pytest.approx(0.5, abs=1e-9)
 
     def test_inverse_cdf_sampling_is_close(self):
         draws = inverse_cdf_sample(plancherel(2, 1), 100_000, seed=20240904)
         sample, _ = sample_from_rows([(1, 2, float(x), 1.0) for x in draws])
-        assert ks_distance(sample, plancherel(2, 1)) < 0.01
+        assert compare_report(sample, plancherel(2, 1))["ks_distance"] < 0.01
 
     def test_wrong_distribution_detected(self):
         draws = inverse_cdf_sample(plancherel(2, -1), 50_000, seed=3)
         sample, _ = sample_from_rows([(1, 2, float(x), 1.0) for x in draws])
-        assert ks_distance(sample, plancherel(2, 1)) > 0.05
+        assert compare_report(sample, plancherel(2, 1))["ks_distance"] > 0.05
 
     def test_weighted_cdf(self):
         # halving every weight changes nothing
         draws = inverse_cdf_sample(sato_tate(), 20_000, seed=5)
         s1, _ = sample_from_rows([(1, 2, float(x), 1.0) for x in draws])
         s2, _ = sample_from_rows([(1, 2, float(x), 0.5) for x in draws])
-        assert ks_distance(s1, sato_tate()) == pytest.approx(
-            ks_distance(s2, sato_tate()), abs=1e-14
+        assert compare_report(s1, sato_tate())["ks_distance"] == pytest.approx(
+            compare_report(s2, sato_tate())["ks_distance"], abs=1e-14
         )
 
     def test_empty_sample_rejected(self):
+        # `compare` exits 2 before reporting (test_cli header-only case)
         sample, _ = sample_from_rows([])
-        with pytest.raises(ValueError):
-            ks_distance(sample, sato_tate())
+        assert compare_report(sample, sato_tate())["ks_distance"] is None
 
 
 def concatenate_ks_oracle(sample, interp):
@@ -496,7 +495,7 @@ class TestIntervals:
         monkeypatch.setattr(empirical, "CdfInterpolator", CountingInterpolator)
         rep = compare_report(sample, sato_tate())
         assert len(built) == 1
-        assert rep["ks_distance"] == pytest.approx(ks_distance(sample, sato_tate()), abs=0.0)
+        assert rep["ks_distance"] == _ks_distance(sample, CdfInterpolator(sato_tate()))
 
 
 class TestSpectralWindowComparison:
@@ -510,7 +509,7 @@ class TestSpectralWindowComparison:
             [(1, 2, float(y), 1.0) for y in draws], density.lo, density.hi
         )
         assert rejected == 0
-        assert ks_distance(sample, density) < 0.02
+        assert compare_report(sample, density)["ks_distance"] < 0.02
 
     def test_window_bounds_enforced(self):
         from rtflab.fields import RATIONALS

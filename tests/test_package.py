@@ -16,8 +16,7 @@ EXPORTED = {
     "fields": ["ArchimedeanPlace", "FieldProfile", "FinitePlace", "LevelIdeal", "RATIONALS",
                "index_k0"],
     "characters": ["DirichletCharacter", "QuadraticCharacterProfile", "adelic_gauss_sum",
-                   "enumerate_character_group", "enumerate_xi", "gauss_sum",
-                   "is_admissible_level", "l_one"],
+                   "enumerate_xi", "gauss_sum", "is_admissible_level", "l_one"],
     "local_factors": ["HigherConductor", "LocalRepresentation", "Special", "Spherical",
                       "adjoint_norm_factor", "global_weight",
                       "local_l_arch_spherical", "local_l_character", "local_l_spherical",
@@ -26,22 +25,22 @@ EXPORTED = {
     "quadrature": ["QuadratureResult", "integrate"],
     "measures": ["Density", "local_spectral", "plancherel", "pushforward_check", "sato_tate",
                  "spectral_pairing"],
-    "lfunctions": ["EdgeCoefficients", "LaurentData", "completed_l", "completed_zeta",
-                   "edge_coefficients", "laurent_at_1"],
+    "lfunctions": ["EdgeCoefficients", "LaurentData", "completed_l", "edge_coefficients",
+                   "laurent_at_1"],
     "rtf_constants": ["EdgePlaceBlock", "EtaContext", "RhoAssignment", "edge_place_factor",
                       "eta_context", "intertwining_ratio", "kernel_normalization",
                       "level_constant", "mean_square_constant", "predicted_moment_average",
                       "spectral_edge_constant", "unipotent_orbit_constant",
                       "unipotent_orbit_factor"],
-    "oracles": ["edge_product_taylor", "enumerate_rho", "flat_section_at_identity"],
-    "empirical": ["EmpiricalSample", "compare_report", "inverse_cdf_sample", "ks_distance",
-                  "read_sample_csv", "write_sample_csv"],
+    "oracles": ["edge_product_taylor", "enumerate_rho"],
+    "empirical": ["EmpiricalSample", "compare_report", "inverse_cdf_sample", "read_sample_csv",
+                  "write_sample_csv"],
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
-def test_sixty_five_names():
-    assert len(NAMES) == 65
+def test_sixty_one_names():
+    assert len(NAMES) == 61
     assert sorted(rtflab.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -93,7 +92,44 @@ def test_importing_the_package_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rtflab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rtflab"
+
+# Exported names that no subcommand, check, demo or bench script reads yet,
+# each with the ROADMAP entry that gives it a caller.
+PENDING = {
+    "global_weight": "acceptance criterion 5 (w = 1 at the conductor)",
+    "is_admissible_level": "item 3: the Hecke moment pairing check",
+    "kernel_normalization": "item 3: the Hecke moment pairing check",
+    "predicted_moment_average": "item 3: the Hecke moment pairing check",
+    "local_l_spherical": "item 5: the oracle of the lambda kernel",
+}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a file reads, as a bare name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_export_has_a_route():
+    # A route is a subcommand or check (the library modules other than the
+    # name's own and the package namespace), a demo or a bench script.
+    files = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    reads = {path: referenced_names(path) for path in files}
+    unrouted = []
+    for name in rtflab.__all__:
+        home = SRC / (getattr(rtflab, name).__module__.rpartition(".")[2] + ".py")
+        if not any(name in reads[path] for path in files if path not in (home, SRC / "__init__.py")):
+            unrouted.append(name)
+    assert sorted(unrouted) == sorted(PENDING)
 
 
 def _bound_names(node: ast.AST) -> set[str]:

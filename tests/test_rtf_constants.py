@@ -153,7 +153,7 @@ class TestFlatSection:
         assert oracles.flat_section_at_identity(rho, lambda p: -1) == pytest.approx(-math.sqrt(2.0))
 
     def test_depth_two_plus(self):
-        rho = [r for r in oracles.enumerate_rho(L({3: 2})) if r.choice_at(P(3)) == 2][0]
+        rho = [r for r in oracles.enumerate_rho(L({3: 2})) if dict(r.choices).get(P(3), 0) == 2][0]
         got = oracles.flat_section_at_identity(rho, lambda p: 1)
         assert got == pytest.approx(2.0 * math.sqrt(2.0))
 
@@ -197,7 +197,7 @@ class TestEdgeProductTaylor:
 
     def test_single_place_first_order(self):
         eta = QuadraticCharacterProfile.from_signs({P(2): 1})
-        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
+        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if dict(r.choices).get(P(2), 0) == 2][0]
         t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
         block = rtf.EdgePlaceBlock(2, 2, 1)
         assert t1 == pytest.approx(rtf.edge_place_jet(block)[1], abs=1e-12)
@@ -469,7 +469,7 @@ class TestIntertwiningRatio:
 
     def test_power_factor(self):
         # one active place of depth k contributes q**(-k nu)
-        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if r.choice_at(P(2)) == 2][0]
+        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if dict(r.choices).get(P(2), 0) == 2][0]
         nu = 0.4
         with_places = rtf.intertwining_ratio(None, rho, nu)
         empty = rtf.intertwining_ratio(None, oracles.enumerate_rho(LevelIdeal.unit())[0], nu)
