@@ -44,13 +44,13 @@ print(f"closed form     : {golden:.12f}")
 print(f"truncated series: {series:.12f}  (2e5 terms, no acceleration)")
 
 print("\n== Laurent data of the completed zeta at s = 1 ==")
-data = laurent_at_1(None)
+data = laurent_at_1(DirichletCharacter.trivial())
 print(f"residue = {data.residue:+.12f}")
 print(f"c0      = {data.c0:+.12f}   [(gamma - log 4 pi)/2 = {(EULER_GAMMA - math.log(4 * math.pi)) / 2:+.12f}]")
 print(f"c1      = {data.c1:+.12f}")
 
 print("\n== edge coefficients of the central-value series ==")
-for tag, chi in (("trivial", None), ("quadratic mod 5", chi5)):
+for tag, chi in (("trivial", DirichletCharacter.trivial()), ("quadratic mod 5", chi5)):
     c = edge_coefficients(chi)
     print(f"{tag:16s}: c_-2 = {c.c_minus2:+.9f}, c_-1 = {c.c_minus1:+.9f}, c_0 = {c.c_zero:+.9f}")
 print(f"(the trivial leading coefficient is 4/zeta_hat(2) = 24/pi = {24 / math.pi:.9f})")

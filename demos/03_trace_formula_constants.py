@@ -39,7 +39,7 @@ for tag, rep in reps.items():
         print(f"{tag} sign {sign:+d}: " + "".join(f"{v:9.4f}" for v in row))
 
 print("\n== spectral edge constants ==")
-for tag, chi in (("trivial", None), ("quad mod 5", DirichletCharacter.quadratic(5))):
+for tag, chi in (("trivial", DirichletCharacter.trivial()), ("quad mod 5", DirichletCharacter.quadratic(5))):
     ctx = rtf.eta_context(chi)
     for n_int in (1, 4, 12):
         n = LevelIdeal.from_integer(n_int)
@@ -54,7 +54,7 @@ ctx5 = rtf.eta_context(DirichletCharacter.quadratic(5))
 for s in (0.5, 2.0, 5.0):
     v = rtf.unipotent_orbit_constant({ARCH: complex(s), P(7): complex(s)}, LevelIdeal.from_integer(8), ctx5.laurent_eta)
     print(f"orbit constant (quad mod 5) at s={s}: {v.real:+.12f}  (flat: equals completed L(1))")
-ctx1 = rtf.eta_context(None)
+ctx1 = rtf.eta_context(DirichletCharacter.trivial())
 for n_int in (1, 4, 64):
     n = LevelIdeal.from_integer(n_int)
     v = rtf.unipotent_orbit_constant({ARCH: 2.0 + 0j}, n, ctx1.laurent_trivial)

@@ -536,10 +536,6 @@ class QuadraticCharacterProfile:
                 )
 
     @classmethod
-    def trivial(cls) -> QuadraticCharacterProfile:
-        return cls(LevelIdeal.unit(), dirichlet=DirichletCharacter.trivial())
-
-    @classmethod
     def from_signs(
         cls, signs: Mapping[FinitePlace, int], conductor: LevelIdeal | None = None
     ) -> QuadraticCharacterProfile:

@@ -420,6 +420,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     from . import rtf_constants as rtf
 
     arch = RATIONALS.archimedean_places[0]
+    trivial = chars.DirichletCharacter.trivial()
 
     @cache
     def chi5() -> chars.DirichletCharacter:
@@ -440,7 +441,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     def edge_taylor_defect() -> float:
         # The production sum over assignments against their enumeration.
         worst = 0.0
-        for ctx in (rtf.eta_context(None), rtf.eta_context(chi5())):
+        for ctx in (rtf.eta_context(trivial), rtf.eta_context(chi5())):
             for spec in ({2: 2, 3: 1}, {2: 1, 3: 2, 11: 2}):
                 n = _level(spec)
                 expected = oracles.edge_constants_by_enumeration(n, ctx)
@@ -485,14 +486,14 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     @cache
     def zeta_two_widths() -> tuple[lfn.LaurentData, lfn.LaurentData]:
         # Shared by the width and residue checks, each still guarded alone.
-        return oracles.laurent_at_1_two_widths(None)
+        return oracles.laurent_at_1_two_widths(trivial)
 
     def laurent_defect() -> float:
         # The two stencil widths against each other and against the closed form.
         worst = 0.0
-        for xi in (None, chi5()):
+        for xi in (trivial, chi5()):
             closed = lfn.laurent_at_1(xi)
-            first, second = zeta_two_widths() if xi is None else oracles.laurent_at_1_two_widths(xi)
+            first, second = zeta_two_widths() if xi is trivial else oracles.laurent_at_1_two_widths(xi)
             for other in (first, closed):
                 worst = max(worst, abs(other.residue - second.residue),
                             abs(other.c0 - second.c0), abs(other.c1 - second.c1))
@@ -506,8 +507,8 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         # to relative O(h^3); at a regular point (nontrivial character) the
         # polar coefficients vanish and c_zero is the value itself.
         h = 0.01
-        coeffs = lfn.edge_coefficients(None)
-        f = oracles.central_series_function(None)
+        coeffs = lfn.edge_coefficients(trivial)
+        f = oracles.central_series_function(trivial)
         direct = complex(f(-1.0 + h)).real
         recon = coeffs.c_minus2 / h**2 + coeffs.c_minus1 / h + coeffs.c_zero
         worst = abs(direct - recon) / abs(direct)
@@ -536,7 +537,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         return max(worst, abs(complex(base) - lhat5))
 
     def orbit_growth_defect() -> float:
-        laurent1 = lfn.laurent_at_1(None)
+        laurent1 = lfn.laurent_at_1(trivial)
         worst = 0.0
         for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
             n = _level(spec)
@@ -548,7 +549,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     def involution_defect() -> float:
         worst = 0.0
         rho = oracles.enumerate_rho(_level({2: 2, 3: 1}))[4]
-        for chi in (None, chi5()):
+        for chi in (trivial, chi5()):
             for nu in (0.3, 0.45 + 0.2j):
                 prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(chi, rho, -nu)
                 worst = max(worst, abs(prod - 1.0))

@@ -73,12 +73,13 @@ def _load_profile(path: str | None) -> FieldProfile:
     return FieldProfile.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_eta(spec: str | None) -> DirichletCharacter | None:
-    """Character spec: 'trivial' or 'quad:m' for the primitive even quadratic mod m."""
+def _parse_eta(spec: str | None) -> DirichletCharacter:
+    """Character spec: 'trivial' (the default) for the character mod 1, or
+    'quad:m' for the primitive even quadratic mod m."""
     from .characters import DirichletCharacter
 
     if spec is None or spec == "trivial":
-        return None
+        return DirichletCharacter.trivial()
     if spec.startswith("quad:"):
         try:
             m = int(spec.split(":", 1)[1])

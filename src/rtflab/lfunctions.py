@@ -1,4 +1,8 @@
-"""Completed zeta and Dirichlet L-functions over Q, with their Laurent data.
+"""Dirichlet L-functions over Q and their completions, with Laurent data.
+
+The trivial character is ``DirichletCharacter.trivial()``, the character
+mod 1: its L-function is the Riemann zeta function and its completion
+Lambda_zeta, with poles at s = 0 and s = 1.
 
 Finite parts are evaluated through the Hurwitz-zeta representation
 ``L(s, chi) = m**(-s) * sum_a chi(a) zeta(s, a/m)`` at elevated working
@@ -71,18 +75,10 @@ def _gauss_adelic_mp(chi: DirichletCharacter):
 # working-precision evaluators (mp in, mp out)
 
 
-def _zeta_fin_mp(s):
-    import mpmath as mp
-
-    return mp.zeta(s)
-
-
 def _l_fin_mp(s, chi: DirichletCharacter):
     import mpmath as mp
 
     m = chi.modulus
-    if m == 1:
-        return mp.zeta(s)
     if chi.order() == 1:
         out = mp.zeta(s)
         for p, _ in factorize(m):
@@ -105,15 +101,6 @@ def _l_fin_mp(s, chi: DirichletCharacter):
     )
 
 
-def _completed_zeta_mp(s):
-    import mpmath as mp
-
-    s = mp.mpc(s)
-    if s.real < 0.5:
-        return _completed_zeta_mp(1 - s)
-    return mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
-
-
 def _completed_l_mp(s, chi: DirichletCharacter):
     import mpmath as mp
 
@@ -128,60 +115,45 @@ def _completed_l_mp(s, chi: DirichletCharacter):
 # public complex-valued evaluators
 
 
-def zeta_fin(s: complex) -> complex:
-    """The Riemann zeta function (analytic continuation)."""
-    if abs(complex(s) - 1.0) < 1e-14:
-        raise PoleError("zeta pole at s = 1")
-    import mpmath as mp
-
-    with mp.workdps(_DPS):
-        return complex(_zeta_fin_mp(mp.mpc(s)))
-
-
 def l_fin(s: complex, chi: DirichletCharacter) -> complex:
-    """Finite-part Dirichlet L-function of chi (imprimitive characters allowed)."""
+    """Finite-part Dirichlet L-function of chi (imprimitive characters allowed).
+
+    The trivial character mod 1 gives the Riemann zeta function; every
+    character of order one has its pole at s = 1.
+    """
+    if abs(complex(s) - 1.0) < 1e-14 and chi.order() == 1:
+        raise PoleError(f"L-function pole at s = 1 (trivial character mod {chi.modulus})")
     import mpmath as mp
 
     with mp.workdps(_DPS):
         return complex(_l_fin_mp(mp.mpc(s), chi))
 
 
-def completed_zeta(s: complex) -> complex:
-    """pi**(-s/2) Gamma(s/2) zeta(s); poles at s = 0 and s = 1."""
-    s = complex(s)
-    if abs(s) < 1e-14 or abs(s - 1.0) < 1e-14:
-        raise PoleError(f"completed zeta pole at s = {s}")
-    import mpmath as mp
-
-    with mp.workdps(_DPS):
-        return complex(_completed_zeta_mp(mp.mpc(s)))
-
-
 def completed_l(s: complex, chi: DirichletCharacter) -> complex:
     """Completed L for an even primitive chi: (m/pi)**(s/2) Gamma(s/2) L_fin(s, chi).
 
     Entire for nontrivial chi; the half plane Re(s) < 1/2 is evaluated through
-    the functional equation with epsilon = tau(chi)/sqrt(m).
+    the functional equation with epsilon = tau(chi)/sqrt(m).  The trivial
+    character mod 1 gives Lambda_zeta, with poles at s = 0 and s = 1.
     """
-    if chi.order() == 1:
-        if chi.modulus != 1:
-            raise ValueError("completed_l of an imprimitive trivial character is not defined")
-        return completed_zeta(s)
     if not (chi.is_even() and chi.is_primitive()):
         raise ValueError("completed_l expects an even primitive character")
+    s = complex(s)
+    if chi.modulus == 1 and (abs(s) < 1e-14 or abs(s - 1.0) < 1e-14):
+        raise PoleError(f"completed zeta pole at s = {s}")
     import mpmath as mp
 
     with mp.workdps(_DPS):
         return complex(_completed_l_mp(mp.mpc(s), chi))
 
 
-def epsilon_of_minus_z(z: complex, chi: DirichletCharacter | None) -> complex:
+def epsilon_of_minus_z(z: complex, chi: DirichletCharacter) -> complex:
     """Functional-equation epsilon factor evaluated at s = -z over Q.
 
     For an even primitive character of conductor m this is
     (tau(chi)/sqrt(m)) * m**(1/2 + z); for the trivial character it is 1.
     """
-    if chi is None or chi.order() == 1:
+    if chi.order() == 1:
         return 1.0 + 0.0j
     if not (chi.is_even() and chi.is_primitive()):
         raise ValueError("epsilon factor implemented for even primitive characters only")
@@ -242,17 +214,16 @@ class EdgeCoefficients:
     c_zero: float
 
 
-def _is_trivial(xi: DirichletCharacter | None) -> bool:
-    """True for the trivial character, False for a real even primitive one.
+def _is_trivial(xi: DirichletCharacter) -> bool:
+    """True for the trivial character mod 1, False for a real even primitive one.
 
-    Raises ValueError for any other character: the closed forms use that the
-    root number is 1 and the Laurent data are real.
+    Raises ValueError for any other character, an imprimitive trivial one
+    included: the closed forms use that the root number is 1 and the Laurent
+    data are real.
     """
-    if xi is None or xi.order() == 1:
-        return True
-    if not (xi.order() == 2 and xi.is_even() and xi.is_primitive()):
-        raise ValueError("expected the trivial or a real even primitive character")
-    return False
+    if not (xi.order() <= 2 and xi.is_even() and xi.is_primitive()):
+        raise ValueError("expected the trivial character mod 1 or a real even primitive character")
+    return xi.modulus == 1
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16: the Euler-Maclaurin tail of
@@ -282,10 +253,10 @@ def _hurwitz_d2_at_0(x: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
+def laurent_at_1(xi: DirichletCharacter) -> LaurentData:
     """Laurent data of the completed L-function at s = 1 over Q, in closed form.
 
-    ``xi=None`` (or the trivial character) means the completed zeta:
+    The trivial character gives the completed zeta:
     residue 1, c0 = (gamma - log 4 pi)/2 and
     c1 = -gamma_1 + a gamma + (a**2 + b)/2 with the Stieltjes constant
     gamma_1, a = (psi(1/2) - log pi)/2 and b = psi'(1/2)/4.  These are
@@ -318,9 +289,7 @@ def laurent_at_1(xi: DirichletCharacter | None) -> LaurentData:
 _INV_ZETA_HAT2_JET = (1.909859317102744, -2.732882189869369, 0.7179696879667569)
 
 
-def edge_coefficients(
-    eta: DirichletCharacter | None, discriminant_abs: int = 1
-) -> EdgeCoefficients:
+def edge_coefficients(eta: DirichletCharacter, discriminant_abs: int = 1) -> EdgeCoefficients:
     """Laurent coefficients (orders -2, -1, 0) at nu = -1 of the central-value
     series function D**(nu/2) Lambda((1+nu)/2) Lambda((1-nu)/2) / Lambda_zeta(1 - nu).
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
@@ -164,17 +164,17 @@ def extract_series(f: Callable, center: float, pole_order: int, width: float) ->
         return [float(mp.re(c[j])) for j in range(levels) for c in (even_coeffs, odd_coeffs)]
 
 
-def laurent_at_1_two_widths(xi: DirichletCharacter | None) -> tuple[LaurentData, LaurentData]:
+def laurent_at_1_two_widths(xi: DirichletCharacter) -> tuple[LaurentData, LaurentData]:
     """Laurent data at s = 1 fitted by stencils at two base widths.
 
-    The residue of the completed zeta is extracted, not assumed.  The check
-    suite compares the two results with each other and with
-    `lfunctions.laurent_at_1`.
+    The residue of the completed zeta (the trivial character's) is extracted,
+    not assumed.  The check suite compares the two results with each other
+    and with `lfunctions.laurent_at_1`.
     """
-    from .lfunctions import LaurentData, _completed_l_mp, _completed_zeta_mp, _is_trivial
+    from .lfunctions import LaurentData, _completed_l_mp, _is_trivial
 
     pole = 1 if _is_trivial(xi) else 0
-    f = _completed_zeta_mp if pole else (lambda s: _completed_l_mp(s, xi))
+    f = partial(_completed_l_mp, chi=xi)
     # A regular point has residue 0: pad the fitted coefficients accordingly.
     first, second = (
         LaurentData(*([0.0] * (1 - pole) + extract_series(f, 1.0, pole, w))[:3])
@@ -183,29 +183,25 @@ def laurent_at_1_two_widths(xi: DirichletCharacter | None) -> tuple[LaurentData,
     return first, second
 
 
-def central_series_function(
-    eta: DirichletCharacter | None, discriminant_abs: int = 1
-) -> Callable:
+def central_series_function(eta: DirichletCharacter, discriminant_abs: int = 1) -> Callable:
     """The meromorphic function whose edge Laurent data feeds the residual
-    constants: D**(nu/2) L((1+nu)/2) L((1-nu)/2) / zeta_completed(1 - nu),
+    constants: D**(nu/2) L((1+nu)/2) L((1-nu)/2) / Lambda_zeta(1 - nu),
     the function `lfunctions.edge_coefficients` expands at nu = -1.
 
     Returns a working-precision callable (mp in, mp out; plain complex also
     accepted)."""
     import mpmath as mp
 
-    from .lfunctions import _completed_l_mp, _completed_zeta_mp, _is_trivial
+    from .lfunctions import _completed_l_mp, _is_trivial
 
-    trivial = _is_trivial(eta)
+    _is_trivial(eta)  # ValueError for a character the closed forms do not cover
+    zeta = DirichletCharacter.trivial()
 
     def f(nu):
         nu = mp.mpc(nu)
         prefactor = mp.mpf(discriminant_abs) ** (nu / 2)
-        if trivial:
-            num = _completed_zeta_mp((1 + nu) / 2) * _completed_zeta_mp((1 - nu) / 2)
-        else:
-            num = _completed_l_mp((1 + nu) / 2, eta) * _completed_l_mp((1 - nu) / 2, eta)
-        return prefactor * num / _completed_zeta_mp(1 - nu)
+        num = _completed_l_mp((1 + nu) / 2, eta) * _completed_l_mp((1 - nu) / 2, eta)
+        return prefactor * num / _completed_l_mp(1 - nu, zeta)
 
     return f
 
@@ -292,7 +288,7 @@ def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
     value = residue_value_half_one(rho, ctx.eta.sign_at)
     residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in rho.active()]
     twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]
-    eps0 = epsilon_of_minus_z(0.0, ctx.dirichlet)
+    eps0 = epsilon_of_minus_z(0.0, ctx.eta.dirichlet)
     return _residual_combination(ctx, eps0 * value, twisted_d2)
 
 

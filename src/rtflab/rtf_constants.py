@@ -48,7 +48,6 @@ from .lfunctions import (
     jet_reciprocal,
     l_fin,
     laurent_at_1,
-    zeta_fin,
 )
 from .special import EULER_GAMMA, digamma, gamma, log_gamma
 
@@ -258,15 +257,14 @@ def _discriminant_jet(profile: FieldProfile) -> Jet:
 class EtaContext:
     """Analytic data of a sign character over Q, gathered once.
 
-    Bundles the quadratic profile, the concrete character (None = trivial),
-    the normalized Gauss sum, Laurent data at 1 for both the character and
-    the trivial character, and the edge coefficients of the central-value
-    series.
+    Bundles the quadratic profile (whose ``dirichlet`` is the concrete
+    character, ``DirichletCharacter.trivial()`` for the trivial one), the
+    normalized Gauss sum, Laurent data at 1 for both the character and the
+    trivial character, and the edge coefficients of the central-value series.
     """
 
     profile: FieldProfile
     eta: QuadraticCharacterProfile
-    dirichlet: DirichletCharacter | None
     gauss_adelic: complex
     laurent_trivial: LaurentData
     laurent_eta: LaurentData
@@ -275,39 +273,27 @@ class EtaContext:
 
     @property
     def is_trivial(self) -> bool:
-        return self.dirichlet is None
+        return self.eta.dirichlet.order() == 1
 
     @property
     def residue(self) -> float:
         return self.laurent_trivial.residue
 
 
-def eta_context(
-    chi: DirichletCharacter | None, profile: FieldProfile = RATIONALS
-) -> EtaContext:
-    """Build the full analytic context for a trivial or even quadratic character."""
+def eta_context(chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> EtaContext:
+    """Build the full analytic context for the trivial or an even primitive
+    quadratic character (`ValueError` otherwise, from the profile); every
+    character of order one gives the trivial one's."""
     if not profile.is_rationals:
         raise ValueError("the analytic context is implemented over Q only")
-    if chi is not None and chi.order() == 1:
-        chi = None
-    laurent_trivial = laurent_at_1(None)
-    if chi is None:
-        eta = QuadraticCharacterProfile.trivial()
-        gauss = 1.0 + 0.0j
-        laurent_eta = laurent_trivial
-    else:
-        if not (chi.order() == 2 and chi.is_even() and chi.is_primitive()):
-            raise ValueError("context requires the trivial or an even primitive quadratic character")
-        eta = QuadraticCharacterProfile.from_dirichlet(chi, profile)
-        gauss = adelic_gauss_sum(chi)
-        laurent_eta = laurent_at_1(chi)
+    if chi.order() == 1:
+        chi = DirichletCharacter.trivial()
     return EtaContext(
         profile=profile,
-        eta=eta,
-        dirichlet=chi,
-        gauss_adelic=gauss,
-        laurent_trivial=laurent_trivial,
-        laurent_eta=laurent_eta,
+        eta=QuadraticCharacterProfile.from_dirichlet(chi, profile),
+        gauss_adelic=adelic_gauss_sum(chi),
+        laurent_trivial=laurent_at_1(DirichletCharacter.trivial()),
+        laurent_eta=laurent_at_1(chi),
         edge=edge_coefficients(chi, profile.discriminant_abs),
         # Lambda_zeta(2) = pi/6 rounded from 30 digits; math.pi / 6 is 1 ulp lower.
         zeta2=0.5235987755982989,
@@ -374,7 +360,7 @@ def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
             n, lambda p: 1, lambda p, k: residue_place_jet(EdgePlaceBlock(p.q, k, 1))
         )
         twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), residue])[2]
-        eps0 = epsilon_of_minus_z(0.0, ctx.dirichlet)
+        eps0 = epsilon_of_minus_z(0.0, ctx.eta.dirichlet)
         weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
         return weight * _residual_combination(ctx, eps0 * value, twisted_d2)
     t0, t1, t2 = assignment_sum(
@@ -491,11 +477,7 @@ def kernel_normalization(
     return (-1.0) ** len(s_list) * profile.discriminant_abs**-0.5 / float(index_k0(n))
 
 
-def intertwining_ratio(
-    chi: DirichletCharacter | None,
-    rho: RhoAssignment,
-    nu: complex,
-) -> complex:
+def intertwining_ratio(chi: DirichletCharacter, rho: RhoAssignment, nu: complex) -> complex:
     """Constant-term ratio N(f)**(-nu) prod q**(-k nu) L(1+nu)/L(1-nu).
 
     The L-ratio is the global finite-part ratio for chi**2; the per-place
@@ -504,9 +486,9 @@ def intertwining_ratio(
     genuine zeros of the denominator are signaled.
     """
     nu = complex(nu)
-    conductor = 1 if chi is None else chi.primitive_character().modulus
+    conductor = chi.primitive_character().modulus
     for place, _ in rho.active():
-        if chi is not None and chi.phase_index(place.q) is None:
+        if chi.phase_index(place.q) is None:
             raise RamifiedOverlapError(
                 f"character is ramified at the active place {place.label}"
             )
@@ -515,13 +497,9 @@ def intertwining_ratio(
         power *= place.q ** (-k * nu)
     if abs(nu) < 1e-14:
         return power
-    chi_sq = None if chi is None else chi.square().primitive_character()
-    if chi_sq is None or chi_sq.modulus == 1:
-        num = zeta_fin(1.0 + nu)
-        den = zeta_fin(1.0 - nu)
-    else:
-        num = l_fin(1.0 + nu, chi_sq)
-        den = l_fin(1.0 - nu, chi_sq.conjugate())
+    chi_sq = chi.square().primitive_character()
+    num = l_fin(1.0 + nu, chi_sq)
+    den = l_fin(1.0 - nu, chi_sq.conjugate())
     if abs(den) < 1e-280:
         raise PoleError(f"intertwining ratio pole at nu = {nu}")
     return power * num / den

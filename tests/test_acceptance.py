@@ -58,6 +58,7 @@ from rtflab.special import (
 
 P = RATIONALS.place_for_prime
 ARCH = RATIONALS.archimedean_places[0]
+TRIVIAL = DirichletCharacter.trivial()
 CHI5 = DirichletCharacter.quadratic(5)
 
 
@@ -272,13 +273,13 @@ def test_criterion_07_character_suite():
 
 def test_criterion_08_laurent_extraction():
     worst = 0.0
-    for xi in (None, CHI5):
+    for xi in (TRIVIAL, CHI5):
         a, b = laurent_at_1_two_widths(xi)
         worst = max(worst, abs(a.residue - b.residue), abs(a.c0 - b.c0), abs(a.c1 - b.c1))
-    residue_defect = abs(laurent_at_1_two_widths(None)[1].residue - 1.0)
+    residue_defect = abs(laurent_at_1_two_widths(TRIVIAL)[1].residue - 1.0)
 
-    coeffs = edge_coefficients(None)
-    f = central_series_function(None)
+    coeffs = edge_coefficients(TRIVIAL)
+    f = central_series_function(TRIVIAL)
     h = 0.01
     recon = coeffs.c_minus2 / h**2 + coeffs.c_minus1 / h + coeffs.c_zero
     direct = complex(f(-1.0 + h)).real
@@ -318,7 +319,7 @@ def test_criterion_09_geometric_kernels():
 
     flat_defect = max(flat_defect, abs(values[0] - completed_l(1.0, CHI5)))
 
-    laurent1 = rtf.eta_context(None).laurent_trivial
+    laurent1 = rtf.eta_context(TRIVIAL).laurent_trivial
     log_defect = 0.0
     s_map = {ARCH: 2.0 + 0.0j}
     for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):

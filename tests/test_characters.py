@@ -475,9 +475,9 @@ class TestQuadraticProfile:
         assert eta.sign_at(P(3)) == -1
         assert eta.sign_at(P(11)) == 1
 
-    def test_trivial_is_the_trivial_characters_profile(self):
-        eta = QuadraticCharacterProfile.trivial()
-        assert eta == QuadraticCharacterProfile.from_dirichlet(DirichletCharacter.trivial())
+    def test_trivial_characters_profile_is_plus_one_at_every_prime(self):
+        eta = QuadraticCharacterProfile.from_dirichlet(DirichletCharacter.trivial())
+        assert eta.conductor == LevelIdeal.unit()
         primes = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
         assert len(primes) == 25
         assert [eta.sign_at(P(p)) for p in primes] == [1] * 25

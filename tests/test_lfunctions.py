@@ -11,16 +11,15 @@ from rtflab.lfunctions import (
     _INV_ZETA_HAT2_JET,
     _hurwitz_d2_at_0,
     completed_l,
-    completed_zeta,
     edge_coefficients,
     epsilon_of_minus_z,
     l_fin,
     laurent_at_1,
-    zeta_fin,
 )
 from rtflab.oracles import central_series_function, extract_series, laurent_at_1_two_widths
 from rtflab.special import EULER_GAMMA
 
+TRIVIAL = DirichletCharacter.trivial()
 CHI5 = DirichletCharacter.quadratic(5)
 CHI8 = DirichletCharacter.quadratic(8)
 
@@ -35,12 +34,40 @@ def _even_primitive_quadratic(m: int) -> bool:
 
 class TestEvaluators:
     def test_zeta_classical_values(self):
-        assert zeta_fin(2.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-12)
-        assert zeta_fin(-1.0) == pytest.approx(-1.0 / 12.0, abs=1e-12)
+        assert l_fin(2.0, TRIVIAL) == pytest.approx(math.pi**2 / 6.0, abs=1e-12)
+        assert l_fin(-1.0, TRIVIAL) == pytest.approx(-1.0 / 12.0, abs=1e-12)
 
     def test_zeta_pole(self):
         with pytest.raises(PoleError):
-            zeta_fin(1.0)
+            l_fin(1.0, TRIVIAL)
+
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_trivial_pole_is_typed(self, m):
+        # Every character of order one has the pole of zeta at s = 1.
+        for s in (1.0, 1.0 + 5e-15, 1.0 - 5e-15j):
+            with pytest.raises(PoleError):
+                l_fin(s, DirichletCharacter.trivial(m))
+
+    def test_zeta_against_mpmath(self):
+        for s in (2.5, 0.3, -1.7 + 2.0j, 0.5 + 14.0j, -3.5):
+            with mpmath.workdps(_DPS):
+                want = complex(mpmath.zeta(mpmath.mpc(s)))
+            assert l_fin(s, TRIVIAL) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_lambda_zeta_against_its_definition(self):
+        # Lambda_zeta(s) = pi**(-s/2) Gamma(s/2) zeta(s), written out, in both
+        # half planes: completed_l reaches Re(s) < 1/2 through the functional
+        # equation, this formula does not.
+        for s in (2.5, 0.75, 0.3 + 1.0j, -1.2, -2.5 + 0.5j, 0.5 + 14.0j):
+            with mpmath.workdps(_DPS):
+                z = mpmath.mpc(s)
+                want = complex(mpmath.pi ** (-z / 2) * mpmath.gamma(z / 2) * mpmath.zeta(z))
+            assert completed_l(s, TRIVIAL) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 1e-15, 1.0 + 5e-15j])
+    def test_lambda_zeta_poles(self, s):
+        with pytest.raises(PoleError):
+            completed_l(s, TRIVIAL)
 
     def test_l_fin_at_one_matches_digamma_formula(self):
         for chi in (CHI5, CHI8):
@@ -50,12 +77,12 @@ class TestEvaluators:
         # trivial character mod 6 = zeta with factors at 2 and 3 removed
         chi = DirichletCharacter.trivial(6)
         s = 2.3
-        expected = zeta_fin(s) * (1 - 2.0**-s) * (1 - 3.0**-s)
+        expected = l_fin(s, TRIVIAL) * (1 - 2.0**-s) * (1 - 3.0**-s)
         assert l_fin(s, chi) == pytest.approx(expected, abs=1e-12)
 
     def test_completed_zeta_functional_equation(self):
         for s in (0.3, 0.7 + 0.4j, -1.2):
-            assert completed_zeta(s) == pytest.approx(completed_zeta(1.0 - complex(s)), abs=1e-12)
+            assert completed_l(s, TRIVIAL) == pytest.approx(completed_l(1.0 - complex(s), TRIVIAL), abs=1e-12)
 
     def test_completed_l_functional_equation(self):
         # even primitive quadratic: epsilon = +1, so Lambda(s) = Lambda(1-s)
@@ -75,7 +102,7 @@ class TestEvaluators:
 
 class TestEpsilonFactor:
     def test_trivial(self):
-        assert epsilon_of_minus_z(0.37, None) == 1.0 + 0.0j
+        assert epsilon_of_minus_z(0.37, TRIVIAL) == 1.0 + 0.0j
 
     def test_even_quadratic_at_zero(self):
         # tau(chi5)/sqrt(5) * 5^{1/2} = tau(chi5) = sqrt(5)
@@ -95,26 +122,26 @@ class TestEpsilonFactor:
 
 class TestLaurent:
     def test_completed_zeta_residue_is_one(self):
-        data = laurent_at_1(None)
+        data = laurent_at_1(TRIVIAL)
         assert data.residue == pytest.approx(1.0, abs=1e-10)
 
     def test_c0_closed_form(self):
         # classical: constant term of the completed zeta at 1 is (gamma - log(4 pi))/2
-        data = laurent_at_1(None)
+        data = laurent_at_1(TRIVIAL)
         assert data.c0 == pytest.approx((EULER_GAMMA - math.log(4.0 * math.pi)) / 2.0, abs=1e-11)
 
     def test_trivial_c0_literal_matches_mpmath(self):
         with mpmath.workdps(_DPS):
             a = (mpmath.digamma(mpmath.mpf(0.5)) - mpmath.log(mpmath.pi)) / 2
             want = float(mpmath.euler + a)
-        assert laurent_at_1(None).c0 == want
+        assert laurent_at_1(TRIVIAL).c0 == want
 
     def test_trivial_c1_does_not_compute_gamma1(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("gamma_1 computed by quadrature")
 
         monkeypatch.setattr(mpmath, "stieltjes", boom)
-        got = laurent_at_1.__wrapped__(None).c1
+        got = laurent_at_1.__wrapped__(TRIVIAL).c1
         monkeypatch.undo()
         with mpmath.workdps(30):
             a = (mpmath.digamma(mpmath.mpf(0.5)) - mpmath.log(mpmath.pi)) / 2
@@ -152,7 +179,7 @@ class TestLaurent:
             assert got.residue == 0.0
 
     def test_two_widths_agree(self):
-        for xi in (None, CHI5, CHI8):
+        for xi in (TRIVIAL, CHI5, CHI8):
             a, b = laurent_at_1_two_widths(xi)
             assert abs(a.residue - b.residue) <= 1e-7
             assert abs(a.c0 - b.c0) <= 1e-7
@@ -194,8 +221,8 @@ class TestLaurent:
 
 class TestEdgeCoefficients:
     def test_trivial_leading_coefficient_closed_form(self):
-        # c_minus2 = 4 / completed_zeta(2) = 24 / pi (residues of both factors are -2)
-        coeffs = edge_coefficients(None)
+        # c_minus2 = 4 / Lambda_zeta(2) = 24 / pi (residues of both factors are -2)
+        coeffs = edge_coefficients(TRIVIAL)
         assert coeffs.c_minus2 == pytest.approx(24.0 / math.pi, abs=1e-10)
 
     def test_quadratic_is_regular(self):
@@ -206,8 +233,8 @@ class TestEdgeCoefficients:
         assert coeffs.c_zero == pytest.approx(direct, abs=1e-10)
 
     def test_reconstruction_near_pole(self):
-        coeffs = edge_coefficients(None)
-        f = central_series_function(None)
+        coeffs = edge_coefficients(TRIVIAL)
+        f = central_series_function(TRIVIAL)
         h = 0.01
         recon = coeffs.c_minus2 / h**2 + coeffs.c_minus1 / h + coeffs.c_zero
         direct = complex(f(-1.0 + h)).real
@@ -215,8 +242,8 @@ class TestEdgeCoefficients:
 
     def test_discriminant_prefactor(self):
         # D**（nu/2) at nu=-1 scales the double-pole coefficient by D**(-1/2)
-        base = edge_coefficients(None, 1)
-        scaled = edge_coefficients(None, 4)
+        base = edge_coefficients(TRIVIAL, 1)
+        scaled = edge_coefficients(TRIVIAL, 4)
         assert scaled.c_minus2 == pytest.approx(base.c_minus2 / 2.0, rel=1e-9)
 
 
@@ -273,8 +300,8 @@ class TestEdgeClosedForms:
             z2 = float(zc(2))
             r = float(mpmath.diff(zc, 2) / zc(2))
             h = float(mpmath.diff(zc, 2, 2) / (2 * zc(2)))
-        data = laurent_at_1(None)
-        coeffs = edge_coefficients(None)
+        data = laurent_at_1(TRIVIAL)
+        coeffs = edge_coefficients(TRIVIAL)
         assert coeffs.c_minus2 == pytest.approx(4.0 / z2, abs=1e-10)
         assert coeffs.c_minus1 == pytest.approx(4.0 * (r - data.c0) / z2, abs=1e-10)
         closed = (2.0 * data.c1 + data.c0**2 - 4.0 * data.c0 * r + 4.0 * (r * r - h)) / z2
@@ -286,7 +313,7 @@ class TestClosedFormsAgainstStencil:
 
     @pytest.mark.parametrize("m", [None, 5, 8, 12, 13, 21, 24, 28, 29, 40, 41, 56, 57, 60, 61])
     def test_laurent(self, m):
-        xi = None if m is None else DirichletCharacter.quadratic(m)
+        xi = TRIVIAL if m is None else DirichletCharacter.quadratic(m)
         closed = laurent_at_1(xi)
         fitted = laurent_at_1_two_widths(xi)[1]
         assert abs(closed.residue - fitted.residue) <= 1e-12
@@ -295,7 +322,7 @@ class TestClosedFormsAgainstStencil:
 
     @pytest.mark.parametrize("d", [1, 4, 5, 13])
     def test_edge_coefficients(self, d):
-        xi = None if d in (1, 4) else DirichletCharacter.quadratic(d)
+        xi = TRIVIAL if d in (1, 4) else DirichletCharacter.quadratic(d)
         c = edge_coefficients(xi, d)
         fitted = extract_series(central_series_function(xi, d), -1.0, 2, 5e-3)[:3]
         scale = max(abs(a) for a in fitted)
@@ -316,6 +343,16 @@ class TestUnsupportedCharacters:
             laurent_at_1(chi)
         with pytest.raises(ValueError):
             edge_coefficients(chi, chi.modulus)
+
+    def test_imprimitive_trivial_character_is_rejected(self):
+        # The trivial character is the one mod 1; trivial(6) would silently
+        # pick up the Euler factors at 2 and 3 in the stencil routes.
+        chi = DirichletCharacter.trivial(6)
+        for route in (laurent_at_1, edge_coefficients, laurent_at_1_two_widths, central_series_function):
+            with pytest.raises(ValueError):
+                route(chi)
+        with pytest.raises(ValueError):
+            completed_l(2.0, chi)
 
 
 class TestHotPath:
@@ -344,6 +381,6 @@ class TestHotPath:
 
         monkeypatch.setattr(oracles, "extract_series", boom)
         with pytest.raises(RuntimeError, match="stencil reached"):
-            oracles.laurent_at_1_two_widths(None)
+            oracles.laurent_at_1_two_widths(TRIVIAL)
         with pytest.raises(RuntimeError, match="stencil reached"):
             oracles.laurent_at_1_two_widths(CHI5)

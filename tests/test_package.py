@@ -213,10 +213,45 @@ def test_the_constants_path_imports_mpmath_only_inside_functions():
     for name in ("lfunctions", "rtf_constants"):
         assert "mpmath" not in import_time_modules(SRC / f"{name}.py"), name
     assert functions_importing(SRC / "lfunctions.py", "mpmath") == [
-        "_chi_values_mp", "_completed_l_mp", "_completed_zeta_mp", "_gauss_adelic_mp", "_l_fin_mp",
-        "_zeta_fin_mp", "completed_l", "completed_zeta", "l_fin", "zeta_fin",
+        "_chi_values_mp", "_completed_l_mp", "_gauss_adelic_mp", "_l_fin_mp", "completed_l", "l_fin",
     ]
     assert "mpmath" not in imported_modules(SRC / "rtf_constants.py")
+
+
+def optional_character_annotations(source: str) -> list[str]:
+    """``function(argument)`` for each parameter or return annotated
+    ``DirichletCharacter | None``, in either order, with or without a module
+    prefix or quotes."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        annotated = [(p.arg, p.annotation) for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+        for label, annotation in [*annotated, ("return", node.returns)]:
+            text = ast.unparse(annotation).strip("'\"") if annotation else ""
+            members = {m.strip().split(".")[-1] for m in text.split("|")}
+            if {"DirichletCharacter", "None"} <= members:
+                out.append(f"{node.name}({label})")
+    return out
+
+
+def test_no_function_takes_or_returns_an_optional_dirichlet_character():
+    # The trivial character is DirichletCharacter.trivial(), never None.
+    found = {
+        path.name: optional_character_annotations(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_optional_character_scan_sees_every_spelling():
+    # The scan above would pass vacuously if it missed a spelling.
+    source = (
+        "def f(a: DirichletCharacter | None, b: 'chars.DirichletCharacter | None', *,\n"
+        "      c: list[DirichletCharacter] | None = None) -> None | DirichletCharacter: ...\n"
+    )
+    assert optional_character_annotations(source) == ["f(a)", "f(b)", "f(return)"]
 
 
 def test_local_factors_imports_characters_for_annotations_only():

@@ -20,12 +20,13 @@ def L(spec):
     return LevelIdeal.from_map({P(p): e for p, e in spec.items()})
 
 
+TRIVIAL = DirichletCharacter.trivial()
 CHI5 = DirichletCharacter.quadratic(5)
 
 
 @pytest.fixture(scope="module")
 def ctx_trivial():
-    return rtf.eta_context(None)
+    return rtf.eta_context(TRIVIAL)
 
 
 @pytest.fixture(scope="module")
@@ -447,7 +448,7 @@ class TestIntertwiningRatio:
     def test_empty_assignment_zeta_ratio(self):
         rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         nu = 0.3
-        got = rtf.intertwining_ratio(None, rho, nu)
+        got = rtf.intertwining_ratio(TRIVIAL, rho, nu)
         em = zeta_euler_maclaurin(1.3) / zeta_euler_maclaurin(0.7)
         assert got.real == pytest.approx(em, abs=1e-9)
         # coarse Euler-product corroboration for the numerator
@@ -456,11 +457,11 @@ class TestIntertwiningRatio:
 
     def test_value_at_zero_is_one(self):
         rho = oracles.enumerate_rho(L({2: 2}))[2]
-        assert rtf.intertwining_ratio(None, rho, 0.0) == pytest.approx(1.0)
+        assert rtf.intertwining_ratio(TRIVIAL, rho, 0.0) == pytest.approx(1.0)
 
     def test_involution(self):
         rho = oracles.enumerate_rho(L({2: 2, 3: 1}))[4]
-        for chi in (None, CHI5):
+        for chi in (TRIVIAL, CHI5):
             for nu in (0.3, 0.2 + 0.5j):
                 prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(
                     chi, rho, -nu
@@ -471,8 +472,8 @@ class TestIntertwiningRatio:
         # one active place of depth k contributes q**(-k nu)
         rho = [r for r in oracles.enumerate_rho(L({2: 2})) if dict(r.choices).get(P(2), 0) == 2][0]
         nu = 0.4
-        with_places = rtf.intertwining_ratio(None, rho, nu)
-        empty = rtf.intertwining_ratio(None, oracles.enumerate_rho(LevelIdeal.unit())[0], nu)
+        with_places = rtf.intertwining_ratio(TRIVIAL, rho, nu)
+        empty = rtf.intertwining_ratio(TRIVIAL, oracles.enumerate_rho(LevelIdeal.unit())[0], nu)
         assert with_places.real == pytest.approx(empty.real * 2.0 ** (-2 * nu), rel=1e-12)
 
     def test_ramified_overlap(self):
@@ -484,7 +485,7 @@ class TestIntertwiningRatio:
         # 1 - nu = -2 is a trivial zero of zeta
         rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         with pytest.raises(PoleError):
-            rtf.intertwining_ratio(None, rho, 3.0)
+            rtf.intertwining_ratio(TRIVIAL, rho, 3.0)
 
 
 class TestKernelNormalization:
@@ -509,7 +510,7 @@ class TestKernelNormalization:
 
 class TestPredictedMomentAverage:
     def test_zero_function(self):
-        eta = QuadraticCharacterProfile.trivial()
+        eta = QuadraticCharacterProfile.from_dirichlet(TRIVIAL)
         res = rtf.predicted_moment_average(
             L({2: 1}), {ARCH: (lambda y: 0.0, (1.0, 2.0))}, eta, 1.0
         )
@@ -518,14 +519,14 @@ class TestPredictedMomentAverage:
     def test_squarefree_equals_pairing(self):
         from rtflab.measures import spectral_pairing
 
-        eta = QuadraticCharacterProfile.trivial()
+        eta = QuadraticCharacterProfile.from_dirichlet(TRIVIAL)
         fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
         res = rtf.predicted_moment_average(L({2: 1, 7: 1}), fns, eta, 1.3)
         pair = spectral_pairing(fns, eta.sign_at, 1.3)
         assert res.value == pytest.approx(pair.value, rel=1e-12)
 
     def test_exponent_two_halves_at_q2(self):
-        eta = QuadraticCharacterProfile.trivial()
+        eta = QuadraticCharacterProfile.from_dirichlet(TRIVIAL)
         fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
         squarefree = rtf.predicted_moment_average(L({3: 1}), fns, eta, 1.0)
         squared = rtf.predicted_moment_average(L({2: 2}), fns, eta, 1.0)
@@ -554,6 +555,10 @@ class TestEtaContext:
         assert not ctx_chi5.is_trivial
         assert ctx_chi5.gauss_adelic == pytest.approx(1.0 + 0.0j, abs=1e-12)
         assert ctx_chi5.laurent_eta.residue == 0.0
+
+    def test_every_order_one_character_gives_the_trivial_context(self, ctx_trivial):
+        assert rtf.eta_context(DirichletCharacter.trivial(6)) == ctx_trivial
+        assert ctx_trivial.eta.dirichlet == TRIVIAL
 
     def test_rejects_odd_quadratic(self):
         with pytest.raises(ValueError):
