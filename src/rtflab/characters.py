@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._record import record
 from .errors import RamifiedOverlapError
 from .fields import FinitePlace, LevelIdeal, Place, RATIONALS, FieldProfile, factorize
 from .special import digamma
@@ -63,7 +63,7 @@ def _primitive_root(q: int, phi: int) -> int:
     raise ArithmeticError(f"no primitive root modulo {q}")
 
 
-@dataclass(frozen=True)
+@record
 class _UnitGroup:
     """Generators, orders and discrete-log tables of (Z/m)^x.
 
@@ -162,7 +162,7 @@ def _unit_root(k: int, L: int) -> complex:
     return complex(math.cos(2 * math.pi * r), math.sin(2 * math.pi * r))
 
 
-@dataclass(frozen=True)
+@record
 class DirichletCharacter:
     """A character modulo m, stored as exponents on the canonical generators."""
 
@@ -511,7 +511,7 @@ def l_one(chi: DirichletCharacter) -> float | complex:
 # quadratic sign profiles
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticCharacterProfile:
     """A quadratic character seen through its local data.
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as iproduct
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import characters as chars
 from . import measures as meas
+from ._record import record
 from .chunked import map_chunked
 from .fields import RATIONALS, FinitePlace, LevelIdeal
 from .local_factors import (
@@ -44,7 +44,7 @@ from .special import EULER_GAMMA, abs_gamma_iy_sq_inv, abs_gamma_iy_sq_inv_lancz
 _PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool

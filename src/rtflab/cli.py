@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,7 +28,9 @@ if TYPE_CHECKING:
     from .measures import Density
 
 # Each subcommand imports the modules it runs, so that `constants`, `measure`
-# or `--version` never load numpy, `checks` or `empirical`.
+# or `--version` never load numpy, `checks` or `empirical`; `json` is imported
+# where JSON is written or read, so `--version`, `measure` and `characters`
+# never load it.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,6 +65,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json_dumps(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -478,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
             _json_dumps({"error": "numerical", "type": type(exc).__name__, "message": str(exc)})
         )
         return EXIT_NUMERICAL
-    except (_CliError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (_CliError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(_json_dumps({"error": "usage", "message": str(exc)}))
         return EXIT_USAGE
 

@@ -14,11 +14,11 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
+from ._record import record
 from .measures import Density, integrate_density
 from .quadrature import cos_substituted, kronrod_cells
 
@@ -27,7 +27,7 @@ CSV_COLUMNS = ("level_norm", "place_q", "x", "weight")
 _WRITE_BLOCK = 8192
 
 
-@dataclass(frozen=True)
+@record
 class EmpiricalSample:
     """Weighted eigenvalue observations, all inside [-2, 2]."""
 

@@ -10,12 +10,11 @@ places are created on demand, one per prime.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
+
+from ._record import record
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -44,14 +43,14 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return factors[0] if len(factors) == 1 else None
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ArchimedeanPlace:
     """A real embedding of the base field, identified by its label."""
 
     label: str
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class FinitePlace:
     """A finite place: opaque label, residue cardinality and different exponent."""
 
@@ -69,7 +68,7 @@ class FinitePlace:
 Place = ArchimedeanPlace | FinitePlace
 
 
-@dataclass(frozen=True)
+@record
 class FieldProfile:
     """Degree, discriminant and per-place data of a totally real field.
 
@@ -126,6 +125,8 @@ class FieldProfile:
     @classmethod
     def from_json(cls, text: str) -> FieldProfile:
         """Load a profile from ``{degree, discriminant, places:[{label,q,d}]}``."""
+        import json
+
         doc = json.loads(text)
         places = tuple(
             FinitePlace(label=str(e["label"]), q=int(e["q"]), d=int(e.get("d", 0)))
@@ -144,7 +145,7 @@ class FieldProfile:
 RATIONALS = FieldProfile.rationals()
 
 
-@dataclass(frozen=True)
+@record
 class LevelIdeal:
     """An integral ideal given by its factorization into finite places.
 
@@ -249,14 +250,15 @@ class LevelIdeal:
         )
 
 
-def index_k0(n: LevelIdeal) -> Fraction:
+def index_k0(n: LevelIdeal) -> int:
     """Index of the depth-``n`` congruence subgroup in the full maximal compact.
 
-    Equals ``N(n) * prod_{v | n} (1 + 1/q_v)``, an exact rational.
+    Equals ``N(n) * prod_{v | n} (1 + 1/q_v) = prod_{v | n} q_v**(e_v - 1) (q_v + 1)``,
+    an integer.
     """
-    out = Fraction(n.norm())
-    for p, _ in n.factors:
-        out *= Fraction(p.q + 1, p.q)
+    out = 1
+    for p, e in n.factors:
+        out *= p.q ** (e - 1) * (p.q + 1)
     return out
 
 

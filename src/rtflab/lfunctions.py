@@ -30,10 +30,10 @@ The independent route, symmetric stencil fits at working precision, is in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from ._record import record
 from .characters import DirichletCharacter, unit_group
 from .errors import PoleError
 from .fields import factorize
@@ -129,6 +129,22 @@ def l_fin(s: complex, chi: DirichletCharacter) -> complex:
         return complex(_l_fin_mp(mp.mpc(s), chi))
 
 
+def zeta_ratio(nu: complex) -> complex:
+    """zeta(1 + nu) / zeta(1 - nu), with its limit -1 at nu = 0.
+
+    1 +- nu is formed exactly in mpmath: near the pole, rounding it in floats
+    moves the ratio by up to 2**-52/|nu| relative.
+    """
+    nu = complex(nu)
+    if nu == 0:
+        return -1.0 + 0.0j
+    import mpmath as mp
+
+    with mp.workdps(_DPS):
+        mp.mp.prec += max(0, -mp.mag(nu.real)) if nu.real else 0
+        return complex(mp.zeta(1 + mp.mpc(nu)) / mp.zeta(1 - mp.mpc(nu)))
+
+
 def completed_l(s: complex, chi: DirichletCharacter) -> complex:
     """Completed L for an even primitive chi: (m/pi)**(s/2) Gamma(s/2) L_fin(s, chi).
 
@@ -196,7 +212,7 @@ def jet_reciprocal(jet: Jet) -> Jet:
 # Laurent and edge data in closed form
 
 
-@dataclass(frozen=True)
+@record
 class LaurentData:
     """Laurent data (residue, constant, linear term) at an edge point."""
 
@@ -205,7 +221,7 @@ class LaurentData:
     c1: float
 
 
-@dataclass(frozen=True)
+@record
 class EdgeCoefficients:
     """Leading Laurent coefficients of a double-pole expansion."""
 

@@ -11,9 +11,9 @@ local vectors, and the nonnegative spectral weights they aggregate into.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .errors import PoleError
 from .fields import FinitePlace, LevelIdeal, index_k0
 from .special import gamma_r
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 _UNITARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class Spherical:
     """Unramified principal series, classified by a Satake parameter alpha."""
 
@@ -33,7 +33,7 @@ class Spherical:
     conductor_exponent = 0
 
 
-@dataclass(frozen=True)
+@record
 class Special:
     """Twist of the Steinberg representation by an unramified quadratic sign."""
 
@@ -46,7 +46,7 @@ class Special:
             raise ValueError("special representation sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@record
 class HigherConductor:
     """A local representation of conductor exponent >= 2."""
 
@@ -64,7 +64,7 @@ class HigherConductor:
 LocalData = Spherical | Special | HigherConductor
 
 
-@dataclass(frozen=True)
+@record
 class LocalRepresentation:
     place: FinitePlace
     data: LocalData

@@ -14,9 +14,9 @@ control exposed below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from ._record import record
 from .errors import DomainError
 from .fields import ArchimedeanPlace, FieldProfile, FinitePlace, Place, RATIONALS
 from .local_factors import _local_l_from_power, local_l_arch_spherical, local_l_character
@@ -30,7 +30,7 @@ from .special import abs_gamma_iy_sq_inv
 _EDGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class Density:
     """A nonnegative density on a real interval.
 

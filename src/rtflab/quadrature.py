@@ -11,9 +11,9 @@ tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import record
 from .errors import QuadratureError
 
 # 15-point Kronrod nodes on [-1, 1] with Gauss-7 and Kronrod-15 weights.
@@ -36,7 +36,7 @@ _NODES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     value: float
     error_estimate: float

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from ._record import record
 from .characters import (
     DirichletCharacter,
     QuadraticCharacterProfile,
@@ -48,6 +48,7 @@ from .lfunctions import (
     jet_reciprocal,
     l_fin,
     laurent_at_1,
+    zeta_ratio,
 )
 from .special import EULER_GAMMA, digamma, gamma, log_gamma
 
@@ -87,7 +88,7 @@ def mean_square_constant(
 # choice assignments over the level support
 
 
-@dataclass(frozen=True)
+@record
 class RhoAssignment:
     """A choice of depth 0..e_v at every place of a base ideal."""
 
@@ -147,7 +148,7 @@ def assignment_sum(
 # edge place factors and their jets
 
 
-@dataclass(frozen=True)
+@record
 class EdgePlaceBlock:
     """Per-place data (q, depth k, sign) of an edge factor."""
 
@@ -253,7 +254,7 @@ def _discriminant_jet(profile: FieldProfile) -> Jet:
 # character context bundling the analytic inputs
 
 
-@dataclass(frozen=True)
+@record
 class EtaContext:
     """Analytic data of a sign character over Q, gathered once.
 
@@ -481,9 +482,10 @@ def intertwining_ratio(chi: DirichletCharacter, rho: RhoAssignment, nu: complex)
     """Constant-term ratio N(f)**(-nu) prod q**(-k nu) L(1+nu)/L(1-nu).
 
     The L-ratio is the global finite-part ratio for chi**2; the per-place
-    powers run over the active places of the assignment.  The removable
-    0/0 point nu = 0 is defined as 1 (identical numerator and denominator);
-    genuine zeros of the denominator are signaled.
+    powers run over the active places of the assignment.  Where chi**2 is
+    principal the L-ratio is `zeta_ratio`, -1 at nu = 0 where the poles
+    cancel; otherwise nu = 0 gives L(1, chi**2)/L(1, conj chi**2), 1 for a
+    real chi**2.  Genuine zeros of the denominator are signaled.
     """
     nu = complex(nu)
     conductor = chi.primitive_character().modulus
@@ -495,9 +497,11 @@ def intertwining_ratio(chi: DirichletCharacter, rho: RhoAssignment, nu: complex)
     power = conductor ** (-nu)
     for place, k in rho.active():
         power *= place.q ** (-k * nu)
-    if abs(nu) < 1e-14:
-        return power
     chi_sq = chi.square().primitive_character()
+    if chi_sq.order() == 1 and abs(nu) < 0.25:
+        # Farther from the pole, rounding 1 +- nu in floats costs at most
+        # 2**-52/|nu| relative, 4 ulps.
+        return power * zeta_ratio(nu)
     num = l_fin(1.0 + nu, chi_sq)
     den = l_fin(1.0 - nu, chi_sq.conjugate())
     if abs(den) < 1e-280:

@@ -844,7 +844,7 @@ class TestMeasureAbscissae:
 # Each case runs the CLI in a fresh interpreter, then lists which heavy
 # modules ended up in sys.modules and how many children it forked.
 _LOADED_AFTER = """
-import json, os, sys
+import os, sys
 forks = []
 real_fork = os.fork
 def fork():
@@ -860,7 +860,9 @@ except SystemExit as exc:  # --version
     code = exc.code
 watched = ("numpy", "numpy.random", "mpmath", "rtflab.checks", "rtflab.empirical", "rtflab.oracles",
            "rtflab.characters")
-print(json.dumps([code, [m for m in watched if m in sys.modules], len(forks)]), file=sys.stderr)
+stdlib = ("dataclasses", "fractions", "inspect", "json")
+result = [code, [m for m in watched if m in sys.modules], len(forks), [m for m in stdlib if m in sys.modules]]
+print(str(result).replace("'", '"'), file=sys.stderr)  # JSON, without importing json
 """
 
 
@@ -920,25 +922,34 @@ def loaded_after(*argv):
     return python_child(_LOADED_AFTER, *argv)
 
 
+# Invocations of every subcommand that loads no numpy.
+_NO_NUMPY_ARGV = [
+    ["--version"],
+    ["constants", "--n", "2^2*3", "--eta", "quad:5"],
+    ["constants", "--n", "2^2*3", "--eta", "trivial"],
+    ["constants", "--n", "4", "--s-primes", "3,7"],
+    ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "8"],
+    ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "20000"],
+    ["characters", "--n", "25"],
+    ["mass", "--measure", "mu_p", "--p", "3"],
+    ["weights", "--rep", "special", "--sign", "1", "--k", "1"],
+]
+_NO_NUMPY_IDS = ["version", "constants", "constants-trivial", "constants-s-primes", "measure",
+                 "measure-forked", "characters", "mass", "weights"]
+_COMPARE_ARGV = ["compare", "--sample", "SAMPLE", "--measure", "mu_p", "--p", "2", "--intervals=0:1"]
+
+
+def _with_sample(argv, tmp_path):
+    """``argv`` with its SAMPLE placeholder replaced by a one-row sample file."""
+    path = tmp_path / "sample.csv"
+    path.write_text("level_norm,place_q,x,weight\n1,2,0.5,1.0\n", encoding="utf-8")
+    return [str(path) if a == "SAMPLE" else a for a in argv]
+
+
 class TestImportHygiene:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--version"],
-            ["constants", "--n", "2^2*3", "--eta", "quad:5"],
-            ["constants", "--n", "2^2*3", "--eta", "trivial"],
-            ["constants", "--n", "4", "--s-primes", "3,7"],
-            ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "8"],
-            ["measure", "--measure", "lambda", "--p", "3", "--sign", "-1", "--grid", "20000"],
-            ["characters", "--n", "25"],
-            ["mass", "--measure", "mu_p", "--p", "3"],
-            ["weights", "--rep", "special", "--sign", "1", "--k", "1"],
-        ],
-        ids=["version", "constants", "constants-trivial", "constants-s-primes", "measure",
-             "measure-forked", "characters", "mass", "weights"],
-    )
+    @pytest.mark.parametrize("argv", _NO_NUMPY_ARGV, ids=_NO_NUMPY_IDS)
     def test_subcommand_loads_no_numpy_checks_or_empirical(self, argv):
-        code, loaded, forks = loaded_after(*argv)
+        code, loaded, forks, _ = loaded_after(*argv)
         assert code == 0
         # `constants` takes its L-function data in floats, without mpmath;
         # only the subcommands that build characters load `characters`.
@@ -949,7 +960,7 @@ class TestImportHygiene:
         assert forks == (chunked.chunk_count(rows, cli.GRID_ROWS_PER_CHUNK) - 1 if rows else 0)
 
     def test_check_forks_one_child_per_chunk_past_the_first(self):
-        code, loaded, forks = loaded_after("check")
+        code, loaded, forks, _ = loaded_after("check")
         chunks = chunked.chunk_count(6, 1)  # six check groups
         assert code == 0
         assert "rtflab.checks" in loaded
@@ -976,12 +987,19 @@ class TestImportHygiene:
         ]
 
     def test_compare_loads_no_numpy_random(self, tmp_path):
-        path = tmp_path / "sample.csv"
-        path.write_text("level_norm,place_q,x,weight\n1,2,0.5,1.0\n", encoding="utf-8")
-        code, loaded, forks = loaded_after(
-            "compare", "--sample", str(path), "--measure", "mu_p", "--p", "2", "--intervals=0:1"
-        )
+        code, loaded, forks, _ = loaded_after(*_with_sample(_COMPARE_ARGV, tmp_path))
         assert (code, loaded, forks) == (0, ["numpy", "rtflab.empirical"], 0)
+
+    @pytest.mark.parametrize("argv", _NO_NUMPY_ARGV + [["check"], _COMPARE_ARGV],
+                             ids=_NO_NUMPY_IDS + ["check", "compare"])
+    def test_subcommand_loads_no_dataclasses_fractions_or_needless_stdlib(self, argv, tmp_path):
+        code, loaded, _, stdlib = loaded_after(*_with_sample(argv, tmp_path))
+        assert code == 0
+        assert "dataclasses" not in stdlib and "fractions" not in stdlib
+        # numpy imports inspect; without numpy nothing rtflab runs needs it.
+        assert ("inspect" in stdlib) == ("numpy" in loaded)
+        # Only subcommands that read or write JSON load json.
+        assert ("json" in stdlib) == (argv[0] not in ("--version", "measure", "characters"))
 
     def test_check_groups_load_no_numpy_random(self):
         count, random_loaded = python_child(_LOADED_BY_CHECK_GROUPS)

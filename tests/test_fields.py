@@ -1,5 +1,9 @@
+import importlib.util
 import itertools
 import math
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +137,21 @@ class TestIdealArithmetic:
         assert index_k0(LevelIdeal.unit()) == 1
         assert index_k0(L({5: 1})) == 6  # p + 1
         assert index_k0(L({5: 2})) == 30  # p (p + 1)
+
+    def test_index_k0_is_the_exact_rational_product_on_level_scan_levels(self):
+        bench = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_fields_bench_workloads", bench)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # dataclasses resolve their module by name
+        spec.loader.exec_module(workloads)
+        levels = [inv.expect["exponents"] for inv in workloads.pool() if inv.kind == "constants"]
+        assert len(levels) == 81  # every level_scan family member
+        for exponents in levels:
+            n = L(exponents)
+            want = Fraction(n.norm()) * math.prod(Fraction(p.q + 1, p.q) for p, _ in n.factors)
+            got = index_k0(n)
+            assert type(got) is int and got == want
+            assert float(got) == float(want)
 
     def test_rejects_zero_exponent(self):
         with pytest.raises(ValueError):

@@ -214,6 +214,7 @@ def test_the_constants_path_imports_mpmath_only_inside_functions():
         assert "mpmath" not in import_time_modules(SRC / f"{name}.py"), name
     assert functions_importing(SRC / "lfunctions.py", "mpmath") == [
         "_chi_values_mp", "_completed_l_mp", "_gauss_adelic_mp", "_l_fin_mp", "completed_l", "l_fin",
+        "zeta_ratio",
     ]
     assert "mpmath" not in imported_modules(SRC / "rtf_constants.py")
 

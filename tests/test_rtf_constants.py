@@ -455,9 +455,35 @@ class TestIntertwiningRatio:
         euler = zeta_euler_product(1.3)
         assert abs(euler - zeta_euler_maclaurin(1.3)) / zeta_euler_maclaurin(1.3) <= 0.05
 
-    def test_value_at_zero_is_one(self):
+    def test_value_at_zero_is_minus_one(self):
+        # chi**2 is principal, so the L-ratio is zeta(1+nu)/zeta(1-nu) -> -1
         rho = oracles.enumerate_rho(L({2: 2}))[2]
-        assert rtf.intertwining_ratio(TRIVIAL, rho, 0.0) == pytest.approx(1.0)
+        assert rtf.intertwining_ratio(TRIVIAL, rho, 0.0) == -1.0
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-14, -1e-14, 2e-14, 1e-10])
+    @pytest.mark.parametrize("chi", [TRIVIAL, CHI5], ids=["trivial", "quad5"])
+    def test_near_zero_against_mpmath(self, chi, nu):
+        import mpmath as mp
+
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
+        got = rtf.intertwining_ratio(chi, rho, nu)
+        with mp.workdps(30):
+            if nu == 0:
+                want = -1
+            else:
+                s = 1 + mp.mpf(nu)
+                assert s - 1 == nu  # 1 + nu is exact at 30 digits
+                want = mp.mpf(chi.modulus) ** -nu * mp.zeta(s) / mp.zeta(2 - s)
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(float(want), rel=2.0**-50, abs=0.0)
+
+    def test_limit_is_one_where_chi_squared_is_nonprincipal(self):
+        chi = DirichletCharacter(5, (1,))  # order 4: chi**2 is the quadratic character mod 5
+        assert chi.square().primitive_character() == CHI5
+        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
+        assert rtf.intertwining_ratio(chi, rho, 0.0) == 1.0
+        for nu in (1e-14, -1e-14):
+            assert rtf.intertwining_ratio(chi, rho, nu) == pytest.approx(1.0, abs=1e-13)
 
     def test_involution(self):
         rho = oracles.enumerate_rho(L({2: 2, 3: 1}))[4]
