@@ -361,7 +361,7 @@ def check_measures(tol: float | None) -> list[CheckResult]:
         for y in np.linspace(0.0, 2.0 * math.pi / math.log(2.0), 101):
             for density in lambdas:
                 neg = min(neg, density(float(y)))
-        arch = meas.local_spectral(None, 1)
+        arch = meas.local_spectral(RATIONALS.archimedean_places[0], 1)
         for y in np.linspace(0.0, 20.0, 101):
             neg = min(neg, arch(float(y)))
         return max(0.0, -neg)

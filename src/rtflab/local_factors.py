@@ -89,25 +89,13 @@ def spherical_in_open_set(data: Spherical, q: int) -> bool:
 # local L-factors
 
 
-def local_l_character(s: complex, chi_at_uniformizer: complex | None, q: int) -> complex:
-    """Abelian local factor (1 - chi(pi) q**(-s))**(-1); 1 when chi is ramified.
+def local_l_character(s: complex, chi_at_uniformizer: complex, q: int) -> complex:
+    """Abelian local factor (1 - chi(pi) q**(-s))**(-1) of an unramified character.
 
-    ``chi_at_uniformizer=None`` encodes a ramified character (factor 1 by the
-    standard convention).  Evaluation at the pole raises instead of returning
-    infinity.
+    ``chi_at_uniformizer`` is the character's value at a uniformizer.
+    Evaluation at the pole raises instead of returning infinity.
     """
-    if chi_at_uniformizer is None:
-        return 1.0 + 0.0j
-    return _local_l_from_power(s, chi_at_uniformizer, q ** (-complex(s)))
-
-
-def _local_l_from_power(s: complex, chi_at_uniformizer: complex, power: complex) -> complex:
-    """(1 - chi(pi) * power)**(-1) for power = q**(-s), given by the caller.
-
-    Callers that evaluate several factors at one exponent share its power
-    this way; ``s`` only names the point in the pole message.
-    """
-    t = chi_at_uniformizer * power
+    t = chi_at_uniformizer * q ** (-complex(s))
     if abs(1.0 - t) < 1e-14:
         raise PoleError(f"abelian local factor pole at s = {s}")
     return 1.0 / (1.0 - t)
@@ -118,14 +106,6 @@ def local_l_spherical(s: complex, nu: complex, q: int) -> complex:
     s, nu = complex(s), complex(nu)
     return local_l_character(s + nu / 2.0, 1.0 + 0.0j, q) * local_l_character(
         s - nu / 2.0, 1.0 + 0.0j, q
-    )
-
-
-def local_l_spherical_sign(s: complex, nu: complex, q: int, sign: int) -> complex:
-    """Spherical local factor twisted by an unramified quadratic sign."""
-    s, nu = complex(s), complex(nu)
-    return local_l_character(s + nu / 2.0, complex(sign), q) * local_l_character(
-        s - nu / 2.0, complex(sign), q
     )
 
 

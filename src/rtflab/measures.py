@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 from ._record import record
 from .errors import DomainError
 from .fields import ArchimedeanPlace, FieldProfile, FinitePlace, Place, RATIONALS
-from .local_factors import _local_l_from_power, local_l_arch_spherical, local_l_character
+from .local_factors import local_l_arch_spherical, local_l_character
 from .quadrature import (
     QuadratureResult,
     integrate,
@@ -158,33 +158,27 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
     As a function of y it is even and periodic with period 4 pi / log q; the
     window [0, 2 pi / log q] is a fundamental domain for those symmetries.
     log q and the local value at 1 of the sign character are computed once.
-    The spherical factor and its sign twin are evaluated at the same two
-    exponents s = 1/2 +- iy/2, so the powers q**(-s) are computed once per
-    point and fed to both.  The power at 1/2 - iy/2 is taken as the
-    conjugate of the one at 1/2 + iy/2: complex pow on a positive real base
+    Each point takes one complex power p = q**(-s) at s = 1/2 + iy/2 and
+    writes the four local factors at s = 1/2 +- iy/2 as 1/(1 - p),
+    1/(1 - chi p) and their twins at the conjugate power.  The power at
+    1/2 - iy/2 is the conjugate of p: complex pow on a positive real base
     returns len * (cos phi, sin phi) with phi = b.imag * log q, and cos is
     even and sin odd, so the conjugate equals the power it replaces (at y = 0
-    up to the sign of its zero imaginary part).  Every other step
-    is the one `local_l_spherical` and `local_l_spherical_sign` take, so the
-    value is the same float.
+    up to the sign of its zero imaginary part).  No pole guard is needed:
+    for real y, |chi p| = q**(-1/2) <= 2**(-1/2), so |1 - chi p| >= 0.29.
+    Every other step is the one `local_l_spherical` and two
+    `local_l_character` calls take, so the value is the same float.
     """
     log_q = math.log(q)
     l_one_sign = local_l_character(1.0, complex(sign), q)
     four_pi = 4.0 * math.pi
-    half = complex(0.5)
-    one, chi = 1.0 + 0.0j, complex(sign)
+    chi = complex(sign)
 
     def fn(y: float) -> float:
-        nu = 1j * y
-        s_plus, s_minus = half + nu / 2.0, half - nu / 2.0
-        p_plus = q ** (-s_plus)
-        p_minus = p_plus.conjugate()
-        spherical = _local_l_from_power(s_plus, one, p_plus) * _local_l_from_power(
-            s_minus, one, p_minus
-        )
-        twisted = _local_l_from_power(s_plus, chi, p_plus) * _local_l_from_power(
-            s_minus, chi, p_minus
-        )
+        p = q ** complex(-0.5, -(y / 2.0))
+        pc = p.conjugate()
+        spherical = (1.0 / (1.0 - p)) * (1.0 / (1.0 - pc))
+        twisted = (1.0 / (1.0 - chi * p)) * (1.0 / (1.0 - chi * pc))
         num = (spherical * twisted / l_one_sign).real
         kernel = 2.0 - 2.0 * math.cos(y * log_q)  # |1 - q^{-iy}|^2
         return num * log_q / four_pi * kernel
@@ -192,18 +186,18 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
     return fn
 
 
-def local_spectral(place: Place | None, sign: int = 1) -> Density:
+def local_spectral(place: Place, sign: int = 1) -> Density:
     """The per-place spectral density in y on its window; checks sign once.
 
-    Archimedean places (place=None or ArchimedeanPlace) use the gamma-kernel
-    weight (1/(4 pi)) |Gamma(iy/2)|**(-2); finite places use
+    An archimedean place uses the gamma-kernel weight
+    (1/(4 pi)) |Gamma(iy/2)|**(-2); a finite place uses
     (log q / (4 pi)) |1 - q**(-iy)|**2.  The numerator is the product of the
     two central local factors divided by the local value at 1 of the sign
     character.  At a finite place the ``kernel`` is the formula on all of R.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if place is None or isinstance(place, ArchimedeanPlace):
+    if isinstance(place, ArchimedeanPlace):
 
         def arch(y: float) -> float:
             if y == 0.0:

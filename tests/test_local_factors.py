@@ -41,9 +41,6 @@ class TestLocalLFactors:
     def test_trivial_character(self):
         assert local_l_character(1.0, 1.0 + 0.0j, 2) == pytest.approx(2.0)
 
-    def test_ramified_convention(self):
-        assert local_l_character(1.0, None, 7) == 1.0
-
     def test_minus_sign(self):
         assert local_l_character(1.0, -1.0 + 0.0j, 3) == pytest.approx(0.75)
 

@@ -5,8 +5,10 @@ import pytest
 import scipy.special
 
 from rtflab.errors import DomainError
+from rtflab.special import abs_gamma_iy_sq_inv
 from rtflab.fields import FinitePlace, RATIONALS
-from rtflab.local_factors import local_l_character, local_l_spherical, local_l_spherical_sign
+from rtflab import local_factors
+from rtflab.local_factors import local_l_arch_spherical, local_l_character, local_l_spherical
 from rtflab.measures import (
     dx_dy_abs,
     integrate_density,
@@ -86,11 +88,11 @@ class TestLocalSpectralDensity:
         assert local_spectral(P(2), 1)(0.0) == 0.0
 
     def test_archimedean_vanishes_at_zero(self):
-        assert local_spectral(None, 1)(0.0) == 0.0
+        assert local_spectral(ARCH, 1)(0.0) == 0.0
 
     def test_archimedean_vs_scipy_oracle(self):
         ys = np.linspace(0.05, 8.0, 120)
-        density = local_spectral(None, 1)
+        density = local_spectral(ARCH, 1)
         ours = np.array([density(float(y)) for y in ys])
         ref = scipy_arch_density(ys)
         assert np.max(np.abs(ours - ref)) <= 1e-12
@@ -108,7 +110,7 @@ class TestLocalSpectralDensity:
         with pytest.raises(DomainError):
             local_spectral(P(2), 1)(10.0)
         with pytest.raises(DomainError):
-            local_spectral(None, 1)(-0.5)
+            local_spectral(ARCH, 1)(-0.5)
 
     def test_formula_symmetries(self):
         for q in (2, 5):
@@ -204,11 +206,11 @@ class TestUnboundedDomains:
         from rtflab.measures import local_spectral
 
         with pytest.raises(DomainError):
-            local_spectral(None, 1).mass()
+            local_spectral(ARCH, 1).mass()
 
     def test_archimedean_tail_limit(self):
         # the density tends to 1/pi at high spectral parameter
-        assert local_spectral(None, 1)(200.0) == pytest.approx(1.0 / math.pi, abs=2e-5)
+        assert local_spectral(ARCH, 1)(200.0) == pytest.approx(1.0 / math.pi, abs=2e-5)
 
     def test_infinite_endpoints_rejected_by_quadrature(self):
         from rtflab.quadrature import integrate
@@ -232,13 +234,12 @@ def per_call_plancherel(x, q, sign):
 
 
 def per_call_finite(y, q, sign):
-    """The finite-place formula with every constant recomputed per call."""
-    nu = 1j * y
-    num = (
-        local_l_spherical(0.5, nu, q)
-        * local_l_spherical_sign(0.5, nu, q, sign)
-        / local_l_character(1.0, complex(sign), q)
-    ).real
+    """The finite-place formula with every constant recomputed per call: the
+    spherical factor and its sign twist at s = 1/2 +- iy/2, each local factor
+    by its own complex power."""
+    s, nu, chi = complex(0.5), 1j * y, complex(sign)
+    twisted = local_l_character(s + nu / 2.0, chi, q) * local_l_character(s - nu / 2.0, chi, q)
+    num = (local_l_spherical(s, nu, q) * twisted / local_l_character(1.0, chi, q)).real
     kernel = 2.0 - 2.0 * math.cos(y * math.log(q))
     return num * math.log(q) / (4.0 * math.pi) * kernel
 
@@ -272,11 +273,39 @@ class TestHoistedConstantsBitIdentical:
             value = density.fn(y)
             assert value == density.kernel(y)
             assert value == per_call_finite(y, q, sign)
+        # The symmetry check evaluates the kernel off the window: at y = 0,
+        # at negative y and beyond the window.
+        window = ys[-1]
+        outside = [0.0, -0.0] + [s * y + shift for y in ys[1::10]
+                                 for s, shift in ((-1.0, 0.0), (1.0, window), (1.0, 2.0 * window))]
+        for y in outside:
+            assert density.kernel(y) == per_call_finite(y, q, sign)
+
+    def test_finite_kernel_calls_nothing_in_local_factors(self, monkeypatch):
+        densities = [local_spectral(FinitePlace(f"q{q}", q), sign) for q in (2, 9) for sign in (1, -1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lambda kernel called into local_factors")
+
+        from rtflab import measures
+
+        for name, value in vars(local_factors).items():
+            if callable(value) and getattr(value, "__module__", None) == local_factors.__name__:
+                monkeypatch.setattr(local_factors, name, refuse)
+                if hasattr(measures, name):
+                    monkeypatch.setattr(measures, name, refuse)
+        for density in densities:
+            for y in np.linspace(0.0, density.hi, 101).tolist():
+                assert density(y) >= 0.0
 
     def test_archimedean(self):
-        fn, by_none = local_spectral(ARCH, 1).fn, local_spectral(None, 1).fn
+        fn = local_spectral(ARCH, 1).fn
         for y in np.linspace(0.0, 20.0, 1_000).tolist():
-            assert fn(y) == by_none(y)
+            central = local_l_arch_spherical(0.5, 1j * y)
+            expected = 0.0 if y == 0.0 else (
+                (central * central).real * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
+            )
+            assert fn(y) == expected
 
     def test_checks_run_once_at_construction(self):
         with pytest.raises(ValueError):

@@ -219,10 +219,17 @@ def test_the_constants_path_imports_mpmath_only_inside_functions():
     assert "mpmath" not in imported_modules(SRC / "rtf_constants.py")
 
 
-def optional_character_annotations(source: str) -> list[str]:
+# Types that have one spelling each, never None: the trivial character is
+# DirichletCharacter.trivial(), an archimedean place is an ArchimedeanPlace and
+# a character value at a uniformizer is a complex number.
+CHARACTER = ("DirichletCharacter",)
+PLACE_OR_VALUE = ("Place", "ArchimedeanPlace", "FinitePlace", "complex")
+
+
+def optional_annotations(source: str, types=CHARACTER) -> list[str]:
     """``function(argument)`` for each parameter or return annotated
-    ``DirichletCharacter | None``, in either order, with or without a module
-    prefix or quotes."""
+    ``T | None`` for a T in ``types``, in either order, with or without a
+    module prefix or quotes."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -232,27 +239,40 @@ def optional_character_annotations(source: str) -> list[str]:
         for label, annotation in [*annotated, ("return", node.returns)]:
             text = ast.unparse(annotation).strip("'\"") if annotation else ""
             members = {m.strip().split(".")[-1] for m in text.split("|")}
-            if {"DirichletCharacter", "None"} <= members:
+            if "None" in members and members & set(types):
                 out.append(f"{node.name}({label})")
     return out
 
 
-def test_no_function_takes_or_returns_an_optional_dirichlet_character():
-    # The trivial character is DirichletCharacter.trivial(), never None.
+def _optional_annotations_in_src(types) -> dict[str, list[str]]:
     found = {
-        path.name: optional_character_annotations(path.read_text(encoding="utf-8"))
+        path.name: optional_annotations(path.read_text(encoding="utf-8"), types)
         for path in sorted(SRC.glob("*.py"))
     }
-    assert {name: hits for name, hits in found.items() if hits} == {}
+    return {name: hits for name, hits in found.items() if hits}
+
+
+def test_no_function_takes_or_returns_an_optional_dirichlet_character():
+    # The trivial character is DirichletCharacter.trivial(), never None.
+    assert _optional_annotations_in_src(CHARACTER) == {}
+
+
+def test_no_function_takes_an_optional_place_or_character_value():
+    # local_spectral takes an ArchimedeanPlace, never None, and
+    # local_l_character an unramified character's value.
+    assert _optional_annotations_in_src(PLACE_OR_VALUE) == {}
 
 
 def test_optional_character_scan_sees_every_spelling():
-    # The scan above would pass vacuously if it missed a spelling.
+    # The scans above would pass vacuously if they missed a spelling.
     source = (
         "def f(a: DirichletCharacter | None, b: 'chars.DirichletCharacter | None', *,\n"
         "      c: list[DirichletCharacter] | None = None) -> None | DirichletCharacter: ...\n"
+        "def g(place: Place | None, arch: 'fields.ArchimedeanPlace | None',\n"
+        "      chi: complex | None, q: FinitePlace | ArchimedeanPlace | None, n: int | None): ...\n"
     )
-    assert optional_character_annotations(source) == ["f(a)", "f(b)", "f(return)"]
+    assert optional_annotations(source) == ["f(a)", "f(b)", "f(return)"]
+    assert optional_annotations(source, PLACE_OR_VALUE) == ["g(place)", "g(arch)", "g(chi)", "g(q)"]
 
 
 def test_local_factors_imports_characters_for_annotations_only():
