@@ -124,22 +124,46 @@ class FieldProfile:
 
     @classmethod
     def from_json(cls, text: str) -> FieldProfile:
-        """Load a profile from ``{degree, discriminant, places:[{label,q,d}]}``."""
+        """Load a profile from ``{degree, discriminant, places:[{label,q,d}]}``.
+
+        ValueError (a usage error of the CLI) for a document that is not an
+        object, a ``places`` that is not a list of objects with ``label`` and
+        ``q``, or a number that is not a JSON integer.
+        """
         import json
 
         doc = json.loads(text)
-        places = tuple(
-            FinitePlace(label=str(e["label"]), q=int(e["q"]), d=int(e.get("d", 0)))
-            for e in doc.get("places", [])
-        )
-        degree = int(doc["degree"])
+        if not isinstance(doc, dict):
+            raise ValueError("a field profile must be a JSON object")
+        entries = doc.get("places", [])
+        if not isinstance(entries, list):
+            raise ValueError("profile 'places' must be a list")
+        places = []
+        for e in entries:
+            if not (isinstance(e, dict) and "label" in e and "q" in e):
+                raise ValueError("each profile place must be an object with 'label' and 'q'")
+            places.append(FinitePlace(
+                label=str(e["label"]), q=_json_int(e, "q"), d=_json_int(e, "d", 0)
+            ))
+        degree = _json_int(doc, "degree")
         arch = tuple(ArchimedeanPlace(f"inf{i}" if i else "inf") for i in range(degree))
         return cls(
             degree=degree,
-            discriminant_abs=int(doc["discriminant"]),
+            discriminant_abs=_json_int(doc, "discriminant"),
             archimedean_places=arch,
-            finite_places=places,
+            finite_places=tuple(places),
         )
+
+
+def _json_int(doc: dict, key: str, default: int | None = None) -> int:
+    """``doc[key]`` as an integer: a JSON integer, not a float, string or bool.
+
+    KeyError when the key is missing and no default is given.
+    """
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"profile {key!r} must be an integer, not {value!r}")
+    return value
 
 
 RATIONALS = FieldProfile.rationals()

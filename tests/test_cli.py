@@ -203,8 +203,8 @@ class TestConstants:
 
     @pytest.mark.parametrize(
         "argv, place",
-        [(["--s-values", "3000", "--s-primes", "3"], "p3"), (["--s-values", "1e308"], "inf")],
-        ids=["finite-power-overflow", "arch-log-gamma-nan"],
+        [(["--s-values", "3000", "--s-primes", "3"], "p3"), (["--s-values=-3000"], "inf")],
+        ids=["finite-power-overflow", "arch-gamma-overflow"],
     )
     def test_overflow_exits_3(self, capsys, argv, place):
         code, out, err = run(capsys, "constants", "--n", "2", *argv)
@@ -212,6 +212,13 @@ class TestConstants:
         doc = json.loads(err)
         assert (doc["error"], doc["type"]) == ("numerical", "DomainError")
         assert f"orbit factor at {place} is not finite" in doc["message"]
+
+    def test_large_s_orbit_factor_decays(self, capsys):
+        # -(1/8) Gamma((s+1)/4)^2 / Gamma((s+3)/4)^2 -> -1/(2 s); the Lanczos
+        # difference printed -0.125 at s = 1e20 and exited 3 at 1e308.
+        code, out, _ = run(capsys, "constants", "--n", "2", "--s-values", "1e20,1e308")
+        assert code == 0
+        assert json.loads(out)["upsilon_samples"] == [[-5e-21, 0.0], [-5e-309, 0.0]]
 
     def test_s_disjoint_from_level_is_accepted(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "2", "--eta", "quad:5", "--s-primes", "3,7")
@@ -352,6 +359,32 @@ class TestProfileAndUsage:
         path = tmp_path / "profile.json"
         path.write_text(doc, encoding="utf-8")
         code, out, err = run(capsys, "constants", "--n", "4", "--profile", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("command", ["constants", "characters"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[]", "a field profile must be a JSON object"),
+            ('{"degree": 2, "discriminant": 5, "places": 7}', "profile 'places' must be a list"),
+            ('{"degree": 2, "discriminant": 5, "places": [3]}',
+             "each profile place must be an object with 'label' and 'q'"),
+            ('{"degree": 2, "discriminant": 5, "places": [{"label": "v2"}]}',
+             "each profile place must be an object with 'label' and 'q'"),
+            ('{"degree": 1.5, "discriminant": 1}', "profile 'degree' must be an integer, not 1.5"),
+            ('{"degree": 2, "discriminant": "5"}',
+             "profile 'discriminant' must be an integer, not '5'"),
+            ('{"degree": 2, "discriminant": 5, "places": [{"label": "v2", "q": 4, "d": true}]}',
+             "profile 'd' must be an integer, not True"),
+        ],
+        ids=["not-an-object", "places-not-a-list", "place-not-an-object", "place-without-q",
+             "float-degree", "string-discriminant", "bool-different-exponent"],
+    )
+    def test_malformed_profile_is_a_usage_error(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "profile.json"
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run(capsys, command, "--n", "4", "--profile", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "usage", "message": message}
 

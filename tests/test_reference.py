@@ -3,9 +3,11 @@
 Every `constants` and `characters` invocation that ``bench/workloads.pool()``
 lists runs in process through `rtflab.cli.main`, and its stdout is judged by
 the checker of ``bench/verify.py`` against ``bench/reference.json``, as the
-benchmark judges it.  Of the `measure --grid 150000` invocations of the pool
-(1-2 s each), the eight `lambda` grids run too, since their kernel is the one
-whose floats are easiest to move; the `mu_p` grids are left to the benchmark.
+benchmark judges it.  So do the sixteen `measure --grid 150000` invocations
+of the pool: the eight `lambda` grids, whose kernel is the one whose floats
+are easiest to move, and the eight `mu_p` grids.  Both `compare` runs of a
+`spectral_io` pass are judged by ``verify.Verifier``, against a CDF table it
+builds on its own.
 """
 
 import importlib.util
@@ -36,6 +38,9 @@ _POOL = [inv for inv in _WORKLOADS.pool() if inv.kind in _CHECKERS]
 _LAMBDA_GRIDS = [
     inv for inv in _WORKLOADS.pool() if inv.kind == "measure" and inv.argv[2] == "lambda"
 ]
+_MU_P_GRIDS = [
+    inv for inv in _WORKLOADS.pool() if inv.kind == "measure" and inv.argv[2] == "mu_p"
+]
 
 
 def test_pool_has_every_constants_and_characters_run():
@@ -51,10 +56,33 @@ def test_output_passes_the_bench_checker(capsys, inv):
     assert _CHECKERS[inv.kind](captured.out.encode("utf-8"), inv.expect, _REFERENCE) is None
 
 
-@pytest.mark.parametrize("inv", _LAMBDA_GRIDS, ids=[inv.label for inv in _LAMBDA_GRIDS])
-def test_lambda_grid_matches_the_reference_bytes(capsys, inv):
-    assert len(_LAMBDA_GRIDS) == 8
+def _run_grid(capsys, inv) -> None:
     code = main(list(inv.argv))
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert _VERIFY.check_measure(captured.out.encode("utf-8"), inv.expect, _REFERENCE) is None
+
+
+@pytest.mark.parametrize("inv", _LAMBDA_GRIDS, ids=[inv.label for inv in _LAMBDA_GRIDS])
+def test_lambda_grid_matches_the_reference_bytes(capsys, inv):
+    assert len(_LAMBDA_GRIDS) == 8
+    _run_grid(capsys, inv)
+
+
+@pytest.mark.parametrize("inv", _MU_P_GRIDS, ids=[inv.label for inv in _MU_P_GRIDS])
+def test_mu_p_grid_matches_the_reference_bytes(capsys, inv):
+    assert len(_MU_P_GRIDS) == 8
+    _run_grid(capsys, inv)
+
+
+def test_spectral_io_compare_runs_pass_the_bench_verifier(capsys, tmp_path):
+    # The lambda kernel feeds the CDF table of `compare --measure lambda`.
+    workload = _WORKLOADS.build("spectral_io", 1, tmp_path, _REFERENCE)
+    verify = _VERIFY.Verifier(_REFERENCE, workload.samples)
+    compares = [inv for inv in workload.invocations if inv.kind == "compare"]
+    assert [inv.expect["measure"] for inv in compares] == ["mu_p", "lambda"]
+    for inv in compares:
+        code = main(list(inv.argv))
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert verify(inv, captured.out.encode("utf-8")) is None, inv.label

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -395,8 +396,24 @@ class TestOrbitFactor:
             rtf.unipotent_orbit_factor({P(2): -1.0 + 0.0j}, lambda p: 1)
 
     @pytest.mark.parametrize(
+        "s", [50.0, 1e3, 1e9, 1e15, 1e20, 1e300, 60.0 + 80.0j, 1e15j, 40.0 + 30.0j, 49.0]
+    )
+    def test_archimedean_against_mpmath(self, s):
+        # The series above |s| = 50 in the right half plane and the Lanczos
+        # difference below it; the difference alone was 99% off at s = 1e15.
+        got = rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)
+        with mpmath.workdps(40 + int(math.log10(abs(s)))):
+            z = mpmath.mpc(s)
+            want = -mpmath.gamma((z + 1) / 4) ** 2 / mpmath.gamma((z + 3) / 4) ** 2 / 8
+            err = float(abs((mpmath.mpc(got) - want) / want))
+        assert err <= (4e-16 if abs(s) >= 50 else 1e-14)
+
+    def test_large_s_decays_like_minus_one_over_two_s(self):
+        assert rtf.unipotent_orbit_factor({ARCH: 1e20 + 0.0j}, lambda p: 1) == -5e-21
+
+    @pytest.mark.parametrize(
         "place, s",
-        [(P(3), 3000.0), (ARCH, 1e308), (ARCH, -3000.0)],
+        [(P(3), 3000.0), (ARCH, -0.5 + 1e308j), (ARCH, -3000.0)],
         ids=["finite-power-overflow", "arch-log-gamma-nan", "arch-gamma-overflow"],
     )
     def test_overflow_is_a_domain_error(self, place, s):
