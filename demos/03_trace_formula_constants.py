@@ -57,7 +57,7 @@ for s in (0.5, 2.0, 5.0):
 ctx1 = rtf.eta_context(DirichletCharacter.trivial())
 for n_int in (1, 4, 64):
     n = LevelIdeal.from_integer(n_int)
-    v = rtf.unipotent_orbit_constant({ARCH: 2.0 + 0j}, n, ctx1.laurent_trivial)
+    v = rtf.unipotent_orbit_constant({ARCH: 2.0 + 0j}, n, ctx1.laurent_eta)
     print(f"orbit constant (trivial) at a = {n_int:3d}: {v.real:+.10f}"
           f"   [grows by (1/2) log N: {0.5 * math.log(max(n_int, 1)):.10f}]")
 

@@ -25,7 +25,6 @@ _EXPORTS = {
     "characters": (
         "DirichletCharacter",
         "QuadraticCharacterProfile",
-        "adelic_gauss_sum",
         "enumerate_xi",
         "gauss_sum",
         "is_admissible_level",

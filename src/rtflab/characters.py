@@ -42,9 +42,9 @@ from .special import digamma
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside the array functions only (`phases`, `phase_matrix`,
-# `gauss_sums_for_modulus`), so the scalar paths, `l_one`
-# among them, load without it.  The grid helpers `axis_conductor_exponents`,
+# numpy is imported inside the array functions only (`phase_matrix`,
+# `gauss_sums_for_modulus`), so the scalar paths, `l_one` among them, load
+# without it.  The grid helpers `axis_conductor_exponents`,
 # `primitive_axes` and `parity_vector` are plain integers, so `enumerate_xi`
 # (and `rtflab characters`) runs without numpy too.
 
@@ -223,16 +223,6 @@ class DirichletCharacter:
         L = g.exponent
         return sum(e * x * (L // n) for e, x, n in zip(self.exponents, logs, g.orders)) % L
 
-    def phases(self) -> np.ndarray:
-        """Integer phases k_0, ..., k_{m-1} (see `phase_index`); -1 off the units."""
-        import numpy as np
-
-        m = self.modulus
-        units = np.frombuffer(unit_group(m).residues, dtype=np.int64)
-        out = np.full(m, -1, dtype=np.int64)
-        out[units] = phase_matrix(m, np.array([self.exponents], dtype=np.int64), units)[:, 0]
-        return out
-
     def value(self, a: int) -> complex:
         k = self.phase_index(a)
         if k is None:
@@ -373,7 +363,7 @@ def phase_matrix(m: int, exponents: np.ndarray, residues: np.ndarray) -> np.ndar
 
     ``exponents`` has one exponent row per character and ``residues`` are
     units mod m; entry (i, j) is the phase of character j at residues[i],
-    the value `DirichletCharacter.phases` gives one character at a time.
+    the value `DirichletCharacter.phase_index` gives one residue at a time.
     The discrete logs are the mixed-radix digits of each unit's
     `unit_group` grid index, scaled to L / n_i.
     """
@@ -410,15 +400,6 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
         if k is not None:
             tau += _unit_root(k, L) * _unit_root(a, m)
     return tau
-
-
-def adelic_gauss_sum(chi: DirichletCharacter) -> complex:
-    """The adelically normalized Gauss sum tau(chi) / sqrt(m) (modulus one).
-
-    The classical tau and this normalized variant are both exposed; the two
-    differ by the m**(1/2) volume normalization and agree in modulus only.
-    """
-    return gauss_sum(chi) / math.sqrt(chi.modulus)
 
 
 def gauss_sums_for_modulus(m: int) -> list[tuple[tuple[int, ...], complex]]:

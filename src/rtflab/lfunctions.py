@@ -8,9 +8,14 @@ Finite parts are evaluated through the Hurwitz-zeta representation
 ``L(s, chi) = m**(-s) * sum_a chi(a) zeta(s, a/m)`` at elevated working
 precision (mpmath, imported by the evaluators that use it), which is valid
 in the entire s-plane.  Completed functions carry the archimedean factor
-``pi**(-s/2) Gamma(s/2)`` and the conductor power ``(m/pi)**(s/2)``; the
-half plane Re(s) < 1/2 is reached through the functional equation so the
-trivial zero at s = 0 never has to fight the gamma pole numerically.
+``pi**(-s/2) Gamma(s/2)`` and the conductor power ``(m/pi)**(s/2)``.
+
+Every character the completed and Laurent routes accept (`_is_trivial`: the
+trivial character mod 1 or a real even primitive one) has root number 1,
+since tau(chi) = sqrt(m) (Gauss; the tests check it for m <= 100).  So
+Lambda(s) = Lambda(1 - s) reaches Re(s) < 1/2 without the gamma pole at
+s = 0, the Laurent data at 1 are real with residue 1 or 0, and the epsilon
+factor at s = 0 is sqrt(m): no Gauss sum is computed.
 
 Laurent data at s = 1 comes from closed forms in floats, without mpmath:
 literals of the Stieltjes and polygamma formula for the completed zeta, and
@@ -43,35 +48,6 @@ from .special import EULER_GAMMA
 _DPS = 30
 
 
-def _chi_values_mp(chi: DirichletCharacter) -> list:
-    """chi(1), ..., chi(m) at working precision, from the integer phases."""
-    import mpmath as mp
-
-    m = chi.modulus
-    L = unit_group(m).exponent
-    vals = []
-    for a in range(1, m + 1):
-        k = chi.phase_index(a)
-        if k is None:
-            vals.append(mp.mpc(0))
-        else:
-            vals.append(mp.e ** (2j * mp.pi * (mp.mpf(k) / L)))
-    return vals
-
-
-def _gauss_adelic_mp(chi: DirichletCharacter):
-    import mpmath as mp
-
-    m = chi.modulus
-    if m == 1:
-        return mp.mpc(1)
-    vals = _chi_values_mp(chi)
-    tau = mp.fsum(
-        vals[a - 1] * mp.e ** (2j * mp.pi * mp.mpf(a) / m) for a in range(1, m + 1)
-    )
-    return tau / mp.sqrt(m)
-
-
 # ---------------------------------------------------------------------------
 # working-precision evaluators (mp in, mp out)
 
@@ -85,29 +61,26 @@ def _l_fin_mp(s, chi: DirichletCharacter):
         for p, _ in factorize(m):
             out *= 1 - mp.mpf(p) ** (-s)
         return out
-    vals = _chi_values_mp(chi)
-    if abs(s - 1) < mp.mpf("1e-18"):
-        return (
-            -mp.fsum(
-                vals[a - 1] * mp.digamma(mp.mpf(a) / m)
-                for a in range(1, m + 1)
-                if vals[a - 1] != 0
-            )
-            / m
-        )
-    return m ** (-s) * mp.fsum(
-        vals[a - 1] * mp.zeta(s, mp.mpf(a) / m)
+    # (a, chi(a)) over the units a in 1..m, from the integer phases
+    L = unit_group(m).exponent
+    vals = [
+        (a, mp.e ** (2j * mp.pi * (mp.mpf(k) / L)))
         for a in range(1, m + 1)
-        if vals[a - 1] != 0
-    )
+        if (k := chi.phase_index(a)) is not None
+    ]
+    if abs(s - 1) < mp.mpf("1e-18"):
+        return -mp.fsum(v * mp.digamma(mp.mpf(a) / m) for a, v in vals) / m
+    return m ** (-s) * mp.fsum(v * mp.zeta(s, mp.mpf(a) / m) for a, v in vals)
 
 
 def _completed_l_mp(s, chi: DirichletCharacter):
+    """Lambda(s, chi) for a character `_is_trivial` accepts, whose root
+    number is 1: the half plane Re(s) < 1/2 reads Lambda(1 - s)."""
     import mpmath as mp
 
     s = mp.mpc(s)
     if s.real < 0.5:
-        return _gauss_adelic_mp(chi) * _completed_l_mp(1 - s, chi.conjugate())
+        return _completed_l_mp(1 - s, chi)
     m = chi.modulus
     return (mp.mpf(m) / mp.pi) ** (s / 2) * mp.gamma(s / 2) * _l_fin_mp(s, chi)
 
@@ -147,37 +120,19 @@ def zeta_ratio(nu: complex) -> complex:
 
 
 def completed_l(s: complex, chi: DirichletCharacter) -> complex:
-    """Completed L for an even primitive chi: (m/pi)**(s/2) Gamma(s/2) L_fin(s, chi).
+    """Completed L, (m/pi)**(s/2) Gamma(s/2) L_fin(s, chi), of a character that
+    `_is_trivial` accepts (ValueError otherwise), so Lambda(s) = Lambda(1 - s).
 
-    Entire for nontrivial chi; the half plane Re(s) < 1/2 is evaluated through
-    the functional equation with epsilon = tau(chi)/sqrt(m).  The trivial
-    character mod 1 gives Lambda_zeta, with poles at s = 0 and s = 1.
+    Entire for nontrivial chi; the trivial character mod 1 gives
+    Lambda_zeta, with poles at s = 0 and s = 1.
     """
-    if not (chi.is_even() and chi.is_primitive()):
-        raise ValueError("completed_l expects an even primitive character")
     s = complex(s)
-    if chi.modulus == 1 and (abs(s) < 1e-14 or abs(s - 1.0) < 1e-14):
+    if _is_trivial(chi) and (abs(s) < 1e-14 or abs(s - 1.0) < 1e-14):
         raise PoleError(f"completed zeta pole at s = {s}")
     import mpmath as mp
 
     with mp.workdps(_DPS):
         return complex(_completed_l_mp(mp.mpc(s), chi))
-
-
-def epsilon_of_minus_z(z: complex, chi: DirichletCharacter) -> complex:
-    """Functional-equation epsilon factor evaluated at s = -z over Q.
-
-    For an even primitive character of conductor m this is
-    (tau(chi)/sqrt(m)) * m**(1/2 + z); for the trivial character it is 1.
-    """
-    if chi.order() == 1:
-        return 1.0 + 0.0j
-    if not (chi.is_even() and chi.is_primitive()):
-        raise ValueError("epsilon factor implemented for even primitive characters only")
-    from .characters import adelic_gauss_sum
-
-    m = chi.modulus
-    return adelic_gauss_sum(chi) * m ** (0.5 + complex(z))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def conductor_by_divisor_test(m: int, phase: Mapping[int, int]) -> int:
     ``phase`` maps each unit mod m to an integer phase of chi there, 0
     exactly where chi is 1; residues it leaves out are the non-units.  Reads
     a `brute_force_phase_tables` row as ``dict(zip(units, row))`` and a
-    `DirichletCharacter` through its `phases`.
+    `DirichletCharacter` through its `characters.phase_matrix` column.
     """
     for d in range(1, m + 1):
         if m % d == 0 and all(phase.get(a % m, 0) == 0 for a in range(1, m + 1, d)):
@@ -272,12 +272,12 @@ def residue_value_half_one(
 def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
     """The scalar a(rho) entering the order -1 spectral edge constant.
 
-    It combines epsilon(0) times the value at (1/2, 1) with the second
-    derivative at z = 0 of D**(-z) times the residue place factors, taken
-    with the trivial character's signs, whose epsilon is identically 1
-    over Q.
+    It combines epsilon(0) = sqrt(m) (root number 1, see `lfunctions`)
+    times the value at (1/2, 1) with the second derivative at z = 0 of
+    D**(-z) times the residue place factors, taken with the trivial
+    character's signs.
     """
-    from .lfunctions import epsilon_of_minus_z, jet_product
+    from .lfunctions import jet_product
     from .rtf_constants import (
         EdgePlaceBlock,
         _discriminant_jet,
@@ -288,7 +288,7 @@ def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
     value = residue_value_half_one(rho, ctx.eta.sign_at)
     residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in rho.active()]
     twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]
-    eps0 = epsilon_of_minus_z(0.0, ctx.eta.dirichlet)
+    eps0 = math.sqrt(ctx.eta.dirichlet.modulus)
     return _residual_combination(ctx, eps0 * value, twisted_d2)
 
 
@@ -296,8 +296,10 @@ def edge_constants_by_enumeration(n: LevelIdeal, ctx: EtaContext) -> dict[int, f
     """The four spectral edge constants as explicit sums over every choice
     assignment, built from the per-assignment functions: the independent
     route to `rtf_constants.spectral_edge_constant`."""
+    from .lfunctions import _INV_ZETA_HAT2_JET
+
     d_half = ctx.profile.discriminant_abs**-0.5
-    weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
+    weight = d_half * _INV_ZETA_HAT2_JET[0]
     e = ctx.edge
     terms = {2: [], 1: [], 0: [], -1: []}
     for rho in enumerate_rho(n):

@@ -23,11 +23,7 @@ import math
 from typing import Callable, Iterable, Mapping
 
 from ._record import record
-from .characters import (
-    DirichletCharacter,
-    QuadraticCharacterProfile,
-    adelic_gauss_sum,
-)
+from .characters import DirichletCharacter, QuadraticCharacterProfile
 from .errors import DomainError, PoleError, RamifiedOverlapError
 from .fields import (
     FieldProfile,
@@ -41,8 +37,8 @@ from .lfunctions import (
     EdgeCoefficients,
     Jet,
     LaurentData,
+    _INV_ZETA_HAT2_JET,
     edge_coefficients,
-    epsilon_of_minus_z,
     exp_jet,
     jet_product,
     jet_reciprocal,
@@ -50,7 +46,7 @@ from .lfunctions import (
     laurent_at_1,
     zeta_ratio,
 )
-from .special import EULER_GAMMA, digamma, gamma, log_gamma
+from .special import EULER_GAMMA, digamma, log_gamma
 
 # ---------------------------------------------------------------------------
 # level constants
@@ -256,29 +252,17 @@ def _discriminant_jet(profile: FieldProfile) -> Jet:
 
 @record
 class EtaContext:
-    """Analytic data of a sign character over Q, gathered once.
-
-    Bundles the quadratic profile (whose ``dirichlet`` is the concrete
-    character, ``DirichletCharacter.trivial()`` for the trivial one), the
-    normalized Gauss sum, Laurent data at 1 for both the character and the
-    trivial character, and the edge coefficients of the central-value series.
+    """What varies with a sign character over Q, gathered once: the quadratic
+    profile (whose ``dirichlet`` is the concrete character,
+    ``DirichletCharacter.trivial()`` for the trivial one), its Laurent data
+    at 1 and the edge coefficients of the central-value series.  Its root
+    number is 1 (see :mod:`lfunctions`), so no Gauss sum is kept.
     """
 
     profile: FieldProfile
     eta: QuadraticCharacterProfile
-    gauss_adelic: complex
-    laurent_trivial: LaurentData
     laurent_eta: LaurentData
     edge: EdgeCoefficients
-    zeta2: float
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.eta.dirichlet.order() == 1
-
-    @property
-    def residue(self) -> float:
-        return self.laurent_trivial.residue
 
 
 def eta_context(chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> EtaContext:
@@ -292,12 +276,8 @@ def eta_context(chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> E
     return EtaContext(
         profile=profile,
         eta=QuadraticCharacterProfile.from_dirichlet(chi, profile),
-        gauss_adelic=adelic_gauss_sum(chi),
-        laurent_trivial=laurent_at_1(DirichletCharacter.trivial()),
         laurent_eta=laurent_at_1(chi),
         edge=edge_coefficients(chi, profile.discriminant_abs),
-        # Lambda_zeta(2) = pi/6 rounded from 30 digits; math.pi / 6 is 1 ulp lower.
-        zeta2=0.5235987755982989,
     )
 
 
@@ -319,18 +299,13 @@ def _value_factor(q: int, k: int, s: int) -> float:
     )
 
 
-def _residual_combination(ctx: EtaContext, twisted_zero: complex, twisted_d2: float) -> float:
-    """The residual term constant as a function of the twisted value and the
-    twisted second derivative; it is linear in both."""
-    r_f = ctx.residue
-    if ctx.is_trivial:
-        b0 = twisted_zero.real
-        return (
-            -0.5 * twisted_d2 * r_f * r_f
-            - 2.0 * b0 * r_f * ctx.laurent_trivial.c1
-            + b0 * ctx.laurent_trivial.c0**2
-        )
-    return (twisted_zero * ctx.laurent_eta.c0**2).real
+def _residual_combination(ctx: EtaContext, twisted_zero: float, twisted_d2: float) -> float:
+    """The residual term constant as a function of the twisted value b0 and the
+    twisted second derivative d2, linear in both:
+    -d2 r**2 / 2 - 2 b0 r c1 + b0 c0**2 with (r, c0, c1) the character's
+    Laurent data (r = 0 leaves b0 c0**2)."""
+    r, c0, c1 = ctx.laurent_eta.residue, ctx.laurent_eta.c0, ctx.laurent_eta.c1
+    return -0.5 * twisted_d2 * r * r - 2.0 * twisted_zero * r * c1 + twisted_zero * c0**2
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +336,9 @@ def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
             n, lambda p: 1, lambda p, k: residue_place_jet(EdgePlaceBlock(p.q, k, 1))
         )
         twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), residue])[2]
-        eps0 = epsilon_of_minus_z(0.0, ctx.eta.dirichlet)
-        weight = ctx.gauss_adelic.real * d_half / ctx.zeta2
+        # root number 1: epsilon(0) = sqrt(m); the weight is D**(-1/2) / Lambda_zeta(2)
+        eps0 = math.sqrt(eta.dirichlet.modulus)
+        weight = d_half * _INV_ZETA_HAT2_JET[0]
         return weight * _residual_combination(ctx, eps0 * value, twisted_d2)
     t0, t1, t2 = assignment_sum(
         n, eta.sign_at, lambda p, k: edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p)))
@@ -400,15 +376,40 @@ _ORBIT_SERIES = tuple(e / (2 * k) for k, e in enumerate(
 _ORBIT_SERIES_FROM = 50.0
 
 
+def _arch_orbit_factor(s: complex) -> complex:
+    """-(1/8) Gamma(a)**2 / Gamma(a + 1/2)**2 with a = (s+1)/4.
+
+    Re s >= 0: the series `_ORBIT_SERIES` where |s| >= 50, the Lanczos
+    log-gamma difference below.  Re s < 0: by reflection,
+    Gamma(a) / Gamma(a + 1/2) = cot(pi a) Gamma(1/2 - a) / Gamma(1 - a), the
+    same ratio at -s.  Re a is reduced mod 1 (exactly, through s mod 4)
+    before the product with pi; unreduced, tan is 8.4e-13 off at s = -3000.
+    Poles at s = -1, -5, ... (PoleError); at s = -3, -7, ... the factor is
+    0 to about 1e-32, since tan(pi/2) is finite in floats.
+    """
+    if s.real < 0.0:
+        r = (math.fmod(s.real, 4.0) + 1.0) / 4.0
+        t = cmath.tan(math.pi * complex(r - round(r), s.imag / 4.0))
+        if abs(t) < 1e-13:
+            raise PoleError(f"orbit factor pole at s = {s}")
+        return _arch_orbit_factor(-s) / (t * t)
+    if abs(s) >= _ORBIT_SERIES_FROM:
+        inv = 1.0 / s
+        u, series = inv * inv, 0.0
+        for c in reversed(_ORBIT_SERIES):
+            series = u * (c + series)
+        return -0.5 * inv * cmath.exp(series)
+    return -0.125 * cmath.exp(2.0 * (log_gamma((s + 1.0) / 4.0) - log_gamma((s + 3.0) / 4.0)))
+
+
 def unipotent_orbit_factor(
     s_by_place: Mapping[Place, complex],
     eta_sign_at: Callable[[FinitePlace], int],
 ) -> complex:
     """Product over S of the orbit-side archimedean and finite factors.
 
-    Archimedean: -(1/8) Gamma((s+1)/4)**2 / Gamma((s+3)/4)**2, from its
-    asymptotic series (`_ORBIT_SERIES`) where |s| >= 50 and Re s >= 0, and
-    from the Lanczos gamma or log-gamma values elsewhere.  Finite:
+    Archimedean: -(1/8) Gamma((s+1)/4)**2 / Gamma((s+3)/4)**2
+    (`_arch_orbit_factor`).  Finite:
     (1 - q**((s+1)/2))**(-1) (1 - sign * q**(-(s+1)/2))**(-1).
     """
     out = 1.0 + 0.0j
@@ -422,19 +423,7 @@ def unipotent_orbit_factor(
                     raise PoleError(f"orbit factor pole at {place.label}, s = {s}")
                 out /= (1.0 - up) * (1.0 - eta_sign_at(place) / up)
             else:
-                a = (s + 1.0) / 4.0
-                b = (s + 3.0) / 4.0
-                if abs(s) >= _ORBIT_SERIES_FROM and s.real >= 0.0:
-                    inv = 1.0 / s
-                    u, series = inv * inv, 0.0
-                    for c in reversed(_ORBIT_SERIES):
-                        series = u * (c + series)
-                    out *= -0.5 * inv * cmath.exp(series)
-                elif a.real > 0.0 and b.real > 0.0:
-                    out *= -0.125 * cmath.exp(2.0 * (log_gamma(a) - log_gamma(b)))
-                else:
-                    ratio = gamma(a) / gamma(b)
-                    out *= -0.125 * ratio * ratio
+                out *= _arch_orbit_factor(s)
         except (OverflowError, ZeroDivisionError):
             raise _not_finite("orbit factor", place, s) from None
         if not cmath.isfinite(out):

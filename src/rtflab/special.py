@@ -100,8 +100,10 @@ def digamma(z: complex | float) -> complex | float:
         raise PoleError(f"digamma pole at z = {z}")
     value = 0.0 + 0.0j
     if z.real < 0.0:
-        # Reflection: psi(z) = psi(1-z) - pi cot(pi z)
-        value -= math.pi / cmath.tan(math.pi * z)
+        # Reflection: psi(z) = psi(1-z) - pi cot(pi z), with Re z reduced
+        # mod 1 (exactly) before the product with pi: tan(pi z) itself is
+        # 3.8e-13 off at z = -749.75 and 9.4e-11 at -1e6 - 0.25.
+        value -= math.pi / cmath.tan(math.pi * (z - round(z.real)))
         z = 1.0 - z
     while z.real < 12.0:
         value -= 1.0 / z

@@ -319,7 +319,7 @@ def test_criterion_09_geometric_kernels():
 
     flat_defect = max(flat_defect, abs(values[0] - completed_l(1.0, CHI5)))
 
-    laurent1 = rtf.eta_context(TRIVIAL).laurent_trivial
+    laurent1 = rtf.eta_context(TRIVIAL).laurent_eta
     log_defect = 0.0
     s_map = {ARCH: 2.0 + 0.0j}
     for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):

@@ -203,8 +203,8 @@ class TestConstants:
 
     @pytest.mark.parametrize(
         "argv, place",
-        [(["--s-values", "3000", "--s-primes", "3"], "p3"), (["--s-values=-3000"], "inf")],
-        ids=["finite-power-overflow", "arch-gamma-overflow"],
+        [(["--s-values", "3000", "--s-primes", "3"], "p3")],
+        ids=["finite-power-overflow"],
     )
     def test_overflow_exits_3(self, capsys, argv, place):
         code, out, err = run(capsys, "constants", "--n", "2", *argv)
@@ -212,6 +212,40 @@ class TestConstants:
         doc = json.loads(err)
         assert (doc["error"], doc["type"]) == ("numerical", "DomainError")
         assert f"orbit factor at {place} is not finite" in doc["message"]
+
+    @pytest.mark.parametrize("eta", ["quad:5", "quad:13"])
+    def test_constants_compute_no_gauss_sum(self, capsys, monkeypatch, eta):
+        # Every eta that `constants` accepts has root number 1, stated once in
+        # `lfunctions`; no Gauss sum is recomputed on the way.
+        from rtflab import characters
+
+        argv = ("constants", "--n", "2^2*3", "--eta", eta)
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("a Gauss sum ran on the constants path")
+
+        monkeypatch.setattr(characters, "gauss_sum", refuse)
+        monkeypatch.setattr(characters, "gauss_sums_for_modulus", refuse)
+        assert run(capsys, *argv)[:2] == (0, want)
+
+    def test_left_half_plane_orbit_factor_matches_mpmath(self, capsys):
+        # Gamma((s+1)/4) overflows floats here, the reflected factor does not;
+        # the digamma reflection needs its argument reduced mod 1 first.
+        import mpmath
+
+        code, out, _ = run(capsys, "constants", "--n", "2", "--s-values=-3000")
+        assert code == 0
+        doc = json.loads(out)
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(-2999) / 4, mpmath.mpf(-2997) / 4
+            upsilon = -(mpmath.gamma(a) / mpmath.gamma(b)) ** 2 / 8
+            digammas = (mpmath.digamma(a) + mpmath.digamma(b)) / 2
+        assert doc["upsilon_samples"][0] == [pytest.approx(float(upsilon), rel=4e-16), 0.0]
+        # trivial eta (residue 1): C_term - C_eta_big is the digamma term alone
+        c_term = doc["C_term_samples"][0][0]
+        assert c_term == pytest.approx(doc["C_eta_big"] + float(digammas), rel=1e-14)
 
     def test_large_s_orbit_factor_decays(self, capsys):
         # -(1/8) Gamma((s+1)/4)^2 / Gamma((s+3)/4)^2 -> -1/(2 s); the Lanczos

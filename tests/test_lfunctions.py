@@ -12,7 +12,6 @@ from rtflab.lfunctions import (
     _hurwitz_d2_at_0,
     completed_l,
     edge_coefficients,
-    epsilon_of_minus_z,
     l_fin,
     laurent_at_1,
 )
@@ -80,17 +79,14 @@ class TestEvaluators:
         expected = l_fin(s, TRIVIAL) * (1 - 2.0**-s) * (1 - 3.0**-s)
         assert l_fin(s, chi) == pytest.approx(expected, abs=1e-12)
 
-    def test_completed_zeta_functional_equation(self):
-        for s in (0.3, 0.7 + 0.4j, -1.2):
-            assert completed_l(s, TRIVIAL) == pytest.approx(completed_l(1.0 - complex(s), TRIVIAL), abs=1e-12)
-
     def test_completed_l_functional_equation(self):
-        # even primitive quadratic: epsilon = +1, so Lambda(s) = Lambda(1-s)
-        for chi in (CHI5, CHI8):
-            for s in (0.25, 0.6, 1.7):
-                a = completed_l(s, chi)
-                b = completed_l(1.0 - s, chi)
-                assert a == pytest.approx(b, abs=1e-12 * max(1.0, abs(a)))
+        # Root number 1: the half plane Re(s) < 1/2, read off Lambda(1 - s),
+        # matches the Hurwitz-zeta finite part evaluated at s itself.
+        for chi in (TRIVIAL, CHI5, CHI8):
+            m = chi.modulus
+            for s in (0.25, 0.3 - 0.4j, -0.6 + 0.3j, -1.2, -1.7):
+                direct = (m / math.pi) ** (s / 2) * complex(mpmath.gamma(s / 2)) * l_fin(s, chi)
+                assert completed_l(s, chi) == pytest.approx(direct, rel=1e-12)
 
     def test_completed_l_trivial_zero_is_finite(self):
         # s = 0 through the functional equation: equals Lambda(1)
@@ -98,26 +94,6 @@ class TestEvaluators:
         v1 = completed_l(1.0, CHI5)
         assert v0 == pytest.approx(v1, abs=1e-12)
         assert v1.real == pytest.approx(math.sqrt(5.0 / math.pi) * math.gamma(0.5) * float(l_one(CHI5)), rel=1e-12)
-
-
-class TestEpsilonFactor:
-    def test_trivial(self):
-        assert epsilon_of_minus_z(0.37, TRIVIAL) == 1.0 + 0.0j
-
-    def test_even_quadratic_at_zero(self):
-        # tau(chi5)/sqrt(5) * 5^{1/2} = tau(chi5) = sqrt(5)
-        assert epsilon_of_minus_z(0.0, CHI5) == pytest.approx(math.sqrt(5.0), abs=1e-12)
-
-    def test_consistency_with_functional_equation(self):
-        # The epsilon with the conductor power m**(1/2+z) belongs to the
-        # completion WITHOUT the conductor power: for
-        # Lambda0(s) = pi**(-s/2) Gamma(s/2) L_fin(s) = completed_l(s) / m**(s/2)
-        # one has Lambda0(-z) = eps(-z) Lambda0(1+z).
-        m = CHI5.modulus
-        for z in (0.2, 0.5, 1.1):
-            lhs = completed_l(-z, CHI5) / m ** (-z / 2.0)
-            rhs = epsilon_of_minus_z(z, CHI5) * completed_l(1.0 + z, CHI5) / m ** ((1.0 + z) / 2.0)
-            assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
 class TestLaurent:
@@ -358,10 +334,18 @@ class TestUnsupportedCharacters:
         ids=["order6_mod13", "odd_quadratic_mod3", "cubic_mod7"],
     )
     def test_rejected(self, chi):
+        from rtflab.rtf_constants import eta_context
+
         with pytest.raises(ValueError):
             laurent_at_1(chi)
         with pytest.raises(ValueError):
             edge_coefficients(chi, chi.modulus)
+        # root number 1 holds only for the characters the closed forms take,
+        # so the functional equation and the constants refuse the rest too
+        with pytest.raises(ValueError):
+            completed_l(2.0, chi)
+        with pytest.raises(ValueError):
+            eta_context(chi)
 
     def test_imprimitive_trivial_character_is_rejected(self):
         # The trivial character is the one mod 1; trivial(6) would silently

@@ -15,8 +15,8 @@ import rtflab
 EXPORTED = {
     "fields": ["ArchimedeanPlace", "FieldProfile", "FinitePlace", "LevelIdeal", "RATIONALS",
                "index_k0"],
-    "characters": ["DirichletCharacter", "QuadraticCharacterProfile", "adelic_gauss_sum",
-                   "enumerate_xi", "gauss_sum", "is_admissible_level", "l_one"],
+    "characters": ["DirichletCharacter", "QuadraticCharacterProfile", "enumerate_xi",
+                   "gauss_sum", "is_admissible_level", "l_one"],
     "local_factors": ["HigherConductor", "LocalRepresentation", "Special", "Spherical",
                       "adjoint_norm_factor", "global_weight",
                       "local_l_arch_spherical", "local_l_character", "local_l_spherical",
@@ -39,8 +39,8 @@ EXPORTED = {
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
-def test_sixty_one_names():
-    assert len(NAMES) == 61
+def test_sixty_names():
+    assert len(NAMES) == 60
     assert sorted(rtflab.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -119,6 +119,15 @@ def referenced_names(path: Path) -> set[str]:
     return out
 
 
+def public_members(cls: type) -> list[str]:
+    """The public methods and properties that the body of ``cls`` defines."""
+    kinds = (property, classmethod, staticmethod)
+    return sorted(
+        name for name, value in vars(cls).items()
+        if not name.startswith("_") and (callable(value) or isinstance(value, kinds))
+    )
+
+
 def test_every_export_has_a_route():
     # A route is a subcommand or check (the library modules other than the
     # name's own and the package namespace), a demo or a bench script.
@@ -130,6 +139,22 @@ def test_every_export_has_a_route():
         if not any(name in reads[path] for path in files if path not in (home, SRC / "__init__.py")):
             unrouted.append(name)
     assert sorted(unrouted) == sorted(PENDING)
+    # Every public method and property of an exported class is read as an
+    # attribute somewhere in src, demos or bench (its own module included).
+    attributes = {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    members = [
+        f"{name}.{member}"
+        for name in rtflab.__all__
+        if isinstance(getattr(rtflab, name), type)
+        for member in public_members(getattr(rtflab, name))
+    ]
+    assert len(members) > 30
+    assert [m for m in members if m.rpartition(".")[2] not in attributes] == []
 
 
 def _bound_names(node: ast.AST) -> set[str]:
@@ -213,8 +238,7 @@ def test_the_constants_path_imports_mpmath_only_inside_functions():
     for name in ("lfunctions", "rtf_constants"):
         assert "mpmath" not in import_time_modules(SRC / f"{name}.py"), name
     assert functions_importing(SRC / "lfunctions.py", "mpmath") == [
-        "_chi_values_mp", "_completed_l_mp", "_gauss_adelic_mp", "_l_fin_mp", "completed_l", "l_fin",
-        "zeta_ratio",
+        "_completed_l_mp", "_l_fin_mp", "completed_l", "l_fin", "zeta_ratio",
     ]
     assert "mpmath" not in imported_modules(SRC / "rtf_constants.py")
 

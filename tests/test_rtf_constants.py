@@ -8,7 +8,7 @@ import pytest
 from rtflab.characters import DirichletCharacter, QuadraticCharacterProfile
 from rtflab.errors import CapExceededError, DomainError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.lfunctions import completed_l, jet_product
+from rtflab.lfunctions import completed_l, jet_product, laurent_at_1
 from rtflab import oracles
 from rtflab import rtf_constants as rtf
 from rtflab.special import EULER_GAMMA
@@ -112,12 +112,12 @@ class TestMeanSquareConstant:
         assert a == b == laurent.c0
 
     def test_trivial_unit_level(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_trivial
+        laurent = ctx_trivial.laurent_eta
         expected = laurent.c0 + (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)) / 2.0
         assert rtf.mean_square_constant(LevelIdeal.unit(), laurent) == pytest.approx(expected, abs=1e-12)
 
     def test_log_growth(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_trivial
+        laurent = ctx_trivial.laurent_eta
         n = L({2: 3, 5: 1})
         delta = rtf.mean_square_constant(n, laurent) - rtf.mean_square_constant(
             LevelIdeal.unit(), laurent
@@ -283,7 +283,7 @@ class TestResidueFactors:
         # the Laurent data: -2 r c1 + c0**2.
         rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         assert oracles.residue_value_half_one(rho, lambda p: 1) == 1.0
-        lau = ctx_trivial.laurent_trivial
+        lau = ctx_trivial.laurent_eta
         expected = -2.0 * lau.residue * lau.c1 + lau.c0**2
         assert oracles.residual_term_constant(rho, ctx_trivial) == pytest.approx(expected, abs=1e-15)
 
@@ -396,11 +396,16 @@ class TestOrbitFactor:
             rtf.unipotent_orbit_factor({P(2): -1.0 + 0.0j}, lambda p: 1)
 
     @pytest.mark.parametrize(
-        "s", [50.0, 1e3, 1e9, 1e15, 1e20, 1e300, 60.0 + 80.0j, 1e15j, 40.0 + 30.0j, 49.0]
+        "s",
+        [50.0, 1e3, 1e9, 1e15, 1e20, 1e300, 60.0 + 80.0j, 1e15j, 40.0 + 30.0j, 49.0,
+         -0.5, -2.0, -3.3, -7.9, -49.9, -3000.0, -3000.7, -1e6 - 0.3, -1e300,
+         -10.0 + 1000.0j, -0.5 + 1e200j, -0.5 + 1e308j, -60.0 + 80.0j],
     )
     def test_archimedean_against_mpmath(self, s):
         # The series above |s| = 50 in the right half plane and the Lanczos
         # difference below it; the difference alone was 99% off at s = 1e15.
+        # The left half plane reflects onto -s, where the gamma values overflow
+        # (s = -3000) or lose every digit (-0.5 + 1e200j).
         got = rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)
         with mpmath.workdps(40 + int(math.log10(abs(s)))):
             z = mpmath.mpc(s)
@@ -411,11 +416,18 @@ class TestOrbitFactor:
     def test_large_s_decays_like_minus_one_over_two_s(self):
         assert rtf.unipotent_orbit_factor({ARCH: 1e20 + 0.0j}, lambda p: 1) == -5e-21
 
-    @pytest.mark.parametrize(
-        "place, s",
-        [(P(3), 3000.0), (ARCH, -0.5 + 1e308j), (ARCH, -3000.0)],
-        ids=["finite-power-overflow", "arch-log-gamma-nan", "arch-gamma-overflow"],
-    )
+    @pytest.mark.parametrize("s", [-1.0, -5.0, -9.0, -4001.0])
+    def test_archimedean_pole(self, s):
+        # Gamma((s+1)/4) has its poles at s = -1, -5, ...
+        with pytest.raises(PoleError):
+            rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)
+
+    @pytest.mark.parametrize("s", [-3.0, -7.0, -11.0, -4003.0])
+    def test_archimedean_zero(self, s):
+        # Gamma((s+3)/4) has its poles at s = -3, -7, ..., so the factor vanishes
+        assert abs(rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)) <= 1e-30
+
+    @pytest.mark.parametrize("place, s", [(P(3), 3000.0)], ids=["finite-power-overflow"])
     def test_overflow_is_a_domain_error(self, place, s):
         with pytest.raises(DomainError, match=f"at {place.label} is not finite"):
             rtf.unipotent_orbit_factor({place: complex(s)}, lambda p: 1)
@@ -437,7 +449,7 @@ class TestOrbitConstant:
         assert values[0] == pytest.approx(completed_l(1.0, CHI5).real, abs=1e-10)
 
     def test_trivial_character_log_growth(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_trivial
+        laurent = ctx_trivial.laurent_eta
         s_map = {ARCH: 2.0 + 0.0j}
         for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
             n = L(spec)
@@ -447,7 +459,7 @@ class TestOrbitConstant:
             assert delta == pytest.approx(laurent.residue * 0.5 * math.log(n.norm()), abs=1e-10)
 
     def test_finite_place_term(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_trivial
+        laurent = ctx_trivial.laurent_eta
         s = 1.4 + 0.0j
         base = rtf.unipotent_orbit_constant({ARCH: s}, LevelIdeal.unit(), laurent)
         with_q = rtf.unipotent_orbit_constant({ARCH: s, P(3): s}, LevelIdeal.unit(), laurent)
@@ -457,7 +469,7 @@ class TestOrbitConstant:
     def test_overflow_is_a_domain_error(self, ctx_trivial):
         with pytest.raises(DomainError, match="at p3 is not finite"):
             rtf.unipotent_orbit_constant(
-                {ARCH: 2.0 + 0.0j, P(3): 3000.0 + 0.0j}, LevelIdeal.unit(), ctx_trivial.laurent_trivial
+                {ARCH: 2.0 + 0.0j, P(3): 3000.0 + 0.0j}, LevelIdeal.unit(), ctx_trivial.laurent_eta
             )
 
 
@@ -577,26 +589,18 @@ class TestPredictedMomentAverage:
 
 
 class TestEtaContext:
+    def test_fields_are_the_ones_that_vary_with_eta(self):
+        assert list(rtf.EtaContext.__annotations__) == [
+            "profile", "eta", "laurent_eta", "edge"
+        ]
+
     def test_trivial_context(self, ctx_trivial):
-        assert ctx_trivial.is_trivial
-        assert ctx_trivial.gauss_adelic == 1.0 + 0.0j
-        assert ctx_trivial.residue == pytest.approx(1.0, abs=1e-9)
-        assert ctx_trivial.zeta2 == pytest.approx(math.pi / 6.0, abs=1e-12)
-
-    def test_zeta2_literal_matches_mpmath(self, ctx_trivial):
-        import mpmath
-
-        from rtflab.lfunctions import _DPS
-
-        with mpmath.workdps(_DPS):
-            want = float(mpmath.pi ** -1 * mpmath.gamma(1) * mpmath.zeta(2))
-        assert ctx_trivial.zeta2 == want
-        # the correctly rounded pi/6, which the float quotient misses by an ulp
-        assert want == math.nextafter(math.pi / 6.0, 1.0)
+        # the cached Laurent data of the completed zeta, residue 1
+        assert ctx_trivial.laurent_eta is laurent_at_1(TRIVIAL)
+        assert ctx_trivial.laurent_eta.residue == 1.0
 
     def test_quadratic_context(self, ctx_chi5):
-        assert not ctx_chi5.is_trivial
-        assert ctx_chi5.gauss_adelic == pytest.approx(1.0 + 0.0j, abs=1e-12)
+        assert ctx_chi5.laurent_eta is laurent_at_1(CHI5)
         assert ctx_chi5.laurent_eta.residue == 0.0
 
     def test_every_order_one_character_gives_the_trivial_context(self, ctx_trivial):
@@ -630,8 +634,8 @@ class TestUnitLevelEdgeWiring:
         # the empty product vanishes since log D = 0), weighted by
         # 2 / zeta_hat(2).
         unit = LevelIdeal.unit()
-        lt = ctx_trivial.laurent_trivial
-        expected = 2.0 / ctx_trivial.zeta2 * (
+        lt = ctx_trivial.laurent_eta
+        expected = 2.0 * 6.0 / math.pi * (
             -2.0 * lt.residue * lt.c1 + lt.c0**2
         )
         assert rtf.spectral_edge_constant(unit, ctx_trivial, -1) == pytest.approx(
