@@ -9,13 +9,7 @@ import math
 
 from rtflab.characters import DirichletCharacter
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.local_factors import (
-    HigherConductor,
-    LocalRepresentation,
-    Special,
-    Spherical,
-    r_weight,
-)
+from rtflab.local_factors import HigherConductor, Special, Spherical, r_weight
 from rtflab import rtf_constants as rtf
 
 P = RATIONALS.place_for_prime
@@ -28,14 +22,14 @@ for n_int in (30, 4, 8, 72, 3600):
 
 print("\n== spectral weights r(rep, sign, k) at q = 2 ==")
 reps = {
-    "spherical alpha=1": LocalRepresentation(P(2), Spherical(1.0)),
-    "special sign -1  ": LocalRepresentation(P(2), Special(-1)),
-    "conductor c >= 2 ": LocalRepresentation(P(2), HigherConductor(2)),
+    "spherical alpha=1": Spherical(1.0),
+    "special sign -1  ": Special(-1),
+    "conductor c >= 2 ": HigherConductor(2),
 }
 print("k:          " + "".join(f"{k:>9d}" for k in range(6)))
-for tag, rep in reps.items():
+for tag, data in reps.items():
     for sign in (1, -1):
-        row = [r_weight(rep, sign, k) for k in range(6)]
+        row = [r_weight(P(2), data, sign, k) for k in range(6)]
         print(f"{tag} sign {sign:+d}: " + "".join(f"{v:9.4f}" for v in row))
 
 print("\n== spectral edge constants ==")

@@ -32,7 +32,6 @@ _EXPORTS = {
     ),
     "local_factors": (
         "HigherConductor",
-        "LocalRepresentation",
         "Special",
         "Spherical",
         "adjoint_norm_factor",
@@ -63,13 +62,11 @@ _EXPORTS = {
     "rtf_constants": (
         "EdgePlaceBlock",
         "EtaContext",
-        "RhoAssignment",
         "edge_place_factor",
         "eta_context",
         "intertwining_ratio",
         "kernel_normalization",
         "level_constant",
-        "mean_square_constant",
         "predicted_moment_average",
         "spectral_edge_constant",
         "unipotent_orbit_constant",

@@ -32,7 +32,7 @@ from .chunked import map_chunked
 from .fields import RATIONALS, FinitePlace, LevelIdeal
 from .local_factors import (
     HigherConductor,
-    LocalRepresentation,
+    LocalData,
     Special,
     Spherical,
     period_constant,
@@ -230,53 +230,48 @@ def _lexsorted(rows: np.ndarray) -> np.ndarray:
 
 
 def check_local_factors(tol: float | None) -> list[CheckResult]:
-    def admissible_grid(q: int) -> list[LocalRepresentation]:
-        place = _place(q)
-        reps = []
-        for theta in np.linspace(0.0, math.pi, 9):
-            reps.append(LocalRepresentation(place, Spherical(cmath.exp(1j * theta))))
-        for sigma in (0.1, 0.5, 0.9):
-            reps.append(LocalRepresentation(place, Spherical(q ** (sigma / 2.0))))
-        reps.append(LocalRepresentation(place, Special(1)))
-        reps.append(LocalRepresentation(place, Special(-1)))
-        reps.append(LocalRepresentation(place, HigherConductor(2)))
-        return reps
+    def admissible_grid(q: int) -> list[LocalData]:
+        grid = [Spherical(cmath.exp(1j * theta)) for theta in np.linspace(0.0, math.pi, 9)]
+        grid += [Spherical(q ** (sigma / 2.0)) for sigma in (0.1, 0.5, 0.9)]
+        return grid + [Special(1), Special(-1), HigherConductor(2)]
 
     def r_weight_negativity() -> float:
         neg = 0.0
         for q in _PRIMES_TO_97:
-            for rep in admissible_grid(q):
+            place = _place(q)
+            for data in admissible_grid(q):
                 for sign in (1, -1):
                     for k in range(0, 9):
-                        neg = min(neg, r_weight(rep, sign, k))
+                        neg = min(neg, r_weight(place, data, sign, k))
         return max(0.0, -neg)
 
     def satake_excess() -> float:
         worst = 0.0
         for q in _PRIMES_TO_97:
-            for rep in admissible_grid(q):
-                if isinstance(rep.data, Spherical):
-                    worst = max(worst, abs(satake_ratio(rep.data, q)) - 1.0)
+            for data in admissible_grid(q):
+                if isinstance(data, Spherical):
+                    worst = max(worst, abs(satake_ratio(data, q)) - 1.0)
         return max(0.0, worst + 1e-15)
 
     def parity_defects() -> int:
         defects = 0
+        data = HigherConductor(3)
         for q in (2, 3, 5):
-            rep = LocalRepresentation(_place(q), HigherConductor(3))
+            place = _place(q)
             for k in (1, 3, 5, 7):
-                if r_weight(rep, -1, k) != 0.0:
+                if r_weight(place, data, -1, k) != 0.0:
                     defects += 1
             for k in (2, 4, 6):
-                if r_weight(rep, -1, k) != 1.0:
+                if r_weight(place, data, -1, k) != 1.0:
                     defects += 1
         return defects
 
     def period_at_zero_defects() -> int:
         defects = 0
+        place = _place(2)
         for data in (Spherical(1.0), Spherical(cmath.exp(0.7j)), Special(-1), HigherConductor(4)):
-            rep = LocalRepresentation(_place(2), data)
             for sign in (1, -1):
-                if period_constant(rep, sign, 0) != 1.0 + 0.0j:
+                if period_constant(place, data, sign, 0) != 1.0 + 0.0j:
                     defects += 1
         return defects
 
@@ -453,11 +448,11 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         )
         for spec in ({2: 1}, {2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
             n = _level(spec)
-            for rho in oracles.enumerate_rho(n):
-                if len(rho.active()) > 3:
+            for d in oracles.enumerate_rho(n):
+                if len(d.factors) > 3:
                     continue
-                t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
-                blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in rho.active()]
+                t0, t1, t2 = oracles.edge_product_taylor(d, eta)
+                blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in d.factors]
                 prod_fn = lambda nu: math.prod((rtf.edge_place_factor(nu, b) for b in blocks), start=1 + 0j)
                 a = oracles.extract_series(prod_fn, -1.0, 0, 1e-2)
                 scale = max(1.0, abs(t0), abs(t1), abs(t2))
@@ -548,10 +543,10 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
 
     def involution_defect() -> float:
         worst = 0.0
-        rho = oracles.enumerate_rho(_level({2: 2, 3: 1}))[4]
+        d = _level({2: 2})
         for chi in (trivial, chi5()):
             for nu in (0.3, 0.45 + 0.2j):
-                prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(chi, rho, -nu)
+                prod = rtf.intertwining_ratio(chi, d, nu) * rtf.intertwining_ratio(chi, d, -nu)
                 worst = max(worst, abs(prod - 1.0))
         return worst
 

@@ -180,14 +180,7 @@ _WEIGHTS_REP_FLAGS = {"spherical": ("theta", "satake"), "special": ("chi_sign",)
 
 
 def _cmd_weights(args) -> int:
-    from .local_factors import (
-        HigherConductor,
-        LocalRepresentation,
-        Special,
-        Spherical,
-        r_weight,
-        spherical_in_open_set,
-    )
+    from .local_factors import HigherConductor, Special, Spherical, r_weight, spherical_in_open_set
 
     for flag in ("theta", "satake", "chi_sign", "c"):
         if getattr(args, flag) is not None and flag not in _WEIGHTS_REP_FLAGS[args.rep]:
@@ -207,8 +200,7 @@ def _cmd_weights(args) -> int:
         data = Special(args.chi_sign or 1)
     else:
         data = HigherConductor(2 if args.c is None else args.c)
-    rep = LocalRepresentation(place, data)
-    value = r_weight(rep, args.sign, args.k)
+    value = r_weight(place, data, args.sign, args.k)
     doc = {
         "variant": args.rep,
         "q": args.q,
@@ -231,7 +223,6 @@ def _cmd_constants(args) -> int:
     from .rtf_constants import (
         eta_context,
         level_constant,
-        mean_square_constant,
         spectral_edge_constant,
         unipotent_orbit_constant,
         unipotent_orbit_factor,
@@ -264,7 +255,8 @@ def _cmd_constants(args) -> int:
         "norm": n.norm(),
         "eta": args.eta or "trivial",
         "C_level": level_constant(n),
-        "C_eta_big": mean_square_constant(n, laurent, profile),
+        # C_eta is the orbit constant with no place in S
+        "C_eta_big": unipotent_orbit_constant({}, n, laurent, profile).real,
         "Y": {
             str(j): spectral_edge_constant(n, ctx, j)
             for j in (2, 1, 0, -1)

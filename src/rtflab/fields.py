@@ -82,24 +82,12 @@ class FieldProfile:
     finite_places: tuple[FinitePlace, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.discriminant_abs < 1:
-            raise ValueError("absolute discriminant must be >= 1")
+        _check_degree_and_discriminant(self.degree, self.discriminant_abs)
         if self.is_rationals and (self.discriminant_abs != 1 or self.finite_places):
             raise ValueError("a degree-1 profile is Q: discriminant 1 and no places")
         labels = [p.label for p in self.finite_places]
         if len(labels) != len(set(labels)):
             raise ValueError("finite place labels must be unique")
-
-    def place(self, label: str) -> FinitePlace:
-        for p in self.finite_places:
-            if p.label == label:
-                return p
-        if self.is_rationals and label.startswith("p"):
-            prime = int(label[1:])
-            return self.place_for_prime(prime)
-        raise KeyError(f"unknown finite place {label!r}")
 
     @property
     def is_rationals(self) -> bool:
@@ -146,13 +134,28 @@ class FieldProfile:
                 label=str(e["label"]), q=_json_int(e, "q"), d=_json_int(e, "d", 0)
             ))
         degree = _json_int(doc, "degree")
+        discriminant = _json_int(doc, "discriminant")
+        _check_degree_and_discriminant(degree, discriminant)
         arch = tuple(ArchimedeanPlace(f"inf{i}" if i else "inf") for i in range(degree))
         return cls(
             degree=degree,
-            discriminant_abs=_json_int(doc, "discriminant"),
+            discriminant_abs=discriminant,
             archimedean_places=arch,
             finite_places=tuple(places),
         )
+
+
+def _check_degree_and_discriminant(degree: int, discriminant_abs: int) -> None:
+    """ValueError unless degree >= 1 and |D| meets Minkowski's bound
+    (n**n / n!)**2 for totally real fields, in logs with a few ulps of slack."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if discriminant_abs < 1:
+        raise ValueError("absolute discriminant must be >= 1")
+    log_bound = 2.0 * (degree * math.log(degree) - math.lgamma(degree + 1))
+    if log_bound - math.log(discriminant_abs) > 8.0 * math.ulp(degree * math.log(degree) + 1.0):
+        raise ValueError(f"no totally real field of degree {degree} has discriminant {discriminant_abs}: "
+                         f"Minkowski's bound is |D| >= (n**n / n!)**2 = e**{log_bound:.6g}")
 
 
 def _json_int(doc: dict, key: str, default: int | None = None) -> int:
@@ -174,7 +177,8 @@ class LevelIdeal:
     """An integral ideal given by its factorization into finite places.
 
     The empty factorization is the unit ideal.  Exponents are strictly
-    positive; construction normalizes away zero entries and rejects negatives.
+    positive: construction rejects zero and negative ones (`from_map` drops
+    zero entries first).
     """
 
     factors: tuple[tuple[FinitePlace, int], ...] = ()

@@ -3,15 +3,17 @@
 Three local shapes occur at a finite place: spherical (a Satake parameter in
 the unitary set), special (conductor exponent one, carrying the sign of its
 twisting unramified character), and anything of conductor exponent two or
-more, for which only the exponent matters here.  The module evaluates the
-standard local L-factors, the explicit period constants of the normalized
-local vectors, and the nonnegative spectral weights they aggregate into.
+more, for which only the exponent matters here.  A representation is its
+data at a place, so the functions take the place and the data side by side.
+The module evaluates the standard local L-factors, the explicit period
+constants of the normalized local vectors, and the nonnegative spectral
+weights they aggregate into.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from ._record import record
 from .errors import PoleError
@@ -62,16 +64,6 @@ class HigherConductor:
 
 
 LocalData = Spherical | Special | HigherConductor
-
-
-@record
-class LocalRepresentation:
-    place: FinitePlace
-    data: LocalData
-
-    @property
-    def conductor_exponent(self) -> int:
-        return self.data.conductor_exponent
 
 
 def spherical_in_open_set(data: Spherical, q: int) -> bool:
@@ -129,8 +121,9 @@ def satake_ratio(data: Spherical, q: int) -> float:
     return (a + 1.0 / a).real / (math.sqrt(q) + 1.0 / math.sqrt(q))
 
 
-def period_constant(rep: LocalRepresentation, eta_sign: int, k: int) -> complex:
-    """Value of the local toral period of the depth-k vector against a sign.
+def period_constant(place: FinitePlace, data: LocalData, eta_sign: int, k: int) -> complex:
+    """Value of the local toral period of the depth-k vector against a sign,
+    for the representation with ``data`` at ``place``.
 
     Case table indexed by the conductor exponent of the representation; every
     variant gives 1 at k = 0.
@@ -141,8 +134,7 @@ def period_constant(rep: LocalRepresentation, eta_sign: int, k: int) -> complex:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0 + 0.0j
-    q = rep.place.q
-    data = rep.data
+    q = place.q
     if isinstance(data, Spherical):
         a = complex(data.satake)
         if k == 1:
@@ -162,8 +154,9 @@ def period_constant(rep: LocalRepresentation, eta_sign: int, k: int) -> complex:
 # spectral weights
 
 
-def r_weight(rep: LocalRepresentation, eta_sign: int, k: int) -> float:
-    """Nonnegative aggregate weight of the depth-k oldvector family.
+def r_weight(place: FinitePlace, data: LocalData, eta_sign: int, k: int) -> float:
+    """Nonnegative aggregate weight of the depth-k oldvector family of the
+    representation with ``data`` at ``place``.
 
     Extended by r(., ., 0) = 1 so that global weights are clean products over
     the full support of the level-to-conductor quotient.
@@ -174,8 +167,7 @@ def r_weight(rep: LocalRepresentation, eta_sign: int, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0
-    q = rep.place.q
-    data = rep.data
+    q = place.q
     parity = 0.5 * (1.0 + (-1.0) ** k)
     if isinstance(data, HigherConductor):
         return float(k + 1) if eta_sign == 1 else parity
@@ -193,27 +185,29 @@ def r_weight(rep: LocalRepresentation, eta_sign: int, k: int) -> float:
 
 
 def global_weight(
-    reps: dict[FinitePlace, LocalRepresentation],
+    reps: Mapping[FinitePlace, LocalData],
     eta: QuadraticCharacterProfile,
     n: LevelIdeal,
     conductor: LevelIdeal,
 ) -> float:
-    """Product of r-weights over the support of n / conductor.
+    """Product of r_weight(v, reps[v], eta(v), k) over the factors v**k of
+    n / conductor.
 
-    ``reps`` must cover every place of that support; the conductor must
-    divide the level and the level must avoid the ramification of eta.
+    ``reps`` maps each place of that support to the local data there; the
+    conductor must divide the level and the level must avoid the
+    ramification of eta.
     """
     quotient = n.quotient(conductor)
     out = 1.0
     for place, k in quotient.factors:
         if place not in reps:
             raise KeyError(f"no local representation supplied at {place.label}")
-        rep = reps[place]
-        if rep.conductor_exponent != conductor.ord_at(place):
+        data = reps[place]
+        if data.conductor_exponent != conductor.ord_at(place):
             raise ValueError(
                 f"local conductor exponent at {place.label} disagrees with the conductor ideal"
             )
-        out *= r_weight(rep, eta.sign_at(place), k)
+        out *= r_weight(place, data, eta.sign_at(place), k)
     return out
 
 

@@ -12,10 +12,11 @@ only `checks` (and the tests) do.
 - `extract_series` fits Taylor data by symmetric stencils at working
   precision; `laurent_at_1_two_widths` and `central_series_function` apply
   it to the closed-form Laurent and edge data of `lfunctions`.
-- `enumerate_rho` lists every choice assignment and the per-assignment
-  functions evaluate its term; `edge_constants_by_enumeration` sums them,
-  the second route to `rtf_constants.spectral_edge_constant`, which takes
-  products over places of per-place sums.
+- `enumerate_rho` lists every choice assignment (a divisor of the level)
+  and the per-assignment functions evaluate its term;
+  `edge_constants_by_enumeration` sums them, the second route to
+  `rtf_constants.spectral_edge_constant`, which takes products over places
+  of per-place sums.
 
 The character oracles need numpy only.  mpmath, `lfunctions` and
 `rtf_constants` are imported inside the analytic functions that use them,
@@ -41,7 +42,7 @@ if TYPE_CHECKING:
     import mpmath as mp
 
     from .lfunctions import LaurentData
-    from .rtf_constants import EtaContext, RhoAssignment
+    from .rtf_constants import EtaContext
 
 # ---------------------------------------------------------------------------
 # characters: subgroup extension and the divisor test
@@ -210,42 +211,39 @@ def central_series_function(eta: DirichletCharacter, discriminant_abs: int = 1) 
 # spectral edge constants: every choice assignment, one term each
 
 
-def enumerate_rho(n: LevelIdeal, cap: int = 100_000) -> list[RhoAssignment]:
-    """All choice assignments over the support of n; size prod(e_v + 1)."""
-    from .rtf_constants import RhoAssignment
+_RHO_CAP = 100_000  # the most assignments `enumerate_rho` lists
 
-    total = 1
-    for _, e in n.factors:
-        total *= e + 1
-    if total > cap:
-        raise CapExceededError(
-            f"assignment enumeration would produce {total} > cap {cap}"
-        )
+
+def enumerate_rho(n: LevelIdeal) -> list[LevelIdeal]:
+    """Every choice assignment over the support of n as the divisor of n it
+    picks: prod(e_v + 1) ideals in `itertools.product` order over the depths
+    0..e_v, the unit ideal first.  `CapExceededError` beyond `_RHO_CAP`."""
+    total = math.prod(e + 1 for _, e in n.factors)
+    if total > _RHO_CAP:
+        raise CapExceededError(f"assignment enumeration would produce {total} > cap {_RHO_CAP}")
     places = [p for p, _ in n.factors]
-    ranges = [range(n.ord_at(p) + 1) for p in places]
-    return [RhoAssignment(n, tuple(zip(places, combo))) for combo in itertools.product(*ranges)]
+    ranges = [range(e + 1) for _, e in n.factors]
+    return [LevelIdeal.from_map(dict(zip(places, combo))) for combo in itertools.product(*ranges)]
 
 
-def flat_section_at_identity(
-    rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
-) -> float:
-    """Value at the identity of the normalized flat section attached to rho.
+def flat_section_at_identity(d: LevelIdeal, sign_at: Callable[[FinitePlace], int]) -> float:
+    """Value at the identity of the normalized flat section attached to d.
 
     Depth-one places contribute sign * q**(1/2); depth k >= 2 contributes
     (1 - 1/q) sign**k ((q+1)/(q-1))**(1/2) q**(k/2).
     """
     from .rtf_constants import _section_factor
 
-    return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in rho.active())
+    return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in d.factors)
 
 
 def edge_product_taylor(
-    rho: RhoAssignment,
+    d: LevelIdeal,
     eta: QuadraticCharacterProfile,
     profile: FieldProfile = RATIONALS,
 ) -> tuple[float, float, float]:
     """Taylor coefficients (orders 0, 1, 2) at the edge point of the product of
-    edge place factors over the active places, scaled by the character's sign
+    edge place factors over the factors of d, scaled by the character's sign
     on the different.
 
     It is the jet product of the per-place `rtf_constants.edge_place_jet`.
@@ -255,22 +253,20 @@ def edge_product_taylor(
 
     eps = eta_on_different(eta, profile)
     t0, t1, t2 = jet_product(
-        edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p))) for p, k in rho.active()
+        edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p))) for p, k in d.factors
     )
     return eps * t0, eps * t1, eps * t2
 
 
-def residue_value_half_one(
-    rho: RhoAssignment, sign_at: Callable[[FinitePlace], int]
-) -> float:
-    """The closed-form product over active places at the point (1/2, 1)."""
+def residue_value_half_one(d: LevelIdeal, sign_at: Callable[[FinitePlace], int]) -> float:
+    """The closed-form product over the factors of d at the point (1/2, 1)."""
     from .rtf_constants import _value_factor
 
-    return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in rho.active())
+    return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in d.factors)
 
 
-def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
-    """The scalar a(rho) entering the order -1 spectral edge constant.
+def residual_term_constant(d: LevelIdeal, ctx: EtaContext) -> float:
+    """The scalar a(d) entering the order -1 spectral edge constant.
 
     It combines epsilon(0) = sqrt(m) (root number 1, see `lfunctions`)
     times the value at (1/2, 1) with the second derivative at z = 0 of
@@ -285,8 +281,8 @@ def residual_term_constant(rho: RhoAssignment, ctx: EtaContext) -> float:
         residue_place_jet,
     )
 
-    value = residue_value_half_one(rho, ctx.eta.sign_at)
-    residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in rho.active()]
+    value = residue_value_half_one(d, ctx.eta.sign_at)
+    residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in d.factors]
     twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]
     eps0 = math.sqrt(ctx.eta.dirichlet.modulus)
     return _residual_combination(ctx, eps0 * value, twisted_d2)
@@ -302,13 +298,13 @@ def edge_constants_by_enumeration(n: LevelIdeal, ctx: EtaContext) -> dict[int, f
     weight = d_half * _INV_ZETA_HAT2_JET[0]
     e = ctx.edge
     terms = {2: [], 1: [], 0: [], -1: []}
-    for rho in enumerate_rho(n):
-        empty = 1.0 if rho.is_empty() else 0.0
-        section = flat_section_at_identity(rho, ctx.eta.sign_at) + empty
-        t0, t1, t2 = edge_product_taylor(rho, ctx.eta, ctx.profile)
+    for d in enumerate_rho(n):
+        empty = 0.0 if d.factors else 1.0
+        section = flat_section_at_identity(d, ctx.eta.sign_at) + empty
+        t0, t1, t2 = edge_product_taylor(d, ctx.eta, ctx.profile)
         terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
         terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
         terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
-        trivial_section = flat_section_at_identity(rho, lambda p: 1) + empty
-        terms[-1].append(weight * trivial_section * residual_term_constant(rho, ctx))
+        trivial_section = flat_section_at_identity(d, lambda p: 1) + empty
+        terms[-1].append(weight * trivial_section * residual_term_constant(d, ctx))
     return {order: math.fsum(t) for order, t in terms.items()}

@@ -66,43 +66,9 @@ def level_constant(n: LevelIdeal) -> float:
     return out
 
 
-def mean_square_constant(
-    n: LevelIdeal, laurent: LaurentData, profile: FieldProfile = RATIONALS
-) -> float:
-    """Constant term of the second-moment asymptotic at level n.
-
-    c0 + residue * { (d/2)(gamma + 2 log 2 - log pi) + log(D * N(n)**(1/2)) },
-    built from the Laurent data of the completed L-function of the character.
-    """
-    d_f = profile.degree
-    bracket = 0.5 * d_f * (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi))
-    bracket += math.log(profile.discriminant_abs) + 0.5 * n.log_norm()
-    return laurent.c0 + laurent.residue * bracket
-
-
 # ---------------------------------------------------------------------------
-# choice assignments over the level support
-
-
-@record
-class RhoAssignment:
-    """A choice of depth 0..e_v at every place of a base ideal."""
-
-    base: LevelIdeal
-    choices: tuple[tuple[FinitePlace, int], ...]
-
-    def __post_init__(self) -> None:
-        for place, j in self.choices:
-            e = self.base.ord_at(place)
-            if not 0 <= j <= e:
-                raise ValueError(f"choice {j} at {place.label} outside 0..{e}")
-
-    def active(self) -> tuple[tuple[FinitePlace, int], ...]:
-        """Places with a positive choice, paired with that choice."""
-        return tuple((p, j) for p, j in self.choices if j >= 1)
-
-    def is_empty(self) -> bool:
-        return not self.active()
+# sums over choice assignments: a depth 0 <= k_v <= e_v at each place v of
+# the level n, that is, the divisor d = prod v**k_v of n
 
 
 def _section_factor(q: int, k: int, s: int) -> float:
@@ -112,21 +78,17 @@ def _section_factor(q: int, k: int, s: int) -> float:
     return (1.0 - 1.0 / q) * s**k * math.sqrt((q + 1.0) / (q - 1.0)) * q ** (k / 2.0)
 
 
-# ---------------------------------------------------------------------------
-# sums over choice assignments
-
-
 def assignment_sum(
     n: LevelIdeal,
     section_sign: Callable[[FinitePlace], int],
     jet_at: Callable[[FinitePlace, int], Jet],
 ) -> Jet:
-    """Sum over every choice assignment rho of n of (section(rho) + [rho empty])
-    times the jet product of jet_at(place, k) over the active places of rho.
+    """Sum over every divisor d of n of (section(d) + [d = (1)]) times the jet
+    product of jet_at(place, k) over the factors v**k of d.
 
     Both factors are products over places, so the sum over the prod(e_v + 1)
-    assignments equals the empty-assignment term plus the product over places
-    of the local sums 1 + sum_k section_v(k) jet_v(k): O(sum e_v) work.
+    divisors equals the unit-ideal term plus the product over places of the
+    local sums 1 + sum_k section_v(k) jet_v(k): O(sum e_v) work.
     """
     local = []
     for place, e in n.factors:
@@ -454,7 +416,9 @@ def unipotent_orbit_constant(
     constant term c0 = L(1, eta), independent of the ideal and of s.  For the
     trivial character the residue multiplies a bracket with the log of
     D * N(a)**(1/2), digamma terms at the archimedean places and geometric
-    series terms at the finite places.
+    series terms at the finite places.  Its value at S = {} and a = n,
+    c0 + residue * {(d/2)(gamma + 2 log 2 - log pi) + log(D * N(n)**(1/2))},
+    is the constant C_eta of the second-moment asymptotic at level n.
     """
     c0, r = laurent.c0, laurent.residue
     if r == 0.0:
@@ -476,7 +440,7 @@ def unipotent_orbit_constant(
             raise _not_finite("orbit constant", place, s) from None
         if not cmath.isfinite(bracket):
             raise _not_finite("orbit constant", place, s)
-    return c0 + r * bracket
+    return complex(c0 + r * bracket)
 
 
 def kernel_normalization(
@@ -494,24 +458,21 @@ def kernel_normalization(
     return (-1.0) ** len(s_list) * profile.discriminant_abs**-0.5 / float(index_k0(n))
 
 
-def intertwining_ratio(chi: DirichletCharacter, rho: RhoAssignment, nu: complex) -> complex:
-    """Constant-term ratio N(f)**(-nu) prod q**(-k nu) L(1+nu)/L(1-nu).
+def intertwining_ratio(chi: DirichletCharacter, d: LevelIdeal, nu: complex) -> complex:
+    """Constant-term ratio N(f)**(-nu) N(d)**(-nu) L(1+nu)/L(1-nu).
 
-    The L-ratio is the global finite-part ratio for chi**2; the per-place
-    powers run over the active places of the assignment.  Where chi**2 is
-    principal the L-ratio is `zeta_ratio`, -1 at nu = 0 where the poles
-    cancel; otherwise nu = 0 gives L(1, chi**2)/L(1, conj chi**2), 1 for a
-    real chi**2.  Genuine zeros of the denominator are signaled.
+    The L-ratio is the global finite-part ratio for chi**2, and d is the
+    choice assignment, a divisor of the level (N(d)**(-nu) is taken as the
+    product of q**(-k nu) over its factors v**k).  Where chi**2 is principal
+    the L-ratio is `zeta_ratio`, -1 at nu = 0 where the poles cancel;
+    otherwise nu = 0 gives L(1, chi**2)/L(1, conj chi**2), 1 for a real
+    chi**2.  Genuine zeros of the denominator are signaled.
     """
     nu = complex(nu)
-    conductor = chi.primitive_character().modulus
-    for place, _ in rho.active():
+    power = chi.primitive_character().modulus ** (-nu)
+    for place, k in d.factors:
         if chi.phase_index(place.q) is None:
-            raise RamifiedOverlapError(
-                f"character is ramified at the active place {place.label}"
-            )
-    power = conductor ** (-nu)
-    for place, k in rho.active():
+            raise RamifiedOverlapError(f"character is ramified at the active place {place.label}")
         power *= place.q ** (-k * nu)
     chi_sq = chi.square().primitive_character()
     if chi_sq.order() == 1 and abs(nu) < 0.25:

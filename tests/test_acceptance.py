@@ -27,14 +27,7 @@ from rtflab.cli import main as cli_main
 from rtflab.empirical import inverse_cdf_sample, sample_from_rows, write_sample_csv
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import edge_coefficients
-from rtflab.local_factors import (
-    HigherConductor,
-    LocalRepresentation,
-    Special,
-    Spherical,
-    global_weight,
-    r_weight,
-)
+from rtflab.local_factors import HigherConductor, Special, Spherical, global_weight, r_weight
 from rtflab.measures import (
     plancherel,
     plancherel_mass_closed_form,
@@ -146,10 +139,10 @@ def test_criterion_04_derivative_suite():
     eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): 1, P(5): -1})
     worst_taylor = 0.0
     for spec in ({2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
-        for rho in enumerate_rho(L(spec)):
-            if not 1 <= len(rho.active()) <= 3:
+        for d in enumerate_rho(L(spec)):
+            if not 1 <= len(d.factors) <= 3:
                 continue
-            blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in rho.active()]
+            blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in d.factors]
 
             def prod(nu):
                 acc = 1.0
@@ -159,7 +152,7 @@ def test_criterion_04_derivative_suite():
 
             xs = np.linspace(-0.04, 0.04, 13)
             fit = np.polyfit(xs, [prod(-1.0 + x) for x in xs], 6)[::-1]
-            t0, t1, t2 = edge_product_taylor(rho, eta)
+            t0, t1, t2 = edge_product_taylor(d, eta)
             scale = max(1.0, abs(t0), abs(t1), abs(t2))
             worst_taylor = max(
                 worst_taylor,
@@ -190,29 +183,19 @@ def test_criterion_05_weight_combinatorics():
     neg = 0.0
     for q in (2, 3, 5, 13, 97):
         place = P(q)
-        reps = [LocalRepresentation(place, Spherical(cmath.exp(1j * t))) for t in np.linspace(0, math.pi, 9)]
-        reps += [LocalRepresentation(place, Spherical(q ** (s / 2.0))) for s in (0.1, 0.5, 0.9)]
-        reps += [
-            LocalRepresentation(place, Special(1)),
-            LocalRepresentation(place, Special(-1)),
-            LocalRepresentation(place, HigherConductor(2)),
-        ]
-        for rep in reps:
+        grid = [Spherical(cmath.exp(1j * t)) for t in np.linspace(0, math.pi, 9)]
+        grid += [Spherical(q ** (s / 2.0)) for s in (0.1, 0.5, 0.9)]
+        grid += [Special(1), Special(-1), HigherConductor(2)]
+        for data in grid:
             for sign in (1, -1):
                 for k in range(9):
-                    neg = min(neg, r_weight(rep, sign, k))
+                    neg = min(neg, r_weight(place, data, sign, k))
 
-    parity_exact = all(
-        r_weight(LocalRepresentation(P(2), HigherConductor(3)), -1, k) == 0.0
-        for k in (1, 3, 5, 7)
-    )
+    parity_exact = all(r_weight(P(2), HigherConductor(3), -1, k) == 0.0 for k in (1, 3, 5, 7))
 
     eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): -1})
     conductor = L({2: 2, 3: 1})
-    reps_map = {
-        P(2): LocalRepresentation(P(2), HigherConductor(2)),
-        P(3): LocalRepresentation(P(3), Special(-1)),
-    }
+    reps_map = {P(2): HigherConductor(2), P(3): Special(-1)}
     at_conductor = global_weight(reps_map, eta, conductor, conductor)
 
     _finish(

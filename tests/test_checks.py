@@ -234,3 +234,27 @@ class TestEdgeSumSensitivity:
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == ["rtf.edge_taylor_vs_numeric"]
         assert 1e-3 < failed[0].observed < math.inf
+
+
+class TestSecondMomentConstantSensitivity:
+    """C_eta, which `constants` prints as `C_eta_big`, is the orbit constant
+    at S = {}, so the two orbit-constant checks read the printed value's route."""
+
+    def test_scaled_orbit_constant_fails_both_checks_and_moves_c_eta(self, monkeypatch, capsys):
+        import json
+
+        from rtflab.cli import main
+
+        assert main(["constants", "--n", "2^2*3"]) == 0
+        honest_c_eta = json.loads(capsys.readouterr().out)["C_eta_big"]
+        honest = rtf_constants.unipotent_orbit_constant
+
+        def scaled(*args, **kwargs):
+            return 1.01 * honest(*args, **kwargs)
+
+        monkeypatch.setattr(rtf_constants, "unipotent_orbit_constant", scaled)
+        failed = [r.name for r in check_rtf_constants(None) if not r.passed]
+        assert failed == ["rtf.orbit_constant_flat_nontrivial", "rtf.orbit_constant_log_growth"]
+        assert main(["constants", "--n", "2^2*3"]) == 0
+        c_eta = json.loads(capsys.readouterr().out)["C_eta_big"]
+        assert c_eta == pytest.approx(1.01 * honest_c_eta, rel=1e-14)

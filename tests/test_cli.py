@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,27 @@ class TestProfileAndUsage:
         code, out, err = run(capsys, command, "--n", "4", "--profile", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("command", ["constants", "characters"])
+    @pytest.mark.parametrize("degree, discriminant", [(2, 1), (3, 20)])
+    def test_profile_below_minkowski_bound_exits_2(self, capsys, tmp_path, command, degree,
+                                                   discriminant):
+        path = tmp_path / "profile.json"
+        path.write_text(f'{{"degree": {degree}, "discriminant": {discriminant}}}', encoding="utf-8")
+        code, out, err = run(capsys, command, "--n", "4", "--profile", str(path))
+        assert (code, out) == (2, "")
+        message = json.loads(err)["message"]
+        assert message.startswith(f"no totally real field of degree {degree} has discriminant")
+        assert "Minkowski's bound is |D| >= (n**n / n!)**2" in message
+
+    def test_huge_degree_is_rejected_before_its_places_are_built(self, capsys, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text('{"degree": 1000000000, "discriminant": 5}', encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "constants", "--n", "4", "--profile", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "Minkowski's bound" in json.loads(err)["message"]
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

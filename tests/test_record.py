@@ -17,7 +17,7 @@ import pytest
 
 import rtflab
 from rtflab import characters, checks, empirical, fields, lfunctions, local_factors, measures
-from rtflab import oracles, quadrature
+from rtflab import quadrature
 from rtflab import rtf_constants as rtf
 
 _GENERATED = {"__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__",
@@ -67,14 +67,9 @@ def _samples():
         local_factors.Spherical: [local_factors.Spherical(0.5 + 0.5j), local_factors.Spherical(1.0)],
         local_factors.Special: [local_factors.Special(1), local_factors.Special(-1)],
         local_factors.HigherConductor: [local_factors.HigherConductor(2), local_factors.HigherConductor(5)],
-        local_factors.LocalRepresentation: [
-            local_factors.LocalRepresentation(P2, local_factors.Special(-1)),
-            local_factors.LocalRepresentation(P3, local_factors.HigherConductor(3)),
-        ],
         measures.Density: [measures.sato_tate(), measures.plancherel(3, -1)],
         quadrature.QuadratureResult: [quadrature.QuadratureResult(1.0, 1e-12, 3),
                                       quadrature.QuadratureResult(0.5, 0.0, 0)],
-        rtf.RhoAssignment: oracles.enumerate_rho(fields.LevelIdeal.from_integer(12))[:3],
         rtf.EdgePlaceBlock: [rtf.EdgePlaceBlock(3, 1, 1), rtf.EdgePlaceBlock(5, 2, -1)],
         rtf.EtaContext: [rtf.eta_context(characters.DirichletCharacter.trivial()), rtf.eta_context(CHI5)],
     }
@@ -125,7 +120,7 @@ def test_every_record_class_has_samples():
                     and init.__code__.co_filename.startswith("<record "):
                 found.add(obj)
     assert found == set(CLASSES)
-    assert len(CLASSES) == 20
+    assert len(CLASSES) == 18
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -104,59 +104,69 @@ class TestLevelConstant:
             assert abs(total - rtf.level_constant(L(spec))) <= 1e-12
 
 
-class TestMeanSquareConstant:
+class TestOrbitConstantAtEmptyS:
+    """C_eta, the second-moment constant that `constants` prints, is the orbit
+    constant with no place in S."""
+
     def test_nontrivial_residue_free(self, ctx_chi5):
         laurent = ctx_chi5.laurent_eta
-        a = rtf.mean_square_constant(LevelIdeal.unit(), laurent)
-        b = rtf.mean_square_constant(L({2: 6}), laurent)
+        a = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), laurent)
+        b = rtf.unipotent_orbit_constant({}, L({2: 6}), laurent)
         assert a == b == laurent.c0
 
     def test_trivial_unit_level(self, ctx_trivial):
         laurent = ctx_trivial.laurent_eta
         expected = laurent.c0 + (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)) / 2.0
-        assert rtf.mean_square_constant(LevelIdeal.unit(), laurent) == pytest.approx(expected, abs=1e-12)
+        got = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), laurent)
+        assert isinstance(got, complex)  # as for every S and every character
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_log_growth(self, ctx_trivial):
         laurent = ctx_trivial.laurent_eta
         n = L({2: 3, 5: 1})
-        delta = rtf.mean_square_constant(n, laurent) - rtf.mean_square_constant(
-            LevelIdeal.unit(), laurent
+        delta = rtf.unipotent_orbit_constant({}, n, laurent) - rtf.unipotent_orbit_constant(
+            {}, LevelIdeal.unit(), laurent
         )
         assert delta == pytest.approx(0.5 * math.log(n.norm()), abs=1e-12)
 
 
 class TestRhoEnumeration:
     def test_unit_ideal(self):
-        rhos = oracles.enumerate_rho(LevelIdeal.unit())
-        assert len(rhos) == 1
-        assert rhos[0].is_empty()
+        assert oracles.enumerate_rho(LevelIdeal.unit()) == [LevelIdeal.unit()]
 
-    def test_counts(self):
-        assert len(oracles.enumerate_rho(L({2: 2}))) == 3
-        assert len(oracles.enumerate_rho(L({2: 1, 3: 2}))) == 6
+    @pytest.mark.parametrize("spec", [{2: 2}, {2: 1, 3: 2}, {2: 3, 5: 1, 7: 2}])
+    def test_every_divisor_once(self, spec):
+        n = L(spec)
+        divisors = oracles.enumerate_rho(n)
+        assert len(divisors) == len(set(divisors)) == math.prod(e + 1 for e in spec.values())
+        assert all(d.divides(n) for d in divisors)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            oracles.enumerate_rho(L({2: 9, 3: 9, 5: 9}), cap=100)
+    def test_product_order(self):
+        # itertools.product over the depths at 2 and 3: index 4 is depth 2 at 2
+        divisors = oracles.enumerate_rho(L({2: 2, 3: 1}))
+        assert divisors[0] == LevelIdeal.unit()
+        assert divisors[4] == L({2: 2})
 
-    def test_choices_bounded(self):
-        for rho in oracles.enumerate_rho(L({2: 3})):
-            for place, j in rho.choices:
-                assert 0 <= j <= 3
+    def test_cap(self, monkeypatch):
+        # 10**6 assignments: refused before a single one is built
+        def boom(*ranges):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.setattr(oracles.itertools, "product", boom)
+        with pytest.raises(CapExceededError, match="1000000 > cap 100000"):
+            oracles.enumerate_rho(L({p: 9 for p in (2, 3, 5, 7, 11, 13)}))
 
 
 class TestFlatSection:
     def test_empty(self):
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
-        assert oracles.flat_section_at_identity(rho, lambda p: 1) == 1.0
+        assert oracles.flat_section_at_identity(LevelIdeal.unit(), lambda p: 1) == 1.0
 
     def test_depth_one_minus(self):
-        rho = [r for r in oracles.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
-        assert oracles.flat_section_at_identity(rho, lambda p: -1) == pytest.approx(-math.sqrt(2.0))
+        got = oracles.flat_section_at_identity(L({2: 1}), lambda p: -1)
+        assert got == pytest.approx(-math.sqrt(2.0))
 
     def test_depth_two_plus(self):
-        rho = [r for r in oracles.enumerate_rho(L({3: 2})) if dict(r.choices).get(P(3), 0) == 2][0]
-        got = oracles.flat_section_at_identity(rho, lambda p: 1)
+        got = oracles.flat_section_at_identity(L({3: 2}), lambda p: 1)
         assert got == pytest.approx(2.0 * math.sqrt(2.0))
 
 
@@ -194,13 +204,11 @@ class TestEdgePlaceFactor:
 
 class TestEdgeProductTaylor:
     def test_empty_assignment(self, ctx_trivial):
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
-        assert oracles.edge_product_taylor(rho, ctx_trivial.eta) == (1.0, 0.0, 0.0)
+        assert oracles.edge_product_taylor(LevelIdeal.unit(), ctx_trivial.eta) == (1.0, 0.0, 0.0)
 
     def test_single_place_first_order(self):
         eta = QuadraticCharacterProfile.from_signs({P(2): 1})
-        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if dict(r.choices).get(P(2), 0) == 2][0]
-        t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
+        t0, t1, t2 = oracles.edge_product_taylor(L({2: 2}), eta)
         block = rtf.EdgePlaceBlock(2, 2, 1)
         assert t1 == pytest.approx(rtf.edge_place_jet(block)[1], abs=1e-12)
 
@@ -216,11 +224,11 @@ class TestEdgeProductTaylor:
         eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): 1, P(5): -1})
         for spec in ({2: 1, 3: 1}, {2: 2, 3: 1, 5: 1}, {2: 1, 3: 2, 5: 3}):
             n = L(spec)
-            for rho in oracles.enumerate_rho(n):
-                if not 1 <= len(rho.active()) <= 3:
+            for d in oracles.enumerate_rho(n):
+                if not 1 <= len(d.factors) <= 3:
                     continue
                 blocks = [
-                    rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in rho.active()
+                    rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in d.factors
                 ]
 
                 def f(nu):
@@ -229,7 +237,7 @@ class TestEdgeProductTaylor:
                         acc *= rtf.edge_place_factor(nu, b).real
                     return acc
 
-                t0, t1, t2 = oracles.edge_product_taylor(rho, eta)
+                t0, t1, t2 = oracles.edge_product_taylor(d, eta)
                 fit = taylor_by_polyfit(f, -1.0)
                 scale = max(1.0, abs(t0), abs(t1), abs(t2))
                 assert abs(t0 - fit[0]) <= 1e-6 * scale
@@ -239,12 +247,10 @@ class TestEdgeProductTaylor:
 
 class TestResidueFactors:
     def test_value_half_one_trivial_vanishes(self):
-        rho = [r for r in oracles.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
-        assert oracles.residue_value_half_one(rho, lambda p: 1) == 0.0
+        assert oracles.residue_value_half_one(L({2: 1}), lambda p: 1) == 0.0
 
     def test_value_half_one_minus_sign(self):
-        rho = [r for r in oracles.enumerate_rho(L({2: 1})) if not r.is_empty()][0]
-        got = oracles.residue_value_half_one(rho, lambda p: -1)
+        got = oracles.residue_value_half_one(L({2: 1}), lambda p: -1)
         expected = (-2.0) * 2.0**-0.5 / (1.0 - 0.5)
         assert got == pytest.approx(expected, abs=1e-14)
 
@@ -267,8 +273,7 @@ class TestResidueFactors:
     def test_product_derivatives_product_rule(self):
         # The jet product of the per-place jets against finite differences of
         # the product of the factors (D**(-z) = 1 over Q).
-        rho = [r for r in oracles.enumerate_rho(L({2: 1, 3: 2})) if len(r.active()) == 2][-1]
-        blocks = [rtf.EdgePlaceBlock(p.q, k, 1) for p, k in rho.active()]
+        blocks = [rtf.EdgePlaceBlock(2, 1, 1), rtf.EdgePlaceBlock(3, 2, 1)]
         f = lambda z: math.prod(rtf.residue_place_factor(z, b) for b in blocks).real
         h = 1e-4
         fd1 = (f(h) - f(-h)) / (2.0 * h)
@@ -279,13 +284,13 @@ class TestResidueFactors:
 
     def test_specializations_empty_assignment(self, ctx_trivial):
         # The empty product has value 1 and no z-dependence over Q (log D = 0),
-        # and epsilon(0) = 1 for the trivial character, so a(rho) reduces to
+        # and epsilon(0) = 1 for the trivial character, so a(d) reduces to
         # the Laurent data: -2 r c1 + c0**2.
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
-        assert oracles.residue_value_half_one(rho, lambda p: 1) == 1.0
+        unit = LevelIdeal.unit()
+        assert oracles.residue_value_half_one(unit, lambda p: 1) == 1.0
         lau = ctx_trivial.laurent_eta
         expected = -2.0 * lau.residue * lau.c1 + lau.c0**2
-        assert oracles.residual_term_constant(rho, ctx_trivial) == pytest.approx(expected, abs=1e-15)
+        assert oracles.residual_term_constant(unit, ctx_trivial) == pytest.approx(expected, abs=1e-15)
 
 
 class TestSpectralEdgeConstants:
@@ -475,9 +480,8 @@ class TestOrbitConstant:
 
 class TestIntertwiningRatio:
     def test_empty_assignment_zeta_ratio(self):
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         nu = 0.3
-        got = rtf.intertwining_ratio(TRIVIAL, rho, nu)
+        got = rtf.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), nu)
         em = zeta_euler_maclaurin(1.3) / zeta_euler_maclaurin(0.7)
         assert got.real == pytest.approx(em, abs=1e-9)
         # coarse Euler-product corroboration for the numerator
@@ -486,16 +490,14 @@ class TestIntertwiningRatio:
 
     def test_value_at_zero_is_minus_one(self):
         # chi**2 is principal, so the L-ratio is zeta(1+nu)/zeta(1-nu) -> -1
-        rho = oracles.enumerate_rho(L({2: 2}))[2]
-        assert rtf.intertwining_ratio(TRIVIAL, rho, 0.0) == -1.0
+        assert rtf.intertwining_ratio(TRIVIAL, L({2: 2}), 0.0) == -1.0
 
     @pytest.mark.parametrize("nu", [0.0, 1e-14, -1e-14, 2e-14, 1e-10])
     @pytest.mark.parametrize("chi", [TRIVIAL, CHI5], ids=["trivial", "quad5"])
     def test_near_zero_against_mpmath(self, chi, nu):
         import mpmath as mp
 
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
-        got = rtf.intertwining_ratio(chi, rho, nu)
+        got = rtf.intertwining_ratio(chi, LevelIdeal.unit(), nu)
         with mp.workdps(30):
             if nu == 0:
                 want = -1
@@ -509,38 +511,33 @@ class TestIntertwiningRatio:
     def test_limit_is_one_where_chi_squared_is_nonprincipal(self):
         chi = DirichletCharacter(5, (1,))  # order 4: chi**2 is the quadratic character mod 5
         assert chi.square().primitive_character() == CHI5
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
-        assert rtf.intertwining_ratio(chi, rho, 0.0) == 1.0
+        unit = LevelIdeal.unit()
+        assert rtf.intertwining_ratio(chi, unit, 0.0) == 1.0
         for nu in (1e-14, -1e-14):
-            assert rtf.intertwining_ratio(chi, rho, nu) == pytest.approx(1.0, abs=1e-13)
+            assert rtf.intertwining_ratio(chi, unit, nu) == pytest.approx(1.0, abs=1e-13)
 
     def test_involution(self):
-        rho = oracles.enumerate_rho(L({2: 2, 3: 1}))[4]
+        d = L({2: 2})
         for chi in (TRIVIAL, CHI5):
             for nu in (0.3, 0.2 + 0.5j):
-                prod = rtf.intertwining_ratio(chi, rho, nu) * rtf.intertwining_ratio(
-                    chi, rho, -nu
-                )
+                prod = rtf.intertwining_ratio(chi, d, nu) * rtf.intertwining_ratio(chi, d, -nu)
                 assert prod == pytest.approx(1.0 + 0.0j, abs=1e-10)
 
     def test_power_factor(self):
         # one active place of depth k contributes q**(-k nu)
-        rho = [r for r in oracles.enumerate_rho(L({2: 2})) if dict(r.choices).get(P(2), 0) == 2][0]
         nu = 0.4
-        with_places = rtf.intertwining_ratio(TRIVIAL, rho, nu)
-        empty = rtf.intertwining_ratio(TRIVIAL, oracles.enumerate_rho(LevelIdeal.unit())[0], nu)
+        with_places = rtf.intertwining_ratio(TRIVIAL, L({2: 2}), nu)
+        empty = rtf.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), nu)
         assert with_places.real == pytest.approx(empty.real * 2.0 ** (-2 * nu), rel=1e-12)
 
     def test_ramified_overlap(self):
-        rho = [r for r in oracles.enumerate_rho(L({5: 1})) if not r.is_empty()][0]
         with pytest.raises(RamifiedOverlapError):
-            rtf.intertwining_ratio(CHI5, rho, 0.3)
+            rtf.intertwining_ratio(CHI5, L({5: 1}), 0.3)
 
     def test_denominator_zero_signaled(self):
         # 1 - nu = -2 is a trivial zero of zeta
-        rho = oracles.enumerate_rho(LevelIdeal.unit())[0]
         with pytest.raises(PoleError):
-            rtf.intertwining_ratio(TRIVIAL, rho, 3.0)
+            rtf.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), 3.0)
 
 
 class TestKernelNormalization:
