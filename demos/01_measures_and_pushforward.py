@@ -7,7 +7,6 @@ the per-prime density, including the factor-2 trap one falls into by
 treating the spectral window as a full angle sweep.
 """
 
-import math
 
 from rtflab.fields import RATIONALS
 from rtflab.measures import (
@@ -42,9 +41,9 @@ for p in (2, 3, 5, 7, 11):
 print("\n== change of variables x = 2 cos(y log q / 2) ==")
 q = 2
 place = RATIONALS.place_for_prime(q)
-window = 2.0 * math.pi / math.log(q)
-print(f"window at q={q}: [0, {window:.6f}]  (maps once onto [-2, 2])")
 lam, mu = local_spectral(place, 1), plancherel(q, 1)
+window = lam.hi  # 2 pi / log q
+print(f"window at q={q}: [0, {window:.6f}]  (maps once onto [-2, 2])")
 for frac in (0.25, 0.5, 0.75):
     y = frac * window
     x = satake_x_of_y(y, q)

@@ -28,7 +28,6 @@ _EXPORTS = {
         "enumerate_xi",
         "gauss_sum",
         "is_admissible_level",
-        "l_one",
     ),
     "local_factors": (
         "HigherConductor",

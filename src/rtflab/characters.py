@@ -37,16 +37,15 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from ._record import record
 from .errors import RamifiedOverlapError
 from .fields import FinitePlace, LevelIdeal, Place, RATIONALS, FieldProfile, factorize
-from .special import digamma
 
 if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the array functions only (`phase_matrix`,
-# `gauss_sums_for_modulus`), so the scalar paths, `l_one` among them, load
-# without it.  The grid helpers `axis_conductor_exponents`,
-# `primitive_axes` and `parity_vector` are plain integers, so `enumerate_xi`
-# (and `rtflab characters`) runs without numpy too.
+# `gauss_sums_for_modulus`), so the scalar paths load without it.  The grid
+# helpers `axis_conductor_exponents`, `primitive_axes` and `parity_vector`
+# are plain integers, so `enumerate_xi` (and `rtflab characters`) runs
+# without numpy too.
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +463,6 @@ def enumerate_xi(n: LevelIdeal | int, profile: FieldProfile = RATIONALS) -> list
 def census_proof_bound(n: LevelIdeal) -> float:
     """N(n)**(1/2) times the number of square divisors (class number one)."""
     return math.sqrt(n.norm()) * len(n.square_divisor_conductors())
-
-
-# ---------------------------------------------------------------------------
-# L(1, chi) by the digamma formula
-
-
-def l_one(chi: DirichletCharacter) -> float | complex:
-    """Finite-part L(1, chi) = -(1/m) sum_a chi(a) psi(a/m) for nontrivial even chi."""
-    if chi.order() == 1:
-        raise ValueError("L(1) of the trivial character is a pole")
-    m = chi.modulus
-    L = unit_group(m).exponent
-    acc = 0.0 + 0.0j
-    for a in range(m):
-        k = chi.phase_index(a)
-        if k is None:
-            continue
-        acc += _unit_root(k, L) * complex(digamma(a / m))
-    acc = -acc / m
-    if abs(acc.imag) < 1e-12 * max(1.0, abs(acc.real)):
-        return acc.real
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ is within tolerance.  A global tolerance override exists so a caller can
 tighten all checks at once (tightening beyond floating point is expected to
 fail, and the failing checks are reported by name).
 
-Each check group imports what it runs, as each CLI subcommand does: the
-analytic modules `lfunctions` and `rtf_constants` are imported inside
-`check_rtf_constants`, and the second routes of `oracles` inside
-`xi_matches_brute_force` and `check_rtf_constants`.  mpmath is imported by
-the working-precision evaluators and stencil fits that only the rtf checks
-call.  So when `run_all_checks` runs its groups in several processes, only
-the one that runs the `rtf` group loads mpmath.
+Each check group imports what it runs, as each CLI subcommand does:
+`lfunctions` is imported inside `check_characters` (L(1, chi_5) is read off
+its Laurent data) and `check_rtf_constants`, `rtf_constants` inside
+`check_rtf_constants` alone, and the second routes of `oracles` inside
+`xi_matches_brute_force` and `check_rtf_constants`.  `lfunctions` loads no
+mpmath at import: mpmath is imported by the working-precision evaluators
+and stencil fits that only the rtf checks call.  So when `run_all_checks`
+runs its groups in several processes, only the one that runs the `rtf`
+group loads mpmath.
 """
 
 from __future__ import annotations
@@ -182,8 +184,11 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
         return defects
 
     def golden_defect() -> float:
+        # L(1, chi_5) = Lambda(1, chi_5) / sqrt(5), the Laurent constant c0.
+        from . import lfunctions as lfn
+
         golden = 2.0 / math.sqrt(5.0) * math.log((1.0 + math.sqrt(5.0)) / 2.0)
-        return abs(float(chars.l_one(chars.DirichletCharacter.quadratic(5))) - golden)
+        return abs(lfn.laurent_at_1(chars.DirichletCharacter.quadratic(5)).c0 / math.sqrt(5.0) - golden)
 
     return _run(tol, [
         ("characters.eta_tilde_multiplicative", eta_tilde_defects, 0),
@@ -201,8 +206,8 @@ def xi_matches_brute_force(m: int, listed: list[chars.DirichletCharacter] | None
     `enumerate_xi` lists it here.  Both sides become rows of integer phases
     over the units mod m, scaled to N = phi(m).  A listed character has
     conductor f | m, so every unit mod m is a unit mod f and its group
-    exponent divides N.  The sides are compared as lexsorted matrices, row
-    for row, so a character listed twice is a mismatch too.
+    exponent divides N.  The sides are compared as sorted lists of row
+    bytes, so a character listed twice is a mismatch too.
     """
     from . import oracles
 
@@ -222,11 +227,14 @@ def xi_matches_brute_force(m: int, listed: list[chars.DirichletCharacter] | None
     # character whose conductor divides m, so its square divides m**2.
     if m > 2:
         brute = brute[brute[:, units.index(m - 1)] == 0]
-    return np.array_equal(_lexsorted(np.concatenate(induced)), _lexsorted(brute))
+    return np.array_equal(_sorted_rows(np.concatenate(induced)), _sorted_rows(brute))
 
 
-def _lexsorted(rows: np.ndarray) -> np.ndarray:
-    return rows[np.lexsort(rows.T)]
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of an int64 matrix as one byte string, sorted: two matrices
+    give equal arrays exactly when they hold the same rows equally often."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
 
 
 def check_local_factors(tol: float | None) -> list[CheckResult]:
@@ -334,8 +342,9 @@ def check_measures(tol: float | None) -> list[CheckResult]:
         # window midpoint.  The kernel is the formula on all of R.
         worst = 0.0
         for q in (2, 5):
-            window = 2.0 * math.pi / math.log(q)
-            kernels = {sign: meas.local_spectral(_place(q), sign).kernel for sign in (1, -1)}
+            densities = {sign: meas.local_spectral(_place(q), sign) for sign in (1, -1)}
+            window = densities[1].hi
+            kernels = {sign: density.kernel for sign, density in densities.items()}
             for fn in kernels.values():
                 for y in np.linspace(0.05 * window, 0.95 * window, 40):
                     base = fn(float(y))
@@ -353,7 +362,7 @@ def check_measures(tol: float | None) -> list[CheckResult]:
             for density in densities:
                 neg = min(neg, density(float(x)))
         lambdas = [meas.local_spectral(_place(2), sign) for sign in (1, -1)]
-        for y in np.linspace(0.0, 2.0 * math.pi / math.log(2.0), 101):
+        for y in np.linspace(0.0, lambdas[0].hi, 101):
             for density in lambdas:
                 neg = min(neg, density(float(y)))
         arch = meas.local_spectral(RATIONALS.archimedean_places[0], 1)
@@ -532,8 +541,12 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         return max(worst, abs(complex(base) - lhat5))
 
     def orbit_growth_defect() -> float:
+        # The archimedean term (1/2)(gamma + 2 log 2 - log pi) of C_eta at
+        # S = {} and a = (1), against -(1/2)(psi(1/2) + log pi), which reads
+        # no Euler constant; then the growth in log N(n).
         laurent1 = lfn.laurent_at_1(trivial)
-        worst = 0.0
+        at_unit = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), laurent1).real - laurent1.c0
+        worst = abs(at_unit + 0.5 * (digamma(0.5) + math.log(math.pi)))
         for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
             n = _level(spec)
             delta = rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, n, laurent1) - \

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._record import record
-from .measures import Density, integrate_density
-from .quadrature import cos_substituted, kronrod_cells
+from .measures import Density, integrate_density, theta_integrand
+from .quadrature import kronrod_cells
 
 CSV_COLUMNS = ("level_norm", "place_q", "x", "weight")
 # Rows formatted per block by write_sample_csv.
@@ -154,10 +154,10 @@ class CdfInterpolator:
     """CDF of a density on a finite interval, tabulated on a fixed grid.
 
     Semicircle-type densities on [-2, 2] get a theta-uniform grid through
-    x = 2 cos(theta), which concentrates nodes at the square-root endpoints
-    and keeps the substituted integrand smooth; other densities (e.g. the
-    finite-place spectral windows) use a uniform grid.  Fixed Kronrod panels
-    per cell keep the table byte-stable.
+    x = 2 cos(theta), which concentrates nodes at the square-root endpoints,
+    and each cell integrates `measures.theta_integrand`; other densities
+    (e.g. the finite-place spectral windows) use a uniform grid.  Fixed
+    Kronrod panels per cell keep the table byte-stable.
     """
 
     def __init__(self, density: Density, grid: int = 2048):
@@ -167,7 +167,7 @@ class CdfInterpolator:
             thetas = np.linspace(math.pi, 0.0, grid + 1)  # x ascending from -2 to 2
             xs = 2.0 * np.cos(thetas)
             # theta decreases across each cell, so the signed cell integrals flip
-            increments = -np.array(kronrod_cells(cos_substituted(density.kernel), thetas.tolist()))
+            increments = -np.array(kronrod_cells(theta_integrand(density), thetas.tolist()))
         else:
             xs = np.linspace(density.lo, density.hi, grid + 1)
             increments = np.array(kronrod_cells(density.kernel, xs.tolist()))

@@ -238,7 +238,9 @@ def laurent_at_1(xi: DirichletCharacter) -> LaurentData:
     A real even primitive chi mod m has root number 1, so
     Lambda(1 + h) = Lambda(-h): c0 = Lambda(0) = 2 L'(0) and
     c1 = -Lambda'(0) = -sum chi(a) zeta''(0, a/m) + (log(m pi) + gamma) L'(0),
-    where L'(0) = sum chi(a) log Gamma(a/m) (Lerch).  The residue is 0.
+    where L'(0) = sum chi(a) log Gamma(a/m) (Lerch).  The residue is 0, and
+    c0 = Lambda(1) = sqrt(m) L(1, chi): c0 / sqrt(m) is the one route to
+    L(1, chi).
     Since chi is even, pairing a with m - a by the reflection formula gives
     L'(0) = -sum_{a < m/2} chi(a) log sin(pi a / m), with half the terms and
     no lgamma: over the 30 even primitive quadratic conductors <= 100 it is

@@ -2,13 +2,15 @@
 
 The semicircle density, the per-prime level-aspect densities against both
 signs, and the per-place spectral densities (archimedean and finite) live
-here, together with the change-of-variables machinery that identifies the
-finite-place density with the per-prime density under x = 2 cos(y log(q)/2).
-The half-angle in that map is essential: with it, the window
-[0, 2 pi / log q] maps once onto [-2, 2] and the transported density matches
-pointwise (total mass one); dropping the halving, as if the full window were
-an angle sweep, scales the Jacobian by exactly two, which is the negative
-control exposed below.
+here, with every use of the Satake variable x = 2 cos(theta): semicircle-type
+densities are integrated in theta (`theta_integrand`), and the finite-place
+density is the per-prime density transported by x = 2 cos(y log(q)/2) from
+the window [0, 2 pi / log q], which `local_spectral` computes once
+(``Density.hi``).  The half-angle in that map is essential: with it, the
+window maps once onto [-2, 2] and the transported density matches pointwise
+(total mass one); dropping the halving, as if the full window were an angle
+sweep, scales the Jacobian by exactly two, which is the negative control
+exposed below.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ from ._record import record
 from .errors import DomainError
 from .fields import ArchimedeanPlace, FieldProfile, FinitePlace, Place, RATIONALS
 from .local_factors import local_l_arch_spherical, local_l_character
-from .quadrature import (
-    QuadratureResult,
-    integrate,
-    integrate_with_cos_substitution,
-)
+from .quadrature import QuadratureResult, integrate
 from .special import abs_gamma_iy_sq_inv
 
 _EDGE_TOL = 1e-9
@@ -67,17 +65,36 @@ class Density:
 
 
 def integrate_density(density: Density, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
-    """Integrate a density over [a, b] within its domain.
+    """Signed integral of a density from a to b, both inside its domain.
 
-    Endpoint square-root singularities of semicircle-type densities are
-    handled by the x = 2 cos(theta) substitution.
+    Reversed bounds give the negative, as `integrate` does, for every kind
+    of density.  Endpoints within the edge tolerance of the domain are
+    clamped onto it; others raise DomainError.  A semicircle-type density
+    (``cos_substitution``) is integrated in theta = arccos(x / 2).
     """
-    if a < density.lo - _EDGE_TOL or b > density.hi + _EDGE_TOL:
+    lo, hi = density.lo, density.hi
+    if not all(lo - _EDGE_TOL <= t <= hi + _EDGE_TOL for t in (a, b)):
         raise DomainError(f"[{a}, {b}] is not inside the domain of {density.tag}")
-    a, b = max(a, density.lo), min(b, density.hi)
+    a, b = min(max(a, lo), hi), min(max(b, lo), hi)
     if density.cos_substitution:
-        return integrate_with_cos_substitution(density.kernel, a, b, tol)
+        # theta decreases as x increases, so the bounds swap.
+        return integrate(theta_integrand(density), math.acos(b / 2.0), math.acos(a / 2.0), tol)
     return integrate(density.kernel, a, b, tol)
+
+
+def theta_integrand(density: Density) -> Callable[[float], float]:
+    """The kernel of a density on [-2, 2] in theta: kernel(2 cos theta) * 2 sin theta.
+
+    Its integral over [theta_lo, theta_hi] inside [0, pi] is that of the
+    density over [2 cos theta_hi, 2 cos theta_lo].  For a density with
+    sqrt(4 - x**2) endpoints it is smooth there.
+    """
+    kernel = density.kernel
+
+    def g(theta: float) -> float:
+        return kernel(2.0 * math.cos(theta)) * 2.0 * math.sin(theta)
+
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +249,8 @@ def pushforward_check(place: FinitePlace, sign: int, grid_size: int = 1000) -> f
     per-prime density transported by x = 2 cos(y log(q)/2).
     """
     q = place.q
-    half = math.pi / math.log(q)
     density, mu = local_spectral(place, sign), plancherel(q, sign)
+    half = density.hi / 2  # pi / log q to the bit: halving is exact
     worst = 0.0
     for i in range(1, grid_size + 1):
         y = half * i / (grid_size + 1)
@@ -255,11 +272,10 @@ def pushforward_fullwindow_factor(
     the factor 2, uniformly in y and for both signs.
     """
     q = place.q
-    full = 2.0 * math.pi / math.log(q)
     density, mu = local_spectral(place, sign), plancherel(q, sign)
     lo, hi = math.inf, -math.inf
     for i in range(1, grid_size + 1):
-        y = full * i / (grid_size + 1)
+        y = density.hi * i / (grid_size + 1)
         x = satake_x_of_y(y, q)
         unhalved = mu(x) * math.log(q) * math.sqrt(max(4.0 - x * x, 0.0))
         ratio = unhalved / density(y)
@@ -294,10 +310,9 @@ def spectral_pairing(
     ):
         fn, (a, b) = test_functions[place]
         if isinstance(place, FinitePlace):
-            window = 2.0 * math.pi / math.log(place.q)
-            if not (0.0 - _EDGE_TOL <= a <= b <= window + _EDGE_TOL):
-                raise DomainError(f"support [{a}, {b}] outside the window at {place.label}")
             density = local_spectral(place, eta_sign_at(place))
+            if not (0.0 - _EDGE_TOL <= a <= b <= density.hi + _EDGE_TOL):
+                raise DomainError(f"support [{a}, {b}] outside the window at {place.label}")
             res = integrate(lambda y: fn(y) * density(y), a, b, tol)
         else:
             if a < -_EDGE_TOL or b == math.inf:

@@ -135,6 +135,30 @@ def _stencil_inverse(width: float) -> mp.matrix:
         return mp.inverse(v)
 
 
+def _stencil_parts(f: Callable, center: float, pole_order: int, h: mp.mpf) -> tuple:
+    """(even, odd) parts at h of g(h) = h**pole_order * f(center + h):
+    (g(h) + g(-h)) / 2 and (g(h) - g(-h)) / (2 h), at the working precision
+    of the caller."""
+    import mpmath as mp
+
+    gp = mp.mpc(f(center + h)) * h**pole_order
+    gm = mp.mpc(f(center - h)) * (-h) ** pole_order
+    return (gp + gm) / 2, (gp - gm) / (2 * h)
+
+
+def _fit_series(parts: Callable, width: float) -> list[float]:
+    """The `extract_series` fit from ``parts(h)``, the `_stencil_parts` at
+    each of the widths width / 2**i, at the working precision of the caller."""
+    import mpmath as mp
+
+    evens, odds = zip(*(parts(mp.mpf(width) / 2**i) for i in range(_STENCIL_LEVELS)))
+    inverse = _stencil_inverse(width)
+    even_coeffs = inverse * mp.matrix(evens)
+    odd_coeffs = inverse * mp.matrix(odds)
+    # coefficients a_0, a_1, a_2, ... of g(h)
+    return [float(mp.re(c[j])) for j in range(_STENCIL_LEVELS) for c in (even_coeffs, odd_coeffs)]
+
+
 def extract_series(f: Callable, center: float, pole_order: int, width: float) -> list[float]:
     """First ``2 * _STENCIL_LEVELS`` Taylor coefficients of
     h**pole_order * f(center + h).
@@ -149,20 +173,8 @@ def extract_series(f: Callable, center: float, pole_order: int, width: float) ->
 
     from .lfunctions import _DPS
 
-    levels = _STENCIL_LEVELS
     with mp.workdps(_DPS):
-        evens, odds = [], []
-        for i in range(levels):
-            h = mp.mpf(width) / 2**i
-            gp = mp.mpc(f(center + h)) * h**pole_order
-            gm = mp.mpc(f(center - h)) * (-h) ** pole_order
-            evens.append((gp + gm) / 2)
-            odds.append((gp - gm) / (2 * h))
-        inverse = _stencil_inverse(width)
-        even_coeffs = inverse * mp.matrix(evens)
-        odd_coeffs = inverse * mp.matrix(odds)
-        # coefficients a_0, a_1, a_2, ... of g(h)
-        return [float(mp.re(c[j])) for j in range(levels) for c in (even_coeffs, odd_coeffs)]
+        return _fit_series(partial(_stencil_parts, f, center, pole_order), width)
 
 
 def laurent_at_1_two_widths(xi: DirichletCharacter) -> tuple[LaurentData, LaurentData]:
@@ -170,17 +182,23 @@ def laurent_at_1_two_widths(xi: DirichletCharacter) -> tuple[LaurentData, Lauren
 
     The residue of the completed zeta (the trivial character's) is extracted,
     not assumed.  The check suite compares the two results with each other
-    and with `lfunctions.laurent_at_1`.
+    and with `lfunctions.laurent_at_1`.  The check width is half the base
+    width, so the two fits share three of their four levels: the nodes are
+    equal as mpf (halving is exact), and each is evaluated once.  Both fits
+    equal those of two `extract_series` calls, bit for bit.
     """
-    from .lfunctions import LaurentData, _completed_l_mp, _is_trivial
+    import mpmath as mp
+
+    from .lfunctions import _DPS, LaurentData, _completed_l_mp, _is_trivial
 
     pole = 1 if _is_trivial(xi) else 0
-    f = partial(_completed_l_mp, chi=xi)
-    # A regular point has residue 0: pad the fitted coefficients accordingly.
-    first, second = (
-        LaurentData(*([0.0] * (1 - pole) + extract_series(f, 1.0, pole, w))[:3])
-        for w in (_STENCIL_WIDTH, _CHECK_WIDTH)
-    )
+    parts = cache(partial(_stencil_parts, partial(_completed_l_mp, chi=xi), 1.0, pole))
+    with mp.workdps(_DPS):
+        # A regular point has residue 0: pad the fitted coefficients accordingly.
+        first, second = (
+            LaurentData(*([0.0] * (1 - pole) + _fit_series(parts, w))[:3])
+            for w in (_STENCIL_WIDTH, _CHECK_WIDTH)
+        )
     return first, second
 
 

@@ -1,11 +1,9 @@
-"""Adaptive Gauss-Kronrod quadrature with endpoint-singularity substitution.
+"""Adaptive Gauss-Kronrod quadrature and fixed Kronrod cells.
 
 The panel rule is the embedded (G7, K15) pair; panels are split greedily on
 the largest error estimate with a deterministic tie-break, so results are
-bit-stable across runs.  Densities with square-root endpoint behaviour on
-[-2, 2] are integrated after the substitution x = 2 cos(theta), which removes
-the derivative blow-up that defeats the plain adaptive rule at tight
-tolerances.
+bit-stable across runs.  The rules know nothing of densities: the change of
+variables that smooths square-root endpoints is in :mod:`rtflab.measures`.
 """
 
 from __future__ import annotations
@@ -133,33 +131,3 @@ def integrate(
         panels.append(right)
         splits += 1
 
-
-def integrate_with_cos_substitution(
-    density: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> QuadratureResult:
-    """Integrate a density on [a, b] inside [-2, 2] via x = 2 cos(theta).
-
-    Intended for densities proportional to sqrt(4 - x**2) near the endpoints;
-    the substitution makes the transformed integrand smooth there.
-    """
-    if not (-2.0 - 1e-12 <= a <= b <= 2.0 + 1e-12):
-        raise ValueError("substituted integration requires [a, b] inside [-2, 2]")
-    a = max(a, -2.0)
-    b = min(b, 2.0)
-    theta_hi = math.acos(a / 2.0)
-    theta_lo = math.acos(b / 2.0)
-    return integrate(cos_substituted(density), theta_lo, theta_hi, tol=tol)
-
-
-def cos_substituted(density: Callable[[float], float]) -> Callable[[float], float]:
-    """The integrand density(2 cos(theta)) * 2 sin(theta) in theta; its integral
-    over [theta_lo, theta_hi] is that of the density over [2 cos(theta_hi),
-    2 cos(theta_lo)]."""
-
-    def g(theta: float) -> float:
-        return density(2.0 * math.cos(theta)) * 2.0 * math.sin(theta)
-
-    return g

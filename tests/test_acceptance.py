@@ -20,13 +20,12 @@ from rtflab.characters import (
     census_proof_bound,
     enumerate_xi,
     gauss_sums_for_modulus,
-    l_one,
 )
 from rtflab.checks import run_all_checks, xi_matches_brute_force
 from rtflab.cli import main as cli_main
 from rtflab.empirical import inverse_cdf_sample, sample_from_rows, write_sample_csv
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.lfunctions import edge_coefficients
+from rtflab.lfunctions import edge_coefficients, laurent_at_1
 from rtflab.local_factors import HigherConductor, Special, Spherical, global_weight, r_weight
 from rtflab.measures import (
     plancherel,
@@ -244,7 +243,7 @@ def test_criterion_07_character_suite():
             bound_ok = False
 
     golden = 2.0 / math.sqrt(5.0) * math.log((1.0 + math.sqrt(5.0)) / 2.0)
-    l_defect = abs(float(l_one(CHI5)) - golden)
+    l_defect = abs(laurent_at_1(CHI5).c0 / math.sqrt(5.0) - golden)
 
     _finish(
         7,

@@ -22,7 +22,6 @@ from rtflab.characters import (
     gauss_sum,
     gauss_sums_for_modulus,
     is_admissible_level,
-    l_one,
     parity_vector,
     phase_matrix,
     primitive_axes,
@@ -31,7 +30,7 @@ from rtflab.characters import (
 from rtflab.cli import main
 from rtflab.errors import RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS, parse_factored_level
-from rtflab.lfunctions import completed_l
+from rtflab.lfunctions import completed_l, laurent_at_1
 from rtflab.oracles import brute_force_phase_tables, conductor_by_divisor_test
 
 P = RATIONALS.place_for_prime
@@ -419,6 +418,12 @@ class TestCharacterGrid:
         )
 
 
+def l_one(chi: DirichletCharacter) -> float:
+    """L(1, chi) of a real even primitive chi mod m by its one route: the
+    Laurent constant c0 = Lambda(1, chi) = sqrt(m) L(1, chi)."""
+    return laurent_at_1(chi).c0 / math.sqrt(chi.modulus)
+
+
 class TestLOne:
     def test_golden_ratio_closed_form(self):
         # class-number-formula oracle for the quadratic character mod 5
@@ -431,23 +436,26 @@ class TestLOne:
         series = dirichlet_series_l_one(chi8)
         assert l_one(chi8) == pytest.approx(series, abs=1e-8)
 
-    def test_digamma_vs_series_even_primitive(self):
+    def test_laurent_vs_series_even_primitive(self):
         for m in (5, 8, 12, 13):
             for chi in enumerate_character_group(m):
                 if not (chi.is_primitive() and chi.is_even() and chi.order() == 2):
                     continue
                 series = dirichlet_series_l_one(chi)
-                assert float(l_one(chi)) == pytest.approx(series, abs=1e-8)
+                assert l_one(chi) == pytest.approx(series, abs=1e-8)
 
-    def test_trivial_rejected(self):
+    def test_trivial_is_a_pole(self):
+        # L(1) of the trivial character is a pole: the Laurent data carry
+        # residue 1, and an imprimitive trivial character is refused.
+        assert laurent_at_1(DirichletCharacter.trivial()).residue == 1.0
         with pytest.raises(ValueError):
-            l_one(DirichletCharacter.trivial(1))
+            laurent_at_1(DirichletCharacter.trivial(6))
 
     def test_completed_accessor(self):
         # (m/pi)**(1/2) Gamma(1/2) = sqrt(m): the completed L at 1 is sqrt(m) L(1)
         chi5 = DirichletCharacter.quadratic(5)
         completed = completed_l(1.0, chi5).real
-        assert completed == pytest.approx(math.sqrt(5.0) * float(l_one(chi5)), abs=1e-12)
+        assert completed == pytest.approx(math.sqrt(5.0) * l_one(chi5), abs=1e-12)
 
 
 class TestQuadraticProfile:

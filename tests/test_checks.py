@@ -14,6 +14,7 @@ from rtflab.checks import (
     xi_matches_brute_force,
 )
 from rtflab.fields import LevelIdeal
+from rtflab.special import EULER_GAMMA
 
 
 class TestCrashIsolation:
@@ -43,7 +44,9 @@ class TestCrashIsolation:
         results = run_all_checks()
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.passed]
+        # L(1, chi_5) is read off the Laurent constant c0 too.
         assert [r.name for r in failed] == [
+            "characters.l_one_golden_ratio",
             "rtf.edge_taylor_vs_numeric",
             "rtf.laurent_two_widths",
             "rtf.edge_coefficients_reconstruct",
@@ -158,8 +161,9 @@ class TestCrashIsolation:
             raise ValueError("broken")
 
         monkeypatch.setattr(oracles, "brute_force_phase_tables", boom)
-        for name in ("gauss_sums_for_modulus", "enumerate_xi", "l_one"):
+        for name in ("gauss_sums_for_modulus", "enumerate_xi"):
             monkeypatch.setattr(characters, name, boom)
+        monkeypatch.setattr(lfunctions, "laurent_at_1", boom)
         monkeypatch.setattr(characters.QuadraticCharacterProfile, "from_signs", boom)
         results = check_characters(None, census_limit=5, gauss_limit=5)
         assert [r.name for r in results] == [
@@ -258,3 +262,22 @@ class TestSecondMomentConstantSensitivity:
         assert main(["constants", "--n", "2^2*3"]) == 0
         c_eta = json.loads(capsys.readouterr().out)["C_eta_big"]
         assert c_eta == pytest.approx(1.01 * honest_c_eta, rel=1e-14)
+
+    def test_wrong_euler_constant_fails_the_log_growth_check(self, monkeypatch, capsys):
+        # The archimedean term (d/2)(gamma + 2 log 2 - log pi) of C_eta cancels
+        # in the growth differences; the check also compares it at a = (1)
+        # with -(1/2)(psi(1/2) + log pi), which reads no Euler constant.
+        import json
+
+        from rtflab.cli import main
+
+        assert main(["constants", "--n", "2^2*3"]) == 0
+        honest_c_eta = json.loads(capsys.readouterr().out)["C_eta_big"]
+        monkeypatch.setattr(rtf_constants, "EULER_GAMMA", 0.6)
+        by_name = {r.name: r for r in check_rtf_constants(None)}
+        assert [name for name, r in by_name.items() if not r.passed] == ["rtf.orbit_constant_log_growth"]
+        assert by_name["rtf.orbit_constant_log_growth"].observed == pytest.approx(
+            0.5 * (0.6 - EULER_GAMMA), rel=1e-9
+        )
+        assert main(["constants", "--n", "2^2*3"]) == 0
+        assert json.loads(capsys.readouterr().out)["C_eta_big"] != honest_c_eta

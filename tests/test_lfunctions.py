@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from rtflab import oracles
-from rtflab.characters import DirichletCharacter, l_one
+from rtflab.characters import DirichletCharacter
 from rtflab.errors import PoleError
 from rtflab.lfunctions import (
     _DPS,
@@ -68,9 +68,11 @@ class TestEvaluators:
         with pytest.raises(PoleError):
             completed_l(s, TRIVIAL)
 
-    def test_l_fin_at_one_matches_digamma_formula(self):
+    def test_l_fin_at_one_matches_laurent_constant(self):
+        # L(1, chi) = c0 / sqrt(m): the mpmath digamma sum against Lerch's formula
         for chi in (CHI5, CHI8):
-            assert l_fin(1.0, chi).real == pytest.approx(float(l_one(chi)), abs=1e-12)
+            want = laurent_at_1(chi).c0 / math.sqrt(chi.modulus)
+            assert l_fin(1.0, chi).real == pytest.approx(want, abs=1e-12)
 
     def test_l_fin_euler_factor_removal(self):
         # trivial character mod 6 = zeta with factors at 2 and 3 removed
@@ -93,7 +95,8 @@ class TestEvaluators:
         v0 = completed_l(0.0, CHI5)
         v1 = completed_l(1.0, CHI5)
         assert v0 == pytest.approx(v1, abs=1e-12)
-        assert v1.real == pytest.approx(math.sqrt(5.0 / math.pi) * math.gamma(0.5) * float(l_one(CHI5)), rel=1e-12)
+        golden = 2.0 / math.sqrt(5.0) * math.log((1.0 + math.sqrt(5.0)) / 2.0)  # L(1, chi_5)
+        assert v1.real == pytest.approx(math.sqrt(5.0 / math.pi) * math.gamma(0.5) * golden, rel=1e-12)
 
 
 class TestLaurent:
@@ -204,6 +207,30 @@ class TestLaurent:
             r1 = [(4 * diffs[i + 1] - diffs[i]) / 3 for i in range(2)]
             ref = float(mpmath.re((16 * r1[1] - r1[0]) / 15))
         assert data.c1 == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("xi", [TRIVIAL, CHI5], ids=["trivial", "chi5"])
+    def test_two_widths_share_their_nodes(self, monkeypatch, xi):
+        # Widths 1e-2 and 5e-3 share three of their four levels: 5 levels,
+        # two points each, and both fits equal two plain stencil fits.
+        from functools import partial
+
+        from rtflab import lfunctions
+
+        honest = lfunctions._completed_l_mp
+        pole = 1 if xi == TRIVIAL else 0
+        plain = [extract_series(partial(honest, chi=xi), 1.0, pole, w) for w in (1e-2, 5e-3)]
+        calls = []
+
+        def counted(s, chi):
+            calls.append(s)
+            return honest(s, chi)
+
+        monkeypatch.setattr(lfunctions, "_completed_l_mp", counted)
+        first, second = laurent_at_1_two_widths(xi)
+        assert len(calls) == 10
+        for got, fit in ((first, plain[0]), (second, plain[1])):
+            want = ([0.0] * (1 - pole) + fit)[:3]
+            assert (got.residue, got.c0, got.c1) == tuple(want)
 
     def test_disagreement_raises(self):
         # A function with a branch point at the expansion center defeats the
@@ -366,9 +393,9 @@ class TestHotPath:
         def boom(*args, **kwargs):
             raise RuntimeError("stencil route reached from the constants path")
 
-        # Every stencil fit goes through `oracles.extract_series`, which the
+        # Every stencil fit goes through `oracles._fit_series`, which the
         # oracles call by its module-level name.
-        monkeypatch.setattr(oracles, "extract_series", boom)
+        monkeypatch.setattr(oracles, "_fit_series", boom)
         ctx = eta_context(DirichletCharacter.quadratic(13))
         assert ctx.edge.c_zero > 0.0
         assert cli.main(["constants", "--n", "2^2*3", "--eta", "quad:5"]) == 0
@@ -382,8 +409,10 @@ class TestHotPath:
         def boom(*args, **kwargs):
             raise RuntimeError("stencil reached")
 
-        monkeypatch.setattr(oracles, "extract_series", boom)
+        monkeypatch.setattr(oracles, "_fit_series", boom)
         with pytest.raises(RuntimeError, match="stencil reached"):
             oracles.laurent_at_1_two_widths(TRIVIAL)
         with pytest.raises(RuntimeError, match="stencil reached"):
             oracles.laurent_at_1_two_widths(CHI5)
+        with pytest.raises(RuntimeError, match="stencil reached"):
+            oracles.extract_series(mpmath.exp, 0.0, 0, 1e-2)

@@ -10,6 +10,7 @@ from rtflab.fields import FinitePlace, RATIONALS
 from rtflab import local_factors
 from rtflab.local_factors import local_l_arch_spherical, local_l_character, local_l_spherical
 from rtflab.measures import (
+    Density,
     dx_dy_abs,
     integrate_density,
     local_spectral,
@@ -20,6 +21,7 @@ from rtflab.measures import (
     sato_tate,
     satake_x_of_y,
     spectral_pairing,
+    theta_integrand,
 )
 
 P = RATIONALS.place_for_prime
@@ -188,6 +190,67 @@ class TestSpectralPairing:
     def test_rejects_support_outside_window(self):
         with pytest.raises(DomainError):
             spectral_pairing({P(2): (lambda y: 1.0, (0.0, 100.0))}, lambda p: 1, 1.0)
+
+
+def unit_domain_density(kernel, cos_substitution=True):
+    return Density(-2.0, 2.0, kernel, "test", cos_substitution=cos_substitution)
+
+
+class TestCosSubstitution:
+    """`integrate_density` integrates a semicircle-type density in theta."""
+
+    def test_semicircle_quarter(self):
+        # closed form: integral of sqrt(4 - x^2) over [0, 2] is pi
+        density = unit_domain_density(lambda x: math.sqrt(max(4.0 - x * x, 0.0)))
+        res = integrate_density(density, 0.0, 2.0, 1e-12)
+        assert res.value == pytest.approx(math.pi, abs=1e-12)
+
+    def test_full_semicircle_mass(self):
+        res = integrate_density(MU_ST, -2.0, 2.0, 1e-12)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_outside_square_bracket(self):
+        with pytest.raises(DomainError):
+            integrate_density(unit_domain_density(lambda x: 1.0), -3.0, 1.0)
+
+    def test_substitution_beats_naive_rule_at_endpoint(self):
+        # The raw adaptive rule needs far more panels for the sqrt endpoint.
+        f = lambda x: math.sqrt(max(4.0 - x * x, 0.0))
+        sub = integrate_density(unit_domain_density(f), -2.0, 2.0, 1e-12)
+        naive = integrate_density(unit_domain_density(f, cos_substitution=False), -2.0, 2.0, 1e-9)
+        assert sub.subdivisions < naive.subdivisions
+        assert sub.value == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+    def test_theta_integrand_is_the_substituted_kernel(self):
+        for theta in (0.0, 0.3, 1.0, 2.5, math.pi):
+            want = MU_ST.kernel(2.0 * math.cos(theta)) * 2.0 * math.sin(theta)
+            assert theta_integrand(MU_ST)(theta) == want
+
+
+class TestReversedBounds:
+    """One rule for every kind of density: reversed bounds give the signed
+    integral, as `integrate` does."""
+
+    @pytest.mark.parametrize(
+        "density, a, b",
+        [(MU_ST, -1.0, 1.0), (plancherel(3, -1), -2.0, 0.5),
+         (local_spectral(P(3), 1), 1.0, 2.0), (local_spectral(P(2), -1), 0.0, 9.0)],
+        ids=["mu_ST", "mu_3-", "lambda_3+", "lambda_2-"],
+    )
+    def test_reversed_bounds_negate(self, density, a, b):
+        forward = integrate_density(density, a, b, 1e-11).value
+        backward = integrate_density(density, b, a, 1e-11).value
+        assert forward > 0.0
+        assert backward == pytest.approx(-forward, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "density, a, b",
+        [(MU_ST, 3.0, 1.0), (MU_ST, 1.0, -2.5), (local_spectral(P(3), 1), 10.0, 1.0),
+         (local_spectral(P(3), 1), 1.0, -0.5), (MU_ST, math.nan, 1.0)],
+    )
+    def test_either_endpoint_outside_the_domain_is_rejected(self, density, a, b):
+        with pytest.raises(DomainError, match="is not inside the domain"):
+            integrate_density(density, a, b)
 
 
 class TestRefinement:

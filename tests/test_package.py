@@ -16,7 +16,7 @@ EXPORTED = {
     "fields": ["ArchimedeanPlace", "FieldProfile", "FinitePlace", "LevelIdeal", "RATIONALS",
                "index_k0"],
     "characters": ["DirichletCharacter", "QuadraticCharacterProfile", "enumerate_xi",
-                   "gauss_sum", "is_admissible_level", "l_one"],
+                   "gauss_sum", "is_admissible_level"],
     "local_factors": ["HigherConductor", "Special", "Spherical",
                       "adjoint_norm_factor", "global_weight",
                       "local_l_arch_spherical", "local_l_character", "local_l_spherical",
@@ -39,8 +39,8 @@ EXPORTED = {
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
-def test_fifty_seven_names():
-    assert len(NAMES) == 57
+def test_fifty_six_names():
+    assert len(NAMES) == 56
     assert sorted(rtflab.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -250,17 +250,69 @@ def test_oracles_import_no_analytic_module_at_import_time():
     assert "numpy" in import_time_modules(SRC / "oracles.py")
 
 
-def test_checks_import_the_analytic_modules_in_the_rtf_group_only():
+def test_checks_load_mpmath_and_rtf_constants_in_the_rtf_group_only():
     # Each check group imports what it runs, so only the process that runs
-    # `check_rtf_constants` loads mpmath.
+    # `check_rtf_constants` loads mpmath or `rtf_constants`.  `lfunctions`,
+    # which `check_characters` reads L(1, chi_5) from, loads no mpmath at import.
     path = SRC / "checks.py"
     assert not import_time_modules(path) & {*ANALYTIC, "rtflab.oracles"}
-    assert {m: functions_importing(path, m) for m in (*ANALYTIC, "rtflab.oracles")} == {
-        "mpmath": [],
-        "rtflab.lfunctions": ["check_rtf_constants"],
-        "rtflab.rtf_constants": ["check_rtf_constants"],
-        "rtflab.oracles": ["check_rtf_constants", "xi_matches_brute_force"],
-    }
+    assert functions_importing(path, "mpmath") == []
+    assert functions_importing(path, "rtflab.rtf_constants") == ["check_rtf_constants"]
+    assert "mpmath" not in import_time_modules(SRC / "lfunctions.py")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys\n"
+        "from rtflab import checks\n"
+        "groups = (checks.check_fields, checks.check_characters, checks.check_local_factors,\n"
+        "          checks.check_measures, checks.check_gamma)\n"
+        "results = [r for group in groups for r in group(None)]\n"
+        "assert results and all(r.passed for r in results), [r for r in results if not r.passed]\n"
+        "print(sorted(m for m in ('mpmath', 'rtflab.rtf_constants') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def satake_map_uses(path: Path) -> list[str]:
+    """Each arccos call and each window 2 pi / log q built in a file: the
+    Satake variable x = 2 cos(theta) and the window belong to `measures`."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("acos", "arccos"):
+                hits.append(ast.unparse(node))
+        elif isinstance(node, ast.BinOp) and ast.unparse(node).startswith("2.0 * math.pi / math.log("):
+            hits.append(ast.unparse(node))
+    return hits
+
+
+def identifiers(path: Path) -> set[str]:
+    """Every name a file defines, binds or reads."""
+    out = referenced_names(path)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def test_measures_alone_owns_the_satake_variable_and_the_window():
+    users = {path.stem: satake_map_uses(path) for path in sorted(SRC.glob("*.py"))}
+    assert {stem for stem, hits in users.items() if hits} == {"measures"}
+    assert any("acos" in hit for hit in users["measures"])
+    assert any("math.log" in hit for hit in users["measures"])
+    # The quadrature rules know nothing of densities or of the substitution.
+    assert not [n for n in identifiers(SRC / "quadrature.py") if "density" in n.lower() or "cos" in n.lower()]
+    # The scan sees parameters and definitions, not only the names read.
+    assert {"density", "theta_integrand"} <= identifiers(SRC / "measures.py")
 
 
 def test_the_constants_path_imports_mpmath_only_inside_functions():

@@ -3,11 +3,7 @@ import math
 import pytest
 
 from rtflab.errors import QuadratureError
-from rtflab.quadrature import (
-    QuadratureResult,
-    integrate,
-    integrate_with_cos_substitution,
-)
+from rtflab.quadrature import QuadratureResult, integrate
 
 
 class TestIntegrate:
@@ -57,29 +53,3 @@ class TestIntegrate:
         res = integrate(lambda x: abs(x - c) ** 0.5, 0.0, 1.0, 1e-10)
         assert abs(res.value - exact) <= res.error_estimate
 
-
-class TestCosSubstitution:
-    def test_semicircle_quarter(self):
-        # closed form: integral of sqrt(4 - x^2) over [0, 2] is pi
-        res = integrate_with_cos_substitution(
-            lambda x: math.sqrt(max(4.0 - x * x, 0.0)), 0.0, 2.0, 1e-12
-        )
-        assert res.value == pytest.approx(math.pi, abs=1e-12)
-
-    def test_full_semicircle_mass(self):
-        res = integrate_with_cos_substitution(
-            lambda x: math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi), -2.0, 2.0, 1e-12
-        )
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_outside_square_bracket(self):
-        with pytest.raises(ValueError):
-            integrate_with_cos_substitution(lambda x: 1.0, -3.0, 1.0)
-
-    def test_substitution_beats_naive_rule_at_endpoint(self):
-        # The raw adaptive rule needs far more panels for the sqrt endpoint.
-        f = lambda x: math.sqrt(max(4.0 - x * x, 0.0))
-        sub = integrate_with_cos_substitution(f, -2.0, 2.0, 1e-12)
-        naive = integrate(f, -2.0, 2.0, 1e-9)
-        assert sub.subdivisions < naive.subdivisions
-        assert sub.value == pytest.approx(2.0 * math.pi, abs=1e-12)
