@@ -24,7 +24,6 @@ _EXPORTS = {
     ),
     "characters": (
         "DirichletCharacter",
-        "QuadraticCharacterProfile",
         "enumerate_xi",
         "gauss_sum",
         "is_admissible_level",
@@ -59,7 +58,6 @@ _EXPORTS = {
         "laurent_at_1",
     ),
     "rtf_constants": (
-        "EdgePlaceBlock",
         "EtaContext",
         "edge_place_factor",
         "eta_context",

@@ -1,4 +1,4 @@
-"""Dirichlet characters over Q, quadratic sign profiles, Gauss sums.
+"""Dirichlet characters over Q, their Gauss sums and the level census.
 
 Characters are stored as exponent vectors on a fixed generating set of the
 unit group modulo m (CRT components; primitive roots at odd prime powers,
@@ -6,7 +6,9 @@ unit group modulo m (CRT components; primitive roots at odd prime powers,
 phase k modulo the group exponent L (the lcm of the generator orders), with
 chi(a) = exp(2 pi i k / L), the encoding of Conrey labels.  Primitivity,
 parity and conductor tests are integer comparisons, and floating complex
-values appear only in the value accessors.
+values appear only in the value accessors.  The sign character eta of the
+moment identity is its `DirichletCharacter`: `sign_at` reads eta(q) = +-1
+at a place and `value_on_ideal` its product over a level.
 
 The characters mod m form the grid of exponent vectors over the generators,
 which is also the discrete-log grid of the units.  `unit_group` walks that
@@ -32,7 +34,7 @@ import math
 from array import array
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from ._record import record
 from .errors import RamifiedOverlapError
@@ -227,6 +229,26 @@ class DirichletCharacter:
         if k is None:
             return 0.0 + 0.0j
         return _unit_root(k, unit_group(self.modulus).exponent)
+
+    def sign_at(self, place: FinitePlace) -> int:
+        """chi(q) as +1 or -1 at the place of norm q.
+
+        `RamifiedOverlapError` where chi(q) = 0, `ValueError` where chi(q)
+        is not real.
+        """
+        k = self.phase_index(place.q)
+        if k is None:
+            raise RamifiedOverlapError(f"character is ramified at {place.label}")
+        if 2 * k % unit_group(self.modulus).exponent:
+            raise ValueError(f"character value at {place.label} is not real")
+        return 1 if k == 0 else -1
+
+    def value_on_ideal(self, n: LevelIdeal) -> int:
+        """Product of local signs raised to the exponents of n."""
+        out = 1
+        for place, e in n.factors:
+            out *= self.sign_at(place) ** e
+        return out
 
     # -- structure -----------------------------------------------------------
 
@@ -466,91 +488,23 @@ def census_proof_bound(n: LevelIdeal) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadratic sign profiles
-
-
-@record
-class QuadraticCharacterProfile:
-    """A quadratic character seen through its local data.
-
-    ``signs`` lists values at uniformizers for places outside the conductor
-    support.  For profiles built from a concrete quadratic character over Q,
-    unlisted places fall back to the character value at the prime.  The
-    trivial profile is the trivial character's, so it answers +1 everywhere.
-    """
-
-    conductor: LevelIdeal
-    signs: tuple[tuple[FinitePlace, int], ...] = ()
-    dirichlet: DirichletCharacter | None = None
-
-    def __post_init__(self) -> None:
-        conductor_support = set(self.conductor.support())
-        for place, s in self.signs:
-            if s not in (1, -1):
-                raise ValueError("unramified signs must be +1 or -1")
-            if place in conductor_support:
-                raise ValueError(
-                    f"sign listed at ramified place {place.label}"
-                )
-
-    @classmethod
-    def from_signs(
-        cls, signs: Mapping[FinitePlace, int], conductor: LevelIdeal | None = None
-    ) -> QuadraticCharacterProfile:
-        return cls(
-            conductor=conductor or LevelIdeal.unit(),
-            signs=tuple(sorted(signs.items(), key=lambda t: (t[0].q, t[0].label))),
-        )
-
-    @classmethod
-    def from_dirichlet(cls, chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> QuadraticCharacterProfile:
-        if not (chi.order() <= 2 and chi.is_even() and chi.is_primitive()):
-            raise ValueError("profile requires an even primitive quadratic (or trivial) character")
-        return cls(
-            conductor=LevelIdeal.from_integer(chi.modulus, profile),
-            dirichlet=chi,
-        )
-
-    def sign_at(self, place: FinitePlace) -> int:
-        if self.conductor.ord_at(place) > 0:
-            raise RamifiedOverlapError(
-                f"character is ramified at {place.label}"
-            )
-        for p, s in self.signs:
-            if p == place:
-                return s
-        if self.dirichlet is not None:
-            k = self.dirichlet.phase_index(place.q)
-            if k is None:
-                raise RamifiedOverlapError(
-                    f"character is ramified at {place.label}"
-                )
-            return 1 if k == 0 else -1
-        raise KeyError(f"no sign recorded at place {place.label}")
-
-    def value_on_ideal(self, n: LevelIdeal) -> int:
-        """Product of local signs raised to the exponents of n."""
-        out = 1
-        for place, e in n.factors:
-            out *= self.sign_at(place) ** e
-        return out
+# admissible levels
 
 
 def is_admissible_level(
     n: LevelIdeal,
     s_places: Iterable[Place],
-    eta: QuadraticCharacterProfile,
+    eta: DirichletCharacter,
 ) -> bool:
     """The three admissibility conditions for a level against (S, eta).
 
-    (1) the level support avoids both S and the conductor of eta,
+    (1) the level support avoids both S and the modulus of eta,
     (2) every local sign of eta on the level support is -1,
     (3) the global sign of eta on the level is +1.
     """
     s_finite = {p for p in s_places if isinstance(p, FinitePlace)}
-    support = set(n.support())
-    conductor_support = set(eta.conductor.support())
-    if support & conductor_support or support & s_finite:
+    support = n.support()
+    if any(p in s_finite or math.gcd(p.q, eta.modulus) > 1 for p in support):
         return False
     if any(eta.sign_at(p) != -1 for p in support):
         return False

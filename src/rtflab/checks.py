@@ -44,6 +44,9 @@ from .local_factors import (
 from .special import EULER_GAMMA, abs_gamma_iy_sq_inv, abs_gamma_iy_sq_inv_lanczos, digamma
 
 _PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# The positive fundamental discriminants below 45: the conductors of the
+# even real primitive characters there.
+_EVEN_QUADRATIC_CONDUCTORS = (5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40, 41, 44)
 
 
 @record
@@ -143,12 +146,12 @@ def check_fields(tol: float | None) -> list[CheckResult]:
 
 def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: int = 300) -> list[CheckResult]:
     def eta_tilde_defects() -> int:
+        # Random even real characters on levels prime to their conductors.
         rng = random.Random(20240902)
         defects = 0
         for _ in range(50):
-            primes = rng.sample(_PRIMES_TO_97, 4)
-            signs = {_place(p): rng.choice((1, -1)) for p in primes}
-            eta = chars.QuadraticCharacterProfile.from_signs(signs)
+            eta = chars.DirichletCharacter.quadratic(rng.choice(_EVEN_QUADRATIC_CONDUCTORS))
+            primes = rng.sample([p for p in _PRIMES_TO_97 if eta.modulus % p], 4)
             n1 = _level({primes[0]: rng.randint(1, 3), primes[1]: rng.randint(1, 3)})
             n2 = _level({primes[2]: rng.randint(1, 3), primes[3]: rng.randint(1, 3)})
             if eta.value_on_ideal(n1 * n2) != eta.value_on_ideal(n1) * eta.value_on_ideal(n2):
@@ -434,10 +437,11 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     def derivative_defect(order: int) -> float:
         fd = _fd_first if order == 1 else _fd_second
         worst = 0.0
-        for q, k, sign in iproduct((2, 3, 5, 7), range(1, 6), (1, -1)):
-            block = rtf.EdgePlaceBlock(q, k, sign)
-            for jet, f, x0 in ((rtf.edge_place_jet(block), lambda nu: rtf.edge_place_factor(nu, block).real, -1.0),
-                               (rtf.residue_place_jet(block), lambda z: rtf.residue_place_factor(z, block).real, 0.0)):
+        for q, k in iproduct((2, 3, 5, 7), range(1, 6)):
+            cases = [(rtf.residue_place_jet(q, k), lambda z: rtf.residue_place_factor(z, q, k).real, 0.0)]
+            cases += [(rtf.edge_place_jet(q, k, s), lambda nu, s=s: rtf.edge_place_factor(nu, q, k, s).real, -1.0)
+                      for s in (1, -1)]
+            for jet, f, x0 in cases:
                 d = math.factorial(order) * jet[order]
                 worst = max(worst, abs(d - fd(f, x0, 1e-4)) / max(1.0, abs(d)))
         return worst
@@ -452,17 +456,15 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
                 for order, y in expected.items():
                     got = rtf.spectral_edge_constant(n, ctx, order)
                     worst = max(worst, abs(got - y) / max(1.0, abs(y)))
-        eta = chars.QuadraticCharacterProfile.from_signs(
-            {_place(2): -1, _place(3): 1, _place(5): -1}
-        )
+        eta = chars.DirichletCharacter.quadratic(13)  # signs -1, +1, -1 at 2, 3, 5
         for spec in ({2: 1}, {2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
             n = _level(spec)
             for d in oracles.enumerate_rho(n):
                 if len(d.factors) > 3:
                     continue
                 t0, t1, t2 = oracles.edge_product_taylor(d, eta)
-                blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in d.factors]
-                prod_fn = lambda nu: math.prod((rtf.edge_place_factor(nu, b) for b in blocks), start=1 + 0j)
+                places = [(p.q, k, eta.sign_at(p)) for p, k in d.factors]
+                prod_fn = lambda nu: math.prod((rtf.edge_place_factor(nu, *v) for v in places), start=1 + 0j)
                 a = oracles.extract_series(prod_fn, -1.0, 0, 1e-2)
                 scale = max(1.0, abs(t0), abs(t1), abs(t2))
                 worst = max(worst, abs(t0 - a[0]) / scale, abs(t1 - a[1]) / scale,

@@ -210,7 +210,9 @@ def _hurwitz_d2_at_0(x: float) -> float:
     Euler-Maclaurin with the first N terms summed and u = N + x, L = log u:
     sum_{k<N} log(k + x)**2 - u (L**2 - 2 L + 2) + L**2 / 2
     + sum_{j<=8} 2 B_2j / (2j (2j - 1)) (H_{2j-2} - L) u**(1 - 2j),
-    with H_i the harmonic numbers.
+    with H_i the harmonic numbers.  Measured bound: on x = i/400 it is within
+    1.71e-14 absolute of float(mpmath.zeta(0, x, 2)), worst at x = 0.425
+    (1.70e-14 from the exact value); a test holds it to 2e-14.
     """
     u = _EULER_MACLAURIN_N + x
     log_u = math.log(u)

@@ -21,7 +21,7 @@ from .fields import FinitePlace, LevelIdeal, index_k0
 from .special import gamma_r
 
 if TYPE_CHECKING:
-    from .characters import QuadraticCharacterProfile
+    from .characters import DirichletCharacter
 
 _UNITARY_TOL = 1e-12
 
@@ -186,7 +186,7 @@ def r_weight(place: FinitePlace, data: LocalData, eta_sign: int, k: int) -> floa
 
 def global_weight(
     reps: Mapping[FinitePlace, LocalData],
-    eta: QuadraticCharacterProfile,
+    eta: DirichletCharacter,
     n: LevelIdeal,
     conductor: LevelIdeal,
 ) -> float:

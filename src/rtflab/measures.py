@@ -206,8 +206,10 @@ def _finite_spectral_fn(q: int, sign: int) -> Callable[[float], float]:
 def local_spectral(place: Place, sign: int = 1) -> Density:
     """The per-place spectral density in y on its window; checks sign once.
 
-    An archimedean place uses the gamma-kernel weight
-    (1/(4 pi)) |Gamma(iy/2)|**(-2); a finite place uses
+    The sign is that of the character at the place.  The characters the
+    analytic path accepts are even, so an archimedean place takes sign +1
+    only (`ValueError` for -1).  An archimedean place uses the gamma-kernel
+    weight (1/(4 pi)) |Gamma(iy/2)|**(-2); a finite place uses
     (log q / (4 pi)) |1 - q**(-iy)|**2.  The numerator is the product of the
     two central local factors divided by the local value at 1 of the sign
     character.  At a finite place the ``kernel`` is the formula on all of R.
@@ -215,6 +217,8 @@ def local_spectral(place: Place, sign: int = 1) -> Density:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if isinstance(place, ArchimedeanPlace):
+        if sign != 1:
+            raise ValueError("the sign character is even: its sign at an archimedean place is +1")
 
         def arch(y: float) -> float:
             if y == 0.0:
@@ -296,10 +300,13 @@ def spectral_pairing(
 ) -> QuadratureResult:
     """Pairing of a product test function against the product spectral measure.
 
-    ``test_functions`` maps each place of S to (function, support interval);
-    supports must be compact and inside the per-place window.  The result is
-    4 * D**(3/2) * L(1, eta) times the product of the per-place integrals,
-    with first-order error propagation through the product.
+    ``test_functions`` maps each place of S to (function, support [a, b]).
+    One rule holds at every place: 0 <= a <= b <= the end of the window
+    (``Density.hi``, infinite at an archimedean place) with b finite, up to
+    the edge tolerance; any other support, NaN included, raises DomainError.
+    The result is 4 * D**(3/2) * L(1, eta) times the product of the
+    per-place integrals, with first-order error propagation through the
+    product.
     """
     d_f = profile.discriminant_abs
     values: list[float] = []
@@ -309,16 +316,11 @@ def spectral_pairing(
         test_functions, key=lambda p: (isinstance(p, FinitePlace), str(p.label))
     ):
         fn, (a, b) = test_functions[place]
-        if isinstance(place, FinitePlace):
-            density = local_spectral(place, eta_sign_at(place))
-            if not (0.0 - _EDGE_TOL <= a <= b <= density.hi + _EDGE_TOL):
-                raise DomainError(f"support [{a}, {b}] outside the window at {place.label}")
-            res = integrate(lambda y: fn(y) * density(y), a, b, tol)
-        else:
-            if a < -_EDGE_TOL or b == math.inf:
-                raise DomainError("archimedean support must be compact in [0, inf)")
-            density = local_spectral(place, 1)
-            res = integrate(lambda y: fn(y) * density(y), a, b, tol)
+        # eta is even, so its sign at infinity is +1.
+        density = local_spectral(place, eta_sign_at(place) if isinstance(place, FinitePlace) else 1)
+        if not (-_EDGE_TOL <= a <= b <= density.hi + _EDGE_TOL and b < math.inf):
+            raise DomainError(f"support [{a}, {b}] is not a compact part of the window at {place.label}")
+        res = integrate(lambda y: fn(y) * density(y), a, b, tol)
         values.append(res.value)
         errors.append(res.error_estimate)
         subdivisions += res.subdivisions

@@ -13,7 +13,9 @@ only `checks` (and the tests) do.
   precision; `laurent_at_1_two_widths` and `central_series_function` apply
   it to the closed-form Laurent and edge data of `lfunctions`.
 - `enumerate_rho` lists every choice assignment (a divisor of the level)
-  and the per-assignment functions evaluate its term;
+  and the per-assignment functions evaluate its term from the per-place
+  factors of `rtf_constants` at (q, k, eta(q)), with eta the character
+  itself (`DirichletCharacter.sign_at`);
   `edge_constants_by_enumeration` sums them, the second route to
   `rtf_constants.spectral_edge_constant`, which takes products over places
   of per-place sums.
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from .characters import DirichletCharacter, QuadraticCharacterProfile
+from .characters import DirichletCharacter
 from .errors import CapExceededError
 from .fields import FieldProfile, FinitePlace, LevelIdeal, RATIONALS
 
@@ -257,7 +259,7 @@ def flat_section_at_identity(d: LevelIdeal, sign_at: Callable[[FinitePlace], int
 
 def edge_product_taylor(
     d: LevelIdeal,
-    eta: QuadraticCharacterProfile,
+    eta: DirichletCharacter,
     profile: FieldProfile = RATIONALS,
 ) -> tuple[float, float, float]:
     """Taylor coefficients (orders 0, 1, 2) at the edge point of the product of
@@ -267,12 +269,10 @@ def edge_product_taylor(
     It is the jet product of the per-place `rtf_constants.edge_place_jet`.
     """
     from .lfunctions import jet_product
-    from .rtf_constants import EdgePlaceBlock, edge_place_jet, eta_on_different
+    from .rtf_constants import edge_place_jet, eta_on_different
 
     eps = eta_on_different(eta, profile)
-    t0, t1, t2 = jet_product(
-        edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p))) for p, k in d.factors
-    )
+    t0, t1, t2 = jet_product(edge_place_jet(p.q, k, eta.sign_at(p)) for p, k in d.factors)
     return eps * t0, eps * t1, eps * t2
 
 
@@ -288,21 +288,15 @@ def residual_term_constant(d: LevelIdeal, ctx: EtaContext) -> float:
 
     It combines epsilon(0) = sqrt(m) (root number 1, see `lfunctions`)
     times the value at (1/2, 1) with the second derivative at z = 0 of
-    D**(-z) times the residue place factors, taken with the trivial
-    character's signs.
+    D**(-z) times the residue place factors, which read no sign.
     """
     from .lfunctions import jet_product
-    from .rtf_constants import (
-        EdgePlaceBlock,
-        _discriminant_jet,
-        _residual_combination,
-        residue_place_jet,
-    )
+    from .rtf_constants import _discriminant_jet, _residual_combination, residue_place_jet
 
     value = residue_value_half_one(d, ctx.eta.sign_at)
-    residue = [residue_place_jet(EdgePlaceBlock(p.q, k, 1)) for p, k in d.factors]
+    residue = [residue_place_jet(p.q, k) for p, k in d.factors]
     twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]
-    eps0 = math.sqrt(ctx.eta.dirichlet.modulus)
+    eps0 = math.sqrt(ctx.eta.modulus)
     return _residual_combination(ctx, eps0 * value, twisted_d2)
 
 

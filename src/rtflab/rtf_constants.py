@@ -6,7 +6,10 @@ The per-place building blocks come in two families.  The *edge place factors*
 assemble into the Taylor data of a product over the support of a choice
 assignment.  The *residue place factors* (functions of a twisting variable z,
 expanded at 0) assemble into the constants of the residual spectrum
-contribution.  Each factor's jet (f, f', f''/2) is read off its formula by
+contribution.  Both take the place as plain integers, its norm q and the
+depth k >= 1, and the edge factors also the sign of the character there;
+`_depth_norm` is the normalization they share with the flat section and the
+residue value.  Each factor's jet (f, f', f''/2) is read off its formula by
 evaluating that formula on jets with the jet rules of :mod:`lfunctions`
 (``exp_jet`` for every power of q, ``jet_reciprocal``, ``jet_product``); the
 factor functions themselves are the independent route, compared with the
@@ -23,7 +26,7 @@ import math
 from typing import Callable, Iterable, Mapping
 
 from ._record import record
-from .characters import DirichletCharacter, QuadraticCharacterProfile
+from .characters import DirichletCharacter
 from .errors import DomainError, PoleError, RamifiedOverlapError
 from .fields import (
     FieldProfile,
@@ -71,11 +74,19 @@ def level_constant(n: LevelIdeal) -> float:
 # the level n, that is, the divisor d = prod v**k_v of n
 
 
+def _depth_norm(q: int, k: int) -> float:
+    """The depth normalization of the local vectors: 1 at depth one,
+    ((q+1)/(q-1))**(1/2) at depth two or more (`ValueError` below one)."""
+    if k < 1:
+        raise ValueError("depth must be >= 1")
+    return 1.0 if k == 1 else math.sqrt((q + 1.0) / (q - 1.0))
+
+
 def _section_factor(q: int, k: int, s: int) -> float:
     """Per-place factor of the flat section at depth k >= 1."""
     if k == 1:
         return s * math.sqrt(q)
-    return (1.0 - 1.0 / q) * s**k * math.sqrt((q + 1.0) / (q - 1.0)) * q ** (k / 2.0)
+    return (1.0 - 1.0 / q) * s**k * _depth_norm(q, k) * q ** (k / 2.0)
 
 
 def assignment_sum(
@@ -106,59 +117,40 @@ def assignment_sum(
 # edge place factors and their jets
 
 
-@record
-class EdgePlaceBlock:
-    """Per-place data (q, depth k, sign) of an edge factor."""
-
-    q: int
-    k: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("depth must be >= 1")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def leading(self) -> float:
-        """1 at depth one, ((q+1)/(q-1))**(1/2) at depth two or more."""
-        if self.k == 1:
-            return 1.0
-        return math.sqrt((self.q + 1.0) / (self.q - 1.0))
-
-
-def edge_place_factor(nu: complex, block: EdgePlaceBlock) -> complex:
-    """C {q + 1 + sign (q**((1+nu)/2) + q**((1-nu)/2))} q**(k nu / 2) / (q - q**nu)."""
-    q, k, s = block.q, block.k, block.sign
+def edge_place_factor(nu: complex, q: int, k: int, sign: int) -> complex:
+    """C {q + 1 + sign (q**((1+nu)/2) + q**((1-nu)/2))} q**(k nu / 2) / (q - q**nu)
+    at a place of norm q and depth k >= 1, with C = `_depth_norm`."""
+    norm = _depth_norm(q, k)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     nu = complex(nu)
     qnu = q**nu
     if abs(q - qnu) < 1e-13 * q:
         raise PoleError(f"edge factor pole at nu = {nu}")
-    bracket = q + 1.0 + s * (q ** ((1.0 + nu) / 2.0) + q ** ((1.0 - nu) / 2.0))
-    return block.leading * bracket * q ** (k * nu / 2.0) / (q - qnu)
+    bracket = q + 1.0 + sign * (q ** ((1.0 + nu) / 2.0) + q ** ((1.0 - nu) / 2.0))
+    return norm * bracket * q ** (k * nu / 2.0) / (q - qnu)
 
 
-def edge_place_jet(block: EdgePlaceBlock) -> Jet:
+def edge_place_jet(q: int, k: int, sign: int) -> Jet:
     """Jet (f, f', f''/2) at nu = -1 of :func:`edge_place_factor`, read off its
     formula term by term.  The bracket's powers are taken in h = 1 + nu,
     q**((1+nu)/2) = e**(h log q / 2) and q**((1-nu)/2) = q e**(-h log q / 2),
     so their values are exactly 1 and q and the value is exactly 0 for sign -1.
     """
-    q, k, s = block.q, block.k, block.sign
+    norm = _depth_norm(q, k)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     lq = math.log(q)
     bracket = tuple(
-        c + s * (u + q * d)
+        c + sign * (u + q * d)
         for c, u, d in zip((q + 1.0, 0.0, 0.0), exp_jet(lq / 2.0, 0.0), exp_jet(-lq / 2.0, 0.0))
     )
     den = tuple(c - x for c, x in zip((float(q), 0.0, 0.0), exp_jet(lq, -1.0)))
     jet = jet_product([bracket, exp_jet(k * lq / 2.0, -1.0), jet_reciprocal(den)])
-    return tuple(block.leading * c for c in jet)
+    return tuple(norm * c for c in jet)
 
 
-def eta_on_different(
-    eta: QuadraticCharacterProfile, profile: FieldProfile
-) -> int:
+def eta_on_different(eta: DirichletCharacter, profile: FieldProfile) -> int:
     """Sign of the character on the different ideal (1 over Q, where all
     different exponents vanish)."""
     out = 1
@@ -172,9 +164,9 @@ def eta_on_different(
 # residue place factors and their jets
 
 
-def residue_place_factor(z: complex, block: EdgePlaceBlock) -> complex:
-    """The per-place factor of the residual constant as a function of z."""
-    q, k = block.q, block.k
+def residue_place_factor(z: complex, q: int, k: int) -> complex:
+    """The per-place factor of the residual constant as a function of z, at a
+    place of norm q and depth k >= 1."""
     z = complex(z)
     if k == 1:
         return (q**z - 1.0) * q**-0.5 / (1.0 - 1.0 / q)
@@ -184,19 +176,18 @@ def residue_place_factor(z: complex, block: EdgePlaceBlock) -> complex:
         - q ** ((k - 1) * z)
         + q ** ((k - 2) * z) / q
     )
-    return poly * block.leading * q ** (-k / 2.0) / (1.0 - q**-2)
+    return poly * _depth_norm(q, k) * q ** (-k / 2.0) / (1.0 - q**-2)
 
 
-def residue_place_jet(block: EdgePlaceBlock) -> Jet:
+def residue_place_jet(q: int, k: int) -> Jet:
     """Jet (f, f', f''/2) at z = 0 of :func:`residue_place_factor`: the same
     sum of q**(j z) terms, each term an :func:`exp_jet`."""
-    q, k = block.q, block.k
     if k == 1:
         terms = ((1.0, 1), (-1.0, 0))
         scale = q**-0.5 / (1.0 - 1.0 / q)
     else:
         terms = ((1.0, k), (-1.0 / q, k - 1), (-1.0, k - 1), (1.0 / q, k - 2))
-        scale = block.leading * q ** (-k / 2.0) / (1.0 - q**-2)
+        scale = _depth_norm(q, k) * q ** (-k / 2.0) / (1.0 - q**-2)
     jet = (0.0, 0.0, 0.0)
     for c, j in terms:
         jet = tuple(a + c * b for a, b in zip(jet, exp_jet(j * math.log(q), 0.0)))
@@ -214,22 +205,21 @@ def _discriminant_jet(profile: FieldProfile) -> Jet:
 
 @record
 class EtaContext:
-    """What varies with a sign character over Q, gathered once: the quadratic
-    profile (whose ``dirichlet`` is the concrete character,
-    ``DirichletCharacter.trivial()`` for the trivial one), its Laurent data
+    """What varies with a sign character over Q, gathered once: the character
+    (``DirichletCharacter.trivial()`` for the trivial one), its Laurent data
     at 1 and the edge coefficients of the central-value series.  Its root
     number is 1 (see :mod:`lfunctions`), so no Gauss sum is kept.
     """
 
     profile: FieldProfile
-    eta: QuadraticCharacterProfile
+    eta: DirichletCharacter
     laurent_eta: LaurentData
     edge: EdgeCoefficients
 
 
 def eta_context(chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> EtaContext:
     """Build the full analytic context for the trivial or an even primitive
-    quadratic character (`ValueError` otherwise, from the profile); every
+    quadratic character (`ValueError` otherwise, from `lfunctions`); every
     character of order one gives the trivial one's."""
     if not profile.is_rationals:
         raise ValueError("the analytic context is implemented over Q only")
@@ -237,7 +227,7 @@ def eta_context(chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> E
         chi = DirichletCharacter.trivial()
     return EtaContext(
         profile=profile,
-        eta=QuadraticCharacterProfile.from_dirichlet(chi, profile),
+        eta=chi,
         laurent_eta=laurent_at_1(chi),
         edge=edge_coefficients(chi, profile.discriminant_abs),
     )
@@ -251,14 +241,7 @@ def _value_factor(q: int, k: int, s: int) -> float:
     """Per-place factor of the residue value at (1/2, 1), depth k >= 1."""
     if k == 1:
         return (s - 1.0) * q**-0.5 / (1.0 - 1.0 / q)
-    return (
-        s**k
-        * (s - 1.0)
-        * (s - 1.0 / q)
-        / (1.0 - q**-2)
-        * math.sqrt((q + 1.0) / (q - 1.0))
-        * q ** (-k / 2.0)
-    )
+    return s**k * (s - 1.0) * (s - 1.0 / q) / (1.0 - q**-2) * _depth_norm(q, k) * q ** (-k / 2.0)
 
 
 def _residual_combination(ctx: EtaContext, twisted_zero: float, twisted_d2: float) -> float:
@@ -295,15 +278,15 @@ def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
             n, lambda p: 1, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
         )[0]
         residue = assignment_sum(
-            n, lambda p: 1, lambda p, k: residue_place_jet(EdgePlaceBlock(p.q, k, 1))
+            n, lambda p: 1, lambda p, k: residue_place_jet(p.q, k)
         )
         twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), residue])[2]
         # root number 1: epsilon(0) = sqrt(m); the weight is D**(-1/2) / Lambda_zeta(2)
-        eps0 = math.sqrt(eta.dirichlet.modulus)
+        eps0 = math.sqrt(eta.modulus)
         weight = d_half * _INV_ZETA_HAT2_JET[0]
         return weight * _residual_combination(ctx, eps0 * value, twisted_d2)
     t0, t1, t2 = assignment_sum(
-        n, eta.sign_at, lambda p, k: edge_place_jet(EdgePlaceBlock(p.q, k, eta.sign_at(p)))
+        n, eta.sign_at, lambda p, k: edge_place_jet(p.q, k, eta.sign_at(p))
     )
     e = ctx.edge
     if order == 2:
@@ -489,7 +472,7 @@ def intertwining_ratio(chi: DirichletCharacter, d: LevelIdeal, nu: complex) -> c
 def predicted_moment_average(
     n: LevelIdeal,
     test_functions,
-    eta: QuadraticCharacterProfile,
+    eta: DirichletCharacter,
     l_one_eta: float,
     profile: FieldProfile = RATIONALS,
     tol: float = 1e-10,

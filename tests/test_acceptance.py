@@ -16,7 +16,6 @@ from _registry import record
 
 from rtflab.characters import (
     DirichletCharacter,
-    QuadraticCharacterProfile,
     census_proof_bound,
     enumerate_xi,
     gauss_sums_for_modulus,
@@ -119,34 +118,33 @@ def test_criterion_04_derivative_suite():
     for q in (2, 3, 5, 7):
         for k in range(1, 6):
             for sign in (1, -1):
-                block = rtf.EdgePlaceBlock(q, k, sign)
-                f = lambda nu: rtf.edge_place_factor(nu, block).real
+                f = lambda nu: rtf.edge_place_factor(nu, q, k, sign).real
                 fd1 = (f(-1 + h) - f(-1 - h)) / (2 * h)
                 fd2 = (f(-1 + h) - 2 * f(-1.0) + f(-1 - h)) / (h * h)
-                _, d1, half_d2 = rtf.edge_place_jet(block)
+                _, d1, half_d2 = rtf.edge_place_jet(q, k, sign)
                 d2 = 2.0 * half_d2
                 worst1 = max(worst1, abs(d1 - fd1) / max(1.0, abs(d1)))
                 worst2 = max(worst2, abs(d2 - fd2) / max(1.0, abs(d2)))
-                g = lambda z: rtf.residue_place_factor(z, block).real
-                _, rd1, half_rd2 = rtf.residue_place_jet(block)
+                g = lambda z: rtf.residue_place_factor(z, q, k).real
+                _, rd1, half_rd2 = rtf.residue_place_jet(q, k)
                 rd2 = 2.0 * half_rd2
                 worst1 = max(worst1, abs(rd1 - (g(h) - g(-h)) / (2 * h)) / max(1.0, abs(rd1)))
                 worst2 = max(
                     worst2, abs(rd2 - (g(h) - 2 * g(0.0) + g(-h)) / (h * h)) / max(1.0, abs(rd2))
                 )
     # Taylor data of the product over assignments with <= 3 active places.
-    eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): 1, P(5): -1})
+    eta = DirichletCharacter.quadratic(13)  # signs -1, +1, -1 at 2, 3, 5
     worst_taylor = 0.0
     for spec in ({2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
         for d in enumerate_rho(L(spec)):
             if not 1 <= len(d.factors) <= 3:
                 continue
-            blocks = [rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in d.factors]
+            places = [(p.q, k, eta.sign_at(p)) for p, k in d.factors]
 
             def prod(nu):
                 acc = 1.0
-                for b in blocks:
-                    acc *= rtf.edge_place_factor(nu, b).real
+                for v in places:
+                    acc *= rtf.edge_place_factor(nu, *v).real
                 return acc
 
             xs = np.linspace(-0.04, 0.04, 13)
@@ -192,7 +190,7 @@ def test_criterion_05_weight_combinatorics():
 
     parity_exact = all(r_weight(P(2), HigherConductor(3), -1, k) == 0.0 for k in (1, 3, 5, 7))
 
-    eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): -1})
+    eta = DirichletCharacter.quadratic(5)  # signs -1, -1 at 2, 3
     conductor = L({2: 2, 3: 1})
     reps_map = {P(2): HigherConductor(2), P(3): Special(-1)}
     at_conductor = global_weight(reps_map, eta, conductor, conductor)

@@ -16,7 +16,6 @@ import pytest
 
 from rtflab.characters import (
     DirichletCharacter,
-    QuadraticCharacterProfile,
     census_proof_bound,
     enumerate_xi,
     gauss_sum,
@@ -458,52 +457,89 @@ class TestLOne:
         assert completed == pytest.approx(math.sqrt(5.0) * l_one(chi5), abs=1e-12)
 
 
-class TestQuadraticProfile:
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+
+
+def _squarefree(n):
+    return all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
+
+
+# The positive fundamental discriminants up to 100: D = 1 mod 4 squarefree,
+# or D = 4 d with d = 2, 3 mod 4 squarefree.
+EVEN_FUNDAMENTAL = [
+    D for D in range(5, 101)
+    if D % 4 == 1 and _squarefree(D) or D % 4 == 0 and D // 4 % 4 in (2, 3) and _squarefree(D // 4)
+]
+
+
+def kronecker(D, p):
+    """(D/p) for a prime p prime to D: Euler's criterion D**((p-1)/2) mod p
+    for odd p, and from D mod 8 for p = 2 (D is odd there)."""
+    if p == 2:
+        return 1 if D % 8 in (1, 7) else -1
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+
+
+class TestSignAt:
     def test_eta_tilde_unit(self):
-        eta = QuadraticCharacterProfile.from_signs({P(3): -1})
-        assert eta.value_on_ideal(LevelIdeal.unit()) == 1
+        assert DirichletCharacter.quadratic(5).value_on_ideal(LevelIdeal.unit()) == 1
 
     def test_eta_tilde_square(self):
-        eta = QuadraticCharacterProfile.from_signs({P(3): -1})
+        eta = DirichletCharacter.quadratic(5)  # 3 is a non-residue mod 5
         assert eta.value_on_ideal(L({3: 2})) == 1
         assert eta.value_on_ideal(L({3: 1})) == -1
 
     def test_eta_tilde_multiplicative(self):
-        eta = QuadraticCharacterProfile.from_signs({P(3): -1, P(7): -1, P(11): 1})
+        eta = DirichletCharacter.quadratic(5)  # signs -1, -1, +1 at 3, 7, 11
         n1, n2 = L({3: 1, 7: 2}), L({11: 3})
-        assert eta.value_on_ideal(n1 * n2) == eta.value_on_ideal(n1) * eta.value_on_ideal(n2)
+        assert eta.value_on_ideal(n1 * n2) == eta.value_on_ideal(n1) * eta.value_on_ideal(n2) == -1
 
     def test_ramified_overlap_raises(self):
-        chi5 = DirichletCharacter.quadratic(5)
-        eta = QuadraticCharacterProfile.from_dirichlet(chi5)
         with pytest.raises(RamifiedOverlapError):
-            eta.value_on_ideal(L({5: 1}))
+            DirichletCharacter.quadratic(5).value_on_ideal(L({5: 1}))
 
-    def test_signs_from_dirichlet(self):
-        eta = QuadraticCharacterProfile.from_dirichlet(DirichletCharacter.quadratic(5))
+    def test_signs_of_the_legendre_symbol_mod_5(self):
+        eta = DirichletCharacter.quadratic(5)
         # Legendre symbol mod 5: 2, 3 are non-residues; 11 = 1 mod 5 is a residue
         assert eta.sign_at(P(2)) == -1
         assert eta.sign_at(P(3)) == -1
         assert eta.sign_at(P(11)) == 1
 
-    def test_trivial_characters_profile_is_plus_one_at_every_prime(self):
-        eta = QuadraticCharacterProfile.from_dirichlet(DirichletCharacter.trivial())
-        assert eta.conductor == LevelIdeal.unit()
-        primes = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
-        assert len(primes) == 25
-        assert [eta.sign_at(P(p)) for p in primes] == [1] * 25
+    def test_trivial_character_is_plus_one_at_every_prime(self):
+        eta = DirichletCharacter.trivial()
+        assert len(PRIMES_TO_97) == 25
+        assert [eta.sign_at(P(p)) for p in PRIMES_TO_97] == [1] * 25
 
-    def test_signs_profile_has_no_sign_off_its_list(self):
-        eta = QuadraticCharacterProfile.from_signs({P(3): -1})
-        with pytest.raises(KeyError):
-            eta.sign_at(P(7))
+    def test_thirty_even_fundamental_discriminants(self):
+        assert len(EVEN_FUNDAMENTAL) == 30
+        assert EVEN_FUNDAMENTAL[:6] == [5, 8, 12, 13, 17, 21]
+
+    @pytest.mark.parametrize("D", EVEN_FUNDAMENTAL)
+    def test_sign_at_is_the_kronecker_symbol(self, D):
+        eta = DirichletCharacter.quadratic(D)
+        assert eta.modulus == D and eta.is_even()
+        for p in PRIMES_TO_97:
+            if D % p:
+                assert eta.sign_at(P(p)) == kronecker(D, p), p
+            else:
+                with pytest.raises(RamifiedOverlapError):
+                    eta.sign_at(P(p))
+
+    def test_order_four_character_mod_5_is_not_real(self):
+        chi = DirichletCharacter(5, (1,))
+        assert chi.order() == 4
+        # chi(2) and chi(3) are +-i; chi(11) = chi(1) and chi(19) = chi(2)**2
+        for p in (2, 3):
+            with pytest.raises(ValueError):
+                chi.sign_at(P(p))
+        assert (chi.sign_at(P(11)), chi.sign_at(P(19))) == (1, -1)
+        with pytest.raises(RamifiedOverlapError):
+            chi.sign_at(P(5))
 
 
 class TestAdmissibleLevels:
     def setup_method(self):
-        self.eta = QuadraticCharacterProfile.from_signs(
-            {P(3): -1, P(7): -1, P(11): 1}, conductor=L({5: 1})
-        )
+        self.eta = DirichletCharacter.quadratic(5)  # signs -1, -1, +1 at 3, 7, 11
         self.s = [RATIONALS.archimedean_places[0], P(2)]
 
     def test_unit_level(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtflab.characters import QuadraticCharacterProfile
+from rtflab.characters import DirichletCharacter
 from rtflab.errors import PoleError
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.local_factors import (
@@ -152,9 +152,8 @@ class TestRWeight:
 
 class TestGlobalWeight:
     def setup_method(self):
-        self.eta = QuadraticCharacterProfile.from_signs(
-            {P(2): -1, P(3): -1, P(5): 1, P(7): -1}
-        )
+        self.eta = DirichletCharacter.quadratic(101)
+        assert [self.eta.sign_at(P(p)) for p in (2, 3, 5, 7)] == [-1, -1, 1, -1]
 
     def test_level_equals_conductor(self):
         f = L({2: 2})
@@ -171,7 +170,7 @@ class TestGlobalWeight:
         f = L({2: 2, 5: 2})
         n = f * L({2: 2, 5: 2})
         reps = {P(2): HigherConductor(2), P(5): HigherConductor(2)}
-        eta_plus = QuadraticCharacterProfile.from_signs({P(2): 1, P(5): 1})
+        eta_plus = DirichletCharacter.trivial()
         assert global_weight(reps, eta_plus, n, f) == pytest.approx(9.0)
 
     @pytest.mark.parametrize("sign, weight", [(-1, 0.0), (1, 6.0)])
@@ -179,7 +178,8 @@ class TestGlobalWeight:
         # the key of each entry is its place: q = 2 at p2, q = 3 at p3; at
         # sign +1 the weights are k + 1 = 2 and 1 + (1 + 1/3)/(1 - 1/3) = 3
         reps = {P(2): HigherConductor(2), P(3): Special(-1)}
-        eta = QuadraticCharacterProfile.from_signs({P(2): sign, P(3): sign})
+        # the trivial character, or chi_5, which is -1 at 2 and 3
+        eta = DirichletCharacter.trivial() if sign == 1 else DirichletCharacter.quadratic(5)
         n, f = L({2: 3, 3: 2}), L({2: 2, 3: 1})
         expected = math.prod(
             r_weight(place, reps[place], eta.sign_at(place), k) for place, k in n.quotient(f).factors
@@ -270,6 +270,8 @@ class TestGlobalWeightSpecialization:
 
         rng = np.random.default_rng(321)
         primes = (2, 3, 5, 7)
+        eta = DirichletCharacter.quadratic(173)
+        assert [eta.sign_at(P(p)) for p in primes] == [-1] * 4
         for _ in range(120):
             n_spec, f_spec, reps = {}, {}, {}
             for p in primes:
@@ -297,7 +299,6 @@ class TestGlobalWeightSpecialization:
             if not n_spec:
                 continue
             n, f = L(n_spec), L(f_spec)
-            eta = QuadraticCharacterProfile.from_signs({P(p): -1 for p in primes})
             got = global_weight(reps, eta, n, f)
             assert got == pytest.approx(self.specialized(n, f, reps), abs=1e-12)
 

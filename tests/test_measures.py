@@ -108,6 +108,12 @@ class TestLocalSpectralDensity:
         assert lhs == pytest.approx(rhs, abs=1e-14)
         assert satake_x_of_y(y, q) == pytest.approx(0.0, abs=1e-14)
 
+    def test_archimedean_place_takes_sign_plus_one_only(self):
+        # The sign character is even: its sign at infinity is +1, and -1 is
+        # refused rather than read as +1.
+        with pytest.raises(ValueError):
+            local_spectral(ARCH, -1)
+
     def test_window_domain_enforced(self):
         with pytest.raises(DomainError):
             local_spectral(P(2), 1)(10.0)
@@ -190,6 +196,23 @@ class TestSpectralPairing:
     def test_rejects_support_outside_window(self):
         with pytest.raises(DomainError):
             spectral_pairing({P(2): (lambda y: 1.0, (0.0, 100.0))}, lambda p: 1, 1.0)
+
+    @pytest.mark.parametrize("place", [ARCH, P(2)], ids=["arch", "p2"])
+    @pytest.mark.parametrize(
+        "support",
+        [(2.0, 1.0), (math.nan, 1.0), (0.5, math.nan), (-0.5, 1.0), (math.inf, math.inf)],
+        ids=["reversed", "nan_a", "nan_b", "negative", "inf"],
+    )
+    def test_one_support_rule_at_every_place(self, place, support):
+        # Reversed, NaN, negative or unbounded supports raise DomainError at
+        # an archimedean place as at a finite one: no signed integral.
+        with pytest.raises(DomainError):
+            spectral_pairing({place: (lambda y: 1.0, support)}, lambda p: 1, 1.0)
+
+    def test_edge_tolerance_at_zero(self):
+        # A support starting within the edge tolerance below 0 is accepted.
+        fns = {ARCH: (lambda y: 1.0, (-1e-10, 1.0))}
+        assert spectral_pairing(fns, lambda p: 1, 1.0).value > 0.0
 
 
 def unit_domain_density(kernel, cos_substitution=True):

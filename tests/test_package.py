@@ -15,8 +15,7 @@ import rtflab
 EXPORTED = {
     "fields": ["ArchimedeanPlace", "FieldProfile", "FinitePlace", "LevelIdeal", "RATIONALS",
                "index_k0"],
-    "characters": ["DirichletCharacter", "QuadraticCharacterProfile", "enumerate_xi",
-                   "gauss_sum", "is_admissible_level"],
+    "characters": ["DirichletCharacter", "enumerate_xi", "gauss_sum", "is_admissible_level"],
     "local_factors": ["HigherConductor", "Special", "Spherical",
                       "adjoint_norm_factor", "global_weight",
                       "local_l_arch_spherical", "local_l_character", "local_l_spherical",
@@ -27,8 +26,8 @@ EXPORTED = {
                  "spectral_pairing"],
     "lfunctions": ["EdgeCoefficients", "LaurentData", "completed_l", "edge_coefficients",
                    "laurent_at_1"],
-    "rtf_constants": ["EdgePlaceBlock", "EtaContext", "edge_place_factor",
-                      "eta_context", "intertwining_ratio", "kernel_normalization",
+    "rtf_constants": ["EtaContext", "edge_place_factor", "eta_context", "intertwining_ratio",
+                      "kernel_normalization",
                       "level_constant", "predicted_moment_average",
                       "spectral_edge_constant", "unipotent_orbit_constant",
                       "unipotent_orbit_factor"],
@@ -39,8 +38,8 @@ EXPORTED = {
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
-def test_fifty_six_names():
-    assert len(NAMES) == 56
+def test_fifty_four_names():
+    assert len(NAMES) == 54
     assert sorted(rtflab.__all__) == sorted(name for _, name in NAMES)
 
 

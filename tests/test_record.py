@@ -43,11 +43,6 @@ def _samples():
         characters.DirichletCharacter: [CHI5, characters.DirichletCharacter(5, (6,)),
                                         characters.DirichletCharacter.trivial(),
                                         characters.DirichletCharacter.quadratic(8)],
-        characters.QuadraticCharacterProfile: [
-            characters.QuadraticCharacterProfile.from_dirichlet(CHI5),
-            characters.QuadraticCharacterProfile.from_signs({P3: -1, P2: 1}),
-            characters.QuadraticCharacterProfile(fields.LevelIdeal.unit()),
-        ],
         checks.CheckResult: [checks.CheckResult("a", True, 1e-17, 1e-12),
                              checks.CheckResult("b", False, 0.5, 0.1, "detail")],
         empirical.EmpiricalSample: [
@@ -70,7 +65,6 @@ def _samples():
         measures.Density: [measures.sato_tate(), measures.plancherel(3, -1)],
         quadrature.QuadratureResult: [quadrature.QuadratureResult(1.0, 1e-12, 3),
                                       quadrature.QuadratureResult(0.5, 0.0, 0)],
-        rtf.EdgePlaceBlock: [rtf.EdgePlaceBlock(3, 1, 1), rtf.EdgePlaceBlock(5, 2, -1)],
         rtf.EtaContext: [rtf.eta_context(characters.DirichletCharacter.trivial()), rtf.eta_context(CHI5)],
     }
 
@@ -120,7 +114,7 @@ def test_every_record_class_has_samples():
                     and init.__code__.co_filename.startswith("<record "):
                 found.add(obj)
     assert found == set(CLASSES)
-    assert len(CLASSES) == 18
+    assert len(CLASSES) == 16
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -173,7 +167,7 @@ class TestAgainstDataclass:
         for (a, a_dc), (b, b_dc) in itertools.product(pairs, repeat=2):
             for op in ("__lt__", "__le__", "__gt__", "__ge__"):
                 assert _outcome(lambda: getattr(a, op)(b)) == _outcome(lambda: getattr(a_dc, op)(b_dc))
-        other_rec, other_dc = _pairs(fields.LevelIdeal if cls is not fields.LevelIdeal else rtf.EdgePlaceBlock)[0]
+        other_rec, other_dc = _pairs(fields.LevelIdeal if cls is not fields.LevelIdeal else local_factors.Special)[0]
         assert _outcome(lambda: rec < other_rec) is _outcome(lambda: dc < other_dc) is TypeError
         if cls in _ORDERED:
             index = range(len(pairs))

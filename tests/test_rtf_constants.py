@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rtflab.characters import DirichletCharacter, QuadraticCharacterProfile
+from rtflab.characters import DirichletCharacter
 from rtflab.errors import CapExceededError, DomainError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import completed_l, jet_product, laurent_at_1
@@ -173,33 +173,46 @@ class TestFlatSection:
 class TestEdgePlaceFactor:
     def test_minus_sign_depth_one_vanishes_at_edge(self):
         # the bracket q + 1 + sign(1 + q) collapses for sign = -1
-        block = rtf.EdgePlaceBlock(2, 1, -1)
-        assert rtf.edge_place_factor(-1.0, block) == pytest.approx(0.0, abs=1e-14)
-        assert rtf.edge_place_jet(block)[0] == 0.0
+        assert rtf.edge_place_factor(-1.0, 2, 1, -1) == pytest.approx(0.0, abs=1e-14)
+        assert rtf.edge_place_jet(2, 1, -1)[0] == 0.0
 
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
-            rtf.edge_place_factor(1.0, rtf.EdgePlaceBlock(2, 1, 1))
+            rtf.edge_place_factor(1.0, 2, 1, 1)
+
+    @pytest.mark.parametrize("k, sign", [(0, 1), (-1, 1), (1, 0), (2, 2)])
+    def test_rejects_depth_below_one_and_signs_off_plus_minus_one(self, k, sign):
+        with pytest.raises(ValueError):
+            rtf.edge_place_factor(-0.5, 3, k, sign)
+        with pytest.raises(ValueError):
+            rtf.edge_place_jet(3, k, sign)
+        if k < 1:
+            with pytest.raises(ValueError):
+                rtf.residue_place_factor(0.5, 3, k)
+            with pytest.raises(ValueError):
+                rtf.residue_place_jet(3, k)
+
+    def test_depth_norm(self):
+        assert rtf._depth_norm(3, 1) == 1.0
+        assert rtf._depth_norm(3, 2) == rtf._depth_norm(3, 5) == math.sqrt(2.0)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_derivatives_match_finite_differences(self, q, k, sign):
-        block = rtf.EdgePlaceBlock(q, k, sign)
-        f = lambda nu: rtf.edge_place_factor(nu, block).real
+        f = lambda nu: rtf.edge_place_factor(nu, q, k, sign).real
         h = 1e-4
         fd1 = (f(-1.0 + h) - f(-1.0 - h)) / (2.0 * h)
         fd2 = (f(-1.0 + h) - 2.0 * f(-1.0) + f(-1.0 - h)) / (h * h)
-        _, d1, half_d2 = rtf.edge_place_jet(block)
+        _, d1, half_d2 = rtf.edge_place_jet(q, k, sign)
         d2 = 2.0 * half_d2
         assert abs(d1 - fd1) <= 1e-6 * max(1.0, abs(d1))
         assert abs(d2 - fd2) <= 1e-5 * max(1.0, abs(d2))
 
     def test_value_at_edge_closed_form(self):
         for q, k, sign in ((2, 1, 1), (3, 2, 1), (5, 4, -1)):
-            block = rtf.EdgePlaceBlock(q, k, sign)
-            direct = rtf.edge_place_factor(-1.0, block).real
-            assert rtf.edge_place_jet(block)[0] == pytest.approx(direct, abs=1e-12)
+            direct = rtf.edge_place_factor(-1.0, q, k, sign).real
+            assert rtf.edge_place_jet(q, k, sign)[0] == pytest.approx(direct, abs=1e-12)
 
 
 class TestEdgeProductTaylor:
@@ -207,13 +220,11 @@ class TestEdgeProductTaylor:
         assert oracles.edge_product_taylor(LevelIdeal.unit(), ctx_trivial.eta) == (1.0, 0.0, 0.0)
 
     def test_single_place_first_order(self):
-        eta = QuadraticCharacterProfile.from_signs({P(2): 1})
-        t0, t1, t2 = oracles.edge_product_taylor(L({2: 2}), eta)
-        block = rtf.EdgePlaceBlock(2, 2, 1)
-        assert t1 == pytest.approx(rtf.edge_place_jet(block)[1], abs=1e-12)
+        t0, t1, t2 = oracles.edge_product_taylor(L({2: 2}), TRIVIAL)
+        assert t1 == pytest.approx(rtf.edge_place_jet(2, 2, 1)[1], abs=1e-12)
 
         def f(nu):
-            return rtf.edge_place_factor(nu, block).real
+            return rtf.edge_place_factor(nu, 2, 2, 1).real
 
         fit = taylor_by_polyfit(f, -1.0)
         assert t0 == pytest.approx(fit[0], abs=1e-8)
@@ -221,20 +232,19 @@ class TestEdgeProductTaylor:
         assert t2 == pytest.approx(fit[2], rel=1e-6)
 
     def test_multi_place_vs_numeric_taylor(self):
-        eta = QuadraticCharacterProfile.from_signs({P(2): -1, P(3): 1, P(5): -1})
+        eta = DirichletCharacter.quadratic(13)
+        assert [eta.sign_at(P(p)) for p in (2, 3, 5)] == [-1, 1, -1]
         for spec in ({2: 1, 3: 1}, {2: 2, 3: 1, 5: 1}, {2: 1, 3: 2, 5: 3}):
             n = L(spec)
             for d in oracles.enumerate_rho(n):
                 if not 1 <= len(d.factors) <= 3:
                     continue
-                blocks = [
-                    rtf.EdgePlaceBlock(p.q, k, eta.sign_at(p)) for p, k in d.factors
-                ]
+                places = [(p.q, k, eta.sign_at(p)) for p, k in d.factors]
 
                 def f(nu):
                     acc = 1.0
-                    for b in blocks:
-                        acc *= rtf.edge_place_factor(nu, b).real
+                    for v in places:
+                        acc *= rtf.edge_place_factor(nu, *v).real
                     return acc
 
                 t0, t1, t2 = oracles.edge_product_taylor(d, eta)
@@ -257,28 +267,27 @@ class TestResidueFactors:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_derivatives_match_finite_differences(self, q, k):
-        block = rtf.EdgePlaceBlock(q, k, 1)
-        g = lambda z: rtf.residue_place_factor(z, block).real
+        g = lambda z: rtf.residue_place_factor(z, q, k).real
         h = 1e-4
         fd1 = (g(h) - g(-h)) / (2.0 * h)
         fd2 = (g(h) - 2.0 * g(0.0) + g(-h)) / (h * h)
-        _, d1, half_d2 = rtf.residue_place_jet(block)
+        _, d1, half_d2 = rtf.residue_place_jet(q, k)
         assert abs(d1 - fd1) <= 1e-6 * max(1.0, abs(fd1))
         assert abs(2.0 * half_d2 - fd2) <= 1e-5 * max(1.0, abs(fd2))
 
     def test_place_factor_vanishes_at_zero(self):
         for q, k in ((2, 1), (3, 2), (5, 4)):
-            assert abs(rtf.residue_place_factor(0.0, rtf.EdgePlaceBlock(q, k, 1))) <= 1e-15
+            assert abs(rtf.residue_place_factor(0.0, q, k)) <= 1e-15
 
     def test_product_derivatives_product_rule(self):
         # The jet product of the per-place jets against finite differences of
         # the product of the factors (D**(-z) = 1 over Q).
-        blocks = [rtf.EdgePlaceBlock(2, 1, 1), rtf.EdgePlaceBlock(3, 2, 1)]
-        f = lambda z: math.prod(rtf.residue_place_factor(z, b) for b in blocks).real
+        places = [(2, 1), (3, 2)]
+        f = lambda z: math.prod(rtf.residue_place_factor(z, *v) for v in places).real
         h = 1e-4
         fd1 = (f(h) - f(-h)) / (2.0 * h)
         fd2 = (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
-        _, d1, half_d2 = jet_product(rtf.residue_place_jet(b) for b in blocks)
+        _, d1, half_d2 = jet_product(rtf.residue_place_jet(*v) for v in places)
         assert d1 == pytest.approx(fd1, abs=1e-6)
         assert 2.0 * half_d2 == pytest.approx(fd2, abs=1e-5)
 
@@ -562,26 +571,23 @@ class TestKernelNormalization:
 
 class TestPredictedMomentAverage:
     def test_zero_function(self):
-        eta = QuadraticCharacterProfile.from_dirichlet(TRIVIAL)
         res = rtf.predicted_moment_average(
-            L({2: 1}), {ARCH: (lambda y: 0.0, (1.0, 2.0))}, eta, 1.0
+            L({2: 1}), {ARCH: (lambda y: 0.0, (1.0, 2.0))}, TRIVIAL, 1.0
         )
         assert res.value == 0.0
 
     def test_squarefree_equals_pairing(self):
         from rtflab.measures import spectral_pairing
 
-        eta = QuadraticCharacterProfile.from_dirichlet(TRIVIAL)
         fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
-        res = rtf.predicted_moment_average(L({2: 1, 7: 1}), fns, eta, 1.3)
-        pair = spectral_pairing(fns, eta.sign_at, 1.3)
+        res = rtf.predicted_moment_average(L({2: 1, 7: 1}), fns, TRIVIAL, 1.3)
+        pair = spectral_pairing(fns, TRIVIAL.sign_at, 1.3)
         assert res.value == pytest.approx(pair.value, rel=1e-12)
 
     def test_exponent_two_halves_at_q2(self):
-        eta = QuadraticCharacterProfile.from_dirichlet(TRIVIAL)
         fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
-        squarefree = rtf.predicted_moment_average(L({3: 1}), fns, eta, 1.0)
-        squared = rtf.predicted_moment_average(L({2: 2}), fns, eta, 1.0)
+        squarefree = rtf.predicted_moment_average(L({3: 1}), fns, TRIVIAL, 1.0)
+        squared = rtf.predicted_moment_average(L({2: 2}), fns, TRIVIAL, 1.0)
         assert squared.value == pytest.approx(0.5 * squarefree.value, rel=1e-12)
 
 
@@ -602,7 +608,7 @@ class TestEtaContext:
 
     def test_every_order_one_character_gives_the_trivial_context(self, ctx_trivial):
         assert rtf.eta_context(DirichletCharacter.trivial(6)) == ctx_trivial
-        assert ctx_trivial.eta.dirichlet == TRIVIAL
+        assert ctx_trivial.eta == TRIVIAL
 
     def test_rejects_odd_quadratic(self):
         with pytest.raises(ValueError):
