@@ -53,7 +53,6 @@ _EXPORTS = {
     "lfunctions": (
         "EdgeCoefficients",
         "LaurentData",
-        "completed_l",
         "edge_coefficients",
         "laurent_at_1",
     ),
@@ -61,7 +60,6 @@ _EXPORTS = {
         "EtaContext",
         "edge_place_factor",
         "eta_context",
-        "intertwining_ratio",
         "kernel_normalization",
         "level_constant",
         "predicted_moment_average",
@@ -69,7 +67,7 @@ _EXPORTS = {
         "unipotent_orbit_constant",
         "unipotent_orbit_factor",
     ),
-    "oracles": ("edge_product_taylor", "enumerate_rho"),
+    "oracles": ("completed_l", "edge_product_taylor", "enumerate_rho", "intertwining_ratio"),
     "empirical": (
         "EmpiricalSample",
         "compare_report",

@@ -279,41 +279,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
 
-    def primitive_character(self) -> DirichletCharacter:
-        """The primitive character inducing this one."""
-        f = self.conductor()
-        if f == self.modulus:
-            return self
-        gf = unit_group(f)
-        L = unit_group(self.modulus).exponent
-        exps = []
-        for gen, n in zip(gf.generators, gf.orders):
-            # Lift gen to a residue coprime to the full modulus.
-            a = gen
-            while math.gcd(a, self.modulus) != 1:
-                a += f
-            k = self.phase_index(a)
-            assert k is not None
-            # chi(a) = e^{2 pi i k / L} must be an n-th root of unity e^{2 pi i e / n}.
-            if k * n % L != 0:
-                raise ArithmeticError("inconsistent phase when reducing to conductor")
-            exps.append(k * n // L % n)
-        return DirichletCharacter(f, tuple(exps))
-
-    def __mul__(self, other: DirichletCharacter) -> DirichletCharacter:
-        if other.modulus != self.modulus:
-            raise ValueError("characters must share a modulus to be multiplied")
-        return DirichletCharacter(
-            self.modulus,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
-
-    def conjugate(self) -> DirichletCharacter:
-        return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
-
-    def square(self) -> DirichletCharacter:
-        return self * self
-
 
 # ---------------------------------------------------------------------------
 # the character grid: exponent vectors over the generators of unit_group(m)

@@ -9,12 +9,13 @@ fail, and the failing checks are reported by name).
 Each check group imports what it runs, as each CLI subcommand does:
 `lfunctions` is imported inside `check_characters` (L(1, chi_5) is read off
 its Laurent data) and `check_rtf_constants`, `rtf_constants` inside
-`check_rtf_constants` alone, and the second routes of `oracles` inside
-`xi_matches_brute_force` and `check_rtf_constants`.  `lfunctions` loads no
-mpmath at import: mpmath is imported by the working-precision evaluators
-and stencil fits that only the rtf checks call.  So when `run_all_checks`
-runs its groups in several processes, only the one that runs the `rtf`
-group loads mpmath.
+`check_rtf_constants` alone, and the second routes of `oracles` inside the
+checks that compare with them (the sign and census checks of
+`check_characters`, `check_gamma` and `check_rtf_constants`).  `oracles` is
+the one module that imports mpmath, and only inside the working-precision
+routes and stencil fits that the rtf checks alone call.  So when
+`run_all_checks` runs its groups in several processes, only the one that
+runs the `rtf` group loads mpmath.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .local_factors import (
     r_weight,
     satake_ratio,
 )
-from .special import EULER_GAMMA, abs_gamma_iy_sq_inv, abs_gamma_iy_sq_inv_lanczos, digamma
+from .special import EULER_GAMMA, abs_gamma_iy_sq_inv, digamma
 
 _PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 # The positive fundamental discriminants below 45: the conductors of the
@@ -146,7 +147,11 @@ def check_fields(tol: float | None) -> list[CheckResult]:
 
 def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: int = 300) -> list[CheckResult]:
     def eta_tilde_defects() -> int:
-        # Random even real characters on levels prime to their conductors.
+        # Random even real characters on levels prime to their conductors:
+        # eta(n1 n2) = eta(n1) eta(n2), and each drawn sign is the Kronecker
+        # symbol of the conductor (a positive fundamental discriminant).
+        from .oracles import kronecker_symbol
+
         rng = random.Random(20240902)
         defects = 0
         for _ in range(50):
@@ -156,6 +161,7 @@ def check_characters(tol: float | None, census_limit: int = 200, gauss_limit: in
             n2 = _level({primes[2]: rng.randint(1, 3), primes[3]: rng.randint(1, 3)})
             if eta.value_on_ideal(n1 * n2) != eta.value_on_ideal(n1) * eta.value_on_ideal(n2):
                 defects += 1
+            defects += sum(eta.sign_at(_place(p)) != kronecker_symbol(eta.modulus, p) for p in primes)
         return defects
 
     def gauss_defect() -> float:
@@ -395,6 +401,8 @@ def check_measures(tol: float | None) -> list[CheckResult]:
 
 def check_gamma(tol: float | None) -> list[CheckResult]:
     def lanczos_defect() -> float:
+        from .oracles import abs_gamma_iy_sq_inv_lanczos
+
         worst = 0.0
         for y in np.linspace(0.1, 30.0, 300):
             a = abs_gamma_iy_sq_inv_lanczos(float(y))
@@ -539,7 +547,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
                 if base is None:
                     base = val
                 worst = max(worst, abs(val - base))
-        lhat5 = lfn.completed_l(1.0, chi5())
+        lhat5 = oracles.completed_l(1.0, chi5())
         return max(worst, abs(complex(base) - lhat5))
 
     def orbit_growth_defect() -> float:
@@ -561,7 +569,7 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         d = _level({2: 2})
         for chi in (trivial, chi5()):
             for nu in (0.3, 0.45 + 0.2j):
-                prod = rtf.intertwining_ratio(chi, d, nu) * rtf.intertwining_ratio(chi, d, -nu)
+                prod = oracles.intertwining_ratio(chi, d, nu) * oracles.intertwining_ratio(chi, d, -nu)
                 worst = max(worst, abs(prod - 1.0))
         return worst
 

@@ -1,21 +1,17 @@
-"""Dirichlet L-functions over Q and their completions, with Laurent data.
+"""Dirichlet L-functions over Q: closed-form Laurent data and the jet rules.
 
-The trivial character is ``DirichletCharacter.trivial()``, the character
-mod 1: its L-function is the Riemann zeta function and its completion
-Lambda_zeta, with poles at s = 0 and s = 1.
+The trivial character is ``DirichletCharacter.trivial()``, the character mod
+1: its L-function is the Riemann zeta function and its completion
+Lambda_zeta, with poles at s = 0 and s = 1.  Completed functions carry the
+archimedean factor ``pi**(-s/2) Gamma(s/2)`` and the conductor power
+``(m/pi)**(s/2)``.
 
-Finite parts are evaluated through the Hurwitz-zeta representation
-``L(s, chi) = m**(-s) * sum_a chi(a) zeta(s, a/m)`` at elevated working
-precision (mpmath, imported by the evaluators that use it), which is valid
-in the entire s-plane.  Completed functions carry the archimedean factor
-``pi**(-s/2) Gamma(s/2)`` and the conductor power ``(m/pi)**(s/2)``.
-
-Every character the completed and Laurent routes accept (`_is_trivial`: the
-trivial character mod 1 or a real even primitive one) has root number 1,
-since tau(chi) = sqrt(m) (Gauss; the tests check it for m <= 100).  So
-Lambda(s) = Lambda(1 - s) reaches Re(s) < 1/2 without the gamma pole at
-s = 0, the Laurent data at 1 are real with residue 1 or 0, and the epsilon
-factor at s = 0 is sqrt(m): no Gauss sum is computed.
+Every character the Laurent routes here and `oracles.completed_l` accept
+(`_is_trivial`: the trivial character mod 1 or a real even primitive one)
+has root number 1, since tau(chi) = sqrt(m) (Gauss; the tests check it for
+m <= 100).  So Lambda(s) = Lambda(1 - s) reaches Re(s) < 1/2 without the
+gamma pole at s = 0, the Laurent data at 1 are real with residue 1 or 0, and
+the epsilon factor at s = 0 is sqrt(m): no Gauss sum is computed.
 
 Laurent data at s = 1 comes from closed forms in floats, without mpmath:
 literals of the Stieltjes and polygamma formula for the completed zeta, and
@@ -29,8 +25,11 @@ tuples (f, f', f''/2) at the expansion point: ``jet_product`` multiplies
 them, ``exp_jet`` gives the jet of an exponential (every power q**(a x)),
 and ``jet_reciprocal`` that of 1/f, so the Taylor data of a formula is read
 off by evaluating it on jets.
-The independent route, symmetric stencil fits at working precision, is in
-:mod:`rtflab.oracles`.
+
+This module imports no mpmath.  The working-precision routes, the
+Hurwitz-zeta evaluation of Lambda(s, chi) (`oracles.completed_l`), the zeta
+ratio of the constant term and the symmetric stencil fits that cross-check
+the closed forms, are in :mod:`rtflab.oracles`.
 """
 
 from __future__ import annotations
@@ -40,100 +39,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from ._record import record
-from .characters import DirichletCharacter, unit_group
-from .errors import PoleError
-from .fields import factorize
+from .characters import DirichletCharacter
 from .special import EULER_GAMMA
-
-_DPS = 30
-
-
-# ---------------------------------------------------------------------------
-# working-precision evaluators (mp in, mp out)
-
-
-def _l_fin_mp(s, chi: DirichletCharacter):
-    import mpmath as mp
-
-    m = chi.modulus
-    if chi.order() == 1:
-        out = mp.zeta(s)
-        for p, _ in factorize(m):
-            out *= 1 - mp.mpf(p) ** (-s)
-        return out
-    # (a, chi(a)) over the units a in 1..m, from the integer phases
-    L = unit_group(m).exponent
-    vals = [
-        (a, mp.e ** (2j * mp.pi * (mp.mpf(k) / L)))
-        for a in range(1, m + 1)
-        if (k := chi.phase_index(a)) is not None
-    ]
-    if abs(s - 1) < mp.mpf("1e-18"):
-        return -mp.fsum(v * mp.digamma(mp.mpf(a) / m) for a, v in vals) / m
-    return m ** (-s) * mp.fsum(v * mp.zeta(s, mp.mpf(a) / m) for a, v in vals)
-
-
-def _completed_l_mp(s, chi: DirichletCharacter):
-    """Lambda(s, chi) for a character `_is_trivial` accepts, whose root
-    number is 1: the half plane Re(s) < 1/2 reads Lambda(1 - s)."""
-    import mpmath as mp
-
-    s = mp.mpc(s)
-    if s.real < 0.5:
-        return _completed_l_mp(1 - s, chi)
-    m = chi.modulus
-    return (mp.mpf(m) / mp.pi) ** (s / 2) * mp.gamma(s / 2) * _l_fin_mp(s, chi)
-
-
-# ---------------------------------------------------------------------------
-# public complex-valued evaluators
-
-
-def l_fin(s: complex, chi: DirichletCharacter) -> complex:
-    """Finite-part Dirichlet L-function of chi (imprimitive characters allowed).
-
-    The trivial character mod 1 gives the Riemann zeta function; every
-    character of order one has its pole at s = 1.
-    """
-    if abs(complex(s) - 1.0) < 1e-14 and chi.order() == 1:
-        raise PoleError(f"L-function pole at s = 1 (trivial character mod {chi.modulus})")
-    import mpmath as mp
-
-    with mp.workdps(_DPS):
-        return complex(_l_fin_mp(mp.mpc(s), chi))
-
-
-def zeta_ratio(nu: complex) -> complex:
-    """zeta(1 + nu) / zeta(1 - nu), with its limit -1 at nu = 0.
-
-    1 +- nu is formed exactly in mpmath: near the pole, rounding it in floats
-    moves the ratio by up to 2**-52/|nu| relative.
-    """
-    nu = complex(nu)
-    if nu == 0:
-        return -1.0 + 0.0j
-    import mpmath as mp
-
-    with mp.workdps(_DPS):
-        mp.mp.prec += max(0, -mp.mag(nu.real)) if nu.real else 0
-        return complex(mp.zeta(1 + mp.mpc(nu)) / mp.zeta(1 - mp.mpc(nu)))
-
-
-def completed_l(s: complex, chi: DirichletCharacter) -> complex:
-    """Completed L, (m/pi)**(s/2) Gamma(s/2) L_fin(s, chi), of a character that
-    `_is_trivial` accepts (ValueError otherwise), so Lambda(s) = Lambda(1 - s).
-
-    Entire for nontrivial chi; the trivial character mod 1 gives
-    Lambda_zeta, with poles at s = 0 and s = 1.
-    """
-    s = complex(s)
-    if _is_trivial(chi) and (abs(s) < 1e-14 or abs(s - 1.0) < 1e-14):
-        raise PoleError(f"completed zeta pole at s = {s}")
-    import mpmath as mp
-
-    with mp.workdps(_DPS):
-        return complex(_completed_l_mp(mp.mpc(s), chi))
-
 
 # ---------------------------------------------------------------------------
 # truncated power series ("jets") of order 2

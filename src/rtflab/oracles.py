@@ -1,5 +1,5 @@
 """Independent second routes, compared with the production routes by the
-check suite and the tests.
+check suite and the tests, and the one module that imports mpmath.
 
 The production modules keep one route per job and never import this one;
 only `checks` (and the tests) do.
@@ -8,7 +8,15 @@ only `checks` (and the tests) do.
   extension, knowing nothing of primitive roots, CRT or `unit_group`;
   `conductor_by_divisor_test` reads a conductor off integer phases.  They
   check the census `characters.enumerate_xi` and
-  `DirichletCharacter.conductor`.
+  `DirichletCharacter.conductor`.  `kronecker_symbol` (Euler's criterion)
+  checks `DirichletCharacter.sign_at`.
+- `abs_gamma_iy_sq_inv_lanczos` reads |gamma(i y / 2)|**(-2) off the
+  Lanczos kernel, the second route to its closed form in `special`.
+- The working-precision routes (mpmath at ``_DPS`` digits): `completed_l`
+  evaluates Lambda(s, chi) through the Hurwitz zeta, the second route to
+  the closed-form Laurent data of `lfunctions`; `intertwining_ratio` is the
+  constant-term ratio, through `zeta_ratio`.  They take the characters
+  `lfunctions._is_trivial` accepts, and no other.
 - `extract_series` fits Taylor data by symmetric stencils at working
   precision; `laurent_at_1_two_widths` and `central_series_function` apply
   it to the closed-form Laurent and edge data of `lfunctions`.
@@ -20,11 +28,10 @@ only `checks` (and the tests) do.
   `rtf_constants.spectral_edge_constant`, which takes products over places
   of per-place sums.
 
-The character oracles need numpy only.  mpmath, `lfunctions` and
+The character and gamma oracles need numpy only.  mpmath, `lfunctions` and
 `rtf_constants` are imported inside the analytic functions that use them,
-so the census check (`checks.xi_matches_brute_force`) loads none of the
-three: `rtflab check` loads them only in the process that runs its `rtf`
-group.
+so the census, sign and gamma checks load none of the three: `rtflab check`
+loads them only in the process that runs its `rtf` group.
 """
 
 from __future__ import annotations
@@ -37,8 +44,9 @@ from typing import TYPE_CHECKING, Callable, Mapping
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import CapExceededError
+from .errors import CapExceededError, PoleError, RamifiedOverlapError
 from .fields import FieldProfile, FinitePlace, LevelIdeal, RATIONALS
+from .special import gamma
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -111,6 +119,131 @@ def conductor_by_divisor_test(m: int, phase: Mapping[int, int]) -> int:
     raise ValueError("modulus must be positive")
 
 
+def kronecker_symbol(D: int, p: int) -> int:
+    """The Kronecker symbol (D/p) at a prime p, 0 where p divides D: Euler's
+    criterion D**((p - 1)/2) mod p for odd p, and D mod 8 for p = 2.
+
+    The second route to `DirichletCharacter.sign_at` of the real primitive
+    character of discriminant D.
+    """
+    if D % p == 0:
+        return 0
+    if p == 2:
+        return 1 if D % 8 in (1, 7) else -1
+    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
+
+
+# ---------------------------------------------------------------------------
+# gamma: the Lanczos kernel at i y / 2
+
+
+def abs_gamma_iy_sq_inv_lanczos(y: float) -> float:
+    """|gamma(i y / 2)|**(-2) through the Lanczos kernel; the second route to
+    the closed form `special.abs_gamma_iy_sq_inv`."""
+    y = float(y)
+    if y == 0.0:
+        return 0.0
+    g = gamma(0.5j * y)
+    return 1.0 / (g.real * g.real + g.imag * g.imag)
+
+
+# ---------------------------------------------------------------------------
+# L-functions at working precision (mp in, mp out, or complex at the API)
+
+_DPS = 30
+
+
+def _l_fin_mp(s, chi: DirichletCharacter):
+    """L(s, chi) of a character `lfunctions._is_trivial` accepts: zeta(s) for
+    the trivial one, else ``m**(-s) sum_a chi(a) zeta(s, a/m)`` over the units
+    a mod m, valid in the entire s-plane, with its digamma limit at s = 1."""
+    import mpmath as mp
+
+    m = chi.modulus
+    if m == 1:
+        return mp.zeta(s)
+    signs = [(a, 1 if k == 0 else -1) for a in range(1, m) if (k := chi.phase_index(a)) is not None]
+    if abs(s - 1) < mp.mpf("1e-18"):
+        return -mp.fsum(v * mp.digamma(mp.mpf(a) / m) for a, v in signs) / m
+    return m ** (-s) * mp.fsum(v * mp.zeta(s, mp.mpf(a) / m) for a, v in signs)
+
+
+def _completed_l_mp(s, chi: DirichletCharacter):
+    """Lambda(s, chi) for a character `lfunctions._is_trivial` accepts, whose
+    root number is 1: the half plane Re(s) < 1/2 reads Lambda(1 - s)."""
+    import mpmath as mp
+
+    s = mp.mpc(s)
+    if s.real < 0.5:
+        return _completed_l_mp(1 - s, chi)
+    m = chi.modulus
+    return (mp.mpf(m) / mp.pi) ** (s / 2) * mp.gamma(s / 2) * _l_fin_mp(s, chi)
+
+
+def completed_l(s: complex, chi: DirichletCharacter) -> complex:
+    """Completed L, (m/pi)**(s/2) Gamma(s/2) L(s, chi), of a character that
+    `lfunctions._is_trivial` accepts (ValueError otherwise), so
+    Lambda(s) = Lambda(1 - s).
+
+    Entire for nontrivial chi; the trivial character mod 1 gives
+    Lambda_zeta, with poles at s = 0 and s = 1 (`PoleError`).  The second
+    route to `lfunctions.laurent_at_1`: its c0 is Lambda(1, chi).
+    """
+    from .lfunctions import _is_trivial
+
+    s = complex(s)
+    if _is_trivial(chi) and (abs(s) < 1e-14 or abs(s - 1.0) < 1e-14):
+        raise PoleError(f"completed zeta pole at s = {s}")
+    import mpmath as mp
+
+    with mp.workdps(_DPS):
+        return complex(_completed_l_mp(mp.mpc(s), chi))
+
+
+def zeta_ratio(nu: complex) -> complex:
+    """zeta(1 + nu) / zeta(1 - nu), with its limit -1 at nu = 0; `PoleError`
+    where zeta(1 - nu) = 0.
+
+    1 +- nu is formed exactly in mpmath: near the pole, rounding it in floats
+    moves the ratio by up to 2**-52/|nu| relative.
+    """
+    nu = complex(nu)
+    if nu == 0:
+        return -1.0 + 0.0j
+    import mpmath as mp
+
+    with mp.workdps(_DPS):
+        mp.mp.prec += max(0, -mp.mag(nu.real)) if nu.real else 0
+        den = mp.zeta(1 - mp.mpc(nu))
+        if not den:
+            raise PoleError(f"zeta(1 - nu) vanishes at nu = {nu}")
+        return complex(mp.zeta(1 + mp.mpc(nu)) / den)
+
+
+def intertwining_ratio(chi: DirichletCharacter, d: LevelIdeal, nu: complex) -> complex:
+    """Constant-term ratio m**(-nu) N(d)**(-nu) L(1 + nu)/L(1 - nu), the
+    L-ratio being that of the primitive character inducing chi**2.
+
+    chi is a character `lfunctions._is_trivial` accepts (ValueError
+    otherwise), of conductor m.  It is real, so chi**2 is induced from the
+    trivial character mod 1 and the L-ratio is `zeta_ratio`, -1 at nu = 0
+    where the poles cancel.  d is the
+    choice assignment, a divisor of the level (N(d)**(-nu) is taken as the
+    product of q**(-k nu) over its factors v**k); `RamifiedOverlapError` at a
+    place of d where chi is ramified.
+    """
+    from .lfunctions import _is_trivial
+
+    _is_trivial(chi)
+    nu = complex(nu)
+    power = chi.modulus ** (-nu)
+    for place, k in d.factors:
+        if chi.phase_index(place.q) is None:
+            raise RamifiedOverlapError(f"character is ramified at the active place {place.label}")
+        power *= place.q ** (-k * nu)
+    return power * zeta_ratio(nu)
+
+
 # ---------------------------------------------------------------------------
 # Laurent and edge data: symmetric stencil fits
 
@@ -127,8 +260,6 @@ def _stencil_inverse(width: float) -> mp.matrix:
     them; the inverse is taken with ten more digits.
     """
     import mpmath as mp
-
-    from .lfunctions import _DPS
 
     with mp.workdps(_DPS):
         ts = [(mp.mpf(width) / 2**i) ** 2 for i in range(_STENCIL_LEVELS)]
@@ -173,8 +304,6 @@ def extract_series(f: Callable, center: float, pole_order: int, width: float) ->
     """
     import mpmath as mp
 
-    from .lfunctions import _DPS
-
     with mp.workdps(_DPS):
         return _fit_series(partial(_stencil_parts, f, center, pole_order), width)
 
@@ -191,7 +320,7 @@ def laurent_at_1_two_widths(xi: DirichletCharacter) -> tuple[LaurentData, Lauren
     """
     import mpmath as mp
 
-    from .lfunctions import _DPS, LaurentData, _completed_l_mp, _is_trivial
+    from .lfunctions import LaurentData, _is_trivial
 
     pole = 1 if _is_trivial(xi) else 0
     parts = cache(partial(_stencil_parts, partial(_completed_l_mp, chi=xi), 1.0, pole))
@@ -213,7 +342,7 @@ def central_series_function(eta: DirichletCharacter, discriminant_abs: int = 1) 
     accepted)."""
     import mpmath as mp
 
-    from .lfunctions import _completed_l_mp, _is_trivial
+    from .lfunctions import _is_trivial
 
     _is_trivial(eta)  # ValueError for a character the closed forms do not cover
     zeta = DirichletCharacter.trivial()

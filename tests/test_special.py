@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from rtflab.errors import PoleError
+from rtflab.oracles import abs_gamma_iy_sq_inv_lanczos
 from rtflab.special import (
     EULER_GAMMA,
     abs_gamma_iy_sq_inv,
-    abs_gamma_iy_sq_inv_lanczos,
     digamma,
     gamma,
     gamma_r,
