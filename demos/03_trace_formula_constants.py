@@ -34,24 +34,22 @@ for tag, data in reps.items():
 
 print("\n== spectral edge constants ==")
 for tag, chi in (("trivial", DirichletCharacter.trivial()), ("quad mod 5", DirichletCharacter.quadratic(5))):
-    ctx = rtf.eta_context(chi)
     for n_int in (1, 4, 12):
         n = LevelIdeal.from_integer(n_int)
-        ys = {j: rtf.spectral_edge_constant(n, ctx, j) for j in (2, 1, 0, -1)}
+        ys = {j: rtf.spectral_edge_constant(n, chi, j) for j in (2, 1, 0, -1)}
         body = ", ".join(f"Y_{j} = {v:+.6f}" for j, v in ys.items())
         print(f"{tag:10s} n = {n_int:3d}: {body}")
 
 print("\n== orbit-side kernels ==")
-print(f"archimedean factor at s=1: {rtf.unipotent_orbit_factor({ARCH: 1.0 + 0j}, lambda p: 1).real:+.12f}"
+print(f"archimedean factor at s=1: {rtf.unipotent_orbit_factor({ARCH: 1.0 + 0j}, DirichletCharacter.trivial()).real:+.12f}"
       f"   (-pi/8 = {-math.pi / 8:.12f})")
-ctx5 = rtf.eta_context(DirichletCharacter.quadratic(5))
+chi5 = DirichletCharacter.quadratic(5)
 for s in (0.5, 2.0, 5.0):
-    v = rtf.unipotent_orbit_constant({ARCH: complex(s), P(7): complex(s)}, LevelIdeal.from_integer(8), ctx5.laurent_eta)
+    v = rtf.unipotent_orbit_constant({ARCH: complex(s), P(7): complex(s)}, LevelIdeal.from_integer(8), chi5)
     print(f"orbit constant (quad mod 5) at s={s}: {v.real:+.12f}  (flat: equals completed L(1))")
-ctx1 = rtf.eta_context(DirichletCharacter.trivial())
 for n_int in (1, 4, 64):
     n = LevelIdeal.from_integer(n_int)
-    v = rtf.unipotent_orbit_constant({ARCH: 2.0 + 0j}, n, ctx1.laurent_eta)
+    v = rtf.unipotent_orbit_constant({ARCH: 2.0 + 0j}, n, DirichletCharacter.trivial())
     print(f"orbit constant (trivial) at a = {n_int:3d}: {v.real:+.10f}"
           f"   [grows by (1/2) log N: {0.5 * math.log(max(n_int, 1)):.10f}]")
 

@@ -57,9 +57,7 @@ _EXPORTS = {
         "laurent_at_1",
     ),
     "rtf_constants": (
-        "EtaContext",
         "edge_place_factor",
-        "eta_context",
         "kernel_normalization",
         "level_constant",
         "predicted_moment_average",

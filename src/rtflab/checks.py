@@ -24,7 +24,7 @@ import cmath
 import math
 import random
 from functools import cache
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import characters as chars
 from . import measures as meas
 from ._record import record
 from .chunked import map_chunked
-from .fields import RATIONALS, FinitePlace, LevelIdeal
+from .fields import RATIONALS, FinitePlace, LevelIdeal, index_k0
 from .local_factors import (
     HigherConductor,
     LocalData,
@@ -457,12 +457,12 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
     def edge_taylor_defect() -> float:
         # The production sum over assignments against their enumeration.
         worst = 0.0
-        for ctx in (rtf.eta_context(trivial), rtf.eta_context(chi5())):
+        for eta in (trivial, chi5()):
             for spec in ({2: 2, 3: 1}, {2: 1, 3: 2, 11: 2}):
                 n = _level(spec)
-                expected = oracles.edge_constants_by_enumeration(n, ctx)
+                expected = oracles.edge_constants_by_enumeration(n, eta)
                 for order, y in expected.items():
-                    got = rtf.spectral_edge_constant(n, ctx, order)
+                    got = rtf.spectral_edge_constant(n, eta, order)
                     worst = max(worst, abs(got - y) / max(1.0, abs(y)))
         eta = chars.DirichletCharacter.quadratic(13)  # signs -1, +1, -1 at 2, 3, 5
         for spec in ({2: 1}, {2: 2}, {2: 1, 3: 2}, {2: 2, 3: 1, 5: 3}):
@@ -480,21 +480,21 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         return worst
 
     def level_constant_defect() -> float:
+        # Atkin-Lehner: S_k(Gamma0(N)) holds sigma0(N/M) copies of the newforms
+        # of each level M | N, and dimensions grow like psi = `index_k0`, so
+        # the newform density is new(N) = sum_{M | N} beta(N/M) psi(M) with
+        # beta = mu * mu (beta(p) = -2, beta(p**2) = 1, 0 beyond); the level
+        # constant is new(N) / phi(N).  Integer sums, one division.
+        beta = (1, -2, 1)
+        primes = (2, 3, 5)
+        levels = {es: _level(dict(zip(primes, es))) for es in iproduct(range(6), repeat=3)}
+        psi = {es: index_k0(n) for es, n in levels.items()}
         worst = 0.0
-        for combo in iproduct(range(5), range(5), range(5)):
-            spec = {p: e for p, e in zip((2, 3, 5), combo) if e > 0}
-            if not spec:
-                continue
-            n = _level(spec)
-            heavy = [(p, e) for p, e in spec.items() if e >= 2]
-            total = 1.0
-            for j in range(1, len(heavy) + 1):
-                for subset in combinations(heavy, j):
-                    term = (-1.0) ** j
-                    for p, e in subset:
-                        term *= (1.0 - 1.0 / p) ** (-1 if e == 2 else 0) / p**2
-                    total += term
-            worst = max(worst, abs(total - rtf.level_constant(n)))
+        for es, n in levels.items():
+            new = sum(math.prod(beta[j] for j in drops) * psi[tuple(e - j for e, j in zip(es, drops))]
+                      for drops in iproduct(*(range(min(e, 2) + 1) for e in es)))
+            phi = math.prod(p ** (e - 1) * (p - 1) for p, e in zip(primes, es) if e)
+            worst = max(worst, abs(new / phi - rtf.level_constant(n)))
         return worst
 
     @cache
@@ -532,17 +532,16 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         return max(worst, abs(coeffs5.c_zero - complex(f5(-1.0)).real))
 
     def orbit_factor_defect() -> float:
-        up = rtf.unipotent_orbit_factor({arch: 1.0 + 0.0j}, lambda p: 1)
+        up = rtf.unipotent_orbit_factor({arch: 1.0 + 0.0j}, trivial)
         return abs(up - (-math.pi / 8.0))
 
     def orbit_flat_defect() -> float:
-        laurent5 = lfn.laurent_at_1(chi5())
         worst = 0.0
         base = None
         for s in (0.5, 1.0, 2.0, 3.5):
             for a_spec in ({}, {2: 1}, {3: 2}):
                 val = rtf.unipotent_orbit_constant(
-                    {arch: complex(s), _place(7): complex(s)}, _level(a_spec), laurent5
+                    {arch: complex(s), _place(7): complex(s)}, _level(a_spec), chi5()
                 )
                 if base is None:
                     base = val
@@ -555,12 +554,12 @@ def check_rtf_constants(tol: float | None) -> list[CheckResult]:
         # S = {} and a = (1), against -(1/2)(psi(1/2) + log pi), which reads
         # no Euler constant; then the growth in log N(n).
         laurent1 = lfn.laurent_at_1(trivial)
-        at_unit = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), laurent1).real - laurent1.c0
+        at_unit = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), trivial).real - laurent1.c0
         worst = abs(at_unit + 0.5 * (digamma(0.5) + math.log(math.pi)))
         for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
             n = _level(spec)
-            delta = rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, n, laurent1) - \
-                rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, LevelIdeal.unit(), laurent1)
+            delta = rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, n, trivial) - \
+                rtf.unipotent_orbit_constant({arch: 2.0 + 0.0j}, LevelIdeal.unit(), trivial)
             worst = max(worst, abs(delta - laurent1.residue * 0.5 * math.log(n.norm())))
         return worst
 

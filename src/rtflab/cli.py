@@ -221,7 +221,6 @@ def _cmd_weights(args) -> int:
 
 def _cmd_constants(args) -> int:
     from .rtf_constants import (
-        eta_context,
         level_constant,
         spectral_edge_constant,
         unipotent_orbit_constant,
@@ -232,9 +231,9 @@ def _cmd_constants(args) -> int:
     s_primes = _parse_s_primes(args.s_primes)
     profile = _load_profile(args.profile)
     n = parse_factored_level(args.n, profile)
-    chi = _parse_eta(args.eta)
-    ctx = eta_context(chi, profile)
-    laurent = ctx.laurent_eta
+    eta = _parse_eta(args.eta)
+    if not profile.is_rationals:
+        raise ValueError("the analytic context is implemented over Q only")
     arch = profile.archimedean_places[0]
     places = [arch] + [profile.place_for_prime(p) for p in s_primes]
     for place in places[1:]:
@@ -244,23 +243,16 @@ def _cmd_constants(args) -> int:
     c_term_samples = []
     for s in s_values:
         s_map = {pl: complex(s) for pl in places}
-        upsilon_samples.append(
-            _complex_pair(unipotent_orbit_factor(s_map, ctx.eta.sign_at))
-        )
-        c_term_samples.append(
-            _complex_pair(unipotent_orbit_constant(s_map, n, laurent, profile))
-        )
+        upsilon_samples.append(_complex_pair(unipotent_orbit_factor(s_map, eta)))
+        c_term_samples.append(_complex_pair(unipotent_orbit_constant(s_map, n, eta, profile)))
     doc = {
         "n": str(n),
         "norm": n.norm(),
         "eta": args.eta or "trivial",
         "C_level": level_constant(n),
         # C_eta is the orbit constant with no place in S
-        "C_eta_big": unipotent_orbit_constant({}, n, laurent, profile).real,
-        "Y": {
-            str(j): spectral_edge_constant(n, ctx, j)
-            for j in (2, 1, 0, -1)
-        },
+        "C_eta_big": unipotent_orbit_constant({}, n, eta, profile).real,
+        "Y": {str(j): spectral_edge_constant(n, eta, j) for j in (2, 1, 0, -1)},
         "s_values": s_values,
         "upsilon_samples": upsilon_samples,
         "C_term_samples": c_term_samples,

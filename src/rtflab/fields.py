@@ -291,12 +291,16 @@ def index_k0(n: LevelIdeal) -> int:
 
 
 def _parse_level_factor(token: str) -> tuple[int, int]:
-    """``(p, e)`` of one ``p^e`` or ``p`` factor of a level."""
+    """``(p, e)`` of one ``p^e`` or ``p`` factor of a level; ``e`` must be at
+    least 1, so that no token cancels another (``2^1*2^-1``)."""
     base, caret, exp = token.partition("^")
     try:
-        return int(base), int(exp) if caret else 1
+        p, e = int(base), int(exp) if caret else 1
     except ValueError:
         raise ValueError(f"cannot parse level token {token!r} (use p^e*q, e.g. 2^3*5)") from None
+    if e < 1:
+        raise ValueError(f"level token {token!r} has exponent {e}; exponents must be at least 1")
+    return p, e
 
 
 def parse_factored_level(text: str, profile: FieldProfile = RATIONALS) -> LevelIdeal:

@@ -156,8 +156,8 @@ def laurent_at_1(xi: DirichletCharacter) -> LaurentData:
     within 2.9e-16 relative of the exact value (the lgamma sum, 1.9e-15).
     Both sums are taken in floats, zeta''(0, x) by `_hurwitz_d2_at_0`.
     `oracles.laurent_at_1_two_widths` is the independent stencil route.
-    Cached on the character: `eta_context` and `edge_coefficients` both
-    read it.
+    Cached on the character: `edge_coefficients` and the constants routes
+    of `rtf_constants`, which take the character itself, all read it.
     """
     if _is_trivial(xi):
         return LaurentData(residue=1.0, c0=-0.976904291033879, c1=1.000248155568105)

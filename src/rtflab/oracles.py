@@ -45,14 +45,13 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import CapExceededError, PoleError, RamifiedOverlapError
-from .fields import FieldProfile, FinitePlace, LevelIdeal, RATIONALS
+from .fields import LevelIdeal
 from .special import gamma
 
 if TYPE_CHECKING:
     import mpmath as mp
 
     from .lfunctions import LaurentData
-    from .rtf_constants import EtaContext
 
 # ---------------------------------------------------------------------------
 # characters: subgroup extension and the divisor test
@@ -375,77 +374,71 @@ def enumerate_rho(n: LevelIdeal) -> list[LevelIdeal]:
     return [LevelIdeal.from_map(dict(zip(places, combo))) for combo in itertools.product(*ranges)]
 
 
-def flat_section_at_identity(d: LevelIdeal, sign_at: Callable[[FinitePlace], int]) -> float:
-    """Value at the identity of the normalized flat section attached to d.
+def flat_section_at_identity(d: LevelIdeal, eta: DirichletCharacter) -> float:
+    """Value at the identity of the normalized flat section of eta attached to d.
 
-    Depth-one places contribute sign * q**(1/2); depth k >= 2 contributes
-    (1 - 1/q) sign**k ((q+1)/(q-1))**(1/2) q**(k/2).
+    Depth-one places contribute eta(q) q**(1/2); depth k >= 2 contributes
+    (1 - 1/q) eta(q)**k ((q+1)/(q-1))**(1/2) q**(k/2), with eta(q) its sign
+    at the place.  The trivial character gives the trivial section.
     """
     from .rtf_constants import _section_factor
 
-    return math.prod(_section_factor(p.q, k, sign_at(p)) for p, k in d.factors)
+    return math.prod(_section_factor(p.q, k, eta.sign_at(p)) for p, k in d.factors)
 
 
-def edge_product_taylor(
-    d: LevelIdeal,
-    eta: DirichletCharacter,
-    profile: FieldProfile = RATIONALS,
-) -> tuple[float, float, float]:
+def edge_product_taylor(d: LevelIdeal, eta: DirichletCharacter) -> tuple[float, float, float]:
     """Taylor coefficients (orders 0, 1, 2) at the edge point of the product of
-    edge place factors over the factors of d, scaled by the character's sign
-    on the different.
+    edge place factors over the factors of d.
 
     It is the jet product of the per-place `rtf_constants.edge_place_jet`.
     """
     from .lfunctions import jet_product
-    from .rtf_constants import edge_place_jet, eta_on_different
+    from .rtf_constants import edge_place_jet
 
-    eps = eta_on_different(eta, profile)
-    t0, t1, t2 = jet_product(edge_place_jet(p.q, k, eta.sign_at(p)) for p, k in d.factors)
-    return eps * t0, eps * t1, eps * t2
+    return jet_product(edge_place_jet(p.q, k, eta.sign_at(p)) for p, k in d.factors)
 
 
-def residue_value_half_one(d: LevelIdeal, sign_at: Callable[[FinitePlace], int]) -> float:
+def residue_value_half_one(d: LevelIdeal, eta: DirichletCharacter) -> float:
     """The closed-form product over the factors of d at the point (1/2, 1)."""
     from .rtf_constants import _value_factor
 
-    return math.prod(_value_factor(p.q, k, sign_at(p)) for p, k in d.factors)
+    return math.prod(_value_factor(p.q, k, eta.sign_at(p)) for p, k in d.factors)
 
 
-def residual_term_constant(d: LevelIdeal, ctx: EtaContext) -> float:
+def residual_term_constant(d: LevelIdeal, eta: DirichletCharacter) -> float:
     """The scalar a(d) entering the order -1 spectral edge constant.
 
     It combines epsilon(0) = sqrt(m) (root number 1, see `lfunctions`)
     times the value at (1/2, 1) with the second derivative at z = 0 of
-    D**(-z) times the residue place factors, which read no sign.
+    the residue place factors, which read no sign, through the Laurent data
+    of eta at 1.
     """
-    from .lfunctions import jet_product
-    from .rtf_constants import _discriminant_jet, _residual_combination, residue_place_jet
+    from .lfunctions import jet_product, laurent_at_1
+    from .rtf_constants import _residual_combination, residue_place_jet
 
-    value = residue_value_half_one(d, ctx.eta.sign_at)
-    residue = [residue_place_jet(p.q, k) for p, k in d.factors]
-    twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), *residue])[2]
-    eps0 = math.sqrt(ctx.eta.modulus)
-    return _residual_combination(ctx, eps0 * value, twisted_d2)
+    value = residue_value_half_one(d, eta)
+    twisted_d2 = 2.0 * jet_product(residue_place_jet(p.q, k) for p, k in d.factors)[2]
+    eps0 = math.sqrt(eta.modulus)
+    return _residual_combination(laurent_at_1(eta), eps0 * value, twisted_d2)
 
 
-def edge_constants_by_enumeration(n: LevelIdeal, ctx: EtaContext) -> dict[int, float]:
+def edge_constants_by_enumeration(n: LevelIdeal, eta: DirichletCharacter) -> dict[int, float]:
     """The four spectral edge constants as explicit sums over every choice
     assignment, built from the per-assignment functions: the independent
     route to `rtf_constants.spectral_edge_constant`."""
-    from .lfunctions import _INV_ZETA_HAT2_JET
+    from .lfunctions import _INV_ZETA_HAT2_JET, edge_coefficients
 
-    d_half = ctx.profile.discriminant_abs**-0.5
-    weight = d_half * _INV_ZETA_HAT2_JET[0]
-    e = ctx.edge
+    weight = _INV_ZETA_HAT2_JET[0]
+    e = edge_coefficients(eta)
+    trivial = DirichletCharacter.trivial()
     terms = {2: [], 1: [], 0: [], -1: []}
     for d in enumerate_rho(n):
         empty = 0.0 if d.factors else 1.0
-        section = flat_section_at_identity(d, ctx.eta.sign_at) + empty
-        t0, t1, t2 = edge_product_taylor(d, ctx.eta, ctx.profile)
-        terms[2].append(d_half * section * 0.5 * t0 * e.c_minus2)
-        terms[1].append(d_half * section * (e.c_minus1 * t0 + e.c_minus2 * t1))
-        terms[0].append(d_half * section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
-        trivial_section = flat_section_at_identity(d, lambda p: 1) + empty
-        terms[-1].append(weight * trivial_section * residual_term_constant(d, ctx))
+        section = flat_section_at_identity(d, eta) + empty
+        t0, t1, t2 = edge_product_taylor(d, eta)
+        terms[2].append(section * 0.5 * t0 * e.c_minus2)
+        terms[1].append(section * (e.c_minus1 * t0 + e.c_minus2 * t1))
+        terms[0].append(section * (e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0))
+        trivial_section = flat_section_at_identity(d, trivial) + empty
+        terms[-1].append(weight * trivial_section * residual_term_constant(d, eta))
     return {order: math.fsum(t) for order, t in terms.items()}

@@ -25,7 +25,6 @@ import cmath
 import math
 from typing import Callable, Iterable, Mapping
 
-from ._record import record
 from .characters import DirichletCharacter
 from .errors import DomainError, PoleError, RamifiedOverlapError
 from .fields import (
@@ -148,16 +147,6 @@ def edge_place_jet(q: int, k: int, sign: int) -> Jet:
     return tuple(norm * c for c in jet)
 
 
-def eta_on_different(eta: DirichletCharacter, profile: FieldProfile) -> int:
-    """Sign of the character on the different ideal (1 over Q, where all
-    different exponents vanish)."""
-    out = 1
-    for place in profile.finite_places:
-        if place.d > 0:
-            out *= eta.sign_at(place) ** place.d
-    return out
-
-
 # ---------------------------------------------------------------------------
 # residue place factors and their jets
 
@@ -192,45 +181,6 @@ def residue_place_jet(q: int, k: int) -> Jet:
     return tuple(scale * a for a in jet)
 
 
-def _discriminant_jet(profile: FieldProfile) -> Jet:
-    """D**(-z) at z = 0."""
-    return exp_jet(-math.log(profile.discriminant_abs), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# character context bundling the analytic inputs
-
-
-@record
-class EtaContext:
-    """What varies with a sign character over Q, gathered once: the character
-    (``DirichletCharacter.trivial()`` for the trivial one), its Laurent data
-    at 1 and the edge coefficients of the central-value series.  Its root
-    number is 1 (see :mod:`lfunctions`), so no Gauss sum is kept.
-    """
-
-    profile: FieldProfile
-    eta: DirichletCharacter
-    laurent_eta: LaurentData
-    edge: EdgeCoefficients
-
-
-def eta_context(chi: DirichletCharacter, profile: FieldProfile = RATIONALS) -> EtaContext:
-    """Build the full analytic context for the trivial or an even primitive
-    quadratic character (`ValueError` otherwise, from `lfunctions`); every
-    character of order one gives the trivial one's."""
-    if not profile.is_rationals:
-        raise ValueError("the analytic context is implemented over Q only")
-    if chi.order() == 1:
-        chi = DirichletCharacter.trivial()
-    return EtaContext(
-        profile=profile,
-        eta=chi,
-        laurent_eta=laurent_at_1(chi),
-        edge=edge_coefficients(chi, profile.discriminant_abs),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the residual term constant
 
@@ -242,12 +192,12 @@ def _value_factor(q: int, k: int, s: int) -> float:
     return s**k * (s - 1.0) * (s - 1.0 / q) / (1.0 - q**-2) * _depth_norm(q, k) * q ** (-k / 2.0)
 
 
-def _residual_combination(ctx: EtaContext, twisted_zero: float, twisted_d2: float) -> float:
+def _residual_combination(laurent: LaurentData, twisted_zero: float, twisted_d2: float) -> float:
     """The residual term constant as a function of the twisted value b0 and the
     twisted second derivative d2, linear in both:
     -d2 r**2 / 2 - 2 b0 r c1 + b0 c0**2 with (r, c0, c1) the character's
     Laurent data (r = 0 leaves b0 c0**2)."""
-    r, c0, c1 = ctx.laurent_eta.residue, ctx.laurent_eta.c0, ctx.laurent_eta.c1
+    r, c0, c1 = laurent.residue, laurent.c0, laurent.c1
     return -0.5 * twisted_d2 * r * r - 2.0 * twisted_zero * r * c1 + twisted_zero * c0**2
 
 
@@ -255,45 +205,43 @@ def _residual_combination(ctx: EtaContext, twisted_zero: float, twisted_d2: floa
 # the spectral edge constants
 
 
-def spectral_edge_constant(n: LevelIdeal, ctx: EtaContext, order: int) -> float:
+def spectral_edge_constant(n: LevelIdeal, eta: DirichletCharacter, order: int) -> float:
     """The constant of the stated order (2, 1, 0 or -1) in the edge expansion
-    of the residual-plus-degenerate spectral contribution at level n.
+    of the residual-plus-degenerate spectral contribution at level n, for the
+    trivial or an even primitive quadratic character eta over Q (`ValueError`
+    otherwise, from `lfunctions`).
 
     Orders 2..0 weight the choice-assignment sums by the character's flat
-    section and the edge Taylor data; order -1 uses the trivial section and
-    the residual term constants.  Orders 2..0 enter the moment identity only
-    for an everywhere-unramified character, but are defined for any context.
-    Every sum over assignments is taken as a product over places
+    section and the edge Taylor data (`edge_coefficients`); order -1 uses the
+    trivial section, the residual term constants and the Laurent data
+    (`laurent_at_1`).  Orders 2..0 enter the moment identity only for an
+    everywhere-unramified character, but are defined for any level.  Every
+    sum over assignments is taken as a product over places
     (:func:`assignment_sum`); `oracles.edge_constants_by_enumeration`, one
     term per assignment, is the independent route.
     """
     if order not in (2, 1, 0, -1):
         raise ValueError("order must be one of 2, 1, 0, -1")
-    d_half = ctx.profile.discriminant_abs**-0.5
-    eta = ctx.eta
     if order == -1:
+        laurent = laurent_at_1(eta)
         value = assignment_sum(
             n, lambda p: 1, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
         )[0]
         residue = assignment_sum(
             n, lambda p: 1, lambda p, k: residue_place_jet(p.q, k)
         )
-        twisted_d2 = 2.0 * jet_product([_discriminant_jet(ctx.profile), residue])[2]
-        # root number 1: epsilon(0) = sqrt(m); the weight is D**(-1/2) / Lambda_zeta(2)
+        # root number 1: epsilon(0) = sqrt(m); the weight is 1 / Lambda_zeta(2)
         eps0 = math.sqrt(eta.modulus)
-        weight = d_half * _INV_ZETA_HAT2_JET[0]
-        return weight * _residual_combination(ctx, eps0 * value, twisted_d2)
+        return _INV_ZETA_HAT2_JET[0] * _residual_combination(laurent, eps0 * value, 2.0 * residue[2])
+    e: EdgeCoefficients = edge_coefficients(eta)
     t0, t1, t2 = assignment_sum(
         n, eta.sign_at, lambda p, k: edge_place_jet(p.q, k, eta.sign_at(p))
     )
-    e = ctx.edge
     if order == 2:
-        combo = 0.5 * t0 * e.c_minus2
-    elif order == 1:
-        combo = e.c_minus1 * t0 + e.c_minus2 * t1
-    else:
-        combo = e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0
-    return eta_on_different(eta, ctx.profile) * d_half * combo
+        return 0.5 * t0 * e.c_minus2
+    if order == 1:
+        return e.c_minus1 * t0 + e.c_minus2 * t1
+    return e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +293,13 @@ def _arch_orbit_factor(s: complex) -> complex:
     return -0.125 * cmath.exp(2.0 * (log_gamma((s + 1.0) / 4.0) - log_gamma((s + 3.0) / 4.0)))
 
 
-def unipotent_orbit_factor(
-    s_by_place: Mapping[Place, complex],
-    eta_sign_at: Callable[[FinitePlace], int],
-) -> complex:
+def unipotent_orbit_factor(s_by_place: Mapping[Place, complex], eta: DirichletCharacter) -> complex:
     """Product over S of the orbit-side archimedean and finite factors.
 
     Archimedean: -(1/8) Gamma((s+1)/4)**2 / Gamma((s+3)/4)**2
     (`_arch_orbit_factor`).  Finite:
-    (1 - q**((s+1)/2))**(-1) (1 - sign * q**(-(s+1)/2))**(-1).
+    (1 - q**((s+1)/2))**(-1) (1 - eta(q) q**(-(s+1)/2))**(-1), with eta(q)
+    its sign at the place (`DirichletCharacter.sign_at`).
     """
     out = 1.0 + 0.0j
     for place in sorted(s_by_place, key=_place_sort_key):
@@ -362,9 +308,10 @@ def unipotent_orbit_factor(
             if isinstance(place, FinitePlace):
                 q = place.q
                 up = q ** ((s + 1.0) / 2.0)
-                if abs(1.0 - up) < 1e-13 or abs(1.0 - eta_sign_at(place) / up) < 1e-13:
+                sign = eta.sign_at(place)
+                if abs(1.0 - up) < 1e-13 or abs(1.0 - sign / up) < 1e-13:
                     raise PoleError(f"orbit factor pole at {place.label}, s = {s}")
-                out /= (1.0 - up) * (1.0 - eta_sign_at(place) / up)
+                out /= (1.0 - up) * (1.0 - sign / up)
             else:
                 out *= _arch_orbit_factor(s)
         except (OverflowError, ZeroDivisionError):
@@ -388,19 +335,21 @@ def _place_sort_key(place: Place):
 def unipotent_orbit_constant(
     s_by_place: Mapping[Place, complex],
     a_ideal: LevelIdeal,
-    laurent: LaurentData,
+    eta: DirichletCharacter,
     profile: FieldProfile = RATIONALS,
 ) -> complex:
-    """The additive orbit-side constant attached to an ideal and an s-tuple.
+    """The additive orbit-side constant attached to an ideal and an s-tuple,
+    read off the Laurent data of eta at 1 (`laurent_at_1`).
 
     For a character without residue (nontrivial) this collapses to the
-    constant term c0 = L(1, eta), independent of the ideal and of s.  For the
+    constant term c0 = Lambda(1, eta), independent of the ideal and of s.  For the
     trivial character the residue multiplies a bracket with the log of
     D * N(a)**(1/2), digamma terms at the archimedean places and geometric
     series terms at the finite places.  Its value at S = {} and a = n,
     c0 + residue * {(d/2)(gamma + 2 log 2 - log pi) + log(D * N(n)**(1/2))},
     is the constant C_eta of the second-moment asymptotic at level n.
     """
+    laurent = laurent_at_1(eta)
     c0, r = laurent.c0, laurent.residue
     if r == 0.0:
         return complex(c0)

@@ -278,16 +278,15 @@ def test_criterion_08_laurent_extraction():
 
 def test_criterion_09_geometric_kernels():
     arch_defect = abs(
-        rtf.unipotent_orbit_factor({ARCH: 1.0 + 0.0j}, lambda p: 1) - (-math.pi / 8.0)
+        rtf.unipotent_orbit_factor({ARCH: 1.0 + 0.0j}, TRIVIAL) - (-math.pi / 8.0)
     )
 
-    laurent5 = rtf.eta_context(CHI5).laurent_eta
     values = []
     for s in (0.5, 1.0, 2.0, 3.5):
         for a_spec in ({}, {2: 1}, {3: 2}):
             values.append(
                 rtf.unipotent_orbit_constant(
-                    {ARCH: complex(s), P(7): complex(s)}, L(a_spec), laurent5
+                    {ARCH: complex(s), P(7): complex(s)}, L(a_spec), CHI5
                 )
             )
     flat_defect = max(abs(v - values[0]) for v in values)
@@ -295,13 +294,13 @@ def test_criterion_09_geometric_kernels():
 
     flat_defect = max(flat_defect, abs(values[0] - completed_l(1.0, CHI5)))
 
-    laurent1 = rtf.eta_context(TRIVIAL).laurent_eta
+    laurent1 = laurent_at_1(TRIVIAL)
     log_defect = 0.0
     s_map = {ARCH: 2.0 + 0.0j}
     for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
         n = L(spec)
-        delta = rtf.unipotent_orbit_constant(s_map, n, laurent1) - rtf.unipotent_orbit_constant(
-            s_map, LevelIdeal.unit(), laurent1
+        delta = rtf.unipotent_orbit_constant(s_map, n, TRIVIAL) - rtf.unipotent_orbit_constant(
+            s_map, LevelIdeal.unit(), TRIVIAL
         )
         log_defect = max(
             log_defect, abs(delta - laurent1.residue * 0.5 * math.log(n.norm()))

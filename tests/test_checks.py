@@ -40,7 +40,9 @@ class TestCrashIsolation:
         def boom(xi):
             raise RuntimeError("closed-form Laurent data unavailable")
 
+        # `rtf_constants` binds the name at import, so it is patched there too.
         monkeypatch.setattr(lfunctions, "laurent_at_1", boom)
+        monkeypatch.setattr(rtf_constants, "laurent_at_1", boom)
         results = run_all_checks()
         assert [r.name for r in results] == expected
         failed = [r for r in results if not r.passed]
@@ -257,6 +259,29 @@ class TestEdgeSumSensitivity:
         results = check_rtf_constants(None)
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == ["rtf.edge_taylor_vs_numeric"]
+        assert 1e-3 < failed[0].observed < math.inf
+
+
+class TestLevelConstantSensitivity:
+    """`rtf.inclusion_exclusion_level_constant` reads the level constant off
+    the Atkin-Lehner count of newforms, sum over M | N of beta(N/M) psi(M)
+    over phi(N), so a wrong local factor at either exponent class fails it."""
+
+    # The honest factors: 1 - 1/(q**2 - q) at exponent 2, 1 - 1/q**2 beyond.
+    @pytest.mark.parametrize(
+        "factor_2, factor_3",
+        [(lambda q: 1.0 - 1.0 / (q * q - 1), lambda q: 1.0 - 1.0 / (q * q)),
+         (lambda q: 1.0 - 1.0 / (q * q - q), lambda q: 1.0 - 1.0 / (q * q + q))],
+        ids=["exponent-2", "exponent-3-and-up"],
+    )
+    def test_wrong_local_factor_fails_the_check(self, monkeypatch, factor_2, factor_3):
+        def patched(n):
+            return math.prod(factor_2(p.q) if e == 2 else factor_3(p.q) if e >= 3 else 1.0
+                             for p, e in n.factors)
+
+        monkeypatch.setattr(rtf_constants, "level_constant", patched)
+        failed = [r for r in check_rtf_constants(None) if not r.passed]
+        assert [r.name for r in failed] == ["rtf.inclusion_exclusion_level_constant"]
         assert 1e-3 < failed[0].observed < math.inf
 
 

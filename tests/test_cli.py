@@ -359,7 +359,39 @@ class TestCompare:
         assert "'0:1:2'" in json.loads(err)["message"]
 
 
+class TestLevelExponents:
+    """Every ``p^e`` token of a level has e >= 1, checked token by token, so
+    that no token cancels another."""
+
+    @pytest.mark.parametrize("command", ["constants", "characters"])
+    @pytest.mark.parametrize(
+        "level, token, e",
+        [("2^1*2^-1", "2^-1", -1), ("2^2*2^-1", "2^-1", -1), ("2^-1", "2^-1", -1),
+         ("2^0", "2^0", 0), ("3*2^0", "2^0", 0)],
+    )
+    def test_exponent_below_one_is_named(self, capsys, command, level, token, e):
+        code, out, err = run(capsys, command, "--n", level)
+        assert (code, out) == (2, "")
+        message = f"level token {token!r} has exponent {e}; exponents must be at least 1"
+        assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("command", ["constants", "characters"])
+    def test_repeated_prime_adds_its_exponents(self, capsys, command):
+        assert run(capsys, command, "--n", "2*2^2*3") == run(capsys, command, "--n", "2^3*3")
+
+
 class TestProfileAndUsage:
+    def test_profile_off_q_stops_the_analytic_context(self, capsys, tmp_path):
+        # --n 1 needs no place, so the profile passes the level parser and
+        # is refused where the constants are computed.
+        path = tmp_path / "profile.json"
+        path.write_text('{"degree": 2, "discriminant": 5, "places": '
+                        '[{"label": "v2", "q": 4}, {"label": "v5", "q": 5, "d": 1}]}', encoding="utf-8")
+        code, out, err = run(capsys, "constants", "--n", "1", "--profile", str(path))
+        assert (code, out) == (2, "")
+        message = "the analytic context is implemented over Q only"
+        assert json.loads(err) == {"error": "usage", "message": message}
+
     def test_corrupt_profile_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "profile.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -361,7 +361,8 @@ class TestUnsupportedCharacters:
         ids=["order6_mod13", "odd_quadratic_mod3", "cubic_mod7"],
     )
     def test_rejected(self, chi):
-        from rtflab.rtf_constants import eta_context
+        from rtflab.fields import LevelIdeal
+        from rtflab.rtf_constants import spectral_edge_constant
 
         with pytest.raises(ValueError):
             laurent_at_1(chi)
@@ -372,7 +373,7 @@ class TestUnsupportedCharacters:
         with pytest.raises(ValueError):
             completed_l(2.0, chi)
         with pytest.raises(ValueError):
-            eta_context(chi)
+            spectral_edge_constant(LevelIdeal.unit(), chi, 0)
 
     def test_imprimitive_trivial_character_is_rejected(self):
         # The trivial character is the one mod 1; trivial(6) would silently
@@ -388,7 +389,6 @@ class TestUnsupportedCharacters:
 class TestHotPath:
     def test_constants_do_not_use_the_stencil(self, monkeypatch, capsys):
         from rtflab import cli, oracles
-        from rtflab.rtf_constants import eta_context
 
         def boom(*args, **kwargs):
             raise RuntimeError("stencil route reached from the constants path")
@@ -396,8 +396,7 @@ class TestHotPath:
         # Every stencil fit goes through `oracles._fit_series`, which the
         # oracles call by its module-level name.
         monkeypatch.setattr(oracles, "_fit_series", boom)
-        ctx = eta_context(DirichletCharacter.quadratic(13))
-        assert ctx.edge.c_zero > 0.0
+        assert edge_coefficients(DirichletCharacter.quadratic(13)).c_zero > 0.0
         assert cli.main(["constants", "--n", "2^2*3", "--eta", "quad:5"]) == 0
         capsys.readouterr()
 

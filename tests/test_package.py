@@ -25,7 +25,7 @@ EXPORTED = {
     "measures": ["Density", "local_spectral", "plancherel", "pushforward_check", "sato_tate",
                  "spectral_pairing"],
     "lfunctions": ["EdgeCoefficients", "LaurentData", "edge_coefficients", "laurent_at_1"],
-    "rtf_constants": ["EtaContext", "edge_place_factor", "eta_context", "kernel_normalization",
+    "rtf_constants": ["edge_place_factor", "kernel_normalization",
                       "level_constant", "predicted_moment_average",
                       "spectral_edge_constant", "unipotent_orbit_constant",
                       "unipotent_orbit_factor"],
@@ -36,8 +36,8 @@ EXPORTED = {
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
-def test_fifty_four_names():
-    assert len(NAMES) == 54
+def test_fifty_two_names():
+    assert len(NAMES) == 52
     assert sorted(rtflab.__all__) == sorted(name for _, name in NAMES)
 
 

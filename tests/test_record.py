@@ -18,7 +18,6 @@ import pytest
 import rtflab
 from rtflab import characters, checks, empirical, fields, lfunctions, local_factors, measures
 from rtflab import quadrature
-from rtflab import rtf_constants as rtf
 
 _GENERATED = {"__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__",
               "__lt__", "__le__", "__gt__", "__ge__"}
@@ -65,7 +64,6 @@ def _samples():
         measures.Density: [measures.sato_tate(), measures.plancherel(3, -1)],
         quadrature.QuadratureResult: [quadrature.QuadratureResult(1.0, 1e-12, 3),
                                       quadrature.QuadratureResult(0.5, 0.0, 0)],
-        rtf.EtaContext: [rtf.eta_context(characters.DirichletCharacter.trivial()), rtf.eta_context(CHI5)],
     }
 
 
@@ -114,7 +112,7 @@ def test_every_record_class_has_samples():
                     and init.__code__.co_filename.startswith("<record "):
                 found.add(obj)
     assert found == set(CLASSES)
-    assert len(CLASSES) == 16
+    assert len(CLASSES) == 15
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -8,7 +8,7 @@ import pytest
 from rtflab.characters import DirichletCharacter
 from rtflab.errors import CapExceededError, DomainError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
-from rtflab.lfunctions import jet_product, laurent_at_1
+from rtflab.lfunctions import edge_coefficients, jet_product, laurent_at_1
 from rtflab import oracles
 from rtflab.oracles import completed_l
 from rtflab import rtf_constants as rtf
@@ -24,16 +24,6 @@ def L(spec):
 
 TRIVIAL = DirichletCharacter.trivial()
 CHI5 = DirichletCharacter.quadratic(5)
-
-
-@pytest.fixture(scope="module")
-def ctx_trivial():
-    return rtf.eta_context(TRIVIAL)
-
-
-@pytest.fixture(scope="module")
-def ctx_chi5():
-    return rtf.eta_context(CHI5)
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +99,22 @@ class TestOrbitConstantAtEmptyS:
     """C_eta, the second-moment constant that `constants` prints, is the orbit
     constant with no place in S."""
 
-    def test_nontrivial_residue_free(self, ctx_chi5):
-        laurent = ctx_chi5.laurent_eta
-        a = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), laurent)
-        b = rtf.unipotent_orbit_constant({}, L({2: 6}), laurent)
-        assert a == b == laurent.c0
+    def test_nontrivial_residue_free(self):
+        a = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), CHI5)
+        b = rtf.unipotent_orbit_constant({}, L({2: 6}), CHI5)
+        assert a == b == laurent_at_1(CHI5).c0
 
-    def test_trivial_unit_level(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_eta
+    def test_trivial_unit_level(self):
+        laurent = laurent_at_1(TRIVIAL)
         expected = laurent.c0 + (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi)) / 2.0
-        got = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), laurent)
+        got = rtf.unipotent_orbit_constant({}, LevelIdeal.unit(), TRIVIAL)
         assert isinstance(got, complex)  # as for every S and every character
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_log_growth(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_eta
+    def test_log_growth(self):
         n = L({2: 3, 5: 1})
-        delta = rtf.unipotent_orbit_constant({}, n, laurent) - rtf.unipotent_orbit_constant(
-            {}, LevelIdeal.unit(), laurent
+        delta = rtf.unipotent_orbit_constant({}, n, TRIVIAL) - rtf.unipotent_orbit_constant(
+            {}, LevelIdeal.unit(), TRIVIAL
         )
         assert delta == pytest.approx(0.5 * math.log(n.norm()), abs=1e-12)
 
@@ -160,14 +148,15 @@ class TestRhoEnumeration:
 
 class TestFlatSection:
     def test_empty(self):
-        assert oracles.flat_section_at_identity(LevelIdeal.unit(), lambda p: 1) == 1.0
+        assert oracles.flat_section_at_identity(LevelIdeal.unit(), TRIVIAL) == 1.0
 
     def test_depth_one_minus(self):
-        got = oracles.flat_section_at_identity(L({2: 1}), lambda p: -1)
+        assert CHI5.sign_at(P(2)) == -1
+        got = oracles.flat_section_at_identity(L({2: 1}), CHI5)
         assert got == pytest.approx(-math.sqrt(2.0))
 
     def test_depth_two_plus(self):
-        got = oracles.flat_section_at_identity(L({3: 2}), lambda p: 1)
+        got = oracles.flat_section_at_identity(L({3: 2}), TRIVIAL)
         assert got == pytest.approx(2.0 * math.sqrt(2.0))
 
 
@@ -217,8 +206,8 @@ class TestEdgePlaceFactor:
 
 
 class TestEdgeProductTaylor:
-    def test_empty_assignment(self, ctx_trivial):
-        assert oracles.edge_product_taylor(LevelIdeal.unit(), ctx_trivial.eta) == (1.0, 0.0, 0.0)
+    def test_empty_assignment(self):
+        assert oracles.edge_product_taylor(LevelIdeal.unit(), TRIVIAL) == (1.0, 0.0, 0.0)
 
     def test_single_place_first_order(self):
         t0, t1, t2 = oracles.edge_product_taylor(L({2: 2}), TRIVIAL)
@@ -258,10 +247,10 @@ class TestEdgeProductTaylor:
 
 class TestResidueFactors:
     def test_value_half_one_trivial_vanishes(self):
-        assert oracles.residue_value_half_one(L({2: 1}), lambda p: 1) == 0.0
+        assert oracles.residue_value_half_one(L({2: 1}), TRIVIAL) == 0.0
 
     def test_value_half_one_minus_sign(self):
-        got = oracles.residue_value_half_one(L({2: 1}), lambda p: -1)
+        got = oracles.residue_value_half_one(L({2: 1}), CHI5)  # chi5(2) = -1
         expected = (-2.0) * 2.0**-0.5 / (1.0 - 0.5)
         assert got == pytest.approx(expected, abs=1e-14)
 
@@ -292,41 +281,41 @@ class TestResidueFactors:
         assert d1 == pytest.approx(fd1, abs=1e-6)
         assert 2.0 * half_d2 == pytest.approx(fd2, abs=1e-5)
 
-    def test_specializations_empty_assignment(self, ctx_trivial):
-        # The empty product has value 1 and no z-dependence over Q (log D = 0),
-        # and epsilon(0) = 1 for the trivial character, so a(d) reduces to
-        # the Laurent data: -2 r c1 + c0**2.
+    def test_specializations_empty_assignment(self):
+        # The empty product has value 1 and no z-dependence, and
+        # epsilon(0) = 1 for the trivial character, so a(d) reduces to the
+        # Laurent data: -2 r c1 + c0**2.
         unit = LevelIdeal.unit()
-        assert oracles.residue_value_half_one(unit, lambda p: 1) == 1.0
-        lau = ctx_trivial.laurent_eta
+        assert oracles.residue_value_half_one(unit, TRIVIAL) == 1.0
+        lau = laurent_at_1(TRIVIAL)
         expected = -2.0 * lau.residue * lau.c1 + lau.c0**2
-        assert oracles.residual_term_constant(unit, ctx_trivial) == pytest.approx(expected, abs=1e-15)
+        assert oracles.residual_term_constant(unit, TRIVIAL) == pytest.approx(expected, abs=1e-15)
 
 
 class TestSpectralEdgeConstants:
-    def test_unit_level_order_two_is_leading_coefficient(self, ctx_trivial):
-        got = rtf.spectral_edge_constant(LevelIdeal.unit(), ctx_trivial, 2)
-        assert got == pytest.approx(ctx_trivial.edge.c_minus2, abs=1e-12)
+    def test_unit_level_order_two_is_leading_coefficient(self):
+        got = rtf.spectral_edge_constant(LevelIdeal.unit(), TRIVIAL, 2)
+        assert got == pytest.approx(edge_coefficients(TRIVIAL).c_minus2, abs=1e-12)
         assert got == pytest.approx(24.0 / math.pi, abs=1e-9)
 
-    def test_zero_contribution_of_minus_sign_assignments(self, ctx_chi5):
+    def test_zero_contribution_of_minus_sign_assignments(self):
         # chi5(2) = chi5(3) = -1, so every nonempty assignment has vanishing
         # order-0 product and the sums reduce to the empty-assignment term.
         n = L({2: 2, 3: 1})
-        got = rtf.spectral_edge_constant(n, ctx_chi5, 0)
-        empty_term = 2.0 * ctx_chi5.edge.c_zero  # (section + empty-flag) * c_zero
+        got = rtf.spectral_edge_constant(n, CHI5, 0)
+        empty_term = 2.0 * edge_coefficients(CHI5).c_zero  # (section + empty-flag) * c_zero
         assert got == pytest.approx(empty_term, abs=1e-10)
 
-    def test_orders_vanish_for_regular_character(self, ctx_chi5):
+    def test_orders_vanish_for_regular_character(self):
         for order in (2, 1):
-            v = rtf.spectral_edge_constant(L({2: 1}), ctx_chi5, order)
+            v = rtf.spectral_edge_constant(L({2: 1}), CHI5, order)
             assert abs(v) <= 1e-10
 
-    def test_growth_scan_polylog_envelope(self, ctx_trivial, ctx_chi5):
+    def test_growth_scan_polylog_envelope(self):
         # Empirical scan over N <= 1e6: all four constants stay finite and
         # inside a polylogarithmic envelope (frozen with 2x headroom),
         # consistent with subpolynomial growth in the norm.
-        for ctx in (ctx_trivial, ctx_chi5):
+        for eta in (TRIVIAL, CHI5):
             for a in range(0, 7):
                 for b in range(0, 7):
                     spec = {p: e for p, e in zip((2, 3), (a, b)) if e}
@@ -334,24 +323,16 @@ class TestSpectralEdgeConstants:
                     if n.norm() > 10**6:
                         continue
                     for order in (2, 1, 0, -1):
-                        y = rtf.spectral_edge_constant(n, ctx, order)
+                        y = rtf.spectral_edge_constant(n, eta, order)
                         assert math.isfinite(y)
                         assert abs(y) <= 16.0 * (1.0 + math.log(n.norm())) ** 6
 
-    def test_invalid_order(self, ctx_trivial):
+    def test_invalid_order(self):
         with pytest.raises(ValueError):
-            rtf.spectral_edge_constant(LevelIdeal.unit(), ctx_trivial, 3)
+            rtf.spectral_edge_constant(LevelIdeal.unit(), TRIVIAL, 3)
 
 
 EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
-
-
-@pytest.fixture(scope="module")
-def contexts(ctx_trivial, ctx_chi5):
-    out = {"trivial": ctx_trivial, "quad:5": ctx_chi5}
-    for m in (8, 12, 13):
-        out[f"quad:{m}"] = rtf.eta_context(DirichletCharacter.quadratic(m))
-    return out
 
 
 class TestFactorizedEdgeConstants:
@@ -372,30 +353,30 @@ class TestFactorizedEdgeConstants:
             ("quad:13", {p: 3 for p in (2, 3, 5, 7, 11, 17)}),
         ],
     )
-    def test_matches_assignment_enumeration(self, contexts, eta, spec):
+    def test_matches_assignment_enumeration(self, eta, spec):
         n = L(spec)
-        ctx = contexts[eta]
-        expected = oracles.edge_constants_by_enumeration(n, ctx)
+        chi = TRIVIAL if eta == "trivial" else DirichletCharacter.quadratic(int(eta[5:]))
+        expected = oracles.edge_constants_by_enumeration(n, chi)
         for order in (2, 1, 0, -1):
             y = expected[order]
-            got = rtf.spectral_edge_constant(n, ctx, order)
+            got = rtf.spectral_edge_constant(n, chi, order)
             assert abs(got - y) <= 1e-12 * max(1.0, abs(y)), (order, got, y)
 
-    def test_ramified_level_raises_for_every_order(self, ctx_chi5):
+    def test_ramified_level_raises_for_every_order(self):
         for order in (2, 1, 0, -1):
             with pytest.raises(RamifiedOverlapError):
-                rtf.spectral_edge_constant(L({5: 1}), ctx_chi5, order)
+                rtf.spectral_edge_constant(L({5: 1}), CHI5, order)
 
 
 class TestOrbitFactor:
     def test_archimedean_at_one(self):
-        got = rtf.unipotent_orbit_factor({ARCH: 1.0 + 0.0j}, lambda p: 1)
+        got = rtf.unipotent_orbit_factor({ARCH: 1.0 + 0.0j}, TRIVIAL)
         assert got == pytest.approx(-math.pi / 8.0, abs=1e-12)
 
     def test_trivial_sign_finite_factor_coincides(self):
         # for sign +1 the two displayed finite-factor forms are identical
         q, s = 3, 1.7 + 0.0j
-        got = rtf.unipotent_orbit_factor({P(q): s}, lambda p: 1)
+        got = rtf.unipotent_orbit_factor({P(q): s}, TRIVIAL)
         up = q ** ((s + 1.0) / 2.0)
         expected = 1.0 / ((1.0 - 1.0 / up) * (1.0 - up))
         assert got == pytest.approx(expected, abs=1e-13)
@@ -403,12 +384,12 @@ class TestOrbitFactor:
     def test_stirling_decay(self):
         # the archimedean factor decays like -1/(2 s) along the reals
         for s in (1e3, 1e4):
-            got = rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)
+            got = rtf.unipotent_orbit_factor({ARCH: complex(s)}, TRIVIAL)
             assert got.real * s == pytest.approx(-0.5, rel=2e-3)
 
     def test_pole_signaled(self):
         with pytest.raises(PoleError):
-            rtf.unipotent_orbit_factor({P(2): -1.0 + 0.0j}, lambda p: 1)
+            rtf.unipotent_orbit_factor({P(2): -1.0 + 0.0j}, TRIVIAL)
 
     @pytest.mark.parametrize(
         "s",
@@ -421,7 +402,7 @@ class TestOrbitFactor:
         # difference below it; the difference alone was 99% off at s = 1e15.
         # The left half plane reflects onto -s, where the gamma values overflow
         # (s = -3000) or lose every digit (-0.5 + 1e200j).
-        got = rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)
+        got = rtf.unipotent_orbit_factor({ARCH: complex(s)}, TRIVIAL)
         with mpmath.workdps(40 + int(math.log10(abs(s)))):
             z = mpmath.mpc(s)
             want = -mpmath.gamma((z + 1) / 4) ** 2 / mpmath.gamma((z + 3) / 4) ** 2 / 8
@@ -429,62 +410,59 @@ class TestOrbitFactor:
         assert err <= (4e-16 if abs(s) >= 50 else 1e-14)
 
     def test_large_s_decays_like_minus_one_over_two_s(self):
-        assert rtf.unipotent_orbit_factor({ARCH: 1e20 + 0.0j}, lambda p: 1) == -5e-21
+        assert rtf.unipotent_orbit_factor({ARCH: 1e20 + 0.0j}, TRIVIAL) == -5e-21
 
     @pytest.mark.parametrize("s", [-1.0, -5.0, -9.0, -4001.0])
     def test_archimedean_pole(self, s):
         # Gamma((s+1)/4) has its poles at s = -1, -5, ...
         with pytest.raises(PoleError):
-            rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)
+            rtf.unipotent_orbit_factor({ARCH: complex(s)}, TRIVIAL)
 
     @pytest.mark.parametrize("s", [-3.0, -7.0, -11.0, -4003.0])
     def test_archimedean_zero(self, s):
         # Gamma((s+3)/4) has its poles at s = -3, -7, ..., so the factor vanishes
-        assert abs(rtf.unipotent_orbit_factor({ARCH: complex(s)}, lambda p: 1)) <= 1e-30
+        assert abs(rtf.unipotent_orbit_factor({ARCH: complex(s)}, TRIVIAL)) <= 1e-30
 
     @pytest.mark.parametrize("place, s", [(P(3), 3000.0)], ids=["finite-power-overflow"])
     def test_overflow_is_a_domain_error(self, place, s):
         with pytest.raises(DomainError, match=f"at {place.label} is not finite"):
-            rtf.unipotent_orbit_factor({place: complex(s)}, lambda p: 1)
+            rtf.unipotent_orbit_factor({place: complex(s)}, TRIVIAL)
 
 
 class TestOrbitConstant:
-    def test_nontrivial_character_is_flat(self, ctx_chi5):
-        laurent = ctx_chi5.laurent_eta
+    def test_nontrivial_character_is_flat(self):
         values = []
         for s in (0.5, 1.0, 2.0, 3.5):
             for a_spec in ({}, {2: 1}, {3: 2}):
                 values.append(
                     rtf.unipotent_orbit_constant(
-                        {ARCH: complex(s), P(7): complex(s)}, L(a_spec), laurent
+                        {ARCH: complex(s), P(7): complex(s)}, L(a_spec), CHI5
                     )
                 )
         spread = max(abs(v - values[0]) for v in values)
         assert spread <= 1e-10
         assert values[0] == pytest.approx(completed_l(1.0, CHI5).real, abs=1e-10)
 
-    def test_trivial_character_log_growth(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_eta
+    def test_trivial_character_log_growth(self):
         s_map = {ARCH: 2.0 + 0.0j}
         for spec in ({2: 1}, {2: 3, 5: 1}, {3: 2}):
             n = L(spec)
-            delta = rtf.unipotent_orbit_constant(s_map, n, laurent) - rtf.unipotent_orbit_constant(
-                s_map, LevelIdeal.unit(), laurent
+            delta = rtf.unipotent_orbit_constant(s_map, n, TRIVIAL) - rtf.unipotent_orbit_constant(
+                s_map, LevelIdeal.unit(), TRIVIAL
             )
-            assert delta == pytest.approx(laurent.residue * 0.5 * math.log(n.norm()), abs=1e-10)
+            assert delta == pytest.approx(0.5 * math.log(n.norm()), abs=1e-10)  # residue 1
 
-    def test_finite_place_term(self, ctx_trivial):
-        laurent = ctx_trivial.laurent_eta
+    def test_finite_place_term(self):
         s = 1.4 + 0.0j
-        base = rtf.unipotent_orbit_constant({ARCH: s}, LevelIdeal.unit(), laurent)
-        with_q = rtf.unipotent_orbit_constant({ARCH: s, P(3): s}, LevelIdeal.unit(), laurent)
-        expected = laurent.residue * math.log(3.0) / (1.0 - 3.0 ** ((s.real + 1.0) / 2.0))
+        base = rtf.unipotent_orbit_constant({ARCH: s}, LevelIdeal.unit(), TRIVIAL)
+        with_q = rtf.unipotent_orbit_constant({ARCH: s, P(3): s}, LevelIdeal.unit(), TRIVIAL)
+        expected = math.log(3.0) / (1.0 - 3.0 ** ((s.real + 1.0) / 2.0))  # residue 1
         assert (with_q - base).real == pytest.approx(expected, abs=1e-12)
 
-    def test_overflow_is_a_domain_error(self, ctx_trivial):
+    def test_overflow_is_a_domain_error(self):
         with pytest.raises(DomainError, match="at p3 is not finite"):
             rtf.unipotent_orbit_constant(
-                {ARCH: 2.0 + 0.0j, P(3): 3000.0 + 0.0j}, LevelIdeal.unit(), ctx_trivial.laurent_eta
+                {ARCH: 2.0 + 0.0j, P(3): 3000.0 + 0.0j}, LevelIdeal.unit(), TRIVIAL
             )
 
 
@@ -601,56 +579,70 @@ class TestPredictedMomentAverage:
         assert squared.value == pytest.approx(0.5 * squarefree.value, rel=1e-12)
 
 
-class TestEtaContext:
-    def test_fields_are_the_ones_that_vary_with_eta(self):
-        assert list(rtf.EtaContext.__annotations__) == [
-            "profile", "eta", "laurent_eta", "edge"
-        ]
+class TestCharacterInput:
+    """Every constants route takes the sign character itself and reads its
+    Laurent and edge data from `lfunctions`."""
 
-    def test_trivial_context(self, ctx_trivial):
-        # the cached Laurent data of the completed zeta, residue 1
-        assert ctx_trivial.laurent_eta is laurent_at_1(TRIVIAL)
-        assert ctx_trivial.laurent_eta.residue == 1.0
+    ROUTES = [
+        rtf.spectral_edge_constant,
+        rtf.unipotent_orbit_factor,
+        rtf.unipotent_orbit_constant,
+        oracles.edge_product_taylor,
+        oracles.residual_term_constant,
+        oracles.edge_constants_by_enumeration,
+    ]
 
-    def test_quadratic_context(self, ctx_chi5):
-        assert ctx_chi5.laurent_eta is laurent_at_1(CHI5)
-        assert ctx_chi5.laurent_eta.residue == 0.0
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda f: f.__name__)
+    def test_takes_the_character(self, route):
+        import inspect
 
-    def test_every_order_one_character_gives_the_trivial_context(self, ctx_trivial):
-        assert rtf.eta_context(DirichletCharacter.trivial(6)) == ctx_trivial
-        assert ctx_trivial.eta == TRIVIAL
+        assert inspect.signature(route).parameters["eta"].annotation == "DirichletCharacter"
 
-    def test_rejects_odd_quadratic(self):
+    @pytest.mark.parametrize(
+        "chi",
+        [DirichletCharacter.trivial(6), DirichletCharacter.quadratic(3)],
+        ids=["imprimitive_trivial_mod6", "odd_quadratic_mod3"],
+    )
+    def test_rejects_what_the_closed_forms_do_not_cover(self, chi):
+        # trivial(6) is not read as the trivial character mod 1: it would
+        # drop the Euler factors at 2 and 3.
+        n = L({7: 1})
+        for order in (2, 1, 0, -1):
+            with pytest.raises(ValueError):
+                rtf.spectral_edge_constant(n, chi, order)
         with pytest.raises(ValueError):
-            rtf.eta_context(DirichletCharacter.quadratic(3))
+            rtf.unipotent_orbit_constant({}, n, chi)
+        with pytest.raises(ValueError):
+            oracles.residual_term_constant(n, chi)
+        with pytest.raises(ValueError):
+            oracles.edge_constants_by_enumeration(n, chi)
 
 
 class TestUnitLevelEdgeWiring:
-    def test_unit_level_all_orders(self, ctx_trivial):
+    def test_unit_level_all_orders(self):
         # The single (empty) assignment has section 1 and empty-flag 1, with
         # order-0 product 1 and vanishing higher Taylor data, so the sums
         # collapse onto the edge coefficients with the documented weights.
         unit = LevelIdeal.unit()
-        e = ctx_trivial.edge
-        assert rtf.spectral_edge_constant(unit, ctx_trivial, 2) == pytest.approx(
+        e = edge_coefficients(TRIVIAL)
+        assert rtf.spectral_edge_constant(unit, TRIVIAL, 2) == pytest.approx(
             2.0 * 0.5 * e.c_minus2, abs=1e-12
         )
-        assert rtf.spectral_edge_constant(unit, ctx_trivial, 1) == pytest.approx(
+        assert rtf.spectral_edge_constant(unit, TRIVIAL, 1) == pytest.approx(
             2.0 * e.c_minus1, abs=1e-12
         )
-        assert rtf.spectral_edge_constant(unit, ctx_trivial, 0) == pytest.approx(
+        assert rtf.spectral_edge_constant(unit, TRIVIAL, 0) == pytest.approx(
             2.0 * e.c_zero, abs=1e-12
         )
 
-    def test_unit_level_residual_order(self, ctx_trivial):
-        # a(empty) = -2 R C1 + C0^2 over Q (the twisted second derivative of
-        # the empty product vanishes since log D = 0), weighted by
-        # 2 / zeta_hat(2).
+    def test_unit_level_residual_order(self):
+        # a(empty) = -2 R C1 + C0^2 (the empty product of residue factors is
+        # 1, so its second derivative vanishes), weighted by 2 / zeta_hat(2).
         unit = LevelIdeal.unit()
-        lt = ctx_trivial.laurent_eta
+        lt = laurent_at_1(TRIVIAL)
         expected = 2.0 * 6.0 / math.pi * (
             -2.0 * lt.residue * lt.c1 + lt.c0**2
         )
-        assert rtf.spectral_edge_constant(unit, ctx_trivial, -1) == pytest.approx(
+        assert rtf.spectral_edge_constant(unit, TRIVIAL, -1) == pytest.approx(
             expected, abs=1e-12
         )
