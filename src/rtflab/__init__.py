@@ -34,13 +34,12 @@ _EXPORTS = {
         "Spherical",
         "adjoint_norm_factor",
         "global_weight",
-        "local_l_arch_spherical",
         "local_l_character",
         "local_l_spherical",
         "period_constant",
         "r_weight",
     ),
-    "special": ("abs_gamma_iy_sq_inv", "digamma", "gamma", "gamma_r"),
+    "special": ("digamma", "gamma", "orbit_gamma_ratio"),
     "quadrature": ("QuadratureResult", "integrate"),
     "measures": (
         "Density",

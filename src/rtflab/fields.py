@@ -68,6 +68,14 @@ class FinitePlace:
 Place = ArchimedeanPlace | FinitePlace
 
 
+def place_sort_key(place: Place) -> tuple[int, int, str]:
+    """The order of the places of S: the archimedean places first, by label,
+    then the finite places by (q, label), so p2 comes before p11."""
+    if isinstance(place, FinitePlace):
+        return (1, place.q, place.label)
+    return (0, 0, place.label)
+
+
 @record
 class FieldProfile:
     """Degree, discriminant and per-place data of a totally real field.

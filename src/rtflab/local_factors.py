@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Mapping
 from ._record import record
 from .errors import PoleError
 from .fields import FinitePlace, LevelIdeal, index_k0
-from .special import gamma_r
 
 if TYPE_CHECKING:
     from .characters import DirichletCharacter
@@ -99,11 +98,6 @@ def local_l_spherical(s: complex, nu: complex, q: int) -> complex:
     return local_l_character(s + nu / 2.0, 1.0 + 0.0j, q) * local_l_character(
         s - nu / 2.0, 1.0 + 0.0j, q
     )
-
-
-def local_l_arch_spherical(s: complex, nu: complex) -> complex:
-    """Archimedean spherical factor gamma_r(s + nu/2) gamma_r(s - nu/2)."""
-    return gamma_r(complex(s) + complex(nu) / 2.0) * gamma_r(complex(s) - complex(nu) / 2.0)
 
 
 # ---------------------------------------------------------------------------

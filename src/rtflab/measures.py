@@ -16,14 +16,17 @@ exposed below.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ._record import record
 from .errors import DomainError
-from .fields import ArchimedeanPlace, FieldProfile, FinitePlace, Place, RATIONALS
-from .local_factors import local_l_arch_spherical, local_l_character
+from .fields import ArchimedeanPlace, FinitePlace, Place, place_sort_key
+from .local_factors import local_l_character
 from .quadrature import QuadratureResult, integrate
-from .special import abs_gamma_iy_sq_inv
+from .special import orbit_gamma_ratio
+
+if TYPE_CHECKING:
+    from .characters import DirichletCharacter
 
 _EDGE_TOL = 1e-9
 
@@ -208,24 +211,24 @@ def local_spectral(place: Place, sign: int = 1) -> Density:
 
     The sign is that of the character at the place.  The characters the
     analytic path accepts are even, so an archimedean place takes sign +1
-    only (`ValueError` for -1).  An archimedean place uses the gamma-kernel
-    weight (1/(4 pi)) |Gamma(iy/2)|**(-2); a finite place uses
-    (log q / (4 pi)) |1 - q**(-iy)|**2.  The numerator is the product of the
-    two central local factors divided by the local value at 1 of the sign
-    character.  At a finite place the ``kernel`` is the formula on all of R.
+    only (`ValueError` for -1).  A finite place uses the weight
+    (log q / (4 pi)) |1 - q**(-iy)|**2 times the two central local factors
+    over the local value at 1 of the sign character; its ``kernel`` is the
+    formula on all of R.  An archimedean place uses y tanh(pi y/2) |G(iy)| /
+    (4 pi), G = `special.orbit_gamma_ratio`.  By reflection at 1/4 + iy/4 it
+    equals |Gamma_R(1/2 + iy/2)|**4 |Gamma(iy/2)|**(-2) / (4 pi), yet it is
+    finite at every y (within 2.3e-14 relative of mpmath below y = 50,
+    where G takes its Lanczos difference, and 4.5e-16 from there to 1e300).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if isinstance(place, ArchimedeanPlace):
         if sign != 1:
             raise ValueError("the sign character is even: its sign at an archimedean place is +1")
+        four_pi = 4.0 * math.pi
 
         def arch(y: float) -> float:
-            if y == 0.0:
-                return 0.0
-            central = local_l_arch_spherical(0.5, 1j * y)
-            num = (central * central).real  # sign character is trivial at infinity
-            return num * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
+            return y * math.tanh(math.pi * y / 2.0) * abs(orbit_gamma_ratio(complex(0.0, y))) / four_pi
 
         return Density(0.0, math.inf, arch, "lambda_inf")
     window = 2.0 * math.pi / math.log(place.q)
@@ -293,9 +296,7 @@ def pushforward_fullwindow_factor(
 
 def spectral_pairing(
     test_functions: Mapping[Place, tuple[Callable[[float], float], tuple[float, float]]],
-    eta_sign_at: Callable[[FinitePlace], int],
-    l_one_eta: float,
-    profile: FieldProfile = RATIONALS,
+    eta: DirichletCharacter,
     tol: float = 1e-10,
 ) -> QuadratureResult:
     """Pairing of a product test function against the product spectral measure.
@@ -304,30 +305,25 @@ def spectral_pairing(
     One rule holds at every place: 0 <= a <= b <= the end of the window
     (``Density.hi``, infinite at an archimedean place) with b finite, up to
     the edge tolerance; any other support, NaN included, raises DomainError.
-    The result is 4 * D**(3/2) * L(1, eta) times the product of the
-    per-place integrals, with first-order error propagation through the
-    product.
+    A finite place takes the density of the sign of eta there, an
+    archimedean place sign +1 (eta is even).  The result is the product of
+    the per-place integrals in the order of `fields.place_sort_key`, with
+    first-order error propagation through the product.
     """
-    d_f = profile.discriminant_abs
     values: list[float] = []
     errors: list[float] = []
     subdivisions = 0
-    for place in sorted(
-        test_functions, key=lambda p: (isinstance(p, FinitePlace), str(p.label))
-    ):
+    for place in sorted(test_functions, key=place_sort_key):
         fn, (a, b) = test_functions[place]
-        # eta is even, so its sign at infinity is +1.
-        density = local_spectral(place, eta_sign_at(place) if isinstance(place, FinitePlace) else 1)
+        density = local_spectral(place, eta.sign_at(place) if isinstance(place, FinitePlace) else 1)
         if not (-_EDGE_TOL <= a <= b <= density.hi + _EDGE_TOL and b < math.inf):
             raise DomainError(f"support [{a}, {b}] is not a compact part of the window at {place.label}")
         res = integrate(lambda y: fn(y) * density(y), a, b, tol)
         values.append(res.value)
         errors.append(res.error_estimate)
         subdivisions += res.subdivisions
-    prefactor = 4.0 * d_f**1.5 * l_one_eta
-    product = math.prod(values)
     err = 0.0
     for i, e in enumerate(errors):
         partial = math.prod(abs(v) for j, v in enumerate(values) if j != i)
         err += e * partial
-    return QuadratureResult(prefactor * product, abs(prefactor) * err, subdivisions)
+    return QuadratureResult(math.prod(values), err, subdivisions)

@@ -10,8 +10,8 @@ only `checks` (and the tests) do.
   check the census `characters.enumerate_xi` and
   `DirichletCharacter.conductor`.  `kronecker_symbol` (Euler's criterion)
   checks `DirichletCharacter.sign_at`.
-- `abs_gamma_iy_sq_inv_lanczos` reads |gamma(i y / 2)|**(-2) off the
-  Lanczos kernel, the second route to its closed form in `special`.
+- `lambda_inf_gamma_product` evaluates the archimedean spectral weight as a
+  product of Lanczos gammas, the second route to `measures.local_spectral`.
 - The working-precision routes (mpmath at ``_DPS`` digits): `completed_l`
   evaluates Lambda(s, chi) through the Hurwitz zeta, the second route to
   the closed-form Laurent data of `lfunctions`; `intertwining_ratio` is the
@@ -133,17 +133,21 @@ def kronecker_symbol(D: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gamma: the Lanczos kernel at i y / 2
+# gamma: the archimedean spectral weight as a product of Lanczos gammas
 
 
-def abs_gamma_iy_sq_inv_lanczos(y: float) -> float:
-    """|gamma(i y / 2)|**(-2) through the Lanczos kernel; the second route to
-    the closed form `special.abs_gamma_iy_sq_inv`."""
+def lambda_inf_gamma_product(y: float) -> float:
+    """|Gamma(1/4 + iy/4)|**4 / (4 pi**2 |Gamma(iy/2)|**2) through the
+    Lanczos `gamma`, 0 at y = 0: the second route to the archimedean
+    `measures.local_spectral`.  Both gammas leave the normal floats near
+    y = 450; on [0, 400] it is within 2e-13 relative of the production route.
+    """
     y = float(y)
     if y == 0.0:
         return 0.0
-    g = gamma(0.5j * y)
-    return 1.0 / (g.real * g.real + g.imag * g.imag)
+    quarter = abs(gamma(complex(0.25, y / 4.0))) ** 2
+    half = gamma(0.5j * y)
+    return quarter * quarter / (4.0 * math.pi**2 * (half.real * half.real + half.imag * half.imag))
 
 
 # ---------------------------------------------------------------------------

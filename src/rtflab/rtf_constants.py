@@ -34,6 +34,7 @@ from .fields import (
     Place,
     RATIONALS,
     index_k0,
+    place_sort_key,
 )
 from .lfunctions import (
     EdgeCoefficients,
@@ -46,7 +47,7 @@ from .lfunctions import (
     jet_reciprocal,
     laurent_at_1,
 )
-from .special import EULER_GAMMA, digamma, log_gamma
+from .special import EULER_GAMMA, digamma, orbit_gamma_ratio
 
 # ---------------------------------------------------------------------------
 # level constants
@@ -88,11 +89,12 @@ def _section_factor(q: int, k: int, s: int) -> float:
 
 def assignment_sum(
     n: LevelIdeal,
-    section_sign: Callable[[FinitePlace], int],
+    section: DirichletCharacter,
     jet_at: Callable[[FinitePlace, int], Jet],
 ) -> Jet:
     """Sum over every divisor d of n of (section(d) + [d = (1)]) times the jet
-    product of jet_at(place, k) over the factors v**k of d.
+    product of jet_at(place, k) over the factors v**k of d, section(d) being
+    the flat section of the character ``section`` (its `sign_at` each place).
 
     Both factors are products over places, so the sum over the prod(e_v + 1)
     divisors equals the unit-ideal term plus the product over places of the
@@ -100,7 +102,7 @@ def assignment_sum(
     """
     local = []
     for place, e in n.factors:
-        s = section_sign(place)
+        s = section.sign_at(place)
         acc = (1.0, 0.0, 0.0)
         for k in range(1, e + 1):
             w = _section_factor(place.q, k, s)
@@ -224,19 +226,16 @@ def spectral_edge_constant(n: LevelIdeal, eta: DirichletCharacter, order: int) -
         raise ValueError("order must be one of 2, 1, 0, -1")
     if order == -1:
         laurent = laurent_at_1(eta)
+        trivial = DirichletCharacter.trivial()
         value = assignment_sum(
-            n, lambda p: 1, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
+            n, trivial, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
         )[0]
-        residue = assignment_sum(
-            n, lambda p: 1, lambda p, k: residue_place_jet(p.q, k)
-        )
+        residue = assignment_sum(n, trivial, lambda p, k: residue_place_jet(p.q, k))
         # root number 1: epsilon(0) = sqrt(m); the weight is 1 / Lambda_zeta(2)
         eps0 = math.sqrt(eta.modulus)
         return _INV_ZETA_HAT2_JET[0] * _residual_combination(laurent, eps0 * value, 2.0 * residue[2])
     e: EdgeCoefficients = edge_coefficients(eta)
-    t0, t1, t2 = assignment_sum(
-        n, eta.sign_at, lambda p, k: edge_place_jet(p.q, k, eta.sign_at(p))
-    )
+    t0, t1, t2 = assignment_sum(n, eta, lambda p, k: edge_place_jet(p.q, k, eta.sign_at(p)))
     if order == 2:
         return 0.5 * t0 * e.c_minus2
     if order == 1:
@@ -248,61 +247,16 @@ def spectral_edge_constant(n: LevelIdeal, eta: DirichletCharacter, order: int) -
 # orbit-side kernels
 
 
-# Euler numbers E_2, E_4, ..., E_14 over 2k: with a = (s+1)/4 = s/4 + 1/4 and
-# b = a + 1/2, the Bernoulli-polynomial series of
-# ln Gamma(z + x) - ln Gamma(z + y) (DLMF 5.11.8, the log form of 5.11.13)
-# at z = s/4, x = 1/4, y = 3/4 gives
-# Gamma(a)**2 / Gamma(b)**2 = (4/s) exp(sum_k E_2k / (2k s**2k)), since
-# B_n(3/4) = (-1)**n B_n(1/4) and B_2k+1(1/4) = -(2k+1) E_2k / 4**(2k+1).
-_ORBIT_SERIES = tuple(e / (2 * k) for k, e in enumerate(
-    (-1, 5, -61, 1385, -50521, 2702765, -199360981), start=1))
-# Where the series takes over: |s| >= 50 in the half plane Re s >= 0.  The
-# Lanczos difference 2 (log_gamma(a) - log_gamma(b)) cancels two values of
-# size |a log a|, so it loses about that many units in the last place:
-# 3.4e-15 relative at s = 50, 1.9e-7 at 1e9, all of it at 1e15, and a == b
-# in floats at 1e20.  The first term the series leaves out,
-# E_16 / (16 s**16), is 7.9e-19 at |s| = 50, and in the half plane the
-# remainder stays of that order, so there the series is exact to rounding
-# (within 3e-16 relative of mpmath from |s| = 50 to 1e300).
-_ORBIT_SERIES_FROM = 50.0
-
-
-def _arch_orbit_factor(s: complex) -> complex:
-    """-(1/8) Gamma(a)**2 / Gamma(a + 1/2)**2 with a = (s+1)/4.
-
-    Re s >= 0: the series `_ORBIT_SERIES` where |s| >= 50, the Lanczos
-    log-gamma difference below.  Re s < 0: by reflection,
-    Gamma(a) / Gamma(a + 1/2) = cot(pi a) Gamma(1/2 - a) / Gamma(1 - a), the
-    same ratio at -s.  Re a is reduced mod 1 (exactly, through s mod 4)
-    before the product with pi; unreduced, tan is 8.4e-13 off at s = -3000.
-    Poles at s = -1, -5, ... (PoleError); at s = -3, -7, ... the factor is
-    0 to about 1e-32, since tan(pi/2) is finite in floats.
-    """
-    if s.real < 0.0:
-        r = (math.fmod(s.real, 4.0) + 1.0) / 4.0
-        t = cmath.tan(math.pi * complex(r - round(r), s.imag / 4.0))
-        if abs(t) < 1e-13:
-            raise PoleError(f"orbit factor pole at s = {s}")
-        return _arch_orbit_factor(-s) / (t * t)
-    if abs(s) >= _ORBIT_SERIES_FROM:
-        inv = 1.0 / s
-        u, series = inv * inv, 0.0
-        for c in reversed(_ORBIT_SERIES):
-            series = u * (c + series)
-        return -0.5 * inv * cmath.exp(series)
-    return -0.125 * cmath.exp(2.0 * (log_gamma((s + 1.0) / 4.0) - log_gamma((s + 3.0) / 4.0)))
-
-
 def unipotent_orbit_factor(s_by_place: Mapping[Place, complex], eta: DirichletCharacter) -> complex:
     """Product over S of the orbit-side archimedean and finite factors.
 
-    Archimedean: -(1/8) Gamma((s+1)/4)**2 / Gamma((s+3)/4)**2
-    (`_arch_orbit_factor`).  Finite:
+    Archimedean: -G(s)/8 with G(s) = Gamma((s+1)/4)**2 / Gamma((s+3)/4)**2
+    (`special.orbit_gamma_ratio`).  Finite:
     (1 - q**((s+1)/2))**(-1) (1 - eta(q) q**(-(s+1)/2))**(-1), with eta(q)
     its sign at the place (`DirichletCharacter.sign_at`).
     """
     out = 1.0 + 0.0j
-    for place in sorted(s_by_place, key=_place_sort_key):
+    for place in sorted(s_by_place, key=place_sort_key):
         s = complex(s_by_place[place])
         try:
             if isinstance(place, FinitePlace):
@@ -313,7 +267,7 @@ def unipotent_orbit_factor(s_by_place: Mapping[Place, complex], eta: DirichletCh
                     raise PoleError(f"orbit factor pole at {place.label}, s = {s}")
                 out /= (1.0 - up) * (1.0 - sign / up)
             else:
-                out *= _arch_orbit_factor(s)
+                out *= -0.125 * orbit_gamma_ratio(s)
         except (OverflowError, ZeroDivisionError):
             raise _not_finite("orbit factor", place, s) from None
         if not cmath.isfinite(out):
@@ -324,12 +278,6 @@ def unipotent_orbit_factor(s_by_place: Mapping[Place, complex], eta: DirichletCh
 def _not_finite(what: str, place: Place, s: complex) -> DomainError:
     """The error for a float overflow or a non-finite value at one place of S."""
     return DomainError(f"{what} at {place.label} is not finite in floats at s = {s}")
-
-
-def _place_sort_key(place: Place):
-    if isinstance(place, FinitePlace):
-        return (1, place.q, place.label)
-    return (0, 0, place.label)
 
 
 def unipotent_orbit_constant(
@@ -355,7 +303,7 @@ def unipotent_orbit_constant(
         return complex(c0)
     bracket: complex = math.log(profile.discriminant_abs) + 0.5 * a_ideal.log_norm()
     bracket += 0.5 * profile.degree * (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi))
-    for place in sorted(s_by_place, key=_place_sort_key):
+    for place in sorted(s_by_place, key=place_sort_key):
         s = complex(s_by_place[place])
         try:
             if isinstance(place, FinitePlace):
@@ -378,10 +326,13 @@ def kernel_normalization(
 ) -> float:
     """(-1)**|S| D**(-1/2) [K : K0(n)]**(-1).
 
-    S must avoid the level support; `RamifiedOverlapError` otherwise, the
-    error `rtflab constants` reports for the same S.
+    A place listed twice in S raises `ValueError`.  S must avoid the level
+    support; `RamifiedOverlapError` otherwise, as `rtflab constants` reports.
     """
     s_list = list(s_places)
+    for i, place in enumerate(s_list):
+        if place in s_list[:i]:
+            raise ValueError(f"S lists {place.label} twice")
     finite = {p for p in s_list if isinstance(p, FinitePlace)}
     if finite & set(n.support()):
         raise RamifiedOverlapError("S must be disjoint from the support of the level")
@@ -392,15 +343,20 @@ def predicted_moment_average(
     n: LevelIdeal,
     test_functions,
     eta: DirichletCharacter,
-    l_one_eta: float,
-    profile: FieldProfile = RATIONALS,
     tol: float = 1e-10,
 ):
-    """Right-hand side of the moment asymptotic: the level constant times the
-    pairing of the test function against the product spectral measure."""
+    """Right-hand side of the moment asymptotic over Q: the level constant
+    times 4 L(1, eta) times `measures.spectral_pairing`.
+
+    L(1, eta) is `laurent_at_1(eta).c0 / sqrt(m)`, for a real even primitive
+    eta (`ValueError` otherwise); the trivial character raises `PoleError`.
+    """
     from .quadrature import QuadratureResult
     from .measures import spectral_pairing
 
-    pairing = spectral_pairing(test_functions, eta.sign_at, l_one_eta, profile, tol)
-    c = level_constant(n)
+    laurent = laurent_at_1(eta)
+    if laurent.residue:
+        raise PoleError("L(s, eta) has a pole at s = 1 for the trivial character")
+    pairing = spectral_pairing(test_functions, eta, tol)
+    c = level_constant(n) * 4.0 * laurent.c0 / math.sqrt(eta.modulus)
     return QuadratureResult(c * pairing.value, abs(c) * pairing.error_estimate, pairing.subdivisions)

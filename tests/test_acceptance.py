@@ -27,6 +27,7 @@ from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import edge_coefficients, laurent_at_1
 from rtflab.local_factors import HigherConductor, Special, Spherical, global_weight, r_weight
 from rtflab.measures import (
+    local_spectral,
     plancherel,
     plancherel_mass_closed_form,
     pushforward_check,
@@ -35,13 +36,13 @@ from rtflab.measures import (
 )
 from rtflab import rtf_constants as rtf
 from rtflab.oracles import (
-    abs_gamma_iy_sq_inv_lanczos,
+    lambda_inf_gamma_product,
     central_series_function,
     edge_product_taylor,
     enumerate_rho,
     laurent_at_1_two_widths,
 )
-from rtflab.special import EULER_GAMMA, abs_gamma_iy_sq_inv, digamma
+from rtflab.special import EULER_GAMMA, digamma
 
 P = RATIONALS.place_for_prime
 ARCH = RATIONALS.archimedean_places[0]
@@ -93,10 +94,11 @@ def test_criterion_02_change_of_variables():
 
 
 def test_criterion_03_gamma_machinery():
+    lambda_inf = local_spectral(ARCH, 1).kernel
     worst = 0.0
-    for y in np.linspace(0.1, 30.0, 600):
-        a = abs_gamma_iy_sq_inv_lanczos(float(y))
-        b = abs_gamma_iy_sq_inv(float(y))
+    for y in [*np.linspace(0.1, 30.0, 600).tolist(), *np.linspace(50.0, 400.0, 71).tolist()]:
+        a = lambda_inf_gamma_product(y)
+        b = lambda_inf(y)
         worst = max(worst, abs(a - b) / b)
     d1 = abs(digamma(1.0) + EULER_GAMMA)
     d2 = abs(digamma(0.5) + EULER_GAMMA + 2.0 * math.log(2.0))

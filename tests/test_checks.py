@@ -251,8 +251,8 @@ class TestEdgeSumSensitivity:
     def test_forgotten_empty_assignment_term_is_flagged(self, monkeypatch):
         honest = rtf_constants.assignment_sum
 
-        def without_empty_term(n, section_sign, jet_at):
-            t0, t1, t2 = honest(n, section_sign, jet_at)
+        def without_empty_term(n, section, jet_at):
+            t0, t1, t2 = honest(n, section, jet_at)
             return t0 - 1.0, t1, t2
 
         monkeypatch.setattr(rtf_constants, "assignment_sum", without_empty_term)

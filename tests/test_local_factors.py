@@ -16,7 +16,6 @@ from rtflab.local_factors import (
     Spherical,
     adjoint_norm_factor,
     global_weight,
-    local_l_arch_spherical,
     local_l_character,
     local_l_spherical,
     period_constant,
@@ -62,11 +61,6 @@ class TestLocalLFactors:
                 v = local_l_spherical(0.5, 1j * float(y), q)
                 assert abs(v.imag) < 1e-13
                 assert v.real > 0.0
-
-    def test_arch_factor_is_gamma_product(self):
-        v = local_l_arch_spherical(0.5, 0.6j)
-        assert abs(v.imag) < 1e-14
-        assert v.real > 0.0
 
 
 class TestPeriodConstants:

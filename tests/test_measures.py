@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
+from rtflab.characters import DirichletCharacter
 from rtflab.errors import DomainError
-from rtflab.special import abs_gamma_iy_sq_inv
 from rtflab.fields import FinitePlace, RATIONALS
 from rtflab import local_factors
-from rtflab.local_factors import local_l_arch_spherical, local_l_character, local_l_spherical
+from rtflab.local_factors import local_l_character, local_l_spherical
+from rtflab.oracles import lambda_inf_gamma_product
 from rtflab.measures import (
     Density,
     dx_dy_abs,
@@ -27,6 +29,7 @@ from rtflab.measures import (
 P = RATIONALS.place_for_prime
 ARCH = RATIONALS.archimedean_places[0]
 MU_ST = sato_tate()
+TRIVIAL = DirichletCharacter.trivial()
 
 
 def scipy_arch_density(y: np.ndarray) -> np.ndarray:
@@ -99,6 +102,20 @@ class TestLocalSpectralDensity:
         ref = scipy_arch_density(ys)
         assert np.max(np.abs(ours - ref)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "y", [1e-3, 0.5, 1.0, 10.0, 49.0, 51.0, 100.0, 449.0, 450.0, 452.5, 1e3, 1e5, 1e8, 1e15]
+    )
+    def test_archimedean_vs_mpmath_at_every_scale(self, y):
+        # Finite and within 1e-14 where the gamma-product route gave inf
+        # (449) or overflowed (452.5); the weight tends to 1/pi.
+        with mpmath.workdps(30 + int(math.log10(max(y, 1.0)))):
+            t = mpmath.mpf(y)
+            gamma4 = abs(mpmath.gamma(mpmath.mpf(1) / 4 + 1j * t / 4)) ** 4
+            want = gamma4 / (4 * mpmath.pi**2) * (t / 2) * mpmath.sinh(mpmath.pi * t / 2) / mpmath.pi
+            got = local_spectral(ARCH, 1)(y)
+            assert math.isfinite(got)
+            assert float(abs((got - want) / want)) <= 1e-14
+
     def test_finite_midpoint_matches_transported_density(self):
         # y = pi / log 2 maps to x = 0
         q = 2
@@ -159,16 +176,22 @@ class TestPushforward:
 
 class TestSpectralPairing:
     def test_zero_function(self):
-        res = spectral_pairing({ARCH: (lambda y: 0.0, (1.0, 2.0))}, lambda p: 1, 1.0)
+        res = spectral_pairing({ARCH: (lambda y: 0.0, (1.0, 2.0))}, TRIVIAL)
         assert res.value == 0.0
 
     def test_single_arch_place_vs_trapezoid_oracle(self):
-        res = spectral_pairing({ARCH: (lambda y: 1.0, (1.0, 2.0))}, lambda p: 1, 1.0, tol=1e-12)
+        res = spectral_pairing({ARCH: (lambda y: 1.0, (1.0, 2.0))}, TRIVIAL, tol=1e-12)
         ys = np.linspace(1.0, 2.0, 1_000_001)
         # numpy 2.0 renamed trapz to trapezoid; numpy 1.x has only trapz.
         trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-        oracle = 4.0 * float(trapezoid(scipy_arch_density(ys), ys))
+        oracle = float(trapezoid(scipy_arch_density(ys), ys))
         assert res.value == pytest.approx(oracle, abs=1e-8)
+
+    def test_archimedean_support_past_the_gamma_overflow(self):
+        # The gamma-product weight overflowed from y = 452.5.
+        res = spectral_pairing({ARCH: (lambda y: 1.0, (0.0, 500.0))}, TRIVIAL)
+        assert math.isfinite(res.value)
+        assert res.value == pytest.approx(500.0 / math.pi, rel=0.01)
 
     def test_product_factorizes(self):
         fin = P(3)
@@ -177,25 +200,33 @@ class TestSpectralPairing:
             ARCH: (lambda y: 1.0, (0.5, 1.5)),
             fin: (lambda y: 1.0, (0.0, window)),
         }
-        sign_at = lambda p: -1
-        combined = spectral_pairing(fns, sign_at, 1.0, tol=1e-11)
-        arch_only = spectral_pairing({ARCH: fns[ARCH]}, sign_at, 1.0, tol=1e-11)
-        fin_only = spectral_pairing({fin: fns[fin]}, sign_at, 1.0, tol=1e-11)
-        assert combined.value == pytest.approx(arch_only.value * fin_only.value / 4.0, rel=1e-9)
+        chi5 = DirichletCharacter.quadratic(5)  # sign -1 at 3
+        combined = spectral_pairing(fns, chi5, tol=1e-11)
+        arch_only = spectral_pairing({ARCH: fns[ARCH]}, chi5, tol=1e-11)
+        fin_only = spectral_pairing({fin: fns[fin]}, chi5, tol=1e-11)
+        assert combined.value == pytest.approx(arch_only.value * fin_only.value, rel=1e-9)
 
-    def test_l_value_scaling(self):
-        fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
-        a = spectral_pairing(fns, lambda p: 1, 1.0)
-        b = spectral_pairing(fns, lambda p: 1, 2.5)
-        assert b.value == pytest.approx(2.5 * a.value, rel=1e-12)
+    def test_each_finite_place_takes_the_density_of_its_sign(self):
+        # chi_13 is -1 at 2 and +1 at 3.  The constant 1 on the half window
+        # [0, pi / log q] pairs to the mass of [0, 2] under mu_q^sign: 0.5 for
+        # mu_2^- and 0.8910 for mu_3^+, where the other signs give 0.9377
+        # and 0.5.
+        chi13 = DirichletCharacter.quadratic(13)
+        for q, sign, value, other in ((2, -1, 0.5, 0.9377), (3, 1, 0.8910, 0.5)):
+            fns = {P(q): (lambda y: 1.0, (0.0, math.pi / math.log(q)))}
+            got = spectral_pairing(fns, chi13, tol=1e-12).value
+            mass = integrate_density(plancherel(q, sign), 0.0, 2.0, 1e-12).value
+            assert got == pytest.approx(mass, abs=1e-9)
+            assert got == pytest.approx(value, abs=1e-4)
+            assert integrate_density(plancherel(q, -sign), 0.0, 2.0).value == pytest.approx(other, abs=1e-4)
 
     def test_rejects_noncompact_support(self):
         with pytest.raises(DomainError):
-            spectral_pairing({ARCH: (lambda y: 1.0, (0.0, math.inf))}, lambda p: 1, 1.0)
+            spectral_pairing({ARCH: (lambda y: 1.0, (0.0, math.inf))}, TRIVIAL)
 
     def test_rejects_support_outside_window(self):
         with pytest.raises(DomainError):
-            spectral_pairing({P(2): (lambda y: 1.0, (0.0, 100.0))}, lambda p: 1, 1.0)
+            spectral_pairing({P(2): (lambda y: 1.0, (0.0, 100.0))}, TRIVIAL)
 
     @pytest.mark.parametrize("place", [ARCH, P(2)], ids=["arch", "p2"])
     @pytest.mark.parametrize(
@@ -207,12 +238,12 @@ class TestSpectralPairing:
         # Reversed, NaN, negative or unbounded supports raise DomainError at
         # an archimedean place as at a finite one: no signed integral.
         with pytest.raises(DomainError):
-            spectral_pairing({place: (lambda y: 1.0, support)}, lambda p: 1, 1.0)
+            spectral_pairing({place: (lambda y: 1.0, support)}, TRIVIAL)
 
     def test_edge_tolerance_at_zero(self):
         # A support starting within the edge tolerance below 0 is accepted.
         fns = {ARCH: (lambda y: 1.0, (-1e-10, 1.0))}
-        assert spectral_pairing(fns, lambda p: 1, 1.0).value > 0.0
+        assert spectral_pairing(fns, TRIVIAL).value > 0.0
 
 
 def unit_domain_density(kernel, cos_substitution=True):
@@ -385,13 +416,11 @@ class TestHoistedConstantsBitIdentical:
                 assert density(y) >= 0.0
 
     def test_archimedean(self):
+        # The weight reads the gamma ratio of the orbit factor; the product of
+        # Lanczos gammas it replaced agrees to 1.9e-14 relative on [0, 20].
         fn = local_spectral(ARCH, 1).fn
         for y in np.linspace(0.0, 20.0, 1_000).tolist():
-            central = local_l_arch_spherical(0.5, 1j * y)
-            expected = 0.0 if y == 0.0 else (
-                (central * central).real * abs_gamma_iy_sq_inv(y) / (4.0 * math.pi)
-            )
-            assert fn(y) == expected
+            assert fn(y) == pytest.approx(lambda_inf_gamma_product(y), rel=1e-13, abs=0.0)
 
     def test_checks_run_once_at_construction(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from rtflab.characters import DirichletCharacter
 from rtflab.errors import CapExceededError, DomainError, PoleError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import edge_coefficients, jet_product, laurent_at_1
+from rtflab.measures import spectral_pairing
 from rtflab import oracles
 from rtflab.oracles import completed_l
 from rtflab import rtf_constants as rtf
@@ -551,6 +552,12 @@ class TestKernelNormalization:
         with pytest.raises(ValueError):
             rtf.kernel_normalization(L({2: 1}), [ARCH, P(2)])
 
+    @pytest.mark.parametrize("places, label", [([ARCH, ARCH], "inf"), ([ARCH, P(3), P(3)], "p3")])
+    def test_repeated_place_rejected(self, places, label):
+        # S is a set: counting a repeat would flip the sign (-1)**|S|.
+        with pytest.raises(ValueError, match=f"{label} twice"):
+            rtf.kernel_normalization(LevelIdeal.unit(), places)
+
     def test_overlap_is_ramified_overlap_error(self):
         # the same condition `rtflab constants` reports (exit 3)
         with pytest.raises(RamifiedOverlapError):
@@ -559,24 +566,28 @@ class TestKernelNormalization:
 
 class TestPredictedMomentAverage:
     def test_zero_function(self):
-        res = rtf.predicted_moment_average(
-            L({2: 1}), {ARCH: (lambda y: 0.0, (1.0, 2.0))}, TRIVIAL, 1.0
-        )
+        res = rtf.predicted_moment_average(L({2: 1}), {ARCH: (lambda y: 0.0, (1.0, 2.0))}, CHI5)
         assert res.value == 0.0
 
-    def test_squarefree_equals_pairing(self):
-        from rtflab.measures import spectral_pairing
-
-        fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
-        res = rtf.predicted_moment_average(L({2: 1, 7: 1}), fns, TRIVIAL, 1.3)
-        pair = spectral_pairing(fns, TRIVIAL.sign_at, 1.3)
-        assert res.value == pytest.approx(pair.value, rel=1e-12)
+    def test_squarefree_is_four_l_one_times_the_pairing(self):
+        # L(1, chi_5) = 2 log(phi) / sqrt(5)
+        fns = {ARCH: (lambda y: 1.0, (1.0, 2.0)), P(3): (lambda y: 1.0, (0.0, 1.0))}
+        res = rtf.predicted_moment_average(L({2: 1, 7: 1}), fns, CHI5)
+        pair = spectral_pairing(fns, CHI5)
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        assert res.value == pytest.approx(4.0 * (2.0 / math.sqrt(5.0)) * math.log(golden) * pair.value,
+                                          rel=1e-14)
 
     def test_exponent_two_halves_at_q2(self):
         fns = {ARCH: (lambda y: 1.0, (1.0, 2.0))}
-        squarefree = rtf.predicted_moment_average(L({3: 1}), fns, TRIVIAL, 1.0)
-        squared = rtf.predicted_moment_average(L({2: 2}), fns, TRIVIAL, 1.0)
+        squarefree = rtf.predicted_moment_average(L({3: 1}), fns, CHI5)
+        squared = rtf.predicted_moment_average(L({2: 2}), fns, CHI5)
         assert squared.value == pytest.approx(0.5 * squarefree.value, rel=1e-12)
+
+    def test_trivial_character_is_a_pole(self):
+        # L(s, chi_0) = zeta(s) has a pole at s = 1.
+        with pytest.raises(PoleError):
+            rtf.predicted_moment_average(L({3: 1}), {ARCH: (lambda y: 1.0, (1.0, 2.0))}, TRIVIAL)
 
 
 class TestCharacterInput:
@@ -587,6 +598,8 @@ class TestCharacterInput:
         rtf.spectral_edge_constant,
         rtf.unipotent_orbit_factor,
         rtf.unipotent_orbit_constant,
+        rtf.predicted_moment_average,
+        spectral_pairing,
         oracles.edge_product_taylor,
         oracles.residual_term_constant,
         oracles.edge_constants_by_enumeration,
@@ -612,6 +625,8 @@ class TestCharacterInput:
                 rtf.spectral_edge_constant(n, chi, order)
         with pytest.raises(ValueError):
             rtf.unipotent_orbit_constant({}, n, chi)
+        with pytest.raises(ValueError):
+            rtf.predicted_moment_average(n, {ARCH: (lambda y: 1.0, (1.0, 2.0))}, chi)
         with pytest.raises(ValueError):
             oracles.residual_term_constant(n, chi)
         with pytest.raises(ValueError):

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from rtflab.errors import PoleError
-from rtflab.oracles import abs_gamma_iy_sq_inv_lanczos
+from rtflab.fields import RATIONALS
+from rtflab.measures import local_spectral
+from rtflab.oracles import lambda_inf_gamma_product
 from rtflab.special import (
     EULER_GAMMA,
-    abs_gamma_iy_sq_inv,
     digamma,
     gamma,
-    gamma_r,
     log_gamma,
 )
+
+LAMBDA_INF = local_spectral(RATIONALS.archimedean_places[0], 1).kernel
 
 
 class TestGamma:
@@ -51,23 +53,28 @@ class TestGamma:
 
 
 class TestDualRoute:
-    def test_lanczos_vs_reflection_closed_form(self):
+    """The archimedean weight by the gamma ratio of the orbit factor against
+    the product of Lanczos gammas."""
+
+    def test_gamma_ratio_vs_lanczos_product(self):
+        # On [50, 400] the ratio takes its Euler-number series.
         worst = 0.0
-        for y in np.linspace(0.1, 30.0, 600):
-            a = abs_gamma_iy_sq_inv_lanczos(float(y))
-            b = abs_gamma_iy_sq_inv(float(y))
+        for y in [*np.linspace(0.1, 30.0, 600).tolist(), *np.linspace(50.0, 400.0, 71).tolist()]:
+            a = lambda_inf_gamma_product(y)
+            b = LAMBDA_INF(y)
             worst = max(worst, abs(a - b) / b)
         assert worst <= 1e-10
 
     def test_small_y_series(self):
-        # Series oracle: (y/2) sinh(pi y / 2) / pi = y^2/4 (1 + (pi y/2)^2/6 + ...)
+        # lambda_inf(y) = Gamma(1/4)**4 / (16 pi**2) y**2 (1 - 1.74 y**2 + ...)
+        lead = math.gamma(0.25) ** 4 / (16.0 * math.pi**2)
         for y in (1e-3, 1e-4, 1e-5):
-            lead = abs_gamma_iy_sq_inv(y) / y**2
-            assert abs(lead - 0.25) < 0.25 * (math.pi * y / 2) ** 2
+            for route in (LAMBDA_INF, lambda_inf_gamma_product):
+                assert abs(route(y) / y**2 - lead) < 2.0 * lead * y**2
 
     def test_vanishes_at_zero(self):
-        assert abs_gamma_iy_sq_inv(0.0) == 0.0
-        assert abs_gamma_iy_sq_inv_lanczos(0.0) == 0.0
+        assert LAMBDA_INF(0.0) == 0.0
+        assert lambda_inf_gamma_product(0.0) == 0.0
 
 
 class TestDigamma:
@@ -102,21 +109,3 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(PoleError):
             digamma(-3.0)
-
-
-class TestGammaR:
-    def test_at_one(self):
-        # pi^{-1/2} Gamma(1/2) = 1
-        assert abs(gamma_r(1.0) - 1.0) < 1e-14
-
-    def test_functional_shape(self):
-        # gamma_r(s + 2) = s/(2 pi) gamma_r(s)
-        for s in (0.7, 1.9, 2.0 + 1.0j):
-            left = gamma_r(s + 2.0)
-            right = complex(s) / (2.0 * math.pi) * gamma_r(s)
-            assert abs(left - right) < 1e-13 * abs(left)
-
-    def test_poles(self):
-        for s in (0.0, -2.0, -4.0):
-            with pytest.raises(PoleError):
-                gamma_r(s)
