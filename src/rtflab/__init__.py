@@ -1,6 +1,5 @@
 """rtflab: explicit constants, weights and spectral measures of GL(2)
-central L-value averages over totally real fields, with everything testable
-at desk scale.
+central L-value averages over Q, with everything testable at desk scale.
 
 The public names below load on first access (PEP 562), so importing the
 package, or one subcommand of the CLI, pulls in only the modules it uses:
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fields": (
         "ArchimedeanPlace",
-        "FieldProfile",
         "FinitePlace",
         "LevelIdeal",
         "RATIONALS",

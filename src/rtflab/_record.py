@@ -10,26 +10,17 @@ compare or hash than a dataclass instance.
 
 from __future__ import annotations
 
-_ORDER = (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">="))
 
-
-def record(cls: type | None = None, /, *, order: bool = False):
+def record(cls: type) -> type:
     """Class decorator over the annotated fields of ``cls``, in order.
 
     Adds ``__init__`` (positional or keyword, the class attributes as
     defaults, then ``__post_init__`` if the class has one), ``__eq__`` and
-    ``__hash__`` on the field tuple (``NotImplemented`` for another class),
-    the dataclass ``repr`` ``Name(field=value, ...)`` and, with
-    ``order=True``, the four comparisons of the field tuples.  Instances are
+    ``__hash__`` on the field tuple (``NotImplemented`` for another class)
+    and the dataclass ``repr`` ``Name(field=value, ...)``.  Instances are
     frozen: assignment and deletion raise AttributeError, and
     ``__post_init__`` writes through ``object.__setattr__``.
     """
-    if cls is None:
-        return lambda c: _build(c, order)
-    return _build(cls, order)
-
-
-def _build(cls: type, order: bool) -> type:
     names = list(cls.__dict__.get("__annotations__", {}))
     namespace = {"_setattr": object.__setattr__}
     params = []
@@ -55,17 +46,12 @@ def _build(cls: type, order: bool) -> type:
         f"    return hash(({mine}))",
         "def __repr__(self):",
         f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
     ]
-    compared = [("__eq__", "==")] + (list(_ORDER) if order else [])
-    for method, op in compared:
-        lines += [
-            f"def {method}(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({mine}) {op} ({theirs})",
-            "    return NotImplemented",
-        ]
     exec(compile("\n".join(lines), f"<record {cls.__qualname__}>", "exec"), namespace)
-    for method in ("__init__", "__setattr__", "__delattr__", "__hash__", "__repr__",
-                   *(m for m, _ in compared)):
+    for method in ("__init__", "__setattr__", "__delattr__", "__hash__", "__repr__", "__eq__"):
         setattr(cls, method, namespace[method])
     return cls

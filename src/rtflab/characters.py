@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ._record import record
 from .errors import RamifiedOverlapError
-from .fields import FinitePlace, LevelIdeal, Place, RATIONALS, FieldProfile, factorize
+from .fields import FinitePlace, LevelIdeal, Place, factorize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -421,19 +421,17 @@ def gauss_sums_for_modulus(m: int) -> list[tuple[tuple[int, ...], complex]]:
 # the level census
 
 
-def enumerate_xi(n: LevelIdeal | int, profile: FieldProfile = RATIONALS) -> list[DirichletCharacter]:
+def enumerate_xi(n: LevelIdeal | int) -> list[DirichletCharacter]:
     """All even primitive characters whose conductor squared divides the level.
 
-    Rational profile only.  The trivial character (conductor 1) is always in
-    the list; entries are sorted by (conductor, exponents).  Each conductor
-    contributes the product of its primitive axes (`primitive_axes`), in
-    lexicographic order, less the rows that `parity_vector` finds odd; no
-    other character of the group is built.
+    The trivial character (conductor 1) is always in the list; entries are
+    sorted by (conductor, exponents).  Each conductor contributes the product
+    of its primitive axes (`primitive_axes`), in lexicographic order, less the
+    rows that `parity_vector` finds odd; no other character of the group is
+    built.
     """
-    if not profile.is_rationals:
-        raise ValueError("character enumeration is implemented over Q only")
     if isinstance(n, int):
-        n = LevelIdeal.from_integer(n, profile)
+        n = LevelIdeal.from_integer(n)
     out: list[DirichletCharacter] = []
     for m in sorted(c.norm() for c in n.square_divisor_conductors()):
         axes = primitive_axes(m)

@@ -2,9 +2,9 @@
 
 Subcommands: measure, mass, weights, constants, characters, check, compare.
 Every subcommand takes --out PATH; --tol FLOAT is read by mass and check,
---format {csv,json} by weights, and --profile PATH by constants and
-characters.  No subcommand, and no `weights --rep`, accepts a flag it does
-not read, and no float flag accepts nan or an infinity.
+and --format {csv,json} by weights.  No subcommand, and no `weights --rep`,
+accepts a flag it does not read, and no float flag accepts nan or an
+infinity.  The base field is Q.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 numerical
 failure (diagnostic JSON on stderr).  Output is deterministic: fixed
 iteration orders, repr-exact floats, no clocks.
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import RamifiedOverlapError, RtflabError
-from .fields import FieldProfile, RATIONALS, parse_factored_level
+from .fields import RATIONALS, parse_factored_level
 
 if TYPE_CHECKING:
     from .characters import DirichletCharacter
@@ -68,12 +68,6 @@ def _json_dumps(obj) -> str:
     import json
 
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _load_profile(path: str | None) -> FieldProfile:
-    if path is None:
-        return RATIONALS
-    return FieldProfile.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_eta(spec: str | None) -> DirichletCharacter:
@@ -229,13 +223,9 @@ def _cmd_constants(args) -> int:
 
     s_values = _parse_s_values(args.s_values)
     s_primes = _parse_s_primes(args.s_primes)
-    profile = _load_profile(args.profile)
-    n = parse_factored_level(args.n, profile)
+    n = parse_factored_level(args.n)
     eta = _parse_eta(args.eta)
-    if not profile.is_rationals:
-        raise ValueError("the analytic context is implemented over Q only")
-    arch = profile.archimedean_places[0]
-    places = [arch] + [profile.place_for_prime(p) for p in s_primes]
+    places = [RATIONALS.archimedean_places[0]] + [RATIONALS.place_for_prime(p) for p in s_primes]
     for place in places[1:]:
         if n.ord_at(place) > 0:
             raise RamifiedOverlapError(f"S place {place.label} meets the support of the level {n}")
@@ -244,14 +234,14 @@ def _cmd_constants(args) -> int:
     for s in s_values:
         s_map = {pl: complex(s) for pl in places}
         upsilon_samples.append(_complex_pair(unipotent_orbit_factor(s_map, eta)))
-        c_term_samples.append(_complex_pair(unipotent_orbit_constant(s_map, n, eta, profile)))
+        c_term_samples.append(_complex_pair(unipotent_orbit_constant(s_map, n, eta)))
     doc = {
         "n": str(n),
         "norm": n.norm(),
         "eta": args.eta or "trivial",
         "C_level": level_constant(n),
         # C_eta is the orbit constant with no place in S
-        "C_eta_big": unipotent_orbit_constant({}, n, eta, profile).real,
+        "C_eta_big": unipotent_orbit_constant({}, n, eta).real,
         "Y": {str(j): spectral_edge_constant(n, eta, j) for j in (2, 1, 0, -1)},
         "s_values": s_values,
         "upsilon_samples": upsilon_samples,
@@ -299,10 +289,9 @@ def _complex_pair(z: complex) -> list[float]:
 def _cmd_characters(args) -> int:
     from .characters import enumerate_xi
 
-    profile = _load_profile(args.profile)
-    n = parse_factored_level(args.n, profile)
+    n = parse_factored_level(args.n)
     lines = ["modulus,conductor,parity,order"]
-    for chi in enumerate_xi(n, profile):
+    for chi in enumerate_xi(n):
         parity = "even" if chi.is_even() else "odd"
         lines.append(f"{chi.modulus},{chi.conductor()},{parity},{chi.order()}")
     _write_output("\n".join(lines) + "\n", args.out)
@@ -381,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    def add_profile(p):
-        p.add_argument("--profile", default=None, help="field profile JSON path (default: Q)")
-
     def add_measure_args(p):
         p.add_argument("--measure", choices=("mu_ST", "mu_p", "lambda"), default="mu_ST")
         p.add_argument("--p", type=int, default=None, help="prime for mu_p / lambda")
@@ -420,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="level constants and edge constants (JSON)")
     add_out(p)
-    add_profile(p)
     p.add_argument("--n", required=True, help="factored level, e.g. 2^3*5 or 1")
     p.add_argument("--eta", default="trivial", help="'trivial' or 'quad:m'")
     p.add_argument("--s-values", default=None, help="comma list of s samples")
@@ -429,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("characters", help="census of even square-conductor characters (CSV)")
     add_out(p)
-    add_profile(p)
     p.add_argument("--n", required=True, help="factored level")
     p.set_defaults(fn=_cmd_characters)
 

@@ -1,11 +1,9 @@
-"""Number-field scaffolding: places, profiles and factored ideals.
+"""The base field Q: its places and factored ideals.
 
-A totally real base field enters every formula in this library only through
-its degree, the absolute value of its discriminant, and per-place data
-(residue cardinality ``q`` and different exponent ``d``).  A
-:class:`FieldProfile` records exactly that; no class groups or unit lattices
-are ever computed.  The rational field has a built-in profile whose finite
-places are created on demand, one per prime.
+Every formula in this library reads a place only through its residue
+cardinality ``q``.  `RATIONALS` is Q, with its one real place and a finite
+place per prime, made on demand; a level is a `LevelIdeal`, a factorization
+into finite places.
 """
 
 from __future__ import annotations
@@ -43,26 +41,23 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return factors[0] if len(factors) == 1 else None
 
 
-@record(order=True)
+@record
 class ArchimedeanPlace:
     """A real embedding of the base field, identified by its label."""
 
     label: str
 
 
-@record(order=True)
+@record
 class FinitePlace:
-    """A finite place: opaque label, residue cardinality and different exponent."""
+    """A finite place: its label and its residue cardinality."""
 
     label: str
     q: int
-    d: int = 0
 
     def __post_init__(self) -> None:
         if _prime_power(self.q) is None:
             raise ValueError(f"residue cardinality {self.q} is not a prime power >= 2")
-        if self.d < 0:
-            raise ValueError("different exponent must be >= 0")
 
 
 Place = ArchimedeanPlace | FinitePlace
@@ -76,108 +71,19 @@ def place_sort_key(place: Place) -> tuple[int, int, str]:
     return (0, 0, place.label)
 
 
-@record
-class FieldProfile:
-    """Degree, discriminant and per-place data of a totally real field.
+class _Rationals:
+    """Q: one real place, and a finite place per prime made on demand."""
 
-    Degree 1 is Q: its discriminant is 1 and its finite places are made on
-    demand by `place_for_prime`, so it lists none.
-    """
-
-    degree: int
-    discriminant_abs: int
-    archimedean_places: tuple[ArchimedeanPlace, ...]
-    finite_places: tuple[FinitePlace, ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_degree_and_discriminant(self.degree, self.discriminant_abs)
-        if self.is_rationals and (self.discriminant_abs != 1 or self.finite_places):
-            raise ValueError("a degree-1 profile is Q: discriminant 1 and no places")
-        labels = [p.label for p in self.finite_places]
-        if len(labels) != len(set(labels)):
-            raise ValueError("finite place labels must be unique")
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.degree == 1
+    archimedean_places = (ArchimedeanPlace("inf"),)
 
     def place_for_prime(self, p: int) -> FinitePlace:
-        """The finite place of the rational profile at the prime ``p``."""
-        if not self.is_rationals:
-            raise ValueError("place_for_prime is only available on the rational profile")
+        """The finite place of Q at the prime ``p``."""
         if _prime_power(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
-        return FinitePlace(label=f"p{p}", q=p, d=0)
-
-    @classmethod
-    def rationals(cls) -> FieldProfile:
-        return cls(
-            degree=1,
-            discriminant_abs=1,
-            archimedean_places=(ArchimedeanPlace("inf"),),
-            finite_places=(),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> FieldProfile:
-        """Load a profile from ``{degree, discriminant, places:[{label,q,d}]}``.
-
-        ValueError (a usage error of the CLI) for a document that is not an
-        object, a ``places`` that is not a list of objects with ``label`` and
-        ``q``, or a number that is not a JSON integer.
-        """
-        import json
-
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("a field profile must be a JSON object")
-        entries = doc.get("places", [])
-        if not isinstance(entries, list):
-            raise ValueError("profile 'places' must be a list")
-        places = []
-        for e in entries:
-            if not (isinstance(e, dict) and "label" in e and "q" in e):
-                raise ValueError("each profile place must be an object with 'label' and 'q'")
-            places.append(FinitePlace(
-                label=str(e["label"]), q=_json_int(e, "q"), d=_json_int(e, "d", 0)
-            ))
-        degree = _json_int(doc, "degree")
-        discriminant = _json_int(doc, "discriminant")
-        _check_degree_and_discriminant(degree, discriminant)
-        arch = tuple(ArchimedeanPlace(f"inf{i}" if i else "inf") for i in range(degree))
-        return cls(
-            degree=degree,
-            discriminant_abs=discriminant,
-            archimedean_places=arch,
-            finite_places=tuple(places),
-        )
+        return FinitePlace(label=f"p{p}", q=p)
 
 
-def _check_degree_and_discriminant(degree: int, discriminant_abs: int) -> None:
-    """ValueError unless degree >= 1 and |D| meets Minkowski's bound
-    (n**n / n!)**2 for totally real fields, in logs with a few ulps of slack."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if discriminant_abs < 1:
-        raise ValueError("absolute discriminant must be >= 1")
-    log_bound = 2.0 * (degree * math.log(degree) - math.lgamma(degree + 1))
-    if log_bound - math.log(discriminant_abs) > 8.0 * math.ulp(degree * math.log(degree) + 1.0):
-        raise ValueError(f"no totally real field of degree {degree} has discriminant {discriminant_abs}: "
-                         f"Minkowski's bound is |D| >= (n**n / n!)**2 = e**{log_bound:.6g}")
-
-
-def _json_int(doc: dict, key: str, default: int | None = None) -> int:
-    """``doc[key]`` as an integer: a JSON integer, not a float, string or bool.
-
-    KeyError when the key is missing and no default is given.
-    """
-    value = doc[key] if default is None else doc.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"profile {key!r} must be an integer, not {value!r}")
-    return value
-
-
-RATIONALS = FieldProfile.rationals()
+RATIONALS = _Rationals()
 
 
 @record
@@ -199,7 +105,7 @@ class LevelIdeal:
             if place in seen:
                 raise ValueError(f"repeated place {place.label} in factorization")
             seen.add(place)
-        normalized = tuple(sorted(self.factors, key=lambda t: (t[0].q, t[0].label)))
+        normalized = tuple(sorted(self.factors, key=lambda t: place_sort_key(t[0])))
         object.__setattr__(self, "factors", normalized)
 
     @classmethod
@@ -211,11 +117,11 @@ class LevelIdeal:
         return cls(())
 
     @classmethod
-    def from_integer(cls, n: int, profile: FieldProfile = RATIONALS) -> LevelIdeal:
-        """Factor a positive rational integer over the rational profile."""
+    def from_integer(cls, n: int) -> LevelIdeal:
+        """Factor a positive integer into the places of Q."""
         if n < 1:
             raise ValueError("level must be a positive integer")
-        factors = [(profile.place_for_prime(p), e) for p, e in factorize(n)]
+        factors = [(RATIONALS.place_for_prime(p), e) for p, e in factorize(n)]
         return cls(tuple(factors))
 
     def support(self) -> tuple[FinitePlace, ...]:
@@ -266,8 +172,8 @@ class LevelIdeal:
     def square_divisor_conductors(self) -> list[LevelIdeal]:
         """All ideals ``c`` with ``c**2 | self``, the unit ideal included.
 
-        The result is sorted by (norm, factorization) and has exactly
-        ``prod(1 + floor(e/2))`` entries.
+        The result is sorted by norm, then by the factorization in the order
+        of `place_sort_key`, and has exactly ``prod(1 + floor(e/2))`` entries.
         """
         out = [LevelIdeal.unit()]
         for place, e in self.factors:
@@ -276,7 +182,9 @@ class LevelIdeal:
                 for c in out
                 for j in range(e // 2 + 1)
             ]
-        return sorted(out, key=lambda c: (c.norm(), c.factors))
+        return sorted(
+            out, key=lambda c: (c.norm(), [(place_sort_key(p), e) for p, e in c.factors])
+        )
 
     def __str__(self) -> str:
         if not self.factors:
@@ -311,17 +219,17 @@ def _parse_level_factor(token: str) -> tuple[int, int]:
     return p, e
 
 
-def parse_factored_level(text: str, profile: FieldProfile = RATIONALS) -> LevelIdeal:
+def parse_factored_level(text: str) -> LevelIdeal:
     """Parse ``"2^3*5"`` or ``"1"`` (or a plain integer) into a LevelIdeal."""
     text = text.strip()
     if text in ("1", "(1)", ""):
         return LevelIdeal.unit()
     if "*" not in text and "^" not in text:
         n, _ = _parse_level_factor(text)
-        return LevelIdeal.from_integer(n, profile)
+        return LevelIdeal.from_integer(n)
     acc: dict[FinitePlace, int] = {}
     for part in text.split("*"):
         p, e = _parse_level_factor(part)
-        place = profile.place_for_prime(p)
+        place = RATIONALS.place_for_prime(p)
         acc[place] = acc.get(place, 0) + e
     return LevelIdeal.from_map(acc)

@@ -176,18 +176,20 @@ def laurent_at_1(xi: DirichletCharacter) -> LaurentData:
 _INV_ZETA_HAT2_JET = (1.909859317102744, -2.732882189869369, 0.7179696879667569)
 
 
-def edge_coefficients(eta: DirichletCharacter, discriminant_abs: int = 1) -> EdgeCoefficients:
+def edge_coefficients(eta: DirichletCharacter) -> EdgeCoefficients:
     """Laurent coefficients (orders -2, -1, 0) at nu = -1 of the central-value
-    series function D**(nu/2) Lambda((1+nu)/2) Lambda((1-nu)/2) / Lambda_zeta(1 - nu).
+    series function Lambda((1+nu)/2) Lambda((1-nu)/2) / Lambda_zeta(1 - nu).
 
     At nu = -1 + h both L-factors equal Lambda(1 - h/2) by the functional
-    equation, so h**2 f(h) is the jet product of h Lambda(1 - h/2) (twice),
-    D**(nu/2) and 1/Lambda_zeta(2 - h).  The pole is double for the trivial
+    equation, so h**2 f(h) is the jet product of h Lambda(1 - h/2) (twice)
+    and 1/Lambda_zeta(2 - h).  The pole is double for the trivial
     character and absent otherwise (the residue is 0).  The stencil fit of
     `oracles.central_series_function` is the independent route.
     """
     lau = laurent_at_1(eta)
-    l_jet = (-2.0 * lau.residue, lau.c0, -0.5 * lau.c1)
-    d_jet = exp_jet(math.log(discriminant_abs) / 2.0, -1.0)
-    c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, d_jet, _INV_ZETA_HAT2_JET])
+    # The value of h Lambda(1 - h/2) is -2r, written 0.0 - 2r so that r = 0
+    # gives +0.0: -2.0 * 0.0 is -0.0, which the jet product carries into a
+    # c_minus1 of -0.0 for every nontrivial eta.
+    l_jet = (0.0 - 2.0 * lau.residue, lau.c0, -0.5 * lau.c1)
+    c_minus2, c_minus1, c_zero = jet_product([l_jet, l_jet, _INV_ZETA_HAT2_JET])
     return EdgeCoefficients(c_minus2=c_minus2, c_minus1=c_minus1, c_zero=c_zero)

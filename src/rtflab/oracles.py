@@ -336,9 +336,9 @@ def laurent_at_1_two_widths(xi: DirichletCharacter) -> tuple[LaurentData, Lauren
     return first, second
 
 
-def central_series_function(eta: DirichletCharacter, discriminant_abs: int = 1) -> Callable:
+def central_series_function(eta: DirichletCharacter) -> Callable:
     """The meromorphic function whose edge Laurent data feeds the residual
-    constants: D**(nu/2) L((1+nu)/2) L((1-nu)/2) / Lambda_zeta(1 - nu),
+    constants: Lambda((1+nu)/2) Lambda((1-nu)/2) / Lambda_zeta(1 - nu),
     the function `lfunctions.edge_coefficients` expands at nu = -1.
 
     Returns a working-precision callable (mp in, mp out; plain complex also
@@ -352,9 +352,8 @@ def central_series_function(eta: DirichletCharacter, discriminant_abs: int = 1) 
 
     def f(nu):
         nu = mp.mpc(nu)
-        prefactor = mp.mpf(discriminant_abs) ** (nu / 2)
         num = _completed_l_mp((1 + nu) / 2, eta) * _completed_l_mp((1 - nu) / 2, eta)
-        return prefactor * num / _completed_l_mp(1 - nu, zeta)
+        return num / _completed_l_mp(1 - nu, zeta)
 
     return f
 
@@ -387,7 +386,7 @@ def flat_section_at_identity(d: LevelIdeal, eta: DirichletCharacter) -> float:
     """
     from .rtf_constants import _section_factor
 
-    return math.prod(_section_factor(p.q, k, eta.sign_at(p)) for p, k in d.factors)
+    return math.prod(_section_factor(p, k, eta.sign_at(p)) for p, k in d.factors)
 
 
 def edge_product_taylor(d: LevelIdeal, eta: DirichletCharacter) -> tuple[float, float, float]:

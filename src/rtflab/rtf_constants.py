@@ -27,15 +27,7 @@ from typing import Callable, Iterable, Mapping
 
 from .characters import DirichletCharacter
 from .errors import DomainError, PoleError, RamifiedOverlapError
-from .fields import (
-    FieldProfile,
-    FinitePlace,
-    LevelIdeal,
-    Place,
-    RATIONALS,
-    index_k0,
-    place_sort_key,
-)
+from .fields import FinitePlace, LevelIdeal, Place, index_k0, place_sort_key
 from .lfunctions import (
     EdgeCoefficients,
     Jet,
@@ -80,11 +72,16 @@ def _depth_norm(q: int, k: int) -> float:
     return 1.0 if k == 1 else math.sqrt((q + 1.0) / (q - 1.0))
 
 
-def _section_factor(q: int, k: int, s: int) -> float:
-    """Per-place factor of the flat section at depth k >= 1."""
+def _section_factor(place: FinitePlace, k: int, s: int) -> float:
+    """Per-place factor of the flat section at depth k >= 1: `DomainError`
+    when q**(k/2) overflows a float (the factor before it is below 1)."""
+    q = place.q
     if k == 1:
         return s * math.sqrt(q)
-    return (1.0 - 1.0 / q) * s**k * _depth_norm(q, k) * q ** (k / 2.0)
+    try:
+        return (1.0 - 1.0 / q) * s**k * _depth_norm(q, k) * q ** (k / 2.0)
+    except OverflowError:
+        raise DomainError(f"flat section at {place.label} is not finite in floats at depth {k}") from None
 
 
 def assignment_sum(
@@ -105,7 +102,7 @@ def assignment_sum(
         s = section.sign_at(place)
         acc = (1.0, 0.0, 0.0)
         for k in range(1, e + 1):
-            w = _section_factor(place.q, k, s)
+            w = _section_factor(place, k, s)
             acc = tuple(a + w * b for a, b in zip(acc, jet_at(place, k)))
         local.append(acc)
     p0, p1, p2 = jet_product(local)
@@ -284,7 +281,6 @@ def unipotent_orbit_constant(
     s_by_place: Mapping[Place, complex],
     a_ideal: LevelIdeal,
     eta: DirichletCharacter,
-    profile: FieldProfile = RATIONALS,
 ) -> complex:
     """The additive orbit-side constant attached to an ideal and an s-tuple,
     read off the Laurent data of eta at 1 (`laurent_at_1`).
@@ -292,17 +288,17 @@ def unipotent_orbit_constant(
     For a character without residue (nontrivial) this collapses to the
     constant term c0 = Lambda(1, eta), independent of the ideal and of s.  For the
     trivial character the residue multiplies a bracket with the log of
-    D * N(a)**(1/2), digamma terms at the archimedean places and geometric
+    N(a)**(1/2), digamma terms at the archimedean place and geometric
     series terms at the finite places.  Its value at S = {} and a = n,
-    c0 + residue * {(d/2)(gamma + 2 log 2 - log pi) + log(D * N(n)**(1/2))},
+    c0 + residue * {(gamma + 2 log 2 - log pi)/2 + log(N(n)**(1/2))},
     is the constant C_eta of the second-moment asymptotic at level n.
     """
     laurent = laurent_at_1(eta)
     c0, r = laurent.c0, laurent.residue
     if r == 0.0:
         return complex(c0)
-    bracket: complex = math.log(profile.discriminant_abs) + 0.5 * a_ideal.log_norm()
-    bracket += 0.5 * profile.degree * (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi))
+    bracket: complex = 0.5 * a_ideal.log_norm()
+    bracket += 0.5 * (EULER_GAMMA + 2.0 * math.log(2.0) - math.log(math.pi))
     for place in sorted(s_by_place, key=place_sort_key):
         s = complex(s_by_place[place])
         try:
@@ -321,10 +317,8 @@ def unipotent_orbit_constant(
     return complex(c0 + r * bracket)
 
 
-def kernel_normalization(
-    n: LevelIdeal, s_places: Iterable[Place], profile: FieldProfile = RATIONALS
-) -> float:
-    """(-1)**|S| D**(-1/2) [K : K0(n)]**(-1).
+def kernel_normalization(n: LevelIdeal, s_places: Iterable[Place]) -> float:
+    """(-1)**|S| [K : K0(n)]**(-1).
 
     A place listed twice in S raises `ValueError`.  S must avoid the level
     support; `RamifiedOverlapError` otherwise, as `rtflab constants` reports.
@@ -336,7 +330,7 @@ def kernel_normalization(
     finite = {p for p in s_list if isinstance(p, FinitePlace)}
     if finite & set(n.support()):
         raise RamifiedOverlapError("S must be disjoint from the support of the level")
-    return (-1.0) ** len(s_list) * profile.discriminant_abs**-0.5 / float(index_k0(n))
+    return (-1.0) ** len(s_list) / float(index_k0(n))
 
 
 def predicted_moment_average(

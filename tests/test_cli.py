@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +213,24 @@ class TestConstants:
         assert (doc["error"], doc["type"]) == ("numerical", "DomainError")
         assert f"orbit factor at {place} is not finite" in doc["message"]
 
+    @pytest.mark.parametrize("level, place, depth", [("2^2048", "p2", 2048), ("3^1300", "p3", 1293)])
+    def test_flat_section_overflow_exits_3(self, capsys, level, place, depth):
+        # q**(k/2) of the flat section leaves the floats at depth k;
+        # 2^2047, one factor of 2 less, still computes.
+        code, out, err = run(capsys, "constants", "--n", level)
+        assert (code, out) == (3, "")
+        message = f"flat section at {place} is not finite in floats at depth {depth}"
+        assert json.loads(err) == {"error": "numerical", "type": "DomainError", "message": message}
+        assert run(capsys, "constants", "--n", "2^2047")[0] == 0
+
+    def test_vanishing_edge_constants_print_positive_zeros(self, capsys):
+        # For a nontrivial eta the orders 2 and 1 vanish, and print as 0.0,
+        # not -0.0.
+        code, out, _ = run(capsys, "constants", "--n", "7^3", "--eta", "quad:33")
+        assert code == 0
+        assert '  "Y": {\n    "-1": -214.3774834283349,\n    "0": 223.9099788293153,\n' \
+               '    "1": 0.0,\n    "2": 0.0\n  },\n' in out
+
     @pytest.mark.parametrize("eta", ["quad:5", "quad:13"])
     def test_constants_compute_no_gauss_sum(self, capsys, monkeypatch, eta):
         # Every eta that `constants` accepts has root number 1, stated once in
@@ -380,102 +397,7 @@ class TestLevelExponents:
         assert run(capsys, command, "--n", "2*2^2*3") == run(capsys, command, "--n", "2^3*3")
 
 
-class TestProfileAndUsage:
-    def test_profile_off_q_stops_the_analytic_context(self, capsys, tmp_path):
-        # --n 1 needs no place, so the profile passes the level parser and
-        # is refused where the constants are computed.
-        path = tmp_path / "profile.json"
-        path.write_text('{"degree": 2, "discriminant": 5, "places": '
-                        '[{"label": "v2", "q": 4}, {"label": "v5", "q": 5, "d": 1}]}', encoding="utf-8")
-        code, out, err = run(capsys, "constants", "--n", "1", "--profile", str(path))
-        assert (code, out) == (2, "")
-        message = "the analytic context is implemented over Q only"
-        assert json.loads(err) == {"error": "usage", "message": message}
-
-    def test_corrupt_profile_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "profile.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code, _, err = run(capsys, "constants", "--n", "1", "--profile", str(bad))
-        assert code == 2
-        assert json.loads(err)["error"] == "usage"
-
-    @pytest.mark.parametrize("command", ["constants", "characters"])
-    def test_degree_one_profile_is_q(self, capsys, tmp_path, command):
-        argv = [command, "--n", "2^2*3"] + (["--eta", "quad:5"] if command == "constants" else [])
-        code, plain, _ = run(capsys, *argv)
-        assert code == 0
-        for doc in ('{"degree": 1, "discriminant": 1}',
-                    '{"degree": 1, "discriminant": 1, "places": [], "rationals": true}'):
-            path = tmp_path / "profile.json"
-            path.write_text(doc, encoding="utf-8")
-            assert run(capsys, *argv, "--profile", str(path)) == (0, plain, "")
-
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ('{"degree": 2, "discriminant": 5, "rationals": true}',
-             "place_for_prime is only available on the rational profile"),
-            ('{"degree": 1, "discriminant": 7, "rationals": true}',
-             "a degree-1 profile is Q: discriminant 1 and no places"),
-            ('{"degree": 1, "discriminant": 1, "places": [{"label": "p2", "q": 2}]}',
-             "a degree-1 profile is Q: discriminant 1 and no places"),
-        ],
-        ids=["degree-2-rationals", "degree-1-discriminant-7", "degree-1-places"],
-    )
-    def test_profile_that_is_not_q_is_not_read_as_q(self, capsys, tmp_path, doc, message):
-        path = tmp_path / "profile.json"
-        path.write_text(doc, encoding="utf-8")
-        code, out, err = run(capsys, "constants", "--n", "4", "--profile", str(path))
-        assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "usage", "message": message}
-
-    @pytest.mark.parametrize("command", ["constants", "characters"])
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ("[]", "a field profile must be a JSON object"),
-            ('{"degree": 2, "discriminant": 5, "places": 7}', "profile 'places' must be a list"),
-            ('{"degree": 2, "discriminant": 5, "places": [3]}',
-             "each profile place must be an object with 'label' and 'q'"),
-            ('{"degree": 2, "discriminant": 5, "places": [{"label": "v2"}]}',
-             "each profile place must be an object with 'label' and 'q'"),
-            ('{"degree": 1.5, "discriminant": 1}', "profile 'degree' must be an integer, not 1.5"),
-            ('{"degree": 2, "discriminant": "5"}',
-             "profile 'discriminant' must be an integer, not '5'"),
-            ('{"degree": 2, "discriminant": 5, "places": [{"label": "v2", "q": 4, "d": true}]}',
-             "profile 'd' must be an integer, not True"),
-        ],
-        ids=["not-an-object", "places-not-a-list", "place-not-an-object", "place-without-q",
-             "float-degree", "string-discriminant", "bool-different-exponent"],
-    )
-    def test_malformed_profile_is_a_usage_error(self, capsys, tmp_path, command, doc, message):
-        path = tmp_path / "profile.json"
-        path.write_text(doc, encoding="utf-8")
-        code, out, err = run(capsys, command, "--n", "4", "--profile", str(path))
-        assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "usage", "message": message}
-
-    @pytest.mark.parametrize("command", ["constants", "characters"])
-    @pytest.mark.parametrize("degree, discriminant", [(2, 1), (3, 20)])
-    def test_profile_below_minkowski_bound_exits_2(self, capsys, tmp_path, command, degree,
-                                                   discriminant):
-        path = tmp_path / "profile.json"
-        path.write_text(f'{{"degree": {degree}, "discriminant": {discriminant}}}', encoding="utf-8")
-        code, out, err = run(capsys, command, "--n", "4", "--profile", str(path))
-        assert (code, out) == (2, "")
-        message = json.loads(err)["message"]
-        assert message.startswith(f"no totally real field of degree {degree} has discriminant")
-        assert "Minkowski's bound is |D| >= (n**n / n!)**2" in message
-
-    def test_huge_degree_is_rejected_before_its_places_are_built(self, capsys, tmp_path):
-        path = tmp_path / "profile.json"
-        path.write_text('{"degree": 1000000000, "discriminant": 5}', encoding="utf-8")
-        start = time.perf_counter()
-        code, out, err = run(capsys, "constants", "--n", "4", "--profile", str(path))
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (2, "")
-        assert "Minkowski's bound" in json.loads(err)["message"]
-
+class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -535,8 +457,9 @@ class TestNonFiniteNumbers:
         }
 
 
-# One run of each subcommand, and the value given to each common flag; the
-# sample and profile files are written by the tests that need them.
+# One run of each subcommand, and the value given to each common flag, with
+# --profile among them although no subcommand reads it; the sample file is
+# written by the tests that need it.
 BASE_ARGV = {
     "measure": ["measure", "--grid", "2"],
     "mass": ["mass", "--measure", "mu_ST"],
@@ -551,8 +474,8 @@ READ_FLAGS = {
     "measure": ("--out",),
     "mass": ("--out", "--tol"),
     "weights": ("--out", "--format"),
-    "constants": ("--out", "--profile"),
-    "characters": ("--out", "--profile"),
+    "constants": ("--out",),
+    "characters": ("--out",),
     "check": ("--out", "--tol"),
     "compare": ("--out",),
 }
@@ -607,7 +530,6 @@ class TestFlagsPerSubcommand:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(checks, "run_all_checks", lambda tol: [])
-        Path("profile.json").write_text('{"degree": 1, "discriminant": 1}', encoding="utf-8")
         sample, _ = sample_from_rows([(1, 2, x, 1.0) for x in (-1.0, 0.0, 0.5)])
         Path("sample.csv").write_text(write_sample_csv(sample), encoding="utf-8")
         code, plain, _ = run(capsys, *BASE_ARGV[command])
@@ -617,8 +539,6 @@ class TestFlagsPerSubcommand:
         if flag == "--out":
             assert out == ""
             assert Path("out.txt").read_text(encoding="utf-8") == plain
-        elif flag == "--profile":
-            assert out == plain
         elif flag == "--format":
             assert out.startswith("variant,q,sign,k,weight\n")
         elif command == "check":

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtflab.fields import (
-    ArchimedeanPlace,
-    FieldProfile,
     FinitePlace,
     LevelIdeal,
     RATIONALS,
@@ -122,6 +120,13 @@ class TestSquareDivisors:
         assert got == brute_force_square_divisors(spec)
         assert len(got) == math.prod(e // 2 + 1 for e in spec.values())
 
+    def test_equal_norm_conductors_follow_the_place_order(self):
+        # Two places that no prime of Q gives: the conductors a and b**2 share
+        # the norm 4, and b (q = 2) comes first, as in `place_sort_key`.
+        a, b = FinitePlace("a", 4), FinitePlace("b", 2)
+        got = LevelIdeal(((a, 2), (b, 4))).square_divisor_conductors()
+        assert [str(c) for c in got] == ["(1)", "b", "b^2", "a", "b*a", "b^2*a"]
+
 
 class TestIdealArithmetic:
     def test_quotient(self):
@@ -160,11 +165,8 @@ class TestIdealArithmetic:
 
 class TestProfile:
     def test_rationals_profile(self):
-        assert RATIONALS.degree == 1
-        assert RATIONALS.discriminant_abs == 1
         assert len(RATIONALS.archimedean_places) == 1
-        assert RATIONALS.place_for_prime(7).q == 7
-        assert RATIONALS.place_for_prime(7).d == 0
+        assert RATIONALS.place_for_prime(7) == FinitePlace("p7", 7)
 
     def test_rejects_composite_prime(self):
         with pytest.raises(ValueError):
@@ -196,35 +198,8 @@ class TestProfile:
             place = RATIONALS.place_for_prime(1_000_003)
         finally:
             fields._prime_power.cache_clear()
-        assert (place.label, place.q, place.d) == ("p1000003", 1_000_003, 0)
+        assert (place.label, place.q) == ("p1000003", 1_000_003)
         assert calls == [1_000_003]
-
-    def test_json_round_trip(self):
-        profile = FieldProfile.from_json(
-            '{"degree": 2, "discriminant": 5, '
-            '"places": [{"label": "v2", "q": 4, "d": 0}, {"label": "v5", "q": 5, "d": 1}]}'
-        )
-        assert profile.degree == 2
-        again = FieldProfile(
-            2, 5, (ArchimedeanPlace("inf"), ArchimedeanPlace("inf1")),
-            (FinitePlace("v2", 4, 0), FinitePlace("v5", 5, 1)),
-        )
-        assert again == profile
-
-    @pytest.mark.parametrize("degree, discriminant", [(2, 5), (3, 49), (2, 4), (1, 1)])
-    def test_minkowski_bound_admits_real_fields(self, degree, discriminant):
-        # Q(sqrt 5), the cubic field of discriminant 49, and the bound itself at n = 2
-        profile = FieldProfile.from_json(f'{{"degree": {degree}, "discriminant": {discriminant}}}')
-        assert (profile.degree, profile.discriminant_abs) == (degree, discriminant)
-        assert len(profile.archimedean_places) == degree
-
-    @pytest.mark.parametrize("degree, discriminant", [(2, 1), (3, 20), (4, 113), (10**9, 5)])
-    def test_minkowski_bound_rejects_impossible_pairs(self, degree, discriminant):
-        # (n**n / n!)**2 is 4, 20.25 and 113.8 for n = 2, 3, 4
-        with pytest.raises(ValueError, match="Minkowski's bound"):
-            FieldProfile.from_json(f'{{"degree": {degree}, "discriminant": {discriminant}}}')
-        with pytest.raises(ValueError, match="Minkowski's bound"):
-            FieldProfile(degree, discriminant, ())
 
     def test_place_validation(self):
         with pytest.raises(ValueError):

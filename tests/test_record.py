@@ -1,10 +1,10 @@
 """Every record class against a ``dataclasses`` twin of the same class body.
 
-The twin is ``@dataclass(frozen=True[, order=True])`` applied to a copy of
-the class without the methods `rtflab._record.record` generated.  Both are
-built from the same field values, positionally, by keyword, and with the
-defaulted fields left out, and must agree on the fields, ``==``, ``hash``,
-ordering, ``repr`` and on refusing assignment and deletion.
+The twin is ``@dataclass(frozen=True)`` applied to a copy of the class
+without the methods `rtflab._record.record` generated.  Both are built from
+the same field values, positionally, by keyword, and with the defaulted
+fields left out, and must agree on the fields, ``==``, ``hash``, on refusing
+ordering, on ``repr`` and on refusing assignment and deletion.
 """
 
 import dataclasses
@@ -19,9 +19,7 @@ import rtflab
 from rtflab import characters, checks, empirical, fields, lfunctions, local_factors, measures
 from rtflab import quadrature
 
-_GENERATED = {"__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__",
-              "__lt__", "__le__", "__gt__", "__ge__"}
-_ORDERED = {fields.ArchimedeanPlace, fields.FinitePlace}
+_GENERATED = {"__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"}
 
 P2 = fields.RATIONALS.place_for_prime(2)
 P3 = fields.RATIONALS.place_for_prime(3)
@@ -32,10 +30,6 @@ def _samples():
     """Instances of each record class, two per class at least, built the way
     the library builds them."""
     level = fields.LevelIdeal.from_integer(360)
-    real_quadratic = fields.FieldProfile(
-        2, 5, (fields.ArchimedeanPlace("inf"), fields.ArchimedeanPlace("inf1")),
-        (fields.FinitePlace("p2", 4), fields.FinitePlace("p5", 5, 1)),
-    )
     return {
         characters._UnitGroup: [characters.unit_group(1), characters.unit_group(12),
                                 characters.unit_group(40)],
@@ -51,8 +45,7 @@ def _samples():
                                       np.array([]), np.array([])),
         ],
         fields.ArchimedeanPlace: [fields.ArchimedeanPlace("inf"), fields.ArchimedeanPlace("inf1")],
-        fields.FinitePlace: [P2, P3, fields.FinitePlace("p2", 4), fields.FinitePlace("p5", 5, 1)],
-        fields.FieldProfile: [fields.RATIONALS, real_quadratic],
+        fields.FinitePlace: [P2, P3, fields.FinitePlace("p2", 4), fields.FinitePlace("p5", 5)],
         fields.LevelIdeal: [level, fields.LevelIdeal.unit(), fields.LevelIdeal(tuple(reversed(level.factors)))],
         lfunctions.LaurentData: [lfunctions.laurent_at_1(characters.DirichletCharacter.trivial()),
                                  lfunctions.LaurentData(1.0, 0.5, -0.25)],
@@ -73,7 +66,7 @@ CLASSES = list(SAMPLES)
 
 def _twin(cls):
     body = {k: v for k, v in vars(cls).items() if k not in _GENERATED | {"__dict__", "__weakref__"}}
-    return dataclasses.dataclass(frozen=True, order=cls in _ORDERED)(type(cls.__name__, (), body))
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
 
 
 TWINS = {cls: _twin(cls) for cls in CLASSES}
@@ -112,7 +105,7 @@ def test_every_record_class_has_samples():
                     and init.__code__.co_filename.startswith("<record "):
                 found.add(obj)
     assert found == set(CLASSES)
-    assert len(CLASSES) == 15
+    assert len(CLASSES) == 14
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -167,9 +160,7 @@ class TestAgainstDataclass:
                 assert _outcome(lambda: getattr(a, op)(b)) == _outcome(lambda: getattr(a_dc, op)(b_dc))
         other_rec, other_dc = _pairs(fields.LevelIdeal if cls is not fields.LevelIdeal else local_factors.Special)[0]
         assert _outcome(lambda: rec < other_rec) is _outcome(lambda: dc < other_dc) is TypeError
-        if cls in _ORDERED:
-            index = range(len(pairs))
-            assert sorted(index, key=lambda i: pairs[i][0]) == sorted(index, key=lambda i: pairs[i][1])
+        assert _outcome(lambda: rec < rec) is _outcome(lambda: dc < dc) is TypeError
 
     def test_frozen(self, cls):
         for rec, dc in _pairs(cls):
