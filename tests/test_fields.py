@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtflab.fields import (
+    ArchimedeanPlace,
     FinitePlace,
     LevelIdeal,
     RATIONALS,
     index_k0,
     parse_factored_level,
+    place_sort_key,
 )
 
 P2 = RATIONALS.place_for_prime(2)
@@ -126,6 +128,30 @@ class TestSquareDivisors:
         a, b = FinitePlace("a", 4), FinitePlace("b", 2)
         got = LevelIdeal(((a, 2), (b, 4))).square_divisor_conductors()
         assert [str(c) for c in got] == ["(1)", "b", "b^2", "a", "b*a", "b^2*a"]
+
+
+class TestPlaceOrder:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (ArchimedeanPlace("inf"), P2),
+            (ArchimedeanPlace("inf"), ArchimedeanPlace("inf1")),
+            (P2, RATIONALS.place_for_prime(11)),
+            (P3, FinitePlace("a", 4)),
+            (FinitePlace("a", 4), FinitePlace("b", 4)),
+        ],
+        ids=["archimedean-first", "archimedean-by-label", "finite-by-q-not-label-text",
+             "finite-by-q", "equal-q-by-label"],
+    )
+    def test_place_sort_key(self, first, second):
+        assert place_sort_key(first) < place_sort_key(second)
+        assert sorted([second, first], key=place_sort_key) == [first, second]
+
+    @given(st.permutations([(FinitePlace("b", 4), 1), (P5, 2), (P2, 3), (FinitePlace("a", 4), 1)]))
+    @settings(max_examples=24, deadline=None)
+    def test_level_factors_follow_the_place_order(self, factors):
+        level = LevelIdeal(tuple(factors))
+        assert [(p.label, e) for p, e in level.factors] == [("p2", 3), ("a", 1), ("b", 1), ("p5", 2)]
 
 
 class TestIdealArithmetic:

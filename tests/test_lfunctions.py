@@ -262,6 +262,14 @@ class TestEdgeCoefficients:
         direct = complex(f(-1.0 + h)).real
         assert abs(direct - recon) / abs(direct) <= 1e-4
 
+    @pytest.mark.parametrize("m", [5, 8, 12, 13, 17, 21, 24, 28, 29, 33])
+    def test_absent_pole_gives_positive_zeros(self, m):
+        # A nontrivial eta has residue 0, so orders -2 and -1 vanish; both are
+        # +0.0, since a -0.0 carries into the constants of orders 2 and 1.
+        coeffs = edge_coefficients(DirichletCharacter.quadratic(m))
+        assert (coeffs.c_minus2, coeffs.c_minus1) == (0.0, 0.0)
+        assert math.copysign(1.0, coeffs.c_minus2) == math.copysign(1.0, coeffs.c_minus1) == 1.0
+
 
 class TestExtractSeries:
     def test_polynomial_exact(self):

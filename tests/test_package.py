@@ -67,6 +67,38 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(rtflab, "run_all_checks")
 
 
+MODULES = sorted(path.stem for path in Path(rtflab.__file__).parent.glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_route_takes_a_field_datum(module):
+    # Q is the only base field: no function or method of the package takes a
+    # field profile or a discriminant.
+    import importlib
+    import inspect
+
+    mod = importlib.import_module(f"rtflab.{module}")
+    routes = []
+    for obj in vars(mod).values():
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isclass(obj):
+            routes += [f for f in vars(obj).values() if callable(getattr(f, "__func__", f))]
+        elif callable(obj):
+            routes.append(obj)
+    assert routes
+    found = []
+    for route in routes:
+        route = getattr(route, "__func__", route)
+        try:
+            parameters = inspect.signature(route).parameters
+        except (TypeError, ValueError):
+            continue
+        found += [f"{route.__qualname__}({name})" for name in parameters
+                  if name in ("profile", "discriminant", "discriminant_abs")]
+    assert found == []
+
+
 def test_submodules_still_import_by_name():
     from rtflab import checks, empirical
 

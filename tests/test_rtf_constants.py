@@ -147,6 +147,10 @@ class TestRhoEnumeration:
             oracles.enumerate_rho(L({p: 9 for p in (2, 3, 5, 7, 11, 13)}))
 
 
+# The least depth at which q**(depth/2) overflows a float, for the flat section.
+OVERFLOW_DEPTHS = [(2, 2048), (3, 1293), (5, 883), (7, 730), (11, 593)]
+
+
 class TestFlatSection:
     def test_empty(self):
         assert oracles.flat_section_at_identity(LevelIdeal.unit(), TRIVIAL) == 1.0
@@ -159,6 +163,13 @@ class TestFlatSection:
     def test_depth_two_plus(self):
         got = oracles.flat_section_at_identity(L({3: 2}), TRIVIAL)
         assert got == pytest.approx(2.0 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("q, depth", OVERFLOW_DEPTHS)
+    def test_overflow_is_a_domain_error(self, q, depth):
+        # q**(depth/2) leaves the floats; one depth less, the section is finite.
+        assert math.isfinite(oracles.flat_section_at_identity(L({q: depth - 1}), TRIVIAL))
+        with pytest.raises(DomainError, match=rf"^flat section at p{q} is not finite in floats at depth {depth}$"):
+            oracles.flat_section_at_identity(L({q: depth}), TRIVIAL)
 
 
 class TestEdgePlaceFactor:
@@ -331,6 +342,27 @@ class TestSpectralEdgeConstants:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             rtf.spectral_edge_constant(LevelIdeal.unit(), TRIVIAL, 3)
+
+    @pytest.mark.parametrize("q, depth", OVERFLOW_DEPTHS)
+    def test_flat_section_overflow_is_a_domain_error(self, q, depth):
+        message = rf"^flat section at p{q} is not finite in floats at depth {depth}$"
+        for order in (2, 1, 0, -1):
+            assert math.isfinite(rtf.spectral_edge_constant(L({q: depth - 1}), TRIVIAL, order))
+            with pytest.raises(DomainError, match=message):
+                rtf.spectral_edge_constant(L({q: depth}), TRIVIAL, order)
+
+    @pytest.mark.parametrize("m", [5, 8, 12, 13, 17, 21, 24, 28, 29, 33])
+    def test_vanishing_orders_are_positive_zeros(self, m):
+        # For a nontrivial eta, orders 2 and 1 are +0.0 on every level prime
+        # to m; with a c_minus1 of -0.0 some of them would be -0.0.
+        eta = DirichletCharacter.quadratic(m)
+        for a, b, c in itertools.product(range(4), range(4), range(3)):
+            spec = {p: e for p, e in ((3, a), (7, b), (11, c)) if e}
+            if any(m % p == 0 for p in spec):
+                continue
+            for order in (2, 1):
+                y = rtf.spectral_edge_constant(L(spec), eta, order)
+                assert (y, math.copysign(1.0, y)) == (0.0, 1.0), (spec, order)
 
 
 EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
