@@ -11,6 +11,7 @@ treating the spectral window as a full angle sweep.
 from rtflab.fields import RATIONALS
 from rtflab.measures import (
     dx_dy_abs,
+    integrate_density,
     local_spectral,
     plancherel,
     plancherel_mass_closed_form,
@@ -30,11 +31,11 @@ for x in xs:
     print(f"{x:6.1f}" + "".join(f"{v:14.6f}" for v in row))
 
 print("\n== masses (adaptive quadrature vs closed form) ==")
-res = sato_tate().mass(1e-11)
+res = integrate_density(sato_tate(), -2.0, 2.0, 1e-11)
 print(f"semicircle: {res.value:.12f}  (error estimate {res.error_estimate:.1e})")
 for p in (2, 3, 5, 7, 11):
     for sign in (1, -1):
-        got = plancherel(p, sign).mass(1e-10).value
+        got = integrate_density(plancherel(p, sign), -2.0, 2.0, 1e-10).value
         closed = plancherel_mass_closed_form(p, sign)
         print(f"mu_{p}^{'+' if sign == 1 else '-'}: quadrature {got:.12f}   closed form {closed:.12f}")
 

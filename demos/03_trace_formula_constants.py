@@ -36,7 +36,7 @@ print("\n== spectral edge constants ==")
 for tag, chi in (("trivial", DirichletCharacter.trivial()), ("quad mod 5", DirichletCharacter.quadratic(5))):
     for n_int in (1, 4, 12):
         n = LevelIdeal.from_integer(n_int)
-        ys = {j: rtf.spectral_edge_constant(n, chi, j) for j in (2, 1, 0, -1)}
+        ys = rtf.spectral_edge_constants(n, chi)
         body = ", ".join(f"Y_{j} = {v:+.6f}" for j, v in ys.items())
         print(f"{tag:10s} n = {n_int:3d}: {body}")
 

@@ -58,7 +58,7 @@ _EXPORTS = {
         "kernel_normalization",
         "level_constant",
         "predicted_moment_average",
-        "spectral_edge_constant",
+        "spectral_edge_constants",
         "unipotent_orbit_constant",
         "unipotent_orbit_factor",
     ),

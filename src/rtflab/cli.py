@@ -3,8 +3,8 @@
 Subcommands: measure, mass, weights, constants, characters, check, compare.
 Every subcommand takes --out PATH; --tol FLOAT is read by mass and check,
 and --format {csv,json} by weights.  No subcommand, and no `weights --rep`,
-accepts a flag it does not read, and no float flag accepts nan or an
-infinity.  The base field is Q.
+accepts a flag it does not read or an abbreviation of one, and no float flag
+accepts nan or an infinity.  The base field is Q.
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 numerical
 failure (diagnostic JSON on stderr).  Output is deterministic: fixed
 iteration orders, repr-exact floats, no clocks.
@@ -168,15 +168,14 @@ def _cmd_mass(args) -> int:
     return EXIT_OK
 
 
-# The rep flags of `weights` each rep reads; they default to None, read as
-# --theta 0.0, --chi-sign 1 and --c 2.
-_WEIGHTS_REP_FLAGS = {"spherical": ("theta", "satake"), "special": ("chi_sign",), "c2": ("c",)}
+# The rep flags each `weights` rep reads, None by default: --theta 0.0, --chi-sign +1.
+_WEIGHTS_REP_FLAGS = {"spherical": ("theta", "satake"), "special": ("chi_sign",), "c2": ()}
 
 
 def _cmd_weights(args) -> int:
     from .local_factors import HigherConductor, Special, Spherical, r_weight, spherical_in_open_set
 
-    for flag in ("theta", "satake", "chi_sign", "c"):
+    for flag in ("theta", "satake", "chi_sign"):
         if getattr(args, flag) is not None and flag not in _WEIGHTS_REP_FLAGS[args.rep]:
             raise _CliError(f"--rep {args.rep} does not read --{flag.replace('_', '-')}")
     place = RATIONALS.place_for_prime(args.q)
@@ -193,7 +192,7 @@ def _cmd_weights(args) -> int:
     elif args.rep == "special":
         data = Special(args.chi_sign or 1)
     else:
-        data = HigherConductor(2 if args.c is None else args.c)
+        data = HigherConductor(2)
     value = r_weight(place, data, args.sign, args.k)
     doc = {
         "variant": args.rep,
@@ -216,7 +215,7 @@ def _cmd_weights(args) -> int:
 def _cmd_constants(args) -> int:
     from .rtf_constants import (
         level_constant,
-        spectral_edge_constant,
+        spectral_edge_constants,
         unipotent_orbit_constant,
         unipotent_orbit_factor,
     )
@@ -242,7 +241,7 @@ def _cmd_constants(args) -> int:
         "C_level": level_constant(n),
         # C_eta is the orbit constant with no place in S
         "C_eta_big": unipotent_orbit_constant({}, n, eta).real,
-        "Y": {str(j): spectral_edge_constant(n, eta, j) for j in (2, 1, 0, -1)},
+        "Y": {str(j): y for j, y in spectral_edge_constants(n, eta).items()},
         "s_values": s_values,
         "upsilon_samples": upsilon_samples,
         "C_term_samples": c_term_samples,
@@ -314,14 +313,16 @@ def _cmd_check(args) -> int:
 
 
 def _parse_intervals(spec: str | None) -> list[tuple[float, float]]:
-    """'a:b,c:d' as float pairs; the error names the first malformed token."""
+    """'a:b,c:d' as pairs of finite floats; the error names the first malformed token."""
     intervals = []
     for part in spec.split(",") if spec else ():
         try:
-            a, b = part.split(":")
-            intervals.append((float(a), float(b)))
+            a, b = map(float, part.split(":"))
         except ValueError:
-            raise _CliError(f"cannot parse --intervals token {part!r} (use a:b)") from None
+            a = b = math.nan
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise _CliError(f"cannot parse --intervals token {part!r} (use a:b, a and b finite)")
+        intervals.append((a, b))
     return intervals
 
 
@@ -401,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit Satake parameter (complex) for spherical")
     p.add_argument("--chi-sign", type=int, choices=(1, -1), default=None,
                    help="twisting sign for special (default +1)")
-    p.add_argument("--c", type=int, default=None, help="conductor exponent for c2 (default 2)")
     p.set_defaults(fn=_cmd_weights)
 
     p = sub.add_parser("constants", help="level constants and edge constants (JSON)")
@@ -432,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list a:b (write --intervals=-1:0,... when an endpoint is negative)",
     )
     p.set_defaults(fn=_cmd_compare)
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # a flag is read under its own spelling or not at all
     return parser
 
 

@@ -39,7 +39,7 @@ class Density:
     nothing.  Calling the Density (or its ``fn``) checks the domain once,
     clamps onto [lo, hi] and evaluates the kernel; quadrature, the CDF
     tables and `rtflab measure`, whose points lie inside by construction,
-    call the kernel directly.
+    call the kernel directly.  Its mass is ``integrate_density(d, d.lo, d.hi)``.
     """
 
     lo: float
@@ -58,27 +58,22 @@ class Density:
         """The density with its domain check, the same as calling the Density."""
         return self.__call__
 
-    def mass(self, tol: float = 1e-10) -> QuadratureResult:
-        if not math.isfinite(self.hi - self.lo):
-            raise DomainError(
-                f"{self.tag} lives on an unbounded window; pair it against a "
-                "compactly supported function instead of asking for its mass"
-            )
-        return integrate_density(self, self.lo, self.hi, tol)
-
 
 def integrate_density(density: Density, a: float, b: float, tol: float = 1e-10) -> QuadratureResult:
     """Signed integral of a density from a to b, both inside its domain.
 
     Reversed bounds give the negative, as `integrate` does, for every kind
-    of density.  Endpoints within the edge tolerance of the domain are
-    clamped onto it; others raise DomainError.  A semicircle-type density
-    (``cos_substitution``) is integrated in theta = arccos(x / 2).
+    of density, and equal bounds 0.0.  Endpoints within the edge tolerance
+    of the domain are clamped onto it; others, NaN and the infinite end of
+    an unbounded window included, raise DomainError.  A semicircle-type
+    density (``cos_substitution``) is integrated in theta = arccos(x / 2).
     """
     lo, hi = density.lo, density.hi
     if not all(lo - _EDGE_TOL <= t <= hi + _EDGE_TOL for t in (a, b)):
         raise DomainError(f"[{a}, {b}] is not inside the domain of {density.tag}")
     a, b = min(max(a, lo), hi), min(max(b, lo), hi)
+    if not math.isfinite(b - a):
+        raise DomainError(f"[{a}, {b}] reaches the unbounded end of the window of {density.tag}")
     if density.cos_substitution:
         # theta decreases as x increases, so the bounds swap.
         return integrate(theta_integrand(density), math.acos(b / 2.0), math.acos(a / 2.0), tol)

@@ -25,8 +25,8 @@ only `checks` (and the tests) do.
   factors of `rtf_constants` at (q, k, eta(q)), with eta the character
   itself (`DirichletCharacter.sign_at`);
   `edge_constants_by_enumeration` sums them, the second route to
-  `rtf_constants.spectral_edge_constant`, which takes products over places
-  of per-place sums.
+  `rtf_constants.spectral_edge_constants`, which takes products over places
+  of per-place sums; both key the four constants by order.
 
 The character and gamma oracles need numpy only.  mpmath, `lfunctions` and
 `rtf_constants` are imported inside the analytic functions that use them,
@@ -426,9 +426,9 @@ def residual_term_constant(d: LevelIdeal, eta: DirichletCharacter) -> float:
 
 
 def edge_constants_by_enumeration(n: LevelIdeal, eta: DirichletCharacter) -> dict[int, float]:
-    """The four spectral edge constants as explicit sums over every choice
-    assignment, built from the per-assignment functions: the independent
-    route to `rtf_constants.spectral_edge_constant`."""
+    """The four spectral edge constants, keyed by order, as sums over every
+    choice assignment of the per-assignment functions: the independent
+    route to `rtf_constants.spectral_edge_constants`."""
     from .lfunctions import _INV_ZETA_HAT2_JET, edge_coefficients
 
     weight = _INV_ZETA_HAT2_JET[0]

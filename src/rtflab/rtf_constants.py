@@ -204,13 +204,13 @@ def _residual_combination(laurent: LaurentData, twisted_zero: float, twisted_d2:
 # the spectral edge constants
 
 
-def spectral_edge_constant(n: LevelIdeal, eta: DirichletCharacter, order: int) -> float:
-    """The constant of the stated order (2, 1, 0 or -1) in the edge expansion
-    of the residual-plus-degenerate spectral contribution at level n, for the
-    trivial or an even primitive quadratic character eta over Q (`ValueError`
-    otherwise, from `lfunctions`).
+def spectral_edge_constants(n: LevelIdeal, eta: DirichletCharacter) -> dict[int, float]:
+    """The constants of orders 2, 1, 0 and -1 in the edge expansion of the
+    residual-plus-degenerate spectral contribution at level n, keyed by
+    order, for the trivial or an even primitive quadratic character eta over
+    Q (`ValueError` otherwise, from `lfunctions`).
 
-    Orders 2..0 weight the choice-assignment sums by the character's flat
+    Orders 2..0 weight the choice-assignment sum by the character's flat
     section and the edge Taylor data (`edge_coefficients`); order -1 uses the
     trivial section, the residual term constants and the Laurent data
     (`laurent_at_1`).  Orders 2..0 enter the moment identity only for an
@@ -219,25 +219,20 @@ def spectral_edge_constant(n: LevelIdeal, eta: DirichletCharacter, order: int) -
     (:func:`assignment_sum`); `oracles.edge_constants_by_enumeration`, one
     term per assignment, is the independent route.
     """
-    if order not in (2, 1, 0, -1):
-        raise ValueError("order must be one of 2, 1, 0, -1")
-    if order == -1:
-        laurent = laurent_at_1(eta)
-        trivial = DirichletCharacter.trivial()
-        value = assignment_sum(
-            n, trivial, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0)
-        )[0]
-        residue = assignment_sum(n, trivial, lambda p, k: residue_place_jet(p.q, k))
-        # root number 1: epsilon(0) = sqrt(m); the weight is 1 / Lambda_zeta(2)
-        eps0 = math.sqrt(eta.modulus)
-        return _INV_ZETA_HAT2_JET[0] * _residual_combination(laurent, eps0 * value, 2.0 * residue[2])
     e: EdgeCoefficients = edge_coefficients(eta)
     t0, t1, t2 = assignment_sum(n, eta, lambda p, k: edge_place_jet(p.q, k, eta.sign_at(p)))
-    if order == 2:
-        return 0.5 * t0 * e.c_minus2
-    if order == 1:
-        return e.c_minus1 * t0 + e.c_minus2 * t1
-    return e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0
+    laurent = laurent_at_1(eta)
+    trivial = DirichletCharacter.trivial()
+    value = assignment_sum(n, trivial, lambda p, k: (_value_factor(p.q, k, eta.sign_at(p)), 0.0, 0.0))[0]
+    residue = assignment_sum(n, trivial, lambda p, k: residue_place_jet(p.q, k))
+    # root number 1: epsilon(0) = sqrt(m); the weight is 1 / Lambda_zeta(2)
+    eps0 = math.sqrt(eta.modulus)
+    return {
+        2: 0.5 * t0 * e.c_minus2,
+        1: e.c_minus1 * t0 + e.c_minus2 * t1,
+        0: e.c_minus2 * t2 + e.c_minus1 * t1 + e.c_zero * t0,
+        -1: _INV_ZETA_HAT2_JET[0] * _residual_combination(laurent, eps0 * value, 2.0 * residue[2]),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from rtflab.fields import LevelIdeal, RATIONALS
 from rtflab.lfunctions import edge_coefficients, laurent_at_1
 from rtflab.local_factors import HigherConductor, Special, Spherical, global_weight, r_weight
 from rtflab.measures import (
+    integrate_density,
     local_spectral,
     plancherel,
     plancherel_mass_closed_form,
@@ -61,12 +62,12 @@ def _finish(number, description, condition, detail=""):
 
 def test_criterion_01_measure_masses():
     t0 = time.perf_counter()
-    worst_st = abs(sato_tate().mass(1e-11).value - 1.0)
+    worst_st = abs(integrate_density(sato_tate(), -2.0, 2.0, 1e-11).value - 1.0)
     worst_p = 0.0
     for p in (2, 3, 5, 7, 11):
         for sign in (1, -1):
             closed = plancherel_mass_closed_form(p, sign)
-            got = plancherel(p, sign).mass(1e-9).value
+            got = integrate_density(plancherel(p, sign), -2.0, 2.0, 1e-9).value
             worst_p = max(worst_p, abs(got - closed), abs(got - 1.0))
     elapsed = time.perf_counter() - t0
     _finish(

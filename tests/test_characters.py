@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtflab import characters
 from rtflab.characters import (
     DirichletCharacter,
     census_proof_bound,
@@ -27,7 +28,7 @@ from rtflab.characters import (
     unit_group,
 )
 from rtflab.cli import main
-from rtflab.errors import RamifiedOverlapError
+from rtflab.errors import CapExceededError, RamifiedOverlapError
 from rtflab.fields import LevelIdeal, RATIONALS, parse_factored_level
 from rtflab.lfunctions import laurent_at_1
 from rtflab.oracles import (
@@ -216,7 +217,7 @@ class TestConductorRule:
 
 class TestGaussSums:
     def test_trivial_modulus(self):
-        assert gauss_sum(DirichletCharacter.trivial(1)) == 1.0 + 0.0j
+        assert gauss_sum(DirichletCharacter.trivial()) == 1.0 + 0.0j
 
     def test_quadratic_mod5_real_positive(self):
         tau = gauss_sum(DirichletCharacter.quadratic(5))
@@ -227,7 +228,7 @@ class TestGaussSums:
         assert tau == pytest.approx(1j * math.sqrt(3.0), abs=1e-12)
 
     def test_rejects_imprimitive(self):
-        chi = DirichletCharacter.trivial(4)
+        chi = DirichletCharacter(4, (0,))  # the imprimitive trivial character mod 4
         with pytest.raises(ValueError):
             gauss_sum(chi)
 
@@ -314,6 +315,29 @@ class TestXiCensus:
         for m in range(1, 60):
             n = LevelIdeal.from_integer(m * m)
             assert len(enumerate_xi(n)) <= census_proof_bound(n) + 1e-9
+
+    def test_census_reach_is_under_the_cap(self):
+        # The largest conductor the benchmark census reaches builds its tables.
+        assert characters._MODULUS_CAP >= 2**6 * 3**5 * 11 == 171_072
+
+    def test_oversized_level_is_refused_before_any_table(self, monkeypatch):
+        # 2^60 reaches conductor 2^30; no smaller conductor's tables are built first.
+        def refuse(m):
+            raise AssertionError(f"built the tables mod {m}")
+
+        monkeypatch.setattr(characters, "primitive_axes", refuse)
+        monkeypatch.setattr(characters, "unit_group", refuse)
+        with pytest.raises(CapExceededError, match="reaches conductor 1073741824 > cap"):
+            enumerate_xi(L({2: 60}))
+        with pytest.raises(CapExceededError):
+            enumerate_xi(L({2: 2, 3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 2}))  # conductor 510 510
+
+    @pytest.mark.parametrize("m", [2**18 + 1, 2**30, 10**40], ids=["cap+1", "2^30", "10^40"])
+    def test_oversized_modulus_is_refused(self, m):
+        with pytest.raises(CapExceededError):
+            unit_group(m)
+        with pytest.raises(CapExceededError):
+            DirichletCharacter.quadratic(m)
 
     def test_even_primitive_only(self):
         for chi in enumerate_xi(L({2: 6, 5: 2})):
@@ -440,7 +464,7 @@ class TestLOne:
         # residue 1, and an imprimitive trivial character is refused.
         assert laurent_at_1(DirichletCharacter.trivial()).residue == 1.0
         with pytest.raises(ValueError):
-            laurent_at_1(DirichletCharacter.trivial(6))
+            laurent_at_1(DirichletCharacter(6, (0,)))
 
     def test_completed_accessor(self):
         # (m/pi)**(1/2) Gamma(1/2) = sqrt(m): the completed L at 1 is sqrt(m) L(1)

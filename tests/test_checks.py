@@ -202,7 +202,7 @@ class TestCensusOracleSensitivity:
     def test_all_characters_claimed_even(self, monkeypatch):
         # A zero parity vector gives every exponent row the phase 0 at -1.
         monkeypatch.setattr(characters, "parity_vector", lambda m: (0,) * len(unit_group(m).orders))
-        assert len(characters.enumerate_xi(25)) == 4  # the two odd characters mod 5 too
+        assert len(characters.enumerate_xi(LevelIdeal.from_integer(25))) == 4  # the two odd characters mod 5 too
         assert any(not xi_matches_brute_force(m) for m in range(1, 61))
 
     def test_doubled_phases(self, monkeypatch):

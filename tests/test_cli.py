@@ -311,6 +311,19 @@ class TestCharacters:
         assert lines[0] == "modulus,conductor,parity,order"
         assert lines[1:] == ["1,1,even,1", "5,5,even,2"]
 
+    @pytest.mark.parametrize(
+        "argv", [["characters", "--n", "2^60"], ["constants", "--n", "1", "--eta", "quad:99999999999"]],
+        ids=["census-2^60", "eta-quad-huge"],
+    )
+    def test_oversized_character_tables_exit_3_fast(self, capsys, argv):
+        import time
+
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0  # refused before any table is built
+        assert (code, out) == (3, "")
+        assert json.loads(err)["type"] == "CapExceededError"
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "characters", "--n", "2^4*3^2")
         _, out2, _ = run(capsys, "characters", "--n", "2^4*3^2")
@@ -354,7 +367,7 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "usage"
 
-    @pytest.mark.parametrize("token", ["0:1:2", "a:1", "1", ""])
+    @pytest.mark.parametrize("token", ["0:1:2", "a:1", "1", "", "nan:1", "-inf:1", "0:inf"])
     def test_bad_interval_token_is_named(self, capsys, tmp_path, token):
         path = tmp_path / "sample.csv"
         path.write_text("level_norm,place_q,x,weight\n1,2,0.5,1.0\n", encoding="utf-8")
@@ -469,7 +482,7 @@ BASE_ARGV = {
     "check": ["check"],
     "compare": ["compare", "--measure", "mu_ST", "--sample", "sample.csv"],
 }
-FLAG_VALUES = {"--profile": "profile.json", "--tol": "1e-8", "--format": "csv", "--out": "out.txt"}
+FLAG_VALUES = {"--profile": "profile.json", "--c": "3", "--tol": "1e-8", "--format": "csv", "--out": "out.txt"}
 READ_FLAGS = {
     "measure": ("--out",),
     "mass": ("--out", "--tol"),
@@ -482,8 +495,23 @@ READ_FLAGS = {
 
 
 # The rep flags of `weights`, the value given to each, and the reps that read them.
-WEIGHTS_FLAG_VALUES = {"--theta": "0.3", "--satake": "1j", "--chi-sign": "-1", "--c": "3"}
-WEIGHTS_READ_FLAGS = {"spherical": ("--theta", "--satake"), "special": ("--chi-sign",), "c2": ("--c",)}
+WEIGHTS_FLAG_VALUES = {"--theta": "0.3", "--satake": "1j", "--chi-sign": "-1"}
+WEIGHTS_READ_FLAGS = {"spherical": ("--theta", "--satake"), "special": ("--chi-sign",), "c2": ()}
+# Two values of each `weights` flag a rep may read; a flag without a pair here fails the test.
+WEIGHTS_FLAG_PAIRS = {
+    "--format": ("csv", "json"),
+    "--q": ("2", "3"),
+    "--sign": ("1", "-1"),
+    "--k": ("2", "3"),
+    "--theta": ("0.3", "1.1"),
+    "--satake": ("1j", "-1"),
+    "--chi-sign": ("1", "-1"),
+}
+
+
+def _weights_options() -> set[str]:
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {s for action in sub.choices["weights"]._actions for s in action.option_strings}
 
 
 class TestFlagsPerSubcommand:
@@ -505,14 +533,29 @@ class TestFlagsPerSubcommand:
         [
             (["--rep", "spherical", "--theta", "0.3", "--satake", "1j"],
              "give the Satake parameter by --theta or by --satake, not both"),
-            (["--rep", "c2", "--c", "1"], "higher-conductor shape requires c >= 2"),
         ],
-        ids=["theta-with-satake", "c2-c-1"],
+        ids=["theta-with-satake"],
     )
     def test_weights_flag_conflicts_exit_2(self, capsys, extra, message):
         code, out, err = run(capsys, "weights", "--sign", "1", "--k", "1", *extra)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("rep", list(WEIGHTS_READ_FLAGS))
+    def test_every_weights_flag_moves_stdout(self, capsys, rep):
+        # A flag a rep reads must change its output for some pair of values;
+        # a knob that no formula reads fails here.
+        others = {f for r, flags in WEIGHTS_READ_FLAGS.items() if r != rep for f in flags}
+        read = _weights_options() - {"-h", "--help", "--out", "--rep"} - others
+        assert read >= {"--q", "--sign", "--k", "--format", *WEIGHTS_READ_FLAGS[rep]}
+        for flag in sorted(read):
+            outs = []
+            for value in WEIGHTS_FLAG_PAIRS[flag]:
+                argv = {"--rep": rep, "--sign": "1", "--k": "3", flag: value}
+                code, out, _ = run(capsys, "weights", *[t for kv in argv.items() for t in kv])
+                assert code == 0, (rep, flag, value)
+                outs.append(out)
+            assert outs[0] != outs[1], (rep, flag)
 
     @pytest.mark.parametrize(
         "command,flag",

@@ -18,6 +18,7 @@ from rtflab.empirical import (
     write_sample_csv,
     _ks_distance,
 )
+from rtflab.errors import DomainError
 from rtflab.measures import plancherel, sato_tate
 
 
@@ -462,6 +463,14 @@ class TestIntervals:
         rep = interval_report(sample, sato_tate(), [(0.25, 0.25)])
         assert rep[0]["theoretical_mass"] == 0.0
         assert rep[0]["empirical_mass"] == 0.0
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (5.0, 5.0), (-3.0, 1.0)])
+    def test_interval_off_the_domain_is_a_domain_error(self, a, b):
+        # Every interval reaches `integrate_density`, the empty one included,
+        # so NaN or an off-domain endpoint never reads as mass 0.
+        sample, _ = sample_from_rows([(1, 2, 0.5, 1.0)])
+        with pytest.raises(DomainError):
+            interval_report(sample, sato_tate(), [(a, b)])
 
     def test_full_interval(self):
         sample, _ = sample_from_rows([(1, 2, 0.5, 1.0), (1, 2, -0.5, 3.0)])

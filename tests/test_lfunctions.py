@@ -364,7 +364,7 @@ class TestUnsupportedCharacters:
     )
     def test_rejected(self, chi):
         from rtflab.fields import LevelIdeal
-        from rtflab.rtf_constants import spectral_edge_constant
+        from rtflab.rtf_constants import spectral_edge_constants
 
         with pytest.raises(ValueError):
             laurent_at_1(chi)
@@ -375,12 +375,13 @@ class TestUnsupportedCharacters:
         with pytest.raises(ValueError):
             completed_l(2.0, chi)
         with pytest.raises(ValueError):
-            spectral_edge_constant(LevelIdeal.unit(), chi, 0)
+            spectral_edge_constants(LevelIdeal.unit(), chi)
 
     def test_imprimitive_trivial_character_is_rejected(self):
-        # The trivial character is the one mod 1; trivial(6) would silently
-        # pick up the Euler factors at 2 and 3 in the stencil routes.
-        chi = DirichletCharacter.trivial(6)
+        # The trivial character is the one mod 1; the trivial character
+        # mod 6 would silently pick up the Euler factors at 2 and 3 in the
+        # stencil routes.
+        chi = DirichletCharacter(6, (0,))
         for route in (laurent_at_1, edge_coefficients, laurent_at_1_two_widths, central_series_function):
             with pytest.raises(ValueError):
                 route(chi)

@@ -50,7 +50,7 @@ class TestSemicircle:
         assert MU_ST(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_mass_is_semicircle_area(self):
-        res = sato_tate().mass(1e-11)
+        res = integrate_density(sato_tate(), -2.0, 2.0, 1e-11)
         assert abs(res.value - 1.0) <= 1e-10
 
     def test_domain_error(self):
@@ -70,7 +70,7 @@ class TestPlancherelDensity:
     def test_mass_one_via_closed_form(self, p, sign):
         closed = plancherel_mass_closed_form(p, sign)
         assert closed == pytest.approx(1.0, abs=1e-14)
-        got = plancherel(p, sign).mass(1e-10)
+        got = integrate_density(plancherel(p, sign), -2.0, 2.0, 1e-10)
         assert abs(got.value - closed) <= 1e-8
 
     def test_large_prime_approaches_semicircle(self):
@@ -322,8 +322,10 @@ class TestUnboundedDomains:
     def test_archimedean_density_mass_rejected(self):
         from rtflab.measures import local_spectral
 
-        with pytest.raises(DomainError):
-            local_spectral(ARCH, 1).mass()
+        density = local_spectral(ARCH, 1)
+        for a, b in ((density.lo, density.hi), (1.0, math.inf), (math.inf, math.inf)):
+            with pytest.raises(DomainError, match="unbounded end of the window of lambda_inf"):
+                integrate_density(density, a, b)
 
     def test_archimedean_tail_limit(self):
         # the density tends to 1/pi at high spectral parameter

@@ -306,7 +306,7 @@ class TestResidueFactors:
 
 class TestSpectralEdgeConstants:
     def test_unit_level_order_two_is_leading_coefficient(self):
-        got = rtf.spectral_edge_constant(LevelIdeal.unit(), TRIVIAL, 2)
+        got = rtf.spectral_edge_constants(LevelIdeal.unit(), TRIVIAL)[2]
         assert got == pytest.approx(edge_coefficients(TRIVIAL).c_minus2, abs=1e-12)
         assert got == pytest.approx(24.0 / math.pi, abs=1e-9)
 
@@ -314,14 +314,14 @@ class TestSpectralEdgeConstants:
         # chi5(2) = chi5(3) = -1, so every nonempty assignment has vanishing
         # order-0 product and the sums reduce to the empty-assignment term.
         n = L({2: 2, 3: 1})
-        got = rtf.spectral_edge_constant(n, CHI5, 0)
+        got = rtf.spectral_edge_constants(n, CHI5)[0]
         empty_term = 2.0 * edge_coefficients(CHI5).c_zero  # (section + empty-flag) * c_zero
         assert got == pytest.approx(empty_term, abs=1e-10)
 
     def test_orders_vanish_for_regular_character(self):
+        ys = rtf.spectral_edge_constants(L({2: 1}), CHI5)
         for order in (2, 1):
-            v = rtf.spectral_edge_constant(L({2: 1}), CHI5, order)
-            assert abs(v) <= 1e-10
+            assert abs(ys[order]) <= 1e-10
 
     def test_growth_scan_polylog_envelope(self):
         # Empirical scan over N <= 1e6: all four constants stay finite and
@@ -334,22 +334,18 @@ class TestSpectralEdgeConstants:
                     n = L(spec)
                     if n.norm() > 10**6:
                         continue
-                    for order in (2, 1, 0, -1):
-                        y = rtf.spectral_edge_constant(n, eta, order)
+                    ys = rtf.spectral_edge_constants(n, eta)
+                    assert list(ys) == [2, 1, 0, -1]
+                    for y in ys.values():
                         assert math.isfinite(y)
                         assert abs(y) <= 16.0 * (1.0 + math.log(n.norm())) ** 6
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            rtf.spectral_edge_constant(LevelIdeal.unit(), TRIVIAL, 3)
 
     @pytest.mark.parametrize("q, depth", OVERFLOW_DEPTHS)
     def test_flat_section_overflow_is_a_domain_error(self, q, depth):
         message = rf"^flat section at p{q} is not finite in floats at depth {depth}$"
-        for order in (2, 1, 0, -1):
-            assert math.isfinite(rtf.spectral_edge_constant(L({q: depth - 1}), TRIVIAL, order))
-            with pytest.raises(DomainError, match=message):
-                rtf.spectral_edge_constant(L({q: depth}), TRIVIAL, order)
+        assert all(map(math.isfinite, rtf.spectral_edge_constants(L({q: depth - 1}), TRIVIAL).values()))
+        with pytest.raises(DomainError, match=message):
+            rtf.spectral_edge_constants(L({q: depth}), TRIVIAL)
 
     @pytest.mark.parametrize("m", [5, 8, 12, 13, 17, 21, 24, 28, 29, 33])
     def test_vanishing_orders_are_positive_zeros(self, m):
@@ -360,8 +356,9 @@ class TestSpectralEdgeConstants:
             spec = {p: e for p, e in ((3, a), (7, b), (11, c)) if e}
             if any(m % p == 0 for p in spec):
                 continue
+            ys = rtf.spectral_edge_constants(L(spec), eta)
             for order in (2, 1):
-                y = rtf.spectral_edge_constant(L(spec), eta, order)
+                y = ys[order]
                 assert (y, math.copysign(1.0, y)) == (0.0, 1.0), (spec, order)
 
 
@@ -390,15 +387,15 @@ class TestFactorizedEdgeConstants:
         n = L(spec)
         chi = TRIVIAL if eta == "trivial" else DirichletCharacter.quadratic(int(eta[5:]))
         expected = oracles.edge_constants_by_enumeration(n, chi)
-        for order in (2, 1, 0, -1):
-            y = expected[order]
-            got = rtf.spectral_edge_constant(n, chi, order)
+        ys = rtf.spectral_edge_constants(n, chi)
+        assert list(ys) == list(expected) == [2, 1, 0, -1]
+        for order, y in expected.items():
+            got = ys[order]
             assert abs(got - y) <= 1e-12 * max(1.0, abs(y)), (order, got, y)
 
     def test_ramified_level_raises_for_every_order(self):
-        for order in (2, 1, 0, -1):
-            with pytest.raises(RamifiedOverlapError):
-                rtf.spectral_edge_constant(L({5: 1}), CHI5, order)
+        with pytest.raises(RamifiedOverlapError):
+            rtf.spectral_edge_constants(L({5: 1}), CHI5)
 
 
 class TestOrbitFactor:
@@ -627,7 +624,7 @@ class TestCharacterInput:
     Laurent and edge data from `lfunctions`."""
 
     ROUTES = [
-        rtf.spectral_edge_constant,
+        rtf.spectral_edge_constants,
         rtf.unipotent_orbit_factor,
         rtf.unipotent_orbit_constant,
         rtf.predicted_moment_average,
@@ -645,16 +642,15 @@ class TestCharacterInput:
 
     @pytest.mark.parametrize(
         "chi",
-        [DirichletCharacter.trivial(6), DirichletCharacter.quadratic(3)],
+        [DirichletCharacter(6, (0,)), DirichletCharacter.quadratic(3)],
         ids=["imprimitive_trivial_mod6", "odd_quadratic_mod3"],
     )
     def test_rejects_what_the_closed_forms_do_not_cover(self, chi):
-        # trivial(6) is not read as the trivial character mod 1: it would
-        # drop the Euler factors at 2 and 3.
+        # The trivial character mod 6 is not read as the one mod 1: it
+        # would drop the Euler factors at 2 and 3.
         n = L({7: 1})
-        for order in (2, 1, 0, -1):
-            with pytest.raises(ValueError):
-                rtf.spectral_edge_constant(n, chi, order)
+        with pytest.raises(ValueError):
+            rtf.spectral_edge_constants(n, chi)
         with pytest.raises(ValueError):
             rtf.unipotent_orbit_constant({}, n, chi)
         with pytest.raises(ValueError):
@@ -670,17 +666,11 @@ class TestUnitLevelEdgeWiring:
         # The single (empty) assignment has section 1 and empty-flag 1, with
         # order-0 product 1 and vanishing higher Taylor data, so the sums
         # collapse onto the edge coefficients with the documented weights.
-        unit = LevelIdeal.unit()
+        ys = rtf.spectral_edge_constants(LevelIdeal.unit(), TRIVIAL)
         e = edge_coefficients(TRIVIAL)
-        assert rtf.spectral_edge_constant(unit, TRIVIAL, 2) == pytest.approx(
-            2.0 * 0.5 * e.c_minus2, abs=1e-12
-        )
-        assert rtf.spectral_edge_constant(unit, TRIVIAL, 1) == pytest.approx(
-            2.0 * e.c_minus1, abs=1e-12
-        )
-        assert rtf.spectral_edge_constant(unit, TRIVIAL, 0) == pytest.approx(
-            2.0 * e.c_zero, abs=1e-12
-        )
+        assert ys[2] == pytest.approx(2.0 * 0.5 * e.c_minus2, abs=1e-12)
+        assert ys[1] == pytest.approx(2.0 * e.c_minus1, abs=1e-12)
+        assert ys[0] == pytest.approx(2.0 * e.c_zero, abs=1e-12)
 
     def test_unit_level_residual_order(self):
         # a(empty) = -2 R C1 + C0^2 (the empty product of residue factors is
@@ -690,6 +680,6 @@ class TestUnitLevelEdgeWiring:
         expected = 2.0 * 6.0 / math.pi * (
             -2.0 * lt.residue * lt.c1 + lt.c0**2
         )
-        assert rtf.spectral_edge_constant(unit, TRIVIAL, -1) == pytest.approx(
+        assert rtf.spectral_edge_constants(unit, TRIVIAL)[-1] == pytest.approx(
             expected, abs=1e-12
         )
